@@ -142,6 +142,7 @@ type conn = {
   fd : Unix.file_descr;
   key : int;
   peer : string;  (* peer address (no port): the guard's ledger key *)
+  loop : loop;  (* the event loop that owns this connection *)
   mutable inbuf : string;
   readbuf : Bytes.t;  (* per-connection scratch, reused across reads *)
   outq : Sendq.t;
@@ -191,12 +192,35 @@ and timer_ev =
   | T_warm  (* warming: mine, re-pin the hot tier, issue prefetches *)
 
 (* Who a ready file descriptor belongs to. *)
-type fd_owner =
+and fd_owner =
   | O_listen
   | O_wake
   | O_helper
+  | O_stats  (* MP parent: the children's stats pipe *)
   | O_client of conn
   | O_cgi of conn
+
+(* One event loop's own state.  Every mode runs the same [run_loop] over
+   one of these: the AMPED/SPED/shard loop serves many connections; each
+   MP child and MT worker owns a loop that takes one connection at a
+   time and has no helpers, so its disk reads block only that worker;
+   the MP parent and the MT main thread run one without the listener.
+   An epoll interest set must not be shared across forks or mutated by
+   several threads, so every loop has its own backend. *)
+and loop = {
+  evio : Evio.Backend.t;
+  wheel : timer_ev Evio.Timer_wheel.t;
+  fd_owners : (Unix.file_descr, fd_owner) Hashtbl.t;
+  conns : (int, conn) Hashtbl.t;
+  by_helper_key : (int, conn) Hashtbl.t;
+  mutable next_key : int;
+  send_scratch : Bytes.t;  (* copying-fallback staging buffer *)
+  mutable accept_paused : bool;  (* listen interest parked by backoff *)
+  mutable accept_backoff : float;  (* current backoff delay, seconds *)
+  accepts : bool;  (* watches the listen fd *)
+  single : bool;  (* MP/MT worker: one connection at a time *)
+  track : string;  (* the trace track its request work lands on *)
+}
 
 (* Sharded mode: who this instance is within the shard set.  A shard
    is a full AMPED server (own evio backend, timer wheel, cache,
@@ -235,6 +259,28 @@ type warm_state = {
 
 let warmed_limit = 4096
 
+(* MP consolidation over the stats pipe (see {!Stats_frame}).  The
+   parent makes the pipe before forking; each child swaps its copy of
+   this field for [Mp_child] right after the fork. *)
+type mp_link =
+  | Mp_none
+  | Mp_parent of {
+      pipe : Unix.file_descr;  (* read end, nonblocking *)
+      keep : Unix.file_descr;  (* write end, held so the pipe never EOFs *)
+      decoder : Stats_frame.decoder;
+      (* pid -> (active connections, mapped bytes): each child's latest
+         gauges, summed at snapshot, never accumulated. *)
+      gauges : (int, int * int) Hashtbl.t;
+    }
+  | Mp_child of {
+      out : Unix.file_descr;
+      pid : int;
+      mutable sent : int array;  (* counters at the last record *)
+      mutable sent_gauges : int * int;
+      mutable latencies : float list;  (* newest first *)
+      mutable traces : string list;  (* newest first *)
+    }
+
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
@@ -243,20 +289,9 @@ type t = {
   helper : Helper.t option;
   wake_read : Unix.file_descr;
   wake_write : Unix.file_descr;
-  (* Event-readiness state for the owning loop (SPED/AMPED main loop;
-     the MP parent reuses [evio] for its stats pipe; MP children and MT
-     workers build their own backend instances instead — an epoll fd
-     must not be shared across forked interest mutators). *)
-  evio : Evio.Backend.t;
-  wheel : timer_ev Evio.Timer_wheel.t;
-  fd_owners : (Unix.file_descr, fd_owner) Hashtbl.t;
+  main : loop;  (* the loop [run] drives *)
   loopstat : Obs.Loopstat.t;
   accept_emfile : Obs.Counter.t;  (* accepts shed on EMFILE/ENFILE *)
-  mutable accept_paused : bool;  (* listen interest parked by backoff *)
-  mutable accept_backoff : float;  (* current backoff delay, seconds *)
-  conns : (int, conn) Hashtbl.t;
-  by_helper_key : (int, conn) Hashtbl.t;
-  mutable next_key : int;
   mutable stopped : bool;
   mutable loop_thread : Thread.t option;
   mutable children : int list;  (* MP child pids *)
@@ -264,17 +299,9 @@ type t = {
   mutable n_connections : int;
   mutable n_errors : int;
   log_channel : out_channel option;
-  (* MP mode: forked children hold copy-on-write stats, so per-request
-     events are consolidated in the parent over a pipe (the paper's §4.2
-     "information gathering" cost of the MP architecture).  Each event is
-     a fixed 9-byte record: a tag byte plus the latency as IEEE-754
-     bits. *)
-  stats_pipe_read : Unix.file_descr option;
-  stats_pipe_write : Unix.file_descr option;
-  stats_acc : Buffer.t;  (* partial pipe records between reads *)
-  (* Serialises pipe reads + [stats_acc]: the parent loop and [stats]
-     callers both drain, and a 9-byte record must not split between
-     them. *)
+  mutable mp : mp_link;
+  (* Serialises stats-pipe reads and the child gauges: the parent loop
+     and snapshot callers both drain. *)
   stats_mutex : Mutex.t;
   (* MT mode: threads share the cache; systhreads interleave at
      allocation points, so cache access is serialized. *)
@@ -301,17 +328,9 @@ type t = {
   bytes_copied : Obs.Counter.t;
   bytes_sent : Obs.Counter.t;  (* response bytes the kernel accepted *)
   (* Responses by status class: slots for 2xx/3xx/4xx/5xx, guarded by
-     [obs_mutex]; MP children ship 'S' records so the parent's array is
-     the consolidated view. *)
+     [obs_mutex]. *)
   status_classes : int array;
-  (* Copying-fallback staging buffer for the single-threaded event-loop
-     modes; MP/MT workers allocate their own per connection. *)
-  send_scratch : Bytes.t;
   gather_writes : bool;  (* config.use_writev, gated on stub presence *)
-  (* The pid that created this server.  After an MP fork both sides
-     hold the same record; parent-only duties (draining the stats pipe,
-     summing child gauges) key off it. *)
-  owner_pid : int;
   (* The unified metrics registry: every surface (/server-status text
      and JSON, /metrics exposition, programmatic stats) renders from
      one [Registry.collect] walk over these closures. *)
@@ -324,12 +343,6 @@ type t = {
   mutable recorder : Obs.Recorder.t option;
   recorder_mutex : Mutex.t;
   slo : Obs.Slo.t option;
-  (* MP parent: last gauge snapshot shipped by each child ('G'
-     records), pid -> (active connections, mapped bytes).  Summed at
-     snapshot time — never accumulated, so a child's churn cannot
-     inflate the consolidated gauge.  Guarded by [stats_mutex] (all
-     writes happen inside [consume_stats]). *)
-  mp_child_gauges : (int, int * int) Hashtbl.t;
   (* Sharded mode wiring (Standalone otherwise).  [shards] is the full
      shard set, index = shard id, shared by the coordinator and every
      shard so any instance can render the cross-shard views; [coord]
@@ -350,7 +363,6 @@ type t = {
   mutable coord : t option;
   mutable domains : unit Domain.t list;
   accept_strategy : string; (* "reuseport" | "handoff"; "" unsharded *)
-  owns_listen : bool; (* does [run_loop] watch + accept on listen_fd *)
   mutable handoff_rr : int; (* round-robin wake cursor, acceptor only *)
   handoff_shed : Obs.Counter.t; (* accepts dropped on a full ring *)
   (* Which lock guards this instance's cache (None = unshared, no lock
@@ -375,196 +387,148 @@ let with_obs_lock t f =
   Mutex.lock t.obs_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.obs_mutex) f
 
-(* After an MP fork, parent and children run the same code over copies
-   of the same record; parent-only duties key off the creating pid. *)
-let is_mp_parent t =
-  match t.config.mode with Mp _ -> Unix.getpid () = t.owner_pid | _ -> false
-
 (* ------------------------------------------------------------------ *)
-(* The stats pipe protocol (MP consolidation)                          *)
+(* MP consolidation over the stats pipe                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One fixed-size record per event.  MP children send these to the
-   parent; MT threads and the single-process modes count in place.
-   Tags: 'r' finished request, 'e' finished request that errored,
-   'c' accepted connection, 'f' accept shed on EMFILE, 'S' response by
-   status class (class index in the first payload byte).  The float is
-   the request latency in seconds (0 where unused).  9 bytes <
-   PIPE_BUF, so writes are atomic. *)
-let stats_record ~tag ~latency =
-  let b = Bytes.create 9 in
-  Bytes.set b 0 tag;
-  Bytes.set_int64_le b 1 (Int64.bits_of_float latency);
-  b
+let status_class_names = [| "2xx"; "3xx"; "4xx"; "5xx" |]
 
-(* Variable-length trace records ride the same pipe: tag 'T', a u16 LE
-   payload length, then a [Obs.Trace.to_binary] record.  Fixed wider
-   frames: 'v' send-path counter deltas (tag + four 8-byte LE ints =
-   33 bytes), 'G' a child's gauge snapshot (tag + pid + active +
-   mapped = 25 bytes) — all under PIPE_BUF, so records never
-   interleave. *)
-let consume_stats t bytes len =
-  Buffer.add_subbytes t.stats_acc bytes 0 len;
-  let s = Buffer.contents t.stats_acc in
-  let n = String.length s in
-  let pos = ref 0 in
-  let short = ref false in
-  while (not !short) && !pos < n do
-    match s.[!pos] with
-    | 'c' | 'r' | 'e' ->
-        if !pos + 9 <= n then begin
-          let latency = Int64.float_of_bits (String.get_int64_le s (!pos + 1)) in
-          (match s.[!pos] with
-          | 'c' -> t.n_connections <- t.n_connections + 1
-          | tag ->
-              t.n_requests <- t.n_requests + 1;
-              if tag = 'e' then t.n_errors <- t.n_errors + 1;
-              with_obs_lock t (fun () -> Obs.Histogram.record t.latency latency));
-          pos := !pos + 9
-        end
-        else short := true
-    | 'f' ->
-        (* An MP child shed an accept on EMFILE/ENFILE (same 9-byte
-           frame as the counting tags; the float is unused). *)
-        if !pos + 9 <= n then begin
-          Obs.Counter.incr t.accept_emfile;
-          pos := !pos + 9
-        end
-        else short := true
-    | 'S' ->
-        (* A response counted by status class: the class index rides in
-           the first payload byte of the 9-byte frame. *)
-        if !pos + 9 <= n then begin
-          let cls = Char.code s.[!pos + 1] land 3 in
-          with_obs_lock t (fun () ->
-              t.status_classes.(cls) <- t.status_classes.(cls) + 1);
-          pos := !pos + 9
-        end
-        else short := true
-    | 'v' ->
-        (* Send-path counter deltas from an MP child: four 8-byte LE
-           ints after the tag. *)
-        if !pos + 33 <= n then begin
-          let int_at o = Int64.to_int (String.get_int64_le s (!pos + o)) in
-          let writev = int_at 1
-          and writes = int_at 9
-          and copied = int_at 17
-          and sent = int_at 25 in
-          with_obs_lock t (fun () ->
-              Obs.Counter.add t.writev_calls writev;
-              Obs.Counter.add t.write_calls writes;
-              Obs.Counter.add t.bytes_copied copied;
-              Obs.Counter.add t.bytes_sent sent);
-          pos := !pos + 33
-        end
-        else short := true
-    | 'G' ->
-        (* A child's gauge snapshot: pid, active connections, mapped
-           bytes.  Replaced, never accumulated — the consolidated gauge
-           is the sum of each child's latest snapshot. *)
-        if !pos + 25 <= n then begin
-          let int_at o = Int64.to_int (String.get_int64_le s (!pos + o)) in
-          Hashtbl.replace t.mp_child_gauges (int_at 1)
-            (int_at 9, int_at 17);
-          pos := !pos + 25
-        end
-        else short := true
-    | 'T' ->
-        if !pos + 3 <= n then begin
-          let plen = Char.code s.[!pos + 1] lor (Char.code s.[!pos + 2] lsl 8) in
-          if !pos + 3 + plen <= n then begin
-            (match Obs.Trace.of_binary s ~pos:(!pos + 3) with
-            | Some (data, _) -> (
-                match t.tracer with
-                | Some tracer ->
-                    with_obs_lock t (fun () -> Obs.Trace.ingest tracer data)
-                | None -> ())
-            | None -> ());
-            pos := !pos + 3 + plen
-          end
-          else short := true
-        end
-        else short := true
-    | _ ->
-        (* Unknown tag: resynchronise one byte at a time. *)
-        incr pos
-  done;
-  Buffer.clear t.stats_acc;
-  Buffer.add_substring t.stats_acc s !pos (n - !pos)
+(* Count a response by status class (2xx/3xx/4xx/5xx). *)
+let count_status t code =
+  let cls = Stdlib.min 3 (Stdlib.max 0 ((code / 100) - 2)) in
+  with_obs_lock t (fun () ->
+      t.status_classes.(cls) <- t.status_classes.(cls) + 1)
 
-(* On-demand drain so snapshots are current even between parent-loop
-   polls.  Only the MP parent may drain: a forked child inherits the
-   read end, and reading there would steal records from the
-   consolidating parent. *)
+(* The counters an MP child reports as deltas, in wire order;
+   [add_counters] folds them into the parent. *)
+let counter_vector t =
+  with_obs_lock t (fun () ->
+      [|
+        t.n_requests;
+        t.n_errors;
+        t.n_connections;
+        t.status_classes.(0);
+        t.status_classes.(1);
+        t.status_classes.(2);
+        t.status_classes.(3);
+        Obs.Counter.value t.writev_calls;
+        Obs.Counter.value t.write_calls;
+        Obs.Counter.value t.bytes_copied;
+        Obs.Counter.value t.bytes_sent;
+        Obs.Counter.value t.accept_emfile;
+        Obs.Loopstat.timer_fires t.loopstat;
+      |])
+
+let add_counters t = function
+  | [| requests; errors; conns; c2; c3; c4; c5; writev; writes; copied; sent;
+       emfile; fires |] ->
+      with_obs_lock t (fun () ->
+          t.n_requests <- t.n_requests + requests;
+          t.n_errors <- t.n_errors + errors;
+          t.n_connections <- t.n_connections + conns;
+          List.iteri
+            (fun i d -> t.status_classes.(i) <- t.status_classes.(i) + d)
+            [ c2; c3; c4; c5 ];
+          Obs.Counter.add t.writev_calls writev;
+          Obs.Counter.add t.write_calls writes;
+          Obs.Counter.add t.bytes_copied copied;
+          Obs.Counter.add t.bytes_sent sent;
+          Obs.Counter.add t.accept_emfile emfile;
+          Obs.Loopstat.timers_fired t.loopstat fires)
+  | _ -> ()  (* a continuation frame carries no counters *)
+
+let local_gauges t =
+  ( with_obs_lock t (fun () -> Obs.Gauge.value t.active),
+    File_cache.mapped_bytes t.cache )
+
+(* (active connections, mapped bytes).  The MP parent sums each child's
+   latest report; everywhere else the local instruments are the truth. *)
+let gauges_now t =
+  match t.mp with
+  | Mp_parent p ->
+      Mutex.lock t.stats_mutex;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.stats_mutex)
+        (fun () ->
+          Hashtbl.fold
+            (fun _ (a, m) (sa, sm) -> (sa + a, sm + m))
+            p.gauges (0, 0))
+  | Mp_none | Mp_child _ -> local_gauges t
+
+let active_now t = fst (gauges_now t)
+let mapped_now t = snd (gauges_now t)
+
+(* The one writer of the stats pipe.  An MP child's loop calls it once
+   per iteration, and it sends a record only when something moved since
+   the last one.  A no-op outside MP children. *)
+let ship_stats t =
+  match t.mp with
+  | Mp_child c ->
+      let counters = counter_vector t and gauges = local_gauges t in
+      if
+        counters <> c.sent || gauges <> c.sent_gauges || c.latencies <> []
+        || c.traces <> []
+      then begin
+        let record =
+          {
+            Stats_frame.pid = c.pid;
+            active = fst gauges;
+            mapped = snd gauges;
+            counters = Array.mapi (fun i v -> v - c.sent.(i)) counters;
+            latencies = List.rev c.latencies;
+            traces = List.rev c.traces;
+          }
+        in
+        List.iter
+          (fun frame ->
+            try ignore (Unix.write_substring c.out frame 0 (String.length frame))
+            with Unix.Unix_error _ -> ())
+          (Stats_frame.encode record);
+        c.sent <- counters;
+        c.sent_gauges <- gauges;
+        c.latencies <- [];
+        c.traces <- []
+      end
+  | Mp_none | Mp_parent _ -> ()
+
+let apply_record t gauges (r : Stats_frame.t) =
+  add_counters t r.Stats_frame.counters;
+  Hashtbl.replace gauges r.Stats_frame.pid
+    (r.Stats_frame.active, r.Stats_frame.mapped);
+  with_obs_lock t (fun () ->
+      List.iter (Obs.Histogram.record t.latency) r.Stats_frame.latencies;
+      match t.tracer with
+      | Some tracer ->
+          List.iter
+            (fun s ->
+              match Obs.Trace.of_binary s ~pos:0 with
+              | Some (data, _) -> Obs.Trace.ingest tracer data
+              | None -> ())
+            r.Stats_frame.traces
+      | None -> ())
+
+(* The one reader, run by the parent's loop when the pipe is readable
+   and on demand before every snapshot, so views are current between
+   loop wakeups.  A no-op outside the MP parent. *)
 let drain_stats_pipe t =
-  match t.stats_pipe_read with
-  | Some _ when Unix.getpid () <> t.owner_pid -> ()
-  | None -> ()
-  | Some r ->
-      let buf = Bytes.create 4095 in
+  match t.mp with
+  | Mp_parent p ->
+      let buf = Bytes.create Stats_frame.max_frame in
       Mutex.lock t.stats_mutex;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.stats_mutex)
         (fun () ->
           let rec loop () =
-            match Unix.read r buf 0 4095 with
+            match Unix.read p.pipe buf 0 (Bytes.length buf) with
             | n when n > 0 ->
-                consume_stats t buf n;
+                List.iter (apply_record t p.gauges)
+                  (Stats_frame.feed p.decoder buf n);
                 loop ()
             | _ -> ()
             | exception Unix.Unix_error _ -> ()
           in
           loop ())
-
-let mp_gauge_sums t =
-  Mutex.lock t.stats_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.stats_mutex)
-    (fun () ->
-      Hashtbl.fold
-        (fun _ (a, m) (sa, sm) -> (sa + a, sm + m))
-        t.mp_child_gauges (0, 0))
-
-(* Mode-aware gauges: the MP parent sums each child's latest snapshot;
-   everywhere else the local instruments are the truth. *)
-let active_now t =
-  if is_mp_parent t then fst (mp_gauge_sums t)
-  else with_obs_lock t (fun () -> Obs.Gauge.value t.active)
-
-let mapped_now t =
-  if is_mp_parent t then snd (mp_gauge_sums t)
-  else File_cache.mapped_bytes t.cache
-
-(* An MP child pushes its gauge snapshot whenever a gauge moves
-   (connection open/close, cache insert).  No-op elsewhere. *)
-let mp_ship_gauges t =
-  match t.stats_pipe_write with
-  | None -> ()
-  | Some w ->
-      let active = with_obs_lock t (fun () -> Obs.Gauge.value t.active) in
-      let mapped = File_cache.mapped_bytes t.cache in
-      let b = Bytes.create 25 in
-      Bytes.set b 0 'G';
-      Bytes.set_int64_le b 1 (Int64.of_int (Unix.getpid ()));
-      Bytes.set_int64_le b 9 (Int64.of_int active);
-      Bytes.set_int64_le b 17 (Int64.of_int mapped);
-      (try ignore (Unix.write w b 0 25) with Unix.Unix_error _ -> ())
-
-(* Count a response by status class (2xx/3xx/4xx/5xx).  MP children
-   also ship an 'S' record so the parent's array is the consolidated
-   view. *)
-let status_class_names = [| "2xx"; "3xx"; "4xx"; "5xx" |]
-
-let count_status t code =
-  let cls = Stdlib.min 3 (Stdlib.max 0 ((code / 100) - 2)) in
-  with_obs_lock t (fun () ->
-      t.status_classes.(cls) <- t.status_classes.(cls) + 1);
-  match t.stats_pipe_write with
-  | None -> ()
-  | Some w ->
-      let b = stats_record ~tag:'S' ~latency:0. in
-      Bytes.set b 1 (Char.chr cls);
-      (try ignore (Unix.write w b 0 9) with Unix.Unix_error _ -> ())
+  | Mp_none | Mp_child _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder plumbing                                            *)
@@ -630,26 +594,14 @@ let recorder_read t () =
 (* ------------------------------------------------------------------ *)
 
 (* All tracer mutations run under the obs mutex: MT workers share the
-   collector, and in MP the parent's consolidation thread ingests child
-   traces while the endpoint renders.  [f] must not re-enter a locking
-   helper (the mutex is not reentrant). *)
+   collector, and in MP the parent's loop ingests child traces while a
+   snapshot renders.  [f] must not re-enter a locking helper (the mutex
+   is not reentrant).  Spans land on the owning loop's track, the
+   Perfetto row they render on. *)
 let with_tracer t f =
   match t.tracer with
   | None -> ()
   | Some tracer -> with_obs_lock t (fun () -> f tracer)
-
-(* The track a span is attributed to: the Perfetto row it renders on.
-   Event-loop modes do request work on the main loop; MP children and MT
-   workers each get their own row. *)
-let current_track t =
-  match t.config.mode with
-  | Amped | Sped -> "main-loop"
-  | Mp _ -> Printf.sprintf "mp-child-%d" (Unix.getpid ())
-  | Mt _ -> Printf.sprintf "mt-worker-%d" (Thread.id (Thread.self ()))
-  | Sharded _ -> (
-      match t.role with
-      | Shard_member { id; _ } -> Printf.sprintf "shard-%d" id
-      | Standalone | Shard_coordinator _ -> "main-loop")
 
 (* Open the trace for the next request on this connection as soon as its
    first bytes arrive: the parse span starts here.  The first request's
@@ -658,7 +610,7 @@ let current_track t =
 let ensure_trace t conn =
   with_tracer t (fun tracer ->
       if conn.trace = None then begin
-        let track = current_track t in
+        let track = conn.loop.track in
         let tr =
           if conn.reqs_served = 0 then begin
             let tr = Obs.Trace.start tracer ~at:conn.accepted_at () in
@@ -692,7 +644,7 @@ let begin_work_span t conn name =
       match conn.trace with
       | Some tr when conn.work_span = None ->
           conn.work_span <-
-            Some (Obs.Trace.begin_span tracer tr ~track:(current_track t) name)
+            Some (Obs.Trace.begin_span tracer tr ~track:conn.loop.track name)
       | _ -> ())
 
 let log_slow t (data : Obs.Trace.trace_data) =
@@ -710,7 +662,8 @@ let log_slow t (data : Obs.Trace.trace_data) =
 
 (* Close the in-flight request's trace: response bytes are out (or the
    connection died).  Pushes it into the ring and, past the threshold,
-   into the slow-request log. *)
+   into the slow-request log; an MP child also queues it for the
+   parent's ring. *)
 let finish_request_trace ?(closing = false) t conn =
   match t.tracer with
   | None -> ()
@@ -724,7 +677,7 @@ let finish_request_trace ?(closing = false) t conn =
                 | Some sp -> Obs.Trace.end_span tracer sp
                 | None -> ());
                 if closing || conn.close_after_flush then
-                  Obs.Trace.instant tracer tr ~track:(current_track t) "close";
+                  Obs.Trace.instant tracer tr ~track:conn.loop.track "close";
                 Obs.Trace.finish tracer tr)
           in
           conn.trace <- None;
@@ -732,6 +685,9 @@ let finish_request_trace ?(closing = false) t conn =
           conn.work_span <- None;
           conn.write_span <- None;
           conn.reqs_served <- conn.reqs_served + 1;
+          (match t.mp with
+          | Mp_child c -> c.traces <- Obs.Trace.to_binary data :: c.traces
+          | Mp_none | Mp_parent _ -> ());
           log_slow t data)
 
 let log_access ?conn ?path t ~meth ~target ~status ~bytes =
@@ -779,6 +735,9 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
 let record_latency t conn =
   let dt = t.config.clock () -. conn.req_start in
   with_obs_lock t (fun () -> Obs.Histogram.record t.latency dt);
+  (match t.mp with
+  | Mp_child c -> c.latencies <- dt :: c.latencies
+  | Mp_none | Mp_parent _ -> ());
   with_tracer t (fun tracer ->
       (match conn.work_span with
       | Some sp ->
@@ -788,7 +747,7 @@ let record_latency t conn =
       match conn.trace with
       | Some tr when conn.write_span = None ->
           conn.write_span <-
-            Some (Obs.Trace.begin_span tracer tr ~track:(current_track t) "write")
+            Some (Obs.Trace.begin_span tracer tr ~track:conn.loop.track "write")
       | _ -> ());
   tick_recorder t
 
@@ -983,7 +942,7 @@ let sharding_views t =
                  with_obs_lock sh (fun () -> Obs.Gauge.value sh.active)
                in
                ( i,
-                 Evio.Backend.name sh.evio,
+                 Evio.Backend.name sh.main.evio,
                  sh.n_requests,
                  active ))
              shards)
@@ -1438,12 +1397,12 @@ let register_metrics t =
     ~help:"Timer-wheel expirations handled."
     (fun () -> Obs.Loopstat.timer_fires t.loopstat);
   g ~name:"flash_timers_pending" ~help:"Timers pending in the wheel."
-    (fun () -> float_of_int (Evio.Timer_wheel.pending t.wheel));
+    (fun () -> float_of_int (Evio.Timer_wheel.pending t.main.wheel));
   c ~name:"flash_accept_emfile_total" ~help:"Accepts shed on EMFILE/ENFILE."
     (fun () -> Obs.Counter.value t.accept_emfile);
   g ~name:"flash_accept_paused"
     ~help:"1 while the listen socket is parked by EMFILE backoff."
-    (fun () -> if t.accept_paused then 1. else 0.);
+    (fun () -> if t.main.accept_paused then 1. else 0.);
   (match t.tracer with
   | None -> ()
   | Some tracer ->
@@ -1542,30 +1501,14 @@ let register_metrics t =
 (* Output plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Send-path accounting, all modes.  In an MP child the deltas also ride
-   the stats pipe as a framed 'v' record (tag + four 8-byte LE ints =
-   33 bytes < PIPE_BUF, so writes are atomic) so the parent's
-   consolidated view includes them. *)
+(* Send-path accounting, all modes. *)
 let count_send ?(sent = 0) t ~writev ~writes ~copied =
-  if writev <> 0 || writes <> 0 || copied <> 0 || sent <> 0 then begin
-    (match t.stats_pipe_write with
-    | Some w -> (
-        let b = Bytes.create 33 in
-        Bytes.set b 0 'v';
-        Bytes.set_int64_le b 1 (Int64.of_int writev);
-        Bytes.set_int64_le b 9 (Int64.of_int writes);
-        Bytes.set_int64_le b 17 (Int64.of_int copied);
-        Bytes.set_int64_le b 25 (Int64.of_int sent);
-        try ignore (Unix.write w b 0 33) with Unix.Unix_error _ -> ())
-    | None -> ());
-    (* Mirror locally (MP children keep their own copy-on-write view,
-       matching the request/connection counters). *)
+  if writev <> 0 || writes <> 0 || copied <> 0 || sent <> 0 then
     with_obs_lock t (fun () ->
         Obs.Counter.add t.writev_calls writev;
         Obs.Counter.add t.write_calls writes;
         Obs.Counter.add t.bytes_copied copied;
         Obs.Counter.add t.bytes_sent sent)
-  end
 
 (* Strings (error bodies, status/trace payloads, CGI chunks, per-request
    headers) enter the send queue by being copied once into an off-heap
@@ -1583,6 +1526,13 @@ let render_header ?last_modified ?(extra = []) t ~status ~content_type
     ~extra ~keep_alive:keep ~server:t.config.server_name
     ~date:(Unix.gettimeofday ()) ?align:(align_of t) ()
 
+(* Every response ends here: the connection goes back to reading (or
+   closes once flushed), and the latency and write-span seam fires. *)
+let response_queued t conn ~keep =
+  if not keep then conn.close_after_flush <- true;
+  conn.state <- Reading;
+  record_latency t conn
+
 let enqueue_error ?(target = "-") ?(meth = "GET") ?extra t conn status ~keep
     ~head_only =
   t.n_errors <- t.n_errors + 1;
@@ -1595,14 +1545,12 @@ let enqueue_error ?(target = "-") ?(meth = "GET") ?extra t conn status ~keep
   in
   enqueue_string t conn header;
   if not head_only then enqueue_string t conn body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+  response_queued t conn ~keep
 
-let cancel_timer t slot =
+let cancel_timer lp slot =
   match slot with
   | Some tm ->
-      Evio.Timer_wheel.cancel t.wheel tm;
+      Evio.Timer_wheel.cancel lp.wheel tm;
       None
   | None -> None
 
@@ -1676,113 +1624,24 @@ let plan_for ~(req : Http.Request.t) ~etag ~mtime ~size =
                 | Http.Range.Single { off; len } -> P_slice (off, len)
                 | Http.Range.Unsatisfiable -> P_unsatisfiable)))
 
-(* 304 without a cache entry (streamed files): rendered per-request. *)
-let enqueue_not_modified ?etag ?last_modified ?path t conn
-    (req : Http.Request.t) ~keep =
-  count_status t 304;
-  log_access ~conn ?path t
-    ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
-    ~target:req.Http.Request.raw_target ~status:304 ~bytes:0;
-  let extra =
-    (match etag with Some e -> [ ("ETag", e) ] | None -> []) @ vary_extra t
-  in
-  let header =
-    render_header t ~status:Http.Status.Not_modified ~content_type:None
-      ~content_length:None ?last_modified ~extra ~keep
-  in
-  enqueue_string t conn header;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
-
-(* The zero-copy 304: a cache hit's conditional reply is the entry's
-   pre-rendered 304 header — one slice, one gather write, no copies. *)
-let enqueue_not_modified_entry ?path t conn (req : Http.Request.t)
-    (entry : File_cache.entry) ~keep =
-  count_status t 304;
-  log_access ~conn ?path t
-    ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
-    ~target:req.Http.Request.raw_target ~status:304 ~bytes:0;
-  enqueue_slice conn
-    (if keep then entry.File_cache.header_304_keep
-     else entry.File_cache.header_304_close);
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
-
-(* The zero-copy fast path: a cache hit queues the pre-rendered header
-   and the mmap-backed body as two slices — one gather write, no
-   userspace copies. *)
-let enqueue_entry ?path t conn (req : Http.Request.t)
-    (entry : File_cache.entry) ~keep ~head_only =
-  let body_len = Bigarray.Array1.dim entry.File_cache.body in
+(* A generated 200: the status, metrics and trace views.  These bypass
+   the access log: a monitoring scraper polling every few seconds would
+   otherwise drown the real traffic records. *)
+let enqueue_view t conn ~content_type body ~keep ~head_only =
   count_status t 200;
-  log_access ~conn ?path t
-    ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
-    ~target:req.Http.Request.raw_target ~status:200
-    ~bytes:(if head_only then 0 else body_len);
-  enqueue_slice conn
-    (if keep then entry.File_cache.header_keep
-     else entry.File_cache.header_close);
-  if not head_only then enqueue_slice conn entry.File_cache.body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
-
-(* Deliberately bypasses the access log: a monitoring scraper polling
-   every few seconds would otherwise drown the real traffic records. *)
-let enqueue_status t conn (req : Http.Request.t) ~keep ~head_only =
-  let body, content_type =
-    match status_window req with
-    | Some n -> (window_body t n, "application/json")
-    | None ->
-        let json = wants_json req in
-        ( status_body t ~json,
-          if json then "application/json" else "text/plain" )
-  in
-  count_status t 200;
-  let header =
-    render_header t ~status:Http.Status.Ok ~content_type:(Some content_type)
-      ~content_length:(Some (String.length body))
-      ~keep
-  in
-  enqueue_string t conn header;
+  enqueue_string t conn
+    (render_header t ~status:Http.Status.Ok ~content_type:(Some content_type)
+       ~content_length:(Some (String.length body))
+       ~keep);
   if not head_only then enqueue_string t conn body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+  response_queued t conn ~keep
 
-(* Like the status endpoint, bypasses the access log. *)
-let enqueue_metrics t conn ~keep ~head_only =
-  let body = metrics_body t in
-  count_status t 200;
-  let header =
-    render_header t ~status:Http.Status.Ok
-      ~content_type:(Some "text/plain; version=0.0.4")
-      ~content_length:(Some (String.length body))
-      ~keep
-  in
-  enqueue_string t conn header;
-  if not head_only then enqueue_string t conn body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
-
-(* Like the status endpoint, bypasses the access log. *)
-let enqueue_trace t conn ~keep ~head_only =
-  let body = trace_body t in
-  count_status t 200;
-  let header =
-    render_header t ~status:Http.Status.Ok
-      ~content_type:(Some "application/json")
-      ~content_length:(Some (String.length body))
-      ~keep
-  in
-  enqueue_string t conn header;
-  if not head_only then enqueue_string t conn body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+let status_view t (req : Http.Request.t) =
+  match status_window req with
+  | Some n -> ("application/json", window_body t n)
+  | None ->
+      let json = wants_json req in
+      ((if json then "application/json" else "text/plain"), status_body t ~json)
 
 (* ------------------------------------------------------------------ *)
 (* Serving files                                                       *)
@@ -1921,148 +1780,131 @@ let negotiate_entry t (req : Http.Request.t) ~full entry =
     | None -> entry
   else entry
 
-(* 206: the Content-Range header varies per request so it is rendered
-   here (a counted copy), but the body is still an offset window into
-   the entry's mapping — one gather write, zero body copies. *)
-let enqueue_partial t conn (req : Http.Request.t) ~full
-    (entry : File_cache.entry) ~keep ~off ~len =
-  count_status t 206;
-  log_access ~conn ~path:full t
-    ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
-    ~target:req.Http.Request.raw_target ~status:206 ~bytes:len;
-  let extra =
-    [
-      ( "Content-Range",
-        Http.Range.content_range ~off ~len ~size:(File_cache.body_length entry)
-      );
-      ("ETag", entry.File_cache.etag);
-      ("Accept-Ranges", "bytes");
-    ]
-    @ (match entry.File_cache.encoding with
-      | Some e -> [ ("Content-Encoding", e) ]
-      | None -> [])
-    @ vary_extra t
-  in
-  let header =
-    render_header t ~status:Http.Status.Partial_content
-      ~last_modified:entry.File_cache.mtime ~extra
-      ~content_type:(Some (Http.Mime.of_path full))
-      ~content_length:(Some len) ~keep
-  in
-  enqueue_string t conn header;
-  Sendq.push_slice conn.outq (Iovec.slice ~off ~len entry.File_cache.body);
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+(* A selected representation's body: a cached entry's mapping (origin or
+   negotiated variant), or a file above [max_cached_file] streamed from
+   its descriptor with the stat's size and mtime. *)
+type body =
+  | Mapped of File_cache.entry
+  | Streamed of Unix.file_descr * int * float
 
-(* The single dispatch point for serving a cache entry (origin or
-   negotiated variant) in the event-driven modes: evaluate conditionals
-   and the Range field against the selected representation, then take
-   the zero-copy path the plan names. *)
-let enqueue_response t conn (req : Http.Request.t) ~full
-    (entry : File_cache.entry) ~keep ~head_only =
+(* The single dispatch point for serving a file, in every mode: evaluate
+   conditionals and the Range field against the selected
+   representation's validators, then take the path the plan names.  A
+   cached entry answers 200 and 304 with its pre-rendered headers and
+   any body as a window of its mapping — one gather write, zero body
+   copies.  A streamed file renders its headers per request.  A 206's
+   Content-Range varies per request, so it is rendered here either way
+   (a counted copy). *)
+let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
+  let head_only = req.Http.Request.meth = Http.Request.Head in
   let target = req.Http.Request.raw_target in
   let meth = Http.Request.meth_to_string req.Http.Request.meth in
-  let size = File_cache.body_length entry in
-  match
-    plan_for ~req
-      ~etag:(etag_of_string entry.File_cache.etag)
-      ~mtime:entry.File_cache.mtime ~size
-  with
-  | P_not_modified -> enqueue_not_modified_entry ~path:full t conn req entry ~keep
+  let etag, mtime, size, encoding =
+    match body with
+    | Mapped e ->
+        ( e.File_cache.etag,
+          e.File_cache.mtime,
+          File_cache.body_length e,
+          e.File_cache.encoding )
+    | Streamed (_, size, mtime) ->
+        (Http.Etag.make ~mtime ~size (), mtime, size, None)
+  in
+  let close () =
+    match body with Streamed (fd, _, _) -> Unix.close fd | Mapped _ -> ()
+  in
+  let note status ~bytes =
+    count_status t status;
+    log_access ~conn ~path:full t ~meth ~target ~status ~bytes
+  in
+  match plan_for ~req ~etag:(etag_of_string etag) ~mtime ~size with
   | P_precondition_failed ->
+      close ();
       enqueue_error t conn Http.Status.Precondition_failed ~keep ~head_only
         ~target ~meth
   | P_unsatisfiable ->
+      close ();
       enqueue_error t conn Http.Status.Range_not_satisfiable ~keep ~head_only
         ~target ~meth
         ~extra:[ ("Content-Range", Http.Range.content_range_unsatisfied ~size) ]
-  | P_full -> enqueue_entry ~path:full t conn req entry ~keep ~head_only
-  | P_slice (off, len) -> enqueue_partial t conn req ~full entry ~keep ~off ~len
+  | P_not_modified ->
+      note 304 ~bytes:0;
+      (match body with
+      | Mapped e ->
+          enqueue_slice conn
+            (if keep then e.File_cache.header_304_keep
+             else e.File_cache.header_304_close)
+      | Streamed (fd, _, _) ->
+          Unix.close fd;
+          enqueue_string t conn
+            (render_header t ~status:Http.Status.Not_modified ~content_type:None
+               ~content_length:None ~last_modified:mtime
+               ~extra:([ ("ETag", etag) ] @ vary_extra t)
+               ~keep));
+      response_queued t conn ~keep
+  | P_full ->
+      note 200 ~bytes:(if head_only then 0 else size);
+      (match body with
+      | Mapped e ->
+          enqueue_slice conn
+            (if keep then e.File_cache.header_keep else e.File_cache.header_close);
+          if not head_only then enqueue_slice conn e.File_cache.body
+      | Streamed (fd, _, _) ->
+          enqueue_string t conn
+            (render_header t ~status:Http.Status.Ok ~last_modified:mtime
+               ~extra:
+                 ([ ("ETag", etag); ("Accept-Ranges", "bytes") ] @ vary_extra t)
+               ~content_type:(Some (Http.Mime.of_path full))
+               ~content_length:(Some size) ~keep);
+          if head_only then Unix.close fd
+          else Sendq.push_file conn.outq fd ~len:size);
+      response_queued t conn ~keep
+  | P_slice (off, len) ->
+      note 206 ~bytes:len;
+      let extra =
+        [
+          ("Content-Range", Http.Range.content_range ~off ~len ~size);
+          ("ETag", etag);
+          ("Accept-Ranges", "bytes");
+        ]
+        @ (match encoding with
+          | Some e -> [ ("Content-Encoding", e) ]
+          | None -> [])
+        @ vary_extra t
+      in
+      enqueue_string t conn
+        (render_header t ~status:Http.Status.Partial_content
+           ~last_modified:mtime ~extra
+           ~content_type:(Some (Http.Mime.of_path full))
+           ~content_length:(Some len) ~keep);
+      (match body with
+      | Mapped e ->
+          Sendq.push_slice conn.outq (Iovec.slice ~off ~len e.File_cache.body)
+      | Streamed (fd, _, _) ->
+          ignore (Unix.lseek fd off Unix.SEEK_SET);
+          Sendq.push_file conn.outq fd ~len);
+      response_queued t conn ~keep
 
 (* The file is known to exist with [size]/[mtime] (from a helper's stat
    or an inline one).  Small files are cached as mmap-backed entries
    with their pre-rendered headers — even a 304 warms the cache; large
-   files plan against the stat's validators and stream from the
-   descriptor. *)
+   files stream from the descriptor, skipping gzip negotiation (no
+   mapped origin body to compress, and siblings of this size would not
+   be cached either). *)
 let serve_file t conn (req : Http.Request.t) full ~size ~mtime ~keep =
-  let head_only = req.Http.Request.meth = Http.Request.Head in
-  let target = req.Http.Request.raw_target in
-  let meth = Http.Request.meth_to_string req.Http.Request.meth in
   match Unix.openfile full [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ ->
-      enqueue_error t conn Http.Status.Not_found ~keep ~head_only ~target ~meth
-  | fd ->
-      if size <= t.config.max_cached_file then begin
-        let entry = make_entry t fd full ~size ~mtime in
-        Unix.close fd;
-        with_cache_lock t (fun () -> File_cache.insert t.cache full entry);
-        let entry = negotiate_entry t req ~full entry in
-        enqueue_response t conn req ~full entry ~keep ~head_only
-      end
-      else begin
-        (* Streamed: no cache entry, so validators come straight from
-           the stat; gzip negotiation is skipped (no mapped origin body
-           to compress, and siblings of this size would not be cached
-           either). *)
-        let etag_s = Http.Etag.make ~mtime ~size () in
-        let finish_error status ?extra () =
-          Unix.close fd;
-          enqueue_error t conn status ?extra ~keep ~head_only ~target ~meth
-        in
-        match plan_for ~req ~etag:(etag_of_string etag_s) ~mtime ~size with
-        | P_not_modified ->
-            Unix.close fd;
-            enqueue_not_modified ~path:full t conn req ~etag:etag_s
-              ~last_modified:mtime ~keep
-        | P_precondition_failed ->
-            finish_error Http.Status.Precondition_failed ()
-        | P_unsatisfiable ->
-            finish_error Http.Status.Range_not_satisfiable
-              ~extra:
-                [ ("Content-Range", Http.Range.content_range_unsatisfied ~size) ]
-              ()
-        | P_slice (off, len) ->
-            count_status t 206;
-            log_access ~conn ~path:full t ~meth ~target ~status:206 ~bytes:len;
-            let extra =
-              [
-                ("Content-Range", Http.Range.content_range ~off ~len ~size);
-                ("ETag", etag_s);
-                ("Accept-Ranges", "bytes");
-              ]
-              @ vary_extra t
-            in
-            let header =
-              render_header t ~status:Http.Status.Partial_content
-                ~last_modified:mtime ~extra
-                ~content_type:(Some (Http.Mime.of_path full))
-                ~content_length:(Some len) ~keep
-            in
-            enqueue_string t conn header;
-            ignore (Unix.lseek fd off Unix.SEEK_SET);
-            Sendq.push_file conn.outq fd ~len;
-            if not keep then conn.close_after_flush <- true;
-            conn.state <- Reading;
-            record_latency t conn
-        | P_full ->
-            count_status t 200;
-            log_access ~conn ~path:full t ~meth ~target ~status:200
-              ~bytes:(if head_only then 0 else size);
-            let header =
-              render_header t ~status:Http.Status.Ok ~last_modified:mtime
-                ~extra:([ ("ETag", etag_s); ("Accept-Ranges", "bytes") ]
-                        @ vary_extra t)
-                ~content_type:(Some (Http.Mime.of_path full))
-                ~content_length:(Some size) ~keep
-            in
-            enqueue_string t conn header;
-            if head_only then Unix.close fd
-            else Sendq.push_file conn.outq fd ~len:size;
-            if not keep then conn.close_after_flush <- true;
-            conn.state <- Reading;
-            record_latency t conn
-      end
+      enqueue_error t conn Http.Status.Not_found ~keep
+        ~head_only:(req.Http.Request.meth = Http.Request.Head)
+        ~target:req.Http.Request.raw_target
+        ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
+  | fd when size <= t.config.max_cached_file ->
+      let entry = make_entry t fd full ~size ~mtime in
+      Unix.close fd;
+      with_cache_lock t (fun () -> File_cache.insert t.cache full entry);
+      enqueue_response t conn req ~full
+        (Mapped (negotiate_entry t req ~full entry))
+        ~keep
+  | fd -> enqueue_response t conn req ~full (Streamed (fd, size, mtime)) ~keep
 
 (* ------------------------------------------------------------------ *)
 (* CGI                                                                 *)
@@ -2113,7 +1955,7 @@ let start_cgi t conn (req : Http.Request.t) full ~keep:_ =
           if t.config.cgi_timeout > 0. then
             conn.cgi_timer <-
               Some
-                (Evio.Timer_wheel.schedule t.wheel
+                (Evio.Timer_wheel.schedule conn.loop.wheel
                    ~at:(t.config.clock () +. t.config.cgi_timeout)
                    (T_cgi conn)))
 
@@ -2129,11 +1971,15 @@ let process_request t conn (req : Http.Request.t) =
   | Http.Request.Post | Http.Request.Other _ ->
       enqueue_error t conn Http.Status.Not_implemented ~keep:false ~head_only
   | Http.Request.Get | Http.Request.Head -> (
-      if is_status_request t req then enqueue_status t conn req ~keep ~head_only
+      if is_status_request t req then
+        let content_type, body = status_view t req in
+        enqueue_view t conn ~content_type body ~keep ~head_only
       else if is_metrics_request t req then
-        enqueue_metrics t conn ~keep ~head_only
+        enqueue_view t conn ~content_type:"text/plain; version=0.0.4"
+          (metrics_body t) ~keep ~head_only
       else if is_trace_request t req then
-        enqueue_trace t conn ~keep ~head_only
+        enqueue_view t conn ~content_type:"application/json" (trace_body t)
+          ~keep ~head_only
       else begin
         (* Pathname translation + cache lookup, as its own span. *)
         let resolve_sp = ref None in
@@ -2142,7 +1988,7 @@ let process_request t conn (req : Http.Request.t) =
             | Some tr ->
                 resolve_sp :=
                   Some
-                    (Obs.Trace.begin_span tracer tr ~track:(current_track t)
+                    (Obs.Trace.begin_span tracer tr ~track:conn.loop.track
                        "resolve")
             | None -> ());
         let end_resolve () =
@@ -2194,8 +2040,9 @@ let process_request t conn (req : Http.Request.t) =
                     Hashtbl.remove w.w_warmed full;
                     Obs.Counter.incr w.w_hits_after
                 | _ -> ());
-                let entry = negotiate_entry t req ~full entry in
-                enqueue_response t conn req ~full entry ~keep ~head_only
+                enqueue_response t conn req ~full
+                  (Mapped (negotiate_entry t req ~full entry))
+                  ~keep
             | None -> (
                 end_resolve ();
                 match t.helper with
@@ -2219,7 +2066,8 @@ let process_request t conn (req : Http.Request.t) =
                     | Guard.Admit ->
                         if Helper.dispatch helper ~key:conn.key ~path:full
                         then begin
-                          Hashtbl.replace t.by_helper_key conn.key conn;
+                          Hashtbl.replace conn.loop.by_helper_key conn.key
+                            conn;
                           conn.state <- Waiting_helper (req, full)
                         end
                         else begin
@@ -2256,33 +2104,22 @@ let rec try_parse t conn =
       ->
         conn.hdr_timer <-
           Some
-            (Evio.Timer_wheel.schedule t.wheel
+            (Evio.Timer_wheel.schedule conn.loop.wheel
                ~at:(t.config.clock () +. (Guard.config g).Guard.header_deadline)
                (T_hdr conn))
     | _ -> ());
     match Http.Request.parse conn.inbuf with
     | Http.Request.Incomplete -> ()
     | Http.Request.Bad _ ->
-        conn.hdr_timer <- cancel_timer t conn.hdr_timer;
+        conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
         conn.inbuf <- "";
         conn.req_start <- t.config.clock ();
         end_parse_span t conn ~label:"bad-request";
         t.n_requests <- t.n_requests + 1;
-        let body = Http.Response.error_body Http.Status.Bad_request in
-        let header =
-          render_header t ~status:Http.Status.Bad_request
-            ~content_type:(Some "text/html")
-            ~content_length:(Some (String.length body))
-            ~keep:false
-        in
-        t.n_errors <- t.n_errors + 1;
-        count_status t 400;
-        enqueue_string t conn header;
-        enqueue_string t conn body;
-        conn.close_after_flush <- true;
-        record_latency t conn
+        enqueue_error t conn Http.Status.Bad_request ~keep:false
+          ~head_only:false
     | Http.Request.Complete (req, consumed) ->
-        conn.hdr_timer <- cancel_timer t conn.hdr_timer;
+        conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
         conn.inbuf <-
           String.sub conn.inbuf consumed (String.length conn.inbuf - consumed);
         conn.req_start <- t.config.clock ();
@@ -2314,13 +2151,22 @@ let rec try_parse t conn =
 
 (* Forget the CGI pipe's registration (before the fd is closed, so the
    backend never holds a recycled descriptor). *)
-let unregister_cgi t conn =
+let unregister_cgi conn =
   match conn.cgi_fd_registered with
   | None -> ()
   | Some pfd ->
-      Evio.Backend.deregister t.evio pfd;
-      Hashtbl.remove t.fd_owners pfd;
+      Evio.Backend.deregister conn.loop.evio pfd;
+      Hashtbl.remove conn.loop.fd_owners pfd;
       conn.cgi_fd_registered <- None
+
+(* The listen fd's read interest: parked while EMFILE backoff runs and,
+   on a worker loop, while it holds its one connection. *)
+let sync_listen t lp =
+  if lp.accepts then
+    Evio.Backend.modify lp.evio t.listen_fd
+      ~read:
+        (not (lp.accept_paused || (lp.single && Hashtbl.length lp.conns > 0)))
+      ~write:false
 
 let close_conn t conn =
   if conn.alive then begin
@@ -2328,11 +2174,11 @@ let close_conn t conn =
     (* A request still in flight (client hung up, error path) gets its
        trace closed here rather than lost. *)
     finish_request_trace ~closing:true t conn;
-    unregister_cgi t conn;
-    conn.idle_timer <- cancel_timer t conn.idle_timer;
-    conn.cgi_timer <- cancel_timer t conn.cgi_timer;
-    conn.hdr_timer <- cancel_timer t conn.hdr_timer;
-    conn.xfer_timer <- cancel_timer t conn.xfer_timer;
+    unregister_cgi conn;
+    conn.idle_timer <- cancel_timer conn.loop conn.idle_timer;
+    conn.cgi_timer <- cancel_timer conn.loop conn.cgi_timer;
+    conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
+    conn.xfer_timer <- cancel_timer conn.loop conn.xfer_timer;
     (match t.guard with
     | Some g -> Guard.on_disconnect g ~peer:conn.peer
     | None -> ());
@@ -2344,15 +2190,17 @@ let close_conn t conn =
     | Reading | Waiting_helper _ -> ());
     Sendq.close_files conn.outq;
     Sendq.clear conn.outq;
-    Hashtbl.remove t.conns conn.key;
-    Hashtbl.remove t.by_helper_key conn.key;
+    let lp = conn.loop in
+    Hashtbl.remove lp.conns conn.key;
+    Hashtbl.remove lp.by_helper_key conn.key;
     if conn.registered then begin
-      Evio.Backend.deregister t.evio conn.fd;
+      Evio.Backend.deregister lp.evio conn.fd;
       conn.registered <- false
     end;
-    Hashtbl.remove t.fd_owners conn.fd;
+    Hashtbl.remove lp.fd_owners conn.fd;
     with_obs_lock t (fun () -> Obs.Gauge.decr t.active);
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
+    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+    sync_listen t lp
   end
 
 (* Reconcile a connection's readiness interest with its state: read
@@ -2366,7 +2214,7 @@ let sync_conn t conn =
     let w = not (Sendq.is_empty conn.outq) in
     if (not conn.registered) || r <> conn.want_read || w <> conn.want_write
     then begin
-      Evio.Backend.modify t.evio conn.fd ~read:r ~write:w;
+      Evio.Backend.modify conn.loop.evio conn.fd ~read:r ~write:w;
       conn.registered <- true;
       conn.want_read <- r;
       conn.want_write <- w
@@ -2376,9 +2224,11 @@ let sync_conn t conn =
         (* The CGI pipe fd can itself land beyond select's FD_SETSIZE;
            a stream we cannot wait on must drop the connection rather
            than the loop. *)
-        match Evio.Backend.register t.evio pfd ~read:true ~write:false with
+        match
+          Evio.Backend.register conn.loop.evio pfd ~read:true ~write:false
+        with
         | () ->
-            Hashtbl.replace t.fd_owners pfd (O_cgi conn);
+            Hashtbl.replace conn.loop.fd_owners pfd (O_cgi conn);
             conn.cgi_fd_registered <- Some pfd
         | exception Evio.Backend_full _ -> close_conn t conn)
     | _ -> ()
@@ -2426,7 +2276,8 @@ let handle_writable t conn =
              end
              else begin
                let n, copied =
-                 Iovec.writev_copy ~scratch:t.send_scratch conn.fd slices
+                 Iovec.writev_copy ~scratch:conn.loop.send_scratch conn.fd
+                   slices
                in
                count_send t ~writev:0 ~writes:1 ~copied ~sent:n;
                (n, n < copied)
@@ -2438,17 +2289,24 @@ let handle_writable t conn =
        | Some (Sendq.File f) ->
            let chunk = min 65536 f.remaining in
            let data = read_whole f.src chunk in
-           let n = Unix.write_substring conn.fd data 0 (String.length data) in
-           count_send t ~writev:0 ~writes:1 ~copied:(String.length data) ~sent:n;
+           let len = String.length data in
+           let n =
+             try Unix.write_substring conn.fd data 0 len with
+             | Unix.Unix_error
+                 ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> 0
+           in
+           count_send t ~writev:0 ~writes:1 ~copied:len ~sent:n;
            conn.sent_bytes <- conn.sent_bytes + n;
-           (* A short write drops the tail of this chunk; re-read it via
-              the file offset by seeking back. *)
-           if n < String.length data then begin
-             ignore (Unix.lseek f.src (n - String.length data) Unix.SEEK_CUR);
+           (* Reading the chunk moved the file offset past it: seek back
+              over what the socket did not take — the tail after a short
+              write, all of it when the write would block — so the next
+              writable event re-reads it. *)
+           if n < len then begin
+             ignore (Unix.lseek f.src (n - len) Unix.SEEK_CUR);
              progress := false
            end;
            f.remaining <- f.remaining - n;
-           if f.remaining <= 0 || String.length data < chunk then begin
+           if f.remaining <= 0 || len < chunk then begin
              Unix.close f.src;
              Sendq.pop conn.outq
            end
@@ -2471,26 +2329,18 @@ let handle_writable t conn =
 let handle_cgi_readable t conn fd pid =
   let buf = Bytes.create 16384 in
   match Unix.read fd buf 0 16384 with
-  | 0 ->
-      unregister_cgi t conn;
-      conn.cgi_timer <- cancel_timer t conn.cgi_timer;
+  | n when n > 0 -> enqueue_string t conn (Bytes.sub_string buf 0 n)
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | _ | exception Unix.Unix_error _ ->
+      (* End of the script's output (or a broken pipe): the response is
+         complete once the queue drains. *)
+      unregister_cgi conn;
+      conn.cgi_timer <- cancel_timer conn.loop conn.cgi_timer;
       t.cgi_inflight <- t.cgi_inflight - 1;
       (try Unix.close fd with Unix.Unix_error _ -> ());
       (try ignore (Unix.waitpid [ Unix.WNOHANG ] pid) with Unix.Unix_error _ -> ());
-      conn.state <- Reading;
-      conn.close_after_flush <- true;
-      record_latency t conn;
+      response_queued t conn ~keep:false;
       if Sendq.is_empty conn.outq then close_conn t conn
-  | n -> enqueue_string t conn (Bytes.sub_string buf 0 n)
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error _ ->
-      unregister_cgi t conn;
-      conn.cgi_timer <- cancel_timer t conn.cgi_timer;
-      t.cgi_inflight <- t.cgi_inflight - 1;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      conn.state <- Reading;
-      conn.close_after_flush <- true;
-      record_latency t conn
 
 (* A prefetch job finished: the helper already paged the file in, so
    the mmap + header rendering here never touch cold disk.  The entry
@@ -2538,10 +2388,10 @@ let handle_helper_completions t =
             | Some w -> handle_prefetch_completion t w c
             | None -> ()
           else
-          match Hashtbl.find_opt t.by_helper_key c.Helper.key with
+          match Hashtbl.find_opt t.main.by_helper_key c.Helper.key with
           | None -> ()  (* connection died while the helper worked *)
           | Some conn -> (
-              Hashtbl.remove t.by_helper_key c.Helper.key;
+              Hashtbl.remove t.main.by_helper_key c.Helper.key;
               match conn.state with
               | Waiting_helper (req, full) -> (
                   (* Stitch the helper's measured boundaries into the
@@ -2580,16 +2430,16 @@ let accept_backoff_max = 1.0
    readiness would wake the loop at full speed otherwise), and let a
    timer re-arm it after a backoff that doubles while the descriptor
    table stays full. *)
-let pause_accept t =
+let pause_accept t lp =
   Obs.Counter.incr t.accept_emfile;
-  if not t.accept_paused then begin
-    t.accept_paused <- true;
-    Evio.Backend.modify t.evio t.listen_fd ~read:false ~write:false;
-    let delay = t.accept_backoff in
-    t.accept_backoff <-
-      Float.min accept_backoff_max (t.accept_backoff *. 2.);
+  if not lp.accept_paused then begin
+    lp.accept_paused <- true;
+    sync_listen t lp;
+    let delay = lp.accept_backoff in
+    lp.accept_backoff <-
+      Float.min accept_backoff_max (lp.accept_backoff *. 2.);
     ignore
-      (Evio.Timer_wheel.schedule t.wheel
+      (Evio.Timer_wheel.schedule lp.wheel
          ~at:(t.config.clock () +. delay)
          T_resume_accept)
   end
@@ -2636,12 +2486,12 @@ let refuse_fd t fd reason =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Adopt an accepted fd into this instance's event loop: create the
-   connection record, register interest, arm the idle timer.  Shared by
-   the direct accept path and the hand-off pop path (a shard adopting
-   an fd the coordinator accepted).  Returns [false] when the backend
-   refused the fd (shed; the caller decides whether to back off). *)
-let adopt_fd t fd =
+(* Adopt an accepted fd into loop [lp]: create the connection record,
+   register interest, arm the idle timer.  Shared by the direct accept
+   path and the hand-off pop path (a shard adopting an fd the
+   coordinator accepted).  Returns [false] when the backend refused the
+   fd (shed; the caller decides whether to back off). *)
+let adopt_fd t lp fd =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let peer = peer_of_fd fd in
@@ -2656,8 +2506,8 @@ let adopt_fd t fd =
       refuse_fd t fd reason;
       true
   | Guard.Admit ->
-  let key = t.next_key in
-  t.next_key <- t.next_key + 1;
+  let key = lp.next_key in
+  lp.next_key <- lp.next_key + 1;
   t.n_connections <- t.n_connections + 1;
   with_obs_lock t (fun () -> Obs.Gauge.incr t.active);
   let now = t.config.clock () in
@@ -2666,6 +2516,7 @@ let adopt_fd t fd =
       fd;
       key;
       peer;
+      loop = lp;
       inbuf = "";
       readbuf = Bytes.create 65536;
       outq = Sendq.create ();
@@ -2693,21 +2544,22 @@ let adopt_fd t fd =
       write_span = None;
     }
   in
-  Hashtbl.replace t.conns key conn;
-  Hashtbl.replace t.fd_owners fd (O_client conn);
+  Hashtbl.replace lp.conns key conn;
+  Hashtbl.replace lp.fd_owners fd (O_client conn);
   match sync_conn t conn with
   | () ->
+      sync_listen t lp;
       if t.config.idle_timeout > 0. then
         conn.idle_timer <-
           Some
-            (Evio.Timer_wheel.schedule t.wheel
+            (Evio.Timer_wheel.schedule lp.wheel
                ~at:(now +. t.config.idle_timeout)
                (T_idle conn));
       (match t.guard with
       | Some g when (Guard.config g).Guard.min_byte_rate > 0. ->
           conn.xfer_timer <-
             Some
-              (Evio.Timer_wheel.schedule t.wheel
+              (Evio.Timer_wheel.schedule lp.wheel
                  ~at:(now +. (Guard.config g).Guard.transfer_interval)
                  (T_xfer conn))
       | _ -> ());
@@ -2739,25 +2591,24 @@ let handoff_fd t ring fd =
     try Unix.close fd with Unix.Unix_error _ -> ()
   end
 
-let accept_all t =
+let accept_all t lp =
   let rec loop () =
-    let injected =
-      match t.config.accept_fault with Some f -> f () | None -> false
-    in
-    if injected then pause_accept t
+    if lp.single && Hashtbl.length lp.conns > 0 then ()
+    else if match t.config.accept_fault with Some f -> f () | None -> false
+    then pause_accept t lp
     else
       match Unix.accept t.listen_fd with
       | fd, _ -> (
-          t.accept_backoff <- accept_backoff_initial;
+          lp.accept_backoff <- accept_backoff_initial;
           match t.role with
           | Shard_coordinator { ring = Some ring } ->
               handoff_fd t ring fd;
               loop ()
-          | _ -> if adopt_fd t fd then loop () else pause_accept t)
+          | _ -> if adopt_fd t lp fd then loop () else pause_accept t lp)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           ()
       | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-          pause_accept t
+          pause_accept t lp
       | exception Unix.Unix_error _ -> ()
   in
   loop ()
@@ -2771,7 +2622,7 @@ let accept_all t =
    timer out to [last_active + idle_timeout].  A busy keep-alive
    connection costs one wheel operation per idle_timeout, not one per
    request — and nothing scans every connection every iteration. *)
-let handle_timer t ~now ev =
+let handle_timer t lp ~now ev =
   match ev with
   | T_idle conn ->
       conn.idle_timer <- None;
@@ -2788,7 +2639,7 @@ let handle_timer t ~now ev =
             else now +. t.config.idle_timeout
           in
           conn.idle_timer <-
-            Some (Evio.Timer_wheel.schedule t.wheel ~at (T_idle conn))
+            Some (Evio.Timer_wheel.schedule lp.wheel ~at (T_idle conn))
   | T_cgi conn -> (
       conn.cgi_timer <- None;
       if conn.alive then
@@ -2798,10 +2649,10 @@ let handle_timer t ~now ev =
             close_conn t conn
         | Reading | Waiting_helper _ -> ())
   | T_resume_accept ->
-      if t.accept_paused then begin
-        t.accept_paused <- false;
-        Evio.Backend.modify t.evio t.listen_fd ~read:true ~write:false;
-        accept_all t
+      if lp.accept_paused then begin
+        lp.accept_paused <- false;
+        sync_listen t lp;
+        accept_all t lp
       end
   | T_rollup ->
       (* Periodic flight-recorder tick, so windows close on an idle
@@ -2813,7 +2664,7 @@ let handle_timer t ~now ev =
         | None -> t.config.recorder_interval
       in
       ignore
-        (Evio.Timer_wheel.schedule t.wheel ~at:(now +. interval) T_rollup)
+        (Evio.Timer_wheel.schedule lp.wheel ~at:(now +. interval) T_rollup)
   | T_hdr conn ->
       conn.hdr_timer <- None;
       (* The deadline only fires while a head is still incomplete —
@@ -2851,7 +2702,7 @@ let handle_timer t ~now ev =
               conn.xfer_mark <- conn.sent_bytes + conn.recv_bytes;
               conn.xfer_timer <-
                 Some
-                  (Evio.Timer_wheel.schedule t.wheel
+                  (Evio.Timer_wheel.schedule lp.wheel
                      ~at:(now +. cfg.Guard.transfer_interval)
                      (T_xfer conn))
             end)
@@ -2881,7 +2732,7 @@ let handle_timer t ~now ev =
                      && now -. conn.last_active >= cutoff
                    then conn :: acc
                    else acc)
-                 t.conns []
+                 lp.conns []
              in
              List.iter
                (fun conn ->
@@ -2890,7 +2741,7 @@ let handle_timer t ~now ev =
                victims
            end);
           ignore
-            (Evio.Timer_wheel.schedule t.wheel
+            (Evio.Timer_wheel.schedule lp.wheel
                ~at:(now +. t.config.recorder_interval)
                T_guard_tick))
   | T_warm -> (
@@ -2971,34 +2822,40 @@ let handle_timer t ~now ev =
                 end)
               to_fetch;
           ignore
-            (Evio.Timer_wheel.schedule t.wheel
+            (Evio.Timer_wheel.schedule lp.wheel
                ~at:(now +. t.config.warm_interval)
                T_warm)
       | _ -> ())
 
-let dispatch_event t (ev : Evio.event) =
-  match Hashtbl.find_opt t.fd_owners ev.Evio.fd with
+let dispatch_event t lp (ev : Evio.event) =
+  match Hashtbl.find_opt lp.fd_owners ev.Evio.fd with
   | None -> ()  (* closed while an earlier event in this batch ran *)
-  | Some O_listen -> if ev.Evio.readable then accept_all t
-  | Some O_wake -> (
-      let buf = Bytes.create 64 in
-      (try ignore (Unix.read t.wake_read buf 0 64)
-       with Unix.Unix_error _ -> ());
-      (* Hand-off shards are woken by the acceptor: drain the ring.  A
-         poke names no particular fd, so whoever wakes first adopts
-         whatever is queued — balance is approximate by design. *)
-      match t.role with
-      | Shard_member { ring = Some ring; _ } ->
-          let rec drain () =
-            match Handoff.pop ring with
-            | Some fd ->
-                ignore (adopt_fd t fd);
-                drain ()
-            | None -> ()
-          in
-          drain ()
-      | _ -> ())
+  | Some O_listen -> if ev.Evio.readable then accept_all t lp
+  | Some O_wake ->
+      (* Stop is terminal, so its byte stays in the pipe: level-triggered
+         readiness then rouses every loop watching it, not just the
+         first to wake.  Otherwise the poke is the hand-off acceptor's:
+         drain the ring.  A poke names no particular fd, so whoever
+         wakes first adopts whatever is queued — balance is approximate
+         by design. *)
+      if not t.stopped then begin
+        let buf = Bytes.create 64 in
+        (try ignore (Unix.read t.wake_read buf 0 64)
+         with Unix.Unix_error _ -> ());
+        match t.role with
+        | Shard_member { ring = Some ring; _ } ->
+            let rec drain () =
+              match Handoff.pop ring with
+              | Some fd ->
+                  ignore (adopt_fd t lp fd);
+                  drain ()
+              | None -> ()
+            in
+            drain ()
+        | _ -> ()
+      end
   | Some O_helper -> handle_helper_completions t
+  | Some O_stats -> drain_stats_pipe t
   | Some (O_client conn) ->
       if conn.alive then begin
         if ev.Evio.readable && conn.state = Reading then
@@ -3015,54 +2872,56 @@ let dispatch_event t (ev : Evio.event) =
             sync_conn t conn
         | Reading | Waiting_helper _ -> ())
 
-let run_loop t =
-  (* The loop's own fds live in the backend for its whole life.  The
-     listen fd may be parked by EMFILE shedding; wake and helper
-     interest never changes. *)
-  if t.owns_listen then begin
-    Evio.Backend.register t.evio t.listen_fd ~read:(not t.accept_paused)
-      ~write:false;
-    Hashtbl.replace t.fd_owners t.listen_fd O_listen
+(* Drive loop [lp] until [stop].  The main loop also owns the process's
+   shared duties: helper completions, the MP parent's stats pipe,
+   flight-recorder windows and warming.  An MP child's loop leaves the
+   wake pipe alone (stop reaches a child as a signal, and a byte it read
+   would be lost to the parent) and sends its stats record at the end of
+   each iteration. *)
+let run_loop t lp =
+  let watch fd owner =
+    Evio.Backend.register lp.evio fd ~read:true ~write:false;
+    Hashtbl.replace lp.fd_owners fd owner
+  in
+  let schedule ~after ev =
+    ignore
+      (Evio.Timer_wheel.schedule lp.wheel ~at:(t.config.clock () +. after) ev)
+  in
+  if lp.accepts then begin
+    Hashtbl.replace lp.fd_owners t.listen_fd O_listen;
+    sync_listen t lp
   end;
-  Evio.Backend.register t.evio t.wake_read ~read:true ~write:false;
-  Hashtbl.replace t.fd_owners t.wake_read O_wake;
-  (match t.helper with
-  | Some h ->
-      let nfd = Helper.notify_fd h in
-      Evio.Backend.register t.evio nfd ~read:true ~write:false;
-      Hashtbl.replace t.fd_owners nfd O_helper
-  | None -> ());
-  (match t.recorder with
-  | Some r ->
-      ignore
-        (Evio.Timer_wheel.schedule t.wheel
-           ~at:(t.config.clock () +. Obs.Recorder.interval r)
-           T_rollup)
-  | None -> ());
+  (match t.mp with
+  | Mp_child _ -> ()
+  | Mp_none | Mp_parent _ -> watch t.wake_read O_wake);
+  if lp == t.main then begin
+    (match t.helper with
+    | Some h -> watch (Helper.notify_fd h) O_helper
+    | None -> ());
+    (match t.mp with
+    | Mp_parent p -> watch p.pipe O_stats
+    | Mp_none | Mp_child _ -> ());
+    (match t.recorder with
+    | Some r -> schedule ~after:(Obs.Recorder.interval r) T_rollup
+    | None -> ());
+    (* First mining cycle: almost at once when a startup log was mined
+       (its ranking is ready to prefetch before any request), else after
+       a full interval of observed demand. *)
+    match t.warm with
+    | Some _ ->
+        schedule
+          ~after:
+            (match t.config.warm_log with
+            | Some _ -> 0.05
+            | None -> t.config.warm_interval)
+          T_warm
+    | None -> ()
+  end;
+  (* Guard tick: ledger sweep, SLO-pressure sampling, and reaping this
+     loop's idle connections.  Rides the recorder cadence so pressure is
+     re-read as soon as a window can have closed. *)
   (match t.guard with
-  | Some _ ->
-      (* Guard tick: ledger sweep, SLO-pressure sampling, idle reaping.
-         Rides the recorder cadence so pressure is re-read as soon as a
-         window can have closed. *)
-      ignore
-        (Evio.Timer_wheel.schedule t.wheel
-           ~at:(t.config.clock () +. t.config.recorder_interval)
-           T_guard_tick)
-  | None -> ());
-  (match t.warm with
-  | Some _ ->
-      (* First mining cycle: almost at once when a startup log was
-         mined (its ranking is ready to prefetch before any request),
-         else after a full interval of observed demand. *)
-      let first =
-        match t.config.warm_log with
-        | Some _ -> 0.05
-        | None -> t.config.warm_interval
-      in
-      ignore
-        (Evio.Timer_wheel.schedule t.wheel
-           ~at:(t.config.clock () +. first)
-           T_warm)
+  | Some _ -> schedule ~after:t.config.recorder_interval T_guard_tick
   | None -> ());
   while not t.stopped do
     (* Sleep exactly until the next timer deadline (forever when no
@@ -3071,546 +2930,72 @@ let run_loop t =
     let timeout =
       Option.map
         (fun d -> Float.max 0. (d -. t.config.clock ()))
-        (Evio.Timer_wheel.next_deadline t.wheel)
+        (Evio.Timer_wheel.next_deadline lp.wheel)
     in
     let wait_start = t.config.clock () in
-    let events = Evio.Backend.wait t.evio ~timeout in
+    let events = Evio.Backend.wait lp.evio ~timeout in
     let now = t.config.clock () in
     Obs.Loopstat.wake t.loopstat ~waited:(now -. wait_start)
       ~ready:(List.length events);
     (* Time the processing half of the iteration only — blocking in
        the readiness wait is idleness, not a stall. *)
     Obs.Watchdog.arm t.watchdog;
-    List.iter (dispatch_event t) events;
-    let fired = Evio.Timer_wheel.advance t.wheel ~now:(t.config.clock ()) in
+    List.iter (dispatch_event t lp) events;
+    let fired = Evio.Timer_wheel.advance lp.wheel ~now:(t.config.clock ()) in
     (match fired with
     | [] -> ()
     | evs ->
         Obs.Loopstat.timers_fired t.loopstat (List.length evs);
         let now = t.config.clock () in
-        List.iter (handle_timer t ~now) evs);
+        List.iter (handle_timer t lp ~now) evs);
     Obs.Loopstat.work t.loopstat ~spent:(t.config.clock () -. now);
-    Obs.Watchdog.check t.watchdog
+    Obs.Watchdog.check t.watchdog;
+    ship_stats t
   done;
   (* Drain: close everything. *)
-  Hashtbl.iter (fun _ conn -> close_conn t conn) (Hashtbl.copy t.conns)
+  Hashtbl.iter (fun _ conn -> close_conn t conn) (Hashtbl.copy lp.conns);
+  if lp != t.main then Evio.Backend.close lp.evio
 
-(* ------------------------------------------------------------------ *)
-(* MP mode: forked blocking workers                                    *)
-(* ------------------------------------------------------------------ *)
+let make_loop (config : config) ~accepts ~single ~track =
+  {
+    evio = Evio.Backend.create config.event_backend;
+    wheel = Evio.Timer_wheel.create ~now:(config.clock ()) ();
+    fd_owners = Hashtbl.create 64;
+    conns = Hashtbl.create 64;
+    by_helper_key = Hashtbl.create 64;
+    next_key = 0;
+    send_scratch = Bytes.create 65536;
+    accept_paused = false;
+    accept_backoff = accept_backoff_initial;
+    accepts;
+    single;
+    track;
+  }
 
-let mp_count_event t ~tag ~latency =
-  match t.stats_pipe_write with
-  | Some w ->
-      (try
-         ignore (Unix.write w (stats_record ~tag ~latency) 0 9)
-       with Unix.Unix_error _ -> ());
-      (* Mirror locally so an MP child's /server-status shows its own
-         view (the copy-on-write fields are private to this child). *)
-      (match tag with
-      | 'c' -> t.n_connections <- t.n_connections + 1
-      | 'r' | 'e' ->
-          t.n_requests <- t.n_requests + 1;
-          if tag = 'e' then t.n_errors <- t.n_errors + 1;
-          Obs.Histogram.record t.latency latency
-      | _ -> ());
-      tick_recorder t
-  | None ->
-      with_obs_lock t (fun () ->
-          match tag with
-          | 'c' -> t.n_connections <- t.n_connections + 1
-          | 'r' | 'e' ->
-              t.n_requests <- t.n_requests + 1;
-              if tag = 'e' then t.n_errors <- t.n_errors + 1;
-              Obs.Histogram.record t.latency latency
-          | _ -> ());
-      tick_recorder t
+(* An MP child or MT worker: its own loop over the shared listen socket,
+   one connection at a time, its spans on a track of its own. *)
+let run_worker t ~track =
+  run_loop t (make_loop t.config ~accepts:true ~single:true ~track)
 
-(* MP children ship each finished trace to the parent as a framed
-   binary record on the stats pipe.  Oversized traces (past PIPE_BUF
-   atomicity) are dropped rather than risk interleaving. *)
-let ship_trace t data =
-  match t.stats_pipe_write with
-  | None -> ()
-  | Some w ->
-      let payload = Obs.Trace.to_binary data in
-      let plen = String.length payload in
-      if plen <= 4000 then begin
-        let b = Bytes.create (3 + plen) in
-        Bytes.set b 0 'T';
-        Bytes.set b 1 (Char.chr (plen land 0xff));
-        Bytes.set b 2 (Char.chr ((plen lsr 8) land 0xff));
-        Bytes.blit_string payload 0 b 3 plen;
-        try ignore (Unix.write w b 0 (3 + plen)) with Unix.Unix_error _ -> ()
-      end
-
-(* Sequential, blocking request handling for one connection — the MP
-   child's whole world (§3.1).  Traces are built with explicit
-   timestamps around each blocking phase; in an MP child the finished
-   trace also rides the stats pipe so the parent's ring sees it. *)
-let mp_serve_connection t fd =
-  Unix.clear_nonblock fd;
-  let peer = peer_of_fd fd in
-  match
-    match t.guard with
-    | Some g -> Guard.on_connect g ~peer
-    | None -> Guard.Admit
-  with
-  | Guard.Reject reason ->
-      (* MP children and MT workers refuse at the door like the
-         event-driven modes; in an MP child the counters are the
-         child's copy-on-write view. *)
-      mp_count_event t ~tag:'c' ~latency:0.;
-      refuse_fd t fd reason
-  | Guard.Admit ->
-  (* Blocking-path approximation of the header deadline: a receive
-     timeout on the socket, checked per read.  A lapse mid-head answers
-     408 below. *)
-  (match t.guard with
-  | Some g when (Guard.config g).Guard.header_deadline > 0. -> (
-      try
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO
-          (Guard.config g).Guard.header_deadline
-      with Unix.Unix_error _ | Invalid_argument _ -> ())
-  | _ -> ());
-  mp_count_event t ~tag:'c' ~latency:0.;
-  with_obs_lock t (fun () -> Obs.Gauge.incr t.active);
-  mp_ship_gauges t;
-  let accepted = t.config.clock () in
-  let track = current_track t in
-  let buf = Bytes.create 65536 in
-  (* Copying-fallback staging buffer, allocated only if this worker ever
-     takes the scalar-write path. *)
-  let scratch = lazy (Bytes.create 65536) in
-  (* Blocking gather-write: drain the slices with [writev] (or the
-     copying fallback), resuming partial writes by advancing offsets.
-     Errors (peer gone) abandon the rest, matching the old behaviour. *)
-  let send_slices slices =
-    try
-      let rec flush () =
-        let live = Array.of_seq (Seq.filter (fun s -> s.Iovec.len > 0)
-                                   (Array.to_seq slices)) in
-        if Array.length live > 0 then begin
-          match
-            if t.gather_writes then begin
-              let n = Iovec.writev fd live in
-              count_send t ~writev:1 ~writes:0 ~copied:0 ~sent:n;
-              n
-            end
-            else begin
-              let n, copied =
-                Iovec.writev_copy ~scratch:(Lazy.force scratch) fd live
-              in
-              count_send t ~writev:0 ~writes:1 ~copied ~sent:n;
-              n
-            end
-          with
-          | n ->
-              Iovec.advance live n;
-              flush ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush ()
-        end
-      in
-      flush ()
-    with Unix.Unix_error _ -> ()
-  in
-  (* Strings (error pages, status bodies) are copied off-heap once and
-     sent through the same gather path. *)
-  let send_strings parts =
-    let copied = List.fold_left (fun acc s -> acc + String.length s) 0 parts in
-    count_send t ~writev:0 ~writes:0 ~copied;
-    send_slices
-      (Array.of_list
-         (List.filter_map
-            (fun s ->
-              if s = "" then None else Some (Iovec.slice (Iovec.of_string s)))
-            parts))
-  in
-  (* [t_first]: when the current request's first bytes arrived (parse
-     span start); [nreq]: finished requests on this connection. *)
-  let rec request_loop inbuf t_first nreq =
-    match Http.Request.parse inbuf with
-    | Http.Request.Incomplete -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> ()
-        | n ->
-            let t_first =
-              if t_first = None then Some (t.config.clock ()) else t_first
-            in
-            request_loop (inbuf ^ Bytes.sub_string buf 0 n) t_first nreq
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            (* Only SO_RCVTIMEO produces EAGAIN on this blocking socket.
-               A lapse mid-head is a slow sender (408); with no bytes
-               pending it is just an idle keep-alive going away. *)
-            if inbuf <> "" then begin
-              guard_shed t Guard.Slow_header;
-              count_status t 408;
-              let body =
-                Http.Response.error_body Http.Status.Request_timeout
-              in
-              let header =
-                render_header t ~status:Http.Status.Request_timeout
-                  ~content_type:(Some "text/html")
-                  ~content_length:(Some (String.length body))
-                  ~keep:false
-              in
-              send_strings [ header; body ]
-            end
-        | exception Unix.Unix_error _ -> ())
-    | Http.Request.Bad _ ->
-        count_status t 400;
-        let body = Http.Response.error_body Http.Status.Bad_request in
-        let header =
-          render_header t ~status:Http.Status.Bad_request
-            ~content_type:(Some "text/html")
-            ~content_length:(Some (String.length body))
-            ~keep:false
-        in
-        send_strings [ header; body ]
-    | Http.Request.Complete (req, consumed) -> (
-        let started = t.config.clock () in
-        let keep = Http.Request.keep_alive req in
-        let head_only = req.Http.Request.meth = Http.Request.Head in
-        let tr =
-          match t.tracer with
-          | None -> None
-          | Some tracer ->
-              let label =
-                Http.Request.meth_to_string req.Http.Request.meth
-                ^ " " ^ req.Http.Request.raw_target
-              in
-              Some
-                (with_obs_lock t (fun () ->
-                     let tr =
-                       if nreq = 0 then begin
-                         let tr =
-                           Obs.Trace.start tracer ~at:accepted ~label ()
-                         in
-                         Obs.Trace.add_span tracer ~track ~name:"accept"
-                           ~start:accepted ~stop:accepted tr;
-                         tr
-                       end
-                       else begin
-                         let tr = Obs.Trace.start tracer ~label () in
-                         Obs.Trace.instant tracer tr ~track "keepalive-reuse";
-                         tr
-                       end
-                     in
-                     Obs.Trace.add_span tracer ~track ~name:"parse"
-                       ~start:(Option.value t_first ~default:started)
-                       ~stop:started tr;
-                     tr))
-        in
-        let add_tr_span name ~start ~stop =
-          match (t.tracer, tr) with
-          | Some tracer, Some tr ->
-              with_obs_lock t (fun () ->
-                  Obs.Trace.add_span tracer ~track ~name ~start ~stop tr)
-          | _ -> ()
-        in
-        let send_traced f =
-          let w0 = t.config.clock () in
-          f ();
-          add_tr_span "write" ~start:w0 ~stop:(t.config.clock ())
-        in
-        let send parts = send_traced (fun () -> send_strings parts) in
-        let send_entry_slices slices =
-          send_traced (fun () -> send_slices slices)
-        in
-        let respond_error ?extra ?(keep = keep) status =
-          count_status t (Http.Status.code status);
-          let body = Http.Response.error_body status in
-          let header =
-            render_header t ~status ?extra ~content_type:(Some "text/html")
-              ~content_length:(Some (String.length body))
-              ~keep
-          in
-          send (if head_only then [ header ] else [ header; body ])
-        in
-        let rate_limited =
-          match t.guard with
-          | Some g -> (
-              match Guard.on_request g ~peer with
-              | Guard.Reject _ -> true
-              | Guard.Admit -> false)
-          | None -> false
-        in
-        let ok =
-          if rate_limited then begin
-            respond_error ~extra:(guard_retry t) ~keep:false
-              Http.Status.Too_many_requests;
-            false
-          end
-          else if is_status_request t req then begin
-            (* In an MP child this is the child-local view. *)
-            let body, content_type =
-              match status_window req with
-              | Some n -> (window_body t n, "application/json")
-              | None ->
-                  let json = wants_json req in
-                  ( status_body t ~json,
-                    if json then "application/json" else "text/plain" )
-            in
-            count_status t 200;
-            let header =
-              render_header t ~status:Http.Status.Ok
-                ~content_type:(Some content_type)
-                ~content_length:(Some (String.length body))
-                ~keep
-            in
-            send (if head_only then [ header ] else [ header; body ]);
-            true
-          end
-          else if is_metrics_request t req then begin
-            (* Child-local in MP children; the parent's consolidated
-               exposition is served from the parent process. *)
-            let body = metrics_body t in
-            count_status t 200;
-            let header =
-              render_header t ~status:Http.Status.Ok
-                ~content_type:(Some "text/plain; version=0.0.4")
-                ~content_length:(Some (String.length body))
-                ~keep
-            in
-            send (if head_only then [ header ] else [ header; body ]);
-            true
-          end
-          else if is_trace_request t req then begin
-            (* In an MP child this renders the child's own ring. *)
-            let body = trace_body t in
-            count_status t 200;
-            let header =
-              render_header t ~status:Http.Status.Ok
-                ~content_type:(Some "application/json")
-                ~content_length:(Some (String.length body))
-                ~keep
-            in
-            send (if head_only then [ header ] else [ header; body ]);
-            true
-          end
-          else
-          match resolve t req with
-          | Error status ->
-              respond_error status;
-              true
-          | Ok path -> (
-              let full = t.config.docroot ^ path in
-              (* Each MP process has its own cache instance (copied at
-                 fork): check it, else do the blocking work inline. *)
-              let lookup =
-                with_cache_lock t (fun () -> File_cache.find_trusted t.cache full)
-              in
-              add_tr_span "resolve" ~start:started ~stop:(t.config.clock ());
-              (* Same plan logic as the event-driven modes, expressed as
-                 one gather write per response over the blocking socket:
-                 a cached 304 is the entry's pre-rendered header slice,
-                 a 206 is a per-request header plus an offset window
-                 into the cached body. *)
-              let send_entry (entry : File_cache.entry) =
-                let entry = negotiate_entry t req ~full entry in
-                let size = File_cache.body_length entry in
-                match
-                  plan_for ~req
-                    ~etag:(etag_of_string entry.File_cache.etag)
-                    ~mtime:entry.File_cache.mtime ~size
-                with
-                | P_not_modified ->
-                    count_status t 304;
-                    send_entry_slices
-                      [|
-                        Iovec.slice
-                          (if keep then entry.File_cache.header_304_keep
-                           else entry.File_cache.header_304_close);
-                      |]
-                | P_precondition_failed ->
-                    respond_error Http.Status.Precondition_failed
-                | P_unsatisfiable ->
-                    respond_error Http.Status.Range_not_satisfiable
-                      ~extra:
-                        [
-                          ( "Content-Range",
-                            Http.Range.content_range_unsatisfied ~size );
-                        ]
-                | P_slice (off, len) ->
-                    count_status t 206;
-                    let extra =
-                      [
-                        ( "Content-Range",
-                          Http.Range.content_range ~off ~len ~size );
-                        ("ETag", entry.File_cache.etag);
-                        ("Accept-Ranges", "bytes");
-                      ]
-                      @ (match entry.File_cache.encoding with
-                        | Some e -> [ ("Content-Encoding", e) ]
-                        | None -> [])
-                      @ vary_extra t
-                    in
-                    let header =
-                      render_header t ~status:Http.Status.Partial_content
-                        ~last_modified:entry.File_cache.mtime ~extra
-                        ~content_type:(Some (Http.Mime.of_path full))
-                        ~content_length:(Some len) ~keep
-                    in
-                    let hbuf = Iovec.of_string header in
-                    count_send t ~writev:0 ~writes:0
-                      ~copied:(String.length header);
-                    send_entry_slices
-                      [|
-                        Iovec.slice hbuf;
-                        Iovec.slice ~off ~len entry.File_cache.body;
-                      |]
-                | P_full ->
-                    count_status t 200;
-                    let header =
-                      Iovec.slice
-                        (if keep then entry.File_cache.header_keep
-                         else entry.File_cache.header_close)
-                    in
-                    send_entry_slices
-                      (if head_only then [| header |]
-                       else [| header; Iovec.slice entry.File_cache.body |])
-              in
-              match lookup with
-              | Some entry ->
-                  send_entry entry;
-                  true
-              | None -> (
-                  (* Cold file: the blocking disk work happens right
-                     here, in the worker serving this connection — so
-                     the disk span lands on this worker's track. *)
-                  let disk_start = t.config.clock () in
-                  let end_disk () =
-                    add_tr_span "disk-read" ~start:disk_start
-                      ~stop:(t.config.clock ())
-                  in
-                  slow_read_hook t full;
-                  match Unix.stat full with
-                  | exception Unix.Unix_error _ ->
-                      end_disk ();
-                      respond_error Http.Status.Not_found;
-                      true
-                  | st when st.Unix.st_kind <> Unix.S_REG ->
-                      end_disk ();
-                      respond_error Http.Status.Forbidden;
-                      true
-                  | st -> (
-                      match Unix.openfile full [ Unix.O_RDONLY ] 0 with
-                      | exception Unix.Unix_error _ ->
-                          end_disk ();
-                          respond_error Http.Status.Not_found;
-                          true
-                      | file_fd ->
-                          (* Map the file; the mapping doubles as the
-                             response body, so even an uncacheable file
-                             is sent without a userspace body copy. *)
-                          let entry =
-                            make_entry t file_fd full ~size:st.Unix.st_size
-                              ~mtime:st.Unix.st_mtime
-                          in
-                          Unix.close file_fd;
-                          end_disk ();
-                          if st.Unix.st_size <= t.config.max_cached_file then begin
-                            with_cache_lock t (fun () ->
-                                File_cache.insert t.cache full entry);
-                            mp_ship_gauges t
-                          end;
-                          send_entry entry;
-                          true)))
-        in
-        let leftover =
-          String.sub inbuf consumed (String.length inbuf - consumed)
-        in
-        mp_count_event t ~tag:'r' ~latency:(t.config.clock () -. started);
-        (match (t.tracer, tr) with
-        | Some tracer, Some tr ->
-            let data = with_obs_lock t (fun () -> Obs.Trace.finish tracer tr) in
-            log_slow t data;
-            ship_trace t data
-        | _ -> ());
-        if ok && keep then
-          request_loop leftover
-            (if leftover = "" then None else Some (t.config.clock ()))
-            (nreq + 1))
-  in
-  request_loop "" None 0;
-  (match t.guard with
-  | Some g -> Guard.on_disconnect g ~peer
-  | None -> ());
-  with_obs_lock t (fun () -> Obs.Gauge.decr t.active);
-  mp_ship_gauges t;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* MP children and MT workers accept through their own backend
-   instance: a kernel interest set (epoll) must not be shared across
-   forked processes or mutated by several threads, and a per-worker
-   backend gives the blocking architectures the same EMFILE shedding
-   and the same clean wakeup-on-stop (the wake pipe is registered but
-   never drained — stop is terminal, so level-triggered readiness
-   rouses every parked worker at once). *)
-let mp_child_loop t =
-  let ev = Evio.Backend.create t.config.event_backend in
-  let wheel = Evio.Timer_wheel.create ~now:(t.config.clock ()) () in
-  let paused = ref false in
-  let backoff = ref accept_backoff_initial in
-  let pause () =
-    Obs.Counter.incr t.accept_emfile;
-    (match t.stats_pipe_write with
-    | Some w -> (
-        try ignore (Unix.write w (stats_record ~tag:'f' ~latency:0.) 0 9)
-        with Unix.Unix_error _ -> ())
-    | None -> ());
-    if not !paused then begin
-      paused := true;
-      Evio.Backend.modify ev t.listen_fd ~read:false ~write:false;
-      ignore
-        (Evio.Timer_wheel.schedule wheel
-           ~at:(t.config.clock () +. !backoff)
-           ());
-      backoff := Float.min accept_backoff_max (!backoff *. 2.)
-    end
-  in
-  let try_accept () =
-    let injected =
-      match t.config.accept_fault with Some f -> f () | None -> false
-    in
-    if injected then pause ()
-    else
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-          backoff := accept_backoff_initial;
-          mp_serve_connection t fd
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-          pause ()
-      | exception Unix.Unix_error _ -> ()
-  in
-  Evio.Backend.register ev t.listen_fd ~read:true ~write:false;
-  Evio.Backend.register ev t.wake_read ~read:true ~write:false;
-  (try
-     while not t.stopped do
-       let timeout =
-         Option.map
-           (fun d -> Float.max 0. (d -. t.config.clock ()))
-           (Evio.Timer_wheel.next_deadline wheel)
-       in
-       let events = Evio.Backend.wait ev ~timeout in
-       (match Evio.Timer_wheel.advance wheel ~now:(t.config.clock ()) with
-       | [] -> ()
-       | _ :: _ ->
-           paused := false;
-           Evio.Backend.modify ev t.listen_fd ~read:true ~write:false;
-           if not t.stopped then try_accept ());
-       if not t.stopped then
-         List.iter
-           (fun (e : Evio.event) ->
-             if e.Evio.fd = t.listen_fd && e.Evio.readable && not !paused
-             then try_accept ())
-           events
-     done
-   with Unix.Unix_error _ -> ());
-  Evio.Backend.close ev
+(* Runs in a freshly forked MP child: take the write side of the stats
+   pipe, then serve until killed. *)
+let run_mp_child t =
+  let pid = Unix.getpid () in
+  (match t.mp with
+  | Mp_parent p ->
+      Unix.close p.pipe;
+      t.mp <-
+        Mp_child
+          {
+            out = p.keep;
+            pid;
+            sent = counter_vector t;
+            sent_gauges = local_gauges t;
+            latencies = [];
+            traces = [];
+          }
+  | Mp_none | Mp_child _ -> ());
+  run_worker t ~track:(Printf.sprintf "mp-child-%d" pid)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -3667,13 +3052,32 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
   Unix.set_nonblock listen_fd;
   (* The stats pipe exists before [t]: closures created below capture
      the final record, so no [{ t with ... }] copy may follow. *)
-  let stats_pipe_read, stats_pipe_write =
+  let mp =
     match config.mode with
     | Mp _ ->
-        let r, w = Unix.pipe () in
-        Unix.set_nonblock r;
-        (Some r, Some w)
-    | Amped | Sped | Mt _ | Sharded _ -> (None, None)
+        let pipe, keep = Unix.pipe () in
+        Unix.set_nonblock pipe;
+        Mp_parent
+          {
+            pipe;
+            keep;
+            decoder = Stats_frame.decoder ();
+            gauges = Hashtbl.create 8;
+          }
+    | Amped | Sped | Mt _ | Sharded _ -> Mp_none
+  in
+  (* MP/MT serve from worker loops; the main loop then runs without the
+     listener. *)
+  let main =
+    make_loop config
+      ~accepts:
+        (owns_listen
+        && match config.mode with Mp _ | Mt _ -> false | _ -> true)
+      ~single:false
+      ~track:
+        (match role with
+        | Shard_member { id; _ } -> Printf.sprintf "shard-%d" id
+        | Standalone | Shard_coordinator _ -> "main-loop")
   in
   let budget =
     match (shared_budget, role) with
@@ -3757,9 +3161,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       helper;
       wake_read;
       wake_write;
-      conns = Hashtbl.create 64;
-      by_helper_key = Hashtbl.create 64;
-      next_key = 0;
+      main;
       stopped = false;
       loop_thread = None;
       children = [];
@@ -3770,9 +3172,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         Option.map
           (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
           config.access_log;
-      stats_pipe_read;
-      stats_pipe_write;
-      stats_acc = Buffer.create 64;
+      mp;
       stats_mutex = Mutex.create ();
       cache_mutex;
       obs_mutex = Mutex.create ();
@@ -3782,7 +3182,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       bytes_copied = Obs.Counter.create ();
       bytes_sent = Obs.Counter.create ();
       status_classes = Array.make 4 0;
-      owner_pid = Unix.getpid ();
       registry = Obs.Registry.create ();
       recorder = None;
       recorder_mutex = Mutex.create ();
@@ -3790,8 +3189,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         Option.map
           (fun (quantile, target_ms) -> Obs.Slo.create ~quantile ~target_ms ())
           config.latency_slo;
-      mp_child_gauges = Hashtbl.create 8;
-      send_scratch = Bytes.create 65536;
       gather_writes = config.use_writev && Iovec.have_writev;
       watchdog =
         Obs.Watchdog.create ~clock:config.clock
@@ -3809,19 +3206,13 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
           config.slow_request_log;
       started_at = config.clock ();
       worker_threads = [];
-      evio = Evio.Backend.create config.event_backend;
-      wheel = Evio.Timer_wheel.create ~now:(config.clock ()) ();
-      fd_owners = Hashtbl.create 64;
       loopstat = Obs.Loopstat.create ();
       accept_emfile = Obs.Counter.create ();
-      accept_paused = false;
-      accept_backoff = accept_backoff_initial;
       role;
       shards = [||];
       coord = None;
       domains = [];
       accept_strategy;
-      owns_listen;
       handoff_rr = 0;
       handoff_shed = Obs.Counter.create ();
       cache_lock;
@@ -3847,22 +3238,27 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
          ());
   (match config.mode with
   | Mp n ->
-      let children =
+      t.children <-
         List.init (max 1 n) (fun _ ->
             match Unix.fork () with
             | 0 ->
-                (* Child: blocking accept loop; never returns. *)
-                (try mp_child_loop t with _ -> ());
+                (* Child: serves until killed; never returns. *)
+                (try run_mp_child t with _ -> ());
                 Stdlib.exit 0
             | pid -> pid)
-      in
-      t.children <- children
   | Mt n ->
       (* Kernel threads sharing the address space (and the cache, behind
          the mutex) — the paper's MT architecture. *)
       t.worker_threads <-
         List.init (max 1 n) (fun _ ->
-            Thread.create (fun () -> try mp_child_loop t with _ -> ()) ())
+            Thread.create
+              (fun () ->
+                try
+                  run_worker t
+                    ~track:
+                      (Printf.sprintf "mt-worker-%d" (Thread.id (Thread.self ())))
+                with _ -> ())
+              ())
   | Amped | Sped | Sharded _ -> ());
   (match role with
   | Standalone -> Log.info (fun m -> m "listening on port %d" bound_port)
@@ -3963,86 +3359,20 @@ let sharding_info t =
   | None -> None
   | Some shards -> Some (Array.length shards, t.accept_strategy)
 
-(* The MP parent's only job: consolidate children's statistics.  It
-   sleeps in its backend for at most one recorder interval — the stats
-   pipe or the wake pipe interrupts it sooner; the timeout closes
-   flight-recorder windows on an idle server. *)
-let mp_parent_loop t =
-  let buf = Bytes.create 4095 in
-  (match t.stats_pipe_read with
-  | Some r -> Evio.Backend.register t.evio r ~read:true ~write:false
-  | None -> ());
-  Evio.Backend.register t.evio t.wake_read ~read:true ~write:false;
-  let timeout =
-    match t.recorder with
-    | Some r -> Some (Obs.Recorder.interval r)
-    | None -> None
-  in
-  while not t.stopped do
-    let wait_start = t.config.clock () in
-    let events = Evio.Backend.wait t.evio ~timeout in
-    Obs.Loopstat.wake t.loopstat
-      ~waited:(t.config.clock () -. wait_start)
-      ~ready:(List.length events);
-    List.iter
-      (fun (e : Evio.event) ->
-        if e.Evio.fd = t.wake_read then begin
-          let b = Bytes.create 64 in
-          try ignore (Unix.read t.wake_read b 0 64)
-          with Unix.Unix_error _ -> ()
-        end
-        else
-          match t.stats_pipe_read with
-          | Some r when e.Evio.fd = r && e.Evio.readable -> (
-              Mutex.lock t.stats_mutex;
-              match
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock t.stats_mutex)
-                  (fun () ->
-                    match Unix.read r buf 0 4095 with
-                    | n when n > 0 -> consume_stats t buf n
-                    | _ -> ())
-              with
-              | () -> ()
-              | exception Unix.Unix_error _ -> ())
-          | _ -> ())
-      events;
-    tick_recorder t
-  done
-
 let run t =
-  match t.config.mode with
-  | Mp _ -> mp_parent_loop t
-  | Mt _ ->
-      (* Threads update shared counters themselves; park on the wake
-         pipe, waking once per recorder interval to close windows on an
-         idle server. *)
-      let timeout =
-        match t.recorder with
-        | Some r -> Obs.Recorder.interval r
-        | None -> -1.
-      in
-      while not t.stopped do
-        (match Unix.select [ t.wake_read ] [] [] timeout with
-        | _ -> ()
-        | exception Unix.Unix_error _ -> ());
-        tick_recorder t
-      done
-  | Sharded _ -> (
-      match t.role with
-      | Shard_coordinator _ ->
-          (* One domain per shard, each running a full AMPED loop; the
-             coordinator's own loop accepts-and-hands-off (hand-off
-             strategy) or just parks on its wake pipe (reuseport, where
-             the kernel balances accepts into the shards' sockets). *)
-          t.domains <-
-            Array.to_list
-              (Array.map
-                 (fun sh -> Domain.spawn (fun () -> run_loop sh))
-                 t.shards);
-          run_loop t
-      | Standalone | Shard_member _ -> run_loop t)
-  | Amped | Sped -> run_loop t
+  match t.role with
+  | Shard_coordinator _ ->
+      (* One domain per shard, each running a full AMPED loop; the
+         coordinator's own loop accepts-and-hands-off (hand-off
+         strategy) or just parks on its wake pipe (reuseport, where
+         the kernel balances accepts into the shards' sockets). *)
+      t.domains <-
+        Array.to_list
+          (Array.map
+             (fun sh -> Domain.spawn (fun () -> run_loop sh sh.main))
+             t.shards);
+      run_loop t t.main
+  | Standalone | Shard_member _ -> run_loop t t.main
 
 let start_background config =
   let t = start config in
@@ -4058,20 +3388,19 @@ let shutdown_flag t =
    exited (loop thread joined / domain joined). *)
 let teardown t =
   (match t.helper with Some h -> Helper.shutdown h | None -> ());
-  (* MT workers park in their backend's wait with the wake pipe in
-     the interest set, so the wake byte already roused them — no need
-     to poke them with throwaway connections. *)
+  (* MT workers watch the wake pipe, so the stop byte already roused
+     them. *)
   List.iter (fun th -> try Thread.join th with _ -> ()) t.worker_threads;
-  Evio.Backend.close t.evio;
+  Evio.Backend.close t.main.evio;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (match t.log_channel with Some oc -> close_out_noerr oc | None -> ());
   (match t.slow_channel with Some oc -> close_out_noerr oc | None -> ());
-  (match t.stats_pipe_read with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  (match t.stats_pipe_write with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
+  (match t.mp with
+  | Mp_parent p ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ p.pipe; p.keep ]
+  | Mp_none | Mp_child _ -> ());
   (try Unix.close t.wake_read with Unix.Unix_error _ -> ());
   try Unix.close t.wake_write with Unix.Unix_error _ -> ()
 

@@ -4,13 +4,19 @@
     One process runs an event loop handling all client IO with
     non-blocking sockets; disk work for uncached files goes to
     {!Helper} threads whose completions arrive on a pipe the loop
-    watches.  The same code base also runs as:
+    watches.  Every mode runs that same loop and request path; the
+    modes differ only in how many loops there are and whether they
+    have helpers:
     - [Sped]: no helpers — cold files are read inline, stalling the
       loop exactly as §3.3 describes;
-    - [Mp n]: [n] forked processes each running the basic steps
-      sequentially on a shared listen socket;
+    - [Mp n]: [n] forked processes on a shared listen socket, each
+      running its own loop that takes one connection at a time with
+      no helpers, so a cold read blocks only that process; the parent
+      runs a loop without the listener that consolidates the
+      children's statistics;
     - [Mt n]: [n] kernel threads doing the same inside one address
-      space, sharing the file cache behind a mutex.
+      space, sharing the file cache behind a mutex; the main thread
+      runs a loop without the listener.
 
     Conditional GET is honoured (If-Modified-Since - 304), and an
     optional Common Log Format access log can be written.
@@ -31,13 +37,13 @@
     loop; the wait blocks exactly until the next deadline instead of
     ticking on a fixed interval, and idle-connection reaping is a
     per-connection timer rescheduled lazily, not an O(connections)
-    scan.  MP children and MT workers accept through their own backend
-    instance (kernel interest sets don't share across forks/threads).
-    When [accept] fails with EMFILE/ENFILE the listen fd's interest is
-    parked and re-armed by a wheel timer with exponential backoff —
-    load is shed without spinning on a connection the process cannot
-    take.  Per-loop wakeup/ready/wait-vs-work/timer counters are
-    reported by [/server-status].
+    scan.  Each loop owns its backend instance and wheel (kernel
+    interest sets don't share across forks/threads).  When [accept]
+    fails with EMFILE/ENFILE the loop parks the listen fd's interest
+    and re-arms it by a wheel timer with exponential backoff — load is
+    shed without spinning on a connection the process cannot take.
+    Per-loop wakeup/ready/wait-vs-work/timer counters are reported by
+    [/server-status].
 
     {2 Send path}
 
@@ -49,14 +55,23 @@
     cache hit is one [writev] of header + mapping with zero userspace
     body copies.  Partial writes survive by advancing slice offsets in
     place; error, status and CGI responses ride the same queue.
-    [writev]/[write] calls and bytes copied are counted per server (MP
-    children ship deltas to the parent over the stats pipe).
+    Files above [max_cached_file] stream from their descriptor in 64 KB
+    chunks; a chunk the socket did not take is re-read, never dropped.
+    [writev]/[write] calls and bytes copied are counted per server.
+
+    {2 MP consolidation}
+
+    Each MP child reports to the parent over a stats pipe, one
+    {!Stats_frame} record per loop iteration in which something moved:
+    its counter deltas, new latency observations, gauges (active
+    connections, mapped bytes) and finished traces.  The parent's
+    counters, latency histogram and trace ring are therefore the
+    consolidated view; its gauges sum each child's latest report.
 
     {2 Observability}
 
     The server is instrumented with {!Obs}: a log-bucketed per-request
-    latency histogram (recorded at response generation in all four
-    modes — MP children ship theirs to the parent over the stats pipe),
+    latency histogram (recorded at response generation in every mode),
     an event-loop stall watchdog (any iteration whose processing
     exceeds [stall_threshold] counts as a stall — the measurable
     signature of the SPED pathology), live/total connection gauges,
@@ -75,9 +90,9 @@
     under SPED, to the worker's own track under MP/MT — response write,
     and close.  Completed traces land in a bounded ring served as
     Chrome trace-event JSON by [GET /server-trace] (Perfetto-loadable,
-    one track per process/helper).  MP children ship finished traces to
-    the parent as compact binary records on the stats pipe, so the
-    parent's ring — and its [/server-trace] — covers all children.
+    one track per loop and for the helpers).  MP children's finished
+    traces ride their stats records, so the parent's ring — and its
+    [/server-trace] — covers all children.
     Requests slower than [slow_request_ms] are additionally appended to
     a slow-request log as a one-line span breakdown. *)
 
@@ -277,7 +292,8 @@ val latency : t -> Obs.Histogram.t
 (** Snapshot of the helper job-latency histogram (AMPED only). *)
 val helper_job_latency : t -> Obs.Histogram.t option
 
-(** Event-loop iterations completed (0 for MP/MT). *)
+(** Event-loop iterations completed by this process's loops (MT: the
+    main thread's and the workers'; MP: the parent's own). *)
 val loop_iterations : t -> int
 
 val tracing_enabled : t -> bool

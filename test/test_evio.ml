@@ -358,14 +358,17 @@ let test_status_reports_backend () =
 (* Server: wheel-driven idle reaping                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_idle_reaped_by_wheel () =
+(* Every mode reaps through the same wheel timer: an MP child or MT
+   worker holding an idle keep-alive connection closes it on time. *)
+let test_idle_reaped_by_wheel mode () =
   let docroot = make_docroot () in
   List.iter
     (fun backend ->
       let config =
         {
           (Server.default_config ~docroot) with
-          Server.idle_timeout = 0.2;
+          Server.mode;
+          idle_timeout = 0.2;
           event_backend = backend;
         }
       in
@@ -475,7 +478,13 @@ let suite =
     Alcotest.test_case "server: status names backend" `Quick
       test_status_reports_backend;
     Alcotest.test_case "server: idle reaped by wheel" `Slow
-      test_idle_reaped_by_wheel;
+      (test_idle_reaped_by_wheel Server.Amped);
+    Alcotest.test_case "server: idle reaped by wheel (sped)" `Slow
+      (test_idle_reaped_by_wheel Server.Sped);
+    Alcotest.test_case "server: idle reaped by wheel (mp)" `Slow
+      (test_idle_reaped_by_wheel (Server.Mp 2));
+    Alcotest.test_case "server: idle reaped by wheel (mt)" `Slow
+      (test_idle_reaped_by_wheel (Server.Mt 2));
     Alcotest.test_case "server: EMFILE shedding (amped)" `Quick
       (test_emfile_shedding Server.Amped);
     Alcotest.test_case "server: EMFILE shedding (mt)" `Quick

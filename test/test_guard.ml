@@ -316,24 +316,65 @@ let test_live_rate_cap ~mode () =
       let r3 = Client.get ~host:"127.0.0.1" ~port "/hello.txt" in
       Alcotest.(check int) "window slides, peer served" 200 r3.Client.status)
 
-(* A client that dribbles its header slower than the deadline gets 408
-   and a closed connection — the byte-at-a-time defense the idle timer
-   cannot provide (every byte refreshes [last_active]). *)
-let test_live_slow_header () =
-  with_guarded
-    { Guard.default_config with Guard.header_deadline = 0.2 }
+(* A client that trickles its header one byte per 0.1 s against a 0.3 s
+   deadline gets 408 and a closed connection within the deadline, in
+   every mode — the byte-at-a-time defense the idle timer cannot provide
+   (every byte refreshes [last_active]). *)
+let test_live_slow_header mode () =
+  with_guarded ~mode
+    { Guard.default_config with Guard.header_deadline = 0.3 }
     (fun _server port ->
-      let response =
-        raw_read_all port ~send:"GET /hello.txt HTTP/1.1\r\nHost: x\r\n"
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "partial header times out: %S"
-           (status_line_of response))
-        true
-        (contains response " 408 Request Timeout");
-      Alcotest.(check bool) "and the connection closes" true
-        (contains response "connection: close"
-        || contains response "Connection: close");
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let head =
+            "GET /hello.txt HTTP/1.1\r\nHost: x\r\nX-Pad: trickle\r\n"
+          in
+          let t0 = Unix.gettimeofday () in
+          (* Trickle until the server answers (or hangs up on us). *)
+          let rec trickle i =
+            let answered =
+              match Unix.select [ fd ] [] [] 0. with
+              | [], _, _ -> false
+              | _ -> true
+            in
+            if (not answered) && i < String.length head then
+              match Unix.write_substring fd head i 1 with
+              | _ ->
+                  Thread.delay 0.1;
+                  trickle (i + 1)
+              | exception Unix.Unix_error _ -> ()
+          in
+          trickle 0;
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          let buf = Bytes.create 4096 in
+          let out = Buffer.create 256 in
+          (try
+             let rec loop () =
+               match Unix.read fd buf 0 (Bytes.length buf) with
+               | 0 -> ()
+               | n ->
+                   Buffer.add_subbytes out buf 0 n;
+                   loop ()
+             in
+             loop ()
+           with Unix.Unix_error _ -> ());
+          let elapsed = Unix.gettimeofday () -. t0 in
+          let response = Buffer.contents out in
+          Alcotest.(check bool)
+            (Printf.sprintf "trickled header times out: %S"
+               (status_line_of response))
+            true
+            (contains response " 408 Request Timeout");
+          Alcotest.(check bool) "and the connection closes" true
+            (contains response "connection: close"
+            || contains response "Connection: close");
+          Alcotest.(check bool)
+            (Printf.sprintf "408 long before the trickle ends (%.2f s)"
+               elapsed)
+            true (elapsed < 1.5));
       (* A prompt client on the same server is untouched. *)
       let r = Client.get ~host:"127.0.0.1" ~port "/hello.txt" in
       Alcotest.(check int) "fast client unaffected" 200 r.Client.status)
@@ -448,7 +489,14 @@ let suite =
       (test_live_rate_cap ~mode:(Server.Mt 2));
     Alcotest.test_case "rate cap 429 + Retry-After (MP)" `Quick
       (test_live_rate_cap ~mode:(Server.Mp 2));
-    Alcotest.test_case "slow header gets 408" `Quick test_live_slow_header;
+    Alcotest.test_case "slow header gets 408" `Quick
+      (test_live_slow_header Server.Amped);
+    Alcotest.test_case "slow header gets 408 (SPED)" `Quick
+      (test_live_slow_header Server.Sped);
+    Alcotest.test_case "slow header gets 408 (MP)" `Quick
+      (test_live_slow_header (Server.Mp 2));
+    Alcotest.test_case "slow header gets 408 (MT)" `Quick
+      (test_live_slow_header (Server.Mt 2));
     Alcotest.test_case "bounded helper queue sheds 503" `Quick
       test_live_helper_queue_bound;
     Alcotest.test_case "status views and metrics" `Quick test_live_status_views;

@@ -65,6 +65,10 @@ let fixture =
      write_file (Filename.concat docroot "z.txt") body_z;
      (* Sibling written after the origin so its mtime is not staler. *)
      write_file (Filename.concat docroot "z.txt.gz") gz_z;
+     Unix.mkdir (Filename.concat docroot "cgi-bin") 0o755;
+     let cgi = Filename.concat docroot "cgi-bin/q.sh" in
+     write_file cgi "#!/bin/sh\necho \"$QUERY_STRING $REQUEST_METHOD\"\n";
+     Unix.chmod cgi 0o755;
      let st_a = Unix.stat (Filename.concat docroot "a.txt") in
      let st_z = Unix.stat (Filename.concat docroot "z.txt") in
      let mtime_a = st_a.Unix.st_mtime and size_a = st_a.Unix.st_size in
@@ -328,6 +332,13 @@ let table () =
     case "conditionals do not rescue a 404" 404 ~target:"/missing.txt"
       ~headers:[ ("If-None-Match", "*") ]
       ~absent:[ "etag" ];
+    (* Dispatch before any file is read: CGI runs the script, and a
+       method the server does not implement is refused. *)
+    case "CGI runs the script" 200 ~target:"/cgi-bin/q.sh?q=1"
+      ~absent:[ "content-length" ]
+      ~body:(Exact "q=1 GET\n");
+    case "bodiless POST is not implemented" 501 ~meth:"POST"
+      ~has:[ ("connection", "close") ];
   ]
 
 let run_case port c =

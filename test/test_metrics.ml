@@ -422,6 +422,82 @@ let test_slo_health () =
                 (List.assoc_opt "target_ms" s.Obs.Exposition.s_labels)
           | _ -> Alcotest.fail "flash_slo_info should be one series"))
 
+(* ------------------------------------------------------------------ *)
+(* The MP stats record on the wire                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Frame = Flash_live.Stats_frame
+
+(* Random reports from two children: counter deltas, gauges, latency
+   lists long enough to spill past one frame, and traces up to the
+   frame bound; plus the sizes of the reads the parent happens to make. *)
+let stats_frames_arb =
+  let open QCheck.Gen in
+  let trace =
+    string_size ~gen:printable
+      (frequency [ (6, int_bound 200); (1, int_range 3000 Frame.max_trace) ])
+  in
+  let record =
+    map
+      (fun (pid, (active, mapped), counters, latencies, traces) ->
+        { Frame.pid; active; mapped; counters; latencies; traces })
+      (tup5 (oneofl [ 101; 202 ])
+         (pair (int_bound 100) (int_bound 1_000_000_000))
+         (array_size (return 13) (int_bound 1000))
+         (list_size
+            (frequency [ (4, int_bound 8); (1, int_range 400 700) ])
+            (float_bound_inclusive 10.))
+         (list_size (int_bound 3) trace))
+  in
+  QCheck.make
+    ~print:(fun (records, reads) ->
+      Printf.sprintf "%d records, reads %s" (List.length records)
+        (String.concat "," (List.map string_of_int reads)))
+    (pair (list_size (int_range 1 12) record)
+       (list_size (int_range 1 20) (int_range 1 5000)))
+
+(* Decoding the concatenated frames, split at arbitrary read boundaries,
+   gives the same counter sums, the last gauges per pid, and the same
+   latencies and traces in order. *)
+let prop_stats_frames (records, reads) =
+  let frames = List.concat_map Frame.encode records in
+  let wire = String.concat "" frames in
+  let d = Frame.decoder () in
+  let rec feed pos reads acc =
+    if pos >= String.length wire then List.concat (List.rev acc)
+    else
+      let n, reads =
+        match reads with r :: rest -> (r, rest @ [ r ]) | [] -> (1, [])
+      in
+      let n = min n (String.length wire - pos) in
+      let got = Frame.feed d (Bytes.of_string (String.sub wire pos n)) n in
+      feed (pos + n) reads (got :: acc)
+  in
+  let decoded = feed 0 reads [] in
+  let sums rs =
+    List.fold_left
+      (fun acc (r : Frame.t) ->
+        Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) r.Frame.counters;
+        acc)
+      (Array.make 13 0) rs
+  in
+  let last_gauges rs =
+    let h = Hashtbl.create 2 in
+    List.iter
+      (fun (r : Frame.t) ->
+        Hashtbl.replace h r.Frame.pid (r.Frame.active, r.Frame.mapped))
+      rs;
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+  in
+  let all f rs = List.concat_map f rs in
+  List.for_all (fun f -> String.length f <= Frame.max_frame) frames
+  && sums records = sums decoded
+  && last_gauges records = last_gauges decoded
+  && all (fun (r : Frame.t) -> r.Frame.latencies) records
+     = all (fun (r : Frame.t) -> r.Frame.latencies) decoded
+  && all (fun (r : Frame.t) -> r.Frame.traces) records
+     = all (fun (r : Frame.t) -> r.Frame.traces) decoded
+
 (* MP consolidation: child gauges are summed at snapshot time from each
    child's last-shipped value — re-shipping the same gauge must not
    accumulate.  Two children, two persistent connections: the parent
@@ -508,6 +584,9 @@ let suite =
       test_recorder_dump_parses;
     Alcotest.test_case "SLO health evaluates over windows" `Quick
       test_slo_health;
+    Helpers.qcheck_case ~count:100
+      ~name:"stats frames decode across split reads" stats_frames_arb
+      prop_stats_frames;
     Alcotest.test_case "MP gauges sum at snapshot" `Quick
       test_mp_gauges_sum_at_snapshot;
     Alcotest.test_case "MP /metrics consolidates counters" `Quick

@@ -398,6 +398,32 @@ let test_mp_send_counters_consolidated () =
       Alcotest.(check bool) "children's send syscalls consolidated" true
         (field stats >= 2))
 
+(* A file above [max_cached_file] streams from its descriptor in 64 KB
+   chunks.  A client reading promptly with [Connection: close] must get
+   every byte at the advertised Content-Length: a chunk whose write
+   would block is re-read, never dropped.  Sharded runs it from
+   test_sharded.ml, after every fork test. *)
+let test_streamed_file_intact mode () =
+  let body = patterned (8 * 1024 * 1024) in
+  let docroot = make_docroot [ ("big.bin", body) ] in
+  Fun.protect ~finally:(fun () -> Sys.remove (Filename.concat docroot "big.bin"))
+  @@ fun () ->
+  with_config_server
+    { (Server.default_config ~docroot) with Server.mode }
+    (fun _ port ->
+      for i = 1 to 5 do
+        let r = Helpers.Raw.request ~port "/big.bin" in
+        Alcotest.(check int) "200" 200 r.Helpers.Raw.status;
+        Alcotest.(check (option string))
+          "advertised length"
+          (Some (string_of_int (String.length body)))
+          (List.assoc_opt "content-length" r.Helpers.Raw.headers);
+        if not (String.equal r.Helpers.Raw.body body) then
+          Alcotest.failf "fetch %d: %d body bytes, wanted %d" i
+            (String.length r.Helpers.Raw.body)
+            (String.length body)
+      done)
+
 let suite =
   [
     test_sendq_resumption;
@@ -428,4 +454,12 @@ let suite =
       test_fallback_copies;
     Alcotest.test_case "MP consolidates send counters" `Quick
       test_mp_send_counters_consolidated;
+    Alcotest.test_case "8 MB streamed intact (AMPED)" `Quick
+      (test_streamed_file_intact Server.Amped);
+    Alcotest.test_case "8 MB streamed intact (SPED)" `Quick
+      (test_streamed_file_intact Server.Sped);
+    Alcotest.test_case "8 MB streamed intact (MP)" `Quick
+      (test_streamed_file_intact (Server.Mp 2));
+    Alcotest.test_case "8 MB streamed intact (MT)" `Quick
+      (test_streamed_file_intact (Server.Mt 2));
   ]

@@ -377,6 +377,10 @@ let test_sharded_byte_identity () =
   Test_http11.byte_identity_against_amped
     [ ("SHARDED", Server.Sharded 2) ]
 
+(* The streamed-file check of test_sendpath, for the fifth mode. *)
+let test_sharded_streamed_file_intact =
+  Test_sendpath.test_streamed_file_intact (Server.Sharded 2)
+
 (* ------------------------------------------------------------------ *)
 (* Guard × sharding                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -557,6 +561,8 @@ let suite =
       test_sharded_views_never_drift;
     Alcotest.test_case "HTTP/1.1 byte-identity vs AMPED" `Quick
       test_sharded_byte_identity;
+    Alcotest.test_case "8 MB streamed intact" `Quick
+      test_sharded_streamed_file_intact;
     Alcotest.test_case "per-shard guard enforces conn caps" `Quick
       test_sharded_guard_conn_cap;
     Alcotest.test_case "sharded guard metrics aggregate" `Quick
