@@ -153,12 +153,13 @@ type conn = {
   mutable alive : bool;
   accepted_at : float;
   mutable reqs_served : int;  (* finished traces on this connection *)
-  (* Readiness interest last pushed to the evio backend (event-loop
-     modes); [sync_conn] diffs against these so unchanged fds cost
-     nothing. *)
+  (* Readiness interest last pushed to the evio backend; [sync_conn]
+     diffs against these so unchanged fds cost nothing.  [want_write]
+     is set only while a write would block. *)
   mutable want_read : bool;
   mutable want_write : bool;
   mutable registered : bool;
+  mutable flushed_turn : int;  (* loop turn of the last immediate flush *)
   mutable cgi_fd_registered : Unix.file_descr option;
   (* Timer-wheel entries owned by this connection. *)
   mutable idle_timer : timer_ev Evio.Timer_wheel.timer option;
@@ -214,6 +215,7 @@ and loop = {
   conns : (int, conn) Hashtbl.t;
   by_helper_key : (int, conn) Hashtbl.t;
   mutable next_key : int;
+  mutable turn : int;  (* iterations of this loop so far *)
   send_scratch : Bytes.t;  (* copying-fallback staging buffer *)
   mutable accept_paused : bool;  (* listen interest parked by backoff *)
   mutable accept_backoff : float;  (* current backoff delay, seconds *)
@@ -2203,37 +2205,6 @@ let close_conn t conn =
     sync_listen t lp
   end
 
-(* Reconcile a connection's readiness interest with its state: read
-   while parsing, write while the send queue has bytes, and the CGI
-   pipe while streaming.  Diffed against the last pushed interest so an
-   unchanged connection costs no syscall ([epoll_ctl]) and no rebuild
-   (poll). *)
-let sync_conn t conn =
-  if conn.alive then begin
-    let r = conn.state = Reading in
-    let w = not (Sendq.is_empty conn.outq) in
-    if (not conn.registered) || r <> conn.want_read || w <> conn.want_write
-    then begin
-      Evio.Backend.modify conn.loop.evio conn.fd ~read:r ~write:w;
-      conn.registered <- true;
-      conn.want_read <- r;
-      conn.want_write <- w
-    end;
-    match (conn.state, conn.cgi_fd_registered) with
-    | Streaming_cgi (pfd, _), None -> (
-        (* The CGI pipe fd can itself land beyond select's FD_SETSIZE;
-           a stream we cannot wait on must drop the connection rather
-           than the loop. *)
-        match
-          Evio.Backend.register conn.loop.evio pfd ~read:true ~write:false
-        with
-        | () ->
-            Hashtbl.replace conn.loop.fd_owners pfd (O_cgi conn);
-            conn.cgi_fd_registered <- Some pfd
-        | exception Evio.Backend_full _ -> close_conn t conn)
-    | _ -> ()
-  end
-
 (* The head-request buffer: reads land in the connection's reusable
    scratch and append to [inbuf].  The cap bounds parse-buffer growth
    against a client streaming junk or very deep pipelines. *)
@@ -2306,10 +2277,16 @@ let handle_writable t conn =
              progress := false
            end;
            f.remaining <- f.remaining - n;
-           if f.remaining <= 0 || len < chunk then begin
+           if f.remaining <= 0 then begin
              Unix.close f.src;
              Sendq.pop conn.outq
            end
+           else if len < chunk && n = len then
+             (* The file shrank after its stat: every byte it still holds
+                is sent, and the body is short of its Content-Length.
+                Whatever followed on this connection would be read as
+                the missing body, so the connection ends here. *)
+             close_conn t conn
        | None -> progress := false
      done
    with
@@ -2324,6 +2301,51 @@ let handle_writable t conn =
         if conn.write_span <> None then finish_request_trace t conn;
         if conn.close_after_flush then close_conn t conn
         else try_parse t conn
+  end
+
+(* Reconcile a connection with its state; every path that queues output
+   (a client read, a helper completion, a CGI chunk, the 408 timer) ends
+   here.  A connection not already waiting for writability has its
+   queue written now, in the turn that filled it, rather than after
+   another readiness wait.  Once per connection per turn: a pipelined
+   request parsed after that flush is answered on the next turn, so one
+   client's pipeline cannot hold the loop.  Then interest follows state:
+   read while parsing, write while bytes remain (a write that would
+   block, or that pipelined answer), and the CGI pipe while streaming.
+   Diffed against the last pushed interest so an unchanged connection
+   costs no syscall ([epoll_ctl]) and no rebuild (poll). *)
+let sync_conn t conn =
+  if
+    conn.alive && (not conn.want_write)
+    && (not (Sendq.is_empty conn.outq))
+    && conn.flushed_turn <> conn.loop.turn
+  then begin
+    conn.flushed_turn <- conn.loop.turn;
+    handle_writable t conn
+  end;
+  if conn.alive then begin
+    let r = conn.state = Reading in
+    let w = not (Sendq.is_empty conn.outq) in
+    if (not conn.registered) || r <> conn.want_read || w <> conn.want_write
+    then begin
+      Evio.Backend.modify conn.loop.evio conn.fd ~read:r ~write:w;
+      conn.registered <- true;
+      conn.want_read <- r;
+      conn.want_write <- w
+    end;
+    match (conn.state, conn.cgi_fd_registered) with
+    | Streaming_cgi (pfd, _), None -> (
+        (* The CGI pipe fd can itself land beyond select's FD_SETSIZE;
+           a stream we cannot wait on must drop the connection rather
+           than the loop. *)
+        match
+          Evio.Backend.register conn.loop.evio pfd ~read:true ~write:false
+        with
+        | () ->
+            Hashtbl.replace conn.loop.fd_owners pfd (O_cgi conn);
+            conn.cgi_fd_registered <- Some pfd
+        | exception Evio.Backend_full _ -> close_conn t conn)
+    | _ -> ()
   end
 
 let handle_cgi_readable t conn fd pid =
@@ -2530,6 +2552,7 @@ let adopt_fd t lp fd =
       want_read = false;
       want_write = false;
       registered = false;
+      flushed_turn = -1;
       cgi_fd_registered = None;
       idle_timer = None;
       cgi_timer = None;
@@ -2860,6 +2883,8 @@ let dispatch_event t lp (ev : Evio.event) =
       if conn.alive then begin
         if ev.Evio.readable && conn.state = Reading then
           handle_readable t conn;
+        (* Only a connection already waiting for writability sees this;
+           a response queued just now is written by [sync_conn]. *)
         if ev.Evio.writable && conn.alive && not (Sendq.is_empty conn.outq)
         then handle_writable t conn;
         sync_conn t conn
@@ -2935,6 +2960,7 @@ let run_loop t lp =
     let wait_start = t.config.clock () in
     let events = Evio.Backend.wait lp.evio ~timeout in
     let now = t.config.clock () in
+    lp.turn <- lp.turn + 1;
     Obs.Loopstat.wake t.loopstat ~waited:(now -. wait_start)
       ~ready:(List.length events);
     (* Time the processing half of the iteration only — blocking in
@@ -2964,6 +2990,7 @@ let make_loop (config : config) ~accepts ~single ~track =
     conns = Hashtbl.create 64;
     by_helper_key = Hashtbl.create 64;
     next_key = 0;
+    turn = 0;
     send_scratch = Bytes.create 65536;
     accept_paused = false;
     accept_backoff = accept_backoff_initial;

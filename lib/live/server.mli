@@ -53,11 +53,20 @@
     [use_writev] is off.  Cached files are [mmap]-backed {!File_cache}
     entries carrying both pre-rendered (keep-alive/close) headers, so a
     cache hit is one [writev] of header + mapping with zero userspace
-    body copies.  Partial writes survive by advancing slice offsets in
-    place; error, status and CGI responses ride the same queue.
-    Files above [max_cached_file] stream from their descriptor in 64 KB
-    chunks; a chunk the socket did not take is re-read, never dropped.
-    [writev]/[write] calls and bytes copied are counted per server.
+    body copies.  A response is written in the loop turn that queued
+    it — after the read that parsed its request, the helper completion,
+    the CGI chunk or the 408 timer — and write interest is armed only
+    after a write that would block (EAGAIN or a short [writev]), so a
+    keep-alive request costs one readiness wait.  A connection gets at
+    most one such immediate flush per turn; a pipelined request parsed
+    after it is answered on the next writable wakeup.  Partial writes
+    survive by advancing slice offsets in place; error, status and CGI
+    responses ride the same queue.  Files above [max_cached_file]
+    stream from their descriptor in 64 KB chunks; a chunk the socket
+    did not take is re-read, never dropped, and a file that shrank
+    after its stat ends the connection once its remaining bytes are
+    sent.  [writev]/[write] calls and bytes copied are counted per
+    server.
 
     {2 MP consolidation}
 

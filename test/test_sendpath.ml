@@ -1,8 +1,10 @@
 (* The zero-copy gather-write send path: iovec slice bookkeeping under
    partial writes, (mtime, size) cache validation, eviction releasing
    mappings, byte-identical multi-megabyte responses in all four
-   architectures, and the syscall/copy accounting that proves a cached
-   GET is one writev with no userspace body copy. *)
+   architectures, pipelined bursts answered in order in every mode, the
+   syscall/copy accounting that proves a cached GET is one writev with
+   no userspace body copy and one readiness wait, and streamed files
+   that stay intact or end the connection when they shrink. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
@@ -248,63 +250,127 @@ let test_multi_mb_identical mode () =
           Alcotest.(check string) "session still in sync" "tiny"
             r3.Client.body))
 
-let test_pipelined_large mode () =
+(* ------------------------------------------------------------------ *)
+(* Pipelining in every mode                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Requests pipelined in one segment, so all are read before the first
+   answer leaves: it is written in the turn that read them, each later
+   one on a writable wakeup after.  [warm] paths are fetched first, one
+   at a time over the same connection (an MP child or a shard caches
+   for itself), and [segment] builds the burst from their answers.
+   [expect] holds each answer's status and, where given, its body. *)
+type burst = {
+  files : (string * string) list;
+  warm : string list;
+  segment : Helpers.Raw.response list -> string;
+  expect : (int * string option) list;
+}
+
+let get ?(headers = []) path =
+  Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n" path
+    (String.concat ""
+       (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers))
+
+(* 2.5 MB, far more than the socket buffers take, with a small file
+   behind it. *)
+let large_burst () =
   let body = Lazy.force big_body in
-  let docroot = make_docroot [ ("big.bin", body); ("small.txt", "tiny") ] in
-  let config = { (Server.default_config ~docroot) with Server.mode } in
-  with_config_server config (fun _server port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      (* Both requests land in one segment before the first response is
-         written: the responses must come back in order, intact. *)
-      let burst =
-        "GET /big.bin HTTP/1.1\r\nHost: t\r\n\r\n"
-        ^ "GET /small.txt HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-      in
-      ignore (Unix.write_substring fd burst 0 (String.length burst));
-      let buf = Bytes.create 65536 in
-      let acc = Buffer.create (String.length body + 4096) in
-      let rec drain () =
-        match Unix.read fd buf 0 65536 with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes acc buf 0 n;
-            drain ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      drain ();
-      Unix.close fd;
-      let raw = Buffer.contents acc in
-      (* Parse both responses by their Content-Length. *)
-      let parse_one start =
-        let rec find_head i =
-          if i + 3 >= String.length raw then
-            Alcotest.fail "response head not terminated"
-          else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-          else find_head (i + 1)
+  {
+    files = [ ("big.bin", body); ("small.txt", "tiny") ];
+    warm = [];
+    segment =
+      (fun _ ->
+        get "/big.bin" ^ get ~headers:[ ("Connection", "close") ] "/small.txt");
+    expect = [ (200, Some body); (200, Some "tiny") ];
+  }
+
+(* Small cached answers: a 200, a 304 via If-None-Match, a 206 via
+   Range, and a 404 that closes. *)
+let small_burst () =
+  let a = patterned 3000 in
+  {
+    files = [ ("a.txt", a); ("b.txt", "bee body") ];
+    warm = [ "/a.txt"; "/b.txt" ];
+    segment =
+      (fun warmed ->
+        let b = List.nth warmed 1 in
+        let etag =
+          match List.assoc_opt "etag" b.Helpers.Raw.headers with
+          | Some e -> e
+          | None -> Alcotest.fail "no ETag on b.txt"
         in
-        let body_start = find_head start in
-        let head = String.sub raw start (body_start - start) in
-        let len =
-          let lower = String.lowercase_ascii head in
-          match Helpers.contains ~affix:"content-length:" lower with
-          | false -> Alcotest.fail "no content-length"
-          | true ->
-              let rec find i =
-                if String.sub lower i 15 = "content-length:" then i + 15
-                else find (i + 1)
-              in
-              let i = find 0 in
-              int_of_string (String.trim (String.sub lower i
-                (String.index_from lower i '\r' - i)))
-        in
-        (String.sub raw body_start len, body_start + len)
-      in
-      let b1, next = parse_one 0 in
-      let b2, _ = parse_one next in
-      Alcotest.(check bool) "pipelined big body identical" true
-        (String.equal b1 body);
-      Alcotest.(check string) "pipelined second body" "tiny" b2)
+        get "/a.txt"
+        ^ get ~headers:[ ("If-None-Match", etag) ] "/b.txt"
+        ^ get ~headers:[ ("Range", "bytes=4-11") ] "/a.txt"
+        ^ get ~headers:[ ("Connection", "close") ] "/missing.txt");
+    expect =
+      [
+        (200, Some a); (304, None); (206, Some (String.sub a 4 8)); (404, None);
+      ];
+  }
+
+let pipelined_answers burst ~docroot mode =
+  with_config_server
+    { (Server.default_config ~docroot) with Server.mode }
+    (fun _server port ->
+      let s = Helpers.Raw.open_session ~port in
+      Fun.protect
+        ~finally:(fun () -> Helpers.Raw.close_session s)
+        (fun () ->
+          let warmed = List.map (Helpers.Raw.session_request s) burst.warm in
+          let segment = burst.segment warmed in
+          ignore
+            (Unix.write_substring s.Helpers.Raw.fd segment 0
+               (String.length segment));
+          let answers, rest =
+            List.fold_left
+              (fun (acc, leftover) _ ->
+                let r, rest =
+                  Helpers.Raw.read_response s.Helpers.Raw.fd leftover
+                in
+                (r :: acc, rest))
+              ([], s.Helpers.Raw.leftover)
+              burst.expect
+          in
+          let tail = Buffer.create 16 in
+          Buffer.add_string tail rest;
+          Helpers.Raw.read_until_close s.Helpers.Raw.fd tail;
+          Alcotest.(check int) "no bytes after the closing answer" 0
+            (Buffer.length tail);
+          List.rev answers))
+
+(* Each burst serves one docroot to every mode, so ETag and
+   Last-Modified agree and the answers compare byte for byte (Date
+   masked) with AMPED's. *)
+let test_pipelined make_burst =
+  let burst = lazy (make_burst ()) in
+  let docroot = lazy (make_docroot (Lazy.force burst).files) in
+  let answers mode =
+    pipelined_answers (Lazy.force burst) ~docroot:(Lazy.force docroot) mode
+  in
+  let amped = lazy (answers Server.Amped) in
+  fun mode () ->
+    let expect = (Lazy.force burst).expect in
+    let got = answers mode in
+    Alcotest.(check (list int)) "answers in order" (List.map fst expect)
+      (List.map (fun r -> r.Helpers.Raw.status) got);
+    List.iteri
+      (fun i ((_, want), r) ->
+        match want with
+        | Some body when not (String.equal body r.Helpers.Raw.body) ->
+            Alcotest.failf "answer %d: %d body bytes differ from the %d wanted"
+              i (String.length r.Helpers.Raw.body) (String.length body)
+        | _ -> ())
+      (List.combine expect got);
+    let masked =
+      List.map (fun r -> Helpers.Raw.mask_dates r.Helpers.Raw.raw)
+    in
+    Alcotest.(check bool) "bytes identical to AMPED's" true
+      (masked got = masked (Lazy.force amped))
+
+let test_pipelined_large = test_pipelined large_burst
+let test_pipelined_small = test_pipelined small_burst
 
 (* ------------------------------------------------------------------ *)
 (* Syscall/copy accounting: the acceptance criterion                   *)
@@ -379,6 +445,41 @@ let test_fallback_copies () =
             (s1.Server.bytes_copied - s0.Server.bytes_copied
             >= String.length body)))
 
+(* A response is written in the loop turn that read its request, so a
+   cached keep-alive GET costs one readiness wait, not a read wakeup
+   plus a writability wakeup.  The slack covers timer fires (the flight
+   recorder's one-second rollup).  MP children do not ship wakeups to
+   the parent, so MP is not checked. *)
+let test_one_wakeup_per_request mode () =
+  if Iovec.have_writev then begin
+    let docroot = make_docroot [ ("page.bin", patterned 4096) ] in
+    with_config_server
+      { (Server.default_config ~docroot) with Server.mode }
+      (fun server port ->
+        let s = Helpers.Raw.open_session ~port in
+        Fun.protect
+          ~finally:(fun () -> Helpers.Raw.close_session s)
+          (fun () ->
+            let warm = Helpers.Raw.session_request s "/page.bin" in
+            Alcotest.(check int) "warm 200" 200 warm.Helpers.Raw.status;
+            let s0 = await server (fun st -> st.Server.writev_calls >= 1) in
+            let n = 200 in
+            for _ = 1 to n do
+              let r = Helpers.Raw.session_request s "/page.bin" in
+              if r.Helpers.Raw.status <> 200 then
+                Alcotest.failf "status %d" r.Helpers.Raw.status
+            done;
+            let s1 =
+              await server (fun st ->
+                  st.Server.writev_calls >= s0.Server.writev_calls + n)
+            in
+            Alcotest.(check int) "one writev per request" n
+              (s1.Server.writev_calls - s0.Server.writev_calls);
+            let wakeups = s1.Server.loop_wakeups - s0.Server.loop_wakeups in
+            if wakeups > n + 10 then
+              Alcotest.failf "%d loop wakeups for %d requests" wakeups n))
+  end
+
 (* MP children ship their send counters to the parent over the stats
    pipe ('v' records); the consolidated view must include them. *)
 let test_mp_send_counters_consolidated () =
@@ -424,6 +525,85 @@ let test_streamed_file_intact mode () =
             (String.length body)
       done)
 
+(* A streamed file that shrinks after its stat cannot fill the
+   Content-Length already on the wire.  The server sends what the file
+   still holds and closes: a pipelined response written after the short
+   body would be read as the rest of it.  48 MB is far more than the
+   loopback socket buffers absorb, so the cut to 24 MB lands while the
+   server's read offset is still well short of it. *)
+let test_streamed_file_shrinks mode () =
+  let size = 48 * 1024 * 1024 in
+  let docroot = make_docroot [ ("small.txt", "tiny") ] in
+  let path = Filename.concat docroot "big.bin" in
+  let oc = open_out_bin path in
+  let block = String.make 65536 'x' in
+  for _ = 1 to size / 65536 do
+    output_string oc block
+  done;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  with_config_server
+    { (Server.default_config ~docroot) with Server.mode }
+    (fun _ port ->
+      let fd = Helpers.Raw.connect ~port in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      let burst =
+        get "/big.bin" ^ get ~headers:[ ("Connection", "close") ] "/small.txt"
+      in
+      ignore (Unix.write_substring fd burst 0 (String.length burst));
+      let buf = Bytes.create 65536 in
+      let read () =
+        match Unix.read fd buf 0 65536 with
+        | n -> n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.fail "no EOF within 10 s"
+      in
+      (* The head and the first 64 KB of body, then the file shrinks. *)
+      let acc = Buffer.create 131072 in
+      let rec first () =
+        match Helpers.Raw.find_head_end (Buffer.contents acc) 0 with
+        | Some e when Buffer.length acc - e >= 65536 -> e
+        | _ -> (
+            match read () with
+            | 0 -> Alcotest.fail "closed before 64 KB of body"
+            | n ->
+                Buffer.add_subbytes acc buf 0 n;
+                first ())
+      in
+      let head_end = first () in
+      Unix.truncate path (size / 2);
+      let status, _, headers =
+        Helpers.Raw.parse_head (Buffer.sub acc 0 head_end)
+      in
+      Alcotest.(check int) "200" 200 status;
+      Alcotest.(check (option string)) "advertised length"
+        (Some (string_of_int size))
+        (List.assoc_opt "content-length" headers);
+      (* Count body bytes to EOF; any byte but 'x' belongs to a second
+         response. *)
+      let foreign = ref 0 in
+      let note s off n =
+        for i = off to off + n - 1 do
+          if Bytes.get s i <> 'x' then incr foreign
+        done
+      in
+      let first_body = Buffer.length acc - head_end in
+      note (Buffer.to_bytes acc) head_end first_body;
+      let rec drain total =
+        match read () with
+        | 0 -> total
+        | n ->
+            note buf 0 n;
+            drain (total + n)
+      in
+      let body = drain first_body in
+      Alcotest.(check bool)
+        (Printf.sprintf "EOF before Content-Length (%d of %d body bytes)" body
+           size)
+        true (body < size);
+      Alcotest.(check int) "no second status line in the body" 0 !foreign)
+
 let suite =
   [
     test_sendq_resumption;
@@ -462,4 +642,30 @@ let suite =
       (test_streamed_file_intact (Server.Mp 2));
     Alcotest.test_case "8 MB streamed intact (MT)" `Quick
       (test_streamed_file_intact (Server.Mt 2));
+    Alcotest.test_case "pipelined 2.5 MB + small (SPED)" `Quick
+      (test_pipelined_large Server.Sped);
+    Alcotest.test_case "pipelined 2.5 MB + small (MT)" `Quick
+      (test_pipelined_large (Server.Mt 2));
+    Alcotest.test_case "pipelined 200/304/206/404 (AMPED)" `Quick
+      (test_pipelined_small Server.Amped);
+    Alcotest.test_case "pipelined 200/304/206/404 (SPED)" `Quick
+      (test_pipelined_small Server.Sped);
+    Alcotest.test_case "pipelined 200/304/206/404 (MP)" `Quick
+      (test_pipelined_small (Server.Mp 2));
+    Alcotest.test_case "pipelined 200/304/206/404 (MT)" `Quick
+      (test_pipelined_small (Server.Mt 2));
+    Alcotest.test_case "one wakeup per keep-alive GET (AMPED)" `Quick
+      (test_one_wakeup_per_request Server.Amped);
+    Alcotest.test_case "one wakeup per keep-alive GET (SPED)" `Quick
+      (test_one_wakeup_per_request Server.Sped);
+    Alcotest.test_case "one wakeup per keep-alive GET (MT)" `Quick
+      (test_one_wakeup_per_request (Server.Mt 2));
+    Alcotest.test_case "shrunk streamed file closes (AMPED)" `Quick
+      (test_streamed_file_shrinks Server.Amped);
+    Alcotest.test_case "shrunk streamed file closes (SPED)" `Quick
+      (test_streamed_file_shrinks Server.Sped);
+    Alcotest.test_case "shrunk streamed file closes (MP)" `Quick
+      (test_streamed_file_shrinks (Server.Mp 2));
+    Alcotest.test_case "shrunk streamed file closes (MT)" `Quick
+      (test_streamed_file_shrinks (Server.Mt 2));
   ]

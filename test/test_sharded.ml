@@ -377,9 +377,16 @@ let test_sharded_byte_identity () =
   Test_http11.byte_identity_against_amped
     [ ("SHARDED", Server.Sharded 2) ]
 
-(* The streamed-file check of test_sendpath, for the fifth mode. *)
+(* The streamed-file and pipelining checks of test_sendpath, for the
+   fifth mode. *)
 let test_sharded_streamed_file_intact =
   Test_sendpath.test_streamed_file_intact (Server.Sharded 2)
+
+let test_sharded_pipelined_large =
+  Test_sendpath.test_pipelined_large (Server.Sharded 2)
+
+let test_sharded_pipelined_small =
+  Test_sendpath.test_pipelined_small (Server.Sharded 2)
 
 (* ------------------------------------------------------------------ *)
 (* Guard × sharding                                                    *)
@@ -568,4 +575,8 @@ let suite =
     Alcotest.test_case "sharded guard metrics aggregate" `Quick
       test_sharded_guard_metrics;
     Alcotest.test_case "unsharded views say none" `Quick test_unsharded_views;
+    Alcotest.test_case "pipelined 2.5 MB + small" `Quick
+      test_sharded_pipelined_large;
+    Alcotest.test_case "pipelined 200/304/206/404 vs AMPED" `Quick
+      test_sharded_pipelined_small;
   ]
