@@ -90,7 +90,7 @@ let scenario_setup ~host ~port ~path = function
       exit 2
 
 (* Server-side send-path efficiency, measured by scraping the server's
-   /server-status?json before and after the run and differencing its
+   status listing before and after the run and differencing its
    counters.  The scrapes themselves are requests, so the figures carry
    ±1-request noise — irrelevant at benchmark volumes. *)
 type server_delta = {
@@ -106,41 +106,32 @@ type server_delta = {
          not on epoll (kernel-held interest, O(ready) wakeups) *)
 }
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let json_int s key =
-  match find_sub s (Printf.sprintf "%S:" key) with
-  | None -> None
-  | Some i ->
-      let n = String.length s in
-      let j = ref i in
-      while
-        !j < n && (match s.[!j] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr j
-      done;
-      int_of_string_opt (String.sub s i (!j - i))
-
-let json_str s key =
-  match find_sub s (Printf.sprintf "%S:\"" key) with
-  | None -> None
-  | Some i -> (
-      match String.index_from_opt s i '"' with
-      | None -> None
-      | Some j -> Some (String.sub s i (j - i)))
-
+(* The status page lists one series per line, keyed as /metrics spells
+   it and each key once, so every line reads back as an exposition
+   sample.  An unreachable page lists nothing. *)
 let scrape_status ~host ~port status_path =
-  match Flash_live.Client.get ~host ~port (status_path ^ "?json") with
-  | r when r.Flash_live.Client.status = 200 -> Some r.Flash_live.Client.body
-  | _ -> None
-  | exception _ -> None
+  match Flash_live.Client.get ~host ~port status_path with
+  | r when r.Flash_live.Client.status = 200 ->
+      List.filter_map Obs.Exposition.parse_sample
+        (String.split_on_char '\n' r.Flash_live.Client.body)
+  | _ -> []
+  | exception _ -> []
+
+(* The one lookup: the first series named [name] whose labels include
+   [labels].  The listing sorts by name then labels, so an unlabelled
+   aggregate precedes its shards' series. *)
+let lookup listing ?(labels = []) name =
+  List.find_opt
+    (fun (s : Obs.Exposition.series) ->
+      s.Obs.Exposition.s_name = name
+      && List.for_all (fun l -> List.mem l s.Obs.Exposition.s_labels) labels)
+    listing
+
+(* A series' value, or 0 when the server lists none (it counted nothing). *)
+let value listing ?labels name =
+  match lookup listing ?labels name with
+  | Some s -> s.Obs.Exposition.s_value
+  | None -> 0.
 
 (* The flight-recorder time series for the run: scrape
    [?window=N] after the workers finish and extract the rollup array —
@@ -153,39 +144,34 @@ let scrape_timeseries ~host ~port status_path n =
   with
   | r when r.Flash_live.Client.status = 200 -> (
       let body = r.Flash_live.Client.body in
-      match (find_sub body "\"rollups\":", String.rindex_opt body ']') with
+      match (String.index_opt body '[', String.rindex_opt body ']') with
       | Some i, Some j when j >= i -> Some (String.sub body i (j - i + 1))
       | _ -> None)
   | _ -> None
   | exception _ -> None
 
 let server_delta before after =
-  match (before, after) with
-  | Some b, Some a -> (
-      match (json_int b "requests", json_int a "requests") with
-      | Some r0, Some r1 when r1 > r0 ->
-          let d key =
-            match (json_int b key, json_int a key) with
-            | Some x0, Some x1 -> x1 - x0
-            | _ -> 0
-          in
-          let dreq = r1 - r0 in
-          let dwake = d "wakeups" in
-          Some
-            {
-              send_path = Option.value (json_str a "path") ~default:"unknown";
-              backend = Option.value (json_str a "backend") ~default:"unknown";
-              server_requests = dreq;
-              syscalls_per_request =
-                float_of_int (d "writev_calls" + d "write_calls")
-                /. float_of_int dreq;
-              copies_per_request =
-                float_of_int (d "bytes_copied") /. float_of_int dreq;
-              wakeups = dwake;
-              wakeups_per_request = float_of_int dwake /. float_of_int dreq;
-            }
-      | _ -> None)
-  | _ -> None
+  let d name = value after name -. value before name in
+  let dreq = d "flash_http_requests_total" in
+  if before = [] || dreq <= 0. then None
+  else
+    let dwake = d "flash_loop_wakeups_total" in
+    let config label =
+      Option.bind (lookup after "flash_config_info") (fun s ->
+          List.assoc_opt label s.Obs.Exposition.s_labels)
+      |> Option.value ~default:"unknown"
+    in
+    Some
+      {
+        send_path = config "send_path";
+        backend = config "backend";
+        server_requests = int_of_float dreq;
+        syscalls_per_request =
+          (d "flash_writev_calls_total" +. d "flash_write_calls_total") /. dreq;
+        copies_per_request = d "flash_bytes_copied_total" /. dreq;
+        wakeups = int_of_float dwake;
+        wakeups_per_request = dwake /. dreq;
+      }
 
 (* Machine-readable results, for CI artifacts and regression tracking.
    Same numbers the human-readable report prints. *)
@@ -303,7 +289,7 @@ let run host port path clients client_workers duration keep_alive scenario
     end
   in
   let scrape () =
-    if no_server_stats then None else scrape_status ~host ~port status_path
+    if no_server_stats then [] else scrape_status ~host ~port status_path
   in
   let before = scrape () in
   let stats, elapsed =
@@ -375,39 +361,8 @@ let run host port path clients client_workers duration keep_alive scenario
 (* Domain-scaling sweep: start an in-process [Sharded d] server for
    d = 1..N, drive the same closed-loop load at each, and emit the
    scaling curve (req/s per domain count, plus each shard's share of
-   the requests, scraped from the status page's sharding block).       *)
+   the requests, scraped from the status page's shard-labelled rows).  *)
 (* ------------------------------------------------------------------ *)
-
-(* Every "requests":<int> inside the status JSON's "shards":[...]
-   array — one entry per shard, in shard order. *)
-let shard_requests body =
-  match find_sub body "\"shards\":[" with
-  | None -> []
-  | Some i -> (
-      match String.index_from_opt body i ']' with
-      | None -> []
-      | Some close ->
-          let arr = String.sub body i (close - i) in
-          let n = String.length arr in
-          let rec go acc off =
-            if off >= n then List.rev acc
-            else
-              match find_sub (String.sub arr off (n - off)) "\"requests\":" with
-              | None -> List.rev acc
-              | Some rel -> (
-                  let s = off + rel in
-                  let j = ref s in
-                  while
-                    !j < n
-                    && match arr.[!j] with '0' .. '9' -> true | _ -> false
-                  do
-                    incr j
-                  done;
-                  match int_of_string_opt (String.sub arr s (!j - s)) with
-                  | Some v -> go (v :: acc) !j
-                  | None -> go acc !j)
-          in
-          go [] 0)
 
 type sweep_point = {
   domains : int;
@@ -451,10 +406,13 @@ let run_sweep ~docroot ~backend ~max_domains ~path ~clients ~client_workers
         in
         let point_ok = List.fold_left (fun a s -> a + s.completed) 0 stats in
         let point_errors = List.fold_left (fun a s -> a + s.errors) 0 stats in
+        let listing = scrape_status ~host ~port "/server-status" in
         let per_shard =
-          match scrape_status ~host ~port "/server-status" with
-          | Some body -> shard_requests body
-          | None -> []
+          List.init domains (fun i ->
+              int_of_float
+                (value listing
+                   ~labels:[ ("shard", string_of_int i) ]
+                   "flash_http_requests_total"))
         in
         let rps = float_of_int point_ok /. elapsed in
         Format.printf
@@ -832,18 +790,6 @@ type hostile_arm = {
   attacker : attacker_stats option;
 }
 
-let shed_reason_labels =
-  [
-    "admission";
-    "cgi_limit";
-    "conn_limit";
-    "helper_queue";
-    "idle_reap";
-    "rate_limit";
-    "slow_client";
-    "slow_header";
-  ]
-
 let run_hostile_arm ~docroot ~attack ~arm_name ~guarded ~with_attack ~duration
     ~clients =
   let module Server = Flash_live.Server in
@@ -907,15 +853,12 @@ let run_hostile_arm ~docroot ~attack ~arm_name ~guarded ~with_attack ~duration
          an exhausted server cannot answer the scrape mid-flood. *)
       let rec scrape_retry n =
         match scrape_status ~host ~port "/server-status" with
-        | Some body -> Some body
-        | None ->
-            if n <= 1 then None
-            else begin
-              Thread.delay 0.25;
-              scrape_retry (n - 1)
-            end
+        | [] when n > 1 ->
+            Thread.delay 0.25;
+            scrape_retry (n - 1)
+        | listing -> listing
       in
-      let status = scrape_retry 10 in
+      let listing = scrape_retry 10 in
       let completed =
         Array.fold_left (fun acc s -> acc + s.completed) 0 stats
       in
@@ -925,10 +868,17 @@ let run_hostile_arm ~docroot ~attack ~arm_name ~guarded ~with_attack ~duration
           (fun acc s -> Obs.Histogram.merge acc s.latencies)
           (Obs.Histogram.create ()) stats
       in
-      let sint key =
-        match status with
-        | Some body -> Option.value (json_int body key) ~default:0
-        | None -> 0
+      let count name = int_of_float (value listing name) in
+      (* Every reason the guard exports (an unguarded server lists none). *)
+      let sheds =
+        List.filter_map
+          (fun (s : Obs.Exposition.series) ->
+            match s.Obs.Exposition.s_labels with
+            | [ ("reason", reason) ]
+              when s.Obs.Exposition.s_name = "flash_guard_shed_total" ->
+                Some (reason, int_of_float s.Obs.Exposition.s_value)
+            | _ -> None)
+          listing
       in
       {
         arm_name;
@@ -936,13 +886,10 @@ let run_hostile_arm ~docroot ~attack ~arm_name ~guarded ~with_attack ~duration
         legit_ok = completed;
         legit_errors = errors;
         legit_p99_ms = 1000. *. Obs.Histogram.percentile latency 99.;
-        arm_shed_total = sint "shed_total";
-        arm_sheds =
-          (if guarded then
-             List.map (fun l -> (l, sint l)) shed_reason_labels
-           else []);
-        arm_helper_hwm = sint "flash_helper_queue_depth_hwm";
-        arm_helper_rejected = sint "flash_helper_rejected_total";
+        arm_shed_total = List.fold_left (fun a (_, n) -> a + n) 0 sheds;
+        arm_sheds = sheds;
+        arm_helper_hwm = count "flash_helper_queue_depth_hwm";
+        arm_helper_rejected = count "flash_helper_rejected_total";
         attacker =
           (match attacker_stats with
           | [] -> None
@@ -1029,35 +976,10 @@ let run_hostile ~attack ~duration ~clients ~json_file =
    same stream — one demand-fill, one warming from the recorded log —
    and the early-window cache hit rates are compared.  The prefetches
    ride the helper pool's low-priority lane, so the client-visible
-   helper job p99 (scraped from the server's own status JSON, which
+   helper job p99 (scraped from the server's own status listing, which
    excludes low-priority jobs by construction) should be unchanged
    between the arms — that figure is reported alongside the delta.    *)
 (* ------------------------------------------------------------------ *)
-
-let json_float s key =
-  match find_sub s (Printf.sprintf "%S:" key) with
-  | None -> None
-  | Some i ->
-      let n = String.length s in
-      let j = ref i in
-      while
-        !j < n
-        &&
-        match s.[!j] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr j
-      done;
-      float_of_string_opt (String.sub s i (!j - i))
-
-(* The helper block's job-latency p99 (ms).  The key "p99" appears in
-   several histogram blocks, so anchor on the helper's own
-   "job_latency_ms" object first. *)
-let helper_p99_ms body =
-  match find_sub body "\"job_latency_ms\"" with
-  | None -> None
-  | Some i -> json_float (String.sub body i (String.length body - i)) "p99"
 
 let coldstart_files = 2000
 
@@ -1117,14 +1039,6 @@ type coldstart_arm = {
   ca_pinned_entries : int;
 }
 
-let coldstart_hit_rate body =
-  (* The first "hits"/"misses" pair in the status JSON is the top-level
-     file-cache block. *)
-  match (json_int body "hits", json_int body "misses") with
-  | Some h, Some m when h + m > 0 ->
-      float_of_int h /. float_of_int (h + m)
-  | _ -> 0.
-
 let run_coldstart_load ~host ~port ~zipf ~clients ~duration =
   let deadline = Unix.gettimeofday () +. duration in
   let stats = Array.init clients (fun _ -> new_stats ()) in
@@ -1137,7 +1051,7 @@ let run_coldstart_load ~host ~port ~zipf ~clients ~duration =
   in
   (* Sample the cache counters mid-run: the early window is where a
      demand-fill cache is still paying its cold misses. *)
-  let early = ref None in
+  let early = ref [] in
   let sampler =
     Thread.create
       (fun () ->
@@ -1179,19 +1093,16 @@ let run_coldstart_arm ~docroot ~zipf ~clients ~duration ~warm_log name =
         let rec wait n stable last_issued =
           if n > 0 && stable < 4 then begin
             Thread.delay 0.25;
-            match scrape_status ~host ~port "/server-status" with
-            | Some body ->
-                let issued =
-                  Option.value (json_int body "prefetch_issued") ~default:0
-                in
-                let settled =
-                  Option.value (json_int body "prefetch_completed") ~default:0
-                  + Option.value (json_int body "prefetch_failed") ~default:0
-                in
-                if issued > 0 && settled >= issued && issued = last_issued
-                then wait (n - 1) (stable + 1) issued
-                else wait (n - 1) 0 issued
-            | None -> wait (n - 1) 0 last_issued
+            let listing = scrape_status ~host ~port "/server-status" in
+            let count name = int_of_float (value listing name) in
+            let issued = count "flash_warm_prefetch_issued_total" in
+            let settled =
+              count "flash_warm_prefetch_completed_total"
+              + count "flash_warm_prefetch_failed_total"
+            in
+            if issued > 0 && settled >= issued && issued = last_issued then
+              wait (n - 1) (stable + 1) issued
+            else wait (n - 1) 0 issued
           end
         in
         wait 120 0 (-1)
@@ -1204,27 +1115,28 @@ let run_coldstart_arm ~docroot ~zipf ~clients ~duration ~warm_log name =
         Array.fold_left (fun acc s -> acc + s.completed) 0 stats
       in
       let errors = Array.fold_left (fun acc s -> acc + s.errors) 0 stats in
-      let fint key =
-        match final with
-        | Some body -> Option.value (json_int body key) ~default:0
-        | None -> 0
+      let fint name = int_of_float (value final name) in
+      let hit_rate listing =
+        let file = [ ("cache", "file") ] in
+        let hits = value listing ~labels:file "flash_cache_hits_total" in
+        let misses = value listing ~labels:file "flash_cache_misses_total" in
+        if hits +. misses > 0. then hits /. (hits +. misses) else 0.
       in
       {
         ca_name = name;
         ca_completed = completed;
         ca_errors = errors;
-        ca_early_hit_rate =
-          (match early with Some b -> coldstart_hit_rate b | None -> 0.);
-        ca_final_hit_rate =
-          (match final with Some b -> coldstart_hit_rate b | None -> 0.);
+        ca_early_hit_rate = hit_rate early;
+        ca_final_hit_rate = hit_rate final;
         ca_helper_p99_ms =
-          (match final with
-          | Some b -> Option.value (helper_p99_ms b) ~default:0.
-          | None -> 0.);
-        ca_prefetch_issued = fint "prefetch_issued";
-        ca_prefetch_completed = fint "prefetch_completed";
-        ca_hits_after_warm = fint "hits_after_warm";
-        ca_pinned_entries = fint "pinned_entries";
+          1000.
+          *. value final
+               ~labels:[ ("quantile", "0.99") ]
+               "flash_helper_job_duration_seconds";
+        ca_prefetch_issued = fint "flash_warm_prefetch_issued_total";
+        ca_prefetch_completed = fint "flash_warm_prefetch_completed_total";
+        ca_hits_after_warm = fint "flash_warm_hits_after_warm_total";
+        ca_pinned_entries = fint "flash_warm_pinned_entries";
       })
 
 let coldstart_arm_json a =

@@ -111,7 +111,6 @@ module Backend = struct
     }
 
   let kind t = t.kind
-  let name t = name t.kind
   let fd_count t = Hashtbl.length t.tbl
   let interest_syscalls t = t.interest_syscalls
 

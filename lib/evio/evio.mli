@@ -72,7 +72,6 @@ module Backend : sig
   (** Raises [Invalid_argument] if the kind is not {!available}. *)
 
   val kind : t -> kind
-  val name : t -> string
 
   val register : t -> Unix.file_descr -> read:bool -> write:bool -> unit
   (** Add (or update) an fd's interest.  Alias of {!modify}. *)

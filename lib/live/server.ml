@@ -348,9 +348,9 @@ type t = {
   (* Sharded mode wiring (Standalone otherwise).  [shards] is the full
      shard set, index = shard id, shared by the coordinator and every
      shard so any instance can render the cross-shard views; [coord]
-     points every shard back at the coordinator for accept-strategy
-     reporting.  Both are fixed right after construction, before any
-     domain is spawned. *)
+     points every shard back at the coordinator, whose registry joins
+     their aggregate.  Both are fixed right after construction, before
+     any domain is spawned. *)
   (* Admission control and shedding.  One instance per server instance
      — per shard in sharded mode, shared by MT workers (it locks
      internally), copy-on-write per MP child.  [None] when the config
@@ -823,34 +823,6 @@ let mode_string = function
   | Mt n -> Printf.sprintf "mt:%d" n
   | Sharded n -> Printf.sprintf "sharded:%d" n
 
-(* JSON has no NaN/Infinity; empty-histogram percentiles render as 0. *)
-let num f = if Float.is_finite f then Printf.sprintf "%.6g" f else "0"
-let ms x = if Float.is_finite x then 1000. *. x else 0.
-
-let histogram_json h =
-  Printf.sprintf
-    {|{"count":%d,"mean":%s,"p50":%s,"p90":%s,"p99":%s,"max":%s}|}
-    (Obs.Histogram.count h)
-    (num (ms (Obs.Histogram.mean h)))
-    (num (ms (Obs.Histogram.percentile h 50.)))
-    (num (ms (Obs.Histogram.percentile h 90.)))
-    (num (ms (Obs.Histogram.percentile h 99.)))
-    (num (ms (Obs.Histogram.max h)))
-
-let histogram_text h =
-  Printf.sprintf "count %d, mean %.3f ms, p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, max %.3f ms"
-    (Obs.Histogram.count h)
-    (ms (Obs.Histogram.mean h))
-    (ms (Obs.Histogram.percentile h 50.))
-    (ms (Obs.Histogram.percentile h 90.))
-    (ms (Obs.Histogram.percentile h 99.))
-    (ms (Obs.Histogram.max h))
-
-(* One registry walk feeds every surface: the text page, the JSON view
-   and /metrics exposition all render the same [collect] result, so
-   they cannot drift.  In an MP child this reports the child's own view
-   ([drain_stats_pipe] refuses to drain there — the shared pipe belongs
-   to the consolidating parent). *)
 let shard_peers t =
   match t.role with
   | Standalone -> None
@@ -860,378 +832,38 @@ let shard_peers t =
 (* Gauges that are not additive across shards: aggregate with max. *)
 let gauge_max_name name =
   name = "flash_uptime_seconds" || name = "flash_slo_state"
-  || name = "flash_guard_state"
+  || name = "flash_guard_state" || name = "flash_loop_max_stall_seconds"
+  || name = "flash_loop_stall_threshold_seconds"
 
-(* The sample lists feeding this instance's render surfaces:
-   [(summary, all)].  Unsharded both are this registry's walk.  Sharded
-   instances concatenate every shard's walk and prepend the
-   summed-at-snapshot aggregate (shard label stripped — the same
+(* The one walk behind every view of the counters: /metrics, both
+   status pages, [stats] and [latency].  Unsharded it is this
+   registry's walk; in an MP child that is the child's own view
+   ([drain_stats_pipe] drains only in the parent, which owns the
+   pipe).  Sharded it is every shard's walk, preceded by the
+   summed-at-snapshot aggregate (shard label stripped — the
    consolidation the MP parent does over its stats pipe, done here at
-   collect time): [summary] is the aggregate alone, for the status
-   page's by-name lookups; [all] additionally carries every per-shard
-   series for /metrics and the metrics listing. *)
+   collect time).  The coordinator's own series join the aggregate
+   only, so each appears there once. *)
 let collect_for t =
   match shard_peers t with
   | None ->
       drain_stats_pipe t;
-      let samples = Obs.Registry.collect t.registry in
-      (samples, samples)
+      Obs.Registry.collect t.registry
   | Some shards ->
       let per_shard =
         List.concat_map
           (fun sh -> Obs.Registry.collect sh.registry)
           (Array.to_list shards)
       in
+      let coord = Option.value t.coord ~default:t in
       let agg =
         Obs.Registry.aggregate ~gauge_max:gauge_max_name ~drop:"shard"
-          per_shard
+          (Obs.Registry.collect coord.registry @ per_shard)
       in
-      (agg, Obs.Registry.sort_samples (agg @ per_shard))
-
-let collect_samples t = snd (collect_for t)
-
-(* Flat (key, rendered-number) pairs for every sample in the walk: the
-   "metrics" object of the JSON view and the metrics section of the
-   text view print these pairs verbatim — the anchor the no-drift
-   regression test holds onto.  Histograms flatten to _count/_sum. *)
-let sample_kvs samples =
-  let key name suffix labels =
-    name ^ suffix
-    ^
-    match labels with
-    | [] -> ""
-    | ls ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) ls)
-        ^ "}"
-  in
-  List.concat_map
-    (fun (s : Obs.Registry.sample) ->
-      match s.Obs.Registry.value with
-      | Obs.Registry.Counter n ->
-          [ (key s.Obs.Registry.name "" s.Obs.Registry.labels, string_of_int n) ]
-      | Obs.Registry.Gauge v ->
-          [ (key s.Obs.Registry.name "" s.Obs.Registry.labels, num v) ]
-      | Obs.Registry.Info ->
-          [ (key s.Obs.Registry.name "" s.Obs.Registry.labels, "1") ]
-      | Obs.Registry.Hist h ->
-          [
-            ( key s.Obs.Registry.name "_count" s.Obs.Registry.labels,
-              string_of_int (Obs.Histogram.count h) );
-            ( key s.Obs.Registry.name "_sum" s.Obs.Registry.labels,
-              num (Obs.Histogram.sum h) );
-          ])
-    samples
-
-(* The sharding block of /server-status, rendered key-for-key in both
-   views (the PR 7 no-drift rule): (json string, text lines). *)
-let sharding_views t =
-  match shard_peers t with
-  | None -> ("null", [ "sharding:     none" ])
-  | Some shards ->
-      let coordv = match t.coord with Some c -> c | None -> t in
-      let strategy = coordv.accept_strategy in
-      let shed = Obs.Counter.value coordv.handoff_shed in
-      let my_shard =
-        match t.role with Shard_member { id; _ } -> id | _ -> -1
-      in
-      let per_shard =
-        Array.to_list
-          (Array.mapi
-             (fun i sh ->
-               let active =
-                 with_obs_lock sh (fun () -> Obs.Gauge.value sh.active)
-               in
-               ( i,
-                 Evio.Backend.name sh.main.evio,
-                 sh.n_requests,
-                 active ))
-             shards)
-      in
-      let json =
-        Printf.sprintf
-          {|{"domains":%d,"accept":%s,"shard":%d,"handoff_shed":%d,"shards":[%s]}|}
-          (Array.length shards) (Obs.Json.str strategy) my_shard shed
-          (String.concat ","
-             (List.map
-                (fun (i, backend, requests, active) ->
-                  Printf.sprintf
-                    {|{"shard":%d,"backend":%s,"requests":%d,"active":%d}|} i
-                    (Obs.Json.str backend) requests active)
-                per_shard))
-      in
-      let text =
-        Printf.sprintf
-          "sharding:     %d domains, %s accepts, serving shard %d, %d \
-           handoff shed"
-          (Array.length shards) strategy my_shard shed
-        :: List.map
-             (fun (i, backend, requests, active) ->
-               Printf.sprintf
-                 "shard %d:      %s backend, %d requests, %d active" i backend
-                 requests active)
-             per_shard
-      in
-      (json, text)
-
-let status_body t ~json =
-  let summary, all_samples = collect_for t in
-  let samples = summary in
-  let iv ?labels name = Obs.Registry.int_value ?labels samples name in
-  let fv ?labels name = Obs.Registry.float_value ?labels samples name in
-  let hist name =
-    match Obs.Registry.hist_value samples name with
-    | Some h -> h
-    | None -> Obs.Histogram.create ()
-  in
-  let fl = [ ("cache", "file") ] in
-  let latency = hist "flash_request_duration_seconds" in
-  let uptime = fv "flash_uptime_seconds" in
-  let requests = iv "flash_http_requests_total" in
-  let errors = iv "flash_http_errors_total" in
-  let connections = iv "flash_connections_total" in
-  let active = iv "flash_active_connections" in
-  let sv_writev = iv "flash_writev_calls_total" in
-  let sv_writes = iv "flash_write_calls_total" in
-  let sv_copied = iv "flash_bytes_copied_total" in
-  let sv_sent = iv "flash_bytes_sent_total" in
-  let cache_hits = iv ~labels:fl "flash_cache_hits_total" in
-  let cache_misses = iv ~labels:fl "flash_cache_misses_total" in
-  let cache_evictions = iv ~labels:fl "flash_cache_evictions_total" in
-  let cache_admitted = iv ~labels:fl "flash_cache_admitted_total" in
-  let cache_rejected = iv ~labels:fl "flash_cache_rejected_total" in
-  let cache_entries = iv ~labels:fl "flash_cache_entries" in
-  let cache_resident = iv ~labels:fl "flash_cache_resident_bytes" in
-  let cache_capacity = iv ~labels:fl "flash_cache_capacity_bytes" in
-  let mapped = iv "flash_cache_mapped_bytes" in
-  let by_class i =
-    iv ~labels:[ ("class", status_class_names.(i)) ] "flash_http_responses_total"
-  in
-  (* Strings the registry does not carry (they cannot drift — they are
-     configuration, not measurements). *)
-  let cstats = File_cache.stats t.cache in
-  let policy_s = cstats.Flash_cache.Store.policy in
-  let admission_s = cstats.Flash_cache.Store.admission in
-  let send_path_s = if t.gather_writes then "writev" else "copy" in
-  let sharding_json, sharding_lines = sharding_views t in
-  let kvs = sample_kvs all_samples in
-  if json then
-    let helper_json =
-      match t.helper with
-      | None -> "null"
-      | Some _ ->
-          Printf.sprintf
-            {|{"jobs":%d,"queue_depth":%d,"queue_depth_hwm":%d,"queued":%d,"in_flight":%d,"rejected":%d,"job_latency_ms":%s}|}
-            (iv "flash_helper_jobs_total")
-            (iv "flash_helper_queue_depth")
-            (iv "flash_helper_queue_depth_hwm")
-            (iv "flash_helper_queued")
-            (iv "flash_helper_in_flight")
-            (iv "flash_helper_rejected_total")
-            (histogram_json (hist "flash_helper_job_duration_seconds"))
-    in
-    let trace_json =
-      match t.tracer with
-      | None -> {|{"enabled":false}|}
-      | Some _ ->
-          Printf.sprintf
-            {|{"enabled":true,"completed":%d,"evicted":%d,"capacity":%d}|}
-            (iv "flash_traces_completed_total")
-            (iv "flash_traces_evicted_total")
-            (iv "flash_trace_ring_capacity")
-    in
-    let health_json =
-      match t.slo with
-      | None -> "null"
-      | Some slo ->
-          Printf.sprintf
-            {|{"state":%s,"burn":%s,"quantile":%s,"target_ms":%s,"windows":%d}|}
-            (Obs.Json.str (Obs.Slo.state_string slo))
-            (num (Obs.Slo.burn slo))
-            (num (Obs.Slo.quantile slo))
-            (num (Obs.Slo.target_ms slo))
-            (Obs.Slo.windows slo)
-    in
-    let file_cache_json =
-      Printf.sprintf
-        {|{"policy":%s,"admission":%s,"capacity":%d,"entries":%d,"resident_bytes":%d,"hits":%d,"misses":%d,"evictions":%d,"admitted":%d,"rejected":%d}|}
-        (Obs.Json.str policy_s) (Obs.Json.str admission_s) cache_capacity
-        cache_entries cache_resident cache_hits cache_misses cache_evictions
-        cache_admitted cache_rejected
-    in
-    let guard_json =
-      match t.guard with
-      | None -> "null"
-      | Some guard ->
-          Printf.sprintf
-            {|{"level":%d,"tracked_peers":%d,"shed_total":%d,"shed":{%s}}|}
-            (Guard.level_code (Guard.level guard))
-            (Guard.tracked_peers guard) (Guard.shed_total guard)
-            (String.concat ","
-               (List.map
-                  (fun reason ->
-                    Printf.sprintf "%s:%d"
-                      (Obs.Json.str (Guard.reason_label reason))
-                      (Guard.shed_count guard reason))
-                  Guard.all_reasons))
-    in
-    let warm_json =
-      match t.warm with
-      | None -> "null"
-      | Some _ ->
-          Printf.sprintf
-            {|{"cycles":%d,"candidates_ranked":%d,"prefetch_issued":%d,"prefetch_completed":%d,"prefetch_failed":%d,"prefetch_rejected":%d,"hits_after_warm":%d,"pinned_bytes":%d,"pinned_entries":%d,"tracked_paths":%d}|}
-            (iv "flash_warm_cycles_total")
-            (iv "flash_warm_candidates_ranked_total")
-            (iv "flash_warm_prefetch_issued_total")
-            (iv "flash_warm_prefetch_completed_total")
-            (iv "flash_warm_prefetch_failed_total")
-            (iv "flash_warm_prefetch_rejected_total")
-            (iv "flash_warm_hits_after_warm_total")
-            (iv "flash_warm_pinned_bytes")
-            (iv "flash_warm_pinned_entries")
-            (iv "flash_warm_tracked_paths")
-    in
-    let metrics_json =
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Obs.Json.str k ^ ":" ^ v) kvs)
-      ^ "}"
-    in
-    Printf.sprintf
-      (* The sharding block sits at the tail (after the flat counters)
-         so naive first-match scrapers — flash_bench's before/after
-         delta — still find the aggregate "requests"/"backend" keys
-         first, not a per-shard entry's. *)
-      {|{"server":%s,"mode":%s,"uptime_s":%s,"requests":%d,"connections":%d,"active_connections":%d,"errors":%d,"responses":{"2xx":%d,"3xx":%d,"4xx":%d,"5xx":%d},"cache":{"hits":%d,"misses":%d,"evictions":%d,"bytes":%d,"mapped_bytes":%d,"entries":%d},"caches":{"file":%s},"send":{"path":%s,"writev_calls":%d,"write_calls":%d,"bytes_copied":%d,"bytes_sent":%d},"latency_ms":%s,"loop":{"backend":%s,"stalls":%d,"threshold_ms":%s,"max_stall_ms":%s,"iterations":%d,"wakeups":%d,"ready_per_wakeup":%s,"wait_s":%s,"work_s":%s,"timer_fires":%d,"timers_pending":%d,"accept_emfile":%d,"accept_paused":%b},"helper":%s,"trace":%s,"health":%s,"guard":%s,"warm":%s,"sharding":%s,"metrics":%s}|}
-      (Obs.Json.str t.config.server_name)
-      (Obs.Json.str (mode_string t.config.mode))
-      (num uptime) requests connections active errors (by_class 0) (by_class 1)
-      (by_class 2) (by_class 3) cache_hits cache_misses cache_evictions
-      cache_resident mapped cache_entries file_cache_json
-      (Obs.Json.str send_path_s) sv_writev sv_writes sv_copied sv_sent
-      (histogram_json latency)
-      (Obs.Json.str (Evio.name t.config.event_backend))
-      (iv "flash_loop_stalls_total")
-      (num (ms (Obs.Watchdog.threshold t.watchdog)))
-      (num (fv "flash_loop_max_stall_seconds" *. 1000.))
-      (iv "flash_loop_iterations_total")
-      (iv "flash_loop_wakeups_total")
-      (num (fv "flash_loop_ready_per_wakeup"))
-      (num (fv "flash_loop_wait_seconds"))
-      (num (fv "flash_loop_work_seconds"))
-      (iv "flash_loop_timer_fires_total")
-      (iv "flash_timers_pending")
-      (iv "flash_accept_emfile_total")
-      (fv "flash_accept_paused" > 0.)
-      helper_json trace_json health_json guard_json warm_json sharding_json
-      metrics_json
-    ^ "\n"
-  else begin
-    let b = Buffer.create 1024 in
-    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-    line "%s status" t.config.server_name;
-    line "mode:         %s" (mode_string t.config.mode);
-    List.iter (fun s -> line "%s" s) sharding_lines;
-    line "uptime:       %.1f s" uptime;
-    line "requests:     %d (%d errors)" requests errors;
-    line "responses:    %d 2xx, %d 3xx, %d 4xx, %d 5xx" (by_class 0)
-      (by_class 1) (by_class 2) (by_class 3);
-    line "connections:  %d total, %d active" connections active;
-    line "cache:        %d hits, %d misses, %d evictions, %d bytes in %d entries"
-      cache_hits cache_misses cache_evictions cache_resident cache_entries;
-    line "mapped:       %d bytes" mapped;
-    line
-      "file cache:   %s policy, %d/%d bytes in %d entries, %d hits, %d misses, %d evictions, %d admitted, %d rejected (%s admission)"
-      policy_s cache_resident cache_capacity cache_entries cache_hits
-      cache_misses cache_evictions cache_admitted cache_rejected admission_s;
-    line "send:         %s path, %d writev, %d write, %d bytes copied, %d bytes sent"
-      send_path_s sv_writev sv_writes sv_copied sv_sent;
-    line "latency:      %s" (histogram_text latency);
-    line "loop:         %d stalls over %.1f ms (max %.3f ms, %d iterations)"
-      (iv "flash_loop_stalls_total")
-      (ms (Obs.Watchdog.threshold t.watchdog))
-      (fv "flash_loop_max_stall_seconds" *. 1000.)
-      (iv "flash_loop_iterations_total");
-    line
-      "events:       %s backend, %d wakeups (%.2f ready fds/wakeup), %.3f s waiting / %.3f s working"
-      (Evio.name t.config.event_backend)
-      (iv "flash_loop_wakeups_total")
-      (fv "flash_loop_ready_per_wakeup")
-      (fv "flash_loop_wait_seconds")
-      (fv "flash_loop_work_seconds");
-    line "timers:       %d fired, %d pending"
-      (iv "flash_loop_timer_fires_total")
-      (iv "flash_timers_pending");
-    line "accept:       %d shed on EMFILE%s"
-      (iv "flash_accept_emfile_total")
-      (if fv "flash_accept_paused" > 0. then " (listen paused)" else "");
-    (match t.tracer with
-    | None -> line "tracing:      off"
-    | Some _ ->
-        line "tracing:      %d traces (%d evicted, ring %d)"
-          (iv "flash_traces_completed_total")
-          (iv "flash_traces_evicted_total")
-          (iv "flash_trace_ring_capacity"));
-    (match t.helper with
-    | None -> line "helpers:      none"
-    | Some _ ->
-        line
-          "helpers:      %d jobs, queue depth %d (hwm %d; %d queued + %d in \
-           flight), %d rejected"
-          (iv "flash_helper_jobs_total")
-          (iv "flash_helper_queue_depth")
-          (iv "flash_helper_queue_depth_hwm")
-          (iv "flash_helper_queued")
-          (iv "flash_helper_in_flight")
-          (iv "flash_helper_rejected_total");
-        line "helper jobs:  %s"
-          (histogram_text (hist "flash_helper_job_duration_seconds")));
-    (match t.slo with
-    | None -> line "health:       no SLO configured"
-    | Some slo ->
-        line "health:       %s (burn %.2f over %d windows, p%g <= %g ms)"
-          (Obs.Slo.state_string slo) (Obs.Slo.burn slo) (Obs.Slo.windows slo)
-          (Obs.Slo.quantile slo) (Obs.Slo.target_ms slo));
-    (match t.guard with
-    | None -> line "guard:        off"
-    | Some guard ->
-        line "guard:        level %d, %d peers tracked, %d shed"
-          (Guard.level_code (Guard.level guard))
-          (Guard.tracked_peers guard) (Guard.shed_total guard);
-        line "guard shed:   %s"
-          (String.concat ", "
-             (List.map
-                (fun reason ->
-                  Printf.sprintf "%d %s"
-                    (Guard.shed_count guard reason)
-                    (Guard.reason_label reason))
-                Guard.all_reasons)));
-    (match t.warm with
-    | None -> line "warming:      off"
-    | Some _ ->
-        line
-          "warming:      %d cycles, %d ranked, %d prefetches (%d done, %d \
-           failed, %d rejected), %d hits after warm"
-          (iv "flash_warm_cycles_total")
-          (iv "flash_warm_candidates_ranked_total")
-          (iv "flash_warm_prefetch_issued_total")
-          (iv "flash_warm_prefetch_completed_total")
-          (iv "flash_warm_prefetch_failed_total")
-          (iv "flash_warm_prefetch_rejected_total")
-          (iv "flash_warm_hits_after_warm_total");
-        line "hot tier:     %d bytes pinned in %d entries (%d paths tracked)"
-          (iv "flash_warm_pinned_bytes")
-          (iv "flash_warm_pinned_entries")
-          (iv "flash_warm_tracked_paths"));
-    line "metrics:";
-    List.iter (fun (k, v) -> line "  %s %s" k v) kvs;
-    Buffer.contents b
-  end
+      Obs.Registry.sort_samples (agg @ per_shard)
 
 (* /metrics: the same walk, rendered as Prometheus text exposition. *)
-let metrics_body t = Obs.Exposition.render (collect_samples t)
+let metrics_body t = Obs.Exposition.render (collect_for t)
 
 (* ?window=N: the newest N flight-recorder rollups as JSON. *)
 let window_body t n =
@@ -1295,13 +927,15 @@ let register_metrics t =
   inf ~name:"flash_config_info"
     ~help:"Effective server configuration (constant 1)."
     ~labels:
-      [
-        ("backend", Evio.name t.config.event_backend);
-        ("cache_admission", (cstat ()).Flash_cache.Store.admission);
-        ("cache_policy", (cstat ()).Flash_cache.Store.policy);
-        ("mode", mode_string t.config.mode);
-        ("send_path", if t.gather_writes then "writev" else "copy");
-      ];
+      ((if t.accept_strategy = "" then []
+        else [ ("accept", t.accept_strategy) ])
+      @ [
+          ("backend", Evio.name t.config.event_backend);
+          ("cache_admission", (cstat ()).Flash_cache.Store.admission);
+          ("cache_policy", (cstat ()).Flash_cache.Store.policy);
+          ("mode", mode_string t.config.mode);
+          ("send_path", if t.gather_writes then "writev" else "copy");
+        ]);
   g ~name:"flash_uptime_seconds" ~help:"Seconds since server start."
     (fun () -> t.config.clock () -. t.started_at);
   c ~name:"flash_http_requests_total" ~help:"Requests parsed and answered."
@@ -1384,11 +1018,14 @@ let register_metrics t =
     (fun () ->
       let v = Obs.Watchdog.max_gap t.watchdog in
       if Float.is_finite v then v else 0.);
+  g ~name:"flash_loop_stall_threshold_seconds"
+    ~help:"Loop iterations longer than this count as stalls."
+    (fun () -> Obs.Watchdog.threshold t.watchdog);
   c ~name:"flash_loop_wakeups_total" ~help:"Readiness waits that returned."
     (fun () -> Obs.Loopstat.wakeups t.loopstat);
-  g ~name:"flash_loop_ready_per_wakeup"
-    ~help:"Mean ready descriptors per wakeup."
-    (fun () -> Obs.Loopstat.ready_per_wakeup t.loopstat);
+  c ~name:"flash_loop_ready_fds_total"
+    ~help:"Ready descriptors returned, summed over wakeups."
+    (fun () -> Obs.Loopstat.ready_fds t.loopstat);
   g ~name:"flash_loop_wait_seconds"
     ~help:"Cumulative seconds blocked awaiting readiness."
     (fun () -> Obs.Loopstat.wait_time t.loopstat);
@@ -1643,7 +1280,8 @@ let status_view t (req : Http.Request.t) =
   | Some n -> ("application/json", window_body t n)
   | None ->
       let json = wants_json req in
-      ((if json then "application/json" else "text/plain"), status_body t ~json)
+      ( (if json then "application/json" else "text/plain"),
+        Obs.Exposition.render_listing ~json (collect_for t) )
 
 (* ------------------------------------------------------------------ *)
 (* Serving files                                                       *)
@@ -3251,7 +2889,15 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       cgi_inflight = 0;
     }
   in
-  register_metrics t;
+  (match role with
+  | Shard_coordinator _ ->
+      (* The coordinator serves no request: the accepts it sheds at a
+         full hand-off ring are its one figure, and [collect_for] folds
+         them into the shards' aggregate. *)
+      Obs.Registry.counter t.registry ~name:"flash_handoff_shed_total"
+        ~help:"Accepted connections shed because the hand-off ring was full."
+        (fun () -> Obs.Counter.value t.handoff_shed)
+  | Standalone | Shard_member _ -> register_metrics t);
   (* Recorder after [register_metrics] (its read closure walks the same
      counters) and before forks/threads, so every worker inherits it. *)
   t.recorder <-
@@ -3456,73 +3102,42 @@ let stop t =
     teardown t
   end
 
-let stats_one t =
-  drain_stats_pipe t;
+(* Both read the walk every view reads: sharded, the summed-at-snapshot
+   aggregate. *)
+let stats t =
+  let samples = collect_for t in
+  let iv ?labels name = Obs.Registry.int_value ?labels samples name in
+  let fl = [ ("cache", "file") ] in
   {
-    requests = t.n_requests;
-    connections = t.n_connections;
-    errors = t.n_errors;
-    cache_hits = File_cache.hits t.cache;
-    cache_misses = File_cache.misses t.cache;
-    helper_jobs = (match t.helper with Some h -> Helper.dispatched h | None -> 0);
-    cache_evictions = File_cache.evictions t.cache;
-    helper_queue_depth =
-      (match t.helper with Some h -> Helper.queue_depth h | None -> 0);
-    active_connections = active_now t;
-    loop_stalls = Obs.Watchdog.stalls t.watchdog;
-    loop_max_stall = Obs.Watchdog.max_gap t.watchdog;
-    writev_calls = with_obs_lock t (fun () -> Obs.Counter.value t.writev_calls);
-    write_calls = with_obs_lock t (fun () -> Obs.Counter.value t.write_calls);
-    bytes_copied = with_obs_lock t (fun () -> Obs.Counter.value t.bytes_copied);
-    mapped_bytes = mapped_now t;
+    requests = iv "flash_http_requests_total";
+    connections = iv "flash_connections_total";
+    errors = iv "flash_http_errors_total";
+    cache_hits = iv ~labels:fl "flash_cache_hits_total";
+    cache_misses = iv ~labels:fl "flash_cache_misses_total";
+    helper_jobs = iv "flash_helper_jobs_total";
+    cache_evictions = iv ~labels:fl "flash_cache_evictions_total";
+    helper_queue_depth = iv "flash_helper_queue_depth";
+    active_connections = iv "flash_active_connections";
+    loop_stalls = iv "flash_loop_stalls_total";
+    loop_max_stall =
+      Obs.Registry.float_value samples "flash_loop_max_stall_seconds";
+    writev_calls = iv "flash_writev_calls_total";
+    write_calls = iv "flash_write_calls_total";
+    bytes_copied = iv "flash_bytes_copied_total";
+    mapped_bytes = iv "flash_cache_mapped_bytes";
     event_backend = Evio.name t.config.event_backend;
-    loop_wakeups = Obs.Loopstat.wakeups t.loopstat;
-    timer_fires = Obs.Loopstat.timer_fires t.loopstat;
-    accept_emfile = Obs.Counter.value t.accept_emfile;
+    loop_wakeups = iv "flash_loop_wakeups_total";
+    timer_fires = iv "flash_loop_timer_fires_total";
+    accept_emfile =
+      iv "flash_accept_emfile_total" + iv "flash_handoff_shed_total";
   }
 
-(* Sharded instances report the consolidated view, summed at snapshot
-   over every shard (the programmatic sibling of the /metrics
-   aggregate). *)
-let stats t =
-  match shard_peers t with
-  | None -> stats_one t
-  | Some shards ->
-      let per = Array.to_list (Array.map stats_one shards) in
-      let sum f = List.fold_left (fun a s -> a + f s) 0 per in
-      {
-        requests = sum (fun s -> s.requests);
-        connections = sum (fun s -> s.connections);
-        errors = sum (fun s -> s.errors);
-        cache_hits = sum (fun s -> s.cache_hits);
-        cache_misses = sum (fun s -> s.cache_misses);
-        helper_jobs = sum (fun s -> s.helper_jobs);
-        cache_evictions = sum (fun s -> s.cache_evictions);
-        helper_queue_depth = sum (fun s -> s.helper_queue_depth);
-        active_connections = sum (fun s -> s.active_connections);
-        loop_stalls = sum (fun s -> s.loop_stalls);
-        loop_max_stall =
-          List.fold_left (fun a s -> Float.max a s.loop_max_stall) 0. per;
-        writev_calls = sum (fun s -> s.writev_calls);
-        write_calls = sum (fun s -> s.write_calls);
-        bytes_copied = sum (fun s -> s.bytes_copied);
-        mapped_bytes = sum (fun s -> s.mapped_bytes);
-        event_backend = Evio.name t.config.event_backend;
-        loop_wakeups = sum (fun s -> s.loop_wakeups);
-        timer_fires = sum (fun s -> s.timer_fires);
-        accept_emfile =
-          sum (fun s -> s.accept_emfile) + Obs.Counter.value t.handoff_shed;
-      }
-
 let latency t =
-  match shard_peers t with
-  | None -> with_obs_lock t (fun () -> Obs.Histogram.copy t.latency)
-  | Some shards ->
-      Array.fold_left
-        (fun acc sh ->
-          Obs.Histogram.merge acc
-            (with_obs_lock sh (fun () -> Obs.Histogram.copy sh.latency)))
-        (Obs.Histogram.create ()) shards
+  match
+    Obs.Registry.hist_value (collect_for t) "flash_request_duration_seconds"
+  with
+  | Some h -> h
+  | None -> Obs.Histogram.create ()
 
 let helper_job_latency t = Option.map Helper.job_latency t.helper
 

@@ -85,10 +85,15 @@
     exceeds [stall_threshold] counts as a stall — the measurable
     signature of the SPED pathology), live/total connection gauges,
     cache hit/miss/eviction counters, and helper queue-depth and
-    job-latency figures.  Everything is served by a built-in
-    [GET /server-status] endpoint: human-readable text by default,
-    JSON with [?json].  The endpoint is matched before docroot/CGI
-    resolution and never appears in the access log.
+    job-latency figures.  All of it is registered once in an
+    {!Obs.Registry}, and every view reads one walk of it:
+    [GET /metrics] ({!metrics_body}), the built-in
+    [GET /server-status] endpoint, {!stats} and {!latency}.  The status
+    endpoint lists the walk generically ({!Obs.Exposition.render_listing}):
+    one [key value] line per series, keyed as [/metrics] spells it, or
+    with [?json] one flat object with the same keys in the same order.
+    It is matched before docroot/CGI resolution and never appears in
+    the access log.
 
     {2 Tracing}
 
@@ -121,7 +126,12 @@ type mode =
           [cache_budget_bytes] is set, which shares one {!Flash_cache.Budget.t}
           pool (and one cache lock) across every shard.  [/server-status]
           and [/metrics] expose both per-shard series (under a [shard]
-          label) and the summed-at-snapshot aggregate. *)
+          label) and the aggregate taken at snapshot: sums, except that
+          uptime, SLO and guard state, stall threshold and max stall
+          take the worst shard's, and histograms merge.  {!stats} and
+          {!latency} read that aggregate.  The coordinator's hand-off
+          shed count joins it once, unlabelled, as
+          [flash_handoff_shed_total]. *)
 
 type config = {
   docroot : string;
@@ -261,7 +271,9 @@ type stats = {
   event_backend : string;  (** readiness backend name in use *)
   loop_wakeups : int;  (** times the readiness wait returned *)
   timer_fires : int;  (** timer-wheel expirations handled *)
-  accept_emfile : int;  (** accepts shed on EMFILE/ENFILE *)
+  accept_emfile : int;
+      (** accepts shed on EMFILE/ENFILE (sharded: plus those shed at a
+          full hand-off ring) *)
 }
 
 type t
@@ -285,8 +297,9 @@ val start_background : config -> t
 val stop : t -> unit
 
 val stats : t -> stats
-(** Sharded servers report the consolidated view, summed at snapshot
-    over every shard. *)
+(** Values read from the walk [/metrics] renders: an MP parent's
+    consolidated view (its stats pipe drained first), a sharded
+    server's aggregate. *)
 
 val mode : t -> mode
 
@@ -294,8 +307,9 @@ val sharding_info : t -> (int * string) option
 (** [Some (domains, strategy)] for a sharded server — strategy is
     ["reuseport"] or ["handoff"] — [None] otherwise. *)
 
-(** Snapshot of the per-request latency histogram (seconds).  In MP
-    mode this is the parent's consolidated view. *)
+(** Snapshot of the per-request latency histogram (seconds), from the
+    same walk as {!stats}: the MP parent's consolidated view, the
+    shards' merge when sharded. *)
 val latency : t -> Obs.Histogram.t
 
 (** Snapshot of the helper job-latency histogram (AMPED only). *)

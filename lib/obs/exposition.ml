@@ -50,6 +50,8 @@ let label_str labels =
              ls)
       ^ "}"
 
+let key name labels = name ^ label_str labels
+
 let type_of_value = function
   | Registry.Counter _ -> "counter"
   | Registry.Gauge _ -> "gauge"
@@ -61,53 +63,69 @@ let type_of_value = function
 let render samples =
   let b = Buffer.create 4096 in
   let last_name = ref "" in
+  let line name labels v =
+    Buffer.add_string b (Printf.sprintf "%s %s\n" (key name labels) v)
+  in
   List.iter
     (fun (s : Registry.sample) ->
-      if s.Registry.name <> !last_name then begin
-        last_name := s.Registry.name;
+      let name = s.Registry.name and labels = s.Registry.labels in
+      if name <> !last_name then begin
+        last_name := name;
         Buffer.add_string b
-          (Printf.sprintf "# HELP %s %s\n" s.Registry.name
-             (escape_help s.Registry.help));
+          (Printf.sprintf "# HELP %s %s\n" name (escape_help s.Registry.help));
         Buffer.add_string b
-          (Printf.sprintf "# TYPE %s %s\n" s.Registry.name
-             (type_of_value s.Registry.value))
+          (Printf.sprintf "# TYPE %s %s\n" name (type_of_value s.Registry.value))
       end;
       match s.Registry.value with
-      | Registry.Counter n ->
-          Buffer.add_string b
-            (Printf.sprintf "%s%s %d\n" s.Registry.name
-               (label_str s.Registry.labels) n)
-      | Registry.Gauge g ->
-          Buffer.add_string b
-            (Printf.sprintf "%s%s %s\n" s.Registry.name
-               (label_str s.Registry.labels) (float_str g))
-      | Registry.Info ->
-          Buffer.add_string b
-            (Printf.sprintf "%s%s 1\n" s.Registry.name
-               (label_str s.Registry.labels))
+      | Registry.Counter n -> line name labels (string_of_int n)
+      | Registry.Gauge g -> line name labels (float_str g)
+      | Registry.Info -> line name labels "1"
       | Registry.Hist h ->
-          let name = s.Registry.name in
           List.iter
             (fun edge ->
-              let labels =
-                s.Registry.labels @ [ ("le", float_str edge) ]
-              in
-              Buffer.add_string b
-                (Printf.sprintf "%s_bucket%s %d\n" name (label_str labels)
-                   (Histogram.count_le h edge)))
+              line (name ^ "_bucket")
+                (labels @ [ ("le", float_str edge) ])
+                (string_of_int (Histogram.count_le h edge)))
             le_edges;
-          Buffer.add_string b
-            (Printf.sprintf "%s_bucket%s %d\n" name
-               (label_str (s.Registry.labels @ [ ("le", "+Inf") ]))
-               (Histogram.count h));
-          Buffer.add_string b
-            (Printf.sprintf "%s_sum%s %s\n" name (label_str s.Registry.labels)
-               (float_str (Histogram.sum h)));
-          Buffer.add_string b
-            (Printf.sprintf "%s_count%s %d\n" name
-               (label_str s.Registry.labels) (Histogram.count h)))
+          line (name ^ "_bucket")
+            (labels @ [ ("le", "+Inf") ])
+            (string_of_int (Histogram.count h));
+          line (name ^ "_sum") labels (float_str (Histogram.sum h));
+          line (name ^ "_count") labels (string_of_int (Histogram.count h)))
     samples;
   Buffer.contents b
+
+(* The status views' rows: [render]'s keys and numbers without the
+   bucket ladder, each histogram summarised instead by a few quantile
+   rows (labelled after its own labels, as [le] is). *)
+let quantiles = [ ("0.5", 50.); ("0.9", 90.); ("0.99", 99.); ("1", 100.) ]
+
+let listing samples =
+  List.concat_map
+    (fun (s : Registry.sample) ->
+      let name = s.Registry.name and labels = s.Registry.labels in
+      match s.Registry.value with
+      | Registry.Counter n -> [ (key name labels, string_of_int n) ]
+      | Registry.Gauge g -> [ (key name labels, float_str g) ]
+      | Registry.Info -> [ (key name labels, "1") ]
+      | Registry.Hist h ->
+          (key (name ^ "_count") labels, string_of_int (Histogram.count h))
+          :: (key (name ^ "_sum") labels, float_str (Histogram.sum h))
+          :: List.map
+               (fun (q, p) ->
+                 ( key name (labels @ [ ("quantile", q) ]),
+                   float_str (Histogram.percentile h p) ))
+               quantiles)
+    samples
+
+let render_listing ~json samples =
+  let rows = listing samples in
+  if json then
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> Json.str k ^ ":" ^ v) rows)
+    ^ "}\n"
+  else String.concat "" (List.map (fun (k, v) -> k ^ " " ^ v ^ "\n") rows)
 
 (* ------------------------------------------------------------------ *)
 (* Strict parsing and validation                                       *)
@@ -201,6 +219,9 @@ let parse_sample_line line =
         | None -> fail "unparsable value %S in %S" vs line)
   in
   { s_name = name; s_labels = labels; s_value = value }
+
+let parse_sample line =
+  match parse_sample_line line with s -> Some s | exception Invalid _ -> None
 
 let base_of ~ftype name =
   if ftype = "histogram" then

@@ -22,10 +22,6 @@ let wait_time t = t.wait_time
 let work_time t = t.work_time
 let timer_fires t = t.timer_fires
 
-let ready_per_wakeup t =
-  if t.wakeups = 0 then 0.
-  else float_of_int t.ready_fds /. float_of_int t.wakeups
-
 let reset t =
   t.wakeups <- 0;
   t.ready_fds <- 0;

@@ -4,7 +4,7 @@
     status renderer race benignly against word-sized stores):
     - {b wakeups}: times the readiness wait returned;
     - {b ready_fds}: total ready descriptors across those wakeups —
-      [ready_per_wakeup] is the batching factor, the number the
+      divided by [wakeups] it is the batching factor, the number the
       backend comparison turns on (select pays O(watched) per wakeup,
       epoll O(ready));
     - {b wait_time} vs {b work_time}: seconds blocked in the wait
@@ -29,5 +29,4 @@ val ready_fds : t -> int
 val wait_time : t -> float
 val work_time : t -> float
 val timer_fires : t -> int
-val ready_per_wakeup : t -> float
 val reset : t -> unit

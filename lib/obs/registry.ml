@@ -138,8 +138,8 @@ let aggregate ?(gauge_max = fun _ -> false) ~drop samples =
     samples;
   sort_samples (List.rev_map (fun key -> Hashtbl.find tbl key) !order)
 
-(* Lookup helpers for renderers that still address a few values by
-   name (the human status page's summary lines). *)
+(* Lookups for callers that read a few values by name rather than
+   render the walk (the live server's [stats]). *)
 let find samples ?(labels = []) name =
   let labels = sort_labels labels in
   List.find_opt (fun s -> s.name = name && s.labels = labels) samples

@@ -69,7 +69,9 @@ val sort_samples : sample list -> sample list
 val aggregate :
   ?gauge_max:(string -> bool) -> drop:string -> sample list -> sample list
 
-(** Renderer conveniences over a collected list. *)
+(** Lookups by name and exact label set over a collected list, for
+    callers that read a few values rather than render the walk.  A
+    missing series reads as 0. *)
 val find : sample list -> ?labels:labels -> string -> sample option
 
 val int_value : ?labels:labels -> sample list -> string -> int

@@ -58,11 +58,5 @@ let state t =
   else if b < 3. *. t.budget then Degraded
   else Breached
 
-let state_string t =
-  match state t with
-  | Healthy -> "healthy"
-  | Degraded -> "degraded"
-  | Breached -> "breached"
-
 let state_code t =
   match state t with Healthy -> 0 | Degraded -> 1 | Breached -> 2

@@ -35,7 +35,6 @@ val windows : t -> int
 
 val burn : t -> float
 val state : t -> state
-val state_string : t -> string
 
 (** 0 = healthy, 1 = degraded, 2 = breached (gauge-friendly). *)
 val state_code : t -> int

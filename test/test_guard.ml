@@ -420,18 +420,18 @@ let test_live_helper_queue_bound () =
       Alcotest.(check int) "every request answered" 0 (count (-1));
       (* One job in flight plus one queued is the whole allowed depth. *)
       let j = get_status_json port in
-      let helper = member "helper" j in
       Alcotest.(check bool) "queue depth hwm bounded" true
-        (to_int (member "queue_depth_hwm" helper) <= 2);
+        (to_int (row j "flash_helper_queue_depth_hwm") <= 2);
       Alcotest.(check bool) "refusals accounted" true
-        (to_int (member "rejected" helper) >= 1);
-      (* The sheds are visible, reason-labeled, in the guard block and
-         /metrics. *)
-      let guard = member "guard" j in
-      Alcotest.(check bool) "guard sheds visible in JSON" true
-        (to_int (member "shed_total" guard) >= 1);
+        (to_int (row j "flash_helper_rejected_total") >= 1);
+      (* The sheds are visible, reason-labeled, in the status listing
+         and /metrics. *)
       Alcotest.(check bool) "helper_queue reason labeled" true
-        (to_int (member "helper_queue" (member "shed" guard)) >= 1);
+        (to_int
+           (row j
+              ~labels:[ ("reason", "helper_queue") ]
+              "flash_guard_shed_total")
+        >= 1);
       let m = (get port "/metrics").Client.body in
       (match Obs.Exposition.validate m with
       | Ok _ -> ()
@@ -441,32 +441,30 @@ let test_live_helper_queue_bound () =
       Alcotest.(check bool) "guard state gauge exported" true
         (contains m "flash_guard_state"))
 
-(* The status document: enabled guard renders a guard block (text and
-   JSON, same numbers); disabled guard renders null and exports no
-   flash_guard_* series. *)
+(* The status listing: an enabled guard lists its level, peers and one
+   row per shed reason; a disabled guard lists no flash_guard_* row and
+   exports no such series. *)
 let test_live_status_views () =
   with_guarded
     { Guard.default_config with Guard.max_conns_per_ip = Some 64 }
     (fun _server port ->
       ignore (Client.get ~host:"127.0.0.1" ~port "/hello.txt");
       let j = get_status_json port in
-      let guard = member "guard" j in
       Alcotest.(check int) "level starts normal" 0
-        (to_int (member "level" guard));
+        (to_int (row j "flash_guard_state"));
       Alcotest.(check bool) "peers tracked" true
-        (to_int (member "tracked_peers" guard) >= 1);
-      Alcotest.(check int) "nothing shed yet" 0
-        (to_int (member "shed_total" guard));
-      let text = (get port "/server-status").Client.body in
-      Alcotest.(check bool) "text view has guard line" true
-        (contains text "guard:");
-      Alcotest.(check bool) "text view labels sheds" true
-        (contains text "guard shed:"));
+        (to_int (row j "flash_guard_tracked_peers") >= 1);
+      let sheds = rows j "flash_guard_shed_total" in
+      Alcotest.(check (list string))
+        "a row per reason"
+        (List.map Guard.reason_label Guard.all_reasons)
+        (List.map (fun (labels, _) -> List.assoc "reason" labels) sheds);
+      Alcotest.(check (float 0.)) "nothing shed yet" 0.
+        (List.fold_left (fun a (_, v) -> a +. v) 0. sheds));
   let docroot = Test_live.make_docroot () in
   with_config (Server.default_config ~docroot) (fun _server port ->
-      let j = get_status_json port in
-      Alcotest.(check bool) "guard null when disabled" true
-        (member "guard" j = Null);
+      Alcotest.(check bool) "no guard rows when disabled" false
+        (contains (get port "/server-status").Client.body "flash_guard_");
       Alcotest.(check bool) "no guard series when disabled" false
         (contains (get port "/metrics").Client.body "flash_guard_"))
 

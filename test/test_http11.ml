@@ -519,23 +519,6 @@ let test_date_roundtrip =
 (* Send-path cost of the new responses, via /server-status?json        *)
 (* ------------------------------------------------------------------ *)
 
-let json_int key s =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let nl = String.length needle in
-  let rec find i =
-    if i + nl > String.length s then
-      Alcotest.failf "status JSON has no %s" key
-    else if String.sub s i nl = needle then i + nl
-    else find (i + 1)
-  in
-  let start = find 0 in
-  let rec stop i =
-    if i < String.length s && (match s.[i] with '0' .. '9' -> true | _ -> false)
-    then stop (i + 1)
-    else i
-  in
-  int_of_string (String.sub s start (stop start - start))
-
 (* Scrape the counters over the same keep-alive connection as the
    request under test: the single event loop processes the connection's
    requests strictly in order, so the second scrape's body includes
@@ -552,10 +535,14 @@ let measure_over_session port ~warm ~request:(meth, target, headers) =
       let s0 = Raw.session_request s "/server-status?json" in
       let r = Raw.session_request s ~meth ~headers target in
       let s1 = Raw.session_request s "/server-status?json" in
-      let delta key = json_int key s1.Raw.body - json_int key s0.Raw.body in
-      let writev = delta "writev_calls" - 1 (* scrape s0's own send *) in
-      let copied = delta "bytes_copied" - String.length s0.Raw.raw in
-      (r, writev, delta "write_calls", copied))
+      let count scrape key =
+        Test_status.(to_int (row (parse_json scrape.Raw.body) key))
+      in
+      let delta key = count s1 key - count s0 key in
+      (* Less scrape s0's own send. *)
+      let writev = delta "flash_writev_calls_total" - 1 in
+      let copied = delta "flash_bytes_copied_total" - String.length s0.Raw.raw in
+      (r, writev, delta "flash_write_calls_total", copied))
 
 let test_cached_304_costs_one_writev () =
   if not Iovec.have_writev then ()

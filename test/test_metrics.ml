@@ -1,5 +1,6 @@
 (* The unified metrics pipeline: registry -> exposition rendering and
-   strict validation, the flight recorder's windowed rollups (qcheck:
+   strict validation, the status listing's agreement with the
+   exposition (qcheck), the flight recorder's windowed rollups (qcheck:
    merging every window reproduces the global histogram), and the live
    server's /metrics, ?window=N, SLO health and MP gauge consolidation.
    Reuses the JSON reader from {!Test_status}. *)
@@ -112,6 +113,86 @@ let test_validator_rejects () =
   reject "missing +Inf bucket"
     "# TYPE h histogram\nh_bucket{le=\"0.1\"} 5\nh_sum 0.5\nh_count 5\n"
 
+(* Random registries: counters, gauges (fractions and byte-sized
+   integers up to 2^52), histograms and info series, under label values
+   full of quotes, backslashes, spaces and newlines.  A name carries
+   its kind, so one family never mixes types. *)
+let registry_arb =
+  let open QCheck.Gen in
+  let label_value =
+    string_size ~gen:(oneofl [ 'a'; 'z'; '"'; '\\'; ' '; '\n'; '{'; '=' ])
+      (int_bound 6)
+  in
+  let labels =
+    list_size (int_bound 2) (pair (oneofl [ "a"; "b"; "c" ]) label_value)
+  in
+  let value =
+    oneof
+      [
+        map (fun n -> `Counter n) (int_bound 1_000_000_000);
+        map (fun f -> `Gauge f) (float_range (-1e6) 1e6);
+        map (fun n -> `Gauge (float_of_int n)) (int_range 0 (1 lsl 52));
+        map (fun l -> `Hist l) (list_size (int_bound 20) (float_range 0. 10.));
+        return `Info;
+      ]
+  in
+  QCheck.make
+    ~print:(fun l -> Printf.sprintf "%d series" (List.length l))
+    (list_size (int_bound 12) (triple (int_bound 3) labels value))
+
+let build_registry series =
+  let reg = Obs.Registry.create () in
+  List.iter
+    (fun (i, labels, value) ->
+      let labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels in
+      let name kind = Printf.sprintf "p_%s_%d" kind i in
+      try
+        match value with
+        | `Counter n ->
+            Obs.Registry.counter reg ~name:(name "c") ~help:"c" ~labels
+              (fun () -> n)
+        | `Gauge f ->
+            Obs.Registry.gauge reg ~name:(name "g") ~help:"g" ~labels
+              (fun () -> f)
+        | `Hist xs ->
+            let h = Obs.Histogram.create () in
+            List.iter (Obs.Histogram.record h) xs;
+            Obs.Registry.histogram reg ~name:(name "h") ~help:"h" ~labels
+              (fun () -> h)
+        | `Info -> Obs.Registry.info reg ~name:(name "i") ~help:"i" ~labels
+      with Invalid_argument _ -> () (* a repeated (name, labels) pair *))
+    series;
+  reg
+
+(* Every series /metrics carries, buckets aside, reads back from the
+   status listing under the same key with the same value, and no key
+   repeats. *)
+let prop_listing_matches_exposition series =
+  let samples = Obs.Registry.collect (build_registry series) in
+  let rows = Obs.Exposition.listing samples in
+  let keys = List.map fst rows in
+  match Obs.Exposition.validate (Obs.Exposition.render samples) with
+  | Error msg -> QCheck.Test.fail_reportf "exposition invalid: %s" msg
+  | Ok families ->
+      List.length (List.sort_uniq compare keys) = List.length keys
+      && List.for_all
+           (fun (f : Obs.Exposition.family) ->
+             List.for_all
+               (fun (s : Obs.Exposition.series) ->
+                 Filename.check_suffix s.Obs.Exposition.s_name "_bucket"
+                 ||
+                 match
+                   List.assoc_opt
+                     (Obs.Exposition.key s.Obs.Exposition.s_name
+                        s.Obs.Exposition.s_labels)
+                     rows
+                 with
+                 | Some v ->
+                     Float.equal (float_of_string v) s.Obs.Exposition.s_value
+                 | None -> false)
+               f.Obs.Exposition.f_series)
+           families
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: rollups are exact deltas                           *)
 (* ------------------------------------------------------------------ *)
@@ -215,7 +296,7 @@ let test_dump_round_trips () =
     rollups
 
 (* ------------------------------------------------------------------ *)
-(* Live server: /metrics, ?window=N, no-drift, SLO, MP gauges          *)
+(* Live server: /metrics, ?window=N, SLO, MP gauges                    *)
 (* ------------------------------------------------------------------ *)
 
 let with_config config f =
@@ -283,15 +364,15 @@ let test_metrics_agrees_with_status () =
       (* Scraped one request later, the JSON view must agree up to the
          requests issued in between (the scrapes themselves). *)
       let j = get_status_json port in
-      let json_requests = to_int (member "requests" j) in
+      let json_requests = to_int (row j "flash_http_requests_total") in
       Alcotest.(check bool) "file requests counted" true (prom_requests >= 3);
       Alcotest.(check bool) "JSON at or after /metrics" true
         (json_requests >= prom_requests && json_requests - prom_requests <= 2);
       Alcotest.(check int) "cache hits agree exactly" prom_hits
-        (to_int (member "hits" (member "cache" j)));
+        (to_int (row j ~labels:[ ("cache", "file") ] "flash_cache_hits_total"));
       Alcotest.(check bool) "writev counters agree" true
         (prom_writev > 0
-        && to_int (member "writev_calls" (member "send" j)) >= prom_writev))
+        && to_int (row j "flash_writev_calls_total") >= prom_writev))
 
 let test_metrics_disabled () =
   let docroot = Test_live.make_docroot () in
@@ -300,44 +381,6 @@ let test_metrics_disabled () =
     (fun _server port ->
       let r = get port "/metrics" in
       Alcotest.(check int) "plain 404 when disabled" 404 r.Client.status)
-
-(* Both status views print the registry verbatim: every key in the text
-   view's metrics section appears in the JSON metrics object and vice
-   versa — the two surfaces cannot drift because they are one walk. *)
-let test_status_views_never_drift () =
-  let docroot = Test_live.make_docroot () in
-  with_config (Server.default_config ~docroot) (fun _server port ->
-      ignore (get port "/hello.txt");
-      let text = (get port "/server-status").Client.body in
-      let j = get_status_json port in
-      let text_keys =
-        let lines = String.split_on_char '\n' text in
-        let rec after_header = function
-          | [] -> Alcotest.fail "text view lacks a metrics section"
-          | "metrics:" :: rest -> rest
-          | _ :: rest -> after_header rest
-        in
-        after_header lines
-        |> List.filter_map (fun line ->
-               if String.length line > 2 && String.sub line 0 2 = "  " then
-                 (* key and value separated by the LAST space: label
-                    values may themselves contain spaces. *)
-                 let body = String.sub line 2 (String.length line - 2) in
-                 match String.rindex_opt body ' ' with
-                 | Some i -> Some (String.sub body 0 i)
-                 | None -> None
-               else None)
-      in
-      let json_keys =
-        match member "metrics" j with
-        | Obj kvs -> List.map fst kvs
-        | _ -> Alcotest.fail "JSON metrics should be an object"
-      in
-      Alcotest.(check bool) "registry non-trivial" true
-        (List.length text_keys > 20);
-      Alcotest.(check (list string))
-        "same keys, same order"
-        text_keys json_keys)
 
 let test_window_returns_rollups () =
   let docroot = Test_live.make_docroot () in
@@ -401,13 +444,12 @@ let test_slo_health () =
         Thread.delay 0.06
       done;
       let j = get_status_json port in
-      let health = member "health" j in
-      Alcotest.(check string)
-        "ten-second budget is healthy" "healthy"
-        (to_str (member "state" health));
-      Alcotest.(check (float 1e-9)) "no burn" 0. (to_num (member "burn" health));
+      Alcotest.(check int) "ten-second budget is healthy" 0
+        (to_int (row j "flash_slo_state"));
+      Alcotest.(check (float 1e-9)) "no burn" 0.
+        (to_num (row j "flash_slo_burn_ratio"));
       Alcotest.(check bool) "windows evaluated" true
-        (to_int (member "windows" health) >= 1);
+        (to_int (row j "flash_slo_windows") >= 1);
       let families = validate_families (get port "/metrics").Client.body in
       Alcotest.(check (float 0.))
         "flash_slo_state healthy=0" 0.
@@ -568,6 +610,8 @@ let suite =
       test_registry_rejects_duplicates;
     Alcotest.test_case "validator rejects malformed payloads" `Quick
       test_validator_rejects;
+    Helpers.qcheck_case ~count:200 ~name:"status listing matches /metrics"
+      registry_arb prop_listing_matches_exposition;
     Helpers.qcheck_case ~count:150 ~name:"rollup ring is lossless"
       recorder_arbitrary prop_rollups_lossless;
     Alcotest.test_case "recorder dump round-trips JSON" `Quick
@@ -576,8 +620,6 @@ let suite =
       test_metrics_agrees_with_status;
     Alcotest.test_case "/metrics disabled serves docroot rules" `Quick
       test_metrics_disabled;
-    Alcotest.test_case "status text and JSON never drift" `Quick
-      test_status_views_never_drift;
     Alcotest.test_case "?window=N returns live rollups" `Quick
       test_window_returns_rollups;
     Alcotest.test_case "SIGUSR1 dump body parses" `Quick

@@ -2,9 +2,8 @@
    none delivered twice, occupancy bounded), concurrent Budget
    accounting (qcheck: parallel charge/release conserves the total,
    shed never over-frees), and the Sharded server end to end — both
-   accept strategies, per-shard + aggregate telemetry, and the
-   text/JSON no-drift rule for the sharding block.  Runs real domains
-   and loopback sockets. *)
+   accept strategies, and per-shard + aggregate telemetry.  Runs real
+   domains and loopback sockets. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
@@ -211,36 +210,42 @@ let drive port n =
     Alcotest.(check string) "hello body" "hello live world" r.Client.body
   done
 
-let check_sharding_block server j ~domains =
+(* The listing's sharding rows: the strategy on the aggregate
+   [flash_config_info], one [shard]-labelled row per shard of each
+   series, and each aggregate equal to its shards' sum in the same
+   snapshot. *)
+let check_sharding_rows server j ~domains =
   let strategy =
     match Server.sharding_info server with
     | Some (_, s) -> s
     | None -> Alcotest.fail "sharded server reports no sharding_info"
   in
-  let sharding = member "sharding" j in
-  Alcotest.(check int) "domains" domains (to_int (member "domains" sharding));
+  Alcotest.(check string) "accept strategy" strategy (config j "accept");
   Alcotest.(check string)
-    "accept strategy" strategy
-    (to_str (member "accept" sharding));
-  let shards =
-    match member "shards" sharding with
-    | Arr l -> l
-    | _ -> Alcotest.fail "sharding.shards not an array"
+    "mode string"
+    (Printf.sprintf "sharded:%d" domains)
+    (config j "mode");
+  let shard_rows name =
+    List.filter_map
+      (fun (labels, v) ->
+        Option.map (fun id -> (id, v)) (List.assoc_opt "shard" labels))
+      (rows j name)
   in
-  Alcotest.(check int) "shard entries" domains (List.length shards);
-  List.iteri
-    (fun i sh ->
-      Alcotest.(check int) "shard id" i (to_int (member "shard" sh));
-      Alcotest.(check bool)
-        "backend named" true
-        (String.length (to_str (member "backend" sh)) > 0))
-    shards;
-  (* The aggregate is the per-shard sum, read in the same snapshot. *)
-  let sum =
-    List.fold_left (fun a sh -> a + to_int (member "requests" sh)) 0 shards
-  in
-  Alcotest.(check int) "aggregate = sum of shards" sum
-    (to_int (member "requests" j))
+  Alcotest.(check (list (pair string (option string))))
+    "one config row per shard, naming the backend"
+    (List.init domains (fun i -> (string_of_int i, Some (config j "backend"))))
+    (List.filter_map
+       (fun (labels, _) ->
+         Option.map
+           (fun id -> (id, List.assoc_opt "backend" labels))
+           (List.assoc_opt "shard" labels))
+       (rows j "flash_config_info"));
+  let requests = shard_rows "flash_http_requests_total" in
+  Alcotest.(check int) "shard request rows" domains (List.length requests);
+  Alcotest.(check (float 0.))
+    "aggregate = sum of shards"
+    (List.fold_left (fun a (_, v) -> a +. v) 0. requests)
+    (to_num (row j "flash_http_requests_total"))
 
 let test_sharded_reuseport () =
   with_sharded 2 (fun server port ->
@@ -252,11 +257,7 @@ let test_sharded_reuseport () =
       Alcotest.(check bool)
         "stats aggregate connections" true
         (stats.Server.connections >= 12);
-      let j = get_status_json port in
-      check_sharding_block server j ~domains:2;
-      Alcotest.(check string)
-        "mode string" "sharded:2"
-        (to_str (member "mode" j)))
+      check_sharding_rows server (get_status_json port) ~domains:2)
 
 let test_sharded_handoff () =
   with_sharded ~force_handoff:true 2 (fun server port ->
@@ -270,7 +271,11 @@ let test_sharded_handoff () =
         "handoff served all" true
         (stats.Server.requests >= 12);
       let j = get_status_json port in
-      check_sharding_block server j ~domains:2)
+      check_sharding_rows server j ~domains:2;
+      (* The coordinator's counter appears once, unlabelled. *)
+      Alcotest.(check (list (pair (list (pair string string)) (float 0.))))
+        "one hand-off shed row" [ ([], 0.) ]
+        (rows j "flash_handoff_shed_total"))
 
 let test_sharded_shared_budget () =
   (* One Budget.t across both shards' caches: foreign-shard sheds run
@@ -326,46 +331,59 @@ let test_sharded_metrics () =
             (List.fold_left ( + ) 0 !shards)
             agg)
 
-(* The PR 7 no-drift rule extended to sharded views: the text page's
-   metrics section and the JSON "metrics" object list the same keys in
-   the same order — shard-labeled and aggregate rows included. *)
-let test_sharded_views_never_drift () =
-  with_sharded 2 (fun _server port ->
-      drive port 4;
-      let text = (get port "/server-status").Client.body in
-      let j = get_status_json port in
-      let json_keys =
-        match member "metrics" j with
-        | Obj kv -> List.map fst kv
-        | _ -> Alcotest.fail "metrics not an object"
-      in
-      let text_keys =
-        let lines = String.split_on_char '\n' text in
-        let rec after_header = function
-          | [] -> []
-          | "metrics:" :: rest -> rest
-          | _ :: rest -> after_header rest
+(* Loop figures that do not add across shards: the aggregate max stall
+   is the worst shard's (and [stats] reads the same), and the batching
+   factor's numerator, ready descriptors, is a plain sum.  Retried
+   until no loop iteration lands between the /metrics walk and
+   [stats]. *)
+let test_sharded_loop_aggregates () =
+  with_sharded 2 (fun server port ->
+      drive port 8;
+      ignore (await_stats server (fun s -> s.Server.requests >= 8));
+      let rec settle tries =
+        let families =
+          match Obs.Exposition.validate (Server.metrics_body server) with
+          | Ok f -> f
+          | Error msg -> Alcotest.failf "sharded exposition invalid: %s" msg
         in
-        List.filter_map
-          (fun line ->
-            if String.length line > 2 && String.sub line 0 2 = "  " then
-              let body = String.sub line 2 (String.length line - 2) in
-              match String.rindex_opt body ' ' with
-              | Some i -> Some (String.sub body 0 i)
-              | None -> None
-            else None)
-          (after_header lines)
+        let stall = (Server.stats server).Server.loop_max_stall in
+        (* (the unlabelled aggregate, the shards' values) of a series *)
+        let split name =
+          let agg, shards =
+            List.concat_map (fun f -> f.Obs.Exposition.f_series) families
+            |> List.filter (fun s -> s.Obs.Exposition.s_name = name)
+            |> List.partition (fun s -> s.Obs.Exposition.s_labels = [])
+          in
+          let value s = s.Obs.Exposition.s_value in
+          (Option.map value (List.nth_opt agg 0), List.map value shards)
+        in
+        let agg_stall, shard_stalls = split "flash_loop_max_stall_seconds" in
+        let close a = Float.abs (a -. stall) <= 1e-9 in
+        if not (Option.fold ~none:false ~some:close agg_stall) && tries > 0
+        then begin
+          Thread.delay 0.05;
+          settle (tries - 1)
+        end
+        else (agg_stall, shard_stalls, stall, split "flash_loop_ready_fds_total")
       in
-      Alcotest.(check (list string))
-        "text and JSON metrics agree" json_keys text_keys;
-      (* And the text view carries the sharding lines. *)
-      Alcotest.(check bool)
-        "text sharding line" true
-        (Helpers.contains text ~affix:"sharding:     2 domains");
-      Alcotest.(check bool)
-        "text per-shard lines" true
-        (Helpers.contains text ~affix:"shard 0:"
-        && Helpers.contains text ~affix:"shard 1:"))
+      let agg_stall, shard_stalls, stall, (agg_ready, shard_ready) =
+        settle 20
+      in
+      Alcotest.(check int) "a stall series per shard" 2
+        (List.length shard_stalls);
+      Alcotest.(check (option (float 0.)))
+        "aggregate stall is the worst shard's"
+        (Some (List.fold_left Float.max 0. shard_stalls))
+        agg_stall;
+      (* /metrics prints nine significant digits. *)
+      Alcotest.(check (option (float 1e-9)))
+        "stats reads the aggregate" (Some stall) agg_stall;
+      Alcotest.(check int) "a ready-fds series per shard" 2
+        (List.length shard_ready);
+      Alcotest.(check (option (float 0.)))
+        "aggregate ready fds is the shards' sum"
+        (Some (List.fold_left ( +. ) 0. shard_ready))
+        agg_ready)
 
 (* The HTTP/1.1 conformance matrix extended to Sharded: the same wire
    bytes as AMPED for the whole torture table.  Lives here rather than
@@ -460,8 +478,7 @@ let test_sharded_guard_conn_cap () =
 
 (* Guard telemetry under sharding: flash_guard_* series carry the shard
    label, the unlabeled aggregate equals the per-shard sum in the same
-   scrape, and the status JSON's guard block agrees with itself (its
-   shed dict sums to its shed_total). *)
+   scrape, and the status listing carries the aggregate. *)
 let test_sharded_guard_metrics () =
   with_sharded
     ~guard:{ Guard.default_config with Guard.max_conns_per_ip = Some 1 }
@@ -514,24 +531,21 @@ let test_sharded_guard_metrics () =
       Alcotest.(check bool)
         "state gauge carries the shard label" true
         (Helpers.contains metrics ~affix:"flash_guard_state{shard=");
-      (* The serving shard's guard block is internally consistent.
-         Fetch via [get_admitted]: the provoking peer's freed conn slot
+      (* The status listing carries every reason's aggregate row.  Fetch
+         via [get_admitted]: the provoking peer's freed conn slot
          propagates asynchronously, so a prompt fetch can still be 429. *)
       let j = parse_json (get_admitted port "/server-status?json").Client.body in
-      let guard = member "guard" j in
-      (match guard with
-      | Null -> Alcotest.fail "sharded guard JSON block missing"
-      | _ -> ());
-      let shed_kvs =
-        match member "shed" guard with
-        | Obj kv -> kv
-        | _ -> Alcotest.fail "guard.shed not an object"
-      in
-      Alcotest.(check int) "shed dict sums to shed_total"
-        (to_int (member "shed_total" guard))
-        (List.fold_left (fun a (_, v) -> a + to_int v) 0 shed_kvs))
+      List.iter
+        (fun reason ->
+          let label = Guard.reason_label reason in
+          Alcotest.(check bool)
+            ("aggregate shed row for " ^ label)
+            true
+            (has_row j ~labels:[ ("reason", label) ] "flash_guard_shed_total"))
+        Guard.all_reasons)
 
-(* Unsharded servers must say so, in both views. *)
+(* Unsharded servers carry no sharding rows: no shard label, no accept
+   strategy, no hand-off counter. *)
 let test_unsharded_views () =
   let docroot = Test_live.make_docroot () in
   with_config (Server.default_config ~docroot) (fun server port ->
@@ -539,13 +553,13 @@ let test_unsharded_views () =
         "no sharding_info" None
         (Server.sharding_info server);
       let j = get_status_json port in
-      (match member "sharding" j with
-      | Null -> ()
-      | _ -> Alcotest.fail "unsharded JSON sharding should be null");
+      Alcotest.(check bool) "no accept label" false
+        (List.mem_assoc "accept" (fst (List.hd (rows j "flash_config_info"))));
+      Alcotest.(check bool) "no hand-off counter" false
+        (has_row j "flash_handoff_shed_total");
       let text = (get port "/server-status").Client.body in
-      Alcotest.(check bool)
-        "text says none" true
-        (Helpers.contains text ~affix:"sharding:     none"))
+      Alcotest.(check bool) "no shard label" false
+        (Helpers.contains text ~affix:"shard=\""))
 
 let suite =
   [
@@ -564,8 +578,8 @@ let suite =
       test_sharded_shared_budget;
     Alcotest.test_case "sharded /metrics validates and aggregates" `Quick
       test_sharded_metrics;
-    Alcotest.test_case "sharded views never drift" `Quick
-      test_sharded_views_never_drift;
+    Alcotest.test_case "sharded loop gauges aggregate" `Quick
+      test_sharded_loop_aggregates;
     Alcotest.test_case "HTTP/1.1 byte-identity vs AMPED" `Quick
       test_sharded_byte_identity;
     Alcotest.test_case "8 MB streamed intact" `Quick
@@ -574,7 +588,8 @@ let suite =
       test_sharded_guard_conn_cap;
     Alcotest.test_case "sharded guard metrics aggregate" `Quick
       test_sharded_guard_metrics;
-    Alcotest.test_case "unsharded views say none" `Quick test_unsharded_views;
+    Alcotest.test_case "unsharded listing has no shard rows" `Quick
+      test_unsharded_views;
     Alcotest.test_case "pipelined 2.5 MB + small" `Quick
       test_sharded_pipelined_large;
     Alcotest.test_case "pipelined 200/304/206/404 vs AMPED" `Quick

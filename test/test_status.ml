@@ -173,6 +173,39 @@ let to_str = function
   | Str s -> s
   | _ -> Alcotest.fail "expected JSON string"
 
+(* The status listing ([?json]) is one flat object keyed as /metrics
+   spells each series. *)
+let row j ?(labels = []) name = member (Obs.Exposition.key name labels) j
+
+let has_row j ?(labels = []) name =
+  match j with
+  | Obj kv -> List.mem_assoc (Obs.Exposition.key name labels) kv
+  | _ -> Alcotest.fail "status listing is not an object"
+
+(* Every row of series [name] as (labels, value), in listing order — an
+   unlabelled aggregate before its shards' rows. *)
+let rows j name =
+  match j with
+  | Obj kv ->
+      List.filter_map
+        (fun (k, v) ->
+          match Obs.Exposition.parse_sample (k ^ " 0") with
+          | Some s when s.Obs.Exposition.s_name = name ->
+              Some (s.Obs.Exposition.s_labels, to_num v)
+          | _ -> None)
+        kv
+  | _ -> Alcotest.fail "status listing is not an object"
+
+(* A label of [flash_config_info]: how the listing carries mode, backend
+   and send path. *)
+let config j label =
+  match rows j "flash_config_info" with
+  | (labels, _) :: _ -> (
+      match List.assoc_opt label labels with
+      | Some v -> v
+      | None -> Alcotest.failf "flash_config_info has no %s label" label)
+  | [] -> Alcotest.fail "status listing has no flash_config_info"
+
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -226,53 +259,63 @@ let test_status_event_loop mode () =
       Alcotest.(check string)
         "mode"
         (match mode with Server.Sped -> "sped" | _ -> "amped")
-        (to_str (member "mode" j));
+        (config j "mode");
       (* The status request increments the counter before rendering, so
          the JSON includes itself. *)
-      Alcotest.(check int) "requests" 4 (to_int (member "requests" j));
-      Alcotest.(check int) "connections" 4 (to_int (member "connections" j));
-      Alcotest.(check int) "errors" 0 (to_int (member "errors" j));
-      let cache = member "cache" j in
-      Alcotest.(check bool) "cache hits" true (to_int (member "hits" cache) >= 1);
+      let count name = to_int (row j name) in
+      Alcotest.(check int) "requests" 4 (count "flash_http_requests_total");
+      Alcotest.(check int) "connections" 4 (count "flash_connections_total");
+      Alcotest.(check int) "errors" 0 (count "flash_http_errors_total");
+      let file name = to_int (row j ~labels:[ ("cache", "file") ] name) in
+      Alcotest.(check bool) "cache hits" true (file "flash_cache_hits_total" >= 1);
       Alcotest.(check bool) "cache misses" true
-        (to_int (member "misses" cache) >= 2);
-      (* The structured per-cache view agrees with the legacy summary. *)
-      let file = member "file" (member "caches" j) in
+        (file "flash_cache_misses_total" >= 2);
       Alcotest.(check string) "file cache policy" "lru"
-        (to_str (member "policy" file));
+        (config j "cache_policy");
       Alcotest.(check string) "file cache admission" "always"
-        (to_str (member "admission" file));
-      Alcotest.(check bool) "file cache capacity" true
-        (to_int (member "capacity" file) > 0);
-      Alcotest.(check int) "file cache hits agree" (to_int (member "hits" cache))
-        (to_int (member "hits" file));
-      Alcotest.(check int) "file cache misses agree"
-        (to_int (member "misses" cache))
-        (to_int (member "misses" file));
+        (config j "cache_admission");
       Alcotest.(check int) "no evictions yet" 0
-        (to_int (member "evictions" file));
+        (file "flash_cache_evictions_total");
       (* Latency histogram covers the three file requests (the status
          request's own latency is recorded after rendering). *)
-      let lat = member "latency_ms" j in
-      Alcotest.(check int) "latency samples" 3 (to_int (member "count" lat));
-      Alcotest.(check bool) "p99 sane" true (to_num (member "p99" lat) >= 0.);
-      let loop = member "loop" j in
+      Alcotest.(check int) "latency samples" 3
+        (count "flash_request_duration_seconds_count");
+      Alcotest.(check bool) "p99 sane" true
+        (to_num
+           (row j
+              ~labels:[ ("quantile", "0.99") ]
+              "flash_request_duration_seconds")
+        >= 0.);
       Alcotest.(check bool) "loop iterations" true
-        (to_int (member "iterations" loop) >= 1);
+        (count "flash_loop_iterations_total" >= 1);
       (match mode with
       | Server.Amped ->
-          let helper = member "helper" j in
           Alcotest.(check bool) "helper jobs" true
-            (to_int (member "jobs" helper) >= 1)
-      | _ -> Alcotest.(check bool) "no helper" true (member "helper" j = Null));
+            (count "flash_helper_jobs_total" >= 1)
+      | _ ->
+          Alcotest.(check bool) "no helper" false
+            (has_row j "flash_helper_jobs_total"));
       (* The JSON agrees with the programmatic stats. *)
       let stats = Server.stats server in
       Alcotest.(check int) "stats.requests matches" stats.Server.requests
-        (to_int (member "requests" j));
+        (count "flash_http_requests_total");
       Alcotest.(check int) "stats.connections matches" stats.Server.connections
-        (to_int (member "connections" j));
+        (count "flash_connections_total");
       Alcotest.(check int) "stats.cache_hits matches" stats.Server.cache_hits
-        (to_int (member "hits" cache)))
+        (file "flash_cache_hits_total"))
+
+(* Byte figures reach the listing whole: the 32 MiB default capacity
+   reads back as the exact integer, not a six-digit rounding. *)
+let test_status_numbers_lossless () =
+  let docroot = Test_live.make_docroot () in
+  let config = Server.default_config ~docroot in
+  with_config config (fun _server port ->
+      let j = get_status_json port in
+      Alcotest.(check (float 0.))
+        "capacity exact"
+        (float_of_int config.Server.file_cache_bytes)
+        (to_num
+           (row j ~labels:[ ("cache", "file") ] "flash_cache_capacity_bytes")))
 
 (* MT: worker threads share the parent's counters; the request event is
    recorded just after the response is written, so the JSON may lag by
@@ -282,8 +325,8 @@ let test_status_mt () =
       ignore (get port "/hello.txt");
       ignore (get port "/hello.txt");
       let j = get_status_json port in
-      Alcotest.(check string) "mode" "mt:2" (to_str (member "mode" j));
-      let json_requests = to_int (member "requests" j) in
+      Alcotest.(check string) "mode" "mt:2" (config j "mode");
+      let json_requests = to_int (row j "flash_http_requests_total") in
       Alcotest.(check bool) "json sees prior requests" true (json_requests >= 2);
       let stats = await_stats server (fun s -> s.Server.requests >= 3) in
       Alcotest.(check int) "all requests counted" 3 stats.Server.requests;
@@ -298,9 +341,9 @@ let test_status_mp () =
       ignore (get port "/hello.txt");
       ignore (get port "/index.html");
       let j = get_status_json port in
-      Alcotest.(check string) "mode" "mp:2" (to_str (member "mode" j));
+      Alcotest.(check string) "mode" "mp:2" (config j "mode");
       Alcotest.(check bool) "JSON well-formed" true
-        (to_int (member "requests" j) >= 0);
+        (to_int (row j "flash_http_requests_total") >= 0);
       let stats = await_stats server (fun s -> s.Server.requests >= 3) in
       Alcotest.(check int) "parent consolidated over pipe" 3
         stats.Server.requests;
@@ -308,6 +351,8 @@ let test_status_mp () =
       Alcotest.(check bool) "latency consolidated over pipe" true
         (Obs.Histogram.count lat >= 3))
 
+(* The text page is the same listing as [key value] lines: each parses
+   as an exposition sample. *)
 let test_status_text () =
   with_mode Server.Amped (fun _server port ->
       ignore (get port "/hello.txt");
@@ -316,10 +361,19 @@ let test_status_text () =
       Alcotest.(check (option string))
         "plain text" (Some "text/plain")
         (List.assoc_opt "content-type" r.Client.headers);
-      Alcotest.(check bool) "mode line" true
-        (Helpers.contains ~affix:"mode:" r.Client.body);
+      let lines =
+        List.filter (( <> ) "") (String.split_on_char '\n' r.Client.body)
+      in
+      List.iter
+        (fun line ->
+          if Obs.Exposition.parse_sample line = None then
+            Alcotest.failf "status line %S is not [key value]" line)
+        lines;
+      Alcotest.(check bool) "config line" true
+        (Helpers.contains ~affix:"flash_config_info{" r.Client.body);
       Alcotest.(check bool) "latency line" true
-        (Helpers.contains ~affix:"latency:" r.Client.body))
+        (Helpers.contains ~affix:"\nflash_request_duration_seconds_count "
+           r.Client.body))
 
 (* ------------------------------------------------------------------ *)
 (* Path-resolution isolation of the endpoint                           *)
@@ -334,7 +388,7 @@ let test_status_shadows_docroot_file () =
   with_config (Server.default_config ~docroot) (fun _server port ->
       let r = get port "/server-status" in
       Alcotest.(check bool) "endpoint wins" true
-        (Helpers.contains ~affix:"mode:" r.Client.body);
+        (Helpers.contains ~affix:"flash_config_info{" r.Client.body);
       Alcotest.(check bool) "decoy not served" false
         (Helpers.contains ~affix:"DECOY" r.Client.body);
       (* Traversal cannot reach the endpoint by another spelling. *)
@@ -492,6 +546,8 @@ let suite =
     Alcotest.test_case "MT /server-status JSON" `Quick test_status_mt;
     Alcotest.test_case "MP /server-status JSON" `Quick test_status_mp;
     Alcotest.test_case "text status" `Quick test_status_text;
+    Alcotest.test_case "status numbers are lossless" `Quick
+      test_status_numbers_lossless;
     Alcotest.test_case "endpoint shadows docroot file" `Quick
       test_status_shadows_docroot_file;
     Alcotest.test_case "disabled endpoint serves docroot" `Quick

@@ -507,31 +507,12 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* Minimal scraping: first integer after ["key":]. *)
-let json_int body key =
-  let pat = Printf.sprintf "%S:" key in
-  let n = String.length body and m = String.length pat in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub body i m = pat then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let j = ref i in
-      while
-        !j < n && match body.[!j] with '0' .. '9' | '-' -> true | _ -> false
-      do
-        incr j
-      done;
-      int_of_string_opt (String.sub body i (!j - i))
-
 let scrape port =
   match
     Flash_live.Client.get ~host:"127.0.0.1" ~port "/server-status?json"
   with
-  | r when r.Flash_live.Client.status = 200 -> Some r.Flash_live.Client.body
+  | r when r.Flash_live.Client.status = 200 ->
+      Some (Test_status.parse_json r.Flash_live.Client.body)
   | _ -> None
   | exception _ -> None
 
@@ -568,19 +549,20 @@ let test_live_warm_from_log () =
     ~finally:(fun () -> Flash_live.Server.stop server)
     (fun () ->
       let port = Flash_live.Server.port server in
-      let got key =
+      let got ?labels name =
         match scrape port with
-        | Some body -> Option.value (json_int body key) ~default:0
-        | None -> 0
+        | Some j when Test_status.has_row j ?labels name ->
+            Test_status.to_int (Test_status.row j ?labels name)
+        | _ -> 0
       in
       (* The startup mining must drive a prefetch of hot.bin with no
          client having asked for it. *)
       Alcotest.(check bool) "prefetch completes" true
-        (wait_for ~tries:300 (fun () -> got "prefetch_completed" >= 1));
+        (wait_for ~tries:300 (fun () -> got "flash_warm_prefetch_completed_total" >= 1));
       Alcotest.(check bool) "entry pinned" true
-        (wait_for (fun () -> got "pinned_entries" >= 1));
+        (wait_for (fun () -> got "flash_warm_pinned_entries" >= 1));
       Alcotest.(check bool) "tracked paths exported" true
-        (got "tracked_paths" >= 1);
+        (got "flash_warm_tracked_paths" >= 1);
       (* First client request: a cache hit served from the prefetched
          entry, attributed to warming. *)
       let r = Flash_live.Client.get ~host:"127.0.0.1" ~port "/hot.bin" in
@@ -588,8 +570,8 @@ let test_live_warm_from_log () =
       Alcotest.(check int) "full body" 4096
         (String.length r.Flash_live.Client.body);
       Alcotest.(check bool) "hit attributed to warming" true
-        (wait_for (fun () -> got "hits_after_warm" >= 1));
-      Alcotest.(check bool) "served from cache" true (got "hits" >= 1);
+        (wait_for (fun () -> got "flash_warm_hits_after_warm_total" >= 1));
+      Alcotest.(check bool) "served from cache" true (got ~labels:[ ("cache", "file") ] "flash_cache_hits_total" >= 1);
       (* The metrics endpoint exports the warm family. *)
       let metrics =
         (Flash_live.Client.get ~host:"127.0.0.1" ~port "/metrics")
@@ -626,9 +608,9 @@ let test_live_warm_log_missing_is_harmless () =
         r.Flash_live.Client.status;
       (* Warming is on and cycling; demand just mined nothing yet. *)
       match scrape port with
-      | Some body ->
-          Alcotest.(check bool) "warm block present" true
-            (Helpers.contains ~affix:"\"cycles\"" body)
+      | Some j ->
+          Alcotest.(check bool) "warm rows present" true
+            (Test_status.has_row j "flash_warm_cycles_total")
       | None -> Alcotest.fail "no status")
 
 let suite =
