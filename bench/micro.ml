@@ -25,6 +25,44 @@ let bench_header_unaligned =
            (Http.Response.header ~status:Http.Status.Ok
               ~content_type:"text/html" ~content_length:8192 ())))
 
+(* The header work of one cache miss, as the live server's [build_entry]
+   does it: the ETag, then the 200 and 304 header pairs (keep-alive and
+   close each), with Date and Last-Modified, aligned to 32 bytes. *)
+let date = 1_760_000_000.5
+let mtime = 1_700_000_000.
+
+let bench_miss_fill =
+  Test.make ~name:"http.response.miss_fill(etag+4 headers)"
+    (Staged.stage (fun () ->
+         let etag = Http.Etag.make ~mtime ~size:8192 () in
+         ignore
+           (Http.Response.header_pair ~status:Http.Status.Ok ~date
+              ~last_modified:mtime ~content_type:"text/html"
+              ~content_length:8192
+              ~extra:[ ("ETag", etag); ("Accept-Ranges", "bytes") ]
+              ~align:32 ());
+         ignore
+           (Http.Response.header_pair ~status:Http.Status.Not_modified ~date
+              ~last_modified:mtime ~extra:[ ("ETag", etag) ] ~align:32 ())))
+
+(* A 206 renders its header per request. *)
+let bench_partial =
+  let etag = Http.Etag.make ~mtime ~size:8192 () in
+  Test.make ~name:"http.response.header(206)"
+    (Staged.stage (fun () ->
+         ignore
+           (Http.Response.header ~status:Http.Status.Partial_content ~date
+              ~last_modified:mtime ~content_type:"text/html"
+              ~content_length:1000 ~keep_alive:true
+              ~extra:
+                [
+                  ( "Content-Range",
+                    Http.Range.content_range ~off:100 ~len:1000 ~size:8192 );
+                  ("ETag", etag);
+                  ("Accept-Ranges", "bytes");
+                ]
+              ~align:32 ())))
+
 let bench_lru =
   let lru = Flash_util.Lru.create ~capacity:1024 () in
   for i = 0 to 1023 do
@@ -84,6 +122,8 @@ let tests =
       bench_parse;
       bench_header_aligned;
       bench_header_unaligned;
+      bench_miss_fill;
+      bench_partial;
       bench_lru;
       bench_zipf;
       bench_buffer_cache;

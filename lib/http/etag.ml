@@ -8,7 +8,8 @@ type t = { weak : bool; opaque : string }
    (gzip) append a suffix so each representation has its own tag, as
    RFC 9110 §8.8.3 requires. *)
 let make ?(suffix = "") ~mtime ~size () =
-  Printf.sprintf "\"%x-%x%s\"" (int_of_float (floor mtime)) size suffix
+  let mtime = Digits.hex (int_of_float (floor mtime)) in
+  String.concat "" [ "\""; mtime; "-"; Digits.hex size; suffix; "\"" ]
 
 let render t = if t.weak then "W/\"" ^ t.opaque ^ "\"" else "\"" ^ t.opaque ^ "\""
 

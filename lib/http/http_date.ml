@@ -167,13 +167,41 @@ let split_timestamp ts =
   let ss = secs mod 60 in
   (days, year, month, day, hh, mm, ss)
 
+(* The year as "%04d" spells it: at least four characters, zero-padded
+   after the sign, wider past 9999. *)
+let year_string year =
+  let s = Digits.decimal year in
+  let n = String.length s in
+  if n >= 4 then s
+  else if year < 0 then "-" ^ String.make (4 - n) '0' ^ String.sub s 1 (n - 1)
+  else String.make (4 - n) '0' ^ s
+
+let put2 b pos v =
+  Bytes.set b pos (Char.unsafe_chr (48 + (v / 10)));
+  Bytes.set b (pos + 1) (Char.unsafe_chr (48 + (v mod 10)))
+
+(* "Sun, 06 Nov 1994 08:49:37 GMT", written field by field into one
+   buffer: 29 bytes for years 0-9999. *)
 let format ts =
   let days, year, month, day, hh, mm, ss = split_timestamp ts in
-  Printf.sprintf "%s, %02d %s %04d %02d:%02d:%02d GMT"
-    weekday_names.(weekday_of_days days)
-    day
-    month_names.(month - 1)
-    year hh mm ss
+  let year = year_string year in
+  let p = 12 + String.length year in
+  let b = Bytes.create (p + 13) in
+  Bytes.blit_string weekday_names.(weekday_of_days days) 0 b 0 3;
+  Bytes.blit_string ", " 0 b 3 2;
+  put2 b 5 day;
+  Bytes.set b 7 ' ';
+  Bytes.blit_string month_names.(month - 1) 0 b 8 3;
+  Bytes.set b 11 ' ';
+  Bytes.blit_string year 0 b 12 (p - 12);
+  Bytes.set b p ' ';
+  put2 b (p + 1) hh;
+  Bytes.set b (p + 3) ':';
+  put2 b (p + 4) mm;
+  Bytes.set b (p + 6) ':';
+  put2 b (p + 7) ss;
+  Bytes.blit_string " GMT" 0 b (p + 9) 4;
+  Bytes.unsafe_to_string b
 
 let format_rfc850 ts =
   let days, year, month, day, hh, mm, ss = split_timestamp ts in

@@ -88,6 +88,8 @@ let plan value ~size =
 (* "bytes first-last/complete" for the 206's Content-Range field and
    "bytes */complete" for the 416's. *)
 let content_range ~off ~len ~size =
-  Printf.sprintf "bytes %d-%d/%d" off (off + len - 1) size
+  String.concat ""
+    [ "bytes "; Digits.decimal off; "-"; Digits.decimal (off + len - 1); "/";
+      Digits.decimal size ]
 
-let content_range_unsatisfied ~size = Printf.sprintf "bytes */%d" size
+let content_range_unsatisfied ~size = "bytes */" ^ Digits.decimal size

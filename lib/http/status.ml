@@ -46,4 +46,4 @@ let reason = function
   | Not_implemented -> "Not Implemented"
   | Service_unavailable -> "Service Unavailable"
 
-let line_fragment t = Printf.sprintf "%d %s" (code t) (reason t)
+let line_fragment t = String.concat " " [ Digits.decimal (code t); reason t ]

@@ -834,6 +834,7 @@ let gauge_max_name name =
   name = "flash_uptime_seconds" || name = "flash_slo_state"
   || name = "flash_guard_state" || name = "flash_loop_max_stall_seconds"
   || name = "flash_loop_stall_threshold_seconds"
+  || name = "flash_slo_burn_ratio" || name = "flash_slo_windows"
 
 (* The one walk behind every view of the counters: /metrics, both
    status pages, [stats] and [latency].  Unsharded it is this

@@ -236,6 +236,148 @@ let prop_alignment =
       let h = Response.header ~status:Status.Ok ~content_length:len ~align:32 () in
       String.length h mod 32 = 0)
 
+(* ------------------------- byte identity ------------------------- *)
+
+(* Every input the header renderers take, drawn at random and checked
+   against the Printf model in [Http_ref]. *)
+type render_case = {
+  status : Status.t;
+  version : string option;
+  server : string option;
+  content_type : string option;
+  content_length : int option;
+  keep_alive : bool option;
+  date : float option;
+  last_modified : float option;
+  extra : (string * string) list;
+  align : int option;
+  mtime : float;
+  suffix : string option;
+  size : int;
+  off : int;
+  len : int;
+}
+
+let all_statuses =
+  Status.
+    [
+      Ok; Partial_content; Moved_permanently; Not_modified; Bad_request;
+      Forbidden; Not_found; Precondition_failed; Range_not_satisfiable;
+      Request_timeout; Too_many_requests; Internal_server_error;
+      Not_implemented; Service_unavailable;
+    ]
+
+(* Timestamps across +-1e12 s: fractional, pre-1970, and years from
+   -29719 to 33658, so "%04d" meets signed and five-digit years.  The
+   first seconds of years 0 and 10000 get a share of their own. *)
+let gen_timestamp =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, float_range (-1e12) 1e12);
+        (1, float_range (-1e9) 4e9);
+        ( 1,
+          map2 ( +. )
+            (oneofl [ -62167219200.; 253402300800. ])
+            (float_range (-1e8) 1e8) );
+      ])
+
+let gen_render_case =
+  let open QCheck.Gen in
+  let text n = string_size ~gen:printable (int_range 0 n) in
+  let* status = oneofl all_statuses in
+  let* version = opt (oneofl [ "HTTP/1.0"; "HTTP/1.1" ]) in
+  let* server = opt (text 40) in
+  let* content_type = opt (text 24) in
+  let* content_length = opt (int_bound (1 lsl 40)) in
+  let* keep_alive = opt bool in
+  let* date = opt gen_timestamp in
+  let* last_modified = opt gen_timestamp in
+  let* extra = list_size (int_range 0 3) (pair (text 12) (text 24)) in
+  let* align = opt (int_range 1 64) in
+  let* mtime = gen_timestamp in
+  let* suffix = opt (oneof [ oneofl [ ""; "-gz"; "-br" ]; text 8 ]) in
+  let* size = int_bound (1 lsl 40) in
+  let* off = int_bound (1 lsl 40) in
+  let+ len = int_range 0 (1 lsl 40) in
+  {
+    status; version; server; content_type; content_length; keep_alive;
+    date; last_modified; extra; align; mtime; suffix; size; off; len;
+  }
+
+let print_render_case c =
+  let open QCheck.Print in
+  String.concat "\n"
+    [
+      "status " ^ int (Status.code c.status);
+      "version " ^ option string c.version;
+      "server " ^ option string c.server;
+      "content_type " ^ option string c.content_type;
+      "content_length " ^ option int c.content_length;
+      "keep_alive " ^ option bool c.keep_alive;
+      "date " ^ option float c.date;
+      "last_modified " ^ option float c.last_modified;
+      "extra " ^ list (pair string string) c.extra;
+      "align " ^ option int c.align;
+      "mtime " ^ float c.mtime;
+      "suffix " ^ option string c.suffix;
+      Printf.sprintf "size %d off %d len %d" c.size c.off c.len;
+    ]
+
+let prop_byte_identity =
+  Helpers.qcheck_case ~count:10_000
+    ~name:"renderers match the Printf model byte for byte"
+    (QCheck.make ~print:print_render_case gen_render_case)
+    (fun c ->
+      let same what got model =
+        got = model
+        || QCheck.Test.fail_reportf "%s: %S, model %S" what got model
+      in
+      let dates = List.filter_map Fun.id [ c.date; c.last_modified ] in
+      let header keep_alive =
+        Response.header ?version:c.version ?server:c.server
+          ?content_type:c.content_type ?content_length:c.content_length
+          ?keep_alive ?date:c.date ?last_modified:c.last_modified
+          ~extra:c.extra ?align:c.align ~status:c.status ()
+      and model keep_alive =
+        Http_ref.header ?version:c.version ?server:c.server
+          ?content_type:c.content_type ?content_length:c.content_length
+          ?keep_alive ?date:c.date ?last_modified:c.last_modified
+          ~extra:c.extra ?align:c.align ~status:c.status ()
+      in
+      let pair =
+        Response.header_pair ?version:c.version ?server:c.server
+          ?content_type:c.content_type ?content_length:c.content_length
+          ?date:c.date ?last_modified:c.last_modified ~extra:c.extra
+          ?align:c.align ~status:c.status ()
+      and model_pair =
+        Http_ref.header_pair ?version:c.version ?server:c.server
+          ?content_type:c.content_type ?content_length:c.content_length
+          ?date:c.date ?last_modified:c.last_modified ~extra:c.extra
+          ?align:c.align ~status:c.status ()
+      in
+      List.for_all
+        (fun ts -> same "date" (Http.Http_date.format ts) (Http_ref.date ts))
+        (c.mtime :: dates)
+      && same "status line"
+           (Status.line_fragment c.status)
+           (Http_ref.line_fragment c.status)
+      && same "header" (header c.keep_alive) (model c.keep_alive)
+      && same "keep-alive of pair" (fst pair) (fst model_pair)
+      && same "close of pair" (snd pair) (snd model_pair)
+      && same "error body"
+           (Response.error_body c.status)
+           (Http_ref.error_body c.status)
+      && same "etag"
+           (Http.Etag.make ?suffix:c.suffix ~mtime:c.mtime ~size:c.size ())
+           (Http_ref.etag ?suffix:c.suffix ~mtime:c.mtime ~size:c.size ())
+      && same "content range"
+           (Http.Range.content_range ~off:c.off ~len:c.len ~size:c.size)
+           (Http_ref.content_range ~off:c.off ~len:c.len ~size:c.size)
+      && same "unsatisfied range"
+           (Http.Range.content_range_unsatisfied ~size:c.size)
+           (Http_ref.content_range_unsatisfied ~size:c.size))
+
 let suite =
   [
     Alcotest.test_case "status codes" `Quick test_status_codes;
@@ -264,4 +406,5 @@ let suite =
     Alcotest.test_case "header framing" `Quick test_response_parses_back;
     Alcotest.test_case "error body" `Quick test_error_body;
     prop_alignment;
+    prop_byte_identity;
   ]

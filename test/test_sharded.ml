@@ -385,6 +385,50 @@ let test_sharded_loop_aggregates () =
         (Some (List.fold_left ( +. ) 0. shard_ready))
         agg_ready)
 
+(* The SLO gauges are a share and a count of one shard's windows, so
+   they do not add across shards either: with both shards burning their
+   whole budget, the aggregate burn is the worst shard's, not 2.0. *)
+let test_sharded_slo_aggregates () =
+  let docroot = Test_live.make_docroot () in
+  let base = Server.default_config ~docroot in
+  with_config
+    {
+      base with
+      Server.mode = Server.Sharded 2;
+      (* the hand-off ring deals connections to the shards in turn *)
+      force_handoff = true;
+      recorder_interval = 0.05;
+      (* a p50 of at most 1 ns: every window with traffic violates it *)
+      latency_slo = Some (50., 1e-6);
+    }
+    (fun _server port ->
+      for _ = 1 to 4 do
+        drive port 2;
+        Thread.delay 0.06
+      done;
+      let j = get_status_json port in
+      let split name =
+        let shards, agg =
+          List.partition
+            (fun (labels, _) -> List.mem_assoc "shard" labels)
+            (rows j name)
+        in
+        (List.map snd agg, List.map snd shards)
+      in
+      let agg_burn, shard_burns = split "flash_slo_burn_ratio" in
+      let agg_windows, shard_windows = split "flash_slo_windows" in
+      Alcotest.(check int) "a burn row per shard" 2 (List.length shard_burns);
+      Alcotest.(check bool) "both shards saw traffic" true
+        (List.for_all (fun w -> w >= 1.) shard_windows);
+      let worst = List.fold_left Float.max 0. in
+      Alcotest.(check (list (float 0.)))
+        "aggregate burn is the worst shard's" [ worst shard_burns ] agg_burn;
+      Alcotest.(check bool) "aggregate burn is a ratio" true
+        (List.for_all (fun b -> b > 0. && b <= 1.) agg_burn);
+      Alcotest.(check (list (float 0.)))
+        "aggregate windows are the most any shard has" [ worst shard_windows ]
+        agg_windows)
+
 (* The HTTP/1.1 conformance matrix extended to Sharded: the same wire
    bytes as AMPED for the whole torture table.  Lives here rather than
    in test_http11 because this suite must run last — OCaml 5 forbids
@@ -580,6 +624,8 @@ let suite =
       test_sharded_metrics;
     Alcotest.test_case "sharded loop gauges aggregate" `Quick
       test_sharded_loop_aggregates;
+    Alcotest.test_case "sharded SLO gauges aggregate with max" `Quick
+      test_sharded_slo_aggregates;
     Alcotest.test_case "HTTP/1.1 byte-identity vs AMPED" `Quick
       test_sharded_byte_identity;
     Alcotest.test_case "8 MB streamed intact" `Quick
