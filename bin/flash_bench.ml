@@ -341,9 +341,18 @@ let run host port path clients client_workers duration keep_alive scenario
   (match timeseries with
   | Some ts ->
       let rollups =
-        (* count rollup objects, not total braces: each rollup is one
-           flat object in the array *)
-        String.fold_left (fun acc c -> if c = '{' then acc + 1 else acc) 0 ts
+        (* Each rollup is one flat object in the array, so count the
+           braces outside string literals: labelled keys such as
+           [flash_cache_hits_total{cache="file"}] hold braces too. *)
+        let _, _, n =
+          String.fold_left
+            (fun (in_str, escaped, n) c ->
+              if escaped then (in_str, false, n)
+              else if in_str then (c <> '"', c = '\\', n)
+              else (c = '"', false, if c = '{' then n + 1 else n))
+            (false, false, 0) ts
+        in
+        n
       in
       Format.printf "recorder:   %d rollups captured@." rollups
   | None -> ());

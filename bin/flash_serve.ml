@@ -30,7 +30,7 @@ let parse_slo s =
 
 let serve docroot port mode domains event_backend helpers cache_mb cache_policy
     cache_admission cache_budget_mb no_cgi no_align no_writev no_gzip
-    gzip_lazy access_log access_log_timing access_log_paths status_path
+    access_log access_log_timing access_log_paths status_path
     no_status stall_ms no_trace trace_capacity trace_path slow_request_ms
     slow_request_log metrics_path no_metrics latency_slo recorder_dump
     recorder_interval guard warm_opts verbose =
@@ -110,7 +110,6 @@ let serve docroot port mode domains event_backend helpers cache_mb cache_policy
       slow_request_log;
       event_backend;
       gzip_precompressed = not no_gzip;
-      gzip_lazy = gzip_lazy && not no_gzip;
       metrics_path = (if no_metrics then None else Some metrics_path);
       latency_slo;
       recorder_interval;
@@ -397,16 +396,7 @@ let no_gzip =
     & info [ "no-gzip" ]
         ~doc:
           "Disable gzip content negotiation entirely: no .gz sibling \
-           lookup, no lazy variants, no Vary: Accept-Encoding header.")
-
-let gzip_lazy =
-  Arg.(
-    value & flag
-    & info [ "gzip-lazy" ]
-        ~doc:
-          "When no fresh .gz sibling exists, build a stored-block gzip \
-           variant of a cached file on demand and cache it beside its \
-           origin under the same budget.")
+           lookup, no Vary: Accept-Encoding header.")
 
 let access_log =
   Arg.(
@@ -705,7 +695,7 @@ let cmd =
       const serve $ docroot $ port $ mode $ domains $ event_backend $ helpers
       $ cache_mb $ cache_policy
       $ cache_admission $ cache_budget_mb $ no_cgi $ no_align $ no_writev
-      $ no_gzip $ gzip_lazy
+      $ no_gzip
       $ access_log $ access_log_timing $ access_log_paths $ status_path
       $ no_status $ stall_ms
       $ no_trace $ trace_capacity $ trace_path $ slow_request_ms

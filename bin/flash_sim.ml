@@ -90,7 +90,14 @@ let run server os dataset_mb clients duration persistent single_file_kb log
   | [] -> ()
   | _ ->
       let peak =
-        List.fold_left (fun m w -> Float.max m (Obs.Recorder.rps w)) 0. ts
+        List.fold_left
+          (fun m w ->
+            let n =
+              Obs.Registry.int_value w.Obs.Recorder.samples
+                "flash_http_requests_total"
+            in
+            Float.max m (float_of_int n /. w.Obs.Recorder.dur))
+          0. ts
       in
       Format.printf "recorder:   %d windows, peak %.1f req/s@."
         (List.length ts) peak);

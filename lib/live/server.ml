@@ -31,9 +31,6 @@ type config = {
       (* shared byte budget overlaying the file cache's own capacity *)
   event_backend : Evio.kind;  (* readiness mechanism for every loop *)
   gzip_precompressed : bool;  (* serve fresh [.gz] siblings to gzip clients *)
-  gzip_lazy : bool;
-      (* build stored-block gzip variants inline on demand and cache
-         them beside their origin under the same budget *)
   cgi_timeout : float;  (* kill CGI children streaming longer than this *)
   accept_fault : (unit -> bool) option;
       (* test seam: returning true makes the next accept behave as if
@@ -94,7 +91,6 @@ let default_config ~docroot =
        (or via "auto"). *)
     event_backend = Evio.Select;
     gzip_precompressed = true;
-    gzip_lazy = false;
     cgi_timeout = 300.;
     accept_fault = None;
     metrics_path = Some "/metrics";
@@ -538,8 +534,9 @@ let drain_stats_pipe t =
 
 (* All recorder access is serialised: ticks race between request paths,
    loop timers, status reads and dump requests (MT workers share one
-   recorder).  The read closure takes [stats_mutex]/[obs_mutex] inside;
-   nothing takes [recorder_mutex] while holding those. *)
+   recorder).  Its read is a registry walk, whose closures take
+   [stats_mutex]/[obs_mutex] inside; nothing takes [recorder_mutex]
+   while holding those. *)
 let with_recorder t f =
   match t.recorder with
   | None -> None
@@ -550,46 +547,6 @@ let with_recorder t f =
         (fun () -> Some (f r))
 
 let tick_recorder t = ignore (with_recorder t Obs.Recorder.tick)
-
-(* The recorder's cumulative snapshot: the same counters the registry
-   exposes, read under the same locks. *)
-let recorder_read t () =
-  drain_stats_pipe t;
-  let latency = with_obs_lock t (fun () -> Obs.Histogram.copy t.latency) in
-  let writev, writes, copied, sent =
-    with_obs_lock t (fun () ->
-        ( Obs.Counter.value t.writev_calls,
-          Obs.Counter.value t.write_calls,
-          Obs.Counter.value t.bytes_copied,
-          Obs.Counter.value t.bytes_sent ))
-  in
-  let wait, work =
-    (Obs.Loopstat.wait_time t.loopstat, Obs.Loopstat.work_time t.loopstat)
-  in
-  let cum =
-    {
-      Obs.Recorder.c_requests = t.n_requests;
-      c_bytes = sent;
-      c_writev = writev;
-      c_write = writes;
-      c_copied = copied;
-      c_cache_hits = File_cache.hits t.cache;
-      c_cache_misses = File_cache.misses t.cache;
-      c_errors = t.n_errors;
-      c_wait = wait;
-      c_work = work;
-      c_latency = latency;
-    }
-  in
-  let gauges =
-    {
-      Obs.Recorder.g_active = active_now t;
-      g_helper_queue =
-        (match t.helper with Some h -> Helper.queue_depth h | None -> 0);
-      g_mapped = mapped_now t;
-    }
-  in
-  (cum, gauges)
 
 (* ------------------------------------------------------------------ *)
 (* Request-lifecycle tracing                                           *)
@@ -836,31 +793,34 @@ let gauge_max_name name =
   || name = "flash_loop_stall_threshold_seconds"
   || name = "flash_slo_burn_ratio" || name = "flash_slo_windows"
 
+(* Every shard's walk, and the summed-at-snapshot aggregate over them
+   (shard label stripped — the consolidation the MP parent does over
+   its stats pipe, done here at collect time).  The coordinator's own
+   series join the aggregate only, so each appears there once. *)
+let shard_walks t shards =
+  let per_shard =
+    List.concat_map
+      (fun sh -> Obs.Registry.collect sh.registry)
+      (Array.to_list shards)
+  in
+  let coord = Option.value t.coord ~default:t in
+  ( Obs.Registry.aggregate ~gauge_max:gauge_max_name ~drop:"shard"
+      (Obs.Registry.collect coord.registry @ per_shard),
+    per_shard )
+
 (* The one walk behind every view of the counters: /metrics, both
    status pages, [stats] and [latency].  Unsharded it is this
    registry's walk; in an MP child that is the child's own view
    ([drain_stats_pipe] drains only in the parent, which owns the
-   pipe).  Sharded it is every shard's walk, preceded by the
-   summed-at-snapshot aggregate (shard label stripped — the
-   consolidation the MP parent does over its stats pipe, done here at
-   collect time).  The coordinator's own series join the aggregate
-   only, so each appears there once. *)
+   pipe).  Sharded it is every shard's walk, preceded by their
+   aggregate. *)
 let collect_for t =
   match shard_peers t with
   | None ->
       drain_stats_pipe t;
       Obs.Registry.collect t.registry
   | Some shards ->
-      let per_shard =
-        List.concat_map
-          (fun sh -> Obs.Registry.collect sh.registry)
-          (Array.to_list shards)
-      in
-      let coord = Option.value t.coord ~default:t in
-      let agg =
-        Obs.Registry.aggregate ~gauge_max:gauge_max_name ~drop:"shard"
-          (Obs.Registry.collect coord.registry @ per_shard)
-      in
+      let agg, per_shard = shard_walks t shards in
       Obs.Registry.sort_samples (agg @ per_shard)
 
 (* /metrics: the same walk, rendered as Prometheus text exposition. *)
@@ -895,19 +855,20 @@ let status_window (req : Http.Request.t) =
 (* Registry wiring                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Sharded: every series of a shard carries its shard id, so per-shard
+   and stripped-label aggregate rows coexist as unique (name, labels)
+   pairs in the combined exposition. *)
+let own_labels t =
+  match t.role with
+  | Shard_member { id; _ } -> [ ("shard", string_of_int id) ]
+  | Standalone | Shard_coordinator _ -> []
+
 (* Every metric is a closure reading live server state; nothing below
    may be called while holding [obs_mutex] ([collect] runs the closures,
    and the lock is not reentrant). *)
 let register_metrics t =
   let r = t.registry in
-  (* Sharded: stamp every series of this instance with its shard id, so
-     per-shard and stripped-label aggregate rows coexist as unique
-     (name, labels) pairs in the combined exposition. *)
-  let sl =
-    match t.role with
-    | Shard_member { id; _ } -> [ ("shard", string_of_int id) ]
-    | Standalone | Shard_coordinator _ -> []
-  in
+  let sl = own_labels t in
   let c ~name ~help ?(labels = []) read =
     Obs.Registry.counter r ~name ~help ~labels:(labels @ sl) read
   in
@@ -1214,13 +1175,12 @@ let guard_retry t =
 (* Does the server advertise alternate codings at all?  When it does,
    every file response carries [Vary: Accept-Encoding] — deterministic
    across requests so cached headers stay valid. *)
-let vary_gzip t = t.config.gzip_precompressed || t.config.gzip_lazy
-
-let vary_extra t = if vary_gzip t then [ ("Vary", "Accept-Encoding") ] else []
+let vary_extra t =
+  if t.config.gzip_precompressed then [ ("Vary", "Accept-Encoding") ] else []
 
 (* Did the client negotiate the gzip coding (and can we offer one)? *)
 let wants_gzip t (req : Http.Request.t) =
-  vary_gzip t
+  t.config.gzip_precompressed
   && Http.Negotiate.choose ~gzip_available:true
        (Http.Request.header req "accept-encoding")
      = Http.Negotiate.Gzip
@@ -1357,10 +1317,9 @@ let make_entry t fd full ~size ~mtime =
 
 (* Obtain the gzip representation of [full] for a client that
    negotiated it: the cached variant if its origin validators still
-   hold, else a fresh [.gz] sibling (never one staler than the origin),
-   else — when enabled — an inline stored-block compression of the
-   origin body.  The variant is cached beside its origin under the same
-   policy and budget; [None] means serve identity. *)
+   hold, else a fresh [.gz] sibling (never one staler than the origin).
+   The variant is cached beside its origin under the same policy and
+   budget; [None] means serve identity. *)
 let gzip_entry t ~full ~(origin : File_cache.entry) =
   let mtime = origin.File_cache.mtime and size = origin.File_cache.size in
   match
@@ -1369,48 +1328,23 @@ let gzip_entry t ~full ~(origin : File_cache.entry) =
   with
   | Some e -> Some e
   | None -> (
-      let from_sibling () =
-        if not t.config.gzip_precompressed then None
-        else
-          let sib = full ^ ".gz" in
-          match Unix.stat sib with
+      let sib = full ^ ".gz" in
+      match Unix.stat sib with
+      | exception Unix.Unix_error _ -> None
+      | st when st.Unix.st_kind = Unix.S_REG && st.Unix.st_mtime >= mtime -> (
+          match Unix.openfile sib [ Unix.O_RDONLY ] 0 with
           | exception Unix.Unix_error _ -> None
-          | st
-            when st.Unix.st_kind = Unix.S_REG && st.Unix.st_mtime >= mtime -> (
-              match Unix.openfile sib [ Unix.O_RDONLY ] 0 with
-              | exception Unix.Unix_error _ -> None
-              | fd ->
-                  let body, mapped =
-                    File_cache.map_body fd ~size:st.Unix.st_size
-                  in
-                  Unix.close fd;
-                  Some (body, mapped))
-          | _ -> None
-      in
-      let from_lazy () =
-        if not t.config.gzip_lazy then None
-        else begin
-          let n = Bigarray.Array1.dim origin.File_cache.body in
-          let gz =
-            Flash_util.Gzip.compress
-              (Iovec.sub_string origin.File_cache.body ~off:0 ~len:n)
-          in
-          (* The compressor reads the body and writes a fresh buffer:
-             a counted copy, like any miss-path materialisation. *)
-          count_send t ~writev:0 ~writes:0 ~copied:(String.length gz);
-          Some (Iovec.of_string gz, false)
-        end
-      in
-      match (match from_sibling () with None -> from_lazy () | s -> s) with
-      | None -> None
-      | Some (body, mapped) ->
-          let entry =
-            build_entry t ~body ~mapped ~mtime ~size
-              ~content_type:(Http.Mime.of_path full) ~encoding:(Some "gzip")
-          in
-          with_cache_lock t (fun () ->
-              File_cache.insert_variant t.cache full ~encoding:"gzip" entry);
-          Some entry)
+          | fd ->
+              let body, mapped = File_cache.map_body fd ~size:st.Unix.st_size in
+              Unix.close fd;
+              let entry =
+                build_entry t ~body ~mapped ~mtime ~size
+                  ~content_type:(Http.Mime.of_path full) ~encoding:(Some "gzip")
+              in
+              with_cache_lock t (fun () ->
+                  File_cache.insert_variant t.cache full ~encoding:"gzip" entry);
+              Some entry)
+      | _ -> None)
 
 (* Swap in the gzip representation when the client negotiated one and
    we can produce it; otherwise the identity entry stands. *)
@@ -2899,16 +2833,29 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         ~help:"Accepted connections shed because the hand-off ring was full."
         (fun () -> Obs.Counter.value t.handoff_shed)
   | Standalone | Shard_member _ -> register_metrics t);
-  (* Recorder after [register_metrics] (its read closure walks the same
-     counters) and before forks/threads, so every worker inherits it. *)
+  (* Recorder after [register_metrics] (it reads the registry) and
+     before forks/threads, so every worker inherits it.  It reads this
+     instance's own walk, except the coordinator's, which serves
+     nothing: it reads the shards' aggregate.  The SLO burns on this
+     instance's own latency series; the coordinator has none. *)
   t.recorder <-
     Some
       (Obs.Recorder.create
          ~capacity:(max 1 config.recorder_capacity)
          ~interval:config.recorder_interval ~now:config.clock
-         ~read:(recorder_read t)
+         ~read:(fun () ->
+           match role with
+           | Shard_coordinator _ -> fst (shard_walks t t.shards)
+           | Standalone | Shard_member _ ->
+               drain_stats_pipe t;
+               Obs.Registry.collect t.registry)
          ~on_rollup:(fun r ->
-           match t.slo with Some s -> Obs.Slo.observe s r | None -> ())
+           match (t.slo, role) with
+           | Some slo, (Standalone | Shard_member _) ->
+               Option.iter (Obs.Slo.observe slo)
+                 (Obs.Registry.hist_value ~labels:(own_labels t)
+                    r.Obs.Recorder.samples "flash_request_duration_seconds")
+           | Some _, Shard_coordinator _ | None, _ -> ())
          ());
   (match config.mode with
   | Mp n ->
@@ -3160,15 +3107,9 @@ let trace_chrome_json t =
   trace_body t
 
 (* SIGUSR1 / shutdown dump: flush the partial window, render the whole
-   ring.  Drains the stats pipe first so an MP parent's dump reflects
-   everything the children have shipped. *)
+   ring.  The flush's walk drains the stats pipe, so an MP parent's dump
+   reflects everything the children have shipped. *)
 let recorder_dump t =
-  drain_stats_pipe t;
   match with_recorder t Obs.Recorder.dump_json with
   | Some s -> s
   | None -> {|{"capacity": 0, "interval": 0, "rollups": []}|}
-
-let recorder_window t n =
-  match with_recorder t (fun r -> Obs.Recorder.window r n) with
-  | Some rs -> rs
-  | None -> []

@@ -190,12 +190,7 @@ type config = {
   gzip_precompressed : bool;
       (** serve a fresh [.gz] sibling (mtime at or after the origin's)
           to clients that negotiate gzip via Accept-Encoding (default
-          on); with either gzip option on, file responses carry
-          [Vary: Accept-Encoding] *)
-  gzip_lazy : bool;
-      (** when no sibling exists, build a stored-block gzip variant of
-          a cached body inline and cache it beside its origin under the
-          same policy and budget (default off) *)
+          on); when on, file responses carry [Vary: Accept-Encoding] *)
   cgi_timeout : float;
       (** kill CGI children still streaming after this many seconds;
           [0.] disables the deadline (default 300 s) *)
@@ -337,10 +332,7 @@ val trace_chrome_json : t -> string
 val metrics_body : t -> string
 
 (** Flight-recorder dump: flush the partial window, render the whole
-    ring as [{"capacity":…, "interval":…, "rollups":[…]}].  Wired to
-    SIGUSR1 by [flash_serve]. *)
+    ring as [{"capacity":…, "interval":…, "rollups":[…]}], each rollup
+    keyed as the status listing.  The sharded coordinator's windows
+    diff the shards' aggregate.  Wired to SIGUSR1 by [flash_serve]. *)
 val recorder_dump : t -> string
-
-(** Newest [n] flight-recorder rollups, oldest first — the data behind
-    [GET /server-status?window=N]. *)
-val recorder_window : t -> int -> Obs.Recorder.rollup list

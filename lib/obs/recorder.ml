@@ -1,52 +1,21 @@
-(* Flight recorder: a fixed-size ring of per-second rollups, each the
-   delta between two cumulative snapshots of the server's counters plus
-   instantaneous gauges sampled at window close.  Windows close lazily —
-   whoever touches the recorder (a timer tick, a status read, a dump)
-   calls [tick], so a quiet server simply produces one long window
-   instead of a backlog of empty ones. *)
+(* Flight recorder: a fixed-size ring of per-window rollups, each the
+   registry walk at window close diffed against the walk at window
+   open.  It names no metric — counters and histograms diff, gauges and
+   info series are read as they stand — so a window is keyed exactly
+   like every other view of the walk.  Windows close lazily — whoever
+   touches the recorder (a timer tick, a status read, a dump) calls
+   [tick], so a quiet server simply produces one long window instead of
+   a backlog of empty ones. *)
 
-type cum = {
-  c_requests : int;
-  c_bytes : int;
-  c_writev : int;
-  c_write : int;
-  c_copied : int;
-  c_cache_hits : int;
-  c_cache_misses : int;
-  c_errors : int;
-  c_wait : float;
-  c_work : float;
-  c_latency : Histogram.t;  (* a snapshot the reader already copied *)
-}
-
-type gauges = { g_active : int; g_helper_queue : int; g_mapped : int }
-
-type rollup = {
-  r_start : float;
-  r_dur : float;
-  requests : int;
-  bytes : int;
-  writev : int;
-  write : int;
-  copied : int;
-  cache_hits : int;
-  cache_misses : int;
-  errors : int;
-  wait : float;
-  work : float;
-  active : int;
-  helper_queue : int;
-  mapped : int;
-  latency : Histogram.t;  (* windowed: exact diff of the snapshots *)
-}
+type rollup = { start : float; dur : float; samples : Registry.sample list }
 
 type t = {
   capacity : int;
   interval : float;
   now : unit -> float;
-  read : unit -> cum * gauges;
+  read : unit -> Registry.sample list;
   on_rollup : rollup -> unit;
-  mutable prev : cum;
+  mutable prev : Registry.sample list;
   mutable window_start : float;
   mutable ring : rollup list;  (* newest first, length <= capacity *)
 }
@@ -54,8 +23,7 @@ type t = {
 let create ?(capacity = 120) ?(interval = 1.0) ~now ~read ?(on_rollup = fun _ -> ()) () =
   if capacity < 1 then invalid_arg "Obs.Recorder.create: capacity < 1";
   if not (interval > 0.) then invalid_arg "Obs.Recorder.create: interval <= 0";
-  let prev, _ = read () in
-  { capacity; interval; now; read; on_rollup; prev; window_start = now (); ring = [] }
+  { capacity; interval; now; read; on_rollup; prev = read (); window_start = now (); ring = [] }
 
 let capacity t = t.capacity
 let interval t = t.interval
@@ -68,30 +36,32 @@ let truncate n l =
   in
   go n l
 
+(* [walk] less [older], series by series.  A series [older] lacks
+   (registered or first aggregated mid-run) diffs against zero. *)
+let delta ~older walk =
+  let prev = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Registry.sample) ->
+      Hashtbl.replace prev (s.Registry.name, s.Registry.labels) s.Registry.value)
+    older;
+  List.map
+    (fun (s : Registry.sample) ->
+      match
+        (s.Registry.value, Hashtbl.find_opt prev (s.Registry.name, s.Registry.labels))
+      with
+      | Registry.Counter n, Some (Registry.Counter p) ->
+          { s with Registry.value = Registry.Counter (n - p) }
+      | Registry.Hist h, Some (Registry.Hist p) ->
+          { s with Registry.value = Registry.Hist (Histogram.diff h p) }
+      | _ -> s)
+    walk
+
 let close_window t now =
-  let cum, g = t.read () in
-  let p = t.prev in
+  let walk = t.read () in
   let r =
-    {
-      r_start = t.window_start;
-      r_dur = now -. t.window_start;
-      requests = cum.c_requests - p.c_requests;
-      bytes = cum.c_bytes - p.c_bytes;
-      writev = cum.c_writev - p.c_writev;
-      write = cum.c_write - p.c_write;
-      copied = cum.c_copied - p.c_copied;
-      cache_hits = cum.c_cache_hits - p.c_cache_hits;
-      cache_misses = cum.c_cache_misses - p.c_cache_misses;
-      errors = cum.c_errors - p.c_errors;
-      wait = cum.c_wait -. p.c_wait;
-      work = cum.c_work -. p.c_work;
-      active = g.g_active;
-      helper_queue = g.g_helper_queue;
-      mapped = g.g_mapped;
-      latency = Histogram.diff cum.c_latency p.c_latency;
-    }
+    { start = t.window_start; dur = now -. t.window_start; samples = delta ~older:t.prev walk }
   in
-  t.prev <- cum;
+  t.prev <- walk;
   t.window_start <- now;
   t.ring <- truncate t.capacity (r :: t.ring);
   t.on_rollup r
@@ -99,7 +69,7 @@ let close_window t now =
 let tick t =
   let now = t.now () in
   (* A window that overran (missed ticks on a blocked loop) closes as
-     one long window; [r_dur] carries the truth and rates divide by it. *)
+     one long window; [dur] carries the truth and rates divide by it. *)
   if now -. t.window_start >= t.interval then close_window t now
 
 (* Force the current (partial) window shut — dumps want the tail even
@@ -116,40 +86,23 @@ let all t =
   tick t;
   List.rev t.ring
 
-let rps r = if r.r_dur > 0. then float_of_int r.requests /. r.r_dur else 0.
-
-let hit_rate r =
-  let tot = r.cache_hits + r.cache_misses in
-  if tot = 0 then 0. else float_of_int r.cache_hits /. float_of_int tot
-
-let p_ms r p =
-  if Histogram.count r.latency = 0 then 0.
-  else
-    let v = Histogram.percentile r.latency p in
-    if Float.is_nan v then 0. else v *. 1000.
-
-let fnum f =
-  if not (Float.is_finite f) then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+(* Window bounds are Unix timestamps: fixed-point milliseconds keep
+   consecutive windows apart, where significant-digit formats round a
+   whole ring onto one start. *)
+let seconds = Printf.sprintf "%.3f"
 
 let rollup_json r =
-  Printf.sprintf
-    "{\"t\": %s, \"dur\": %s, \"requests\": %d, \"rps\": %s, \"bytes\": %d, \
-     \"writev_calls\": %d, \"write_calls\": %d, \"bytes_copied\": %d, \
-     \"cache_hits\": %d, \"cache_misses\": %d, \"hit_rate\": %s, \
-     \"errors\": %d, \"active\": %d, \"helper_queue\": %d, \
-     \"mapped_bytes\": %d, \"wait_s\": %s, \"work_s\": %s, \
-     \"latency_count\": %d, \"p50_ms\": %s, \"p99_ms\": %s}"
-    (fnum r.r_start) (fnum r.r_dur) r.requests (fnum (rps r)) r.bytes r.writev
-    r.write r.copied r.cache_hits r.cache_misses (fnum (hit_rate r)) r.errors
-    r.active r.helper_queue r.mapped (fnum r.wait) (fnum r.work)
-    (Histogram.count r.latency) (fnum (p_ms r 50.)) (fnum (p_ms r 99.))
+  String.concat ","
+    (Printf.sprintf "{\"t\":%s,\"dur\":%s" (seconds r.start) (seconds r.dur)
+    :: List.map
+         (fun (k, v) -> Json.str k ^ ":" ^ v)
+         (Exposition.listing r.samples))
+  ^ "}"
 
-let rollups_json rs = "[" ^ String.concat ", " (List.map rollup_json rs) ^ "]"
+let rollups_json rs = "[" ^ String.concat "," (List.map rollup_json rs) ^ "]"
 
 let dump_json t =
   flush t;
-  Printf.sprintf "{\"capacity\": %d, \"interval\": %s, \"rollups\": %s}"
-    t.capacity (fnum t.interval)
+  Printf.sprintf "{\"capacity\":%d,\"interval\":%g,\"rollups\":%s}" t.capacity
+    t.interval
     (rollups_json (List.rev t.ring))

@@ -1,66 +1,40 @@
-(** Flight recorder: a fixed-size ring of per-second rollups.
+(** Flight recorder: a fixed-size ring of per-window rollups of a
+    registry walk.
 
     The recorder is clocked externally ([now] is injected, so the
-    simulator drives it from the virtual clock) and reads cumulative
-    counters through a closure; every rollup is the delta between two
-    cumulative snapshots, plus instantaneous gauges sampled when the
-    window closes.  Windows close lazily on {!tick} — a blocked or idle
-    period becomes one long window whose [r_dur] carries the truth
-    rather than a backlog of empty windows. *)
+    simulator drives it from the virtual clock) and reads a walk through
+    a closure.  It names no metric: every rollup is the walk at window
+    close diffed against the walk at window open, series by series.
+    Windows close lazily on {!tick} — a blocked or idle period becomes
+    one long window whose [dur] carries the truth rather than a backlog
+    of empty windows. *)
 
-(** Cumulative snapshot, as read from the server under its own lock.
-    [c_latency] must be a private copy (the recorder keeps it). *)
-type cum = {
-  c_requests : int;
-  c_bytes : int;
-  c_writev : int;
-  c_write : int;
-  c_copied : int;
-  c_cache_hits : int;
-  c_cache_misses : int;
-  c_errors : int;
-  c_wait : float;
-  c_work : float;
-  c_latency : Histogram.t;
-}
-
-(** Instantaneous gauges sampled at window close. *)
-type gauges = { g_active : int; g_helper_queue : int; g_mapped : int }
-
+(** One closed window.  In [samples], counters and histograms hold the
+    window's deltas (a series absent from the previous walk diffs
+    against zero); gauges and info series hold their values at close.
+    A windowed histogram is the exact bucket/count/sum diff of the two
+    walks, so merging every rollup in the ring plus the pre-ring
+    remainder reproduces the cumulative histogram. *)
 type rollup = {
-  r_start : float;
-  r_dur : float;  (** > 0; rates divide by it *)
-  requests : int;
-  bytes : int;
-  writev : int;
-  write : int;
-  copied : int;
-  cache_hits : int;
-  cache_misses : int;
-  errors : int;
-  wait : float;
-  work : float;
-  active : int;
-  helper_queue : int;
-  mapped : int;
-  latency : Histogram.t;
-      (** windowed histogram: exact bucket/count/sum diff of the two
-          snapshots, so merging every rollup in the ring plus the
-          pre-ring remainder reproduces the global histogram *)
+  start : float;
+  dur : float;  (** > 0; rates divide by it *)
+  samples : Registry.sample list;  (** in the walk's order *)
 }
 
 type t
 
 (** [create ~now ~read ()] — [capacity] rollups are retained (default
     120), windows are [interval] seconds (default 1.0).  [read] is
-    called at every window close; [on_rollup] observes each closed
-    window (the SLO evaluator hooks here).
+    called at creation and at every window close; the histograms it
+    returns must be private copies (the recorder keeps them).
+    [on_rollup] observes each closed window (the SLO evaluator hooks
+    here).
     @raise Invalid_argument if [capacity < 1] or [interval <= 0]. *)
 val create :
   ?capacity:int ->
   ?interval:float ->
   now:(unit -> float) ->
-  read:(unit -> cum * gauges) ->
+  read:(unit -> Registry.sample list) ->
   ?on_rollup:(rollup -> unit) ->
   unit ->
   t
@@ -81,19 +55,11 @@ val window : t -> int -> rollup list
 (** Every retained rollup, oldest first.  Ticks first. *)
 val all : t -> rollup list
 
-(** Derived views. *)
-val rps : rollup -> float
-
-val hit_rate : rollup -> float
-
-(** [p_ms r p] — latency percentile of the window, in milliseconds;
-    [0.] when the window saw no requests. *)
-val p_ms : rollup -> float -> float
-
-(** JSON rendering shared by [?window=N], the SIGUSR1 dump and the
-    bench time series. *)
-val rollup_json : rollup -> string
-
+(** JSON array shared by [?window=N], the SIGUSR1 dump and the
+    simulator's time series.  Each rollup is one flat object: [t] and
+    [dur] in seconds at millisecond resolution, then the rows of
+    {!Exposition.listing} over its samples, keyed exactly as
+    [/server-status] and [/metrics] spell them. *)
 val rollups_json : rollup list -> string
 
 (** Flushes, then renders [{"capacity":…, "interval":…, "rollups":[…]}]. *)

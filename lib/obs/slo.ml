@@ -1,4 +1,4 @@
-(* Latency SLO evaluator over the flight recorder's rollups.  Burn is
+(* Latency SLO evaluator over windowed latency histograms.  Burn is
    the fraction of recent traffic-bearing windows whose windowed
    percentile exceeded the target; empty windows are skipped so an idle
    server neither heals nor burns its budget. *)
@@ -27,9 +27,9 @@ let quantile t = t.quantile
 let target_ms t = t.target_ms
 let budget t = t.budget
 
-let observe t (r : Recorder.rollup) =
-  if Histogram.count r.Recorder.latency > 0 then begin
-    let violated = Recorder.p_ms r t.quantile > t.target_ms in
+let observe t h =
+  if Histogram.count h > 0 then begin
+    let violated = Histogram.percentile h t.quantile *. 1000. > t.target_ms in
     if violated then t.violations <- t.violations + 1;
     let recent = violated :: t.recent in
     (* Evict beyond the horizon, keeping the violation count exact. *)

@@ -1,4 +1,4 @@
-(** Latency SLO evaluation over flight-recorder rollups.
+(** Latency SLO evaluation over windowed latency histograms.
 
     Error-budget burn is the fraction of the most recent
     traffic-bearing windows whose windowed latency percentile exceeded
@@ -27,8 +27,9 @@ val quantile : t -> float
 val target_ms : t -> float
 val budget : t -> float
 
-(** Feed one closed window (hook as the recorder's [on_rollup]). *)
-val observe : t -> Recorder.rollup -> unit
+(** Feed one closed window's latency histogram, in seconds (the
+    server passes its flight-recorder windows). *)
+val observe : t -> Histogram.t -> unit
 
 (** Traffic-bearing windows currently in the horizon. *)
 val windows : t -> int

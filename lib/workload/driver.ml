@@ -121,35 +121,41 @@ let run ?(seed = 7) ?(clients = 64) ?(persistent = false) ?link_rate
   Obs.Histogram.reset obs_latency;
   let cpu = Simos.Kernel.cpu kernel in
   let disk = Simos.Kernel.disk kernel in
-  (* Flight recorder on the virtual clock: the same per-window rollups
-     the live server keeps, so simulated experiments produce a time
-     series, not just end-state totals.  The read closure snapshots the
-     sim's cumulative counters; syscall/copy counters have no simulated
-     equivalent and stay zero. *)
+  (* Flight recorder on the virtual clock over the quantities the
+     simulator models, registered like the live server's: a quantity
+     the live server also measures takes its name, the client-side
+     response time and CPU busy time take flash_sim_ names, and what the
+     simulator does not model is absent. *)
+  let registry = Obs.Registry.create () in
+  let c ~name ~help ?labels read =
+    Obs.Registry.counter registry ~name ~help ?labels read
+  in
+  let pathname = [ ("cache", "pathname") ] in
+  c ~name:"flash_http_requests_total" ~help:"Responses fully transmitted."
+    (fun () -> Flash.Server.completed srv);
+  c ~name:"flash_http_errors_total" ~help:"Non-200 responses."
+    (fun () -> Flash.Server.errors srv);
+  c ~name:"flash_bytes_sent_total" ~help:"Response bytes delivered to clients."
+    (fun () -> Simos.Net.delivered_bytes net);
+  c ~name:"flash_cache_hits_total" ~help:"Pathname-translation cache hits."
+    ~labels:pathname (fun () -> Flash.Server.pathname_hits srv);
+  c ~name:"flash_cache_misses_total" ~help:"Pathname-translation cache misses."
+    ~labels:pathname (fun () -> Flash.Server.pathname_misses srv);
+  Obs.Registry.gauge registry ~name:"flash_active_connections"
+    ~help:"Connections draining response bytes through the NIC."
+    (fun () -> float_of_int (Simos.Net.active_drains net));
+  Obs.Registry.gauge registry ~name:"flash_sim_cpu_busy_seconds"
+    ~help:"Cumulative simulated CPU busy time."
+    (fun () -> Sim.Cpu.busy_time cpu);
+  Obs.Registry.histogram registry ~name:"flash_sim_client_response_seconds"
+    ~help:"Client-observed response time, request sent to response received."
+    (fun () -> Obs.Histogram.copy obs_latency);
   let recorder =
     Obs.Recorder.create
       ~capacity:(Stdlib.max 1 (int_of_float (Float.ceil (duration /. recorder_interval)) + 1))
       ~interval:recorder_interval
       ~now:(fun () -> Sim.Engine.now engine)
-      ~read:(fun () ->
-        ( {
-            Obs.Recorder.c_requests = Flash.Server.completed srv;
-            c_bytes = Simos.Net.delivered_bytes net;
-            c_writev = 0;
-            c_write = 0;
-            c_copied = 0;
-            c_cache_hits = Flash.Server.pathname_hits srv;
-            c_cache_misses = Flash.Server.pathname_misses srv;
-            c_errors = Flash.Server.errors srv;
-            c_wait = 0.;
-            c_work = Sim.Cpu.busy_time (Simos.Kernel.cpu kernel);
-            c_latency = Obs.Histogram.copy obs_latency;
-          },
-          {
-            Obs.Recorder.g_active = Simos.Net.active_drains net;
-            g_helper_queue = 0;
-            g_mapped = 0;
-          } ))
+      ~read:(fun () -> Obs.Registry.collect registry)
       ()
   in
   let rec tick_loop () =

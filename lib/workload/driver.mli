@@ -27,7 +27,12 @@ type result = {
   timeseries : Obs.Recorder.rollup list;
       (** per-window flight-recorder rollups over the measured interval,
           on the virtual clock, oldest first — the simulated counterpart
-          of the live server's [?window=N] view *)
+          of the live server's [?window=N] view.  Series the live server
+          also measures carry its names ([flash_http_requests_total],
+          [flash_bytes_sent_total], [flash_cache_hits_total{cache="pathname"}],
+          ...); client response time and CPU busy time are
+          [flash_sim_client_response_seconds] and
+          [flash_sim_cpu_busy_seconds]. *)
 }
 
 val pp_result : Format.formatter -> result -> unit

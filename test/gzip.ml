@@ -2,10 +2,9 @@
 
    The compressor emits *stored* (uncompressed) deflate blocks: valid
    gzip that any decompressor accepts, at a one-pass memcpy-plus-CRC32
-   cost.  That is the point — the server's lazy "compressor" exists to
-   exercise the Content-Encoding negotiation, variant caching and
-   Vary machinery, not to save bytes; sites that want real ratios
-   precompress .gz siblings offline and the server maps those.
+   cost.  The conformance suite writes its .gz sibling fixtures with
+   it, to exercise Content-Encoding negotiation, variant caching and
+   Vary, not to save bytes.
 
    The decompressor is a complete inflate (stored, fixed-Huffman and
    dynamic-Huffman blocks) so conformance tests can round-trip both our

@@ -2,10 +2,8 @@
 
     {!compress} frames its input in *stored* (uncompressed) deflate
     blocks — protocol-valid gzip any client inflates, produced in one
-    memcpy-plus-CRC32 pass.  It exists so the live server's lazy
-    variant builder can exercise Content-Encoding negotiation and
-    variant caching without a real deflate implementation; deployments
-    wanting actual ratios precompress [.gz] siblings offline.
+    memcpy-plus-CRC32 pass.  The conformance suite writes its [.gz]
+    sibling fixtures with it.
 
     {!decompress} is a complete inflate (stored, fixed- and
     dynamic-Huffman blocks) with header and CRC/length validation,

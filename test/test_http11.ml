@@ -2,7 +2,7 @@
    If-None-Match, If-Match, If-Unmodified-Since, their RFC 9110 §13.2.2
    precedence), byte ranges (single, suffix, clamped, unsatisfiable,
    If-Range gating) and Accept-Encoding negotiation of precompressed
-   and lazily built gzip variants.
+   gzip variants.
 
    Everything is driven over raw sockets by the table below, and the
    same table is replayed against all four architectures (AMPED, SPED,
@@ -10,7 +10,7 @@
    after masking the Date header — the protocol surface must not
    depend on the concurrency architecture.  Property tests then cover
    what a table cannot: random range windows reassembling to the exact
-   body, 304s never leaking payload bytes, the gzip codec
+   body, 304s never leaking payload bytes, the test gzip codec
    round-tripping, and the three accepted date formats re-parsing.
    Finally the /server-status?json send counters prove the cheap
    responses are cheap: a cached 304 and a cached single-range 206
@@ -20,7 +20,6 @@ module Server = Flash_live.Server
 module Raw = Helpers.Raw
 module Etag = Http.Etag
 module Http_date = Http.Http_date
-module Gzip = Flash_util.Gzip
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -44,11 +43,12 @@ type fixture = {
   mtime_a : float;
   etag_a : string;
   etag_a_gz : string;
-  gz_a : string;  (* what the lazy compressor will build for it *)
+  gz_a : string;  (* its .gz sibling *)
   date_a : string;  (* exact Last-Modified as IMF-fixdate *)
-  body_z : string;  (* /z.txt: has a .gz sibling on disk *)
+  body_z : string;  (* /z.txt: has a .gz sibling on disk too *)
   gz_z : string;
   etag_z_gz : string;
+  body_n : string;  (* /n.txt: has no sibling *)
 }
 
 let fixture =
@@ -60,10 +60,14 @@ let fixture =
      let body_z =
        String.concat "" (List.init 40 (fun i -> Printf.sprintf "zebra-%02d|" i))
      in
-     let gz_z = Gzip.compress body_z in
+     let gz_a = Gzip.compress body_a and gz_z = Gzip.compress body_z in
+     let body_n = "no precompressed sibling" in
      write_file (Filename.concat docroot "a.txt") body_a;
      write_file (Filename.concat docroot "z.txt") body_z;
-     (* Sibling written after the origin so its mtime is not staler. *)
+     write_file (Filename.concat docroot "n.txt") body_n;
+     (* Siblings written after their origins so their mtimes are not
+        staler. *)
+     write_file (Filename.concat docroot "a.txt.gz") gz_a;
      write_file (Filename.concat docroot "z.txt.gz") gz_z;
      Unix.mkdir (Filename.concat docroot "cgi-bin") 0o755;
      let cgi = Filename.concat docroot "cgi-bin/q.sh" in
@@ -79,24 +83,19 @@ let fixture =
        mtime_a;
        etag_a = Etag.make ~mtime:mtime_a ~size:size_a ();
        etag_a_gz = Etag.make ~suffix:"-gz" ~mtime:mtime_a ~size:size_a ();
-       gz_a = Gzip.compress body_a;
+       gz_a;
        date_a = Http_date.format (floor mtime_a);
        body_z;
        gz_z;
        etag_z_gz =
          Etag.make ~suffix:"-gz" ~mtime:st_z.Unix.st_mtime
            ~size:st_z.Unix.st_size ();
+       body_n;
      })
 
 let config_for mode =
   let fx = Lazy.force fixture in
-  {
-    (Server.default_config ~docroot:fx.docroot) with
-    Server.mode;
-    (* Exercise both variant sources: the on-disk sibling for /z.txt and
-       the inline stored-block compressor for /a.txt. *)
-    gzip_lazy = true;
-  }
+  { (Server.default_config ~docroot:fx.docroot) with Server.mode }
 
 let with_mode_server mode f =
   let server = Server.start_background (config_for mode) in
@@ -276,9 +275,9 @@ let table () =
     case "If-Range stale date sends the full body" 200
       ~headers:[ ("Range", "bytes=0-3"); ("If-Range", epoch) ]
       ~body:(Exact fx.body_a);
-    (* Accept-Encoding negotiation; /a.txt variants come from the lazy
-       stored-block compressor, /z.txt's from its on-disk sibling. *)
-    case "AE gzip gets the lazily built variant" 200
+    (* Accept-Encoding negotiation: /a.txt and /z.txt have on-disk .gz
+       siblings, /n.txt has none. *)
+    case "AE gzip gets the sibling variant" 200
       ~headers:[ ("Accept-Encoding", "gzip") ]
       ~has:
         [
@@ -329,6 +328,11 @@ let table () =
     case "sibling not served without negotiation" 200 ~target:"/z.txt"
       ~absent:[ "content-encoding" ]
       ~body:(Exact fx.body_z);
+    case "AE gzip without a sibling gets identity" 200 ~target:"/n.txt"
+      ~headers:[ ("Accept-Encoding", "gzip") ]
+      ~has:[ ("vary", "Accept-Encoding") ]
+      ~absent:[ "content-encoding" ]
+      ~body:(Exact fx.body_n);
     case "conditionals do not rescue a 404" 404 ~target:"/missing.txt"
       ~headers:[ ("If-None-Match", "*") ]
       ~absent:[ "etag" ];

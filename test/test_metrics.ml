@@ -197,11 +197,13 @@ let prop_listing_matches_exposition series =
 (* Flight recorder: rollups are exact deltas                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Drive a recorder from a manual clock over random traffic batches and
-   check that the ring is lossless: summing every window's request count
-   and merging every window's latency histogram reproduces the global
-   cumulative state exactly (bucket-for-bucket — Histogram.diff is
-   exact). *)
+(* Drive a recorder over a registry holding a counter, a gauge and a
+   histogram from a manual clock over random traffic batches, and check
+   that the ring is lossless: every counter's window deltas sum to its
+   final value and the merged window histograms equal the cumulative
+   one bucket for bucket (Histogram.diff is exact), while the gauge
+   reads its value at close.  A second counter over the same requests
+   is registered mid-run: its first window diffs against zero. *)
 let recorder_gen =
   QCheck.Gen.(
     list_size (int_range 1 25)
@@ -219,28 +221,23 @@ let drive_recorder batches =
   let now = ref 0. in
   let requests = ref 0 in
   let global = Obs.Histogram.create () in
-  let read () =
-    ( {
-        Obs.Recorder.c_requests = !requests;
-        c_bytes = !requests * 100;
-        c_writev = !requests;
-        c_write = 0;
-        c_copied = 0;
-        c_cache_hits = 0;
-        c_cache_misses = 0;
-        c_errors = 0;
-        c_wait = 0.;
-        c_work = 0.;
-        c_latency = Obs.Histogram.copy global;
-      },
-      { Obs.Recorder.g_active = 1; g_helper_queue = 0; g_mapped = 0 } )
-  in
+  let reg = Obs.Registry.create () in
+  Obs.Registry.counter reg ~name:"t_requests_total" ~help:"Requests."
+    (fun () -> !requests);
+  Obs.Registry.gauge reg ~name:"t_clock_seconds" ~help:"The clock."
+    (fun () -> !now);
+  Obs.Registry.histogram reg ~name:"t_duration_seconds" ~help:"Latency."
+    (fun () -> Obs.Histogram.copy global);
   let r =
     Obs.Recorder.create ~capacity:1000 ~interval:1.0 ~now:(fun () -> !now)
-      ~read ()
+      ~read:(fun () -> Obs.Registry.collect reg)
+      ()
   in
-  List.iter
-    (fun (latencies, dt) ->
+  List.iteri
+    (fun i (latencies, dt) ->
+      if i = List.length batches / 2 then
+        Obs.Registry.counter reg ~name:"t_late_total"
+          ~help:"Requests, registered mid-run." (fun () -> !requests);
       now := !now +. dt;
       List.iter
         (fun l ->
@@ -255,21 +252,44 @@ let drive_recorder batches =
 let prop_rollups_lossless batches =
   let r, total, global = drive_recorder batches in
   let rollups = Obs.Recorder.all r in
-  let sum_requests =
-    List.fold_left (fun a w -> a + w.Obs.Recorder.requests) 0 rollups
+  let sum name =
+    List.fold_left
+      (fun a w -> a + Obs.Registry.int_value w.Obs.Recorder.samples name)
+      0 rollups
   in
   let merged =
     List.fold_left
-      (fun acc w -> Obs.Histogram.merge acc w.Obs.Recorder.latency)
-      (Obs.Histogram.create ())
-      rollups
+      (fun acc w ->
+        match Obs.Registry.hist_value w.Obs.Recorder.samples "t_duration_seconds" with
+        | Some h -> Obs.Histogram.merge acc h
+        | None -> acc)
+      (Obs.Histogram.create ()) rollups
   in
-  sum_requests = total
+  sum "t_requests_total" = total
+  && sum "t_late_total" = total
   && Obs.Histogram.count merged = Obs.Histogram.count global
   && Helpers.float_eq ~eps:1e-6 (Obs.Histogram.sum merged)
        (Obs.Histogram.sum global)
   && Obs.Histogram.buckets merged = Obs.Histogram.buckets global
-  && List.for_all (fun w -> w.Obs.Recorder.r_dur > 0.) rollups
+  && List.for_all
+       (fun w ->
+         w.Obs.Recorder.dur > 0.
+         && Helpers.float_eq ~eps:1e-9
+              (Obs.Registry.float_value w.Obs.Recorder.samples "t_clock_seconds")
+              (w.Obs.Recorder.start +. w.Obs.Recorder.dur))
+       rollups
+
+let rollups_of j =
+  match member "rollups" j with
+  | Arr ws -> ws
+  | _ -> Alcotest.fail "rollups should be an array"
+
+let keys_of = function
+  | Obj kv -> List.map fst kv
+  | _ -> Alcotest.fail "expected a JSON object"
+
+(* A window's listing rows: its keys less [t] and [dur]. *)
+let row_keys w = List.filter (fun k -> k <> "t" && k <> "dur") (keys_of w)
 
 let test_dump_round_trips () =
   let r, total, _ =
@@ -278,22 +298,23 @@ let test_dump_round_trips () =
   let j = parse_json (Obs.Recorder.dump_json r) in
   Alcotest.(check int) "capacity" 1000 (to_int (member "capacity" j));
   Alcotest.(check (float 1e-9)) "interval" 1.0 (to_num (member "interval" j));
-  let rollups =
-    match member "rollups" j with
-    | Arr ws -> ws
-    | _ -> Alcotest.fail "rollups should be an array"
-  in
+  let rollups = rollups_of j in
   Alcotest.(check bool) "windows recorded" true (List.length rollups >= 2);
-  let dumped_requests =
-    List.fold_left (fun a w -> a + to_int (member "requests" w)) 0 rollups
+  let dumped name =
+    List.fold_left (fun a w -> a + to_int (member name w)) 0 rollups
   in
-  Alcotest.(check int) "dump is lossless on requests" total dumped_requests;
-  List.iter
-    (fun w ->
+  Alcotest.(check int) "dump is lossless on requests" total
+    (dumped "t_requests_total");
+  Alcotest.(check int) "and on the histogram's count" total
+    (dumped "t_duration_seconds_count");
+  List.iter2
+    (fun w r ->
       Alcotest.(check bool) "dur positive" true (to_num (member "dur" w) > 0.);
-      let rps = to_num (member "rps" w) in
-      Alcotest.(check bool) "rps finite and sane" true (rps >= 0. && rps < 1e6))
-    rollups
+      Alcotest.(check (list string))
+        "keyed as the status listing"
+        (List.map fst (Obs.Exposition.listing r.Obs.Recorder.samples))
+        (row_keys w))
+    rollups (Obs.Recorder.all r)
 
 (* ------------------------------------------------------------------ *)
 (* Live server: /metrics, ?window=N, SLO, MP gauges                    *)
@@ -304,6 +325,16 @@ let with_config config f =
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () -> f server (Server.port server))
+
+let await ?(tries = 80) pred =
+  let rec loop tries =
+    if pred () || tries = 0 then pred ()
+    else begin
+      Thread.delay 0.05;
+      loop (tries - 1)
+    end
+  in
+  loop tries
 
 let get port path = Client.get ~host:"127.0.0.1" ~port path
 
@@ -382,6 +413,10 @@ let test_metrics_disabled () =
       let r = get port "/metrics" in
       Alcotest.(check int) "plain 404 when disabled" 404 r.Client.status)
 
+(* A window's request count: the unlabelled row, which sharded is the
+   shards' aggregate. *)
+let window_requests w = to_int (member "flash_http_requests_total" w)
+
 let test_window_returns_rollups () =
   let docroot = Test_live.make_docroot () in
   with_config
@@ -395,40 +430,64 @@ let test_window_returns_rollups () =
       Alcotest.(check int) "window view 200" 200 r.Client.status;
       let j = parse_json r.Client.body in
       Alcotest.(check int) "echoes N" 50 (to_int (member "window" j));
-      let rollups =
-        match member "rollups" j with
-        | Arr ws -> ws
-        | _ -> Alcotest.fail "rollups should be an array"
-      in
+      let rollups = rollups_of j in
       Alcotest.(check bool) "several windows closed" true
         (List.length rollups >= 2);
-      let requests =
-        List.fold_left (fun a w -> a + to_int (member "requests" w)) 0 rollups
-      in
+      let requests = List.fold_left (fun a w -> a + window_requests w) 0 rollups in
       Alcotest.(check bool) "windows saw the traffic" true (requests >= 4);
       Alcotest.(check bool) "some window has non-zero rate" true
-        (List.exists (fun w -> to_num (member "rps" w) > 0.) rollups))
+        (List.exists
+           (fun w -> float_of_int (window_requests w) /. to_num (member "dur" w) > 0.)
+           rollups);
+      let status = List.sort compare (keys_of (get_status_json port)) in
+      List.iter
+        (fun w ->
+          Alcotest.(check (list string))
+            "a window's keys are the status listing's" status
+            (List.sort compare (row_keys w)))
+        rollups)
 
-let test_recorder_dump_parses () =
+(* What the SIGUSR1 handler writes, in [mode]: the windows cover the
+   requests served, tile time from one distinct start to the next, and
+   every key names a row of the same server's status listing. *)
+let test_recorder_dump_parses mode () =
   let docroot = Test_live.make_docroot () in
   with_config
-    { (Server.default_config ~docroot) with Server.recorder_interval = 0.05 }
+    {
+      (Server.default_config ~docroot) with
+      Server.mode;
+      recorder_interval = 0.05;
+    }
     (fun server port ->
       ignore (get port "/hello.txt");
       Thread.delay 0.12;
       ignore (get port "/hello.txt");
-      (* What the SIGUSR1 handler writes. *)
-      let j = parse_json (Server.recorder_dump server) in
-      let rollups =
-        match member "rollups" j with
-        | Arr ws -> ws
-        | _ -> Alcotest.fail "rollups should be an array"
+      let status = keys_of (get_status_json port) in
+      (* MP children report just after their response goes out. *)
+      ignore (await (fun () -> (Server.stats server).Server.requests >= 2));
+      let rollups = rollups_of (parse_json (Server.recorder_dump server)) in
+      Alcotest.(check bool) "dump has windows" true (List.length rollups >= 2);
+      let requests = List.fold_left (fun a w -> a + window_requests w) 0 rollups in
+      Alcotest.(check bool) "dump covers the requests" true (requests >= 2);
+      let rec tiles = function
+        | a :: (b :: _ as rest) ->
+            let ta = to_num (member "t" a) and tb = to_num (member "t" b) in
+            Alcotest.(check bool) "starts strictly increase" true (tb > ta);
+            Alcotest.(check (float 1.001e-3))
+              "a window ends where the next starts" tb
+              (ta +. to_num (member "dur" a));
+            tiles rest
+        | _ -> ()
       in
-      Alcotest.(check bool) "dump has windows" true (rollups <> []);
-      let requests =
-        List.fold_left (fun a w -> a + to_int (member "requests" w)) 0 rollups
-      in
-      Alcotest.(check bool) "dump covers the requests" true (requests >= 2))
+      tiles rollups;
+      List.iter
+        (fun w ->
+          List.iter
+            (fun k ->
+              if not (List.mem k status) then
+                Alcotest.failf "window key %s is not a status row" k)
+            (row_keys w))
+        rollups)
 
 let test_slo_health () =
   let docroot = Test_live.make_docroot () in
@@ -545,16 +604,6 @@ let prop_stats_frames (records, reads) =
    accumulate.  Two children, two persistent connections: the parent
    reports exactly two active connections no matter how many requests
    (and so gauge records) each child ships, and zero after both close. *)
-let await ?(tries = 80) pred =
-  let rec loop tries =
-    if pred () || tries = 0 then pred ()
-    else begin
-      Thread.delay 0.05;
-      loop (tries - 1)
-    end
-  in
-  loop tries
-
 let test_mp_gauges_sum_at_snapshot () =
   let docroot = Test_live.make_docroot () in
   with_config
@@ -623,7 +672,13 @@ let suite =
     Alcotest.test_case "?window=N returns live rollups" `Quick
       test_window_returns_rollups;
     Alcotest.test_case "SIGUSR1 dump body parses" `Quick
-      test_recorder_dump_parses;
+      (test_recorder_dump_parses Server.Amped);
+    Alcotest.test_case "SIGUSR1 dump body parses (SPED)" `Quick
+      (test_recorder_dump_parses Server.Sped);
+    Alcotest.test_case "SIGUSR1 dump body parses (MP 2)" `Quick
+      (test_recorder_dump_parses (Server.Mp 2));
+    Alcotest.test_case "SIGUSR1 dump body parses (MT 2)" `Quick
+      (test_recorder_dump_parses (Server.Mt 2));
     Alcotest.test_case "SLO health evaluates over windows" `Quick
       test_slo_health;
     Helpers.qcheck_case ~count:100

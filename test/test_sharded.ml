@@ -439,6 +439,12 @@ let test_sharded_byte_identity () =
   Test_http11.byte_identity_against_amped
     [ ("SHARDED", Server.Sharded 2) ]
 
+(* The SIGUSR1 dump comes from the coordinator, which serves nothing:
+   its windows diff the shards' aggregate, so they count the requests
+   the shards served. *)
+let test_sharded_recorder_dump =
+  Test_metrics.test_recorder_dump_parses (Server.Sharded 2)
+
 (* The streamed-file and pipelining checks of test_sendpath, for the
    fifth mode. *)
 let test_sharded_streamed_file_intact =
@@ -628,6 +634,8 @@ let suite =
       test_sharded_slo_aggregates;
     Alcotest.test_case "HTTP/1.1 byte-identity vs AMPED" `Quick
       test_sharded_byte_identity;
+    Alcotest.test_case "SIGUSR1 dump body parses (sharded 2)" `Quick
+      test_sharded_recorder_dump;
     Alcotest.test_case "8 MB streamed intact" `Quick
       test_sharded_streamed_file_intact;
     Alcotest.test_case "per-shard guard enforces conn caps" `Quick

@@ -229,7 +229,16 @@ let test_driver_single_file_run () =
   Alcotest.(check string) "label" "Flash" r.Workload.Driver.label;
   Alcotest.(check bool) "latency percentiles sane" true
     (r.Workload.Driver.latency_p50_ms > 0.
-    && r.Workload.Driver.latency_p50_ms <= r.Workload.Driver.latency_p95_ms)
+    && r.Workload.Driver.latency_p50_ms <= r.Workload.Driver.latency_p95_ms);
+  (* The recorder's windows tile the measured interval. *)
+  Alcotest.(check int) "windows count every completion"
+    r.Workload.Driver.completed
+    (List.fold_left
+       (fun a w ->
+         a
+         + Obs.Registry.int_value w.Obs.Recorder.samples
+             "flash_http_requests_total")
+       0 r.Workload.Driver.timeseries)
 
 let test_driver_deterministic () =
   let fileset =
