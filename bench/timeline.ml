@@ -50,7 +50,7 @@ let run_one (config : Flash.Config.t) ~out =
         (fun data -> Format.printf "  %s@." (Obs.Trace.summary data))
         (Obs.Trace.snapshot tracer);
       let oc = open_out out in
-      output_string oc (Obs.Trace.to_chrome_json tracer);
+      output_string oc (Obs.Trace.to_chrome_json (Obs.Trace.snapshot tracer));
       output_char oc '\n';
       close_out oc;
       Format.printf "  wrote %s (load it in Perfetto)@." out

@@ -129,6 +129,16 @@ type stats = {
   accept_emfile : int;
 }
 
+(* MP parent: one child's report pipe and the walk it last reported.
+   The read end is closed only at teardown, so a snapshot caller's
+   drain never reads a recycled descriptor. *)
+type member = {
+  input : Unix.file_descr;  (* read end, nonblocking *)
+  decoder : Stats_frame.decoder;
+  mutable walk : Obs.Registry.sample list;  (* kept after the child exits *)
+  mutable eof : bool;
+}
+
 type conn_state =
   | Reading
   | Waiting_helper of Http.Request.t * string  (* request, full path *)
@@ -187,13 +197,14 @@ and timer_ev =
   | T_xfer of conn  (* guard: minimum-transfer-rate check *)
   | T_guard_tick  (* guard: SLO shedder + peer-ledger sweep *)
   | T_warm  (* warming: mine, re-pin the hot tier, issue prefetches *)
+  | T_report  (* MP child: the report a recent one deferred *)
 
 (* Who a ready file descriptor belongs to. *)
 and fd_owner =
   | O_listen
   | O_wake
   | O_helper
-  | O_stats  (* MP parent: the children's stats pipe *)
+  | O_report of member  (* MP parent: one child's report pipe *)
   | O_client of conn
   | O_cgi of conn
 
@@ -257,26 +268,21 @@ type warm_state = {
 
 let warmed_limit = 4096
 
-(* MP consolidation over the stats pipe (see {!Stats_frame}).  The
-   parent makes the pipe before forking; each child swaps its copy of
-   this field for [Mp_child] right after the fork. *)
+(* MP consolidation: each child reports its walk over a pipe of its
+   own (see {!Stats_frame}).  The parent sets [Mp_parent] once its
+   children are forked; each child sets [Mp_child] right after its
+   fork. *)
 type mp_link =
   | Mp_none
   | Mp_parent of {
-      pipe : Unix.file_descr;  (* read end, nonblocking *)
-      keep : Unix.file_descr;  (* write end, held so the pipe never EOFs *)
-      decoder : Stats_frame.decoder;
-      (* pid -> (active connections, mapped bytes): each child's latest
-         gauges, summed at snapshot, never accumulated. *)
-      gauges : (int, int * int) Hashtbl.t;
+      members : member list;
+      buf : Bytes.t;  (* read scratch, used under [stats_mutex] *)
     }
   | Mp_child of {
-      out : Unix.file_descr;
-      pid : int;
-      mutable sent : int array;  (* counters at the last record *)
-      mutable sent_gauges : int * int;
-      mutable latencies : float list;  (* newest first *)
-      mutable traces : string list;  (* newest first *)
+      out : Unix.file_descr;  (* write end, blocking *)
+      mutable reported_at : float;  (* clock at the last busy-turn report *)
+      mutable deferred : timer_ev Evio.Timer_wheel.timer option;
+      pending : Obs.Trace.trace_data Queue.t;  (* finished, not yet reported *)
     }
 
 type t = {
@@ -298,8 +304,8 @@ type t = {
   mutable n_errors : int;
   log_channel : out_channel option;
   mutable mp : mp_link;
-  (* Serialises stats-pipe reads and the child gauges: the parent loop
-     and snapshot callers both drain. *)
+  (* Serialises report-pipe reads and the members' walks: the parent
+     loop and snapshot callers both drain. *)
   stats_mutex : Mutex.t;
   (* MT mode: threads share the cache; systhreads interleave at
      allocation points, so cache access is serialized. *)
@@ -385,10 +391,6 @@ let with_obs_lock t f =
   Mutex.lock t.obs_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.obs_mutex) f
 
-(* ------------------------------------------------------------------ *)
-(* MP consolidation over the stats pipe                               *)
-(* ------------------------------------------------------------------ *)
-
 let status_class_names = [| "2xx"; "3xx"; "4xx"; "5xx" |]
 
 (* Count a response by status class (2xx/3xx/4xx/5xx). *)
@@ -396,137 +398,6 @@ let count_status t code =
   let cls = Stdlib.min 3 (Stdlib.max 0 ((code / 100) - 2)) in
   with_obs_lock t (fun () ->
       t.status_classes.(cls) <- t.status_classes.(cls) + 1)
-
-(* The counters an MP child reports as deltas, in wire order;
-   [add_counters] folds them into the parent. *)
-let counter_vector t =
-  with_obs_lock t (fun () ->
-      [|
-        t.n_requests;
-        t.n_errors;
-        t.n_connections;
-        t.status_classes.(0);
-        t.status_classes.(1);
-        t.status_classes.(2);
-        t.status_classes.(3);
-        Obs.Counter.value t.writev_calls;
-        Obs.Counter.value t.write_calls;
-        Obs.Counter.value t.bytes_copied;
-        Obs.Counter.value t.bytes_sent;
-        Obs.Counter.value t.accept_emfile;
-        Obs.Loopstat.timer_fires t.loopstat;
-      |])
-
-let add_counters t = function
-  | [| requests; errors; conns; c2; c3; c4; c5; writev; writes; copied; sent;
-       emfile; fires |] ->
-      with_obs_lock t (fun () ->
-          t.n_requests <- t.n_requests + requests;
-          t.n_errors <- t.n_errors + errors;
-          t.n_connections <- t.n_connections + conns;
-          List.iteri
-            (fun i d -> t.status_classes.(i) <- t.status_classes.(i) + d)
-            [ c2; c3; c4; c5 ];
-          Obs.Counter.add t.writev_calls writev;
-          Obs.Counter.add t.write_calls writes;
-          Obs.Counter.add t.bytes_copied copied;
-          Obs.Counter.add t.bytes_sent sent;
-          Obs.Counter.add t.accept_emfile emfile;
-          Obs.Loopstat.timers_fired t.loopstat fires)
-  | _ -> ()  (* a continuation frame carries no counters *)
-
-let local_gauges t =
-  ( with_obs_lock t (fun () -> Obs.Gauge.value t.active),
-    File_cache.mapped_bytes t.cache )
-
-(* (active connections, mapped bytes).  The MP parent sums each child's
-   latest report; everywhere else the local instruments are the truth. *)
-let gauges_now t =
-  match t.mp with
-  | Mp_parent p ->
-      Mutex.lock t.stats_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.stats_mutex)
-        (fun () ->
-          Hashtbl.fold
-            (fun _ (a, m) (sa, sm) -> (sa + a, sm + m))
-            p.gauges (0, 0))
-  | Mp_none | Mp_child _ -> local_gauges t
-
-let active_now t = fst (gauges_now t)
-let mapped_now t = snd (gauges_now t)
-
-(* The one writer of the stats pipe.  An MP child's loop calls it once
-   per iteration, and it sends a record only when something moved since
-   the last one.  A no-op outside MP children. *)
-let ship_stats t =
-  match t.mp with
-  | Mp_child c ->
-      let counters = counter_vector t and gauges = local_gauges t in
-      if
-        counters <> c.sent || gauges <> c.sent_gauges || c.latencies <> []
-        || c.traces <> []
-      then begin
-        let record =
-          {
-            Stats_frame.pid = c.pid;
-            active = fst gauges;
-            mapped = snd gauges;
-            counters = Array.mapi (fun i v -> v - c.sent.(i)) counters;
-            latencies = List.rev c.latencies;
-            traces = List.rev c.traces;
-          }
-        in
-        List.iter
-          (fun frame ->
-            try ignore (Unix.write_substring c.out frame 0 (String.length frame))
-            with Unix.Unix_error _ -> ())
-          (Stats_frame.encode record);
-        c.sent <- counters;
-        c.sent_gauges <- gauges;
-        c.latencies <- [];
-        c.traces <- []
-      end
-  | Mp_none | Mp_parent _ -> ()
-
-let apply_record t gauges (r : Stats_frame.t) =
-  add_counters t r.Stats_frame.counters;
-  Hashtbl.replace gauges r.Stats_frame.pid
-    (r.Stats_frame.active, r.Stats_frame.mapped);
-  with_obs_lock t (fun () ->
-      List.iter (Obs.Histogram.record t.latency) r.Stats_frame.latencies;
-      match t.tracer with
-      | Some tracer ->
-          List.iter
-            (fun s ->
-              match Obs.Trace.of_binary s ~pos:0 with
-              | Some (data, _) -> Obs.Trace.ingest tracer data
-              | None -> ())
-            r.Stats_frame.traces
-      | None -> ())
-
-(* The one reader, run by the parent's loop when the pipe is readable
-   and on demand before every snapshot, so views are current between
-   loop wakeups.  A no-op outside the MP parent. *)
-let drain_stats_pipe t =
-  match t.mp with
-  | Mp_parent p ->
-      let buf = Bytes.create Stats_frame.max_frame in
-      Mutex.lock t.stats_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.stats_mutex)
-        (fun () ->
-          let rec loop () =
-            match Unix.read p.pipe buf 0 (Bytes.length buf) with
-            | n when n > 0 ->
-                List.iter (apply_record t p.gauges)
-                  (Stats_frame.feed p.decoder buf n);
-                loop ()
-            | _ -> ()
-            | exception Unix.Unix_error _ -> ()
-          in
-          loop ())
-  | Mp_none | Mp_child _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder plumbing                                            *)
@@ -622,7 +493,7 @@ let log_slow t (data : Obs.Trace.trace_data) =
 (* Close the in-flight request's trace: response bytes are out (or the
    connection died).  Pushes it into the ring and, past the threshold,
    into the slow-request log; an MP child also queues it for the
-   parent's ring. *)
+   parent's ring, keeping no more than that ring holds. *)
 let finish_request_trace ?(closing = false) t conn =
   match t.tracer with
   | None -> ()
@@ -645,7 +516,10 @@ let finish_request_trace ?(closing = false) t conn =
           conn.write_span <- None;
           conn.reqs_served <- conn.reqs_served + 1;
           (match t.mp with
-          | Mp_child c -> c.traces <- Obs.Trace.to_binary data :: c.traces
+          | Mp_child c ->
+              Queue.push data c.pending;
+              if Queue.length c.pending > Obs.Trace.capacity tracer then
+                ignore (Queue.pop c.pending)
           | Mp_none | Mp_parent _ -> ());
           log_slow t data)
 
@@ -694,9 +568,6 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
 let record_latency t conn =
   let dt = t.config.clock () -. conn.req_start in
   with_obs_lock t (fun () -> Obs.Histogram.record t.latency dt);
-  (match t.mp with
-  | Mp_child c -> c.latencies <- dt :: c.latencies
-  | Mp_none | Mp_parent _ -> ());
   with_tracer t (fun tracer ->
       (match conn.work_span with
       | Some sp ->
@@ -758,16 +629,60 @@ let is_trace_request t (req : Http.Request.t) =
 
 (* Same raw-path matching as the status endpoint.  In MP children this
    serves the child-local view (the consolidated one lives in the
-   parent, which owns the stats pipe). *)
+   parent, which reads the report pipes). *)
 let is_metrics_request t (req : Http.Request.t) =
   match t.config.metrics_path with
   | None -> false
   | Some mp -> String.equal req.Http.Request.path mp
 
-let trace_body t =
-  match t.tracer with
-  | None -> {|{"traceEvents":[]}|}
-  | Some tracer -> with_obs_lock t (fun () -> Obs.Trace.to_chrome_json tracer)
+(* ------------------------------------------------------------------ *)
+(* MP consolidation over the report pipes                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One read of a child's pipe: each report it completes replaces the
+   child's walk, and its traces join the parent's ring.  False when the
+   pipe has nothing more (at EOF, which marks the member, too).  Call
+   under [stats_mutex]. *)
+let read_member t buf m =
+  match Unix.read m.input buf 0 (Bytes.length buf) with
+  | 0 ->
+      m.eof <- true;
+      false
+  | n ->
+      List.iter
+        (fun (r : Stats_frame.t) ->
+          m.walk <- r.Stats_frame.walk;
+          with_tracer t (fun tracer ->
+              List.iter (Obs.Trace.ingest tracer) r.Stats_frame.traces))
+        (Stats_frame.feed m.decoder buf n);
+      true
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      false
+  | exception Unix.Unix_error _ ->
+      m.eof <- true;
+      false
+
+let drain_member t buf m =
+  if not m.eof then while read_member t buf m do () done
+
+(* The MP parent's one reader, run by its loop when a pipe is readable
+   and on demand before every snapshot, so views are current between
+   loop wakeups.  Returns each child's latest walk; [] outside the MP
+   parent. *)
+let drain_reports t =
+  match t.mp with
+  | Mp_parent { members; buf } ->
+      Mutex.lock t.stats_mutex;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.stats_mutex)
+        (fun () ->
+          List.map
+            (fun m ->
+              drain_member t buf m;
+              m.walk)
+            members)
+  | Mp_none | Mp_child _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Status rendering                                                    *)
@@ -786,42 +701,83 @@ let shard_peers t =
   | Shard_member _ | Shard_coordinator _ ->
       if Array.length t.shards = 0 then None else Some t.shards
 
-(* Gauges that are not additive across shards: aggregate with max. *)
+(* Gauges that are not additive across members (shards, MP children):
+   fold with max. *)
 let gauge_max_name name =
   name = "flash_uptime_seconds" || name = "flash_slo_state"
   || name = "flash_guard_state" || name = "flash_loop_max_stall_seconds"
   || name = "flash_loop_stall_threshold_seconds"
   || name = "flash_slo_burn_ratio" || name = "flash_slo_windows"
 
-(* Every shard's walk, and the summed-at-snapshot aggregate over them
-   (shard label stripped — the consolidation the MP parent does over
-   its stats pipe, done here at collect time).  The coordinator's own
-   series join the aggregate only, so each appears there once. *)
-let shard_walks t shards =
-  let per_shard =
-    List.concat_map
-      (fun sh -> Obs.Registry.collect sh.registry)
-      (Array.to_list shards)
-  in
-  let coord = Option.value t.coord ~default:t in
-  ( Obs.Registry.aggregate ~gauge_max:gauge_max_name ~drop:"shard"
-      (Obs.Registry.collect coord.registry @ per_shard),
-    per_shard )
+(* Fold member walks into one view, summed at snapshot: the shard label
+   stripped, counters and gauges summed (max for [gauge_max_name]),
+   histograms merged. *)
+let fold_walks walks =
+  Obs.Registry.aggregate ~gauge_max:gauge_max_name ~drop:"shard"
+    (List.concat walks)
+
+let shard_walks shards =
+  List.map (fun sh -> Obs.Registry.collect sh.registry) (Array.to_list shards)
+
+(* What this instance reports: its own walk, or, for an instance that
+   serves nothing, the fold of its members' walks.  The sharded
+   coordinator folds its own (the hand-off shed count, so it appears
+   once) with every shard's ([per_shard] when the caller holds them);
+   the MP parent folds each child's latest report.  The recorder reads
+   this, and [collect_for] builds every other view on it. *)
+let report ?per_shard t =
+  match (t.role, t.mp) with
+  | Shard_coordinator _, _ ->
+      let per_shard =
+        match per_shard with Some w -> w | None -> shard_walks t.shards
+      in
+      fold_walks (Obs.Registry.collect t.registry :: per_shard)
+  | _, Mp_parent _ -> fold_walks (drain_reports t)
+  | _, (Mp_none | Mp_child _) -> Obs.Registry.collect t.registry
 
 (* The one walk behind every view of the counters: /metrics, both
-   status pages, [stats] and [latency].  Unsharded it is this
-   registry's walk; in an MP child that is the child's own view
-   ([drain_stats_pipe] drains only in the parent, which owns the
-   pipe).  Sharded it is every shard's walk, preceded by their
-   aggregate. *)
+   status pages, [stats] and [latency].  Unsharded it is what this
+   instance reports (an MP child's is its own view).  Sharded it is
+   the coordinator's report, the shards' aggregate, followed by every
+   shard's walk. *)
 let collect_for t =
   match shard_peers t with
-  | None ->
-      drain_stats_pipe t;
-      Obs.Registry.collect t.registry
+  | None -> report t
   | Some shards ->
-      let agg, per_shard = shard_walks t shards in
-      Obs.Registry.sort_samples (agg @ per_shard)
+      let per_shard = shard_walks shards in
+      Obs.Registry.sort_samples
+        (report ~per_shard (Option.value t.coord ~default:t)
+        @ List.concat per_shard)
+
+(* One instance's trace ring, oldest first. *)
+let ring t =
+  match t.tracer with
+  | None -> []
+  | Some tracer -> with_obs_lock t (fun () -> Obs.Trace.snapshot tracer)
+
+(* The traces every trace view renders: this instance's ring (an MP
+   parent's with the pipes drained first), or, sharded, every shard's
+   ring, each read under its own shard's lock, merged in completion
+   order, oldest first, with the ids made distinct across shards. *)
+let traces t =
+  match shard_peers t with
+  | None ->
+      ignore (drain_reports t);
+      ring t
+  | Some shards ->
+      let n = Array.length shards in
+      List.concat
+        (List.mapi
+           (fun i sh ->
+             List.map
+               (fun (d : Obs.Trace.trace_data) ->
+                 { d with Obs.Trace.id = (d.Obs.Trace.id * n) + i })
+               (ring sh))
+           (Array.to_list shards))
+      |> List.stable_sort (fun (a : Obs.Trace.trace_data) b ->
+             Float.compare a.Obs.Trace.t_end b.Obs.Trace.t_end)
+
+let trace_body t = Obs.Trace.to_chrome_json (traces t)
 
 (* /metrics: the same walk, rendered as Prometheus text exposition. *)
 let metrics_body t = Obs.Exposition.render (collect_for t)
@@ -915,7 +871,7 @@ let register_metrics t =
   g ~name:"flash_active_connections"
     ~help:
       "Connections currently open (MP: summed over children at snapshot)."
-    (fun () -> float_of_int (active_now t));
+    (locked (fun () -> float_of_int (Obs.Gauge.value t.active)));
   c ~name:"flash_writev_calls_total" ~help:"Gather writes issued."
     (locked (fun () -> Obs.Counter.value t.writev_calls));
   c ~name:"flash_write_calls_total" ~help:"Scalar/fallback writes issued."
@@ -955,7 +911,7 @@ let register_metrics t =
   g ~name:"flash_cache_mapped_bytes"
     ~help:
       "File bytes currently mmapped (MP: summed over children at snapshot)."
-    (fun () -> float_of_int (mapped_now t));
+    (fun () -> float_of_int (File_cache.mapped_bytes t.cache));
   (match t.helper with
   | None -> ()
   | Some h ->
@@ -2422,6 +2378,11 @@ let handle_timer t lp ~now ev =
                ~at:(now +. t.config.warm_interval)
                T_warm)
       | _ -> ())
+  | T_report -> (
+      (* The report itself goes out at the end of this turn. *)
+      match t.mp with
+      | Mp_child c -> c.deferred <- None
+      | Mp_none | Mp_parent _ -> ())
 
 let dispatch_event t lp (ev : Evio.event) =
   match Hashtbl.find_opt lp.fd_owners ev.Evio.fd with
@@ -2451,7 +2412,14 @@ let dispatch_event t lp (ev : Evio.event) =
         | _ -> ()
       end
   | Some O_helper -> handle_helper_completions t
-  | Some O_stats -> drain_stats_pipe t
+  | Some (O_report m) ->
+      (* An EOF'd pipe stays readable: stop watching it, or a dead
+         child would spin this loop. *)
+      ignore (drain_reports t);
+      if m.eof then begin
+        Evio.Backend.deregister lp.evio m.input;
+        Hashtbl.remove lp.fd_owners m.input
+      end
   | Some (O_client conn) ->
       if conn.alive then begin
         if ev.Evio.readable && conn.state = Reading then
@@ -2470,12 +2438,48 @@ let dispatch_event t lp (ev : Evio.event) =
             sync_conn t conn
         | Reading | Waiting_helper _ -> ())
 
+(* An MP child's one write: its whole walk and the traces it finished
+   since its last report.  Blocking, since the parent always drains;
+   silent once the parent is gone. *)
+let send_report t out pending =
+  let traces = List.of_seq (Queue.to_seq pending) in
+  Queue.clear pending;
+  let msg =
+    Stats_frame.encode
+      { Stats_frame.walk = Obs.Registry.collect t.registry; traces }
+  in
+  try ignore (Unix.write_substring out msg 0 (String.length msg))
+  with Unix.Unix_error _ -> ()
+
+(* How far the MP parent's view may trail a child. *)
+let report_interval = 0.05
+
+(* The end of an MP child's busy loop turn: report now, or, within
+   [report_interval] of the last report, arm one report for when that
+   is up.  A no-op outside MP children. *)
+let report_turn t lp =
+  match t.mp with
+  | Mp_child c ->
+      let now = t.config.clock () in
+      if now -. c.reported_at >= report_interval then begin
+        c.deferred <- cancel_timer lp c.deferred;
+        c.reported_at <- now;
+        send_report t c.out c.pending
+      end
+      else if c.deferred = None then
+        c.deferred <-
+          Some
+            (Evio.Timer_wheel.schedule lp.wheel
+               ~at:(c.reported_at +. report_interval)
+               T_report)
+  | Mp_none | Mp_parent _ -> ()
+
 (* Drive loop [lp] until [stop].  The main loop also owns the process's
-   shared duties: helper completions, the MP parent's stats pipe,
+   shared duties: helper completions, the MP parent's report pipes,
    flight-recorder windows and warming.  An MP child's loop leaves the
    wake pipe alone (stop reaches a child as a signal, and a byte it read
-   would be lost to the parent) and sends its stats record at the end of
-   each iteration. *)
+   would be lost to the parent) and reports at the end of each busy
+   turn. *)
 let run_loop t lp =
   let watch fd owner =
     Evio.Backend.register lp.evio fd ~read:true ~write:false;
@@ -2497,7 +2501,10 @@ let run_loop t lp =
     | Some h -> watch (Helper.notify_fd h) O_helper
     | None -> ());
     (match t.mp with
-    | Mp_parent p -> watch p.pipe O_stats
+    | Mp_parent { members; _ } ->
+        List.iter
+          (fun m -> if not m.eof then watch m.input (O_report m))
+          members
     | Mp_none | Mp_child _ -> ());
     (match t.recorder with
     | Some r -> schedule ~after:(Obs.Recorder.interval r) T_rollup
@@ -2549,7 +2556,7 @@ let run_loop t lp =
         List.iter (handle_timer t lp ~now) evs);
     Obs.Loopstat.work t.loopstat ~spent:(t.config.clock () -. now);
     Obs.Watchdog.check t.watchdog;
-    ship_stats t
+    match (events, fired) with [], [] -> () | _ -> report_turn t lp
   done;
   (* Drain: close everything. *)
   Hashtbl.iter (fun _ conn -> close_conn t conn) (Hashtbl.copy lp.conns);
@@ -2577,25 +2584,16 @@ let make_loop (config : config) ~accepts ~single ~track =
 let run_worker t ~track =
   run_loop t (make_loop t.config ~accepts:true ~single:true ~track)
 
-(* Runs in a freshly forked MP child: take the write side of the stats
-   pipe, then serve until killed. *)
-let run_mp_child t =
-  let pid = Unix.getpid () in
-  (match t.mp with
-  | Mp_parent p ->
-      Unix.close p.pipe;
-      t.mp <-
-        Mp_child
-          {
-            out = p.keep;
-            pid;
-            sent = counter_vector t;
-            sent_gauges = local_gauges t;
-            latencies = [];
-            traces = [];
-          }
-  | Mp_none | Mp_child _ -> ());
-  run_worker t ~track:(Printf.sprintf "mp-child-%d" pid)
+(* Runs in a freshly forked MP child: report once, so the parent lists
+   every series before any request, then serve until killed.  That
+   report leaves [reported_at] alone: it must not defer the first busy
+   turn's. *)
+let run_mp_child t out =
+  let pending = Queue.create () in
+  t.mp <-
+    Mp_child { out; reported_at = neg_infinity; deferred = None; pending };
+  send_report t out pending;
+  run_worker t ~track:(Printf.sprintf "mp-child-%d" (Unix.getpid ()))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -2650,22 +2648,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
      fd is nonblocking everywhere (a connection that vanishes between
      readiness and accept must yield EAGAIN, not a hang). *)
   Unix.set_nonblock listen_fd;
-  (* The stats pipe exists before [t]: closures created below capture
-     the final record, so no [{ t with ... }] copy may follow. *)
-  let mp =
-    match config.mode with
-    | Mp _ ->
-        let pipe, keep = Unix.pipe () in
-        Unix.set_nonblock pipe;
-        Mp_parent
-          {
-            pipe;
-            keep;
-            decoder = Stats_frame.decoder ();
-            gauges = Hashtbl.create 8;
-          }
-    | Amped | Sped | Mt _ | Sharded _ -> Mp_none
-  in
   (* MP/MT serve from worker loops; the main loop then runs without the
      listener. *)
   let main =
@@ -2772,7 +2754,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         Option.map
           (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
           config.access_log;
-      mp;
+      mp = Mp_none;
       stats_mutex = Mutex.create ();
       cache_mutex;
       obs_mutex = Mutex.create ();
@@ -2834,39 +2816,58 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         (fun () -> Obs.Counter.value t.handoff_shed)
   | Standalone | Shard_member _ -> register_metrics t);
   (* Recorder after [register_metrics] (it reads the registry) and
-     before forks/threads, so every worker inherits it.  It reads this
-     instance's own walk, except the coordinator's, which serves
-     nothing: it reads the shards' aggregate.  The SLO burns on this
-     instance's own latency series; the coordinator has none. *)
+     before forks/threads, so every worker inherits it.  It reads what
+     this instance reports.  The SLO burns on this instance's own
+     latency series; an instance that serves nothing (the coordinator,
+     the MP parent) has none. *)
   t.recorder <-
     Some
       (Obs.Recorder.create
          ~capacity:(max 1 config.recorder_capacity)
          ~interval:config.recorder_interval ~now:config.clock
-         ~read:(fun () ->
-           match role with
-           | Shard_coordinator _ -> fst (shard_walks t t.shards)
-           | Standalone | Shard_member _ ->
-               drain_stats_pipe t;
-               Obs.Registry.collect t.registry)
+         ~read:(fun () -> report t)
          ~on_rollup:(fun r ->
-           match (t.slo, role) with
-           | Some slo, (Standalone | Shard_member _) ->
+           match (t.slo, role, t.mp) with
+           | Some slo, (Standalone | Shard_member _), (Mp_none | Mp_child _) ->
                Option.iter (Obs.Slo.observe slo)
                  (Obs.Registry.hist_value ~labels:(own_labels t)
                     r.Obs.Recorder.samples "flash_request_duration_seconds")
-           | Some _, Shard_coordinator _ | None, _ -> ())
+           | _ -> ())
          ());
   (match config.mode with
   | Mp n ->
-      t.children <-
+      (* One pipe per child, whose write end only that child holds (the
+         parent closes its copy before the next fork, and exec drops
+         it), so the child's exit reads as EOF. *)
+      let forked =
         List.init (max 1 n) (fun _ ->
+            let input, out = Unix.pipe ~cloexec:true () in
             match Unix.fork () with
             | 0 ->
                 (* Child: serves until killed; never returns. *)
-                (try run_mp_child t with _ -> ());
+                Unix.close input;
+                (try run_mp_child t out with _ -> ());
                 Stdlib.exit 0
-            | pid -> pid)
+            | pid ->
+                Unix.close out;
+                ( pid,
+                  {
+                    input;
+                    decoder = Stats_frame.decoder ();
+                    walk = [];
+                    eof = false;
+                  } ))
+      in
+      let members = List.map snd forked and buf = Bytes.create 65536 in
+      (* Every child's first report before [start] returns, so the
+         parent lists every series before any request. *)
+      List.iter
+        (fun m ->
+          while m.walk = [] && read_member t buf m do () done;
+          Unix.set_nonblock m.input)
+        members;
+      t.children <- List.map fst forked;
+      t.mp <- Mp_parent { members; buf }
   | Mt n ->
       (* Kernel threads sharing the address space (and the cache, behind
          the mutex) — the paper's MT architecture. *)
@@ -3017,10 +3018,10 @@ let teardown t =
   (match t.log_channel with Some oc -> close_out_noerr oc | None -> ());
   (match t.slow_channel with Some oc -> close_out_noerr oc | None -> ());
   (match t.mp with
-  | Mp_parent p ->
+  | Mp_parent { members; _ } ->
       List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        [ p.pipe; p.keep ]
+        (fun m -> try Unix.close m.input with Unix.Unix_error _ -> ())
+        members
   | Mp_none | Mp_child _ -> ());
   (try Unix.close t.wake_read with Unix.Unix_error _ -> ());
   try Unix.close t.wake_write with Unix.Unix_error _ -> ()
@@ -3087,28 +3088,16 @@ let latency t =
   | Some h -> h
   | None -> Obs.Histogram.create ()
 
-let helper_job_latency t = Option.map Helper.job_latency t.helper
-
-let loop_iterations t = Obs.Watchdog.iterations t.watchdog
+let helper_job_latency t =
+  Obs.Registry.hist_value (collect_for t) "flash_helper_job_duration_seconds"
 
 let tracing_enabled t = t.tracer <> None
-
-(* Both drain the stats pipe first so an MP parent's view includes
-   traces the children have shipped but the parent loop has not yet
-   consumed. *)
-let trace_snapshot t =
-  drain_stats_pipe t;
-  match t.tracer with
-  | None -> []
-  | Some tracer -> with_obs_lock t (fun () -> Obs.Trace.snapshot tracer)
-
-let trace_chrome_json t =
-  drain_stats_pipe t;
-  trace_body t
+let trace_snapshot = traces
+let trace_chrome_json = trace_body
 
 (* SIGUSR1 / shutdown dump: flush the partial window, render the whole
-   ring.  The flush's walk drains the stats pipe, so an MP parent's dump
-   reflects everything the children have shipped. *)
+   ring.  The flush's walk drains the report pipes, so an MP parent's
+   dump reflects everything the children have reported. *)
 let recorder_dump t =
   match with_recorder t Obs.Recorder.dump_json with
   | Some s -> s

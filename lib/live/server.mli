@@ -12,8 +12,8 @@
     - [Mp n]: [n] forked processes on a shared listen socket, each
       running its own loop that takes one connection at a time with
       no helpers, so a cold read blocks only that process; the parent
-      runs a loop without the listener that consolidates the
-      children's statistics;
+      serves nothing and runs a loop without the listener that folds
+      the children's reported walks;
     - [Mt n]: [n] kernel threads doing the same inside one address
       space, sharing the file cache behind a mutex; the main thread
       runs a loop without the listener.
@@ -70,12 +70,21 @@
 
     {2 MP consolidation}
 
-    Each MP child reports to the parent over a stats pipe, one
-    {!Stats_frame} record per loop iteration in which something moved:
-    its counter deltas, new latency observations, gauges (active
-    connections, mapped bytes) and finished traces.  The parent's
-    counters, latency histogram and trace ring are therefore the
-    consolidated view; its gauges sum each child's latest report.
+    Each MP child reports to the parent over a pipe of its own, one
+    {!Stats_frame} message holding its whole registry walk and the
+    traces it finished since its last report.  It reports once right
+    after the fork, then at the end of each busy loop turn, but at most
+    once per 50 ms: a turn within 50 ms of the last report arms one
+    report for when they are up, and an idle child sends nothing.  The
+    parent keeps every child's latest walk (a dead child's too, so
+    counters never go backwards) and folds them as a sharded server
+    folds its shards: counters and gauges summed, except that uptime,
+    SLO and guard state, stall threshold and max stall take the worst
+    child's, and histograms merge.  That fold is the MP parent's
+    [/metrics], status listing, {!stats}, {!latency} and flight
+    recorder, and it trails each child by at most 50 ms; gauges are as
+    of each child's latest report.  The parent evaluates no SLO of its
+    own.
 
     {2 Observability}
 
@@ -105,8 +114,9 @@
     and close.  Completed traces land in a bounded ring served as
     Chrome trace-event JSON by [GET /server-trace] (Perfetto-loadable,
     one track per loop and for the helpers).  MP children's finished
-    traces ride their stats records, so the parent's ring — and its
-    [/server-trace] — covers all children.
+    traces ride their reports whole, so the parent's ring — and its
+    [/server-trace] — covers all children.  Every instance of a
+    sharded server renders its trace views from every shard's ring.
     Requests slower than [slow_request_ms] are additionally appended to
     a slow-request log as a one-line span breakdown. *)
 
@@ -293,7 +303,7 @@ val stop : t -> unit
 
 val stats : t -> stats
 (** Values read from the walk [/metrics] renders: an MP parent's
-    consolidated view (its stats pipe drained first), a sharded
+    consolidated view (its report pipes drained first), a sharded
     server's aggregate. *)
 
 val mode : t -> mode
@@ -307,26 +317,26 @@ val sharding_info : t -> (int * string) option
     shards' merge when sharded. *)
 val latency : t -> Obs.Histogram.t
 
-(** Snapshot of the helper job-latency histogram (AMPED only). *)
+(** Snapshot of the helper job-latency histogram, from the same walk as
+    {!stats}: [Some] where there are helpers (AMPED, and a sharded
+    server's merge over its shards). *)
 val helper_job_latency : t -> Obs.Histogram.t option
-
-(** Event-loop iterations completed by this process's loops (MT: the
-    main thread's and the workers'; MP: the parent's own). *)
-val loop_iterations : t -> int
 
 val tracing_enabled : t -> bool
 
-(** Completed traces in the ring, oldest first.  In MP mode this is the
-    parent's consolidated view (the stats pipe is drained first). *)
+(** Completed traces, oldest first: the ring, which in MP mode is the
+    parent's consolidated view (the report pipes are drained first).
+    A sharded server merges every shard's ring in completion order,
+    with trace ids made distinct across shards. *)
 val trace_snapshot : t -> Obs.Trace.trace_data list
 
-(** The ring as Chrome trace-event JSON — what [GET /server-trace]
-    serves. *)
+(** The same traces as Chrome trace-event JSON — what
+    [GET /server-trace] serves. *)
 val trace_chrome_json : t -> string
 
 (** One walk over the unified metrics registry, rendered as Prometheus
     text exposition — what [GET /metrics] serves.  In MP mode, calling
-    this on the parent drains the stats pipe first and renders the
+    this on the parent drains the report pipes first and renders the
     consolidated view (a child serving the endpoint over HTTP renders
     its own). *)
 val metrics_body : t -> string

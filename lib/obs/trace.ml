@@ -238,8 +238,7 @@ let reset t =
 (* Chrome trace-event export                                           *)
 (* ------------------------------------------------------------------ *)
 
-let to_chrome_json t =
-  let traces = snapshot t in
+let to_chrome_json traces =
   let base =
     List.fold_left (fun acc tr -> Float.min acc tr.t_begin) Float.infinity traces
   in
@@ -304,99 +303,3 @@ let summary data =
   if data.truncated > 0 then
     Buffer.add_string b (Printf.sprintf " (+%d spans dropped)" data.truncated);
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Compact binary records (cross-process stitching)                    *)
-(* ------------------------------------------------------------------ *)
-
-let add_short_string b s =
-  let s = if String.length s > 255 then String.sub s 0 255 else s in
-  Buffer.add_char b (Char.chr (String.length s));
-  Buffer.add_string b s
-
-let add_f64 b x =
-  let bytes = Bytes.create 8 in
-  Bytes.set_int64_le bytes 0 (Int64.bits_of_float x);
-  Buffer.add_bytes b bytes
-
-let to_binary data =
-  let b = Buffer.create 256 in
-  add_short_string b data.label;
-  add_f64 b data.t_begin;
-  add_f64 b data.t_end;
-  let spans =
-    if List.length data.spans > 255 then
-      List.filteri (fun i _ -> i < 255) data.spans
-    else data.spans
-  in
-  Buffer.add_char b (Char.chr (List.length spans));
-  let trunc = Stdlib.min 65535 data.truncated in
-  Buffer.add_char b (Char.chr (trunc land 0xff));
-  Buffer.add_char b (Char.chr ((trunc lsr 8) land 0xff));
-  List.iter
-    (fun sp ->
-      add_short_string b sp.name;
-      add_short_string b sp.track;
-      Buffer.add_char b (Char.chr (Stdlib.min 255 (Stdlib.max 0 sp.depth)));
-      add_f64 b sp.t_start;
-      add_f64 b sp.t_stop)
-    spans;
-  Buffer.contents b
-
-let of_binary s ~pos =
-  let n = String.length s in
-  let exception Short in
-  let p = ref pos in
-  let u8 () =
-    if !p >= n then raise Short
-    else begin
-      let v = Char.code s.[!p] in
-      incr p;
-      v
-    end
-  in
-  let short_string () =
-    let len = u8 () in
-    if !p + len > n then raise Short
-    else begin
-      let v = String.sub s !p len in
-      p := !p + len;
-      v
-    end
-  in
-  let f64 () =
-    if !p + 8 > n then raise Short
-    else begin
-      let v = Int64.float_of_bits (String.get_int64_le s !p) in
-      p := !p + 8;
-      v
-    end
-  in
-  match
-    let label = short_string () in
-    let t_begin = f64 () in
-    let t_end = f64 () in
-    let nspans = u8 () in
-    let trunc_lo = u8 () in
-    let trunc_hi = u8 () in
-    let spans =
-      List.init nspans (fun _ -> ())
-      |> List.map (fun () ->
-             let name = short_string () in
-             let track = short_string () in
-             let depth = u8 () in
-             let t_start = f64 () in
-             let t_stop = f64 () in
-             { name; track; t_start; t_stop; depth })
-    in
-    {
-      id = 0;
-      label;
-      t_begin;
-      t_end;
-      spans;
-      truncated = trunc_lo lor (trunc_hi lsl 8);
-    }
-  with
-  | data -> Some (data, !p)
-  | exception Short -> None

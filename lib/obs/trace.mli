@@ -16,9 +16,10 @@
     traces both.  Spans opened with {!begin_span}/{!end_span} follow
     stack discipline per trace and are therefore always well-nested;
     {!add_span} splices in a completed span measured elsewhere — the
-    seam used to stitch helper- and child-process work (carried over the
-    completion/stats pipes as {!to_binary} records) into the trace of
-    the request that caused it.
+    seam used to stitch helper work (timestamps carried over the
+    completion pipe) into the trace of the request that caused it —
+    and {!ingest} takes a whole trace finished in another process
+    (an MP child's, carried over its report pipe as [trace_data]).
 
     Like the rest of [Obs], a collector is not thread-safe; callers
     serialise access (the live server guards it with its obs mutex). *)
@@ -120,28 +121,13 @@ val reset : t -> unit
 
 (** {2 Export} *)
 
-(** The ring as a Chrome trace-event JSON document
-    ([{"traceEvents":[...]}]): one complete ("ph":"X") event per span,
-    timestamps in microseconds relative to the earliest trace, plus
-    process-name metadata so each distinct track renders as its own
-    Perfetto track. *)
-val to_chrome_json : t -> string
+(** Traces (a ring's {!snapshot}, or several rings' merged) as a Chrome
+    trace-event JSON document ([{"traceEvents":[...]}]): one complete
+    ("ph":"X") event per span, timestamps in microseconds relative to
+    the earliest trace, plus process-name metadata so each distinct
+    track renders as its own Perfetto track. *)
+val to_chrome_json : trace_data list -> string
 
 (** One-line span breakdown, for the slow-request log: label, total
     duration, then each span as [name dur@track]. *)
 val summary : trace_data -> string
-
-(** {2 Compact binary records}
-
-    Fixed little-endian encoding of one [trace_data], for carrying span
-    boundaries across process boundaries (the MP stats pipe).  Label,
-    span names and tracks are truncated to 255 bytes, spans to 255; the
-    id is not carried (the receiver's {!ingest} assigns its own).  A
-    typical request encodes in well under PIPE_BUF, so a single [write]
-    is atomic. *)
-
-val to_binary : trace_data -> string
-
-(** [of_binary s ~pos] decodes one record at [pos], returning it and the
-    offset just past it; [None] on malformed or short input. *)
-val of_binary : string -> pos:int -> (trace_data * int) option

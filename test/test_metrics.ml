@@ -524,45 +524,82 @@ let test_slo_health () =
           | _ -> Alcotest.fail "flash_slo_info should be one series"))
 
 (* ------------------------------------------------------------------ *)
-(* The MP stats record on the wire                                     *)
+(* The MP report on the wire                                           *)
 (* ------------------------------------------------------------------ *)
 
 module Frame = Flash_live.Stats_frame
 
-(* Random reports from two children: counter deltas, gauges, latency
-   lists long enough to spill past one frame, and traces up to the
-   frame bound; plus the sizes of the reads the parent happens to make. *)
+(* Random reports: walks of counters, gauges and histograms, and traces
+   whose labels, span names and tracks run past 255 bytes; plus the
+   sizes of the reads the parent happens to make. *)
 let stats_frames_arb =
   let open QCheck.Gen in
-  let trace =
-    string_size ~gen:printable
-      (frequency [ (6, int_bound 200); (1, int_range 3000 Frame.max_trace) ])
+  let text =
+    string_size ~gen:char
+      (frequency [ (4, int_bound 40); (1, int_range 256 1200) ])
   in
-  let record =
+  let value =
+    frequency
+      [
+        (2, map (fun n -> Obs.Registry.Counter n) (int_bound 1_000_000));
+        (2, map (fun g -> Obs.Registry.Gauge g) (float_bound_inclusive 1e6));
+        ( 1,
+          map
+            (fun xs ->
+              let h = Obs.Histogram.create () in
+              List.iter (Obs.Histogram.record h) xs;
+              Obs.Registry.Hist h)
+            (list_size (int_bound 50) (float_bound_inclusive 10.)) );
+        (1, return Obs.Registry.Info);
+      ]
+  in
+  let sample =
     map
-      (fun (pid, (active, mapped), counters, latencies, traces) ->
-        { Frame.pid; active; mapped; counters; latencies; traces })
-      (tup5 (oneofl [ 101; 202 ])
-         (pair (int_bound 100) (int_bound 1_000_000_000))
-         (array_size (return 13) (int_bound 1000))
-         (list_size
-            (frequency [ (4, int_bound 8); (1, int_range 400 700) ])
-            (float_bound_inclusive 10.))
-         (list_size (int_bound 3) trace))
+      (fun (name, labels, value) ->
+        { Obs.Registry.name; help = name ^ " help."; labels; value })
+      (triple
+         (oneofl [ "flash_a_total"; "flash_b"; "flash_c_seconds" ])
+         (list_size (int_bound 2) (pair (oneofl [ "cache"; "class" ]) text))
+         value)
+  in
+  let span =
+    map
+      (fun ((name, track), (t_start, dur, depth)) ->
+        { Obs.Trace.name; track; t_start; t_stop = t_start +. dur; depth })
+      (pair (pair text text)
+         (triple (float_bound_inclusive 1e9) (float_bound_inclusive 1.)
+            (int_bound 4)))
+  in
+  let trace =
+    map
+      (fun ((label, t_begin), (spans, truncated)) ->
+        {
+          Obs.Trace.id = 0;
+          label;
+          t_begin;
+          t_end = t_begin +. 1.;
+          spans;
+          truncated;
+        })
+      (pair (pair text (float_bound_inclusive 1e9))
+         (pair (list_size (int_bound 6) span) (int_bound 3)))
+  in
+  let report =
+    map
+      (fun (walk, traces) -> { Frame.walk; traces })
+      (pair (list_size (int_bound 30) sample) (list_size (int_bound 4) trace))
   in
   QCheck.make
-    ~print:(fun (records, reads) ->
-      Printf.sprintf "%d records, reads %s" (List.length records)
+    ~print:(fun (reports, reads) ->
+      Printf.sprintf "%d reports, reads %s" (List.length reports)
         (String.concat "," (List.map string_of_int reads)))
-    (pair (list_size (int_range 1 12) record)
+    (pair (list_size (int_range 1 8) report)
        (list_size (int_range 1 20) (int_range 1 5000)))
 
-(* Decoding the concatenated frames, split at arbitrary read boundaries,
-   gives the same counter sums, the last gauges per pid, and the same
-   latencies and traces in order. *)
-let prop_stats_frames (records, reads) =
-  let frames = List.concat_map Frame.encode records in
-  let wire = String.concat "" frames in
+(* The reports one pipe carries, split at arbitrary read boundaries,
+   decode to the same reports in order. *)
+let prop_stats_frames (reports, reads) =
+  let wire = String.concat "" (List.map Frame.encode reports) in
   let d = Frame.decoder () in
   let rec feed pos reads acc =
     if pos >= String.length wire then List.concat (List.rev acc)
@@ -574,36 +611,13 @@ let prop_stats_frames (records, reads) =
       let got = Frame.feed d (Bytes.of_string (String.sub wire pos n)) n in
       feed (pos + n) reads (got :: acc)
   in
-  let decoded = feed 0 reads [] in
-  let sums rs =
-    List.fold_left
-      (fun acc (r : Frame.t) ->
-        Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) r.Frame.counters;
-        acc)
-      (Array.make 13 0) rs
-  in
-  let last_gauges rs =
-    let h = Hashtbl.create 2 in
-    List.iter
-      (fun (r : Frame.t) ->
-        Hashtbl.replace h r.Frame.pid (r.Frame.active, r.Frame.mapped))
-      rs;
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
-  in
-  let all f rs = List.concat_map f rs in
-  List.for_all (fun f -> String.length f <= Frame.max_frame) frames
-  && sums records = sums decoded
-  && last_gauges records = last_gauges decoded
-  && all (fun (r : Frame.t) -> r.Frame.latencies) records
-     = all (fun (r : Frame.t) -> r.Frame.latencies) decoded
-  && all (fun (r : Frame.t) -> r.Frame.traces) records
-     = all (fun (r : Frame.t) -> r.Frame.traces) decoded
+  feed 0 reads [] = reports
 
 (* MP consolidation: child gauges are summed at snapshot time from each
-   child's last-shipped value — re-shipping the same gauge must not
+   child's latest report — reporting the same gauge again must not
    accumulate.  Two children, two persistent connections: the parent
    reports exactly two active connections no matter how many requests
-   (and so gauge records) each child ships, and zero after both close. *)
+   (and so reports) each child sends, and zero after both close. *)
 let test_mp_gauges_sum_at_snapshot () =
   let docroot = Test_live.make_docroot () in
   with_config
@@ -621,7 +635,7 @@ let test_mp_gauges_sum_at_snapshot () =
           Alcotest.(check bool) "two active after first requests" true
             (await (fun () ->
                  (Server.stats server).Server.active_connections = 2));
-          (* Many more gauge ships from the same children... *)
+          (* Many more reports from the same children... *)
           for _ = 1 to 5 do
             ignore (Client.Session.request s1 "/hello.txt");
             ignore (Client.Session.request s2 "/hello.txt")
@@ -650,6 +664,145 @@ let test_mp_metrics_consolidated () =
       let families = validate_families (Server.metrics_body server) in
       Alcotest.(check bool) "parent consolidates child requests" true
         (series_value families "flash_http_requests_total" >= 4.))
+
+(* Mode parity: every mode counts the same fresh-connection requests
+   (two files and a missing path) the same way, in [Server.stats] and
+   in [metrics_body].  MP and sharded report folds of their members'
+   walks, so this holds each fold to what one AMPED loop counts.
+   Sharded runs it from test_sharded.ml, after every fork test. *)
+let test_mode_parity mode () =
+  let docroot = Test_live.make_docroot () in
+  with_config
+    { (Server.default_config ~docroot) with Server.mode }
+    (fun server port ->
+      let paths = [ "/hello.txt"; "/index.html"; "/missing.txt" ] in
+      for _ = 1 to 3 do
+        List.iter
+          (fun p ->
+            let r = get port p in
+            Alcotest.(check int) p
+              (if p = "/missing.txt" then 404 else 200)
+              r.Client.status)
+          paths
+      done;
+      let n = 9 in
+      let lookups (s : Server.stats) =
+        s.Server.cache_hits + s.Server.cache_misses
+      in
+      ignore
+        (await (fun () ->
+             let s = Server.stats server in
+             s.Server.requests >= n && lookups s >= n));
+      let s = Server.stats server in
+      Alcotest.(check int) "stats requests" n s.Server.requests;
+      Alcotest.(check int) "hits + misses = docroot requests" n (lookups s);
+      Alcotest.(check bool) "some hits" true (s.Server.cache_hits > 0);
+      let families = validate_families (Server.metrics_body server) in
+      let v ?labels name = int_of_float (series_value families ?labels name) in
+      Alcotest.(check int) "/metrics requests" n
+        (v "flash_http_requests_total");
+      List.iter
+        (fun (cls, want) ->
+          Alcotest.(check int) ("responses " ^ cls) want
+            (v ~labels:[ ("class", cls) ] "flash_http_responses_total"))
+        [ ("2xx", 6); ("3xx", 0); ("4xx", 3); ("5xx", 0) ];
+      let fl = [ ("cache", "file") ] in
+      Alcotest.(check int) "/metrics hits" s.Server.cache_hits
+        (v ~labels:fl "flash_cache_hits_total");
+      Alcotest.(check int) "/metrics misses" s.Server.cache_misses
+        (v ~labels:fl "flash_cache_misses_total"))
+
+(* The MP parent's view trails an idle child by at most the 50 ms
+   report interval: one request shows in [stats] well within 100 ms of
+   its response. *)
+let test_mp_fresh () =
+  let docroot = Test_live.make_docroot () in
+  with_config
+    { (Server.default_config ~docroot) with Server.mode = Server.Mp 2 }
+    (fun server port ->
+      Thread.delay 0.2;
+      Alcotest.(check int) "idle" 0 (Server.stats server).Server.requests;
+      Alcotest.(check int) "200" 200 (get port "/hello.txt").Client.status;
+      let answered = Unix.gettimeofday () in
+      let rec poll () =
+        let late = Unix.gettimeofday () -. answered in
+        if (Server.stats server).Server.requests >= 1 then late
+        else if late > 1. then late
+        else begin
+          Thread.delay 0.002;
+          poll ()
+        end
+      in
+      let late = poll () in
+      if late > 0.1 then
+        Alcotest.failf "request reached the parent %.0f ms after its response"
+          (late *. 1000.))
+
+(* Pids of this process's live children, from /proc. *)
+let child_pids () =
+  let me = Unix.getpid () in
+  Sys.readdir "/proc" |> Array.to_list
+  |> List.filter_map (fun d ->
+         match int_of_string_opt d with
+         | None -> None
+         | Some pid -> (
+             match
+               In_channel.with_open_bin
+                 (Printf.sprintf "/proc/%d/stat" pid)
+                 In_channel.input_all
+             with
+             | exception Sys_error _ -> None
+             | stat -> (
+                 (* "pid (comm) state ppid ...": comm may hold anything *)
+                 let rest =
+                   String.sub stat (String.rindex stat ')' + 2)
+                     (String.length stat - String.rindex stat ')' - 2)
+                 in
+                 match String.split_on_char ' ' rest with
+                 | state :: ppid :: _
+                   when state <> "Z" && int_of_string_opt ppid = Some me ->
+                     Some pid
+                 | _ -> None)))
+
+(* A dead MP child: its pipe reads EOF once and the parent stops
+   watching it, so the parent stays idle; its last walk stays in the
+   fold, so counters do not go backwards; the other child serves on. *)
+let test_mp_child_death () =
+  let docroot = Test_live.make_docroot () in
+  let before = child_pids () in
+  with_config
+    { (Server.default_config ~docroot) with Server.mode = Server.Mp 2 }
+    (fun server port ->
+      let children =
+        List.filter (fun p -> not (List.mem p before)) (child_pids ())
+      in
+      Alcotest.(check int) "two children" 2 (List.length children);
+      for _ = 1 to 6 do
+        ignore (get port "/hello.txt")
+      done;
+      ignore (await (fun () -> (Server.stats server).Server.requests >= 6));
+      let requests () =
+        series_value
+          (validate_families (Server.metrics_body server))
+          "flash_http_requests_total"
+      in
+      let served = requests () in
+      let cpu () =
+        let t = Unix.times () in
+        t.Unix.tms_utime +. t.Unix.tms_stime
+      in
+      let cpu0 = cpu () in
+      Unix.kill (List.hd children) Sys.sigkill;
+      Thread.delay 0.5;
+      let spent = cpu () -. cpu0 in
+      if spent >= 0.05 then
+        Alcotest.failf "parent burned %.3f s of CPU after a child died" spent;
+      Alcotest.(check bool) "requests do not decrease" true
+        (requests () >= served);
+      for _ = 1 to 3 do
+        Alcotest.(check int) "survivor serves" 200
+          (get port "/hello.txt").Client.status
+      done)
 
 let suite =
   [
@@ -688,4 +841,16 @@ let suite =
       test_mp_gauges_sum_at_snapshot;
     Alcotest.test_case "MP /metrics consolidates counters" `Quick
       test_mp_metrics_consolidated;
+    Alcotest.test_case "mode parity (AMPED)" `Quick
+      (test_mode_parity Server.Amped);
+    Alcotest.test_case "mode parity (SPED)" `Quick
+      (test_mode_parity Server.Sped);
+    Alcotest.test_case "mode parity (MP 2)" `Quick
+      (test_mode_parity (Server.Mp 2));
+    Alcotest.test_case "mode parity (MT 2)" `Quick
+      (test_mode_parity (Server.Mt 2));
+    Alcotest.test_case "MP view trails a child by under 100 ms" `Quick
+      test_mp_fresh;
+    Alcotest.test_case "dead MP child leaves the parent idle" `Quick
+      test_mp_child_death;
   ]

@@ -448,8 +448,8 @@ let test_fallback_copies () =
 (* A response is written in the loop turn that read its request, so a
    cached keep-alive GET costs one readiness wait, not a read wakeup
    plus a writability wakeup.  The slack covers timer fires (the flight
-   recorder's one-second rollup).  MP children do not ship wakeups to
-   the parent, so MP is not checked. *)
+   recorder's one-second rollup, an MP child's deferred report, at most
+   one per 50 ms).  MP reads its children's loops from their reports. *)
 let test_one_wakeup_per_request mode () =
   if Iovec.have_writev then begin
     let docroot = make_docroot [ ("page.bin", patterned 4096) ] in
@@ -480,8 +480,8 @@ let test_one_wakeup_per_request mode () =
               Alcotest.failf "%d loop wakeups for %d requests" wakeups n))
   end
 
-(* MP children ship their send counters to the parent over the stats
-   pipe ('v' records); the consolidated view must include them. *)
+(* MP children report their send counters to the parent in their
+   walks; the consolidated view must include them. *)
 let test_mp_send_counters_consolidated () =
   let docroot = make_docroot [ ("page.bin", patterned 1024) ] in
   let config =
@@ -660,6 +660,8 @@ let suite =
       (test_one_wakeup_per_request Server.Sped);
     Alcotest.test_case "one wakeup per keep-alive GET (MT)" `Quick
       (test_one_wakeup_per_request (Server.Mt 2));
+    Alcotest.test_case "one wakeup per keep-alive GET (MP)" `Quick
+      (test_one_wakeup_per_request (Server.Mp 2));
     Alcotest.test_case "shrunk streamed file closes (AMPED)" `Quick
       (test_streamed_file_shrinks Server.Amped);
     Alcotest.test_case "shrunk streamed file closes (SPED)" `Quick

@@ -456,6 +456,73 @@ let test_sharded_pipelined_large =
 let test_sharded_pipelined_small =
   Test_sendpath.test_pipelined_small (Server.Sharded 2)
 
+(* The mode-parity case of test_metrics, for the fifth mode. *)
+let test_sharded_mode_parity = Test_metrics.test_mode_parity (Server.Sharded 2)
+
+(* Every instance of a sharded server renders its trace views from
+   every shard's ring: the snapshot holds every request sent, oldest
+   first, under distinct ids, and /server-trace, rendered by whichever
+   shard takes the connection, carries them all. *)
+let test_sharded_trace_views () =
+  with_sharded 2 (fun server port ->
+      let n = 6 in
+      drive port n;
+      let snap =
+        Test_trace.await_traces server (fun snap -> List.length snap >= n)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d traces for %d requests" (List.length snap) n)
+        true
+        (List.length snap >= n);
+      let ends =
+        List.map (fun (d : Obs.Trace.trace_data) -> d.Obs.Trace.t_end) snap
+      in
+      Alcotest.(check bool) "oldest first" true
+        (ends = List.sort Float.compare ends);
+      let ids =
+        List.map (fun (d : Obs.Trace.trace_data) -> d.Obs.Trace.id) snap
+      in
+      Alcotest.(check int) "distinct ids" (List.length ids)
+        (List.length (List.sort_uniq compare ids));
+      let served =
+        match
+          member "traceEvents"
+            (parse_json (get port "/server-trace").Client.body)
+        with
+        | Arr evs ->
+            List.filter_map
+              (fun e ->
+                if to_str (member "ph" e) = "X" then
+                  Some (to_int (member "trace" (member "args" e)))
+                else None)
+              evs
+            |> List.sort_uniq compare
+        | _ -> Alcotest.fail "traceEvents is not an array"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "/server-trace holds %d traces" (List.length served))
+        true
+        (List.length served >= n))
+
+(* The helper histogram comes from the walk [stats] reads, so a sharded
+   server, whose coordinator has no helpers, reports the shards' merge. *)
+let test_sharded_helper_latency () =
+  with_sharded 2 (fun server port ->
+      let cold = [ "/hello.txt"; "/index.html"; "/sub/index.html" ] in
+      List.iter
+        (fun p -> Alcotest.(check int) p 200 (get port p).Client.status)
+        cold;
+      let stats = await_stats server (fun s -> s.Server.helper_jobs >= 3) in
+      Alcotest.(check int) "cold misses" 3 stats.Server.cache_misses;
+      match Server.helper_job_latency server with
+      | None -> Alcotest.fail "sharded should expose helper job latency"
+      | Some h ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d jobs timed for 3 cold misses"
+               (Obs.Histogram.count h))
+            true
+            (Obs.Histogram.count h >= 3))
+
 (* ------------------------------------------------------------------ *)
 (* Guard × sharding                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -648,4 +715,10 @@ let suite =
       test_sharded_pipelined_large;
     Alcotest.test_case "pipelined 200/304/206/404 vs AMPED" `Quick
       test_sharded_pipelined_small;
+    Alcotest.test_case "mode parity (sharded 2)" `Quick
+      test_sharded_mode_parity;
+    Alcotest.test_case "trace views read every shard's ring" `Quick
+      test_sharded_trace_views;
+    Alcotest.test_case "helper job latency is the shards' merge" `Quick
+      test_sharded_helper_latency;
   ]

@@ -333,8 +333,8 @@ let test_status_mt () =
       Alcotest.(check bool) "json within one of stats" true
         (stats.Server.requests - json_requests <= 1))
 
-(* MP: children mirror counters copy-on-write and ship events to the
-   parent over the stats pipe (§4.2) — the parent's [stats] must
+(* MP: children count copy-on-write and report their walks to the
+   parent over their pipes (§4.2) — the parent's [stats] must
    consolidate every child's requests. *)
 let test_status_mp () =
   with_mode (Server.Mp 2) (fun server port ->

@@ -1,9 +1,10 @@
 (* Request-lifecycle tracing: unit and property tests of the Obs.Trace
-   collector (ring buffer, nesting, binary framing, Chrome JSON) plus
-   live integration across the four architectures — the disk-read span
-   must land on the helper track under AMPED and on the main loop under
-   SPED, MP children must stitch over the stats pipe, and /server-trace
-   must serve parseable Chrome trace-event JSON everywhere. *)
+   collector (ring buffer, nesting, Chrome JSON) plus live integration
+   across the four architectures — the disk-read span must land on the
+   helper track under AMPED and on the main loop under SPED, MP
+   children's traces must reach the parent whole over their report
+   pipes, and /server-trace must serve parseable Chrome trace-event
+   JSON everywhere. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
@@ -112,74 +113,11 @@ let test_end_closes_children () =
     inner.Trace.depth
 
 (* ------------------------------------------------------------------ *)
-(* Binary framing (the MP stats-pipe payload)                          *)
-(* ------------------------------------------------------------------ *)
-
-let arb_label =
-  (* Lean on nasty content: quotes, backslashes, control bytes. *)
-  QCheck.Gen.(
-    map
-      (fun cs -> String.concat "" cs)
-      (list_size (int_range 0 12)
-         (frequency
-            [
-              (3, map (String.make 1) (char_range 'a' 'z'));
-              (1, return "\"");
-              (1, return "\\");
-              (1, return "\n");
-              (1, return "\x01");
-              (1, return "GET /x?q=\xc3\xa9");
-            ])))
-  |> QCheck.make
-
-let prop_binary_roundtrip =
-  QCheck.Test.make ~count:300 ~name:"to_binary/of_binary round-trips"
-    QCheck.(pair (QCheck.pair arb_label arb_label) (int_range 0 5))
-    (fun ((label, span_name), nspans) ->
-      let t, now = mk ~max_spans:16 () in
-      let tr = Trace.start t ~label () in
-      for i = 0 to nspans - 1 do
-        let sp =
-          Trace.begin_span t tr
-            ~track:(if i mod 2 = 0 then "helper" else "main-loop")
-            span_name
-        in
-        tick now 0.25;
-        Trace.end_span t sp
-      done;
-      let d = Trace.finish t tr in
-      let bin = Trace.to_binary d in
-      (* Embedded in a larger buffer, as on the pipe. *)
-      match Trace.of_binary ("XX" ^ bin ^ "tail") ~pos:2 with
-      | None -> false
-      | Some (d', next) ->
-          next = 2 + String.length bin
-          && d'.Trace.label = d.Trace.label
-          && d'.Trace.t_begin = d.Trace.t_begin
-          && d'.Trace.t_end = d.Trace.t_end
-          && d'.Trace.truncated = d.Trace.truncated
-          && List.length d'.Trace.spans = List.length d.Trace.spans
-          && List.for_all2
-               (fun (a : Trace.span_data) (b : Trace.span_data) ->
-                 a.Trace.name = b.Trace.name
-                 && a.Trace.track = b.Trace.track
-                 && a.Trace.t_start = b.Trace.t_start
-                 && a.Trace.t_stop = b.Trace.t_stop
-                 && a.Trace.depth = b.Trace.depth)
-               d.Trace.spans d'.Trace.spans)
-
-let test_of_binary_garbage () =
-  Alcotest.(check bool) "truncated input rejected" true
-    (Trace.of_binary "\x01\x02" ~pos:0 = None);
-  Alcotest.(check bool) "empty input rejected" true
-    (Trace.of_binary "" ~pos:0 = None)
-
-(* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
 let chrome_events t =
-  let j = Test_status.parse_json (Trace.to_chrome_json t) in
+  let j = Test_status.parse_json (Trace.to_chrome_json (Trace.snapshot t)) in
   match Test_status.member "traceEvents" j with
   | Test_status.Arr evs -> evs
   | _ -> Alcotest.fail "traceEvents is not an array"
@@ -262,7 +200,7 @@ let with_mode ?(tweak = fun c -> c) mode f =
 let get port path = Client.get ~host:"127.0.0.1" ~port path
 
 (* Traces finish slightly after the response bytes reach the client
-   (and MP children ship theirs over the stats pipe), so poll. *)
+   (and MP children report theirs over their pipes), so poll. *)
 let await_traces ?(tries = 80) server pred =
   let rec loop tries =
     let snap = Server.trace_snapshot server in
@@ -341,8 +279,8 @@ let test_disk_attribution_sped () =
       Alcotest.(check bool) "no helper track" false
         (has_span ~name:"disk-read" ~track:"helper" snap))
 
-(* MP: the child runs the request, serialises the finished trace onto
-   the stats pipe, and the parent's ring shows it on an mp-child track. *)
+(* MP: the child runs the request, reports the finished trace over its
+   pipe, and the parent's ring shows it on an mp-child track. *)
 let test_mp_stitching () =
   with_mode (Server.Mp 2) (fun server port ->
       ignore (get port "/hello.txt");
@@ -359,6 +297,21 @@ let test_mp_stitching () =
       let d = List.find on_child_track snap in
       Alcotest.(check string) "request label crossed the pipe"
         "GET /hello.txt" d.Trace.label)
+
+(* A trace crosses the pipe whole: a label past 255 bytes arrives
+   intact in the parent's ring. *)
+let test_mp_long_label () =
+  with_mode (Server.Mp 2) (fun server port ->
+      let target = "/" ^ String.make 300 'a' in
+      Alcotest.(check int) "404" 404 (get port target).Client.status;
+      let label = "GET " ^ target in
+      let has_label =
+        List.exists (fun (d : Trace.trace_data) -> d.Trace.label = label)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "the %d-byte label arrived whole" (String.length label))
+        true
+        (has_label (await_traces server has_label)))
 
 let test_mt_track () =
   with_mode (Server.Mt 2) (fun server port ->
@@ -514,10 +467,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ring_capacity;
     QCheck_alcotest.to_alcotest prop_span_bound;
     QCheck_alcotest.to_alcotest prop_well_formed;
-    QCheck_alcotest.to_alcotest prop_binary_roundtrip;
     Alcotest.test_case "end_span closes open children" `Quick
       test_end_closes_children;
-    Alcotest.test_case "of_binary rejects garbage" `Quick test_of_binary_garbage;
     Alcotest.test_case "chrome JSON round-trips hostile labels" `Quick
       test_chrome_json_roundtrip;
     Alcotest.test_case "chrome JSON of empty ring" `Quick test_chrome_json_empty;
@@ -536,6 +487,7 @@ let suite =
       test_disk_attribution_sped;
     Alcotest.test_case "MP child traces stitch over the stats pipe" `Quick
       test_mp_stitching;
+    Alcotest.test_case "MP trace labels cross whole" `Quick test_mp_long_label;
     Alcotest.test_case "MT spans carry worker tracks" `Quick test_mt_track;
     Alcotest.test_case "keep-alive reuse marker" `Quick
       test_keepalive_reuse_span;
