@@ -116,6 +116,42 @@ let bench_timer_wheel =
          ignore (Evio.Timer_wheel.schedule wheel ~at:(!now +. 10.) 0);
          ignore (Evio.Timer_wheel.advance wheel ~now:!now)))
 
+(* The miss path's probe: map a 16 KB file, ask [mincore] whether it
+   is in core, unmap it — what the AMPED loop pays on a known path
+   before it decides between an inline fill and a helper. *)
+let micro_file =
+  lazy
+    (let path = Filename.temp_file "flash_micro" ".bin" in
+     let oc = open_out_bin path in
+     output_string oc (String.make 16384 'x');
+     close_out oc;
+     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+     Sys.remove path;
+     fd)
+
+let bench_map_resident =
+  Test.make ~name:"iovec.map+resident+unmap(16 KB)"
+    (Staged.stage (fun () ->
+         let buf = Iovec.map (Lazy.force micro_file) 16384 in
+         ignore (Iovec.resident buf);
+         Iovec.unmap buf))
+
+(* A cached response through the send queue: header slice plus a body
+   slice that takes and, when popped, ends a lease on its mapping. *)
+let bench_sendq_leased =
+  let body, mapped =
+    Flash_live.File_cache.map_body (Lazy.force micro_file) ~size:16384
+  in
+  Option.iter Flash_live.File_cache.acquire mapped;
+  let header = Iovec.of_string (String.make 256 'h') in
+  let q = Flash_live.Sendq.create () in
+  Test.make ~name:"sendq.push+gather+advance(leased body)"
+    (Staged.stage (fun () ->
+         Flash_live.Sendq.push_slice q (Iovec.slice header);
+         Flash_live.Sendq.push_body q (Iovec.slice body) mapped;
+         let slices = Flash_live.Sendq.gather q in
+         Flash_live.Sendq.advance q (Iovec.total_length slices)))
+
 let tests =
   Test.make_grouped ~name:"micro"
     [
@@ -129,6 +165,8 @@ let tests =
       bench_buffer_cache;
       bench_normalize;
       bench_timer_wheel;
+      bench_map_resident;
+      bench_sendq_leased;
     ]
 
 let run () =

@@ -8,6 +8,10 @@ external stub_available : unit -> bool = "flash_iovec_available"
 external stub_writev : Unix.file_descr -> slice array -> int -> int
   = "flash_iovec_writev"
 
+external map : Unix.file_descr -> int -> bigstring = "flash_iovec_map"
+external unmap : bigstring -> unit = "flash_iovec_unmap"
+external resident : bigstring -> bool = "flash_iovec_resident"
+
 let have_writev = stub_available ()
 let max_iovecs = 64
 
@@ -67,6 +71,8 @@ let writev_copy ~scratch fd slices =
   let filled = ref 0 in
   Array.iter
     (fun s ->
+      if s.off < 0 || s.len < 0 || s.len > Bigarray.Array1.dim s.buf - s.off
+      then invalid_arg "Iovec.writev_copy: slice outside its buffer";
       if !filled < cap && s.len > 0 then begin
         let take = min s.len (cap - !filled) in
         for i = 0 to take - 1 do

@@ -1,6 +1,25 @@
+(* A mapped body and its lease count.  Fresh at 0; each holder (the
+   cache, a queued body slice, the code building or serving an entry)
+   adds one.  The release that ends the last lease moves the count to
+   [dead] with a CAS and unmaps, so the unmap happens once even when
+   MT workers or a foreign shard's budget shed release concurrently. *)
+type mapping = { buf : Iovec.bigstring; leases : int Atomic.t }
+
+let dead = min_int / 2
+
+let acquire m =
+  if Atomic.fetch_and_add m.leases 1 < 0 then
+    invalid_arg "File_cache.acquire: mapping already unmapped"
+
+let release m =
+  if
+    Atomic.fetch_and_add m.leases (-1) = 1
+    && Atomic.compare_and_set m.leases 0 dead
+  then Iovec.unmap m.buf
+
 type entry = {
   body : Iovec.bigstring;
-  mapped : bool;
+  mapped : mapping option;
   mtime : float;
   size : int;
   etag : string;
@@ -41,7 +60,11 @@ let create ?(policy = Flash_cache.Policy.Lru) ?admission ?budget
   let variants = Hashtbl.create 16 in
   let t_ref = ref None in
   let on_evict key (entry : entry) =
-    if entry.mapped then Obs.Gauge.add mapped (-(body_length entry));
+    (match entry.mapped with
+    | Some m ->
+        Obs.Gauge.add mapped (-(body_length entry));
+        release m
+    | None -> ());
     match !t_ref with
     | None -> ()
     | Some t -> (
@@ -123,10 +146,15 @@ let insert_keyed t key (entry : entry) =
   (* Replacement would bypass [on_evict]; drop the old entry through the
      hook first so its mapping is uncharged. *)
   ignore (Flash_cache.Store.remove ~evict:true t.store key);
+  (* The cache's lease is taken before [add]: an entry shed inside it
+     (own capacity or the shared budget) goes through [on_evict] and
+     must not end a lease it never had. *)
+  Option.iter acquire entry.mapped;
   if Flash_cache.Store.add t.store key entry ~weight:(entry_weight entry)
   then begin
-    if entry.mapped then Obs.Gauge.add t.mapped (body_length entry)
-  end;
+    if entry.mapped <> None then Obs.Gauge.add t.mapped (body_length entry)
+  end
+  else Option.iter release entry.mapped;
   flush_pending t
 
 let insert t path (entry : entry) = insert_keyed t path entry
@@ -145,6 +173,11 @@ let remove t path =
   ignore (Flash_cache.Store.remove ~evict:true t.store path);
   flush_pending t
 
+let clear t =
+  let keys = ref [] in
+  Flash_cache.Store.iter t.store ~f:(fun k _ -> keys := k :: !keys);
+  List.iter (remove t) !keys
+
 let read_body fd size =
   let buf = Bytes.create size in
   let rec loop off =
@@ -158,14 +191,31 @@ let read_body fd size =
   let got = loop 0 in
   Iovec.of_bytes buf ~len:got
 
-let map_body fd ~size =
-  if size <= 0 then (Iovec.create 0, false)
+let leased buf = (buf, Some { buf; leases = Atomic.make 0 })
+
+let map_body ?(copy = false) fd ~size =
+  if size <= 0 then (Iovec.create 0, None)
+  else if copy then (read_body fd size, None)
   else
-    match
-      Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |]
-    with
-    | genarray -> (Bigarray.array1_of_genarray genarray, true)
-    | exception _ -> (read_body fd size, false)
+    match Iovec.map fd size with
+    | buf -> leased buf
+    | exception (Unix.Unix_error _ | Failure _) -> (read_body fd size, None)
+
+let map_resident ?(copy = false) fd ~size =
+  if size <= 0 then Some (Iovec.create 0, None)
+  else
+    match Iovec.map fd size with
+    | exception (Unix.Unix_error _ | Failure _) -> None
+    | buf when not (Iovec.resident buf) ->
+        Iovec.unmap buf;
+        None
+    | buf when copy ->
+        let body = read_body fd size in
+        Iovec.unmap buf;
+        Some (body, None)
+    | buf -> Some (leased buf)
+
+let trusts_mincore ~owner ~euid = owner = euid || euid = 0
 
 (* Pinned hot tier: pinning is by origin path; variants stay under
    normal replacement (they are re-derivable from the pinned origin). *)

@@ -1,18 +1,19 @@
 (** Mapped-file cache for the live server — the paper's mmap'd chunk
     cache (§4) on the live side.
 
-    Bodies are [Unix.map_file] Bigarray mappings (with a read-and-copy
-    fallback for filesystems that refuse to map), so a cache hit serves
-    file bytes straight from the mapping via a gather write with zero
-    userspace copies.  Entries carry pre-rendered 200 {e and} 304
-    headers (keep-alive and close variants, aligned per server config) —
-    the header cache of §4.3 for free, extended to conditional replies
-    so a cached 304 is a single gather write of one pre-built iovec.
-    Bounded by total resident bytes (body + headers); replacement and
-    admission are pluggable via {!Flash_cache.Policy} (LRU, always-admit
-    by default), and the cache can share a {!Flash_cache.Budget} with
-    others.  A mapped-bytes gauge tracks how much file data is currently
-    mapped through the cache.
+    Bodies are {!Iovec.map} mappings (with a read-and-copy fallback for
+    filesystems that refuse to map, and for servers sending with the
+    copying fallback, where only the kernel may read a mapping), so a
+    cache hit serves file bytes straight from the mapping via a gather
+    write with zero userspace copies.  Entries carry pre-rendered 200
+    {e and} 304 headers (keep-alive and close variants, aligned per
+    server config) — the header cache of §4.3 for free, extended to
+    conditional replies so a cached 304 is a single gather write of one
+    pre-built iovec.  Bounded by total resident bytes (body + headers);
+    replacement and admission are pluggable via {!Flash_cache.Policy}
+    (LRU, always-admit by default), and the cache can share a
+    {!Flash_cache.Budget} with others.  A mapped-bytes gauge tracks how
+    much file data is currently mapped through the cache.
 
     {b Variants.}  Alternate representations (today: gzip) live in the
     same store under a derived key, so one policy, one capacity and one
@@ -21,16 +22,30 @@
     whenever its origin is evicted or invalidated — a variant can never
     outlive the plain file it encodes.
 
-    Eviction stops charging the mapping immediately (the gauge drops);
-    the [munmap] itself happens when the last reference dies — an
-    in-flight response may still be sending from the mapping, so the
-    unmap is delegated to the runtime finalizer rather than issued
-    eagerly (documented deviation from Flash's explicit unmaps; the
-    simulator's [Mmap_cache] models those faithfully). *)
+    {b Leases.}  Each mapping counts its leases, as Flash refcounts its
+    chunks (§4.4).  The cache holds one while the entry is resident
+    (taken before the store's [add], dropped on eviction, removal or
+    rejection); each queued body slice holds one ({!Sendq.push_body});
+    and the code that builds or serves an entry holds one until its
+    response is queued (a hit takes it under the cache lock).  The
+    mapping is unmapped exactly once, by the release that ends its
+    last lease, so an evicted file leaves the address space at its
+    last send rather than at a later major GC. *)
+
+(** A mapped body's lease count. *)
+type mapping
+
+(** Take a lease.  Only a holder of another lease (or the creator of a
+    fresh mapping) may take one.
+    @raise Invalid_argument when the mapping is already unmapped. *)
+val acquire : mapping -> unit
+
+(** End a lease; the last one unmaps. *)
+val release : mapping -> unit
 
 type entry = {
-  body : Iovec.bigstring;  (** mmap-backed when [mapped] *)
-  mapped : bool;
+  body : Iovec.bigstring;  (** the mapping when [mapped] is [Some] *)
+  mapped : mapping option;  (** [None]: a heap copy, no lease to keep *)
   mtime : float;  (** origin file's mtime (also for variants) *)
   size : int;  (** origin file's byte size (also for variants) *)
   etag : string;  (** rendered strong validator, quotes included *)
@@ -90,6 +105,10 @@ val insert_variant : t -> string -> encoding:string -> entry -> unit
 
 val remove : t -> string -> unit
 
+(** Remove every entry through the evict hook, ending the cache's
+    leases (server teardown). *)
+val clear : t -> unit
+
 (** {1 Pinned hot tier}
 
     The cache warmer pins its ranked hot set so the victim walk cannot
@@ -132,9 +151,31 @@ val rejected_paths : t -> string list
 
 (** Map [size] bytes of [fd] (position-independent; the descriptor may
     be closed afterwards, the mapping survives).  Falls back to reading
-    the contents into a fresh buffer when mapping fails; the second
-    component is [true] when the body is a real mapping. *)
-val map_body : Unix.file_descr -> size:int -> Iovec.bigstring * bool
+    the contents into a fresh buffer when mapping fails, and reads
+    instead of mapping when [copy] (default [false]): a sender that
+    copies bytes in userspace must never read a mapping, since a file
+    that shrank under it would kill the process with SIGBUS.  The
+    second component is [Some] when the body is a mapping; it holds no
+    lease, and is unmapped when the cache's lease on it ends. *)
+val map_body :
+  ?copy:bool -> Unix.file_descr -> size:int -> Iovec.bigstring * mapping option
+
+(** Like {!map_body}, but only when every page of the file is in core
+    ({!Iovec.resident}); [None] otherwise, or when the file cannot be
+    mapped, with the probe mapping already unmapped.  With [copy] the
+    resident bytes are read into a buffer and the probe unmapped. *)
+val map_resident :
+  ?copy:bool ->
+  Unix.file_descr ->
+  size:int ->
+  (Iovec.bigstring * mapping option) option
+
+(** Whether a [mincore] answer about a file owned by [owner] can be
+    believed by a process whose effective uid is [euid].  Linux 5.0
+    and later report every page as resident to a caller that neither
+    owns the file nor may write it, so only the owner's (or root's)
+    answer counts. *)
+val trusts_mincore : owner:int -> euid:int -> bool
 
 val bytes : t -> int
 val entries : t -> int

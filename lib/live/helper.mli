@@ -8,7 +8,10 @@
     asymmetric structure the paper describes, without the fork/threads
     interaction hazards of child processes.  Completion notifications
     are written to a pipe so the main loop picks them up in [select] —
-    like any other IO event.
+    like any other IO event.  The loop sends a cache miss here only
+    when it might block: a path no helper has found yet, a file above
+    the cache's size limit, or one whose pages [mincore] does not
+    vouch for ({!Server.mode}'s [Amped]).
 
     The pool is instrumented: a queue-depth gauge (queued plus
     in-flight jobs) and a log-bucketed histogram of dispatch-to-

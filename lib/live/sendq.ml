@@ -1,5 +1,6 @@
 type item =
   | Slice of Iovec.slice
+  | Body of Iovec.slice * File_cache.mapping
   | File of { src : Unix.file_descr; mutable remaining : int }
 
 type t = { q : item Queue.t }
@@ -10,6 +11,14 @@ let head t = Queue.peek_opt t.q
 
 let push_slice t (s : Iovec.slice) =
   if s.Iovec.len > 0 then Queue.push (Slice s) t.q
+
+let push_body t (s : Iovec.slice) = function
+  | None -> push_slice t s
+  | Some m ->
+      if s.Iovec.len > 0 then begin
+        File_cache.acquire m;
+        Queue.push (Body (s, m)) t.q
+      end
 
 let push_string t s =
   let n = String.length s in
@@ -27,32 +36,38 @@ let gather t =
      Queue.iter
        (fun item ->
          match item with
-         | Slice s when !count < Iovec.max_iovecs ->
+         | (Slice s | Body (s, _)) when !count < Iovec.max_iovecs ->
              acc := s :: !acc;
              incr count
-         | Slice _ | File _ -> raise Exit)
+         | Slice _ | Body _ | File _ -> raise Exit)
        t.q
    with Exit -> ());
   Array.of_list (List.rev !acc)
+
+(* Pop the head slice; a body slice's lease ends with it. *)
+let pop_slice t =
+  match Queue.pop t.q with
+  | Body (_, m) -> File_cache.release m
+  | Slice _ | File _ -> ()
 
 let advance t n =
   let left = ref n in
   while !left > 0 do
     match Queue.peek_opt t.q with
-    | Some (Slice s) ->
+    | Some (Slice s | Body (s, _)) ->
         let take = min s.Iovec.len !left in
         s.Iovec.off <- s.Iovec.off + take;
         s.Iovec.len <- s.Iovec.len - take;
         left := !left - take;
-        if s.Iovec.len = 0 then ignore (Queue.pop t.q)
+        if s.Iovec.len = 0 then pop_slice t
     | Some (File _) | None ->
         invalid_arg "Sendq.advance: count exceeds gathered slices"
   done;
   (* Drop any slices emptied exactly at the boundary. *)
   let rec trim () =
     match Queue.peek_opt t.q with
-    | Some (Slice s) when s.Iovec.len = 0 ->
-        ignore (Queue.pop t.q);
+    | Some (Slice s | Body (s, _)) when s.Iovec.len = 0 ->
+        pop_slice t;
         trim ()
     | _ -> ()
   in
@@ -64,7 +79,11 @@ let close_files t =
   Queue.iter
     (function
       | File { src; _ } -> ( try Unix.close src with Unix.Unix_error _ -> ())
-      | Slice _ -> ())
+      | Slice _ | Body _ -> ())
     t.q
 
-let clear t = Queue.clear t.q
+let clear t =
+  Queue.iter
+    (function Body (_, m) -> File_cache.release m | Slice _ | File _ -> ())
+    t.q;
+  Queue.clear t.q

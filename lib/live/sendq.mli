@@ -2,15 +2,21 @@
 
     A response is queued as slices (pre-rendered header, mmap-backed
     body) plus, for files too large to cache, a descriptor streamed in
-    chunks.  Partial writes are survived by advancing slice offsets in
-    place — bytes already accepted by the kernel are never re-submitted
-    and strings are never re-sliced.  The queue is transport-agnostic:
-    {!gather} exposes the leading slices for a [writev] (or the copying
-    fallback) and {!advance} consumes whatever the write accepted, so
-    the same logic is testable without sockets. *)
+    chunks.  A slice of a cached mapping holds a lease on it
+    ({!File_cache.mapping}) from {!push_body} until {!advance} pops it
+    or {!clear} discards it, so an evicted file is unmapped only after
+    its last queued byte is sent.  Partial writes are survived by
+    advancing slice offsets in place — bytes already accepted by the
+    kernel are never re-submitted and strings are never re-sliced.  The
+    queue is transport-agnostic: {!gather} exposes the leading slices
+    for a [writev] (or the copying fallback) and {!advance} consumes
+    whatever the write accepted, so the same logic is testable without
+    sockets. *)
 
 type item =
   | Slice of Iovec.slice
+  | Body of Iovec.slice * File_cache.mapping
+      (** a slice of a mapped body, holding a lease on the mapping *)
   | File of { src : Unix.file_descr; mutable remaining : int }
       (** streamed large file: read a chunk, write it, repeat *)
 
@@ -25,6 +31,12 @@ val head : t -> item option
 (** Queue a slice; zero-length slices are dropped. *)
 val push_slice : t -> Iovec.slice -> unit
 
+(** Queue a slice of a cached body.  With [Some mapping] the queued
+    slice takes a lease on it, ended when the slice is popped or
+    cleared; with [None] (a copied body) this is {!push_slice}.
+    Zero-length slices are dropped and take no lease. *)
+val push_body : t -> Iovec.slice -> File_cache.mapping option -> unit
+
 (** Copy a heap string into a fresh off-heap buffer and queue it.
     Returns the number of bytes copied (0 for [""]) so callers can
     charge their copy counters. *)
@@ -32,13 +44,14 @@ val push_string : t -> string -> int
 
 val push_file : t -> Unix.file_descr -> len:int -> unit
 
-(** Leading [Slice] items (up to [Iovec.max_iovecs]), stopping at the
-    first [File].  The array aliases the queued slices: advancing them
-    advances the queue's view. *)
+(** Leading [Slice] and [Body] items (up to [Iovec.max_iovecs]),
+    stopping at the first [File].  The array aliases the queued slices:
+    advancing them advances the queue's view. *)
 val gather : t -> Iovec.slice array
 
 (** Consume [n] bytes from the leading slices, popping the ones fully
-    sent.  [n] must not exceed the gathered length. *)
+    sent (a popped body slice ends its lease).  [n] must not exceed the
+    gathered length. *)
 val advance : t -> int -> unit
 
 (** Remove the head item (used when a [File] finishes). *)
@@ -47,4 +60,6 @@ val pop : t -> unit
 (** Close any queued file descriptors (connection teardown). *)
 val close_files : t -> unit
 
+(** Discard every item, ending the leases of queued body slices
+    (connection teardown; {!close_files} first). *)
 val clear : t -> unit

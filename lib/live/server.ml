@@ -268,6 +268,14 @@ type warm_state = {
 
 let warmed_limit = 4096
 
+(* Bound on the known-path set ([t.known]); past it the set restarts,
+   as [w_warmed] does.  Forgetting a path costs one helper round trip. *)
+let known_paths_limit = 65_536
+
+(* Whose [mincore] answers the loop believes: see
+   [File_cache.trusts_mincore]. *)
+let euid = Unix.geteuid ()
+
 (* MP consolidation: each child reports its walk over a pipe of its
    own (see {!Stats_frame}).  The parent sets [Mp_parent] once its
    children are forked; each child sets [Mp_child] right after its
@@ -361,6 +369,11 @@ type t = {
   (* Predictive warming (None when disabled or helperless): miner,
      prefetch bookkeeping and counters — see [warm_state]. *)
   warm : warm_state option;
+  (* The pathname cache of §4.2: paths a helper found to be cacheable
+     regular files, whose later misses the loop may fill itself when
+     every page is in core.  Touched only by the loop that owns the
+     helpers. *)
+  known : (string, unit) Hashtbl.t;
   mutable cgi_inflight : int;  (* live CGI children (event-loop modes) *)
   role : role;
   mutable shards : t array;
@@ -477,6 +490,16 @@ let begin_work_span t conn name =
             Some (Obs.Trace.begin_span tracer tr ~track:conn.loop.track name)
       | _ -> ())
 
+let close_work_span tracer conn =
+  match conn.work_span with
+  | Some sp ->
+      Obs.Trace.end_span tracer sp;
+      conn.work_span <- None
+  | None -> ()
+
+let end_work_span t conn =
+  with_tracer t (fun tracer -> close_work_span tracer conn)
+
 let log_slow t (data : Obs.Trace.trace_data) =
   match t.config.slow_request_ms with
   | None -> ()
@@ -569,11 +592,7 @@ let record_latency t conn =
   let dt = t.config.clock () -. conn.req_start in
   with_obs_lock t (fun () -> Obs.Histogram.record t.latency dt);
   with_tracer t (fun tracer ->
-      (match conn.work_span with
-      | Some sp ->
-          Obs.Trace.end_span tracer sp;
-          conn.work_span <- None
-      | None -> ());
+      close_work_span tracer conn;
       match conn.trace with
       | Some tr when conn.write_span = None ->
           conn.write_span <-
@@ -1250,7 +1269,7 @@ let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
   in
   count_send t ~writev:0 ~writes:0
     ~copied:
-      ((if mapped then 0 else body_len)
+      ((if mapped <> None then 0 else body_len)
       + String.length hk + String.length hc + String.length h304k
       + String.length h304c);
   {
@@ -1266,21 +1285,95 @@ let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
     header_304_close = Iovec.of_string h304c;
   }
 
-let make_entry t fd full ~size ~mtime =
-  let body, mapped = File_cache.map_body fd ~size in
-  build_entry t ~body ~mapped ~mtime ~size
-    ~content_type:(Http.Mime.of_path full) ~encoding:None
+(* Leases on entries held by the code serving them (see
+   {!File_cache}): a hit takes one under the cache lock, a fill builds
+   its entry holding one, and either ends once the response is
+   queued. *)
+let hold (e : File_cache.entry) =
+  Option.iter File_cache.acquire e.File_cache.mapped
+
+let unhold (e : File_cache.entry) =
+  Option.iter File_cache.release e.File_cache.mapped
+
+(* A lookup's result, leased; call under the cache lock. *)
+let held found =
+  Option.iter hold found;
+  found
+
+(* The copying sender reads bodies in userspace, so it is given read
+   copies: only the kernel ever reads a mapping. *)
+let copy_bodies t = not t.gather_writes
+
+(* What one miss-path fill found at a path. *)
+type fill =
+  | Filled of File_cache.entry  (* inserted; the caller holds a lease *)
+  | Large of Unix.file_descr * int * float  (* above [max_cached_file] *)
+  | Not_regular
+  | Not_resident  (* [~resident] only: a page may be on disk *)
+  | Failed of Unix.error  (* open or fstat *)
+
+(* The one miss path, in every mode: open without blocking (a FIFO
+   swapped in for a file must not stall the loop), fstat the
+   descriptor, map it, build the entry and insert it.  Size and mtime
+   come from that fstat, so a file that shrank since an earlier stat
+   is never mapped past its end.  With [~resident] (AMPED's inline
+   attempt) the entry is built only when every page is in core and
+   the kernel's answer can be believed; [slow_read] models cold media,
+   so while it is set the answer is always "not resident". *)
+let fill ?(resident = false) t full =
+  let flags = [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] in
+  match Unix.openfile full flags 0 with
+  | exception Unix.Unix_error (Unix.ENXIO, _, _) -> Not_regular  (* a socket *)
+  | exception Unix.Unix_error (e, _, _) -> Failed e
+  | fd -> (
+      match Unix.fstat fd with
+      | exception Unix.Unix_error (e, _, _) ->
+          Unix.close fd;
+          Failed e
+      | st when st.Unix.st_kind <> Unix.S_REG ->
+          Unix.close fd;
+          Not_regular
+      | st when st.Unix.st_size > t.config.max_cached_file ->
+          Large (fd, st.Unix.st_size, st.Unix.st_mtime)
+      | st -> (
+          let size = st.Unix.st_size and copy = copy_bodies t in
+          let body =
+            if not resident then Some (File_cache.map_body ~copy fd ~size)
+            else if
+              t.config.slow_read <> None
+              || not (File_cache.trusts_mincore ~owner:st.Unix.st_uid ~euid)
+            then None
+            else File_cache.map_resident ~copy fd ~size
+          in
+          Unix.close fd;
+          match body with
+          | None -> Not_resident
+          | Some (body, mapped) ->
+              let entry =
+                build_entry t ~body ~mapped ~mtime:st.Unix.st_mtime ~size
+                  ~content_type:(Http.Mime.of_path full) ~encoding:None
+              in
+              hold entry;
+              with_cache_lock t (fun () ->
+                  File_cache.insert t.cache full entry);
+              Filled entry))
+
+let remember t full =
+  if Hashtbl.length t.known >= known_paths_limit then Hashtbl.reset t.known;
+  Hashtbl.replace t.known full ()
 
 (* Obtain the gzip representation of [full] for a client that
    negotiated it: the cached variant if its origin validators still
    hold, else a fresh [.gz] sibling (never one staler than the origin).
    The variant is cached beside its origin under the same policy and
-   budget; [None] means serve identity. *)
+   budget; [None] means serve identity.  A variant comes back leased,
+   like the origin it stands in for. *)
 let gzip_entry t ~full ~(origin : File_cache.entry) =
   let mtime = origin.File_cache.mtime and size = origin.File_cache.size in
   match
     with_cache_lock t (fun () ->
-        File_cache.find_variant t.cache full ~encoding:"gzip" ~mtime ~size)
+        held
+          (File_cache.find_variant t.cache full ~encoding:"gzip" ~mtime ~size))
   with
   | Some e -> Some e
   | None -> (
@@ -1291,12 +1384,16 @@ let gzip_entry t ~full ~(origin : File_cache.entry) =
           match Unix.openfile sib [ Unix.O_RDONLY ] 0 with
           | exception Unix.Unix_error _ -> None
           | fd ->
-              let body, mapped = File_cache.map_body fd ~size:st.Unix.st_size in
+              let body, mapped =
+                File_cache.map_body ~copy:(copy_bodies t) fd
+                  ~size:st.Unix.st_size
+              in
               Unix.close fd;
               let entry =
                 build_entry t ~body ~mapped ~mtime ~size
                   ~content_type:(Http.Mime.of_path full) ~encoding:(Some "gzip")
               in
+              hold entry;
               with_cache_lock t (fun () ->
                   File_cache.insert_variant t.cache full ~encoding:"gzip" entry);
               Some entry)
@@ -1378,7 +1475,9 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
       | Mapped e ->
           enqueue_slice conn
             (if keep then e.File_cache.header_keep else e.File_cache.header_close);
-          if not head_only then enqueue_slice conn e.File_cache.body
+          if not head_only then
+            Sendq.push_body conn.outq (Iovec.slice e.File_cache.body)
+              e.File_cache.mapped
       | Streamed (fd, _, _) ->
           enqueue_string t conn
             (render_header t ~status:Http.Status.Ok ~last_modified:mtime
@@ -1409,33 +1508,67 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
            ~content_length:(Some len) ~keep);
       (match body with
       | Mapped e ->
-          Sendq.push_slice conn.outq (Iovec.slice ~off ~len e.File_cache.body)
+          Sendq.push_body conn.outq
+            (Iovec.slice ~off ~len e.File_cache.body)
+            e.File_cache.mapped
       | Streamed (fd, _, _) ->
           ignore (Unix.lseek fd off Unix.SEEK_SET);
           Sendq.push_file conn.outq fd ~len);
       response_queued t conn ~keep
 
-(* The file is known to exist with [size]/[mtime] (from a helper's stat
-   or an inline one).  Small files are cached as mmap-backed entries
-   with their pre-rendered headers — even a 304 warms the cache; large
-   files stream from the descriptor, skipping gzip negotiation (no
-   mapped origin body to compress, and siblings of this size would not
-   be cached either). *)
-let serve_file t conn (req : Http.Request.t) full ~size ~mtime ~keep =
-  match Unix.openfile full [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ ->
-      enqueue_error t conn Http.Status.Not_found ~keep
-        ~head_only:(req.Http.Request.meth = Http.Request.Head)
-        ~target:req.Http.Request.raw_target
-        ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
-  | fd when size <= t.config.max_cached_file ->
-      let entry = make_entry t fd full ~size ~mtime in
-      Unix.close fd;
-      with_cache_lock t (fun () -> File_cache.insert t.cache full entry);
-      enqueue_response t conn req ~full
-        (Mapped (negotiate_entry t req ~full entry))
-        ~keep
-  | fd -> enqueue_response t conn req ~full (Streamed (fd, size, mtime)) ~keep
+(* Serve a cached entry (a hit or a fresh fill) that arrives with the
+   caller's lease; the lease, and the variant's when one was chosen,
+   end once the response is queued. *)
+let serve_entry t conn req ~full entry ~keep =
+  let chosen = negotiate_entry t req ~full entry in
+  enqueue_response t conn req ~full (Mapped chosen) ~keep;
+  if chosen != entry then unhold chosen;
+  unhold entry
+
+(* A miss served by one fill: a helper's completion, or SPED/MP/MT
+   inline.  Small files are cached with their pre-rendered headers —
+   even a 304 warms the cache; large files stream from the descriptor,
+   skipping gzip negotiation (no mapped origin body to compress, and
+   siblings of this size would not be cached either).  [refused] is
+   the status for a path that is not a regular file.  A path a helper
+   found cacheable joins the known paths. *)
+let serve_fill t conn (req : Http.Request.t) full ~keep ~refused =
+  let error status =
+    enqueue_error t conn status ~keep
+      ~head_only:(req.Http.Request.meth = Http.Request.Head)
+      ~target:req.Http.Request.raw_target
+      ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
+  in
+  match fill t full with
+  | Filled entry ->
+      if t.helper <> None then remember t full;
+      serve_entry t conn req ~full entry ~keep
+  | Large (fd, size, mtime) ->
+      enqueue_response t conn req ~full (Streamed (fd, size, mtime)) ~keep
+  | Not_regular -> error refused
+  | Failed _ | Not_resident -> error Http.Status.Not_found
+
+(* AMPED's miss on a known path (§3.4, §4.2): the loop fills it itself
+   when every page is in core.  [false] sends the miss to a helper as
+   before — a vanished, replaced or grown file (forgotten here), a page
+   not in core, or an answer the kernel may have faked. *)
+let fill_resident t conn req full ~keep =
+  Hashtbl.mem t.known full
+  &&
+  (begin_work_span t conn "fill";
+   match fill ~resident:true t full with
+   | Filled entry ->
+       serve_entry t conn req ~full entry ~keep;
+       true
+   | miss ->
+       (match miss with
+       | Large (fd, _, _) ->
+           Unix.close fd;
+           Hashtbl.remove t.known full
+       | Not_regular | Failed Unix.ENOENT -> Hashtbl.remove t.known full
+       | _ -> ());
+       end_work_span t conn;
+       false)
 
 (* ------------------------------------------------------------------ *)
 (* CGI                                                                 *)
@@ -1560,7 +1693,8 @@ let process_request t conn (req : Http.Request.t) =
         | Ok path -> (
             let full = t.config.docroot ^ path in
             match
-              with_cache_lock t (fun () -> File_cache.find_trusted t.cache full)
+              with_cache_lock t (fun () ->
+                  held (File_cache.find_trusted t.cache full))
             with
             | Some entry ->
                 end_resolve ();
@@ -1571,15 +1705,14 @@ let process_request t conn (req : Http.Request.t) =
                     Hashtbl.remove w.w_warmed full;
                     Obs.Counter.incr w.w_hits_after
                 | _ -> ());
-                enqueue_response t conn req ~full
-                  (Mapped (negotiate_entry t req ~full entry))
-                  ~keep
+                serve_entry t conn req ~full entry ~keep
             | None -> (
                 end_resolve ();
                 match t.helper with
+                | Some _ when fill_resident t conn req full ~keep -> ()
                 | Some helper -> (
-                    (* AMPED: all disk work (stat + read) in a helper.
-                       The queue-wait and disk spans are stitched in when
+                    (* AMPED: disk work (stat + read) in a helper.  The
+                       queue-wait and disk spans are stitched in when
                        the completion comes back.  Two gates first: the
                        shedder can refuse queue admission outright, and
                        the bounded queue can refuse at the door — both
@@ -1611,16 +1744,8 @@ let process_request t conn (req : Http.Request.t) =
                        and the disk span lands on the main-loop track. *)
                     begin_work_span t conn "disk-read";
                     slow_read_hook t full;
-                    match Unix.stat full with
-                    | exception Unix.Unix_error _ ->
-                        enqueue_error t conn Http.Status.Not_found ~keep
-                          ~head_only
-                    | st when st.Unix.st_kind <> Unix.S_REG ->
-                        enqueue_error t conn Http.Status.Forbidden ~keep
-                          ~head_only
-                    | st ->
-                        serve_file t conn req full ~size:st.Unix.st_size
-                          ~mtime:st.Unix.st_mtime ~keep)))
+                    serve_fill t conn req full ~keep
+                      ~refused:Http.Status.Forbidden)))
       end)
 
 let rec try_parse t conn =
@@ -1765,7 +1890,7 @@ let handle_writable t conn =
   (try
      while !progress && not (Sendq.is_empty conn.outq) do
        match Sendq.head conn.outq with
-       | Some (Sendq.Slice _) ->
+       | Some (Sendq.Slice _ | Sendq.Body _) ->
            let slices = Sendq.gather conn.outq in
            let total = Iovec.total_length slices in
            let written, partial =
@@ -1894,10 +2019,10 @@ let handle_cgi_readable t conn fd pid =
       if Sendq.is_empty conn.outq then close_conn t conn
 
 (* A prefetch job finished: the helper already paged the file in, so
-   the mmap + header rendering here never touch cold disk.  The entry
-   is inserted like any miss-path fill and pinned while the hot tier
-   has room — the rest of the pinning happens at the next mining
-   cycle's re-rank. *)
+   the fill here never touches cold disk.  The entry is inserted like
+   any miss-path fill, its path joins the known paths, and it is
+   pinned while the hot tier has room — the rest of the pinning
+   happens at the next mining cycle's re-rank. *)
 let handle_prefetch_completion t w (c : Helper.completion) =
   match Hashtbl.find_opt w.w_prefetching c.Helper.key with
   | None -> ()
@@ -1905,26 +2030,27 @@ let handle_prefetch_completion t w (c : Helper.completion) =
       Hashtbl.remove w.w_prefetching c.Helper.key;
       match c.Helper.result with
       | Helper.Missing -> Obs.Counter.incr w.w_failed
-      | Helper.Found { size; mtime } -> (
-          if size > t.config.max_cached_file then Obs.Counter.incr w.w_failed
-          else
-            match Unix.openfile full [ Unix.O_RDONLY ] 0 with
-            | exception Unix.Unix_error _ -> Obs.Counter.incr w.w_failed
-            | fd ->
-                let entry = make_entry t fd full ~size ~mtime in
-                Unix.close fd;
-                with_cache_lock t (fun () ->
-                    File_cache.insert t.cache full entry;
-                    if
-                      (not (File_cache.pinned t.cache full))
-                      && File_cache.pinned_bytes t.cache
-                         + File_cache.entry_weight entry
-                         <= w.w_pin_budget
-                    then ignore (File_cache.pin t.cache full));
-                if Hashtbl.length w.w_warmed >= warmed_limit then
-                  Hashtbl.reset w.w_warmed;
-                Hashtbl.replace w.w_warmed full ();
-                Obs.Counter.incr w.w_completed))
+      | Helper.Found _ -> (
+          match fill t full with
+          | Filled entry ->
+              remember t full;
+              with_cache_lock t (fun () ->
+                  if
+                    (not (File_cache.pinned t.cache full))
+                    && File_cache.pinned_bytes t.cache
+                       + File_cache.entry_weight entry
+                       <= w.w_pin_budget
+                  then ignore (File_cache.pin t.cache full));
+              unhold entry;
+              if Hashtbl.length w.w_warmed >= warmed_limit then
+                Hashtbl.reset w.w_warmed;
+              Hashtbl.replace w.w_warmed full ();
+              Obs.Counter.incr w.w_completed
+          | Large (fd, _, _) ->
+              Unix.close fd;
+              Obs.Counter.incr w.w_failed
+          | Not_regular | Not_resident | Failed _ ->
+              Obs.Counter.incr w.w_failed))
 
 let handle_helper_completions t =
   match t.helper with
@@ -1963,8 +2089,9 @@ let handle_helper_completions t =
                   match c.Helper.result with
                   | Helper.Missing ->
                       enqueue_error t conn Http.Status.Not_found ~keep ~head_only
-                  | Helper.Found { size; mtime } ->
-                      serve_file t conn req full ~size ~mtime ~keep);
+                  | Helper.Found _ ->
+                      serve_fill t conn req full ~keep
+                        ~refused:Http.Status.Not_found);
                   sync_conn t conn
               | Reading | Streaming_cgi _ -> ()))
         completions
@@ -2803,6 +2930,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
            Some (Guard.create ~clock:config.clock config.guard)
          else None);
       warm;
+      known = Hashtbl.create 1024;
       cgi_inflight = 0;
     }
   in
@@ -3013,6 +3141,9 @@ let teardown t =
   (* MT workers watch the wake pipe, so the stop byte already roused
      them. *)
   List.iter (fun th -> try Thread.join th with _ -> ()) t.worker_threads;
+  (* Every loop has closed its connections; the cache's leases are the
+     last, and ending them unmaps what it held. *)
+  with_cache_lock t (fun () -> File_cache.clear t.cache);
   Evio.Backend.close t.main.evio;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (match t.log_channel with Some oc -> close_out_noerr oc | None -> ());

@@ -121,7 +121,13 @@
     a slow-request log as a one-line span breakdown. *)
 
 type mode =
-  | Amped  (** event loop + helper threads (Flash) *)
+  | Amped
+      (** event loop + helper threads (Flash).  A cache miss goes to a
+          helper unless a helper has already found the path to be a
+          cacheable regular file and [mincore] says every page of it
+          is in core, believed only for files the server's effective
+          uid owns (or when it runs as root); then the loop fills it
+          itself. *)
   | Sped  (** event loop only; cold files stall it *)
   | Mp of int  (** forked blocking workers *)
   | Mt of int  (** kernel threads sharing the cache behind a mutex *)
@@ -170,8 +176,9 @@ type config = {
   slow_read : (string -> unit) option;
       (** fault injection: called with the path before every {e cold}
           file read — in AMPED helper context, inline in SPED/MP/MT —
-          simulating slow media.  Tests use it to prove where each
-          architecture blocks. *)
+          simulating slow media.  While it is set, AMPED's residency
+          check answers "not resident", so every miss reaches a helper.
+          Tests use it to prove where each architecture blocks. *)
   trace : bool;  (** record request-lifecycle traces (default on) *)
   trace_capacity : int;  (** completed-trace ring size (default 256) *)
   trace_path : string option;

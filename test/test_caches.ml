@@ -201,14 +201,28 @@ let test_mmap_release_unheld_rejected () =
    stale — uncharges the mapped-bytes gauge exactly once. *)
 module File_cache = Flash_live.File_cache
 
+(* A body mapped from a temporary file holding [s], so the cache
+   charges and releases it as it does a served file's. *)
+let mapped_body s =
+  let path = Filename.temp_file "flash_fc" ".bin" in
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc;
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let r = File_cache.map_body fd ~size:(String.length s) in
+  Unix.close fd;
+  Sys.remove path;
+  r
+
 (* Headers are one byte each, so an entry's store weight is its body
    length + 4 — the arithmetic the capacity checks below rely on. *)
-let fc_entry ?encoding ?size body mtime =
+let fc_entry ?encoding ?size contents mtime =
+  let body, mapped = mapped_body contents in
   {
-    File_cache.body = Iovec.of_string body;
-    mapped = true;
+    File_cache.body;
+    mapped;
     mtime;
-    size = (match size with Some s -> s | None -> String.length body);
+    size = (match size with Some s -> s | None -> String.length contents);
     etag = "\"t\"";
     encoding;
     header_keep = Iovec.of_string "K";

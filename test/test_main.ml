@@ -46,4 +46,5 @@ let () =
          MP (fork) test above must run before the first of these. *)
       ("warm", Test_warm.suite);
       ("live.sharded", Test_sharded.suite);
+      ("live.miss_path", Test_miss_path.suite);
     ]

@@ -1,0 +1,514 @@
+(* The miss path: mincore residency and whose answer to trust, leased
+   mappings (a qcheck property over real mapped files interleaving
+   fills, hits, evictions, partial writes, drains and closes), the
+   AMPED loop filling a resident miss on a known path without a helper,
+   and evicted mappings leaving the address space at their last send. *)
+
+module Server = Flash_live.Server
+module Client = Flash_live.Client
+module Sendq = Flash_live.Sendq
+module File_cache = Flash_live.File_cache
+
+let write_file = Test_live.write_file
+
+let patterned ~seed n =
+  String.init n (fun i ->
+      Char.chr ((i * 31 + (seed * 101) + (i lsr 8)) land 0xff))
+
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+(* Lines of /proc/self/maps naming a file under [dir]: one per live
+   mapping of it. *)
+let maps_under dir =
+  let ic = open_in "/proc/self/maps" in
+  let n = ref 0 in
+  (try
+     while true do
+       if Helpers.contains ~affix:dir (input_line ic) then incr n
+     done
+   with End_of_file -> ());
+  close_in ic;
+  !n
+
+let have_proc_maps = Sys.file_exists "/proc/self/maps"
+
+(* A fresh sparse file: [size] bytes of hole, never read. *)
+let sparse_file path size =
+  let flags = [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] in
+  let fd = Unix.openfile path flags 0o644 in
+  Unix.ftruncate fd size;
+  Unix.close fd
+
+(* ------------------------------------------------------------------ *)
+(* Residency and trust                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_trust_check () =
+  let trusted owner euid = File_cache.trusts_mincore ~owner ~euid in
+  Alcotest.(check bool) "owner = euid" true (trusted 1000 1000);
+  Alcotest.(check bool) "root" true (trusted 1000 0);
+  Alcotest.(check bool) "root's own file" true (trusted 0 0);
+  Alcotest.(check bool) "someone else's file" false (trusted 0 1000);
+  Alcotest.(check bool) "another user's file" false (trusted 1001 1000)
+
+let with_map path size f =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let buf = Iovec.map fd size in
+  Unix.close fd;
+  Fun.protect ~finally:(fun () -> Iovec.unmap buf) (fun () -> f buf)
+
+let test_resident () =
+  if Iovec.have_writev then begin
+    let dir = temp_dir "flash_resident" in
+    let written = Filename.concat dir "written.bin" in
+    write_file written (patterned ~seed:1 65536);
+    with_map written 65536 (fun buf ->
+        Alcotest.(check bool) "a freshly written file is resident" true
+          (Iovec.resident buf));
+    let sparse = Filename.concat dir "sparse.bin" in
+    sparse_file sparse (1 lsl 20);
+    with_map sparse (1 lsl 20) (fun buf ->
+        Alcotest.(check bool) "a fresh sparse file is not" false
+          (Iovec.resident buf));
+    Alcotest.(check bool) "an empty buffer is" true
+      (Iovec.resident (Iovec.create 0));
+    Sys.remove written;
+    Sys.remove sparse;
+    Unix.rmdir dir
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Leases: a property over real mapped files                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Five files of odd sizes.  The cache holds about two of them and
+   shares a 10,000-byte budget, so fills evict, and filling the
+   11,000-byte file sheds that entry inside its own insert. *)
+let sizes = [| 1000; 4096; 5000; 9000; 11_000 |]
+
+let lease_files =
+  lazy
+    (let dir = temp_dir "flash_lease" in
+     let paths =
+       Array.mapi
+         (fun i n ->
+           let p = Filename.concat dir (Printf.sprintf "f%d.bin" i) in
+           write_file p (patterned ~seed:i n);
+           p)
+         sizes
+     in
+     (dir, paths, Array.mapi (fun i n -> patterned ~seed:i n) sizes))
+
+type op =
+  | Fill of int * int  (* file, queue: a miss builds, inserts and sends *)
+  | Hit of int * int  (* file, queue: a cached entry is sent *)
+  | Advance of int * int  (* queue, at most this many bytes written *)
+  | Drain of int
+  | Close of int  (* the connection dies: the queue is discarded *)
+
+let show_op = function
+  | Fill (f, q) -> Printf.sprintf "Fill(%d,%d)" f q
+  | Hit (f, q) -> Printf.sprintf "Hit(%d,%d)" f q
+  | Advance (q, n) -> Printf.sprintf "Advance(%d,%d)" q n
+  | Drain q -> Printf.sprintf "Drain %d" q
+  | Close q -> Printf.sprintf "Close %d" q
+
+let arb_ops =
+  let nf = Array.length sizes - 1 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun f q -> Fill (f, q)) (int_bound nf) (int_bound 1));
+          (3, map2 (fun f q -> Hit (f, q)) (int_bound nf) (int_bound 1));
+          (3, map2 (fun q n -> Advance (q, n)) (int_bound 1) (int_bound 12000));
+          (1, map (fun q -> Drain q) (int_bound 1));
+          (1, map (fun q -> Close q) (int_bound 1));
+        ])
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 40) op)
+
+(* One mapping the property made, and how many queued slices of it the
+   model says are unsent. *)
+type mapped = { body : Iovec.bigstring; size : int; mutable queued : int }
+
+(* A connection: its send queue, a socketpair, the model of its items
+   (the mapping a body slice leases, bytes left), and the bytes it
+   should and did deliver. *)
+type conn = {
+  q : Sendq.t;
+  w : Unix.file_descr;
+  r : Unix.file_descr;
+  items : (mapped option * int ref) Queue.t;
+  expected : Buffer.t;
+  received : Buffer.t;
+}
+
+let lease_prop ops =
+  let dir, paths, contents = Lazy.force lease_files in
+  let cache =
+    File_cache.create
+      ~budget:(Flash_cache.Budget.create ~bytes:10_000)
+      ~capacity_bytes:12_000 ()
+  in
+  let key i = "/f" ^ string_of_int i in
+  let cached = Array.make (Array.length sizes) None in
+  let made = ref [] in
+  let conns =
+    Array.init 2 (fun _ ->
+        let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock w;
+        Unix.set_nonblock r;
+        {
+          q = Sendq.create ();
+          w;
+          r;
+          items = Queue.create ();
+          expected = Buffer.create 4096;
+          received = Buffer.create 4096;
+        })
+  in
+  let scratch = Bytes.create 65536 in
+  let rec receive c =
+    match Unix.read c.r scratch 0 65536 with
+    | n when n > 0 ->
+        Buffer.add_subbytes c.received scratch 0 n;
+        receive c
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  let push c i (e : File_cache.entry) m =
+    let hdr = Printf.sprintf "<%d>" i in
+    Sendq.push_slice c.q (Iovec.slice (Iovec.of_string hdr));
+    Queue.push (None, ref (String.length hdr)) c.items;
+    Sendq.push_body c.q (Iovec.slice e.File_cache.body) e.File_cache.mapped;
+    Queue.push (Some m, ref m.size) c.items;
+    m.queued <- m.queued + 1;
+    Buffer.add_string c.expected hdr;
+    Buffer.add_string c.expected contents.(i)
+  in
+  (* Write at most [n] bytes of the gathered head through the kernel,
+     which reads the mappings, then advance queue and model alike. *)
+  let advance c n =
+    let budget = ref n in
+    let cut =
+      Array.map
+        (fun (s : Iovec.slice) ->
+          let len = min s.Iovec.len !budget in
+          budget := !budget - len;
+          { s with Iovec.len })
+        (Sendq.gather c.q)
+    in
+    let written =
+      if Iovec.total_length cut = 0 then 0
+      else
+        try Iovec.writev c.w cut
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
+    in
+    Sendq.advance c.q written;
+    let left = ref written in
+    while !left > 0 do
+      let m, rem = Queue.peek c.items in
+      let take = min !rem !left in
+      rem := !rem - take;
+      left := !left - take;
+      if !rem = 0 then begin
+        ignore (Queue.pop c.items);
+        Option.iter (fun m -> m.queued <- m.queued - 1) m
+      end
+    done;
+    receive c;
+    written
+  in
+  let rec drain c =
+    if (not (Sendq.is_empty c.q)) && advance c max_int > 0 then drain c
+  in
+  let in_cache m =
+    let r = ref false in
+    Array.iteri
+      (fun i c ->
+        match c with
+        | Some m' when m' == m && File_cache.resident cache (key i) -> r := true
+        | _ -> ())
+      cached;
+    !r
+  in
+  (* A mapping with a lease out reads whole; one without is unmapped. *)
+  let leases_hold () =
+    List.for_all
+      (fun m ->
+        let dim = Bigarray.Array1.dim m.body in
+        if m.queued > 0 || in_cache m then dim = m.size else dim = 0)
+      !made
+  in
+  let step = function
+    | Fill (i, ci) ->
+        let fd = Unix.openfile paths.(i) [ Unix.O_RDONLY ] 0 in
+        let body, mapped = File_cache.map_body fd ~size:sizes.(i) in
+        Unix.close fd;
+        let m = { body; size = sizes.(i); queued = 0 } in
+        made := m :: !made;
+        let e =
+          {
+            File_cache.body;
+            mapped;
+            mtime = 1.;
+            size = sizes.(i);
+            etag = "\"e\"";
+            encoding = None;
+            header_keep = Iovec.of_string "K";
+            header_close = Iovec.of_string "C";
+            header_304_keep = Iovec.of_string "k";
+            header_304_close = Iovec.of_string "c";
+          }
+        in
+        let lease = Option.get mapped in
+        File_cache.acquire lease;
+        File_cache.insert cache (key i) e;
+        cached.(i) <- Some m;
+        push conns.(ci) i e m;
+        File_cache.release lease
+    | Hit (i, ci) -> (
+        match File_cache.find_trusted cache (key i) with
+        | None -> ()
+        | Some e ->
+            let m =
+              match cached.(i) with
+              | Some m when m.body == e.File_cache.body -> m
+              | _ -> failwith "hit on a mapping the model does not know"
+            in
+            let lease = Option.get e.File_cache.mapped in
+            File_cache.acquire lease;
+            push conns.(ci) i e m;
+            File_cache.release lease)
+    | Advance (ci, n) -> ignore (advance conns.(ci) n)
+    | Drain ci -> drain conns.(ci)
+    | Close ci ->
+        let c = conns.(ci) in
+        let sent = Buffer.length c.received in
+        if Buffer.sub c.expected 0 sent <> Buffer.contents c.received then
+          failwith "bytes sent before the close differ from the files";
+        Sendq.clear c.q;
+        Queue.iter
+          (fun (m, _) -> Option.iter (fun m -> m.queued <- m.queued - 1) m)
+          c.items;
+        Queue.clear c.items;
+        Buffer.truncate c.expected sent
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun c ->
+          Unix.close c.w;
+          Unix.close c.r)
+        conns)
+    (fun () ->
+      let ok =
+        List.for_all
+          (fun op ->
+            step op;
+            leases_hold ())
+          ops
+      in
+      Array.iter drain conns;
+      let bytes_match =
+        Array.for_all
+          (fun c -> Buffer.contents c.expected = Buffer.contents c.received)
+          conns
+      in
+      let resident_keys =
+        List.length
+          (List.filter
+             (fun i -> File_cache.resident cache (key i))
+             (List.init (Array.length sizes) Fun.id))
+      in
+      let only_cache = (not have_proc_maps) || maps_under dir = resident_keys in
+      let drained = leases_hold () in
+      File_cache.clear cache;
+      let all_unmapped =
+        List.for_all (fun m -> Bigarray.Array1.dim m.body = 0) !made
+        && ((not have_proc_maps) || maps_under dir = 0)
+      in
+      ok && bytes_match && only_cache && drained && all_unmapped)
+
+let test_lease_property =
+  Helpers.qcheck_case ~count:150
+    ~name:"leased mappings unmap once, after their last lease"
+    arb_ops lease_prop
+
+(* ------------------------------------------------------------------ *)
+(* The AMPED gate, live                                                *)
+(* ------------------------------------------------------------------ *)
+
+let file_a = patterned ~seed:11 8192
+let file_b = patterned ~seed:12 8192
+
+(* A cache that holds one of the two 8 KB files (with its headers, an
+   entry weighs about 9 KB). *)
+let one_file_config ?slow_read ?(mode = Server.Amped) () =
+  let docroot = temp_dir "flash_gate" in
+  write_file (Filename.concat docroot "a.bin") file_a;
+  write_file (Filename.concat docroot "b.bin") file_b;
+  ( docroot,
+    {
+      (Server.default_config ~docroot) with
+      Server.mode;
+      file_cache_bytes = 12_000;
+      slow_read;
+    } )
+
+let await_jobs server n =
+  Test_status.await_stats server (fun s -> s.Server.helper_jobs >= n)
+
+let check_body name want (r : Client.response) =
+  Alcotest.(check int) (name ^ " 200") 200 r.Client.status;
+  Alcotest.(check bool) (name ^ " bytes") true (String.equal want r.Client.body)
+
+(* A, B, A: the second A misses (B evicted it) on a path a helper has
+   already found cacheable, its pages are in core, so the loop fills it
+   itself.  With [slow_read] (cold media) the answer is "not resident"
+   and every miss goes to a helper. *)
+let test_aba ?slow_read ~jobs () =
+  let _, config = one_file_config ?slow_read () in
+  Test_status.with_config config (fun server port ->
+      let get = Test_status.get port in
+      check_body "A" file_a (get "/a.bin");
+      check_body "B" file_b (get "/b.bin");
+      check_body "A again" file_a (get "/a.bin");
+      let s = await_jobs server jobs in
+      Alcotest.(check int) "misses" 3 s.Server.cache_misses;
+      Alcotest.(check int) "helper jobs" jobs s.Server.helper_jobs)
+
+(* Each shard keeps its own known paths: one keep-alive session rides
+   one shard, and pays as AMPED does. *)
+let test_aba_sharded ?slow_read ~jobs () =
+  let _, config = one_file_config ?slow_read ~mode:(Server.Sharded 2) () in
+  Test_status.with_config config (fun server port ->
+      let s = Client.Session.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.Session.close s)
+        (fun () ->
+          check_body "A" file_a (Client.Session.request s "/a.bin");
+          check_body "B" file_b (Client.Session.request s "/b.bin");
+          check_body "A again" file_a (Client.Session.request s "/a.bin"));
+      let st = await_jobs server jobs in
+      Alcotest.(check int) "helper jobs" jobs st.Server.helper_jobs)
+
+(* A known path renamed over by a fresh sparse file: once its entry is
+   gone, the loop's probe finds pages not in core, so a helper serves
+   it — the sparse file's zeros, not the old bytes. *)
+let test_sparse_rename () =
+  let docroot, config = one_file_config () in
+  Test_status.with_config config (fun server port ->
+      let get = Test_status.get port in
+      check_body "A" file_a (get "/a.bin");
+      check_body "B evicts A" file_b (get "/b.bin");
+      let tmp = Filename.concat docroot "a.tmp" in
+      sparse_file tmp 8192;
+      Unix.rename tmp (Filename.concat docroot "a.bin");
+      check_body "renamed A" (String.make 8192 '\000') (get "/a.bin");
+      let s = await_jobs server 3 in
+      Alcotest.(check int) "helper served it" 3 s.Server.helper_jobs)
+
+(* A FIFO swapped in for a known path, with no writer: the loop's
+   non-blocking open returns at once, sees it is not a regular file,
+   forgets the path and hands the miss to a helper, which answers 404
+   as for any non-regular file.  The loop keeps serving. *)
+let test_fifo_swapped_in () =
+  let docroot, config = one_file_config () in
+  Test_status.with_config config (fun _server port ->
+      let get = Test_status.get port in
+      check_body "A" file_a (get "/a.bin");
+      check_body "B evicts A" file_b (get "/b.bin");
+      let a = Filename.concat docroot "a.bin" in
+      Sys.remove a;
+      Unix.mkfifo a 0o644;
+      let fd = Helpers.Raw.connect ~port in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+      Helpers.Raw.write_request fd ~meth:"GET" ~target:"/a.bin" ~headers:[]
+        ~close:true;
+      let acc = Buffer.create 256 in
+      (try Helpers.Raw.read_until_close fd acc
+       with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+         Alcotest.fail "no answer within 5 s: the loop blocked on the FIFO");
+      Unix.close fd;
+      let status, _, _ = Helpers.Raw.parse_head (Buffer.contents acc) in
+      Alcotest.(check int) "FIFO answered 404" 404 status;
+      check_body "B still served" file_b (get "/b.bin"))
+
+(* ------------------------------------------------------------------ *)
+(* Mapping lifetime, live                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Twice through 24 files of 8 KB, three times a 64 KB cache: evicted
+   files must leave the address space at their last send, so the
+   docroot's mappings number at most the cache's entries plus a
+   response that may still be in flight. *)
+let test_mapping_lifetime mode () =
+  if have_proc_maps && Iovec.have_writev then begin
+    let docroot = temp_dir "flash_lifetime" in
+    let names = List.init 24 (Printf.sprintf "f%02d.bin") in
+    List.iteri
+      (fun i n ->
+        write_file (Filename.concat docroot n) (patterned ~seed:i 8192))
+      names;
+    let config =
+      {
+        (Server.default_config ~docroot) with
+        Server.mode;
+        file_cache_bytes = 65_536;
+      }
+    in
+    Test_status.with_config config (fun server port ->
+        for _ = 1 to 2 do
+          List.iteri
+            (fun i n ->
+              check_body n (patterned ~seed:i 8192)
+                (Test_status.get port ("/" ^ n)))
+            names
+        done;
+        ignore
+          (Test_status.await_stats server (fun s ->
+               s.Server.cache_misses >= 48));
+        let j = Test_status.get_status_json port in
+        let entries =
+          Test_status.to_int
+            (Test_status.row j
+               ~labels:[ ("cache", "file") ]
+               "flash_cache_entries")
+        in
+        let maps = maps_under docroot in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d docroot mappings for %d entries" maps entries)
+          true
+          (entries > 0 && entries < 24 && maps <= entries + 1))
+  end
+
+let suite =
+  [
+    Alcotest.test_case "mincore trust check" `Quick test_trust_check;
+    Alcotest.test_case "Iovec.resident" `Quick test_resident;
+    test_lease_property;
+    Alcotest.test_case "A, B, A costs 2 helper jobs" `Quick (test_aba ~jobs:2);
+    Alcotest.test_case "A, B, A with slow_read costs 3" `Quick
+      (test_aba ~slow_read:(fun _ -> ()) ~jobs:3);
+    Alcotest.test_case "A, B, A per shard (sharded 2)" `Quick
+      (test_aba_sharded ~jobs:2);
+    Alcotest.test_case "A, B, A per shard with slow_read" `Quick
+      (test_aba_sharded ~slow_read:(fun _ -> ()) ~jobs:3);
+    Alcotest.test_case "sparse file renamed over a known path" `Quick
+      test_sparse_rename;
+    Alcotest.test_case "FIFO swapped in for a known path" `Quick
+      test_fifo_swapped_in;
+    Alcotest.test_case "evicted mappings unmapped (AMPED)" `Quick
+      (test_mapping_lifetime Server.Amped);
+    Alcotest.test_case "evicted mappings unmapped (MT 2)" `Quick
+      (test_mapping_lifetime (Server.Mt 2));
+  ]

@@ -131,7 +131,7 @@ let entry_of_body body ~mapped ~size mtime =
     header_304_close = Iovec.of_string "c";
   }
 
-let mk_entry ?(mapped = false) body mtime =
+let mk_entry ?(mapped = None) body mtime =
   entry_of_body (Iovec.of_string body) ~mapped ~size:(String.length body) mtime
 
 let test_cache_validates_mtime_and_size () =
@@ -148,6 +148,9 @@ let test_cache_validates_mtime_and_size () =
   Alcotest.(check bool) "mtime mismatch misses" true
     (File_cache.find c "/a" ~mtime:11. ~size:3 = None)
 
+(* [f] runs holding a lease on the mapping, as the code that builds an
+   entry does, so one mapping can back several entries in turn; ending
+   that lease after every entry is gone unmaps it. *)
 let with_mapped_entry f =
   let path = Filename.temp_file "flash_map" ".bin" in
   Fun.protect
@@ -160,7 +163,12 @@ let with_mapped_entry f =
           ~finally:(fun () -> Unix.close fd)
           (fun () -> File_cache.map_body fd ~size:8192)
       in
-      f body mapped)
+      Option.iter File_cache.acquire mapped;
+      f body mapped;
+      Option.iter File_cache.release mapped;
+      if mapped <> None then
+        Alcotest.(check int) "unmapped after its last lease" 0
+          (Bigarray.Array1.dim body))
 
 let test_eviction_releases_mappings () =
   with_mapped_entry (fun body mapped ->
@@ -171,13 +179,14 @@ let test_eviction_releases_mappings () =
         (Iovec.sub_string body ~off:0 ~len:64);
       let c = File_cache.create ~capacity_bytes:10_000 () in
       File_cache.insert c "/one" (entry 1.);
-      if mapped then
+      if mapped <> None then
         Alcotest.(check int) "insert charges the gauge" 8192
           (File_cache.mapped_bytes c);
       (* A second mapped entry overflows the 10 KB budget: LRU evicts the
          first, and the gauge must fall back to one entry's worth. *)
       File_cache.insert c "/two" (entry 2.);
-      Alcotest.(check int) "eviction uncharges" (if mapped then 8192 else 0)
+      Alcotest.(check int) "eviction uncharges"
+        (if mapped <> None then 8192 else 0)
         (File_cache.mapped_bytes c);
       Alcotest.(check bool) "old entry gone" true
         (File_cache.find c "/one" ~mtime:1. ~size:8192 = None);
@@ -191,7 +200,7 @@ let test_eviction_releases_mappings () =
    entries are replaced. *)
 let test_stale_drop_uncharges_gauge () =
   with_mapped_entry (fun body mapped ->
-      if mapped then begin
+      if mapped <> None then begin
         let entry mt = entry_of_body body ~mapped ~size:8192 mt in
         let c = File_cache.create ~capacity_bytes:100_000 () in
         File_cache.insert c "/f" (entry 1.);
@@ -204,7 +213,8 @@ let test_stale_drop_uncharges_gauge () =
         (* Re-inserting the fresh entry charges once, not twice. *)
         File_cache.insert c "/f" (entry 2.);
         Alcotest.(check int) "fresh entry charged once" 8192
-          (File_cache.mapped_bytes c)
+          (File_cache.mapped_bytes c);
+        File_cache.remove c "/f"
       end)
 
 let test_server_reports_mapped_bytes () =
@@ -604,6 +614,126 @@ let test_streamed_file_shrinks mode () =
         true (body < size);
       Alcotest.(check int) "no second status line in the body" 0 !foreign)
 
+(* ------------------------------------------------------------------ *)
+(* Slices checked against their buffers                                *)
+(* ------------------------------------------------------------------ *)
+
+let raises_invalid f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+(* Nothing a socketpair's writer sent: its reader would block. *)
+let nothing_sent r =
+  Unix.set_nonblock r;
+  match Unix.read r (Bytes.create 16) 0 16 with
+  | _ -> false
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+
+let with_socketpair f =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close w;
+      Unix.close r)
+    (fun () -> f w r)
+
+(* [off] and [len] are public mutable fields: a slice stretched past
+   its buffer is refused before any byte of the gather is written, by
+   both senders. *)
+let test_writev_checks_slices () =
+  with_socketpair (fun w r ->
+      let long = Iovec.slice (Iovec.of_string "0123456789") in
+      long.Iovec.len <- 4096;
+      let gather () = [| Iovec.slice (Iovec.of_string "head"); long |] in
+      if Iovec.have_writev then
+        Alcotest.(check bool) "writev refuses an over-long slice" true
+          (raises_invalid (fun () -> Iovec.writev w (gather ())));
+      Alcotest.(check bool) "copying sender refuses it too" true
+        (raises_invalid (fun () ->
+             Iovec.writev_copy ~scratch:(Bytes.create 65536) w (gather ())));
+      let before = Iovec.slice ~off:2 (Iovec.of_string "0123456789") in
+      before.Iovec.off <- -2;
+      if Iovec.have_writev then
+        Alcotest.(check bool) "negative offset refused" true
+          (raises_invalid (fun () -> Iovec.writev w [| before |]));
+      Alcotest.(check bool) "nothing reached the socket" true (nothing_sent r))
+
+(* An unmapped buffer reads as empty, so a slice still over it fails
+   the bounds check instead of reading freed address space; a second
+   unmap is refused. *)
+let test_unmapped_slice_refused () =
+  if Iovec.have_writev then begin
+    let path = Filename.temp_file "flash_unmap" ".bin" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        write_file path (patterned 8192);
+        let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+        let buf = Iovec.map fd 8192 in
+        Unix.close fd;
+        let s = Iovec.slice buf in
+        Alcotest.(check string) "mapped bytes"
+          (String.sub (patterned 8192) 0 32)
+          (Iovec.sub_string buf ~off:0 ~len:32);
+        Iovec.unmap buf;
+        Alcotest.(check int) "emptied" 0 (Bigarray.Array1.dim buf);
+        with_socketpair (fun w r ->
+            Alcotest.(check bool) "slice over an unmapped buffer refused" true
+              (raises_invalid (fun () -> Iovec.writev w [| s |]));
+            Alcotest.(check bool) "nothing sent" true (nothing_sent r));
+        Alcotest.(check bool) "second unmap refused" true
+          (raises_invalid (fun () -> Iovec.unmap buf));
+        Alcotest.(check bool) "a heap buffer is not a mapping" true
+          (raises_invalid (fun () -> Iovec.unmap (Iovec.create 16))))
+  end
+
+(* With the copying sender, a cached file truncated in place must not
+   kill the server: the cache then holds read copies, so no userspace
+   read ever touches a mapping past the file's new end (SIGBUS).  The
+   server runs in a forked child, so a crash fails this test rather
+   than the suite. *)
+let test_no_writev_survives_shrink () =
+  let docroot =
+    make_docroot [ ("big.bin", patterned 20_000); ("other.txt", "still here") ]
+  in
+  let config =
+    { (Server.default_config ~docroot) with Server.use_writev = false }
+  in
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close rd;
+      (try
+         let server = Server.start config in
+         let line = Printf.sprintf "%d\n" (Server.port server) in
+         ignore (Unix.write_substring wr line 0 (String.length line));
+         Server.run server
+       with _ -> ());
+      Unix._exit 0
+  | pid ->
+      Unix.close wr;
+      let ic = Unix.in_channel_of_descr rd in
+      let port = int_of_string (input_line ic) in
+      close_in ic;
+      let alive () = fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          let get path = Client.get ~host:"127.0.0.1" ~port path in
+          let r = get "/big.bin" in
+          Alcotest.(check int) "cached 200" 200 r.Client.status;
+          Unix.truncate (Filename.concat docroot "big.bin") 100;
+          (try ignore (get "/big.bin")
+           with Failure _ | Unix.Unix_error _ -> ());
+          Alcotest.(check bool) "server survived the shrink" true (alive ());
+          let r = get "/other.txt" in
+          Alcotest.(check int) "another path answers" 200 r.Client.status;
+          Alcotest.(check string) "its body" "still here" r.Client.body;
+          Alcotest.(check bool) "still alive" true (alive ()))
+
 let suite =
   [
     test_sendq_resumption;
@@ -670,4 +800,10 @@ let suite =
       (test_streamed_file_shrinks (Server.Mp 2));
     Alcotest.test_case "shrunk streamed file closes (MT)" `Quick
       (test_streamed_file_shrinks (Server.Mt 2));
+    Alcotest.test_case "writev checks slices against buffers" `Quick
+      test_writev_checks_slices;
+    Alcotest.test_case "slice over an unmapped buffer refused" `Quick
+      test_unmapped_slice_refused;
+    Alcotest.test_case "--no-writev survives a shrunk cached file" `Quick
+      test_no_writev_survives_shrink;
   ]
