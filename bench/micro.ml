@@ -152,6 +152,31 @@ let bench_sendq_leased =
          let slices = Flash_live.Sendq.gather q in
          Flash_live.Sendq.advance q (Iovec.total_length slices)))
 
+(* One keep-alive request's tracing, as the live server does it: the
+   trace, its keep-alive marker and parse span open on one stamp, the
+   resolve span starts where the parse ends, the write span at the
+   response stamp, and the trace completes into a 256-trace ring.  Five
+   clock reads, as the server takes them. *)
+let bench_trace_request =
+  let tracer = Obs.Trace.create ~clock:Unix.gettimeofday () in
+  let clock = Unix.gettimeofday in
+  Test.make ~name:"obs.trace.request"
+    (Staged.stage (fun () ->
+         let opened = clock () in
+         let tr = Obs.Trace.start tracer ~at:opened () in
+         Obs.Trace.instant tracer tr ~at:opened "keepalive-reuse";
+         let parse = Obs.Trace.begin_span tracer tr ~at:opened "parse" in
+         let parsed = clock () in
+         Obs.Trace.end_span tracer ~at:parsed parse;
+         Obs.Trace.relabel tr "GET /d0_3/d1_3/f001234.html";
+         let resolve = Obs.Trace.begin_span tracer tr ~at:parsed "resolve" in
+         Obs.Trace.end_span tracer resolve;
+         let generated = clock () in
+         let write = Obs.Trace.begin_span tracer tr ~at:generated "write" in
+         let at = clock () in
+         Obs.Trace.end_span tracer ~at write;
+         Obs.Trace.complete tracer ~at tr))
+
 let tests =
   Test.make_grouped ~name:"micro"
     [
@@ -167,6 +192,7 @@ let tests =
       bench_timer_wheel;
       bench_map_resident;
       bench_sendq_leased;
+      bench_trace_request;
     ]
 
 let run () =
@@ -175,24 +201,33 @@ let run () =
   Gc.compact ();
   Format.printf
     "@.============================================================@.";
-  Format.printf "Microbenchmarks (Bechamel; ns/run via OLS on monotonic clock)@.";
+  Format.printf
+    "Microbenchmarks (Bechamel; ns and promoted words per run via OLS)@.";
   Format.printf
     "============================================================@.";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
+  let per_run instance ~stabilize ~digits =
+    let cfg =
+      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize ()
+    in
+    let results =
+      Analyze.all ols instance (Benchmark.all cfg [ instance ] tests)
+    in
+    fun name ->
+      match Analyze.OLS.estimates (Hashtbl.find results name) with
+      | Some [ est ] -> Printf.sprintf "%.*f" digits est
+      | Some _ | None -> "n/a"
   in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  Format.printf "%-40s %12s@." "benchmark" "ns/run";
+  let ns = per_run Instance.monotonic_clock ~stabilize:true ~digits:1 in
+  (* Words reach the major heap only at a minor collection.  A heap
+     stabilised before every sample starts each one with an empty minor
+     heap, so a sample shorter than a minor heap's worth of allocation
+     would never promote; promotion is measured without that. *)
+  let promoted = per_run Instance.promoted ~stabilize:false ~digits:2 in
+  Format.printf "%-46s %10s %13s@." "benchmark" "ns/run" "promoted/run";
   List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "%-40s %12.1f@." name est
-      | Some _ | None -> Format.printf "%-40s %12s@." name "n/a")
-    rows
+    (fun name ->
+      Format.printf "%-46s %10s %13s@." name (ns name) (promoted name))
+    (List.sort String.compare (Test.names tests))

@@ -88,7 +88,7 @@ let add_tr_instant rt c name =
 let finish_trace rt c =
   match (rt.Runtime.tracer, c.trace) with
   | Some tracer, Some tr ->
-      ignore (Obs.Trace.finish tracer tr);
+      Obs.Trace.complete tracer tr;
       c.trace <- None;
       c.served <- c.served + 1
   | _ -> ()

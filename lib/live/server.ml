@@ -155,10 +155,14 @@ type conn = {
   mutable state : conn_state;
   mutable close_after_flush : bool;
   mutable last_active : float;
+  (* First byte of the request in flight, nan between requests: it
+     opens when [try_parse] first sees its bytes, and closes when its
+     response is out or the connection ends ([finish_request]). *)
+  mutable head_start : float;
   mutable req_start : float;  (* parse-complete time of the request in flight *)
   mutable alive : bool;
   accepted_at : float;
-  mutable reqs_served : int;  (* finished traces on this connection *)
+  mutable reqs_served : int;  (* requests finished on this connection *)
   (* Readiness interest last pushed to the evio backend; [sync_conn]
      diffs against these so unchanged fds cost nothing.  [want_write]
      is set only while a write would block. *)
@@ -223,6 +227,7 @@ and loop = {
   by_helper_key : (int, conn) Hashtbl.t;
   mutable next_key : int;
   mutable turn : int;  (* iterations of this loop so far *)
+  mutable now : float;  (* the clock when this turn's wait returned *)
   send_scratch : Bytes.t;  (* copying-fallback staging buffer *)
   mutable accept_paused : bool;  (* listen interest parked by backoff *)
   mutable accept_backoff : float;  (* current backoff delay, seconds *)
@@ -290,7 +295,7 @@ type mp_link =
       out : Unix.file_descr;  (* write end, blocking *)
       mutable reported_at : float;  (* clock at the last busy-turn report *)
       mutable deferred : timer_ev Evio.Timer_wheel.timer option;
-      pending : Obs.Trace.trace_data Queue.t;  (* finished, not yet reported *)
+      mutable reported : int;  (* [Obs.Trace.completed] at the last report *)
     }
 
 type t = {
@@ -325,9 +330,10 @@ type t = {
   latency : Obs.Histogram.t;  (* per-request latency, seconds *)
   watchdog : Obs.Watchdog.t;  (* event-loop iteration stalls *)
   active : Obs.Gauge.t;  (* currently open connections *)
-  (* Request-lifecycle tracing (None with --no-trace): guarded by
-     [obs_mutex] wherever several threads can touch it (MT workers, MP
-     parent consolidation vs endpoint renders). *)
+  (* Request-lifecycle tracing (None with --no-trace).  Its ring is
+     guarded by [obs_mutex] (MT workers finish into one ring, an MP
+     parent ingests while a view renders); a trace in flight belongs to
+     its connection and takes no lock. *)
   tracer : Obs.Trace.t option;
   slow_channel : out_channel option;  (* slow-request log sink *)
   started_at : float;
@@ -430,121 +436,120 @@ let with_recorder t f =
         ~finally:(fun () -> Mutex.unlock t.recorder_mutex)
         (fun () -> Some (f r))
 
-let tick_recorder t = ignore (with_recorder t Obs.Recorder.tick)
+let tick_recorder ?now t = ignore (with_recorder t (Obs.Recorder.tick ?now))
 
 (* ------------------------------------------------------------------ *)
 (* Request-lifecycle tracing                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* All tracer mutations run under the obs mutex: MT workers share the
-   collector, and in MP the parent's loop ingests child traces while a
-   snapshot renders.  [f] must not re-enter a locking helper (the mutex
-   is not reentrant).  Spans land on the owning loop's track, the
+(* A trace in flight belongs to its connection, so to one loop: the
+   span calls take no lock, and the trace id comes from an atomic.  Only
+   the ring is shared (MT workers finish into one ring; an MP parent
+   ingests while a view renders), so only the ring's push and reads
+   take the obs mutex.  Spans land on the owning loop's track, the
    Perfetto row they render on. *)
-let with_tracer t f =
+
+(* A request opens at the first byte of its head, one clock read that
+   stamps [head_start] and, with tracing on, opens its trace and parse
+   span.  The first request's trace reaches back to [accept]; later
+   ones mark the keep-alive reuse. *)
+let open_request t conn =
+  let now = t.config.clock () in
+  conn.head_start <- now;
   match t.tracer with
   | None -> ()
-  | Some tracer -> with_obs_lock t (fun () -> f tracer)
+  | Some tracer ->
+      let track = conn.loop.track in
+      let tr =
+        if conn.reqs_served = 0 then begin
+          let tr = Obs.Trace.start tracer ~at:conn.accepted_at () in
+          Obs.Trace.add_span tracer ~track ~name:"accept"
+            ~start:conn.accepted_at ~stop:conn.accepted_at tr;
+          tr
+        end
+        else begin
+          let tr = Obs.Trace.start tracer ~at:now () in
+          Obs.Trace.instant tracer tr ~track ~at:now "keepalive-reuse";
+          tr
+        end
+      in
+      conn.trace <- Some tr;
+      conn.parse_span <-
+        Some (Obs.Trace.begin_span tracer tr ~track ~at:now "parse")
 
-(* Open the trace for the next request on this connection as soon as its
-   first bytes arrive: the parse span starts here.  The first request's
-   trace reaches back to [accept]; later ones mark the keep-alive
-   reuse. *)
-let ensure_trace t conn =
-  with_tracer t (fun tracer ->
-      if conn.trace = None then begin
-        let track = conn.loop.track in
-        let tr =
-          if conn.reqs_served = 0 then begin
-            let tr = Obs.Trace.start tracer ~at:conn.accepted_at () in
-            Obs.Trace.add_span tracer ~track ~name:"accept"
-              ~start:conn.accepted_at ~stop:conn.accepted_at tr;
-            tr
-          end
-          else begin
-            let tr = Obs.Trace.start tracer () in
-            Obs.Trace.instant tracer tr ~track "keepalive-reuse";
-            tr
-          end
-        in
-        conn.trace <- Some tr;
-        conn.parse_span <- Some (Obs.Trace.begin_span tracer tr ~track "parse")
-      end)
-
-let end_parse_span t conn ~label =
-  with_tracer t (fun tracer ->
+(* The head parsed at [req_start]: the parse span ends there, and the
+   trace takes the request's label ("bad-request" for [None]). *)
+let end_parse_span t conn (req : Http.Request.t option) =
+  match (t.tracer, conn.trace) with
+  | Some tracer, Some tr ->
       (match conn.parse_span with
       | Some sp ->
-          Obs.Trace.end_span tracer sp;
+          Obs.Trace.end_span tracer ~at:conn.req_start sp;
           conn.parse_span <- None
       | None -> ());
-      match conn.trace with
-      | Some tr -> Obs.Trace.relabel tr label
-      | None -> ())
+      Obs.Trace.relabel tr
+        (match req with
+        | Some req ->
+            Http.Request.meth_to_string req.Http.Request.meth
+            ^ " " ^ req.Http.Request.raw_target
+        | None -> "bad-request")
+  | _ -> ()
 
 let begin_work_span t conn name =
-  with_tracer t (fun tracer ->
-      match conn.trace with
-      | Some tr when conn.work_span = None ->
-          conn.work_span <-
-            Some (Obs.Trace.begin_span tracer tr ~track:conn.loop.track name)
-      | _ -> ())
+  match (t.tracer, conn.trace) with
+  | Some tracer, Some tr when conn.work_span = None ->
+      conn.work_span <-
+        Some (Obs.Trace.begin_span tracer tr ~track:conn.loop.track name)
+  | _ -> ()
 
-let close_work_span tracer conn =
+let close_work_span tracer ?at conn =
   match conn.work_span with
   | Some sp ->
-      Obs.Trace.end_span tracer sp;
+      Obs.Trace.end_span tracer ?at sp;
       conn.work_span <- None
   | None -> ()
 
 let end_work_span t conn =
-  with_tracer t (fun tracer -> close_work_span tracer conn)
-
-let log_slow t (data : Obs.Trace.trace_data) =
-  match t.config.slow_request_ms with
-  | None -> ()
-  | Some ms ->
-      if (data.Obs.Trace.t_end -. data.Obs.Trace.t_begin) *. 1000. >= ms then begin
-        let line = Obs.Trace.summary data in
-        match t.slow_channel with
-        | Some oc ->
-            output_string oc (line ^ "\n");
-            flush oc
-        | None -> prerr_endline line
-      end
-
-(* Close the in-flight request's trace: response bytes are out (or the
-   connection died).  Pushes it into the ring and, past the threshold,
-   into the slow-request log; an MP child also queues it for the
-   parent's ring, keeping no more than that ring holds. *)
-let finish_request_trace ?(closing = false) t conn =
   match t.tracer with
+  | Some tracer -> close_work_span tracer conn
   | None -> ()
-  | Some tracer -> (
-      match conn.trace with
-      | None -> ()
-      | Some tr ->
-          let data =
-            with_obs_lock t (fun () ->
-                (match conn.write_span with
-                | Some sp -> Obs.Trace.end_span tracer sp
-                | None -> ());
-                if closing || conn.close_after_flush then
-                  Obs.Trace.instant tracer tr ~track:conn.loop.track "close";
-                Obs.Trace.finish tracer tr)
-          in
-          conn.trace <- None;
-          conn.parse_span <- None;
-          conn.work_span <- None;
-          conn.write_span <- None;
-          conn.reqs_served <- conn.reqs_served + 1;
-          (match t.mp with
-          | Mp_child c ->
-              Queue.push data c.pending;
-              if Queue.length c.pending > Obs.Trace.capacity tracer then
-                ignore (Queue.pop c.pending)
-          | Mp_none | Mp_parent _ -> ());
-          log_slow t data)
+
+let log_slow t ~since data =
+  let line = Obs.Trace.summary ~since data in
+  match t.slow_channel with
+  | Some oc ->
+      output_string oc (line ^ "\n");
+      flush oc
+  | None -> prerr_endline line
+
+(* Close the request in flight: its response bytes are out, or the
+   connection died.  Its trace, stamped once here, is copied into the
+   ring and, past the slow threshold counted from the request's first
+   byte, its breakdown goes to the slow-request log. *)
+let finish_request ?(closing = false) t conn =
+  if not (Float.is_nan conn.head_start) then begin
+    let first_byte = conn.head_start in
+    conn.head_start <- Float.nan;
+    conn.reqs_served <- conn.reqs_served + 1;
+    match (t.tracer, conn.trace) with
+    | Some tracer, Some tr ->
+        let at = t.config.clock () in
+        (match conn.write_span with
+        | Some sp -> Obs.Trace.end_span tracer ~at sp
+        | None -> ());
+        if closing || conn.close_after_flush then
+          Obs.Trace.instant tracer tr ~track:conn.loop.track ~at "close";
+        with_obs_lock t (fun () -> Obs.Trace.complete tracer ~at tr);
+        conn.trace <- None;
+        conn.parse_span <- None;
+        conn.work_span <- None;
+        conn.write_span <- None;
+        (match t.config.slow_request_ms with
+        | Some ms when (at -. first_byte) *. 1000. >= ms ->
+            log_slow t ~since:first_byte (Obs.Trace.finish tracer ~at tr)
+        | _ -> ())
+    | _ -> ()
+  end
 
 let log_access ?conn ?path t ~meth ~target ~status ~bytes =
   match t.log_channel with
@@ -555,7 +560,7 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
          status/bytes pair — stable machine-minable fields, like the
          Apache %>s %O %f log pcache mines.  With [access_log_timing],
          the request's service time so far (microseconds, measured from
-         its trace start when tracing) is appended last. *)
+         its first byte) is appended last. *)
       let base =
         Printf.sprintf "127.0.0.1 - - [%s] \"%s %s HTTP/1.1\" %d %d"
           (Http.Http_date.format (Unix.gettimeofday ()))
@@ -569,15 +574,14 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
       let line =
         if not t.config.access_log_timing then base
         else
+          let now = t.config.clock () in
           let started =
             match conn with
-            | Some c -> (
-                match c.trace with
-                | Some tr -> Obs.Trace.start_of tr
-                | None -> c.req_start)
-            | None -> t.config.clock ()
+            | Some c when not (Float.is_nan c.head_start) -> c.head_start
+            | Some c -> c.req_start
+            | None -> now
           in
-          let us = (t.config.clock () -. started) *. 1e6 in
+          let us = (now -. started) *. 1e6 in
           Printf.sprintf "%s %d" base (int_of_float (Float.max 0. us))
       in
       output_string oc (line ^ "\n");
@@ -586,19 +590,25 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
 (* Latency is measured from parse completion to response generation —
    for AMPED that spans the helper round-trip, for SPED the inline disk
    work, so the architectural difference is visible in the numbers.
-   This is also the "response generated" seam for tracing: the work
-   span (inline disk read, CGI) ends and the write span begins. *)
+   This is also the "response generated" seam for tracing: at the same
+   stamp the work span (inline disk read, CGI) ends, the write span
+   begins and the flight recorder checks its window. *)
 let record_latency t conn =
-  let dt = t.config.clock () -. conn.req_start in
-  with_obs_lock t (fun () -> Obs.Histogram.record t.latency dt);
-  with_tracer t (fun tracer ->
-      close_work_span tracer conn;
+  let now = t.config.clock () in
+  with_obs_lock t (fun () ->
+      Obs.Histogram.record t.latency (now -. conn.req_start));
+  (match t.tracer with
+  | Some tracer -> (
+      close_work_span tracer ~at:now conn;
       match conn.trace with
       | Some tr when conn.write_span = None ->
           conn.write_span <-
-            Some (Obs.Trace.begin_span tracer tr ~track:conn.loop.track "write")
-      | _ -> ());
-  tick_recorder t
+            Some
+              (Obs.Trace.begin_span tracer tr ~track:conn.loop.track ~at:now
+                 "write")
+      | _ -> ())
+  | None -> ());
+  tick_recorder ~now t
 
 let slow_read_hook t path =
   match t.config.slow_read with Some f -> f path | None -> ()
@@ -671,8 +681,11 @@ let read_member t buf m =
       List.iter
         (fun (r : Stats_frame.t) ->
           m.walk <- r.Stats_frame.walk;
-          with_tracer t (fun tracer ->
-              List.iter (Obs.Trace.ingest tracer) r.Stats_frame.traces))
+          match t.tracer with
+          | Some tracer ->
+              with_obs_lock t (fun () ->
+                  List.iter (Obs.Trace.ingest tracer) r.Stats_frame.traces)
+          | None -> ())
         (Stats_frame.feed m.decoder buf n);
       true
   | exception
@@ -1645,23 +1658,20 @@ let process_request t conn (req : Http.Request.t) =
         enqueue_view t conn ~content_type:"application/json" (trace_body t)
           ~keep ~head_only
       else begin
-        (* Pathname translation + cache lookup, as its own span. *)
-        let resolve_sp = ref None in
-        with_tracer t (fun tracer ->
-            match conn.trace with
-            | Some tr ->
-                resolve_sp :=
-                  Some
-                    (Obs.Trace.begin_span tracer tr ~track:conn.loop.track
-                       "resolve")
-            | None -> ());
+        (* Pathname translation + cache lookup, as its own span, from
+           the stamp that ended the parse. *)
+        let resolve_sp =
+          match (t.tracer, conn.trace) with
+          | Some tracer, Some tr ->
+              Some
+                (Obs.Trace.begin_span tracer tr ~track:conn.loop.track
+                   ~at:conn.req_start "resolve")
+          | _ -> None
+        in
         let end_resolve () =
-          with_tracer t (fun tracer ->
-              match !resolve_sp with
-              | Some sp ->
-                  Obs.Trace.end_span tracer sp;
-                  resolve_sp := None
-              | None -> ())
+          match (t.tracer, resolve_sp) with
+          | Some tracer, Some sp -> Obs.Trace.end_span tracer sp
+          | _ -> ()
         in
         match resolve t req with
         | Error status ->
@@ -1750,7 +1760,7 @@ let process_request t conn (req : Http.Request.t) =
 
 let rec try_parse t conn =
   if conn.state = Reading && conn.inbuf <> "" then begin
-    ensure_trace t conn;
+    if Float.is_nan conn.head_start then open_request t conn;
     (* Slow-header defense: from the first byte of a request head, the
        rest must arrive within the deadline.  One one-shot timer per
        head; cancelled the moment the head parses (or fails to). *)
@@ -1770,7 +1780,7 @@ let rec try_parse t conn =
         conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
         conn.inbuf <- "";
         conn.req_start <- t.config.clock ();
-        end_parse_span t conn ~label:"bad-request";
+        end_parse_span t conn None;
         t.n_requests <- t.n_requests + 1;
         enqueue_error t conn Http.Status.Bad_request ~keep:false
           ~head_only:false
@@ -1779,10 +1789,7 @@ let rec try_parse t conn =
         conn.inbuf <-
           String.sub conn.inbuf consumed (String.length conn.inbuf - consumed);
         conn.req_start <- t.config.clock ();
-        end_parse_span t conn
-          ~label:
-            (Http.Request.meth_to_string req.Http.Request.meth
-            ^ " " ^ req.Http.Request.raw_target);
+        end_parse_span t conn (Some req);
         let rate_verdict =
           match t.guard with
           | Some g -> Guard.on_request g ~peer:conn.peer
@@ -1829,7 +1836,7 @@ let close_conn t conn =
     conn.alive <- false;
     (* A request still in flight (client hung up, error path) gets its
        trace closed here rather than lost. *)
-    finish_request_trace ~closing:true t conn;
+    finish_request ~closing:true t conn;
     unregister_cgi conn;
     conn.idle_timer <- cancel_timer conn.loop conn.idle_timer;
     conn.cgi_timer <- cancel_timer conn.loop conn.cgi_timer;
@@ -1869,7 +1876,7 @@ let handle_readable t conn =
   match Unix.read conn.fd conn.readbuf 0 cap with
   | 0 -> close_conn t conn
   | n ->
-      conn.last_active <- t.config.clock ();
+      conn.last_active <- conn.loop.now;
       conn.recv_bytes <- conn.recv_bytes + n;
       conn.inbuf <- conn.inbuf ^ Bytes.sub_string conn.readbuf 0 n;
       if String.length conn.inbuf > max_inbuf then close_conn t conn
@@ -1885,7 +1892,7 @@ let handle_readable t conn =
    staged through the scratch buffer and written with one scalar
    [write] — the measured difference between the two paths. *)
 let handle_writable t conn =
-  conn.last_active <- t.config.clock ();
+  conn.last_active <- conn.loop.now;
   let progress = ref true in
   (try
      while !progress && not (Sendq.is_empty conn.outq) do
@@ -1950,9 +1957,11 @@ let handle_writable t conn =
     match conn.state with
     | Streaming_cgi _ -> ()  (* more output may come from the pipe *)
     | Reading | Waiting_helper _ ->
-        (* Response fully flushed: the write span (opened when the
-           response was generated) closes the request's trace here. *)
-        if conn.write_span <> None then finish_request_trace t conn;
+        (* Response fully flushed: the request closes here — unless its
+           trace has no write span yet, the sign that these bytes were
+           not its response. *)
+        if conn.write_span <> None || conn.trace = None then
+          finish_request t conn;
         if conn.close_after_flush then close_conn t conn
         else try_parse t conn
   end
@@ -2074,16 +2083,15 @@ let handle_helper_completions t =
                   (* Stitch the helper's measured boundaries into the
                      waiting request's trace, attributed to the helper
                      track: queue wait, then the blocking disk work. *)
-                  with_tracer t (fun tracer ->
-                      match conn.trace with
-                      | Some tr ->
-                          Obs.Trace.add_span tracer ~track:"helper"
-                            ~name:"helper-queue" ~start:c.Helper.enqueued
-                            ~stop:c.Helper.started tr;
-                          Obs.Trace.add_span tracer ~track:"helper"
-                            ~name:"disk-read" ~start:c.Helper.started
-                            ~stop:c.Helper.finished tr
-                      | None -> ());
+                  (match (t.tracer, conn.trace) with
+                  | Some tracer, Some tr ->
+                      Obs.Trace.add_span tracer ~track:"helper"
+                        ~name:"helper-queue" ~start:c.Helper.enqueued
+                        ~stop:c.Helper.started tr;
+                      Obs.Trace.add_span tracer ~track:"helper"
+                        ~name:"disk-read" ~start:c.Helper.started
+                        ~stop:c.Helper.finished tr
+                  | _ -> ());
                   let keep = Http.Request.keep_alive req in
                   let head_only = req.Http.Request.meth = Http.Request.Head in
                   match c.Helper.result with
@@ -2201,6 +2209,7 @@ let adopt_fd t lp fd =
       state = Reading;
       close_after_flush = false;
       last_active = now;
+      head_start = Float.nan;
       req_start = now;
       alive = true;
       accepted_at = now;
@@ -2565,33 +2574,39 @@ let dispatch_event t lp (ev : Evio.event) =
             sync_conn t conn
         | Reading | Waiting_helper _ -> ())
 
-(* An MP child's one write: its whole walk and the traces it finished
-   since its last report.  Blocking, since the parent always drains;
-   silent once the parent is gone. *)
-let send_report t out pending =
-  let traces = List.of_seq (Queue.to_seq pending) in
-  Queue.clear pending;
+(* An MP child's one write: its whole walk and the traces its ring took
+   since the mark [reported] (a past [Obs.Trace.completed]), at most a
+   ring's worth.  Blocking, since the parent always drains; silent once
+   the parent is gone.  Returns the next report's mark. *)
+let send_report t out ~reported =
+  let traces, reported =
+    match t.tracer with
+    | None -> ([], reported)
+    | Some tracer ->
+        with_obs_lock t (fun () ->
+            (Obs.Trace.since tracer reported, Obs.Trace.completed tracer))
+  in
   let msg =
     Stats_frame.encode
       { Stats_frame.walk = Obs.Registry.collect t.registry; traces }
   in
-  try ignore (Unix.write_substring out msg 0 (String.length msg))
-  with Unix.Unix_error _ -> ()
+  (try ignore (Unix.write_substring out msg 0 (String.length msg))
+   with Unix.Unix_error _ -> ());
+  reported
 
 (* How far the MP parent's view may trail a child. *)
 let report_interval = 0.05
 
-(* The end of an MP child's busy loop turn: report now, or, within
-   [report_interval] of the last report, arm one report for when that
-   is up.  A no-op outside MP children. *)
-let report_turn t lp =
+(* The end of an MP child's busy loop turn, at [now]: report now, or,
+   within [report_interval] of the last report, arm one report for when
+   that is up.  A no-op outside MP children. *)
+let report_turn t lp ~now =
   match t.mp with
   | Mp_child c ->
-      let now = t.config.clock () in
       if now -. c.reported_at >= report_interval then begin
         c.deferred <- cancel_timer lp c.deferred;
         c.reported_at <- now;
-        send_report t c.out c.pending
+        c.reported <- send_report t c.out ~reported:c.reported
       end
       else if c.deferred = None then
         c.deferred <-
@@ -2655,35 +2670,43 @@ let run_loop t lp =
   (match t.guard with
   | Some _ -> schedule ~after:t.config.recorder_interval T_guard_tick
   | None -> ());
+  (* Two clock reads a turn: when the wait returns, and when the turn's
+     work is done.  The first serves the turn's activity stamps
+     ([last_active]), its timers and the watchdog's arm; the second the
+     work time, the watchdog's check, the MP report and the next wait's
+     start. *)
+  let turn_end = ref (t.config.clock ()) in
   while not t.stopped do
     (* Sleep exactly until the next timer deadline (forever when no
        timers are pending) — readiness and the wake pipe interrupt the
        wait, so there is no fixed tick. *)
+    let wait_start = !turn_end in
     let timeout =
       Option.map
-        (fun d -> Float.max 0. (d -. t.config.clock ()))
+        (fun d -> Float.max 0. (d -. wait_start))
         (Evio.Timer_wheel.next_deadline lp.wheel)
     in
-    let wait_start = t.config.clock () in
     let events = Evio.Backend.wait lp.evio ~timeout in
     let now = t.config.clock () in
+    lp.now <- now;
     lp.turn <- lp.turn + 1;
     Obs.Loopstat.wake t.loopstat ~waited:(now -. wait_start)
       ~ready:(List.length events);
     (* Time the processing half of the iteration only — blocking in
        the readiness wait is idleness, not a stall. *)
-    Obs.Watchdog.arm t.watchdog;
+    Obs.Watchdog.arm ~at:now t.watchdog;
     List.iter (dispatch_event t lp) events;
-    let fired = Evio.Timer_wheel.advance lp.wheel ~now:(t.config.clock ()) in
+    let fired = Evio.Timer_wheel.advance lp.wheel ~now in
     (match fired with
     | [] -> ()
     | evs ->
         Obs.Loopstat.timers_fired t.loopstat (List.length evs);
-        let now = t.config.clock () in
         List.iter (handle_timer t lp ~now) evs);
-    Obs.Loopstat.work t.loopstat ~spent:(t.config.clock () -. now);
-    Obs.Watchdog.check t.watchdog;
-    match (events, fired) with [], [] -> () | _ -> report_turn t lp
+    let fin = t.config.clock () in
+    turn_end := fin;
+    Obs.Loopstat.work t.loopstat ~spent:(fin -. now);
+    Obs.Watchdog.check ~at:fin t.watchdog;
+    match (events, fired) with [], [] -> () | _ -> report_turn t lp ~now:fin
   done;
   (* Drain: close everything. *)
   Hashtbl.iter (fun _ conn -> close_conn t conn) (Hashtbl.copy lp.conns);
@@ -2698,6 +2721,7 @@ let make_loop (config : config) ~accepts ~single ~track =
     by_helper_key = Hashtbl.create 64;
     next_key = 0;
     turn = 0;
+    now = config.clock ();
     send_scratch = Bytes.create 65536;
     accept_paused = false;
     accept_backoff = accept_backoff_initial;
@@ -2716,10 +2740,8 @@ let run_worker t ~track =
    report leaves [reported_at] alone: it must not defer the first busy
    turn's. *)
 let run_mp_child t out =
-  let pending = Queue.create () in
-  t.mp <-
-    Mp_child { out; reported_at = neg_infinity; deferred = None; pending };
-  send_report t out pending;
+  let reported = send_report t out ~reported:0 in
+  t.mp <- Mp_child { out; reported_at = neg_infinity; deferred = None; reported };
   run_worker t ~track:(Printf.sprintf "mp-child-%d" (Unix.getpid ()))
 
 (* ------------------------------------------------------------------ *)

@@ -66,8 +66,8 @@ let close_window t now =
   t.ring <- truncate t.capacity (r :: t.ring);
   t.on_rollup r
 
-let tick t =
-  let now = t.now () in
+let tick ?now t =
+  let now = match now with Some n -> n | None -> t.now () in
   (* A window that overran (missed ticks on a blocked loop) closes as
      one long window; [dur] carries the truth and rates divide by it. *)
   if now -. t.window_start >= t.interval then close_window t now

@@ -42,8 +42,9 @@ val create :
 val capacity : t -> int
 val interval : t -> float
 
-(** Close the current window if at least [interval] has elapsed. *)
-val tick : t -> unit
+(** Close the current window if at least [interval] has elapsed by [now]
+    (default: read the clock). *)
+val tick : ?now:float -> t -> unit
 
 (** Close the current window unconditionally (dump paths want the
     partial tail). *)

@@ -36,17 +36,49 @@ and trace = {
   mutable tr_finished : bool;
 }
 
+(* One ring entry, rewritten in place each time the ring wraps onto it.
+   Nothing a finished trace allocated stays reachable from here: the
+   stamps are unboxed in [s_times] (begin, end, then start and stop per
+   span), the label is copied into [s_label], and the span arrays are
+   reused until a longer trace lands. *)
+type slot = {
+  mutable s_id : int;
+  mutable s_label : Bytes.t;
+  mutable s_label_len : int;
+  mutable s_spans : int;
+  mutable s_truncated : int;
+  mutable s_times : Float.Array.t;
+  mutable s_names : string array;
+  mutable s_tracks : string array;
+  mutable s_depths : int array;
+}
+
 type t = {
   clock : unit -> float;
   track : string;
   cap : int;
   span_cap : int;
-  ring : trace_data option array;
+  slots : slot array;  (* [unused] until first written *)
   mutable head : int;  (* next write slot *)
   mutable len : int;
-  mutable next_id : int;
+  next_id : int Atomic.t;
   mutable n_completed : int;
 }
+
+let new_slot () =
+  {
+    s_id = 0;
+    s_label = Bytes.empty;
+    s_label_len = 0;
+    s_spans = 0;
+    s_truncated = 0;
+    s_times = Float.Array.create 2;
+    s_names = [||];
+    s_tracks = [||];
+    s_depths = [||];
+  }
+
+let unused = new_slot ()
 
 let create ~clock ?(capacity = 256) ?(max_spans = 64) ?(track = "main-loop")
     () =
@@ -57,10 +89,10 @@ let create ~clock ?(capacity = 256) ?(max_spans = 64) ?(track = "main-loop")
     track;
     cap = capacity;
     span_cap = max_spans;
-    ring = Array.make capacity None;
+    slots = Array.make capacity unused;
     head = 0;
     len = 0;
-    next_id = 0;
+    next_id = Atomic.make 0;
     n_completed = 0;
   }
 
@@ -70,10 +102,8 @@ let default_track t = t.track
 let now t = t.clock ()
 
 let start t ?at ?(label = "request") () =
-  let id = t.next_id in
-  t.next_id <- id + 1;
   {
-    tr_id = id;
+    tr_id = Atomic.fetch_and_add t.next_id 1;
     tr_label = label;
     tr_start = (match at with Some a -> a | None -> t.clock ());
     tr_spans = [];
@@ -85,7 +115,6 @@ let start t ?at ?(label = "request") () =
 
 let id tr = tr.tr_id
 let label tr = tr.tr_label
-let start_of tr = tr.tr_start
 let relabel tr label = tr.tr_label <- label
 
 let dropped_span tr name track start =
@@ -99,9 +128,9 @@ let dropped_span tr name track start =
     sp_trace = tr;
   }
 
-let begin_span t tr ?track name =
+let begin_span t tr ?track ?at name =
   let track = match track with Some s -> s | None -> t.track in
-  let at = t.clock () in
+  let at = match at with Some a -> a | None -> t.clock () in
   if tr.tr_finished || tr.tr_nspans >= t.span_cap then begin
     if not tr.tr_finished then tr.tr_truncated <- tr.tr_truncated + 1;
     dropped_span tr name track at
@@ -127,9 +156,9 @@ let begin_span t tr ?track name =
 (* Closing a span closes any still-open spans begun inside it at the
    same instant, so begin/end pairs always produce well-nested
    intervals even when callers interleave ends out of order. *)
-let end_span t sp =
+let end_span t ?at sp =
   if (not sp.sp_dropped) && Float.is_nan sp.sp_stop then begin
-    let at = t.clock () in
+    let at = match at with Some a -> a | None -> t.clock () in
     let tr = sp.sp_trace in
     if List.memq sp tr.tr_open then begin
       let rec pop = function
@@ -164,15 +193,97 @@ let add_span t ?track ~name ~start ~stop tr =
     tr.tr_nspans <- tr.tr_nspans + 1
   end
 
-let instant t tr ?track name =
-  let at = t.clock () in
+let instant t tr ?track ?at name =
+  let at = match at with Some a -> a | None -> t.clock () in
   add_span t ?track ~name ~start:at ~stop:at tr
 
-let push t data =
-  t.ring.(t.head) <- Some data;
-  t.head <- (t.head + 1) mod t.cap;
+(* ------------------------------------------------------------------ *)
+(* The ring                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Labels shorter than this never resize a slot's buffer; a longer one
+   is given up once a label under half its size lands, so a slot holds
+   at most twice what its current label needs. *)
+let label_min = 64
+
+let set_label s label =
+  let n = String.length label and cap = Bytes.length s.s_label in
+  if n > cap || (cap > label_min && cap > 2 * n) then
+    s.s_label <- Bytes.create (Int.max label_min n);
+  Bytes.blit_string label 0 s.s_label 0 n;
+  s.s_label_len <- n
+
+(* The slot the next completed trace lands in, with room for [n]
+   spans. *)
+let next_slot t n =
+  let s =
+    match t.slots.(t.head) with
+    | s when s != unused -> s
+    | _ ->
+        let s = new_slot () in
+        t.slots.(t.head) <- s;
+        s
+  in
+  let room = Array.length s.s_names in
+  if room < n then begin
+    let room = Int.max n (Int.min t.span_cap (2 * room)) in
+    s.s_times <- Float.Array.create (2 + (2 * room));
+    s.s_names <- Array.make room "";
+    s.s_tracks <- Array.make room "";
+    s.s_depths <- Array.make room 0
+  end;
+  s
+
+(* A reused slot mostly gets the names and tracks it already holds, so
+   the pointer test skips most write barriers. *)
+let set_span s j ~name ~track ~start ~stop ~depth =
+  if s.s_names.(j) != name then s.s_names.(j) <- name;
+  if s.s_tracks.(j) != track then s.s_tracks.(j) <- track;
+  Float.Array.set s.s_times (2 + (2 * j)) start;
+  Float.Array.set s.s_times (3 + (2 * j)) stop;
+  s.s_depths.(j) <- depth
+
+let fill_slot s ~id ~label ~t_begin ~t_end ~spans ~truncated =
+  s.s_id <- id;
+  set_label s label;
+  s.s_spans <- spans;
+  s.s_truncated <- truncated;
+  Float.Array.set s.s_times 0 t_begin;
+  Float.Array.set s.s_times 1 t_end
+
+let advance t =
+  t.head <- (if t.head + 1 = t.cap then 0 else t.head + 1);
   if t.len < t.cap then t.len <- t.len + 1;
   t.n_completed <- t.n_completed + 1
+
+(* Span [j] is the [j]th begun; [tr_spans] lists them newest first. *)
+let rec copy_spans s t_end j = function
+  | [] -> ()
+  | sp :: rest ->
+      set_span s j ~name:sp.sp_name ~track:sp.sp_track ~start:sp.sp_start
+        ~stop:(if Float.is_nan sp.sp_stop then t_end else sp.sp_stop)
+        ~depth:sp.sp_depth;
+      copy_spans s t_end (j - 1) rest
+
+let rec stop_open at = function
+  | [] -> ()
+  | sp :: rest ->
+      if Float.is_nan sp.sp_stop then sp.sp_stop <- at;
+      stop_open at rest
+
+let complete t ?at tr =
+  if not tr.tr_finished then begin
+    let at = match at with Some a -> a | None -> t.clock () in
+    stop_open at tr.tr_open;
+    tr.tr_open <- [];
+    tr.tr_finished <- true;
+    let n = tr.tr_nspans in
+    let s = next_slot t n in
+    fill_slot s ~id:tr.tr_id ~label:tr.tr_label ~t_begin:tr.tr_start ~t_end:at
+      ~spans:n ~truncated:tr.tr_truncated;
+    copy_spans s at (n - 1) tr.tr_spans;
+    advance t
+  end
 
 let data_of_trace tr ~t_end =
   let spans =
@@ -198,38 +309,60 @@ let data_of_trace tr ~t_end =
 
 let finish t ?at tr =
   let at = match at with Some a -> a | None -> t.clock () in
-  if tr.tr_finished then data_of_trace tr ~t_end:at
-  else begin
-    List.iter
-      (fun sp -> if Float.is_nan sp.sp_stop then sp.sp_stop <- at)
-      tr.tr_open;
-    tr.tr_open <- [];
-    tr.tr_finished <- true;
-    let data = data_of_trace tr ~t_end:at in
-    push t data;
-    data
-  end
+  complete t ~at tr;
+  data_of_trace tr ~t_end:at
 
 let ingest t data =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  push t { data with id }
+  let n = List.length data.spans in
+  let s = next_slot t n in
+  fill_slot s ~id:(Atomic.fetch_and_add t.next_id 1) ~label:data.label
+    ~t_begin:data.t_begin ~t_end:data.t_end ~spans:n ~truncated:data.truncated;
+  List.iteri
+    (fun j sp ->
+      set_span s j ~name:sp.name ~track:sp.track ~start:sp.t_start
+        ~stop:sp.t_stop ~depth:sp.depth)
+    data.spans;
+  advance t
 
 let completed t = t.n_completed
 let evicted t = Stdlib.max 0 (t.n_completed - t.cap)
 
-let snapshot t =
-  let out = ref [] in
-  for i = t.len - 1 downto 0 do
-    let slot = (t.head - 1 - i + (2 * t.cap)) mod t.cap in
-    match t.ring.(slot) with
-    | Some data -> out := data :: !out
-    | None -> ()
-  done;
-  List.rev !out
+let data_of_slot s =
+  let times = s.s_times in
+  let rec spans j acc =
+    if j < 0 then acc
+    else
+      spans (j - 1)
+        ({
+           name = s.s_names.(j);
+           track = s.s_tracks.(j);
+           t_start = Float.Array.get times (2 + (2 * j));
+           t_stop = Float.Array.get times (3 + (2 * j));
+           depth = s.s_depths.(j);
+         }
+        :: acc)
+  in
+  {
+    id = s.s_id;
+    label = Bytes.sub_string s.s_label 0 s.s_label_len;
+    t_begin = Float.Array.get times 0;
+    t_end = Float.Array.get times 1;
+    spans = spans (s.s_spans - 1) [];
+    truncated = s.s_truncated;
+  }
+
+(* The newest [n] ring entries, oldest first. *)
+let newest t n =
+  List.init n (fun k ->
+      data_of_slot t.slots.((t.head - n + k + t.cap) mod t.cap))
+
+let snapshot t = newest t t.len
+
+let since t mark =
+  newest t (Int.min t.len (Stdlib.max 0 (t.n_completed - mark)))
 
 let reset t =
-  Array.fill t.ring 0 t.cap None;
+  Array.fill t.slots 0 t.cap unused;
   t.head <- 0;
   t.len <- 0;
   t.n_completed <- 0
@@ -287,11 +420,12 @@ let to_chrome_json traces =
   Buffer.add_string b "]}";
   Buffer.contents b
 
-let summary data =
+let summary ?since data =
+  let since = match since with Some s -> s | None -> data.t_begin in
   let b = Buffer.create 128 in
   Buffer.add_string b
     (Printf.sprintf "trace %d %S %.3f ms:" data.id data.label
-       (1000. *. (data.t_end -. data.t_begin)));
+       (1000. *. (data.t_end -. since)));
   List.iteri
     (fun i sp ->
       Buffer.add_string b (if i = 0 then " " else "; ");

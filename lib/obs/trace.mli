@@ -21,8 +21,20 @@
     and {!ingest} takes a whole trace finished in another process
     (an MP child's, carried over its report pipe as [trace_data]).
 
-    Like the rest of [Obs], a collector is not thread-safe; callers
-    serialise access (the live server guards it with its obs mutex). *)
+    A trace in flight belongs to one caller: {!start} draws its id from
+    an atomic counter and the span calls touch only the trace, so they
+    need no lock.  Everything that reads or writes the ring ({!complete},
+    {!finish}, {!ingest}, {!snapshot}, {!since}, the counters, {!reset})
+    must be serialised by the caller (the live server takes its obs
+    mutex).
+
+    {!complete} copies a finished trace into a ring slot that is reused
+    as the ring wraps: stamps unboxed in a float array, the label copied
+    into the slot's own buffer, the span arrays grown only when a longer
+    trace lands.  No slot storage exists before its first trace, and the
+    ring keeps nothing the finished trace allocated, so a minor
+    collection promotes none of it.  [trace_data] is built only when
+    something reads the ring. *)
 
 type t
 (** A collector: clock, ring buffer and id allocator. *)
@@ -76,32 +88,35 @@ val start : t -> ?at:float -> ?label:string -> unit -> trace
 
 val id : trace -> int
 val label : trace -> string
-val start_of : trace -> float
 
 (** Set the label once it is known (after the request line parses). *)
 val relabel : trace -> string -> unit
 
-(** Open a span now.  Returns a handle even when the per-trace bound is
-    hit (the span is then counted in [truncated] and otherwise
-    ignored). *)
-val begin_span : t -> trace -> ?track:string -> string -> span
+(** Open a span at [at] (default now).  Returns a handle even when the
+    per-trace bound is hit (the span is then counted in [truncated] and
+    otherwise ignored). *)
+val begin_span : t -> trace -> ?track:string -> ?at:float -> string -> span
 
-(** Close a span at the current clock.  Any spans opened inside it and
+(** Close a span at [at] (default now).  Any spans opened inside it and
     not yet closed are closed at the same instant (nesting stays
     well-formed).  Closing a closed span is a no-op. *)
-val end_span : t -> span -> unit
+val end_span : t -> ?at:float -> span -> unit
 
 (** Splice in a completed span with explicit boundaries — work measured
     in another process/thread, stitched into this request's trace. *)
 val add_span :
   t -> ?track:string -> name:string -> start:float -> stop:float -> trace -> unit
 
-(** Zero-duration marker span (accept, keep-alive reuse, close). *)
-val instant : t -> trace -> ?track:string -> string -> unit
+(** Zero-duration marker span (accept, keep-alive reuse, close) at [at]
+    (default now). *)
+val instant : t -> trace -> ?track:string -> ?at:float -> string -> unit
 
 (** Close the trace at [at] (default now): remaining open spans are
-    closed, the trace enters the ring (evicting the oldest when full),
-    and its data is returned. *)
+    closed and the trace is copied into the ring (evicting the oldest
+    when full).  Completing a completed trace is a no-op. *)
+val complete : t -> ?at:float -> trace -> unit
+
+(** {!complete}, then the trace's data. *)
 val finish : t -> ?at:float -> trace -> trace_data
 
 (** Push an externally assembled trace (e.g. decoded from another
@@ -117,6 +132,11 @@ val evicted : t -> int
 (** Ring contents, oldest first. *)
 val snapshot : t -> trace_data list
 
+(** [since t mark]: the ring entries completed after the first [mark]
+    (a past {!completed} count), oldest first — at most the ring's
+    length of them. *)
+val since : t -> int -> trace_data list
+
 val reset : t -> unit
 
 (** {2 Export} *)
@@ -128,6 +148,7 @@ val reset : t -> unit
     track renders as its own Perfetto track. *)
 val to_chrome_json : trace_data list -> string
 
-(** One-line span breakdown, for the slow-request log: label, total
-    duration, then each span as [name dur@track]. *)
-val summary : trace_data -> string
+(** One-line span breakdown, for the slow-request log: label, duration
+    from [since] (default [t_begin]) to [t_end], then each span as
+    [name dur@track]. *)
+val summary : ?since:float -> trace_data -> string

@@ -23,14 +23,15 @@ let create ~clock ~threshold () =
     last_gap = 0.;
   }
 
-let arm t = t.armed <- Some (t.clock ())
+let stamp t = function Some a -> a | None -> t.clock ()
+let arm ?at t = t.armed <- Some (stamp t at)
 
-let check t =
+let check ?at t =
   match t.armed with
   | None -> ()
   | Some t0 ->
       t.armed <- None;
-      let gap = t.clock () -. t0 in
+      let gap = stamp t at -. t0 in
       t.iterations <- t.iterations + 1;
       t.last_gap <- gap;
       if gap > t.max_gap then t.max_gap <- gap;

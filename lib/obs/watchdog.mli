@@ -4,7 +4,8 @@
     single synchronous disk read freezes every connection (the SPED
     pathology of §3.3 of the Flash paper).  The watchdog times each loop
     iteration's *processing* interval: call {!arm} when [select]
-    returns, {!check} just before the next [select].  Any interval
+    returns, {!check} just before the next [select].  A loop that has
+    already read the clock at those points passes its stamps as [?at].  Any interval
     longer than the threshold is counted as a stall; all intervals feed
     a log-bucketed histogram.
 
@@ -18,12 +19,14 @@ type t
     @raise Invalid_argument if [threshold <= 0]. *)
 val create : clock:(unit -> float) -> threshold:float -> unit -> t
 
-(** Start timing an iteration.  Re-arming discards the pending one. *)
-val arm : t -> unit
+(** Start timing an iteration at [at] (default: read the clock).
+    Re-arming discards the pending one. *)
+val arm : ?at:float -> t -> unit
 
-(** Finish the armed iteration: record its duration, counting a stall if
-    it exceeded the threshold.  No-op when not armed. *)
-val check : t -> unit
+(** Finish the armed iteration at [at] (default: read the clock): record
+    its duration, counting a stall if it exceeded the threshold.  No-op
+    when not armed. *)
+val check : ?at:float -> t -> unit
 
 (** [check] then [arm]: gap-between-beats style for loops with no idle
     wait to exclude. *)

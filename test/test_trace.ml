@@ -22,25 +22,72 @@ let tick now dt = now := !now +. dt
 (* Ring-buffer properties                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The whole ring against a list model.  Traces of 0 to past
+   [max_spans] spans wrap the ring several times, so every slot is
+   rewritten by traces longer and shorter than the one it held: ids,
+   labels, span names, tracks, times, depths and [truncated] must all
+   come back as the newest traces had them.  Every third span is left
+   open, so later ones nest under it and [complete] closes it. *)
 let prop_ring_capacity =
   QCheck.Test.make ~count:200 ~name:"ring keeps the newest <= capacity traces"
-    QCheck.(pair (int_range 0 20) (int_range 1 8))
-    (fun (n, cap) ->
+    QCheck.(
+      triple (int_range 1 8) (int_range 1 6)
+        (list_of_size Gen.(int_range 0 40) (int_range 0 9)))
+    (fun (cap, max_spans, counts) ->
       let now = ref 0.0 in
-      let t = Trace.create ~clock:(fun () -> !now) ~capacity:cap () in
-      for i = 0 to n - 1 do
-        let tr = Trace.start t ~label:(Printf.sprintf "req-%d" i) () in
-        tick now 1.0;
-        ignore (Trace.finish t tr)
-      done;
-      let snap = Trace.snapshot t in
-      List.length snap = min n cap
-      && Trace.completed t = n
+      let t =
+        Trace.create ~clock:(fun () -> !now) ~capacity:cap ~max_spans ()
+      in
+      let model =
+        List.mapi
+          (fun i k ->
+            let label = Printf.sprintf "req-%d" i in
+            let t_begin = !now in
+            let tr = Trace.start t ~label () in
+            let began =
+              List.init k (fun j ->
+                  tick now 1.0;
+                  let name = Printf.sprintf "s%d.%d" i j in
+                  let track = if j mod 2 = 0 then "main-loop" else "helper" in
+                  let sp = Trace.begin_span t tr ~track name in
+                  let t_start = !now in
+                  tick now 0.5;
+                  if j mod 3 <> 2 then Trace.end_span t sp;
+                  (name, track, t_start, j))
+            in
+            tick now 1.0;
+            let t_end = !now in
+            Trace.complete t tr;
+            let spans =
+              List.filter_map
+                (fun (name, track, t_start, j) ->
+                  if j >= max_spans then None
+                  else
+                    Some
+                      {
+                        Trace.name;
+                        track;
+                        t_start;
+                        t_stop = (if j mod 3 = 2 then t_end else t_start +. 0.5);
+                        depth = j / 3;
+                      })
+                began
+            in
+            {
+              Trace.id = i;
+              label;
+              t_begin;
+              t_end;
+              spans;
+              truncated = max 0 (k - max_spans);
+            })
+          counts
+      in
+      let n = List.length counts in
+      Trace.completed t = n
       && Trace.evicted t = max 0 (n - cap)
       && (* FIFO eviction: the survivors are the newest, oldest first. *)
-      List.map (fun (d : Trace.trace_data) -> d.Trace.label) snap
-         = List.init (min n cap) (fun i ->
-               Printf.sprintf "req-%d" (n - min n cap + i)))
+      Trace.snapshot t = List.filteri (fun i _ -> i >= n - min n cap) model)
 
 let prop_span_bound =
   QCheck.Test.make ~count:200 ~name:"per-trace span count is bounded"
@@ -92,6 +139,38 @@ let prop_well_formed =
           && s.Trace.t_stop <= d.Trace.t_end
           && s.Trace.depth >= 0)
         d.Trace.spans)
+
+(* A finished trace is copied into a slot the ring reuses, so the ring
+   keeps nothing a trace allocated: once every slot has held a trace,
+   minor collections promote next to nothing per trace.  A ring that
+   held each trace's records and span lists promoted all of them. *)
+let test_ring_retains_nothing_young () =
+  let now = ref 0.0 in
+  let t = Trace.create ~clock:(fun () -> !now) ~capacity:256 () in
+  let run n =
+    for i = 1 to n do
+      let tr = Trace.start t () in
+      List.iter
+        (fun name ->
+          let sp = Trace.begin_span t tr name in
+          tick now 0.001;
+          Trace.end_span t sp)
+        [ "parse"; "resolve"; "fill"; "write" ];
+      ignore (Trace.finish t tr);
+      if i mod 100 = 0 then Gc.minor ()
+    done
+  in
+  run 512;
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  let n = 10_000 in
+  run n;
+  Gc.minor ();
+  let per_trace =
+    ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int n
+  in
+  if per_trace >= 4. then
+    Alcotest.failf "%.2f words promoted per trace (bound 4)" per_trace
 
 (* end_span on an outer span closes still-open children at the same
    instant — the exporter never sees a dangling child. *)
@@ -434,6 +513,68 @@ let test_access_log_timing () =
           | Some us -> Alcotest.(check bool) "microseconds >= 0" true (us >= 0)
           | None -> Alcotest.failf "timing field %S is not an integer" last))
 
+(* A request is timed from its first byte, not from the accept: a
+   client that idles 300 ms before sending logs its request's own
+   service time and crosses no 100 ms slow threshold, with tracing on
+   or off.  Under MP the request runs in a child, which reports its
+   trace over the pipe. *)
+let test_first_byte_timing () =
+  List.iter
+    (fun (name, mode, trace) ->
+      let access = Filename.temp_file "flash_access" ".log" in
+      let slow = Filename.temp_file "flash_slow" ".log" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun f -> try Sys.remove f with Sys_error _ -> ())
+            [ access; slow ])
+        (fun () ->
+          with_mode
+            ~tweak:(fun c ->
+              {
+                c with
+                Server.trace;
+                access_log = Some access;
+                access_log_timing = true;
+                slow_request_ms = Some 100.;
+                slow_request_log = Some slow;
+              })
+            mode
+            (fun server port ->
+              let s = Helpers.Raw.open_session ~port in
+              Thread.delay 0.3;
+              let r = Helpers.Raw.session_request s "/hello.txt" in
+              Helpers.Raw.close_session s;
+              Alcotest.(check int) (name ^ ": 200") 200 r.Helpers.Raw.status;
+              (* A slow line is written as the trace finishes. *)
+              if trace then
+                ignore (await_traces server (fun snap -> snap <> []))
+              else Thread.delay 0.1);
+          let read path =
+            let ic = open_in path in
+            let s = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            s
+          in
+          let line = String.trim (read access) in
+          let us =
+            match String.rindex_opt line ' ' with
+            | Some i ->
+                int_of_string_opt
+                  (String.sub line (i + 1) (String.length line - i - 1))
+            | None -> None
+          in
+          (match us with
+          | Some us when us < 100_000 -> ()
+          | _ -> Alcotest.failf "%s: access log %S times the idle wait" name line);
+          Alcotest.(check string) (name ^ ": no slow line") "" (read slow)))
+    [
+      ("AMPED, tracing on", Server.Amped, true);
+      ("AMPED, tracing off", Server.Amped, false);
+      ("MP, tracing on", Server.Mp 2, true);
+      ("MP, tracing off", Server.Mp 2, false);
+    ]
+
 (* /server-status: the JSON is produced by the real escapers (a hostile
    server_name survives the label escape inside the JSON escape) and
    reports the trace ring. *)
@@ -467,6 +608,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ring_capacity;
     QCheck_alcotest.to_alcotest prop_span_bound;
     QCheck_alcotest.to_alcotest prop_well_formed;
+    Alcotest.test_case "ring retains nothing young" `Quick
+      test_ring_retains_nothing_young;
     Alcotest.test_case "end_span closes open children" `Quick
       test_end_closes_children;
     Alcotest.test_case "chrome JSON round-trips hostile labels" `Quick
@@ -495,6 +638,8 @@ let suite =
     Alcotest.test_case "live ring capacity" `Quick test_live_ring_capacity;
     Alcotest.test_case "slow-request log" `Quick test_slow_request_log;
     Alcotest.test_case "access-log timing field" `Quick test_access_log_timing;
+    Alcotest.test_case "timing counts from the first byte" `Quick
+      test_first_byte_timing;
     Alcotest.test_case "status JSON trace block and escaping" `Quick
       test_status_json_trace_block;
   ]
