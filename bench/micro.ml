@@ -116,9 +116,10 @@ let bench_timer_wheel =
          ignore (Evio.Timer_wheel.schedule wheel ~at:(!now +. 10.) 0);
          ignore (Evio.Timer_wheel.advance wheel ~now:!now)))
 
-(* The miss path's probe: map a 16 KB file, ask [mincore] whether it
-   is in core, unmap it — what the AMPED loop pays on a known path
-   before it decides between an inline fill and a helper. *)
+(* The miss path's probe for a file above the copy limit: map a 16 KB
+   file, ask [mincore] whether it is in core, unmap it — what the AMPED
+   loop pays on a known path before it decides between an inline fill
+   and a helper (the fill then faults the pages in on its first send). *)
 let micro_file =
   lazy
     (let path = Filename.temp_file "flash_micro" ".bin" in
@@ -136,8 +137,27 @@ let bench_map_resident =
          ignore (Iovec.resident buf);
          Iovec.unmap buf))
 
+(* The inline fill of a file of at most the copy limit: one
+   non-blocking read of a resident 16 KB file into a fresh buffer,
+   then the free its last lease ends with. *)
+let bench_read_cached =
+  Test.make ~name:"iovec.read_cached(16 KB)+free"
+    (Staged.stage (fun () ->
+         match
+           Iovec.read_cached ~trust_mincore:true (Lazy.force micro_file) 16384
+         with
+         | Some buf -> Iovec.free buf
+         | None -> failwith "micro: the 16 KB file is not cached"))
+
+(* The header copies of one miss: four rendered headers of about 256
+   bytes each enter off-heap buffers. *)
+let bench_of_string =
+  let header = String.make 256 'h' in
+  Test.make ~name:"iovec.of_string(256 B)"
+    (Staged.stage (fun () -> ignore (Iovec.of_string header)))
+
 (* A cached response through the send queue: header slice plus a body
-   slice that takes and, when popped, ends a lease on its mapping. *)
+   slice that takes and, when popped, ends a lease on its body. *)
 let bench_sendq_leased =
   let body, mapped =
     Flash_live.File_cache.map_body (Lazy.force micro_file) ~size:16384
@@ -191,6 +211,8 @@ let tests =
       bench_normalize;
       bench_timer_wheel;
       bench_map_resident;
+      bench_read_cached;
+      bench_of_string;
       bench_sendq_leased;
       bench_trace_request;
     ]

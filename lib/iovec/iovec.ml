@@ -11,27 +11,19 @@ external stub_writev : Unix.file_descr -> slice array -> int -> int
 external map : Unix.file_descr -> int -> bigstring = "flash_iovec_map"
 external unmap : bigstring -> unit = "flash_iovec_unmap"
 external resident : bigstring -> bool = "flash_iovec_resident"
+external of_string : string -> bigstring = "flash_iovec_of_string"
+external read : Unix.file_descr -> int -> bigstring = "flash_iovec_read"
+
+external read_cached :
+  trust_mincore:bool -> Unix.file_descr -> int -> bigstring option
+  = "flash_iovec_read_cached"
+
+external free : bigstring -> unit = "flash_iovec_free"
 
 let have_writev = stub_available ()
 let max_iovecs = 64
 
 let create n = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
-
-let of_string s =
-  let n = String.length s in
-  let buf = create n in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set buf i (String.unsafe_get s i)
-  done;
-  buf
-
-let of_bytes b ~len =
-  if len < 0 || len > Bytes.length b then invalid_arg "Iovec.of_bytes";
-  let buf = create len in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set buf i (Bytes.unsafe_get b i)
-  done;
-  buf
 
 let sub_string buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then

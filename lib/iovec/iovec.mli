@@ -2,11 +2,10 @@
     send primitive (paper §5.5).
 
     A {!slice} points into a {!bigstring} (a char Bigarray: stable,
-    off-heap storage, which is also what {!map} returns), so a
-    response can be described as [header slice; body slice] and handed
-    to the kernel in a single [writev(2)] without concatenating — and,
-    for mmap-backed bodies, without ever copying the payload through
-    userspace.
+    off-heap storage, which is also what {!map} and {!read} return), so
+    a response can be described as [header slice; body slice] and
+    handed to the kernel in a single [writev(2)] without concatenating
+    — and without copying the payload through userspace on any send.
 
     Two send paths are exposed and selectable at run time:
     - {!writev}: the C stub over [writev(2)] (available when
@@ -31,11 +30,9 @@ val max_iovecs : int
 
 val create : int -> bigstring
 
-(** Copying conversions (each counts as a userspace copy to callers that
-    track them). *)
+(** A copy of the string in a fresh buffer, made with one [memcpy]
+    (a userspace copy to callers that track them). *)
 val of_string : string -> bigstring
-
-val of_bytes : Bytes.t -> len:int -> bigstring
 
 (** [sub_string buf ~off ~len] copies a window out (tests, diagnostics). *)
 val sub_string : bigstring -> off:int -> len:int -> string
@@ -95,3 +92,38 @@ val unmap : bigstring -> unit
     caller neither owns nor may write as resident, so callers trust a
     [true] only for files they own (or when running as root). *)
 val resident : bigstring -> bool
+
+(** {1 Read copies}
+
+    A file's bytes copied once into a fresh [malloc]'d buffer whose
+    lifetime its owner manages, as for a mapping: the GC neither frees
+    it nor counts it towards its pacing, and {!free} ends it. *)
+
+(** [read fd len] reads the first [len] bytes of [fd] (from offset 0,
+    whatever the descriptor's position) into a fresh buffer, blocking
+    as a [read] does.  The buffer's length is the count read: shorter
+    than [len] when the file ends first.
+    @raise Unix.Unix_error on a read error.
+    @raise Invalid_argument when [len <= 0].
+    @raise Failure where read copies are not available. *)
+val read : Unix.file_descr -> int -> bigstring
+
+(** Like {!read}, but only when no byte has to come from disk: [None]
+    when a page of the first [len] bytes is not in the page cache, or
+    the file is shorter than [len].  Where the kernel has non-blocking
+    buffered reads ([preadv2] with [RWF_NOWAIT], Linux 4.14 and later,
+    selected at build time) it answers for any caller.  Elsewhere — or
+    on a filesystem that refuses the flag — a probe mapping asks
+    [mincore] first, and that answer counts only with [trust_mincore]
+    (see {!resident}); without it the result is [None].
+    @raise Unix.Unix_error on a read error.
+    @raise Invalid_argument when [len <= 0]. *)
+val read_cached :
+  trust_mincore:bool -> Unix.file_descr -> int -> bigstring option
+
+(** Free a buffer returned by {!read} or {!read_cached}, leaving it
+    empty as {!unmap} does.
+    @raise Invalid_argument on a buffer already freed, or one from
+    {!create} or {!of_string}.  A live mapping from {!map} must go to
+    {!unmap} instead. *)
+val free : bigstring -> unit

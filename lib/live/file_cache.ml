@@ -1,25 +1,28 @@
-(* A mapped body and its lease count.  Fresh at 0; each holder (the
-   cache, a queued body slice, the code building or serving an entry)
-   adds one.  The release that ends the last lease moves the count to
-   [dead] with a CAS and unmaps, so the unmap happens once even when
-   MT workers or a foreign shard's budget shed release concurrently. *)
-type mapping = { buf : Iovec.bigstring; leases : int Atomic.t }
+(* A body outside the GC (a read copy or a mapping) and its lease
+   count.  Fresh at 0; each holder (the cache, a queued body slice, the
+   code building or serving an entry) adds one.  The release that ends
+   the last lease moves the count to [dead] with a CAS and frees or
+   unmaps, so that happens once even when MT workers or a foreign
+   shard's budget shed release concurrently. *)
+type lease = { buf : Iovec.bigstring; leases : int Atomic.t; mapping : bool }
 
 let dead = min_int / 2
 
-let acquire m =
-  if Atomic.fetch_and_add m.leases 1 < 0 then
-    invalid_arg "File_cache.acquire: mapping already unmapped"
+let acquire l =
+  if Atomic.fetch_and_add l.leases 1 < 0 then
+    invalid_arg "File_cache.acquire: body already released"
 
-let release m =
+let release l =
   if
-    Atomic.fetch_and_add m.leases (-1) = 1
-    && Atomic.compare_and_set m.leases 0 dead
-  then Iovec.unmap m.buf
+    Atomic.fetch_and_add l.leases (-1) = 1
+    && Atomic.compare_and_set l.leases 0 dead
+  then if l.mapping then Iovec.unmap l.buf else Iovec.free l.buf
+
+let is_mapping l = l.mapping
 
 type entry = {
   body : Iovec.bigstring;
-  mapped : mapping option;
+  mapped : lease option;
   mtime : float;
   size : int;
   etag : string;
@@ -61,9 +64,9 @@ let create ?(policy = Flash_cache.Policy.Lru) ?admission ?budget
   let t_ref = ref None in
   let on_evict key (entry : entry) =
     (match entry.mapped with
-    | Some m ->
-        Obs.Gauge.add mapped (-(body_length entry));
-        release m
+    | Some l ->
+        if l.mapping then Obs.Gauge.add mapped (-(body_length entry));
+        release l
     | None -> ());
     match !t_ref with
     | None -> ()
@@ -152,7 +155,9 @@ let insert_keyed t key (entry : entry) =
   Option.iter acquire entry.mapped;
   if Flash_cache.Store.add t.store key entry ~weight:(entry_weight entry)
   then begin
-    if entry.mapped <> None then Obs.Gauge.add t.mapped (body_length entry)
+    match entry.mapped with
+    | Some l when l.mapping -> Obs.Gauge.add t.mapped (body_length entry)
+    | Some _ | None -> ()
   end
   else Option.iter release entry.mapped;
   flush_pending t
@@ -178,42 +183,37 @@ let clear t =
   Flash_cache.Store.iter t.store ~f:(fun k _ -> keys := k :: !keys);
   List.iter (remove t) !keys
 
-let read_body fd size =
-  let buf = Bytes.create size in
-  let rec loop off =
-    if off >= size then size
-    else
-      match Unix.read fd buf off (size - off) with
-      | 0 -> off
-      | n -> loop (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop off
-  in
-  let got = loop 0 in
-  Iovec.of_bytes buf ~len:got
+let copy_limit = 65_536
 
-let leased buf = (buf, Some { buf; leases = Atomic.make 0 })
+let leased ~mapping buf = (buf, Some { buf; leases = Atomic.make 0; mapping })
+
+(* Whether a body is a read copy rather than a mapping. *)
+let copies ~copy ~size = copy || size <= copy_limit
 
 let map_body ?(copy = false) fd ~size =
   if size <= 0 then (Iovec.create 0, None)
-  else if copy then (read_body fd size, None)
+  else if copies ~copy ~size then leased ~mapping:false (Iovec.read fd size)
   else
     match Iovec.map fd size with
-    | buf -> leased buf
-    | exception (Unix.Unix_error _ | Failure _) -> (read_body fd size, None)
+    | buf -> leased ~mapping:true buf
+    | exception (Unix.Unix_error _ | Failure _) ->
+        leased ~mapping:false (Iovec.read fd size)
 
-let map_resident ?(copy = false) fd ~size =
+let map_resident ?(copy = false) ~trust_mincore fd ~size =
   if size <= 0 then Some (Iovec.create 0, None)
+  else if copies ~copy ~size then
+    match Iovec.read_cached ~trust_mincore fd size with
+    | Some buf -> Some (leased ~mapping:false buf)
+    | None -> None
+    | exception Unix.Unix_error _ -> None
+  else if not trust_mincore then None
   else
     match Iovec.map fd size with
     | exception (Unix.Unix_error _ | Failure _) -> None
     | buf when not (Iovec.resident buf) ->
         Iovec.unmap buf;
         None
-    | buf when copy ->
-        let body = read_body fd size in
-        Iovec.unmap buf;
-        Some (body, None)
-    | buf -> Some (leased buf)
+    | buf -> Some (leased ~mapping:true buf)
 
 let trusts_mincore ~owner ~euid = owner = euid || euid = 0
 

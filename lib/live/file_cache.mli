@@ -1,15 +1,20 @@
-(** Mapped-file cache for the live server — the paper's mmap'd chunk
-    cache (§4) on the live side.
+(** File cache for the live server — the paper's mmap'd chunk cache
+    (§4) on the live side.
 
-    Bodies are {!Iovec.map} mappings (with a read-and-copy fallback for
-    filesystems that refuse to map, and for servers sending with the
-    copying fallback, where only the kernel may read a mapping), so a
-    cache hit serves file bytes straight from the mapping via a gather
-    write with zero userspace copies.  Entries carry pre-rendered 200
-    {e and} 304 headers (keep-alive and close variants, aligned per
-    server config) — the header cache of §4.3 for free, extended to
-    conditional replies so a cached 304 is a single gather write of one
-    pre-built iovec.  Bounded by total resident bytes (body + headers);
+    A body is one of two kinds, chosen by size.  A file of at most
+    {!copy_limit} bytes is cached as a read copy: its bytes copied once,
+    at fill, into a [malloc]'d buffer ({!Iovec.read}), which costs less
+    than mapping it, faulting its pages in on the first send and
+    unmapping it at eviction.  A larger file is cached as an
+    {!Iovec.map} mapping (a copy where the filesystem refuses to map).
+    A sender that copies bytes in userspace is given read copies at
+    every size, since only the kernel may read a mapping.  Either way a
+    cache hit serves the body through a gather write with zero
+    userspace copies.  Entries carry pre-rendered 200 {e and} 304
+    headers (keep-alive and close variants, aligned per server config)
+    — the header cache of §4.3 for free, extended to conditional
+    replies so a cached 304 is a single gather write of one pre-built
+    iovec.  Bounded by total resident bytes (body + headers);
     replacement and admission are pluggable via {!Flash_cache.Policy}
     (LRU, always-admit by default), and the cache can share a
     {!Flash_cache.Budget} with others.  A mapped-bytes gauge tracks how
@@ -22,30 +27,35 @@
     whenever its origin is evicted or invalidated — a variant can never
     outlive the plain file it encodes.
 
-    {b Leases.}  Each mapping counts its leases, as Flash refcounts its
+    {b Leases.}  Each body counts its leases, as Flash refcounts its
     chunks (§4.4).  The cache holds one while the entry is resident
     (taken before the store's [add], dropped on eviction, removal or
     rejection); each queued body slice holds one ({!Sendq.push_body});
     and the code that builds or serves an entry holds one until its
     response is queued (a hit takes it under the cache lock).  The
-    mapping is unmapped exactly once, by the release that ends its
-    last lease, so an evicted file leaves the address space at its
-    last send rather than at a later major GC. *)
+    release that ends the last lease frees the copy or unmaps the
+    mapping, exactly once, so an evicted file leaves memory at its last
+    send rather than at a later major GC. *)
 
-(** A mapped body's lease count. *)
-type mapping
+(** A body's lease count: a read copy's or a mapping's. *)
+type lease
 
 (** Take a lease.  Only a holder of another lease (or the creator of a
-    fresh mapping) may take one.
-    @raise Invalid_argument when the mapping is already unmapped. *)
-val acquire : mapping -> unit
+    fresh body) may take one.
+    @raise Invalid_argument when the body is already released. *)
+val acquire : lease -> unit
 
-(** End a lease; the last one unmaps. *)
-val release : mapping -> unit
+(** End a lease; the last one frees the copy or unmaps the mapping. *)
+val release : lease -> unit
+
+(** Whether the leased body is a mapping (else a read copy). *)
+val is_mapping : lease -> bool
 
 type entry = {
-  body : Iovec.bigstring;  (** the mapping when [mapped] is [Some] *)
-  mapped : mapping option;  (** [None]: a heap copy, no lease to keep *)
+  body : Iovec.bigstring;  (** the leased body when [mapped] is [Some] *)
+  mapped : lease option;
+      (** the body's lease; [None] for a buffer the GC owns (an empty
+          body), with no lease to keep *)
   mtime : float;  (** origin file's mtime (also for variants) *)
   size : int;  (** origin file's byte size (also for variants) *)
   etag : string;  (** rendered strong validator, quotes included *)
@@ -149,26 +159,40 @@ val fold_paths :
     that never became resident. *)
 val rejected_paths : t -> string list
 
-(** Map [size] bytes of [fd] (position-independent; the descriptor may
-    be closed afterwards, the mapping survives).  Falls back to reading
-    the contents into a fresh buffer when mapping fails, and reads
-    instead of mapping when [copy] (default [false]): a sender that
-    copies bytes in userspace must never read a mapping, since a file
-    that shrank under it would kill the process with SIGBUS.  The
-    second component is [Some] when the body is a mapping; it holds no
-    lease, and is unmapped when the cache's lease on it ends. *)
-val map_body :
-  ?copy:bool -> Unix.file_descr -> size:int -> Iovec.bigstring * mapping option
+(** Largest body cached as a read copy rather than a mapping: 64 KB.
+    In [bench/miss_replica.c] (one miss in C, Linux 6.18, ext4, a
+    2-vCPU Xeon VM) a 16 KB fill cost 10.6–12.5 µs copied against
+    19.9–22.0 µs mapped; the copy stayed cheaper up to 128 KB and was
+    dearer at 256 KB.  64 KB keeps below that crossover and equals the
+    simulator's {!Flash.Mmap_cache} chunk. *)
+val copy_limit : int
 
-(** Like {!map_body}, but only when every page of the file is in core
-    ({!Iovec.resident}); [None] otherwise, or when the file cannot be
-    mapped, with the probe mapping already unmapped.  With [copy] the
-    resident bytes are read into a buffer and the probe unmapped. *)
+(** The first [size] bytes of [fd] as a fresh body (position-
+    independent; the descriptor may be closed afterwards): a read copy
+    when [size <= copy_limit] or [copy] (default [false]; a sender that
+    copies bytes in userspace must never read a mapping, since a file
+    that shrank under it would kill the process with SIGBUS), else a
+    mapping, or a copy where mapping fails.  A copy is shorter than
+    [size] when the file shrank since the stat that gave [size].  The
+    second component is [Some] for a nonempty body; it holds no lease,
+    and its body is freed or unmapped when the last lease taken on it
+    ends.
+    @raise Unix.Unix_error when the read fails. *)
+val map_body :
+  ?copy:bool -> Unix.file_descr -> size:int -> Iovec.bigstring * lease option
+
+(** Like {!map_body}, but only when no byte has to come from disk;
+    [None] otherwise.  A copy is read with {!Iovec.read_cached}, which
+    also answers [None] for a file shorter than [size].  A mapping is
+    made only when [mincore] says every page is in core and
+    [trust_mincore] says that answer counts ({!trusts_mincore}); its
+    probe is unmapped when the answer is no. *)
 val map_resident :
   ?copy:bool ->
+  trust_mincore:bool ->
   Unix.file_descr ->
   size:int ->
-  (Iovec.bigstring * mapping option) option
+  (Iovec.bigstring * lease option) option
 
 (** Whether a [mincore] answer about a file owned by [owner] can be
     believed by a process whose effective uid is [euid].  Linux 5.0
@@ -180,9 +204,9 @@ val trusts_mincore : owner:int -> euid:int -> bool
 val bytes : t -> int
 val entries : t -> int
 
-(** File bytes currently mapped through cache entries.  Drops on
-    eviction/removal — the regression signal that eviction releases
-    mappings. *)
+(** File bytes currently mapped through cache entries (read copies do
+    not count).  Drops on eviction/removal — the regression signal that
+    eviction releases mappings. *)
 val mapped_bytes : t -> int
 
 val hits : t -> int

@@ -41,7 +41,7 @@ type t = {
 }
 
 (* Touch every page of the file: after this, the main process's own
-   mmap+writev will not major-fault.  A fixed 64 KB stride per read
+   read copy or mapping will not wait for the disk.  A fixed 64 KB stride per read
    call; [buf] is the calling worker's reusable scratch, so a stream of
    jobs costs no per-job allocation. *)
 let touch_file ?slow_read ~buf path =

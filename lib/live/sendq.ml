@@ -1,6 +1,6 @@
 type item =
   | Slice of Iovec.slice
-  | Body of Iovec.slice * File_cache.mapping
+  | Body of Iovec.slice * File_cache.lease
   | File of { src : Unix.file_descr; mutable remaining : int }
 
 type t = { q : item Queue.t }

@@ -1,11 +1,11 @@
 (** Per-connection send queue of iovec slices.
 
-    A response is queued as slices (pre-rendered header, mmap-backed
-    body) plus, for files too large to cache, a descriptor streamed in
-    chunks.  A slice of a cached mapping holds a lease on it
-    ({!File_cache.mapping}) from {!push_body} until {!advance} pops it
-    or {!clear} discards it, so an evicted file is unmapped only after
-    its last queued byte is sent.  Partial writes are survived by
+    A response is queued as slices (pre-rendered header, cached body)
+    plus, for files too large to cache, a descriptor streamed in
+    chunks.  A slice of a cached body holds a lease on it
+    ({!File_cache.lease}) from {!push_body} until {!advance} pops it
+    or {!clear} discards it, so an evicted file's copy or mapping is
+    released only after its last queued byte is sent.  Partial writes are survived by
     advancing slice offsets in place — bytes already accepted by the
     kernel are never re-submitted and strings are never re-sliced.  The
     queue is transport-agnostic: {!gather} exposes the leading slices
@@ -15,8 +15,8 @@
 
 type item =
   | Slice of Iovec.slice
-  | Body of Iovec.slice * File_cache.mapping
-      (** a slice of a mapped body, holding a lease on the mapping *)
+  | Body of Iovec.slice * File_cache.lease
+      (** a slice of a cached body, holding a lease on it *)
   | File of { src : Unix.file_descr; mutable remaining : int }
       (** streamed large file: read a chunk, write it, repeat *)
 
@@ -31,11 +31,11 @@ val head : t -> item option
 (** Queue a slice; zero-length slices are dropped. *)
 val push_slice : t -> Iovec.slice -> unit
 
-(** Queue a slice of a cached body.  With [Some mapping] the queued
-    slice takes a lease on it, ended when the slice is popped or
-    cleared; with [None] (a copied body) this is {!push_slice}.
+(** Queue a slice of a cached body.  With [Some lease] the queued
+    slice takes a lease on the body, ended when the slice is popped or
+    cleared; with [None] (a buffer the GC owns) this is {!push_slice}.
     Zero-length slices are dropped and take no lease. *)
-val push_body : t -> Iovec.slice -> File_cache.mapping option -> unit
+val push_body : t -> Iovec.slice -> File_cache.lease option -> unit
 
 (** Copy a heap string into a fresh off-heap buffer and queue it.
     Returns the number of bytes copied (0 for [""]) so callers can

@@ -1250,8 +1250,8 @@ let read_whole fd size =
 
 (* Pre-render an entry's 200 and 304 header pairs (keep-alive and close
    variants each) around a body buffer: a fresh cache entry.  The header
-   renders and (when mapping fails) the body read are the miss path's
-   counted copies; a mapped body costs none. *)
+   renders and a read copy of the body are the miss path's counted
+   copies, charged once here; a mapped body costs none. *)
 let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
   let body_len = Bigarray.Array1.dim body in
   let suffix =
@@ -1280,11 +1280,15 @@ let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
       ~extra:([ ("ETag", etag) ] @ vary_extra t)
       ?align:(align_of t) ()
   in
+  let body_copied =
+    match mapped with
+    | Some l when File_cache.is_mapping l -> 0
+    | Some _ | None -> body_len
+  in
   count_send t ~writev:0 ~writes:0
     ~copied:
-      ((if mapped <> None then 0 else body_len)
-      + String.length hk + String.length hc + String.length h304k
-      + String.length h304c);
+      (body_copied + String.length hk + String.length hc
+      + String.length h304k + String.length h304c);
   {
     File_cache.body;
     mapped;
@@ -1325,14 +1329,25 @@ type fill =
   | Not_resident  (* [~resident] only: a page may be on disk *)
   | Failed of Unix.error  (* open or fstat *)
 
+(* Reads of a file that keeps shrinking under them before its body is
+   taken as read. *)
+let fill_reads = 3
+
 (* The one miss path, in every mode: open without blocking (a FIFO
    swapped in for a file must not stall the loop), fstat the
-   descriptor, map it, build the entry and insert it.  Size and mtime
-   come from that fstat, so a file that shrank since an earlier stat
-   is never mapped past its end.  With [~resident] (AMPED's inline
-   attempt) the entry is built only when every page is in core and
-   the kernel's answer can be believed; [slow_read] models cold media,
-   so while it is set the answer is always "not resident". *)
+   descriptor, copy or map the body, build the entry and insert it.
+   Size and mtime come from that fstat, so a file that shrank since an
+   earlier stat is never mapped past its end; a read copy that comes up
+   short (the file shrank after the fstat) is read again after a fresh
+   fstat, and the last read is taken at its own length, so a body
+   always agrees with its Content-Length and ETag.  With [~resident]
+   (AMPED's inline attempt) the entry is built only when no byte has
+   to come from disk: a small file's copy is read with [RWF_NOWAIT],
+   which the kernel answers for any caller, while [mincore] decides
+   for a mapping and is believed only for the files it tells the truth
+   about.  A short inline read goes to a helper.  [slow_read] models
+   cold media, so while it is set the answer is always "not
+   resident". *)
 let fill ?(resident = false) t full =
   let flags = [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] in
   match Unix.openfile full flags 0 with
@@ -1349,24 +1364,41 @@ let fill ?(resident = false) t full =
       | st when st.Unix.st_size > t.config.max_cached_file ->
           Large (fd, st.Unix.st_size, st.Unix.st_mtime)
       | st -> (
-          let size = st.Unix.st_size and copy = copy_bodies t in
-          let body =
-            if not resident then Some (File_cache.map_body ~copy fd ~size)
-            else if
-              t.config.slow_read <> None
-              || not (File_cache.trusts_mincore ~owner:st.Unix.st_uid ~euid)
-            then None
-            else File_cache.map_resident ~copy fd ~size
+          let copy = copy_bodies t in
+          (* The body, leased for the caller, with its mtime. *)
+          let rec load (st : Unix.stats) reads =
+            let size = st.Unix.st_size in
+            let body, lease = File_cache.map_body ~copy fd ~size in
+            Option.iter File_cache.acquire lease;
+            if Bigarray.Array1.dim body = size || reads = 1 then
+              Some (body, lease, st.Unix.st_mtime)
+            else begin
+              Option.iter File_cache.release lease;
+              load (Unix.fstat fd) (reads - 1)
+            end
+          in
+          let loaded =
+            if not resident then load st fill_reads
+            else if t.config.slow_read <> None then None
+            else
+              let trust_mincore =
+                File_cache.trusts_mincore ~owner:st.Unix.st_uid ~euid
+              in
+              File_cache.map_resident ~copy ~trust_mincore fd
+                ~size:st.Unix.st_size
+              |> Option.map (fun (body, lease) ->
+                     Option.iter File_cache.acquire lease;
+                     (body, lease, st.Unix.st_mtime))
           in
           Unix.close fd;
-          match body with
+          match loaded with
           | None -> Not_resident
-          | Some (body, mapped) ->
+          | Some (body, mapped, mtime) ->
               let entry =
-                build_entry t ~body ~mapped ~mtime:st.Unix.st_mtime ~size
+                build_entry t ~body ~mapped ~mtime
+                  ~size:(Bigarray.Array1.dim body)
                   ~content_type:(Http.Mime.of_path full) ~encoding:None
               in
-              hold entry;
               with_cache_lock t (fun () ->
                   File_cache.insert t.cache full entry);
               Filled entry))
@@ -1421,19 +1453,19 @@ let negotiate_entry t (req : Http.Request.t) ~full entry =
     | None -> entry
   else entry
 
-(* A selected representation's body: a cached entry's mapping (origin or
+(* A selected representation's body: a cached entry's (origin or
    negotiated variant), or a file above [max_cached_file] streamed from
    its descriptor with the stat's size and mtime. *)
 type body =
-  | Mapped of File_cache.entry
+  | Cached of File_cache.entry
   | Streamed of Unix.file_descr * int * float
 
 (* The single dispatch point for serving a file, in every mode: evaluate
    conditionals and the Range field against the selected
    representation's validators, then take the path the plan names.  A
    cached entry answers 200 and 304 with its pre-rendered headers and
-   any body as a window of its mapping — one gather write, zero body
-   copies.  A streamed file renders its headers per request.  A 206's
+   any body as a window of its copy or mapping — one gather write, zero
+   body copies.  A streamed file renders its headers per request.  A 206's
    Content-Range varies per request, so it is rendered here either way
    (a counted copy). *)
 let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
@@ -1442,7 +1474,7 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
   let meth = Http.Request.meth_to_string req.Http.Request.meth in
   let etag, mtime, size, encoding =
     match body with
-    | Mapped e ->
+    | Cached e ->
         ( e.File_cache.etag,
           e.File_cache.mtime,
           File_cache.body_length e,
@@ -1451,7 +1483,7 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
         (Http.Etag.make ~mtime ~size (), mtime, size, None)
   in
   let close () =
-    match body with Streamed (fd, _, _) -> Unix.close fd | Mapped _ -> ()
+    match body with Streamed (fd, _, _) -> Unix.close fd | Cached _ -> ()
   in
   let note status ~bytes =
     count_status t status;
@@ -1470,7 +1502,7 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
   | P_not_modified ->
       note 304 ~bytes:0;
       (match body with
-      | Mapped e ->
+      | Cached e ->
           enqueue_slice conn
             (if keep then e.File_cache.header_304_keep
              else e.File_cache.header_304_close)
@@ -1485,7 +1517,7 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
   | P_full ->
       note 200 ~bytes:(if head_only then 0 else size);
       (match body with
-      | Mapped e ->
+      | Cached e ->
           enqueue_slice conn
             (if keep then e.File_cache.header_keep else e.File_cache.header_close);
           if not head_only then
@@ -1520,7 +1552,7 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
            ~content_type:(Some (Http.Mime.of_path full))
            ~content_length:(Some len) ~keep);
       (match body with
-      | Mapped e ->
+      | Cached e ->
           Sendq.push_body conn.outq
             (Iovec.slice ~off ~len e.File_cache.body)
             e.File_cache.mapped
@@ -1534,14 +1566,14 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
    end once the response is queued. *)
 let serve_entry t conn req ~full entry ~keep =
   let chosen = negotiate_entry t req ~full entry in
-  enqueue_response t conn req ~full (Mapped chosen) ~keep;
+  enqueue_response t conn req ~full (Cached chosen) ~keep;
   if chosen != entry then unhold chosen;
   unhold entry
 
 (* A miss served by one fill: a helper's completion, or SPED/MP/MT
    inline.  Small files are cached with their pre-rendered headers —
    even a 304 warms the cache; large files stream from the descriptor,
-   skipping gzip negotiation (no mapped origin body to compress, and
+   skipping gzip negotiation (no cached origin body to compress, and
    siblings of this size would not be cached either).  [refused] is
    the status for a path that is not a regular file.  A path a helper
    found cacheable joins the known paths. *)

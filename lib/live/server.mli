@@ -50,10 +50,11 @@
     All response bytes flow through a per-connection {!Sendq} of iovec
     slices flushed with [writev(2)] (§5.5 gather writes) — falling back
     to a copying [write] loop where the stub is unavailable or
-    [use_writev] is off.  Cached files are [mmap]-backed {!File_cache}
-    entries carrying both pre-rendered (keep-alive/close) headers, so a
-    cache hit is one [writev] of header + mapping with zero userspace
-    body copies.  A response is written in the loop turn that queued
+    [use_writev] is off.  Cached files are {!File_cache} entries — a
+    read copy made once at fill for a file of at most 64 KB, a mapping
+    above that — carrying both pre-rendered (keep-alive/close)
+    headers, so a cache hit is one [writev] of header + body with zero
+    userspace body copies.  A response is written in the loop turn that queued
     it — after the read that parsed its request, the helper completion,
     the CGI chunk or the 408 timer — and write interest is armed only
     after a write that would block (EAGAIN or a short [writev]), so a

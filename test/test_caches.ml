@@ -198,8 +198,15 @@ let test_mmap_release_unheld_rejected () =
 (* Encoded variants (gzip bodies) live in the same store as their origin
    under a NUL-separated key; the accounting contract is that a variant
    never outlives its origin and that every drop — explicit, evicted, or
-   stale — uncharges the mapped-bytes gauge exactly once. *)
+   stale — uncharges the mapped-bytes gauge exactly once.  The bodies
+   are just above [File_cache.copy_limit], so they are mappings, which
+   the gauge counts. *)
 module File_cache = Flash_live.File_cache
+
+(* Origin and gzip variant body lengths: 100 and 40 bytes past the
+   copy limit. *)
+let o = File_cache.copy_limit + 100
+let v = File_cache.copy_limit + 40
 
 (* A body mapped from a temporary file holding [s], so the cache
    charges and releases it as it does a served file's. *)
@@ -231,89 +238,91 @@ let fc_entry ?encoding ?size contents mtime =
     header_304_close = Iovec.of_string "c";
   }
 
-(* A 100-byte origin with a 40-byte gzip variant carrying the origin's
-   validators (mtime 5, size 100), as the server builds them. *)
+(* An [o]-byte origin with a [v]-byte gzip variant carrying the
+   origin's validators (mtime 5, size [o]), as the server builds them. *)
 let fc_pair c =
-  File_cache.insert c "/f" (fc_entry (String.make 100 'o') 5.);
+  File_cache.insert c "/f" (fc_entry (String.make o 'o') 5.);
   File_cache.insert_variant c "/f" ~encoding:"gzip"
-    (fc_entry ~encoding:"gzip" ~size:100 (String.make 40 'g') 5.)
+    (fc_entry ~encoding:"gzip" ~size:o (String.make v 'g') 5.)
 
 let test_variant_removed_with_origin () =
-  let c = File_cache.create ~capacity_bytes:10_000 () in
+  let c = File_cache.create ~capacity_bytes:1_000_000 () in
   fc_pair c;
   Alcotest.(check int) "two entries" 2 (File_cache.entries c);
-  Alcotest.(check int) "gauge charges both bodies" 140
+  Alcotest.(check int) "gauge charges both bodies" (o + v)
     (File_cache.mapped_bytes c);
-  Alcotest.(check int) "weight includes headers" 148 (File_cache.bytes c);
+  Alcotest.(check int) "weight includes headers" (o + v + 8)
+    (File_cache.bytes c);
   Alcotest.(check bool) "variant hit" true
-    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:100
+    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:o
     <> None);
   File_cache.remove c "/f";
   Alcotest.(check bool) "variant gone with origin" true
-    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:100
+    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:o
     = None);
   Alcotest.(check int) "store empty" 0 (File_cache.entries c);
   Alcotest.(check int) "gauge uncharged exactly once each" 0
     (File_cache.mapped_bytes c)
 
 let test_origin_eviction_drags_variant () =
-  (* 200 bytes holds origin (104) + variant (44); the 104-byte filler
-     forces the LRU origin out, and the variant must follow. *)
-  let c = File_cache.create ~capacity_bytes:200 () in
+  (* Origin (o + 4) and variant (v + 4) fit with 52 bytes to spare; the
+     filler (o + 4) forces the LRU origin out, and the variant must
+     follow. *)
+  let c = File_cache.create ~capacity_bytes:(o + v + 60) () in
   fc_pair c;
-  File_cache.insert c "/g" (fc_entry (String.make 100 'f') 9.);
+  File_cache.insert c "/g" (fc_entry (String.make o 'f') 9.);
   Alcotest.(check bool) "filler resident" true
-    (File_cache.find c "/g" ~mtime:9. ~size:100 <> None);
+    (File_cache.find c "/g" ~mtime:9. ~size:o <> None);
   Alcotest.(check bool) "origin evicted" true
-    (File_cache.find c "/f" ~mtime:5. ~size:100 = None);
+    (File_cache.find c "/f" ~mtime:5. ~size:o = None);
   Alcotest.(check bool) "variant followed its origin" true
-    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:100
+    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:o
     = None);
-  Alcotest.(check int) "gauge = filler only" 100 (File_cache.mapped_bytes c)
+  Alcotest.(check int) "gauge = filler only" o (File_cache.mapped_bytes c)
 
 let test_variant_evicts_alone () =
-  (* 220 bytes: after touching the origin, the filler evicts only the
-     LRU variant; the origin must survive, stay findable, and a later
-     explicit removal must not double-uncharge. *)
-  let c = File_cache.create ~capacity_bytes:220 () in
+  (* 72 bytes more: after touching the origin, the filler evicts only
+     the LRU variant; the origin must survive, stay findable, and a
+     later explicit removal must not double-uncharge. *)
+  let c = File_cache.create ~capacity_bytes:(o + v + 80) () in
   fc_pair c;
-  ignore (File_cache.find c "/f" ~mtime:5. ~size:100);
-  File_cache.insert c "/g" (fc_entry (String.make 100 'f') 9.);
+  ignore (File_cache.find c "/f" ~mtime:5. ~size:o);
+  File_cache.insert c "/g" (fc_entry (String.make o 'f') 9.);
   Alcotest.(check bool) "origin survives" true
-    (File_cache.find c "/f" ~mtime:5. ~size:100 <> None);
+    (File_cache.find c "/f" ~mtime:5. ~size:o <> None);
   Alcotest.(check bool) "variant evicted" true
-    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:100
+    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:o
     = None);
-  Alcotest.(check int) "gauge = origin + filler" 200
+  Alcotest.(check int) "gauge = origin + filler" (2 * o)
     (File_cache.mapped_bytes c);
   File_cache.remove c "/f";
-  Alcotest.(check int) "no double uncharge on removal" 100
+  Alcotest.(check int) "no double uncharge on removal" o
     (File_cache.mapped_bytes c)
 
 let test_stale_origin_invalidates_variants () =
-  let c = File_cache.create ~capacity_bytes:10_000 () in
+  let c = File_cache.create ~capacity_bytes:1_000_000 () in
   fc_pair c;
   (* The file was rewritten: the origin lookup detects staleness and
      every representation must go with it. *)
   Alcotest.(check bool) "stale origin misses" true
-    (File_cache.find c "/f" ~mtime:6. ~size:100 = None);
+    (File_cache.find c "/f" ~mtime:6. ~size:o = None);
   Alcotest.(check bool) "variant invalidated too" true
-    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:100
+    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:o
     = None);
   Alcotest.(check int) "store empty" 0 (File_cache.entries c);
   Alcotest.(check int) "gauge fully uncharged" 0 (File_cache.mapped_bytes c)
 
 let test_variant_validates_origin_key () =
-  let c = File_cache.create ~capacity_bytes:10_000 () in
+  let c = File_cache.create ~capacity_bytes:1_000_000 () in
   fc_pair c;
   (* A variant hit is keyed on the origin's (mtime, size): a mismatch
      drops the variant but leaves the still-valid origin alone. *)
   Alcotest.(check bool) "mismatched size misses" true
-    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:101
+    (File_cache.find_variant c "/f" ~encoding:"gzip" ~mtime:5. ~size:(o + 1)
     = None);
   Alcotest.(check bool) "origin untouched" true
-    (File_cache.find c "/f" ~mtime:5. ~size:100 <> None);
-  Alcotest.(check int) "gauge = origin only" 100 (File_cache.mapped_bytes c)
+    (File_cache.find c "/f" ~mtime:5. ~size:o <> None);
+  Alcotest.(check int) "gauge = origin only" o (File_cache.mapped_bytes c)
 
 let suite =
   [

@@ -530,23 +530,26 @@ let test_date_roundtrip =
    The first scrape's own cost is known — one writev, and its copied
    bytes are precisely the response bytes we received for it — so the
    request's cost falls out by subtraction, deterministically. *)
-let measure_over_session port ~warm ~request:(meth, target, headers) =
+let measure_on s ~request:(meth, target, headers) =
+  let s0 = Raw.session_request s "/server-status?json" in
+  let r = Raw.session_request s ~meth ~headers target in
+  let s1 = Raw.session_request s "/server-status?json" in
+  let count scrape key =
+    Test_status.(to_int (row (parse_json scrape.Raw.body) key))
+  in
+  let delta key = count s1 key - count s0 key in
+  (* Less scrape s0's own send. *)
+  let writev = delta "flash_writev_calls_total" - 1 in
+  let copied = delta "flash_bytes_copied_total" - String.length s0.Raw.raw in
+  (r, writev, delta "flash_write_calls_total", copied)
+
+let measure_over_session port ~warm ~request =
   let s = Raw.open_session ~port in
   Fun.protect
     ~finally:(fun () -> Raw.close_session s)
     (fun () ->
       List.iter (fun t -> ignore (Raw.session_request s t)) warm;
-      let s0 = Raw.session_request s "/server-status?json" in
-      let r = Raw.session_request s ~meth ~headers target in
-      let s1 = Raw.session_request s "/server-status?json" in
-      let count scrape key =
-        Test_status.(to_int (row (parse_json scrape.Raw.body) key))
-      in
-      let delta key = count s1 key - count s0 key in
-      (* Less scrape s0's own send. *)
-      let writev = delta "flash_writev_calls_total" - 1 in
-      let copied = delta "flash_bytes_copied_total" - String.length s0.Raw.raw in
-      (r, writev, delta "flash_write_calls_total", copied))
+      measure_on s ~request)
 
 let test_cached_304_costs_one_writev () =
   if not Iovec.have_writev then ()

@@ -1,8 +1,9 @@
-(* The miss path: mincore residency and whose answer to trust, leased
-   mappings (a qcheck property over real mapped files interleaving
-   fills, hits, evictions, partial writes, drains and closes), the
-   AMPED loop filling a resident miss on a known path without a helper,
-   and evicted mappings leaving the address space at their last send. *)
+(* The miss path: mincore residency and whose answer to trust, the
+   read stubs, leased bodies (a qcheck property over real files, copies
+   below the copy limit and mappings above it, interleaving fills,
+   hits, evictions, partial writes, drains and closes), the AMPED loop
+   filling a resident miss on a known path without a helper, and
+   evicted mappings leaving the address space at their last send. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
@@ -43,6 +44,23 @@ let sparse_file path size =
   Unix.ftruncate fd size;
   Unix.close fd
 
+(* fsync the file, then advise the kernel to drop its pages
+   ([posix_fadvise(POSIX_FADV_DONTNEED)]). *)
+external drop_cache : Unix.file_descr -> unit = "flash_test_drop_cache"
+
+(* Drop [path]'s pages from the page cache; [false] when the kernel
+   kept any (a filesystem that ignores the advice). *)
+let drop_pages path size =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  drop_cache fd;
+  let buf = Iovec.map fd size in
+  Unix.close fd;
+  let dropped = not (Iovec.resident buf) in
+  Iovec.unmap buf;
+  dropped
+
+let copy_limit = File_cache.copy_limit
+
 (* ------------------------------------------------------------------ *)
 (* Residency and trust                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -81,14 +99,62 @@ let test_resident () =
     Unix.rmdir dir
   end
 
+(* A read copy: the file's bytes up to its end, [None] from the
+   cache-only read when the file is shorter than asked, and an empty
+   buffer once freed (a second free refused). *)
+let test_read_stubs () =
+  if Iovec.have_writev then begin
+    let dir = temp_dir "flash_read" in
+    let path = Filename.concat dir "f.bin" in
+    let contents = patterned ~seed:5 10_000 in
+    write_file path contents;
+    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    let whole name buf =
+      Alcotest.(check string) name contents
+        (Iovec.sub_string buf ~off:0 ~len:(Bigarray.Array1.dim buf))
+    in
+    let copy = Iovec.read fd 12_000 in
+    Alcotest.(check int) "a read past EOF stops at EOF" 10_000
+      (Bigarray.Array1.dim copy);
+    whole "its bytes" copy;
+    Iovec.free copy;
+    Alcotest.(check int) "freed" 0 (Bigarray.Array1.dim copy);
+    Alcotest.(check bool) "second free refused" true
+      (match Iovec.free copy with
+      | () -> false
+      | exception Invalid_argument _ -> true);
+    Alcotest.(check bool) "a GC-owned buffer is not a read copy" true
+      (match Iovec.free (Iovec.of_string "x") with
+      | () -> false
+      | exception Invalid_argument _ -> true);
+    let cached = Iovec.read_cached ~trust_mincore:true fd in
+    Alcotest.(check bool) "a size past EOF is not cached" true
+      (cached 12_000 = None);
+    (match cached 10_000 with
+    | None -> Alcotest.fail "a freshly written file reads from the cache"
+    | Some buf ->
+        whole "cached bytes" buf;
+        Iovec.free buf);
+    Unix.close fd;
+    if drop_pages path 10_000 then begin
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Alcotest.(check bool) "a dropped file is not cached" true
+        (Iovec.read_cached ~trust_mincore:true fd 10_000 = None);
+      Unix.close fd
+    end;
+    Sys.remove path;
+    Unix.rmdir dir
+  end
+
 (* ------------------------------------------------------------------ *)
-(* Leases: a property over real mapped files                           *)
+(* Leases: a property over real copied and mapped files               *)
 (* ------------------------------------------------------------------ *)
 
-(* Five files of odd sizes.  The cache holds about two of them and
-   shares a 10,000-byte budget, so fills evict, and filling the
-   11,000-byte file sheds that entry inside its own insert. *)
-let sizes = [| 1000; 4096; 5000; 9000; 11_000 |]
+(* Five files of odd sizes, three cached as read copies and two above
+   the copy limit as mappings.  The cache holds about two of them and
+   shares a 90,000-byte budget, so fills evict, and filling the
+   100,000-byte file sheds that entry inside its own insert. *)
+let sizes = [| 1000; 5000; 60_000; 70_000; 100_000 |]
 
 let lease_files =
   lazy
@@ -125,7 +191,7 @@ let arb_ops =
         [
           (3, map2 (fun f q -> Fill (f, q)) (int_bound nf) (int_bound 1));
           (3, map2 (fun f q -> Hit (f, q)) (int_bound nf) (int_bound 1));
-          (3, map2 (fun q n -> Advance (q, n)) (int_bound 1) (int_bound 12000));
+          (3, map2 (fun q n -> Advance (q, n)) (int_bound 1) (int_bound 120_000));
           (1, map (fun q -> Drain q) (int_bound 1));
           (1, map (fun q -> Close q) (int_bound 1));
         ])
@@ -135,12 +201,12 @@ let arb_ops =
     ~shrink:QCheck.Shrink.list
     QCheck.Gen.(list_size (int_range 1 40) op)
 
-(* One mapping the property made, and how many queued slices of it the
+(* One body the property made, and how many queued slices of it the
    model says are unsent. *)
 type mapped = { body : Iovec.bigstring; size : int; mutable queued : int }
 
 (* A connection: its send queue, a socketpair, the model of its items
-   (the mapping a body slice leases, bytes left), and the bytes it
+   (the body a body slice leases, bytes left), and the bytes it
    should and did deliver. *)
 type conn = {
   q : Sendq.t;
@@ -155,8 +221,8 @@ let lease_prop ops =
   let dir, paths, contents = Lazy.force lease_files in
   let cache =
     File_cache.create
-      ~budget:(Flash_cache.Budget.create ~bytes:10_000)
-      ~capacity_bytes:12_000 ()
+      ~budget:(Flash_cache.Budget.create ~bytes:90_000)
+      ~capacity_bytes:95_000 ()
   in
   let key i = "/f" ^ string_of_int i in
   let cached = Array.make (Array.length sizes) None in
@@ -195,7 +261,7 @@ let lease_prop ops =
     Buffer.add_string c.expected contents.(i)
   in
   (* Write at most [n] bytes of the gathered head through the kernel,
-     which reads the mappings, then advance queue and model alike. *)
+     which reads the bodies, then advance queue and model alike. *)
   let advance c n =
     let budget = ref n in
     let cut =
@@ -240,7 +306,8 @@ let lease_prop ops =
       cached;
     !r
   in
-  (* A mapping with a lease out reads whole; one without is unmapped. *)
+  (* A body with a lease out reads whole; one without is freed or
+     unmapped. *)
   let leases_hold () =
     List.for_all
       (fun m ->
@@ -282,7 +349,7 @@ let lease_prop ops =
             let m =
               match cached.(i) with
               | Some m when m.body == e.File_cache.body -> m
-              | _ -> failwith "hit on a mapping the model does not know"
+              | _ -> failwith "hit on a body the model does not know"
             in
             let lease = Option.get e.File_cache.mapped in
             File_cache.acquire lease;
@@ -323,13 +390,16 @@ let lease_prop ops =
           (fun c -> Buffer.contents c.expected = Buffer.contents c.received)
           conns
       in
-      let resident_keys =
+      (* Only the cache's mappings stay: the copies map nothing. *)
+      let resident_mappings =
         List.length
           (List.filter
-             (fun i -> File_cache.resident cache (key i))
+             (fun i -> sizes.(i) > copy_limit && File_cache.resident cache (key i))
              (List.init (Array.length sizes) Fun.id))
       in
-      let only_cache = (not have_proc_maps) || maps_under dir = resident_keys in
+      let only_cache =
+        (not have_proc_maps) || maps_under dir = resident_mappings
+      in
       let drained = leases_hold () in
       File_cache.clear cache;
       let all_unmapped =
@@ -347,20 +417,24 @@ let test_lease_property =
 (* The AMPED gate, live                                                *)
 (* ------------------------------------------------------------------ *)
 
-let file_a = patterned ~seed:11 8192
-let file_b = patterned ~seed:12 8192
+let files size = (patterned ~seed:11 size, patterned ~seed:12 size)
+let file_a, file_b = files 8192
 
-(* A cache that holds one of the two 8 KB files (with its headers, an
-   entry weighs about 9 KB). *)
-let one_file_config ?slow_read ?(mode = Server.Amped) () =
+(* A file above the copy limit, cached as a mapping. *)
+let big = 96 * 1024
+
+(* A cache that holds one of the two files, a.bin and b.bin, of [size]
+   bytes each (an entry weighs the body and about 1 KB of headers). *)
+let one_file_config ?slow_read ?(mode = Server.Amped) ?(size = 8192) () =
   let docroot = temp_dir "flash_gate" in
-  write_file (Filename.concat docroot "a.bin") file_a;
-  write_file (Filename.concat docroot "b.bin") file_b;
+  let a, b = files size in
+  write_file (Filename.concat docroot "a.bin") a;
+  write_file (Filename.concat docroot "b.bin") b;
   ( docroot,
     {
       (Server.default_config ~docroot) with
       Server.mode;
-      file_cache_bytes = 12_000;
+      file_cache_bytes = size + 3808;
       slow_read;
     } )
 
@@ -401,21 +475,40 @@ let test_aba_sharded ?slow_read ~jobs () =
       let st = await_jobs server jobs in
       Alcotest.(check int) "helper jobs" jobs st.Server.helper_jobs)
 
-(* A known path renamed over by a fresh sparse file: once its entry is
-   gone, the loop's probe finds pages not in core, so a helper serves
-   it — the sparse file's zeros, not the old bytes. *)
+(* A known path renamed over by a fresh sparse file above the copy
+   limit: once its entry is gone, the loop's [mincore] probe finds pages
+   not in core, so a helper serves it — the sparse file's zeros, not
+   the old bytes.  (A non-blocking read of a small sparse file returns
+   its holes at once, so that one the loop fills itself.) *)
 let test_sparse_rename () =
+  let docroot, config = one_file_config ~size:big () in
+  let a, b = files big in
+  Test_status.with_config config (fun server port ->
+      let get = Test_status.get port in
+      check_body "A" a (get "/a.bin");
+      check_body "B evicts A" b (get "/b.bin");
+      let tmp = Filename.concat docroot "a.tmp" in
+      sparse_file tmp big;
+      Unix.rename tmp (Filename.concat docroot "a.bin");
+      check_body "renamed A" (String.make big '\000') (get "/a.bin");
+      let s = await_jobs server 3 in
+      Alcotest.(check int) "helper served it" 3 s.Server.helper_jobs)
+
+(* A small file dropped from the page cache after its entry was
+   evicted: the loop's non-blocking read would need the disk, so a
+   helper serves the miss. *)
+let test_dropped_small_file () =
   let docroot, config = one_file_config () in
   Test_status.with_config config (fun server port ->
       let get = Test_status.get port in
       check_body "A" file_a (get "/a.bin");
       check_body "B evicts A" file_b (get "/b.bin");
-      let tmp = Filename.concat docroot "a.tmp" in
-      sparse_file tmp 8192;
-      Unix.rename tmp (Filename.concat docroot "a.bin");
-      check_body "renamed A" (String.make 8192 '\000') (get "/a.bin");
-      let s = await_jobs server 3 in
-      Alcotest.(check int) "helper served it" 3 s.Server.helper_jobs)
+      if drop_pages (Filename.concat docroot "a.bin") 8192 then begin
+        check_body "A from disk" file_a (get "/a.bin");
+        let s = await_jobs server 3 in
+        Alcotest.(check int) "helper served it" 3 s.Server.helper_jobs
+      end
+      else print_endline "page cache kept a.bin: helper case not checked")
 
 (* A FIFO swapped in for a known path, with no writer: the loop's
    non-blocking open returns at once, sees it is not a regular file,
@@ -447,30 +540,31 @@ let test_fifo_swapped_in () =
 (* Mapping lifetime, live                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Twice through 24 files of 8 KB, three times a 64 KB cache: evicted
-   files must leave the address space at their last send, so the
-   docroot's mappings number at most the cache's entries plus a
-   response that may still be in flight. *)
-let test_mapping_lifetime mode () =
+(* Twice through 24 files, three times the cache: evicted files must
+   leave the address space at their last send, so the docroot's
+   mappings number at most the cache's entries plus a response that may
+   still be in flight.  Files of at most the copy limit are read copies
+   and map nothing. *)
+let test_mapping_lifetime ~size mode () =
   if have_proc_maps && Iovec.have_writev then begin
     let docroot = temp_dir "flash_lifetime" in
     let names = List.init 24 (Printf.sprintf "f%02d.bin") in
     List.iteri
       (fun i n ->
-        write_file (Filename.concat docroot n) (patterned ~seed:i 8192))
+        write_file (Filename.concat docroot n) (patterned ~seed:i size))
       names;
     let config =
       {
         (Server.default_config ~docroot) with
         Server.mode;
-        file_cache_bytes = 65_536;
+        file_cache_bytes = 8 * size;
       }
     in
     Test_status.with_config config (fun server port ->
         for _ = 1 to 2 do
           List.iteri
             (fun i n ->
-              check_body n (patterned ~seed:i 8192)
+              check_body n (patterned ~seed:i size)
                 (Test_status.get port ("/" ^ n)))
             names
         done;
@@ -485,16 +579,18 @@ let test_mapping_lifetime mode () =
                "flash_cache_entries")
         in
         let maps = maps_under docroot in
+        let most = if size > copy_limit then entries + 1 else 0 in
         Alcotest.(check bool)
           (Printf.sprintf "%d docroot mappings for %d entries" maps entries)
           true
-          (entries > 0 && entries < 24 && maps <= entries + 1))
+          (entries > 0 && entries < 24 && maps <= most))
   end
 
 let suite =
   [
     Alcotest.test_case "mincore trust check" `Quick test_trust_check;
     Alcotest.test_case "Iovec.resident" `Quick test_resident;
+    Alcotest.test_case "Iovec.read and read_cached" `Quick test_read_stubs;
     test_lease_property;
     Alcotest.test_case "A, B, A costs 2 helper jobs" `Quick (test_aba ~jobs:2);
     Alcotest.test_case "A, B, A with slow_read costs 3" `Quick
@@ -505,10 +601,16 @@ let suite =
       (test_aba_sharded ~slow_read:(fun _ -> ()) ~jobs:3);
     Alcotest.test_case "sparse file renamed over a known path" `Quick
       test_sparse_rename;
+    Alcotest.test_case "small file dropped from the page cache" `Quick
+      test_dropped_small_file;
     Alcotest.test_case "FIFO swapped in for a known path" `Quick
       test_fifo_swapped_in;
     Alcotest.test_case "evicted mappings unmapped (AMPED)" `Quick
-      (test_mapping_lifetime Server.Amped);
+      (test_mapping_lifetime ~size:big Server.Amped);
     Alcotest.test_case "evicted mappings unmapped (MT 2)" `Quick
-      (test_mapping_lifetime (Server.Mt 2));
+      (test_mapping_lifetime ~size:big (Server.Mt 2));
+    Alcotest.test_case "small files leave no mapping (AMPED)" `Quick
+      (test_mapping_lifetime ~size:8192 Server.Amped);
+    Alcotest.test_case "small files leave no mapping (MT 2)" `Quick
+      (test_mapping_lifetime ~size:8192 (Server.Mt 2));
   ]

@@ -3,8 +3,10 @@
    mappings, byte-identical multi-megabyte responses in all four
    architectures, pipelined bursts answered in order in every mode, the
    syscall/copy accounting that proves a cached GET is one writev with
-   no userspace body copy and one readiness wait, and streamed files
-   that stay intact or end the connection when they shrink. *)
+   no userspace body copy and one readiness wait, streamed files that
+   stay intact or end the connection when they shrink, a small file's
+   fill copying its body once, and cached read copies that outlive a
+   truncation. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
@@ -148,6 +150,9 @@ let test_cache_validates_mtime_and_size () =
   Alcotest.(check bool) "mtime mismatch misses" true
     (File_cache.find c "/a" ~mtime:11. ~size:3 = None)
 
+(* A file above [File_cache.copy_limit], so its body is a mapping. *)
+let big = 96 * 1024
+
 (* [f] runs holding a lease on the mapping, as the code that builds an
    entry does, so one mapping can back several entries in turn; ending
    that lease after every entry is gone unmaps it. *)
@@ -156,12 +161,12 @@ let with_mapped_entry f =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      write_file path (patterned 8192);
+      write_file path (patterned big);
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       let body, mapped =
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
-          (fun () -> File_cache.map_body fd ~size:8192)
+          (fun () -> File_cache.map_body fd ~size:big)
       in
       Option.iter File_cache.acquire mapped;
       f body mapped;
@@ -172,24 +177,24 @@ let with_mapped_entry f =
 
 let test_eviction_releases_mappings () =
   with_mapped_entry (fun body mapped ->
-      let entry mt = entry_of_body body ~mapped ~size:8192 mt in
+      let entry mt = entry_of_body body ~mapped ~size:big mt in
       (* Mapping survives the descriptor close: the bytes still read. *)
       Alcotest.(check string) "mapping readable after close"
-        (String.sub (patterned 8192) 0 64)
+        (String.sub (patterned big) 0 64)
         (Iovec.sub_string body ~off:0 ~len:64);
-      let c = File_cache.create ~capacity_bytes:10_000 () in
+      let c = File_cache.create ~capacity_bytes:(3 * big / 2) () in
       File_cache.insert c "/one" (entry 1.);
       if mapped <> None then
-        Alcotest.(check int) "insert charges the gauge" 8192
+        Alcotest.(check int) "insert charges the gauge" big
           (File_cache.mapped_bytes c);
-      (* A second mapped entry overflows the 10 KB budget: LRU evicts the
+      (* A second mapped entry overflows the budget: LRU evicts the
          first, and the gauge must fall back to one entry's worth. *)
       File_cache.insert c "/two" (entry 2.);
       Alcotest.(check int) "eviction uncharges"
-        (if mapped <> None then 8192 else 0)
+        (if mapped <> None then big else 0)
         (File_cache.mapped_bytes c);
       Alcotest.(check bool) "old entry gone" true
-        (File_cache.find c "/one" ~mtime:1. ~size:8192 = None);
+        (File_cache.find c "/one" ~mtime:1. ~size:big = None);
       File_cache.remove c "/two";
       Alcotest.(check int) "explicit remove uncharges too" 0
         (File_cache.mapped_bytes c))
@@ -201,34 +206,41 @@ let test_eviction_releases_mappings () =
 let test_stale_drop_uncharges_gauge () =
   with_mapped_entry (fun body mapped ->
       if mapped <> None then begin
-        let entry mt = entry_of_body body ~mapped ~size:8192 mt in
-        let c = File_cache.create ~capacity_bytes:100_000 () in
+        let entry mt = entry_of_body body ~mapped ~size:big mt in
+        let c = File_cache.create ~capacity_bytes:(4 * big) () in
         File_cache.insert c "/f" (entry 1.);
-        Alcotest.(check int) "charged" 8192 (File_cache.mapped_bytes c);
+        Alcotest.(check int) "charged" big (File_cache.mapped_bytes c);
         (* The file was rewritten: the lookup detects staleness. *)
         Alcotest.(check bool) "stale lookup misses" true
-          (File_cache.find c "/f" ~mtime:2. ~size:8192 = None);
+          (File_cache.find c "/f" ~mtime:2. ~size:big = None);
         Alcotest.(check int) "stale drop uncharged the gauge" 0
           (File_cache.mapped_bytes c);
         (* Re-inserting the fresh entry charges once, not twice. *)
         File_cache.insert c "/f" (entry 2.);
-        Alcotest.(check int) "fresh entry charged once" 8192
+        Alcotest.(check int) "fresh entry charged once" big
           (File_cache.mapped_bytes c);
         File_cache.remove c "/f"
       end)
 
+(* A file of at most [File_cache.copy_limit] bytes is cached as a read
+   copy, which the gauge does not count; a larger one as a mapping. *)
 let test_server_reports_mapped_bytes () =
-  let body = patterned 4096 in
-  let docroot = make_docroot [ ("page.bin", body) ] in
+  let docroot =
+    make_docroot [ ("small.bin", patterned 4096); ("page.bin", patterned big) ]
+  in
   let config = Server.default_config ~docroot in
   with_config_server config (fun server port ->
-      let r = Client.get ~host:"127.0.0.1" ~port "/page.bin" in
-      Alcotest.(check int) "200" 200 r.Client.status;
-      let stats = await server (fun s -> s.Server.mapped_bytes > 0) in
+      let get path = Client.get ~host:"127.0.0.1" ~port path in
+      Alcotest.(check int) "small 200" 200 (get "/small.bin").Client.status;
+      Alcotest.(check int) "200" 200 (get "/page.bin").Client.status;
+      let stats =
+        await server (fun s ->
+            s.Server.requests >= 2 && s.Server.mapped_bytes > 0)
+      in
       (* The mapping may legitimately have fallen back to a copy on an
          exotic filesystem; when it mapped, the stat must say so. *)
       if stats.Server.mapped_bytes > 0 then
-        Alcotest.(check int) "mapped bytes = file size" 4096
+        Alcotest.(check int) "mapped bytes = the large file's size" big
           stats.Server.mapped_bytes)
 
 (* ------------------------------------------------------------------ *)
@@ -734,6 +746,68 @@ let test_no_writev_survives_shrink () =
           Alcotest.(check string) "its body" "still here" r.Client.body;
           Alcotest.(check bool) "still alive" true (alive ()))
 
+(* A miss on a file of [File_cache.copy_limit] bytes is charged its
+   body once, at fill, on top of its four headers; a miss on a larger,
+   mapped file only its headers.  Both sizes have five decimal and five
+   hex digits, so their headers render to the same length and the
+   difference is the copy.  A hit then costs one writev and copies
+   nothing.  One keep-alive session carries every request, so it stays
+   on one MP child or shard, whose own counters it reads. *)
+let test_fill_copies_once mode () =
+  if Iovec.have_writev then begin
+    let docroot =
+      make_docroot
+        [
+          ("small.bin", patterned File_cache.copy_limit);
+          ("large.bin", patterned big);
+        ]
+    in
+    let config = { (Server.default_config ~docroot) with Server.mode } in
+    with_config_server config (fun _ port ->
+        let s = Helpers.Raw.open_session ~port in
+        Fun.protect
+          ~finally:(fun () -> Helpers.Raw.close_session s)
+          (fun () ->
+            let measure path =
+              let r, writev, writes, copied =
+                Test_http11.measure_on s ~request:("GET", path, [])
+              in
+              Alcotest.(check int) (path ^ " 200") 200 r.Helpers.Raw.status;
+              (writev, writes, copied)
+            in
+            let _, _, small = measure "/small.bin" in
+            let _, _, large = measure "/large.bin" in
+            Alcotest.(check int) "a small-file miss adds its size"
+              File_cache.copy_limit (small - large);
+            let writev, writes, copied = measure "/small.bin" in
+            Alcotest.(check int) "a hit is one writev" 1 writev;
+            Alcotest.(check int) "no scalar writes" 0 writes;
+            Alcotest.(check int) "zero bytes copied" 0 copied))
+  end
+
+(* A cached small file truncated in place: the cache holds a read copy,
+   so a hit still sends every cached byte under the cached
+   Content-Length (a mapping past the new end of file would fail the
+   send and close the connection).  One keep-alive session stays on
+   the MP child or shard whose cache its first request filled. *)
+let test_truncated_copy mode () =
+  let contents = patterned 20_000 in
+  let docroot = make_docroot [ ("t.bin", contents) ] in
+  let config = { (Server.default_config ~docroot) with Server.mode } in
+  with_config_server config (fun _ port ->
+      let s = Client.Session.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.Session.close s)
+        (fun () ->
+          let get () = Client.Session.request s "/t.bin" in
+          let r = get () in
+          Alcotest.(check int) "cached 200" 200 r.Client.status;
+          Unix.truncate (Filename.concat docroot "t.bin") 100;
+          let r = get () in
+          Alcotest.(check int) "200 after the truncation" 200 r.Client.status;
+          Alcotest.(check bool) "every cached byte" true
+            (String.equal contents r.Client.body)))
+
 let suite =
   [
     test_sendq_resumption;
@@ -806,4 +880,20 @@ let suite =
       test_unmapped_slice_refused;
     Alcotest.test_case "--no-writev survives a shrunk cached file" `Quick
       test_no_writev_survives_shrink;
+    Alcotest.test_case "a small-file fill copies once (AMPED)" `Quick
+      (test_fill_copies_once Server.Amped);
+    Alcotest.test_case "a small-file fill copies once (SPED)" `Quick
+      (test_fill_copies_once Server.Sped);
+    Alcotest.test_case "a small-file fill copies once (MP)" `Quick
+      (test_fill_copies_once (Server.Mp 2));
+    Alcotest.test_case "a small-file fill copies once (MT)" `Quick
+      (test_fill_copies_once (Server.Mt 2));
+    Alcotest.test_case "truncated cached copy served whole (AMPED)" `Quick
+      (test_truncated_copy Server.Amped);
+    Alcotest.test_case "truncated cached copy served whole (SPED)" `Quick
+      (test_truncated_copy Server.Sped);
+    Alcotest.test_case "truncated cached copy served whole (MP)" `Quick
+      (test_truncated_copy (Server.Mp 2));
+    Alcotest.test_case "truncated cached copy served whole (MT)" `Quick
+      (test_truncated_copy (Server.Mt 2));
   ]

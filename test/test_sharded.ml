@@ -456,6 +456,12 @@ let test_sharded_pipelined_large =
 let test_sharded_pipelined_small =
   Test_sendpath.test_pipelined_small (Server.Sharded 2)
 
+let test_sharded_fill_copies_once =
+  Test_sendpath.test_fill_copies_once (Server.Sharded 2)
+
+let test_sharded_truncated_copy =
+  Test_sendpath.test_truncated_copy (Server.Sharded 2)
+
 (* The mode-parity case of test_metrics, for the fifth mode. *)
 let test_sharded_mode_parity = Test_metrics.test_mode_parity (Server.Sharded 2)
 
@@ -715,6 +721,10 @@ let suite =
       test_sharded_pipelined_large;
     Alcotest.test_case "pipelined 200/304/206/404 vs AMPED" `Quick
       test_sharded_pipelined_small;
+    Alcotest.test_case "a small-file fill copies once" `Quick
+      test_sharded_fill_copies_once;
+    Alcotest.test_case "truncated cached copy served whole" `Quick
+      test_sharded_truncated_copy;
     Alcotest.test_case "mode parity (sharded 2)" `Quick
       test_sharded_mode_parity;
     Alcotest.test_case "trace views read every shard's ring" `Quick
