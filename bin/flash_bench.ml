@@ -94,10 +94,9 @@ let scenario_setup ~host ~port ~path = function
    counters.  The scrapes themselves are requests, so the figures carry
    ±1-request noise — irrelevant at benchmark volumes. *)
 type server_delta = {
-  send_path : string;  (* "writev" | "copy" per the server *)
   backend : string;  (* readiness backend ("select" | "poll" | "epoll") *)
   server_requests : int;
-  syscalls_per_request : float;  (* (writev + write) calls / request *)
+  syscalls_per_request : float;  (* writev calls / request *)
   copies_per_request : float;  (* userspace-copied bytes / request *)
   wakeups : int;  (* loop wakeups during the run *)
   wakeups_per_request : float;
@@ -163,11 +162,9 @@ let server_delta before after =
     in
     Some
       {
-        send_path = config "send_path";
         backend = config "backend";
         server_requests = int_of_float dreq;
-        syscalls_per_request =
-          (d "flash_writev_calls_total" +. d "flash_write_calls_total") /. dreq;
+        syscalls_per_request = d "flash_writev_calls_total" /. dreq;
         copies_per_request = d "flash_bytes_copied_total" /. dreq;
         wakeups = int_of_float dwake;
         wakeups_per_request = dwake /. dreq;
@@ -185,8 +182,8 @@ let write_json ~file ~scenario ~completed ~errors ~bytes ~elapsed
     | None -> "null"
     | Some d ->
         Printf.sprintf
-          {|{"send_path":%S,"backend":%S,"requests":%d,"syscalls_per_request":%s,"copies_per_request":%s,"wakeups":%d,"wakeups_per_request":%s}|}
-          d.send_path d.backend d.server_requests
+          {|{"backend":%S,"requests":%d,"syscalls_per_request":%s,"copies_per_request":%s,"wakeups":%d,"wakeups_per_request":%s}|}
+          d.backend d.server_requests
           (num d.syscalls_per_request)
           (num d.copies_per_request)
           d.wakeups
@@ -328,9 +325,8 @@ let run host port path clients client_workers duration keep_alive scenario
   (match server with
   | Some d ->
       Format.printf
-        "server:     %s send path, %.2f syscalls/req, %.1f bytes copied/req \
-         (%d requests)@."
-        d.send_path d.syscalls_per_request d.copies_per_request
+        "server:     %.2f syscalls/req, %.1f bytes copied/req (%d requests)@."
+        d.syscalls_per_request d.copies_per_request
         d.server_requests;
       Format.printf
         "loop:       %s backend, %d wakeups (%.2f wakeups/req)@." d.backend

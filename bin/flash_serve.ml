@@ -29,7 +29,7 @@ let parse_slo s =
       | _ -> Error (`Msg (Printf.sprintf "invalid SLO %S (want P:MS or MS)" s)))
 
 let serve docroot port mode domains event_backend helpers cache_mb cache_policy
-    cache_admission cache_budget_mb no_cgi no_align no_writev no_gzip
+    cache_admission cache_budget_mb no_cgi no_align no_gzip
     access_log access_log_timing access_log_paths status_path
     no_status stall_ms no_trace trace_capacity trace_path slow_request_ms
     slow_request_log metrics_path no_metrics latency_slo recorder_dump
@@ -97,7 +97,6 @@ let serve docroot port mode domains event_backend helpers cache_mb cache_policy
       cache_budget_bytes = Option.map (fun mb -> mb * 1024 * 1024) cache_budget_mb;
       enable_cgi = not no_cgi;
       align_headers = not no_align;
-      use_writev = (not no_writev) && Iovec.have_writev;
       access_log;
       access_log_timing;
       access_log_paths;
@@ -136,9 +135,6 @@ let serve docroot port mode domains event_backend helpers cache_mb cache_policy
     | Flash_live.Server.Mp n -> Printf.sprintf "MP x%d" n
     | Flash_live.Server.Mt n -> Printf.sprintf "MT x%d" n
     | Flash_live.Server.Sharded n -> Printf.sprintf "SHARDED x%d" n);
-  Format.printf "send path: %s@."
-    (if config.Flash_live.Server.use_writev then "writev (gather)"
-     else "write (copying fallback)");
   Format.printf "event backend: %s@." (Evio.name event_backend);
   (match Flash_live.Server.sharding_info server with
   | Some (n, strategy) ->
@@ -381,14 +377,6 @@ let no_cgi = Arg.(value & flag & info [ "no-cgi" ] ~doc:"Disable /cgi-bin/.")
 
 let no_align =
   Arg.(value & flag & info [ "no-align" ] ~doc:"Disable 32-byte header alignment.")
-
-let no_writev =
-  Arg.(
-    value & flag
-    & info [ "no-writev" ]
-        ~doc:
-          "Force the copying write fallback instead of writev gather \
-           writes (for A/B benchmarking the zero-copy send path).")
 
 let no_gzip =
   Arg.(
@@ -694,8 +682,7 @@ let cmd =
     Term.(
       const serve $ docroot $ port $ mode $ domains $ event_backend $ helpers
       $ cache_mb $ cache_policy
-      $ cache_admission $ cache_budget_mb $ no_cgi $ no_align $ no_writev
-      $ no_gzip
+      $ cache_admission $ cache_budget_mb $ no_cgi $ no_align $ no_gzip
       $ access_log $ access_log_timing $ access_log_paths $ status_path
       $ no_status $ stall_ms
       $ no_trace $ trace_capacity $ trace_path $ slow_request_ms

@@ -3,8 +3,6 @@ type bigstring =
 
 type slice = { buf : bigstring; mutable off : int; mutable len : int }
 
-external stub_available : unit -> bool = "flash_iovec_available"
-
 external stub_writev : Unix.file_descr -> slice array -> int -> int
   = "flash_iovec_writev"
 
@@ -20,7 +18,6 @@ external read_cached :
 
 external free : bigstring -> unit = "flash_iovec_free"
 
-let have_writev = stub_available ()
 let max_iovecs = 64
 
 let create n = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
@@ -54,27 +51,5 @@ let advance slices n =
   if !left > 0 then invalid_arg "Iovec.advance: count exceeds slices"
 
 let writev fd slices =
-  if not have_writev then failwith "Iovec.writev: not available";
   let n = Array.length slices in
   if n = 0 then 0 else stub_writev fd slices (min n max_iovecs)
-
-let writev_copy ~scratch fd slices =
-  let cap = Bytes.length scratch in
-  let filled = ref 0 in
-  Array.iter
-    (fun s ->
-      if s.off < 0 || s.len < 0 || s.len > Bigarray.Array1.dim s.buf - s.off
-      then invalid_arg "Iovec.writev_copy: slice outside its buffer";
-      if !filled < cap && s.len > 0 then begin
-        let take = min s.len (cap - !filled) in
-        for i = 0 to take - 1 do
-          Bytes.unsafe_set scratch (!filled + i)
-            (Bigarray.Array1.unsafe_get s.buf (s.off + i))
-        done;
-        filled := !filled + take
-      end)
-    slices;
-  if !filled = 0 then (0, 0)
-  else
-    let n = Unix.write fd scratch 0 !filled in
-    (n, !filled)

@@ -6,13 +6,7 @@
     a response can be described as [header slice; body slice] and
     handed to the kernel in a single [writev(2)] without concatenating
     — and without copying the payload through userspace on any send.
-
-    Two send paths are exposed and selectable at run time:
-    - {!writev}: the C stub over [writev(2)] (available when
-      {!have_writev});
-    - {!writev_copy}: a portable pure-OCaml fallback that copies the
-      slices into a scratch buffer and issues one scalar [Unix.write] —
-      the measured baseline the gather path is compared against. *)
+    Every response byte leaves through {!writev}. *)
 
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -20,9 +14,6 @@ type bigstring =
 (** A window into a buffer.  [off]/[len] are advanced in place as bytes
     drain, so a partial write resumes without re-slicing. *)
 type slice = { buf : bigstring; mutable off : int; mutable len : int }
-
-(** [true] when the [writev(2)] C stub is usable on this platform. *)
-val have_writev : bool
 
 (** Most slices a single {!writev} call will submit; longer gathers are
     sent over several calls. *)
@@ -50,20 +41,14 @@ val advance : slice array -> int -> unit
 
 (** Gather-write the slices to [fd] in one [writev(2)]; returns bytes
     written.  Raises [Unix.Unix_error] exactly like [Unix.write]
-    (EAGAIN/EWOULDBLOCK on a drained non-blocking socket).
-    @raise Failure when {!have_writev} is false.
+    (EAGAIN/EWOULDBLOCK on a drained non-blocking socket; EFAULT when
+    a slice over a mapping reaches past the end of a file that shrank).
+    @raise Failure where [writev(2)] is not available.
     @raise Invalid_argument, before any byte is written, when a
     submitted slice does not lie inside its buffer ([off < 0],
     [len < 0] or [off + len] past the buffer's length, as for a slice
     over an {!unmap}ped buffer). *)
 val writev : Unix.file_descr -> slice array -> int
-
-(** Portable fallback: copy the slices into [scratch] (up to its
-    capacity) and issue one scalar [Unix.write].  Returns
-    [(bytes_written, bytes_copied)]; a caller sees a partial write as
-    [bytes_written < bytes_copied].
-    @raise Invalid_argument on a slice outside its buffer, as {!writev}. *)
-val writev_copy : scratch:Bytes.t -> Unix.file_descr -> slice array -> int * int
 
 (** {1 Mappings}
 

@@ -61,12 +61,6 @@ CAMLprim value flash_iovec_free(value vbuf)
 
 #ifdef _WIN32
 
-CAMLprim value flash_iovec_available(value unit)
-{
-  (void) unit;
-  return Val_false;
-}
-
 CAMLprim value flash_iovec_writev(value vfd, value vslices, value vn)
 {
   (void) vfd; (void) vslices; (void) vn;
@@ -116,12 +110,6 @@ CAMLprim value flash_iovec_read_cached(value vtrust, value vfd, value vlen)
 /* Kept well under every platform's IOV_MAX; the OCaml side gathers at
  * most this many slices per call. */
 #define FLASH_IOV_CAP 64
-
-CAMLprim value flash_iovec_available(value unit)
-{
-  (void) unit;
-  return Val_true;
-}
 
 CAMLprim value flash_iovec_writev(value vfd, value vslices, value vn)
 {

@@ -187,21 +187,18 @@ let copy_limit = 65_536
 
 let leased ~mapping buf = (buf, Some { buf; leases = Atomic.make 0; mapping })
 
-(* Whether a body is a read copy rather than a mapping. *)
-let copies ~copy ~size = copy || size <= copy_limit
-
-let map_body ?(copy = false) fd ~size =
+let map_body ?(max_copy = max_int) fd ~size =
   if size <= 0 then (Iovec.create 0, None)
-  else if copies ~copy ~size then leased ~mapping:false (Iovec.read fd size)
+  else if size <= copy_limit then leased ~mapping:false (Iovec.read fd size)
   else
     match Iovec.map fd size with
     | buf -> leased ~mapping:true buf
-    | exception (Unix.Unix_error _ | Failure _) ->
+    | exception (Unix.Unix_error _ | Failure _) when size <= max_copy ->
         leased ~mapping:false (Iovec.read fd size)
 
-let map_resident ?(copy = false) ~trust_mincore fd ~size =
+let map_resident ~trust_mincore fd ~size =
   if size <= 0 then Some (Iovec.create 0, None)
-  else if copies ~copy ~size then
+  else if size <= copy_limit then
     match Iovec.read_cached ~trust_mincore fd size with
     | Some buf -> Some (leased ~mapping:false buf)
     | None -> None

@@ -6,11 +6,10 @@
     at fill, into a [malloc]'d buffer ({!Iovec.read}), which costs less
     than mapping it, faulting its pages in on the first send and
     unmapping it at eviction.  A larger file is cached as an
-    {!Iovec.map} mapping (a copy where the filesystem refuses to map).
-    A sender that copies bytes in userspace is given read copies at
-    every size, since only the kernel may read a mapping.  Either way a
-    cache hit serves the body through a gather write with zero
-    userspace copies.  Entries carry pre-rendered 200 {e and} 304
+    {!Iovec.map} mapping (a copy where the filesystem refuses to map,
+    within the bound its caller sets).  Either way a cache hit serves
+    the body through a gather write with zero userspace copies, and
+    only the kernel reads a mapping.  Entries carry pre-rendered 200 {e and} 304
     headers (keep-alive and close variants, aligned per server config)
     — the header cache of §4.3 for free, extended to conditional
     replies so a cached 304 is a single gather write of one pre-built
@@ -35,7 +34,9 @@
     response is queued (a hit takes it under the cache lock).  The
     release that ends the last lease frees the copy or unmaps the
     mapping, exactly once, so an evicted file leaves memory at its last
-    send rather than at a later major GC. *)
+    send rather than at a later major GC.  An entry built but never
+    inserted (a file too large to cache) is sent the same way and
+    leaves at its last send. *)
 
 (** A body's lease count: a read copy's or a mapping's. *)
 type lease
@@ -169,17 +170,17 @@ val copy_limit : int
 
 (** The first [size] bytes of [fd] as a fresh body (position-
     independent; the descriptor may be closed afterwards): a read copy
-    when [size <= copy_limit] or [copy] (default [false]; a sender that
-    copies bytes in userspace must never read a mapping, since a file
-    that shrank under it would kill the process with SIGBUS), else a
-    mapping, or a copy where mapping fails.  A copy is shorter than
-    [size] when the file shrank since the stat that gave [size].  The
-    second component is [Some] for a nonempty body; it holds no lease,
-    and its body is freed or unmapped when the last lease taken on it
-    ends.
-    @raise Unix.Unix_error when the read fails. *)
+    when [size <= copy_limit], else a mapping.  Where mapping fails the
+    body is a read copy when [size <= max_copy] (default: any size), so
+    a caller that bounds [max_copy] never copies a larger file whole.
+    A copy is shorter than [size] when the file shrank since the stat
+    that gave [size].  The second component is [Some] for a nonempty
+    body; it holds no lease, and its body is freed or unmapped when the
+    last lease taken on it ends.
+    @raise Unix.Unix_error when the read fails, or when mapping fails
+    and [size > max_copy]. *)
 val map_body :
-  ?copy:bool -> Unix.file_descr -> size:int -> Iovec.bigstring * lease option
+  ?max_copy:int -> Unix.file_descr -> size:int -> Iovec.bigstring * lease option
 
 (** Like {!map_body}, but only when no byte has to come from disk;
     [None] otherwise.  A copy is read with {!Iovec.read_cached}, which
@@ -188,7 +189,6 @@ val map_body :
     [trust_mincore] says that answer counts ({!trusts_mincore}); its
     probe is unmapped when the answer is no. *)
 val map_resident :
-  ?copy:bool ->
   trust_mincore:bool ->
   Unix.file_descr ->
   size:int ->

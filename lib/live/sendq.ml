@@ -1,13 +1,8 @@
-type item =
-  | Slice of Iovec.slice
-  | Body of Iovec.slice * File_cache.lease
-  | File of { src : Unix.file_descr; mutable remaining : int }
-
+type item = Slice of Iovec.slice | Body of Iovec.slice * File_cache.lease
 type t = { q : item Queue.t }
 
 let create () = { q = Queue.create () }
 let is_empty t = Queue.is_empty t.q
-let head t = Queue.peek_opt t.q
 
 let push_slice t (s : Iovec.slice) =
   if s.Iovec.len > 0 then Queue.push (Slice s) t.q
@@ -25,21 +20,15 @@ let push_string t s =
   if n > 0 then push_slice t (Iovec.slice (Iovec.of_string s));
   n
 
-let push_file t src ~len =
-  if len > 0 then Queue.push (File { src; remaining = len }) t.q
-  else try Unix.close src with Unix.Unix_error _ -> ()
-
 let gather t =
   let acc = ref [] in
   let count = ref 0 in
   (try
      Queue.iter
-       (fun item ->
-         match item with
-         | (Slice s | Body (s, _)) when !count < Iovec.max_iovecs ->
-             acc := s :: !acc;
-             incr count
-         | Slice _ | Body _ | File _ -> raise Exit)
+       (fun (Slice s | Body (s, _)) ->
+         if !count >= Iovec.max_iovecs then raise Exit;
+         acc := s :: !acc;
+         incr count)
        t.q
    with Exit -> ());
   Array.of_list (List.rev !acc)
@@ -48,7 +37,7 @@ let gather t =
 let pop_slice t =
   match Queue.pop t.q with
   | Body (_, m) -> File_cache.release m
-  | Slice _ | File _ -> ()
+  | Slice _ -> ()
 
 let advance t n =
   let left = ref n in
@@ -60,8 +49,7 @@ let advance t n =
         s.Iovec.len <- s.Iovec.len - take;
         left := !left - take;
         if s.Iovec.len = 0 then pop_slice t
-    | Some (File _) | None ->
-        invalid_arg "Sendq.advance: count exceeds gathered slices"
+    | None -> invalid_arg "Sendq.advance: count exceeds gathered slices"
   done;
   (* Drop any slices emptied exactly at the boundary. *)
   let rec trim () =
@@ -73,17 +61,6 @@ let advance t n =
   in
   trim ()
 
-let pop t = ignore (Queue.pop t.q)
-
-let close_files t =
-  Queue.iter
-    (function
-      | File { src; _ } -> ( try Unix.close src with Unix.Unix_error _ -> ())
-      | Slice _ | Body _ -> ())
-    t.q
-
 let clear t =
-  Queue.iter
-    (function Body (_, m) -> File_cache.release m | Slice _ | File _ -> ())
-    t.q;
+  Queue.iter (function Body (_, m) -> File_cache.release m | Slice _ -> ()) t.q;
   Queue.clear t.q

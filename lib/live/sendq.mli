@@ -1,32 +1,22 @@
 (** Per-connection send queue of iovec slices.
 
-    A response is queued as slices (pre-rendered header, cached body)
-    plus, for files too large to cache, a descriptor streamed in
-    chunks.  A slice of a cached body holds a lease on it
-    ({!File_cache.lease}) from {!push_body} until {!advance} pops it
-    or {!clear} discards it, so an evicted file's copy or mapping is
-    released only after its last queued byte is sent.  Partial writes are survived by
-    advancing slice offsets in place — bytes already accepted by the
-    kernel are never re-submitted and strings are never re-sliced.  The
-    queue is transport-agnostic: {!gather} exposes the leading slices
-    for a [writev] (or the copying fallback) and {!advance} consumes
-    whatever the write accepted, so the same logic is testable without
-    sockets. *)
-
-type item =
-  | Slice of Iovec.slice
-  | Body of Iovec.slice * File_cache.lease
-      (** a slice of a cached body, holding a lease on it *)
-  | File of { src : Unix.file_descr; mutable remaining : int }
-      (** streamed large file: read a chunk, write it, repeat *)
+    A response is queued as slices: a pre-rendered header and a body
+    that is a window of a cached entry's copy or mapping, or of an
+    uncached large file's mapping.  A slice of a leased body holds a
+    lease on it ({!File_cache.lease}) from {!push_body} until
+    {!advance} pops it or {!clear} discards it, so an evicted or
+    uncached file's copy or mapping is released only after its last
+    queued byte is sent.  Partial writes are survived by advancing
+    slice offsets in place — bytes already accepted by the kernel are
+    never re-submitted and strings are never re-sliced.  The queue is
+    transport-agnostic: {!gather} exposes the leading slices for a
+    [writev] and {!advance} consumes whatever the write accepted, so
+    the same logic is testable without sockets. *)
 
 type t
 
 val create : unit -> t
 val is_empty : t -> bool
-
-(** Head of the queue, if any (not removed). *)
-val head : t -> item option
 
 (** Queue a slice; zero-length slices are dropped. *)
 val push_slice : t -> Iovec.slice -> unit
@@ -42,11 +32,8 @@ val push_body : t -> Iovec.slice -> File_cache.lease option -> unit
     charge their copy counters. *)
 val push_string : t -> string -> int
 
-val push_file : t -> Unix.file_descr -> len:int -> unit
-
-(** Leading [Slice] and [Body] items (up to [Iovec.max_iovecs]),
-    stopping at the first [File].  The array aliases the queued slices:
-    advancing them advances the queue's view. *)
+(** The leading slices (up to [Iovec.max_iovecs]).  The array aliases
+    the queued slices: advancing them advances the queue's view. *)
 val gather : t -> Iovec.slice array
 
 (** Consume [n] bytes from the leading slices, popping the ones fully
@@ -54,12 +41,6 @@ val gather : t -> Iovec.slice array
     gathered length. *)
 val advance : t -> int -> unit
 
-(** Remove the head item (used when a [File] finishes). *)
-val pop : t -> unit
-
-(** Close any queued file descriptors (connection teardown). *)
-val close_files : t -> unit
-
-(** Discard every item, ending the leases of queued body slices
-    (connection teardown; {!close_files} first). *)
+(** Discard every slice, ending the leases of queued body slices
+    (connection teardown). *)
 val clear : t -> unit

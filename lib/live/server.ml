@@ -24,7 +24,6 @@ type config = {
   trace_path : string option;  (* Chrome trace-event endpoint; None disables *)
   slow_request_ms : float option;  (* log traces slower than this *)
   slow_request_log : string option;  (* slow-request log file; None = stderr *)
-  use_writev : bool;  (* gather writes via the C stub vs copying fallback *)
   cache_policy : Flash_cache.Policy.kind;  (* file-cache replacement *)
   cache_admission : Flash_cache.Policy.admission;  (* file-cache admission *)
   cache_budget_bytes : int option;
@@ -83,7 +82,6 @@ let default_config ~docroot =
     trace_path = Some "/server-trace";
     slow_request_ms = None;
     slow_request_log = None;
-    use_writev = Iovec.have_writev;
     cache_policy = Flash_cache.Policy.Lru;
     cache_admission = Flash_cache.Policy.Admit_always;
     cache_budget_bytes = None;
@@ -120,7 +118,6 @@ type stats = {
   loop_stalls : int;
   loop_max_stall : float;
   writev_calls : int;
-  write_calls : int;
   bytes_copied : int;
   mapped_bytes : int;
   event_backend : string;
@@ -228,7 +225,6 @@ and loop = {
   mutable next_key : int;
   mutable turn : int;  (* iterations of this loop so far *)
   mutable now : float;  (* the clock when this turn's wait returned *)
-  send_scratch : Bytes.t;  (* copying-fallback staging buffer *)
   mutable accept_paused : bool;  (* listen interest parked by backoff *)
   mutable accept_backoff : float;  (* current backoff delay, seconds *)
   accepts : bool;  (* watches the listen fd *)
@@ -339,16 +335,14 @@ type t = {
   started_at : float;
   mutable worker_threads : Thread.t list;
   (* Send-path accounting (guarded by [obs_mutex] where several threads
-     record): gather writes issued, scalar writes issued, and bytes that
-     crossed userspace on their way out. *)
+     record): gather writes issued, and bytes that crossed userspace on
+     their way out. *)
   writev_calls : Obs.Counter.t;
-  write_calls : Obs.Counter.t;
   bytes_copied : Obs.Counter.t;
   bytes_sent : Obs.Counter.t;  (* response bytes the kernel accepted *)
   (* Responses by status class: slots for 2xx/3xx/4xx/5xx, guarded by
      [obs_mutex]. *)
   status_classes : int array;
-  gather_writes : bool;  (* config.use_writev, gated on stub presence *)
   (* The unified metrics registry: every surface (/server-status text
      and JSON, /metrics exposition, programmatic stats) renders from
      one [Registry.collect] walk over these closures. *)
@@ -884,7 +878,6 @@ let register_metrics t =
           ("cache_admission", (cstat ()).Flash_cache.Store.admission);
           ("cache_policy", (cstat ()).Flash_cache.Store.policy);
           ("mode", mode_string t.config.mode);
-          ("send_path", if t.gather_writes then "writev" else "copy");
         ]);
   g ~name:"flash_uptime_seconds" ~help:"Seconds since server start."
     (fun () -> t.config.clock () -. t.started_at);
@@ -906,8 +899,6 @@ let register_metrics t =
     (locked (fun () -> float_of_int (Obs.Gauge.value t.active)));
   c ~name:"flash_writev_calls_total" ~help:"Gather writes issued."
     (locked (fun () -> Obs.Counter.value t.writev_calls));
-  c ~name:"flash_write_calls_total" ~help:"Scalar/fallback writes issued."
-    (locked (fun () -> Obs.Counter.value t.write_calls));
   c ~name:"flash_bytes_copied_total"
     ~help:"Response bytes copied through userspace."
     (locked (fun () -> Obs.Counter.value t.bytes_copied));
@@ -1091,11 +1082,10 @@ let register_metrics t =
 (* ------------------------------------------------------------------ *)
 
 (* Send-path accounting, all modes. *)
-let count_send ?(sent = 0) t ~writev ~writes ~copied =
-  if writev <> 0 || writes <> 0 || copied <> 0 || sent <> 0 then
+let count_send ?(sent = 0) t ~writev ~copied =
+  if writev <> 0 || copied <> 0 || sent <> 0 then
     with_obs_lock t (fun () ->
         Obs.Counter.add t.writev_calls writev;
-        Obs.Counter.add t.write_calls writes;
         Obs.Counter.add t.bytes_copied copied;
         Obs.Counter.add t.bytes_sent sent)
 
@@ -1105,7 +1095,7 @@ let count_send ?(sent = 0) t ~writev ~writes ~copied =
    their header and body slices come straight from the cache entry. *)
 let enqueue_string t conn s =
   let copied = Sendq.push_string conn.outq s in
-  count_send t ~writev:0 ~writes:0 ~copied
+  count_send t ~writev:0 ~copied
 
 let enqueue_slice conn buf = Sendq.push_slice conn.outq (Iovec.slice buf)
 
@@ -1236,18 +1226,6 @@ let status_view t (req : Http.Request.t) =
 (* Serving files                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let read_whole fd size =
-  let buf = Bytes.create size in
-  let rec loop off =
-    if off >= size then Bytes.unsafe_to_string buf
-    else begin
-      match Unix.read fd buf off (size - off) with
-      | 0 -> Bytes.sub_string buf 0 off
-      | n -> loop (off + n)
-    end
-  in
-  loop 0
-
 (* Pre-render an entry's 200 and 304 header pairs (keep-alive and close
    variants each) around a body buffer: a fresh cache entry.  The header
    renders and a read copy of the body are the miss path's counted
@@ -1285,7 +1263,7 @@ let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
     | Some l when File_cache.is_mapping l -> 0
     | Some _ | None -> body_len
   in
-  count_send t ~writev:0 ~writes:0
+  count_send t ~writev:0
     ~copied:
       (body_copied + String.length hk + String.length hc
       + String.length h304k + String.length h304c);
@@ -1317,17 +1295,19 @@ let held found =
   Option.iter hold found;
   found
 
-(* The copying sender reads bodies in userspace, so it is given read
-   copies: only the kernel ever reads a mapping. *)
-let copy_bodies t = not t.gather_writes
+(* Whether a body joins the cache.  A larger one is built and sent the
+   same way, and leaves memory at its last send. *)
+let cacheable t size = size <= t.config.max_cached_file
 
 (* What one miss-path fill found at a path. *)
 type fill =
-  | Filled of File_cache.entry  (* inserted; the caller holds a lease *)
-  | Large of Unix.file_descr * int * float  (* above [max_cached_file] *)
+  | Filled of File_cache.entry
+      (* the caller holds a lease; inserted when [cacheable] *)
+  | Large  (* [~resident] only: too large to cache, left to a helper *)
   | Not_regular
   | Not_resident  (* [~resident] only: a page may be on disk *)
   | Failed of Unix.error  (* open or fstat *)
+  | Unloadable  (* the body could be neither read nor mapped *)
 
 (* Reads of a file that keeps shrinking under them before its body is
    taken as read. *)
@@ -1335,19 +1315,23 @@ let fill_reads = 3
 
 (* The one miss path, in every mode: open without blocking (a FIFO
    swapped in for a file must not stall the loop), fstat the
-   descriptor, copy or map the body, build the entry and insert it.
-   Size and mtime come from that fstat, so a file that shrank since an
-   earlier stat is never mapped past its end; a read copy that comes up
-   short (the file shrank after the fstat) is read again after a fresh
-   fstat, and the last read is taken at its own length, so a body
-   always agrees with its Content-Length and ETag.  With [~resident]
-   (AMPED's inline attempt) the entry is built only when no byte has
-   to come from disk: a small file's copy is read with [RWF_NOWAIT],
-   which the kernel answers for any caller, while [mincore] decides
-   for a mapping and is believed only for the files it tells the truth
-   about.  A short inline read goes to a helper.  [slow_read] models
-   cold media, so while it is set the answer is always "not
-   resident". *)
+   descriptor, copy or map the body, build the entry and insert it when
+   it is [cacheable].  Size and mtime come from that fstat, so a file
+   that shrank since an earlier stat is never mapped past its end; a
+   read copy that comes up short (the file shrank after the fstat) is
+   read again after a fresh fstat, and the last read is taken at its
+   own length, so a body always agrees with its Content-Length and
+   ETag.  A body too large to cache is never read whole in place of a
+   mapping: where it cannot be mapped, the fill fails.  With
+   [~resident] (AMPED's inline attempt) the entry is built only when no
+   byte has to come from disk, and only for a cacheable file, since
+   asking [mincore] about a larger one would stall the loop in
+   proportion to its size: a small file's copy is read with
+   [RWF_NOWAIT], which the kernel answers for any caller, while
+   [mincore] decides for a mapping and is believed only for the files
+   it tells the truth about.  A short inline read goes to a helper.
+   [slow_read] models cold media, so while it is set the answer is
+   always "not resident". *)
 let fill ?(resident = false) t full =
   let flags = [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] in
   match Unix.openfile full flags 0 with
@@ -1361,46 +1345,54 @@ let fill ?(resident = false) t full =
       | st when st.Unix.st_kind <> Unix.S_REG ->
           Unix.close fd;
           Not_regular
-      | st when st.Unix.st_size > t.config.max_cached_file ->
-          Large (fd, st.Unix.st_size, st.Unix.st_mtime)
+      | st when resident && not (cacheable t st.Unix.st_size) ->
+          Unix.close fd;
+          Large
       | st -> (
-          let copy = copy_bodies t in
           (* The body, leased for the caller, with its mtime. *)
           let rec load (st : Unix.stats) reads =
             let size = st.Unix.st_size in
-            let body, lease = File_cache.map_body ~copy fd ~size in
+            let body, lease =
+              File_cache.map_body ~max_copy:t.config.max_cached_file fd ~size
+            in
             Option.iter File_cache.acquire lease;
             if Bigarray.Array1.dim body = size || reads = 1 then
-              Some (body, lease, st.Unix.st_mtime)
+              (body, lease, st.Unix.st_mtime)
             else begin
               Option.iter File_cache.release lease;
               load (Unix.fstat fd) (reads - 1)
             end
           in
           let loaded =
-            if not resident then load st fill_reads
-            else if t.config.slow_read <> None then None
+            if not resident then
+              match load st fill_reads with
+              | loaded -> Ok loaded
+              | exception (Unix.Unix_error _ | Failure _) -> Error Unloadable
+            else if t.config.slow_read <> None then Error Not_resident
             else
               let trust_mincore =
                 File_cache.trusts_mincore ~owner:st.Unix.st_uid ~euid
               in
-              File_cache.map_resident ~copy ~trust_mincore fd
-                ~size:st.Unix.st_size
-              |> Option.map (fun (body, lease) ->
-                     Option.iter File_cache.acquire lease;
-                     (body, lease, st.Unix.st_mtime))
+              match
+                File_cache.map_resident ~trust_mincore fd ~size:st.Unix.st_size
+              with
+              | Some (body, lease) ->
+                  Option.iter File_cache.acquire lease;
+                  Ok (body, lease, st.Unix.st_mtime)
+              | None -> Error Not_resident
           in
           Unix.close fd;
           match loaded with
-          | None -> Not_resident
-          | Some (body, mapped, mtime) ->
+          | Error miss -> miss
+          | Ok (body, mapped, mtime) ->
+              let size = Bigarray.Array1.dim body in
               let entry =
-                build_entry t ~body ~mapped ~mtime
-                  ~size:(Bigarray.Array1.dim body)
+                build_entry t ~body ~mapped ~mtime ~size
                   ~content_type:(Http.Mime.of_path full) ~encoding:None
               in
-              with_cache_lock t (fun () ->
-                  File_cache.insert t.cache full entry);
+              if cacheable t size then
+                with_cache_lock t (fun () ->
+                    File_cache.insert t.cache full entry);
               Filled entry))
 
 let remember t full =
@@ -1410,9 +1402,9 @@ let remember t full =
 (* Obtain the gzip representation of [full] for a client that
    negotiated it: the cached variant if its origin validators still
    hold, else a fresh [.gz] sibling (never one staler than the origin).
-   The variant is cached beside its origin under the same policy and
-   budget; [None] means serve identity.  A variant comes back leased,
-   like the origin it stands in for. *)
+   A [cacheable] variant is cached beside its origin under the same
+   policy and budget; [None] means serve identity.  A variant comes
+   back leased, like the origin it stands in for. *)
 let gzip_entry t ~full ~(origin : File_cache.entry) =
   let mtime = origin.File_cache.mtime and size = origin.File_cache.size in
   match
@@ -1428,20 +1420,27 @@ let gzip_entry t ~full ~(origin : File_cache.entry) =
       | st when st.Unix.st_kind = Unix.S_REG && st.Unix.st_mtime >= mtime -> (
           match Unix.openfile sib [ Unix.O_RDONLY ] 0 with
           | exception Unix.Unix_error _ -> None
-          | fd ->
-              let body, mapped =
-                File_cache.map_body ~copy:(copy_bodies t) fd
-                  ~size:st.Unix.st_size
-              in
-              Unix.close fd;
-              let entry =
-                build_entry t ~body ~mapped ~mtime ~size
-                  ~content_type:(Http.Mime.of_path full) ~encoding:(Some "gzip")
-              in
-              hold entry;
-              with_cache_lock t (fun () ->
-                  File_cache.insert_variant t.cache full ~encoding:"gzip" entry);
-              Some entry)
+          | fd -> (
+              match
+                Fun.protect
+                  ~finally:(fun () -> Unix.close fd)
+                  (fun () ->
+                    File_cache.map_body ~max_copy:t.config.max_cached_file fd
+                      ~size:st.Unix.st_size)
+              with
+              | exception (Unix.Unix_error _ | Failure _) -> None
+              | body, mapped ->
+                  let entry =
+                    build_entry t ~body ~mapped ~mtime ~size
+                      ~content_type:(Http.Mime.of_path full)
+                      ~encoding:(Some "gzip")
+                  in
+                  hold entry;
+                  if cacheable t (Bigarray.Array1.dim body) then
+                    with_cache_lock t (fun () ->
+                        File_cache.insert_variant t.cache full ~encoding:"gzip"
+                          entry);
+                  Some entry))
       | _ -> None)
 
 (* Swap in the gzip representation when the client negotiated one and
@@ -1453,85 +1452,45 @@ let negotiate_entry t (req : Http.Request.t) ~full entry =
     | None -> entry
   else entry
 
-(* A selected representation's body: a cached entry's (origin or
-   negotiated variant), or a file above [max_cached_file] streamed from
-   its descriptor with the stat's size and mtime. *)
-type body =
-  | Cached of File_cache.entry
-  | Streamed of Unix.file_descr * int * float
-
 (* The single dispatch point for serving a file, in every mode: evaluate
    conditionals and the Range field against the selected
-   representation's validators, then take the path the plan names.  A
-   cached entry answers 200 and 304 with its pre-rendered headers and
-   any body as a window of its copy or mapping — one gather write, zero
-   body copies.  A streamed file renders its headers per request.  A 206's
-   Content-Range varies per request, so it is rendered here either way
-   (a counted copy). *)
-let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
+   representation's validators, then take the path the plan names.  An
+   entry, cached or too large to cache, answers 200 and 304 with its
+   pre-rendered headers and any body as a window of its copy or
+   mapping — one gather write, zero body copies.  A 206's Content-Range
+   varies per request, so it is rendered here (a counted copy). *)
+let enqueue_response t conn (req : Http.Request.t) ~full
+    (e : File_cache.entry) ~keep =
   let head_only = req.Http.Request.meth = Http.Request.Head in
   let target = req.Http.Request.raw_target in
   let meth = Http.Request.meth_to_string req.Http.Request.meth in
-  let etag, mtime, size, encoding =
-    match body with
-    | Cached e ->
-        ( e.File_cache.etag,
-          e.File_cache.mtime,
-          File_cache.body_length e,
-          e.File_cache.encoding )
-    | Streamed (_, size, mtime) ->
-        (Http.Etag.make ~mtime ~size (), mtime, size, None)
-  in
-  let close () =
-    match body with Streamed (fd, _, _) -> Unix.close fd | Cached _ -> ()
-  in
+  let etag = e.File_cache.etag and mtime = e.File_cache.mtime in
+  let size = File_cache.body_length e in
   let note status ~bytes =
     count_status t status;
     log_access ~conn ~path:full t ~meth ~target ~status ~bytes
   in
   match plan_for ~req ~etag:(etag_of_string etag) ~mtime ~size with
   | P_precondition_failed ->
-      close ();
       enqueue_error t conn Http.Status.Precondition_failed ~keep ~head_only
         ~target ~meth
   | P_unsatisfiable ->
-      close ();
       enqueue_error t conn Http.Status.Range_not_satisfiable ~keep ~head_only
         ~target ~meth
         ~extra:[ ("Content-Range", Http.Range.content_range_unsatisfied ~size) ]
   | P_not_modified ->
       note 304 ~bytes:0;
-      (match body with
-      | Cached e ->
-          enqueue_slice conn
-            (if keep then e.File_cache.header_304_keep
-             else e.File_cache.header_304_close)
-      | Streamed (fd, _, _) ->
-          Unix.close fd;
-          enqueue_string t conn
-            (render_header t ~status:Http.Status.Not_modified ~content_type:None
-               ~content_length:None ~last_modified:mtime
-               ~extra:([ ("ETag", etag) ] @ vary_extra t)
-               ~keep));
+      enqueue_slice conn
+        (if keep then e.File_cache.header_304_keep
+         else e.File_cache.header_304_close);
       response_queued t conn ~keep
   | P_full ->
       note 200 ~bytes:(if head_only then 0 else size);
-      (match body with
-      | Cached e ->
-          enqueue_slice conn
-            (if keep then e.File_cache.header_keep else e.File_cache.header_close);
-          if not head_only then
-            Sendq.push_body conn.outq (Iovec.slice e.File_cache.body)
-              e.File_cache.mapped
-      | Streamed (fd, _, _) ->
-          enqueue_string t conn
-            (render_header t ~status:Http.Status.Ok ~last_modified:mtime
-               ~extra:
-                 ([ ("ETag", etag); ("Accept-Ranges", "bytes") ] @ vary_extra t)
-               ~content_type:(Some (Http.Mime.of_path full))
-               ~content_length:(Some size) ~keep);
-          if head_only then Unix.close fd
-          else Sendq.push_file conn.outq fd ~len:size);
+      enqueue_slice conn
+        (if keep then e.File_cache.header_keep else e.File_cache.header_close);
+      if not head_only then
+        Sendq.push_body conn.outq (Iovec.slice e.File_cache.body)
+          e.File_cache.mapped;
       response_queued t conn ~keep
   | P_slice (off, len) ->
       note 206 ~bytes:len;
@@ -1541,7 +1500,7 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
           ("ETag", etag);
           ("Accept-Ranges", "bytes");
         ]
-        @ (match encoding with
+        @ (match e.File_cache.encoding with
           | Some e -> [ ("Content-Encoding", e) ]
           | None -> [])
         @ vary_extra t
@@ -1551,32 +1510,26 @@ let enqueue_response t conn (req : Http.Request.t) ~full body ~keep =
            ~last_modified:mtime ~extra
            ~content_type:(Some (Http.Mime.of_path full))
            ~content_length:(Some len) ~keep);
-      (match body with
-      | Cached e ->
-          Sendq.push_body conn.outq
-            (Iovec.slice ~off ~len e.File_cache.body)
-            e.File_cache.mapped
-      | Streamed (fd, _, _) ->
-          ignore (Unix.lseek fd off Unix.SEEK_SET);
-          Sendq.push_file conn.outq fd ~len);
+      Sendq.push_body conn.outq
+        (Iovec.slice ~off ~len e.File_cache.body)
+        e.File_cache.mapped;
       response_queued t conn ~keep
 
-(* Serve a cached entry (a hit or a fresh fill) that arrives with the
+(* Serve an entry (a hit or a fresh fill) that arrives with the
    caller's lease; the lease, and the variant's when one was chosen,
    end once the response is queued. *)
 let serve_entry t conn req ~full entry ~keep =
   let chosen = negotiate_entry t req ~full entry in
-  enqueue_response t conn req ~full (Cached chosen) ~keep;
+  enqueue_response t conn req ~full chosen ~keep;
   if chosen != entry then unhold chosen;
   unhold entry
 
 (* A miss served by one fill: a helper's completion, or SPED/MP/MT
-   inline.  Small files are cached with their pre-rendered headers —
-   even a 304 warms the cache; large files stream from the descriptor,
-   skipping gzip negotiation (no cached origin body to compress, and
-   siblings of this size would not be cached either).  [refused] is
-   the status for a path that is not a regular file.  A path a helper
-   found cacheable joins the known paths. *)
+   inline.  The fill's entry is served like a hit, gzip negotiation
+   included, and a cacheable one stays cached — even a 304 warms the
+   cache.  [refused] is the status for a path that is not a regular
+   file.  A path a helper found cacheable joins the known paths; a
+   larger one goes to a helper on every miss. *)
 let serve_fill t conn (req : Http.Request.t) full ~keep ~refused =
   let error status =
     enqueue_error t conn status ~keep
@@ -1586,17 +1539,18 @@ let serve_fill t conn (req : Http.Request.t) full ~keep ~refused =
   in
   match fill t full with
   | Filled entry ->
-      if t.helper <> None then remember t full;
+      if t.helper <> None && cacheable t entry.File_cache.size then
+        remember t full;
       serve_entry t conn req ~full entry ~keep
-  | Large (fd, size, mtime) ->
-      enqueue_response t conn req ~full (Streamed (fd, size, mtime)) ~keep
   | Not_regular -> error refused
-  | Failed _ | Not_resident -> error Http.Status.Not_found
+  | Unloadable -> error Http.Status.Internal_server_error
+  | Failed _ | Not_resident | Large -> error Http.Status.Not_found
 
 (* AMPED's miss on a known path (§3.4, §4.2): the loop fills it itself
    when every page is in core.  [false] sends the miss to a helper as
-   before — a vanished, replaced or grown file (forgotten here), a page
-   not in core, or an answer the kernel may have faked. *)
+   before — a vanished or replaced file, or one grown too large to
+   cache (forgotten here), a page not in core, or an answer the kernel
+   may have faked. *)
 let fill_resident t conn req full ~keep =
   Hashtbl.mem t.known full
   &&
@@ -1607,10 +1561,8 @@ let fill_resident t conn req full ~keep =
        true
    | miss ->
        (match miss with
-       | Large (fd, _, _) ->
-           Unix.close fd;
+       | Large | Not_regular | Failed Unix.ENOENT ->
            Hashtbl.remove t.known full
-       | Not_regular | Failed Unix.ENOENT -> Hashtbl.remove t.known full
        | _ -> ());
        end_work_span t conn;
        false)
@@ -1883,7 +1835,6 @@ let close_conn t conn =
         (try Unix.close fd with Unix.Unix_error _ -> ());
         (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     | Reading | Waiting_helper _ -> ());
-    Sendq.close_files conn.outq;
     Sendq.clear conn.outq;
     let lp = conn.loop in
     Hashtbl.remove lp.conns conn.key;
@@ -1916,71 +1867,25 @@ let handle_readable t conn =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn t conn
 
-(* Flush queued slices with gather writes: everything contiguous at the
-   head of the queue — header + body of one response, or several
-   pipelined responses — goes to the kernel in one [writev].  A partial
-   write advances slice offsets in place and waits for the next
-   writability event.  With the copying fallback the same gather is
-   staged through the scratch buffer and written with one scalar
-   [write] — the measured difference between the two paths. *)
+(* Flush queued slices with gather writes: everything at the head of
+   the queue — header + body of one response, or several pipelined
+   responses — goes to the kernel in one [writev].  A partial write
+   advances slice offsets in place and waits for the next writability
+   event.  A write that fails ends the connection: among such failures
+   is EFAULT, from a mapped file that shrank under its Content-Length,
+   whose body can no longer be completed. *)
 let handle_writable t conn =
   conn.last_active <- conn.loop.now;
   let progress = ref true in
   (try
      while !progress && not (Sendq.is_empty conn.outq) do
-       match Sendq.head conn.outq with
-       | Some (Sendq.Slice _ | Sendq.Body _) ->
-           let slices = Sendq.gather conn.outq in
-           let total = Iovec.total_length slices in
-           let written, partial =
-             if t.gather_writes then begin
-               let n = Iovec.writev conn.fd slices in
-               count_send t ~writev:1 ~writes:0 ~copied:0 ~sent:n;
-               (n, n < total)
-             end
-             else begin
-               let n, copied =
-                 Iovec.writev_copy ~scratch:conn.loop.send_scratch conn.fd
-                   slices
-               in
-               count_send t ~writev:0 ~writes:1 ~copied ~sent:n;
-               (n, n < copied)
-             end
-           in
-           Sendq.advance conn.outq written;
-           conn.sent_bytes <- conn.sent_bytes + written;
-           if partial then progress := false
-       | Some (Sendq.File f) ->
-           let chunk = min 65536 f.remaining in
-           let data = read_whole f.src chunk in
-           let len = String.length data in
-           let n =
-             try Unix.write_substring conn.fd data 0 len with
-             | Unix.Unix_error
-                 ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> 0
-           in
-           count_send t ~writev:0 ~writes:1 ~copied:len ~sent:n;
-           conn.sent_bytes <- conn.sent_bytes + n;
-           (* Reading the chunk moved the file offset past it: seek back
-              over what the socket did not take — the tail after a short
-              write, all of it when the write would block — so the next
-              writable event re-reads it. *)
-           if n < len then begin
-             ignore (Unix.lseek f.src (n - len) Unix.SEEK_CUR);
-             progress := false
-           end;
-           f.remaining <- f.remaining - n;
-           if f.remaining <= 0 then begin
-             Unix.close f.src;
-             Sendq.pop conn.outq
-           end
-           else if len < chunk && n = len then
-             (* The file shrank after its stat: every byte it still holds
-                is sent, and the body is short of its Content-Length.
-                Whatever followed on this connection would be read as
-                the missing body, so the connection ends here. *)
-             close_conn t conn
-       | None -> progress := false
+       let slices = Sendq.gather conn.outq in
+       let total = Iovec.total_length slices in
+       let n = Iovec.writev conn.fd slices in
+       count_send t ~writev:1 ~copied:0 ~sent:n;
+       Sendq.advance conn.outq n;
+       conn.sent_bytes <- conn.sent_bytes + n;
+       if n < total then progress := false
      done
    with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -2073,7 +1978,7 @@ let handle_prefetch_completion t w (c : Helper.completion) =
       | Helper.Missing -> Obs.Counter.incr w.w_failed
       | Helper.Found _ -> (
           match fill t full with
-          | Filled entry ->
+          | Filled entry when cacheable t entry.File_cache.size ->
               remember t full;
               with_cache_lock t (fun () ->
                   if
@@ -2087,10 +1992,11 @@ let handle_prefetch_completion t w (c : Helper.completion) =
                 Hashtbl.reset w.w_warmed;
               Hashtbl.replace w.w_warmed full ();
               Obs.Counter.incr w.w_completed
-          | Large (fd, _, _) ->
-              Unix.close fd;
+          | Filled entry ->
+              (* Too large to cache: nothing was inserted. *)
+              unhold entry;
               Obs.Counter.incr w.w_failed
-          | Not_regular | Not_resident | Failed _ ->
+          | Large | Not_regular | Not_resident | Failed _ | Unloadable ->
               Obs.Counter.incr w.w_failed))
 
 let handle_helper_completions t =
@@ -2754,7 +2660,6 @@ let make_loop (config : config) ~accepts ~single ~track =
     next_key = 0;
     turn = 0;
     now = config.clock ();
-    send_scratch = Bytes.create 65536;
     accept_paused = false;
     accept_backoff = accept_backoff_initial;
     accepts;
@@ -2941,7 +2846,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       obs_mutex = Mutex.create ();
       latency = Obs.Histogram.create ();
       writev_calls = Obs.Counter.create ();
-      write_calls = Obs.Counter.create ();
       bytes_copied = Obs.Counter.create ();
       bytes_sent = Obs.Counter.create ();
       status_classes = Array.make 4 0;
@@ -2952,7 +2856,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         Option.map
           (fun (quantile, target_ms) -> Obs.Slo.create ~quantile ~target_ms ())
           config.latency_slo;
-      gather_writes = config.use_writev && Iovec.have_writev;
       watchdog =
         Obs.Watchdog.create ~clock:config.clock
           ~threshold:config.stall_threshold ();
@@ -3256,7 +3159,6 @@ let stats t =
     loop_max_stall =
       Obs.Registry.float_value samples "flash_loop_max_stall_seconds";
     writev_calls = iv "flash_writev_calls_total";
-    write_calls = iv "flash_write_calls_total";
     bytes_copied = iv "flash_bytes_copied_total";
     mapped_bytes = iv "flash_cache_mapped_bytes";
     event_backend = Evio.name t.config.event_backend;

@@ -48,13 +48,12 @@
     {2 Send path}
 
     All response bytes flow through a per-connection {!Sendq} of iovec
-    slices flushed with [writev(2)] (§5.5 gather writes) — falling back
-    to a copying [write] loop where the stub is unavailable or
-    [use_writev] is off.  Cached files are {!File_cache} entries — a
-    read copy made once at fill for a file of at most 64 KB, a mapping
-    above that — carrying both pre-rendered (keep-alive/close)
-    headers, so a cache hit is one [writev] of header + body with zero
-    userspace body copies.  A response is written in the loop turn that queued
+    slices flushed with [writev(2)] (§5.5 gather writes).  Every
+    regular file is served from a {!File_cache} entry — a read copy
+    made once at fill for a file of at most 64 KB, a mapping above
+    that — carrying both pre-rendered (keep-alive/close) headers, so a
+    cache hit is one [writev] of header + body with zero userspace
+    body copies.  A response is written in the loop turn that queued
     it — after the read that parsed its request, the helper completion,
     the CGI chunk or the 408 timer — and write interest is armed only
     after a write that would block (EAGAIN or a short [writev]), so a
@@ -62,11 +61,12 @@
     most one such immediate flush per turn; a pipelined request parsed
     after it is answered on the next writable wakeup.  Partial writes
     survive by advancing slice offsets in place; error, status and CGI
-    responses ride the same queue.  Files above [max_cached_file]
-    stream from their descriptor in 64 KB chunks; a chunk the socket
-    did not take is re-read, never dropped, and a file that shrank
-    after its stat ends the connection once its remaining bytes are
-    sent.  [writev]/[write] calls and bytes copied are counted per
+    responses ride the same queue.  A file above [max_cached_file] is
+    built into an entry the same way (mapped, never copied whole) but
+    not inserted: its last queued slice unmaps it once sent.  Under
+    AMPED such a file goes to a helper on every miss.  A mapped file
+    that shrinks under a send fails the [writev], which ends only that
+    connection.  [writev] calls and bytes copied are counted per
     server.
 
     {2 MP consolidation}
@@ -156,7 +156,9 @@ type config = {
   mode : mode;
   helpers : int;  (** helper threads (AMPED) *)
   file_cache_bytes : int;
-  max_cached_file : int;  (** larger files stream from disk, uncached *)
+  max_cached_file : int;
+      (** larger files (and gzip variants) are served from a mapping
+          made for the request and are never cached *)
   enable_cgi : bool;
   align_headers : bool;
   server_name : string;
@@ -190,11 +192,6 @@ type config = {
       (** log the span breakdown of requests slower than this *)
   slow_request_log : string option;
       (** slow-request log file; [None] writes to stderr *)
-  use_writev : bool;
-      (** gather-write responses with the [writev(2)] stub (default:
-          whenever the stub is available); off forces the copying
-          [write] fallback — the baseline [flash_bench] compares
-          against *)
   cache_policy : Flash_cache.Policy.kind;
       (** file-cache replacement policy (default LRU) *)
   cache_admission : Flash_cache.Policy.admission;
@@ -278,7 +275,6 @@ type stats = {
   loop_stalls : int;  (** event-loop iterations over the threshold *)
   loop_max_stall : float;  (** longest loop iteration, seconds *)
   writev_calls : int;  (** gather writes issued *)
-  write_calls : int;  (** fallback/stream [write] calls issued *)
   bytes_copied : int;  (** response bytes copied in userspace *)
   mapped_bytes : int;  (** file bytes currently mmap'd by the cache *)
   event_backend : string;  (** readiness backend name in use *)

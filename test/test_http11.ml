@@ -541,7 +541,7 @@ let measure_on s ~request:(meth, target, headers) =
   (* Less scrape s0's own send. *)
   let writev = delta "flash_writev_calls_total" - 1 in
   let copied = delta "flash_bytes_copied_total" - String.length s0.Raw.raw in
-  (r, writev, delta "flash_write_calls_total", copied)
+  (r, writev, copied)
 
 let measure_over_session port ~warm ~request =
   let s = Raw.open_session ~port in
@@ -552,38 +552,94 @@ let measure_over_session port ~warm ~request =
       measure_on s ~request)
 
 let test_cached_304_costs_one_writev () =
-  if not Iovec.have_writev then ()
-  else
-    with_mode_server Server.Amped (fun port ->
-        let fx = Lazy.force fixture in
-        let r, writev, writes, copied =
-          measure_over_session port ~warm:[ "/a.txt" ]
-            ~request:("GET", "/a.txt", [ ("If-None-Match", fx.etag_a) ])
-        in
-        Alcotest.(check int) "304" 304 r.Raw.status;
-        Alcotest.(check int) "exactly one writev" 1 writev;
-        Alcotest.(check int) "no scalar writes" 0 writes;
-        Alcotest.(check int) "zero bytes copied" 0 copied)
+  with_mode_server Server.Amped (fun port ->
+      let fx = Lazy.force fixture in
+      let r, writev, copied =
+        measure_over_session port ~warm:[ "/a.txt" ]
+          ~request:("GET", "/a.txt", [ ("If-None-Match", fx.etag_a) ])
+      in
+      Alcotest.(check int) "304" 304 r.Raw.status;
+      Alcotest.(check int) "exactly one writev" 1 writev;
+      Alcotest.(check int) "zero bytes copied" 0 copied)
 
 let test_cached_206_copies_only_the_header () =
-  if not Iovec.have_writev then ()
-  else
-    with_mode_server Server.Amped (fun port ->
-        let fx = Lazy.force fixture in
-        let r, writev, writes, copied =
-          measure_over_session port ~warm:[ "/a.txt" ]
-            ~request:("GET", "/a.txt", [ ("Range", "bytes=5-14") ])
-        in
-        Alcotest.(check int) "206" 206 r.Raw.status;
-        Alcotest.(check string) "slice body" (String.sub fx.body_a 5 10)
-          r.Raw.body;
-        Alcotest.(check int) "exactly one writev" 1 writev;
-        Alcotest.(check int) "no scalar writes" 0 writes;
-        (* The per-request Content-Range header is the only copy; the
-           ten body bytes ride the cached mapping untouched. *)
-        Alcotest.(check int) "copied exactly the header bytes"
-          (String.length r.Raw.raw - String.length r.Raw.body)
-          copied)
+  with_mode_server Server.Amped (fun port ->
+      let fx = Lazy.force fixture in
+      let r, writev, copied =
+        measure_over_session port ~warm:[ "/a.txt" ]
+          ~request:("GET", "/a.txt", [ ("Range", "bytes=5-14") ])
+      in
+      Alcotest.(check int) "206" 206 r.Raw.status;
+      Alcotest.(check string) "slice body" (String.sub fx.body_a 5 10)
+        r.Raw.body;
+      Alcotest.(check int) "exactly one writev" 1 writev;
+      (* The per-request Content-Range header is the only copy; the
+         ten body bytes ride the cached mapping untouched. *)
+      Alcotest.(check int) "copied exactly the header bytes"
+        (String.length r.Raw.raw - String.length r.Raw.body)
+        copied)
+
+(* A file too large to cache negotiates like any other: a gzip client
+   gets its fresh [.gz] sibling, with the variant's Content-Encoding
+   and ETag, and an identity client gets the origin.
+   [max_cached_file] bounds variants too, so with both representations
+   above it the cache holds no entry.  One keep-alive session rides one
+   MP child or shard, whose own cache it reads.  Sharded runs it from
+   test_sharded.ml. *)
+let test_large_file_negotiates mode () =
+  let docroot = Filename.temp_file "flash_largegz" "" in
+  Sys.remove docroot;
+  Unix.mkdir docroot 0o755;
+  let origin = patterned 300_000 in
+  let gz = Gzip.compress origin in
+  let path = Filename.concat docroot "big.bin" in
+  write_file path origin;
+  (* Written after its origin, so its mtime is not staler. *)
+  write_file (path ^ ".gz") gz;
+  let st = Unix.stat path in
+  let etag_gz =
+    Etag.make ~suffix:"-gz" ~mtime:st.Unix.st_mtime ~size:st.Unix.st_size ()
+  in
+  let config =
+    {
+      (Server.default_config ~docroot) with
+      Server.mode;
+      max_cached_file = 128 * 1024;
+    }
+  in
+  let server = Server.start_background config in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let s = Raw.open_session ~port:(Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> Raw.close_session s)
+        (fun () ->
+          let r =
+            Raw.session_request s ~headers:[ ("Accept-Encoding", "gzip") ]
+              "/big.bin"
+          in
+          Alcotest.(check int) "gzip 200" 200 r.Raw.status;
+          Alcotest.(check (option string)) "Content-Encoding" (Some "gzip")
+            (List.assoc_opt "content-encoding" r.Raw.headers);
+          Alcotest.(check (option string)) "the variant's ETag" (Some etag_gz)
+            (List.assoc_opt "etag" r.Raw.headers);
+          Alcotest.(check bool) "the sibling's bytes" true
+            (String.equal gz r.Raw.body);
+          let r = Raw.session_request s "/big.bin" in
+          Alcotest.(check int) "identity 200" 200 r.Raw.status;
+          Alcotest.(check (option string)) "no Content-Encoding" None
+            (List.assoc_opt "content-encoding" r.Raw.headers);
+          Alcotest.(check bool) "the origin's bytes" true
+            (String.equal origin r.Raw.body);
+          let j =
+            Test_status.parse_json
+              (Raw.session_request s "/server-status?json").Raw.body
+          in
+          Alcotest.(check int) "no entry cached" 0
+            Test_status.(
+              to_int
+                (row j ~labels:[ ("cache", "file") ] "flash_cache_entries"))))
 
 let suite =
   [
@@ -600,4 +656,12 @@ let suite =
       test_cached_304_costs_one_writev;
     Alcotest.test_case "cached 206 copies only its header" `Quick
       test_cached_206_copies_only_the_header;
+    Alcotest.test_case "a large file negotiates gzip (AMPED)" `Quick
+      (test_large_file_negotiates Server.Amped);
+    Alcotest.test_case "a large file negotiates gzip (SPED)" `Quick
+      (test_large_file_negotiates Server.Sped);
+    Alcotest.test_case "a large file negotiates gzip (MP)" `Quick
+      (test_large_file_negotiates (Server.Mp 2));
+    Alcotest.test_case "a large file negotiates gzip (MT)" `Quick
+      (test_large_file_negotiates (Server.Mt 2));
   ]

@@ -68,12 +68,13 @@ let test_head () =
       Alcotest.(check (option string)) "length advertised" (Some "16")
         (List.assoc_opt "content-length" r.Flash_live.Client.headers))
 
-let test_large_file_streams () =
+let test_large_file_served () =
   let docroot = make_docroot () in
   let config =
     {
       (Flash_live.Server.default_config ~docroot) with
-      (* Force the streaming path: cache only tiny files. *)
+      (* Cache only tiny files: big.bin is served from a mapping made
+         for the request. *)
       Flash_live.Server.max_cached_file = 1024;
     }
   in
@@ -219,7 +220,8 @@ let suite =
     Alcotest.test_case "404" `Quick test_not_found;
     Alcotest.test_case "403 on escape" `Quick test_forbidden_escape;
     Alcotest.test_case "HEAD" `Quick test_head;
-    Alcotest.test_case "large file streams" `Quick test_large_file_streams;
+    Alcotest.test_case "large file served uncached" `Quick
+      test_large_file_served;
     Alcotest.test_case "keep-alive session" `Quick test_keep_alive_session;
     Alcotest.test_case "file cache hits" `Quick test_cache_hits;
     Alcotest.test_case "AMPED helper jobs" `Quick test_amped_uses_helpers;

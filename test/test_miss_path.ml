@@ -2,8 +2,9 @@
    read stubs, leased bodies (a qcheck property over real files, copies
    below the copy limit and mappings above it, interleaving fills,
    hits, evictions, partial writes, drains and closes), the AMPED loop
-   filling a resident miss on a known path without a helper, and
-   evicted mappings leaving the address space at their last send. *)
+   filling a resident miss on a known path without a helper, files too
+   large to cache staying with the helpers, and evicted mappings
+   leaving the address space at their last send. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
@@ -80,71 +81,89 @@ let with_map path size f =
   Fun.protect ~finally:(fun () -> Iovec.unmap buf) (fun () -> f buf)
 
 let test_resident () =
-  if Iovec.have_writev then begin
-    let dir = temp_dir "flash_resident" in
-    let written = Filename.concat dir "written.bin" in
-    write_file written (patterned ~seed:1 65536);
-    with_map written 65536 (fun buf ->
-        Alcotest.(check bool) "a freshly written file is resident" true
-          (Iovec.resident buf));
-    let sparse = Filename.concat dir "sparse.bin" in
-    sparse_file sparse (1 lsl 20);
-    with_map sparse (1 lsl 20) (fun buf ->
-        Alcotest.(check bool) "a fresh sparse file is not" false
-          (Iovec.resident buf));
-    Alcotest.(check bool) "an empty buffer is" true
-      (Iovec.resident (Iovec.create 0));
-    Sys.remove written;
-    Sys.remove sparse;
-    Unix.rmdir dir
-  end
+  let dir = temp_dir "flash_resident" in
+  let written = Filename.concat dir "written.bin" in
+  write_file written (patterned ~seed:1 65536);
+  with_map written 65536 (fun buf ->
+      Alcotest.(check bool) "a freshly written file is resident" true
+        (Iovec.resident buf));
+  let sparse = Filename.concat dir "sparse.bin" in
+  sparse_file sparse (1 lsl 20);
+  with_map sparse (1 lsl 20) (fun buf ->
+      Alcotest.(check bool) "a fresh sparse file is not" false
+        (Iovec.resident buf));
+  Alcotest.(check bool) "an empty buffer is" true
+    (Iovec.resident (Iovec.create 0));
+  Sys.remove written;
+  Sys.remove sparse;
+  Unix.rmdir dir
 
 (* A read copy: the file's bytes up to its end, [None] from the
    cache-only read when the file is shorter than asked, and an empty
    buffer once freed (a second free refused). *)
 let test_read_stubs () =
-  if Iovec.have_writev then begin
-    let dir = temp_dir "flash_read" in
-    let path = Filename.concat dir "f.bin" in
-    let contents = patterned ~seed:5 10_000 in
-    write_file path contents;
+  let dir = temp_dir "flash_read" in
+  let path = Filename.concat dir "f.bin" in
+  let contents = patterned ~seed:5 10_000 in
+  write_file path contents;
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let whole name buf =
+    Alcotest.(check string) name contents
+      (Iovec.sub_string buf ~off:0 ~len:(Bigarray.Array1.dim buf))
+  in
+  let copy = Iovec.read fd 12_000 in
+  Alcotest.(check int) "a read past EOF stops at EOF" 10_000
+    (Bigarray.Array1.dim copy);
+  whole "its bytes" copy;
+  Iovec.free copy;
+  Alcotest.(check int) "freed" 0 (Bigarray.Array1.dim copy);
+  Alcotest.(check bool) "second free refused" true
+    (match Iovec.free copy with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "a GC-owned buffer is not a read copy" true
+    (match Iovec.free (Iovec.of_string "x") with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  let cached = Iovec.read_cached ~trust_mincore:true fd in
+  Alcotest.(check bool) "a size past EOF is not cached" true
+    (cached 12_000 = None);
+  (match cached 10_000 with
+  | None -> Alcotest.fail "a freshly written file reads from the cache"
+  | Some buf ->
+      whole "cached bytes" buf;
+      Iovec.free buf);
+  Unix.close fd;
+  if drop_pages path 10_000 then begin
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    let whole name buf =
-      Alcotest.(check string) name contents
-        (Iovec.sub_string buf ~off:0 ~len:(Bigarray.Array1.dim buf))
-    in
-    let copy = Iovec.read fd 12_000 in
-    Alcotest.(check int) "a read past EOF stops at EOF" 10_000
-      (Bigarray.Array1.dim copy);
-    whole "its bytes" copy;
-    Iovec.free copy;
-    Alcotest.(check int) "freed" 0 (Bigarray.Array1.dim copy);
-    Alcotest.(check bool) "second free refused" true
-      (match Iovec.free copy with
-      | () -> false
-      | exception Invalid_argument _ -> true);
-    Alcotest.(check bool) "a GC-owned buffer is not a read copy" true
-      (match Iovec.free (Iovec.of_string "x") with
-      | () -> false
-      | exception Invalid_argument _ -> true);
-    let cached = Iovec.read_cached ~trust_mincore:true fd in
-    Alcotest.(check bool) "a size past EOF is not cached" true
-      (cached 12_000 = None);
-    (match cached 10_000 with
-    | None -> Alcotest.fail "a freshly written file reads from the cache"
-    | Some buf ->
-        whole "cached bytes" buf;
-        Iovec.free buf);
-    Unix.close fd;
-    if drop_pages path 10_000 then begin
-      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-      Alcotest.(check bool) "a dropped file is not cached" true
-        (Iovec.read_cached ~trust_mincore:true fd 10_000 = None);
-      Unix.close fd
-    end;
-    Sys.remove path;
-    Unix.rmdir dir
-  end
+    Alcotest.(check bool) "a dropped file is not cached" true
+      (Iovec.read_cached ~trust_mincore:true fd 10_000 = None);
+    Unix.close fd
+  end;
+  Sys.remove path;
+  Unix.rmdir dir
+
+(* Where mapping fails, [map_body] reads a body of at most [max_copy]
+   bytes instead and refuses a larger one.  On a write-only descriptor
+   both the mapping (EACCES) and the read (EBADF) fail, so the error
+   names the call that was tried last. *)
+let test_map_body_bounds_its_copy () =
+  let dir = temp_dir "flash_bound" in
+  let path = Filename.concat dir "f.bin" in
+  let size = 2 * copy_limit in
+  write_file path (patterned ~seed:6 size);
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  let tried max_copy =
+    match File_cache.map_body ~max_copy fd ~size with
+    | _ -> "nothing"
+    | exception Unix.Unix_error (_, call, _) -> call
+  in
+  Alcotest.(check string) "a body above max_copy is never read" "mmap"
+    (tried (size - 1));
+  Alcotest.(check string) "one of at most max_copy is" "pread" (tried size);
+  Unix.close fd;
+  Sys.remove path;
+  Unix.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Leases: a property over real copied and mapped files               *)
@@ -537,6 +556,116 @@ let test_fifo_swapped_in () =
       check_body "B still served" file_b (get "/b.bin"))
 
 (* ------------------------------------------------------------------ *)
+(* Files too large to cache                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A file above [max_cached_file] goes to a helper on every miss and is
+   never filled by the loop, since asking [mincore] about all of it
+   would stall the loop in proportion to its size.  One keep-alive
+   session rides one shard. *)
+let test_large_file_jobs mode () =
+  let docroot = temp_dir "flash_large" in
+  let path = Filename.concat docroot "big.bin" in
+  let body = patterned ~seed:3 (8 * 1024 * 1024) in
+  write_file path body;
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Test_status.with_config
+    { (Server.default_config ~docroot) with Server.mode }
+    (fun server port ->
+      let s = Client.Session.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.Session.close s)
+        (fun () ->
+          check_body "first" body (Client.Session.request s "/big.bin");
+          check_body "second" body (Client.Session.request s "/big.bin"));
+      let st = await_jobs server 2 in
+      Alcotest.(check int) "a helper job per fetch" 2 st.Server.helper_jobs)
+
+(* A known path that grew too large to cache: the loop's inline attempt
+   sees the size in its fstat and forgets the path without mapping it,
+   so that miss and the next go to a helper, and only the first of them
+   tried the loop (one "fill" span). *)
+let test_known_path_grows () =
+  let docroot, config = one_file_config () in
+  let config = { config with Server.max_cached_file = 32 * 1024 } in
+  Test_status.with_config config (fun server port ->
+      let get = Test_status.get port in
+      check_body "A" file_a (get "/a.bin");
+      check_body "B evicts A" file_b (get "/b.bin");
+      let grown = patterned ~seed:13 big in
+      write_file (Filename.concat docroot "a.bin") grown;
+      check_body "grown A" grown (get "/a.bin");
+      check_body "grown A again" grown (get "/a.bin");
+      let st = await_jobs server 4 in
+      Alcotest.(check int) "a helper job per miss" 4 st.Server.helper_jobs;
+      let rec traces tries =
+        let snap = Server.trace_snapshot server in
+        if List.length snap >= 4 || tries = 0 then snap
+        else begin
+          Thread.delay 0.05;
+          traces (tries - 1)
+        end
+      in
+      let fills =
+        List.fold_left
+          (fun n (d : Obs.Trace.trace_data) ->
+            n
+            + List.length
+                (List.filter
+                   (fun (sp : Obs.Trace.span_data) ->
+                     String.equal sp.Obs.Trace.name "fill")
+                   d.Obs.Trace.spans))
+          0 (traces 60)
+      in
+      Alcotest.(check int) "one inline attempt" 1 fills)
+
+(* A prefetch that finds a file too large to cache inserts nothing, so
+   it counts as failed. *)
+let test_prefetch_too_large () =
+  let docroot = temp_dir "flash_prefetch" in
+  let path = Filename.concat docroot "big.bin" in
+  write_file path (patterned ~seed:4 big);
+  let log = Filename.concat docroot "access.log" in
+  let oc = open_out log in
+  for _ = 1 to 5 do
+    Printf.fprintf oc
+      "127.0.0.1 - - [08/Aug/2026:10:00:00 +0000] \"GET /big.bin HTTP/1.1\" \
+       200 %d %s\n"
+      big path
+  done;
+  close_out oc;
+  let config =
+    {
+      (Server.default_config ~docroot) with
+      Server.max_cached_file = 32 * 1024;
+      warm = true;
+      warm_log = Some log;
+      warm_interval = 0.2;
+    }
+  in
+  Test_status.with_config config (fun _ port ->
+      let value name =
+        Test_status.(to_int (row (get_status_json port) name))
+      in
+      let rec failed tries =
+        let n = value "flash_warm_prefetch_failed_total" in
+        if n >= 1 || tries = 0 then n
+        else begin
+          Thread.delay 0.05;
+          failed (tries - 1)
+        end
+      in
+      Alcotest.(check bool) "the prefetch failed" true (failed 100 >= 1);
+      Alcotest.(check int) "none completed" 0
+        (value "flash_warm_prefetch_completed_total");
+      Alcotest.(check int) "nothing cached" 0
+        Test_status.(
+          to_int
+            (row (get_status_json port)
+               ~labels:[ ("cache", "file") ]
+               "flash_cache_entries")))
+
+(* ------------------------------------------------------------------ *)
 (* Mapping lifetime, live                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -546,7 +675,7 @@ let test_fifo_swapped_in () =
    still be in flight.  Files of at most the copy limit are read copies
    and map nothing. *)
 let test_mapping_lifetime ~size mode () =
-  if have_proc_maps && Iovec.have_writev then begin
+  if have_proc_maps then begin
     let docroot = temp_dir "flash_lifetime" in
     let names = List.init 24 (Printf.sprintf "f%02d.bin") in
     List.iteri
@@ -613,4 +742,14 @@ let suite =
       (test_mapping_lifetime ~size:8192 Server.Amped);
     Alcotest.test_case "small files leave no mapping (MT 2)" `Quick
       (test_mapping_lifetime ~size:8192 (Server.Mt 2));
+    Alcotest.test_case "an 8 MB file costs a job per fetch (AMPED)" `Quick
+      (test_large_file_jobs Server.Amped);
+    Alcotest.test_case "an 8 MB file costs a job per fetch (sharded 2)" `Quick
+      (test_large_file_jobs (Server.Sharded 2));
+    Alcotest.test_case "a known path grown too large is forgotten" `Quick
+      test_known_path_grows;
+    Alcotest.test_case "a prefetch too large to cache fails" `Quick
+      test_prefetch_too_large;
+    Alcotest.test_case "map_body bounds its fallback copy" `Quick
+      test_map_body_bounds_its_copy;
   ]

@@ -3,9 +3,10 @@
    mappings, byte-identical multi-megabyte responses in all four
    architectures, pipelined bursts answered in order in every mode, the
    syscall/copy accounting that proves a cached GET is one writev with
-   no userspace body copy and one readiness wait, streamed files that
-   stay intact or end the connection when they shrink, a small file's
-   fill copying its body once, and cached read copies that outlive a
+   no userspace body copy and one readiness wait, files too large to
+   cache served from a mapping that is released after the response and
+   ends the connection when the file shrinks, a small file's fill
+   copying its body once, and cached read copies that outlive a
    truncation. *)
 
 module Server = Flash_live.Server
@@ -401,71 +402,36 @@ let test_pipelined_small = test_pipelined small_burst
 (* A warm cached GET on the writev path must cost exactly one gather
    write and zero userspace body copies. *)
 let test_cached_get_is_one_writev_zero_copies () =
-  if not Iovec.have_writev then ()
-  else begin
-    let body = patterned 4096 in
-    let docroot = make_docroot [ ("page.bin", body) ] in
-    let config = Server.default_config ~docroot in
-    Alcotest.(check bool) "writev on by default" true config.Server.use_writev;
-    with_config_server config (fun server port ->
-        let session = Client.Session.connect ~host:"127.0.0.1" ~port () in
-        Fun.protect
-          ~finally:(fun () -> Client.Session.close session)
-          (fun () ->
-            (* Warm the cache (the cold request copies only headers).
-               Await the warm writev itself, not just the request
-               count: the client unblocks the moment the syscall
-               completes, which can be before the loop thread has
-               incremented the counter. *)
-            let r1 = Client.Session.request session "/page.bin" in
-            Alcotest.(check int) "warm 200" 200 r1.Client.status;
-            let s0 =
-              await server (fun s ->
-                  s.Server.requests >= 1 && s.Server.writev_calls >= 1)
-            in
-            let r2 = Client.Session.request session "/page.bin" in
-            Alcotest.(check bool) "cached body identical" true
-              (String.equal r2.Client.body body);
-            let s1 =
-              await server (fun s ->
-                  s.Server.writev_calls > s0.Server.writev_calls)
-            in
-            Alcotest.(check int) "exactly one writev" 1
-              (s1.Server.writev_calls - s0.Server.writev_calls);
-            Alcotest.(check int) "no scalar writes" 0
-              (s1.Server.write_calls - s0.Server.write_calls);
-            Alcotest.(check int) "zero bytes copied" 0
-              (s1.Server.bytes_copied - s0.Server.bytes_copied)))
-  end
-
-(* The same request on the copying fallback shows what writev saves. *)
-let test_fallback_copies () =
   let body = patterned 4096 in
   let docroot = make_docroot [ ("page.bin", body) ] in
-  let config =
-    { (Server.default_config ~docroot) with Server.use_writev = false }
-  in
+  let config = Server.default_config ~docroot in
   with_config_server config (fun server port ->
       let session = Client.Session.connect ~host:"127.0.0.1" ~port () in
       Fun.protect
         ~finally:(fun () -> Client.Session.close session)
         (fun () ->
+          (* Warm the cache (the cold request copies only headers).
+             Await the warm writev itself, not just the request count:
+             the client unblocks the moment the syscall completes, which
+             can be before the loop thread has incremented the
+             counter. *)
           let r1 = Client.Session.request session "/page.bin" in
           Alcotest.(check int) "warm 200" 200 r1.Client.status;
-          let s0 = await server (fun s -> s.Server.requests >= 1) in
+          let s0 =
+            await server (fun s ->
+                s.Server.requests >= 1 && s.Server.writev_calls >= 1)
+          in
           let r2 = Client.Session.request session "/page.bin" in
-          Alcotest.(check bool) "fallback body identical" true
+          Alcotest.(check bool) "cached body identical" true
             (String.equal r2.Client.body body);
           let s1 =
-            await server (fun s -> s.Server.write_calls > s0.Server.write_calls)
+            await server (fun s ->
+                s.Server.writev_calls > s0.Server.writev_calls)
           in
-          Alcotest.(check bool) "fallback uses write" true
-            (s1.Server.write_calls - s0.Server.write_calls >= 1);
-          Alcotest.(check int) "fallback never writev" 0
+          Alcotest.(check int) "exactly one writev" 1
             (s1.Server.writev_calls - s0.Server.writev_calls);
-          Alcotest.(check bool) "fallback copies the body" true
-            (s1.Server.bytes_copied - s0.Server.bytes_copied
-            >= String.length body)))
+          Alcotest.(check int) "zero bytes copied" 0
+            (s1.Server.bytes_copied - s0.Server.bytes_copied)))
 
 (* A response is written in the loop turn that read its request, so a
    cached keep-alive GET costs one readiness wait, not a read wakeup
@@ -473,34 +439,32 @@ let test_fallback_copies () =
    recorder's one-second rollup, an MP child's deferred report, at most
    one per 50 ms).  MP reads its children's loops from their reports. *)
 let test_one_wakeup_per_request mode () =
-  if Iovec.have_writev then begin
-    let docroot = make_docroot [ ("page.bin", patterned 4096) ] in
-    with_config_server
-      { (Server.default_config ~docroot) with Server.mode }
-      (fun server port ->
-        let s = Helpers.Raw.open_session ~port in
-        Fun.protect
-          ~finally:(fun () -> Helpers.Raw.close_session s)
-          (fun () ->
-            let warm = Helpers.Raw.session_request s "/page.bin" in
-            Alcotest.(check int) "warm 200" 200 warm.Helpers.Raw.status;
-            let s0 = await server (fun st -> st.Server.writev_calls >= 1) in
-            let n = 200 in
-            for _ = 1 to n do
-              let r = Helpers.Raw.session_request s "/page.bin" in
-              if r.Helpers.Raw.status <> 200 then
-                Alcotest.failf "status %d" r.Helpers.Raw.status
-            done;
-            let s1 =
-              await server (fun st ->
-                  st.Server.writev_calls >= s0.Server.writev_calls + n)
-            in
-            Alcotest.(check int) "one writev per request" n
-              (s1.Server.writev_calls - s0.Server.writev_calls);
-            let wakeups = s1.Server.loop_wakeups - s0.Server.loop_wakeups in
-            if wakeups > n + 10 then
-              Alcotest.failf "%d loop wakeups for %d requests" wakeups n))
-  end
+  let docroot = make_docroot [ ("page.bin", patterned 4096) ] in
+  with_config_server
+    { (Server.default_config ~docroot) with Server.mode }
+    (fun server port ->
+      let s = Helpers.Raw.open_session ~port in
+      Fun.protect
+        ~finally:(fun () -> Helpers.Raw.close_session s)
+        (fun () ->
+          let warm = Helpers.Raw.session_request s "/page.bin" in
+          Alcotest.(check int) "warm 200" 200 warm.Helpers.Raw.status;
+          let s0 = await server (fun st -> st.Server.writev_calls >= 1) in
+          let n = 200 in
+          for _ = 1 to n do
+            let r = Helpers.Raw.session_request s "/page.bin" in
+            if r.Helpers.Raw.status <> 200 then
+              Alcotest.failf "status %d" r.Helpers.Raw.status
+          done;
+          let s1 =
+            await server (fun st ->
+                st.Server.writev_calls >= s0.Server.writev_calls + n)
+          in
+          Alcotest.(check int) "one writev per request" n
+            (s1.Server.writev_calls - s0.Server.writev_calls);
+          let wakeups = s1.Server.loop_wakeups - s0.Server.loop_wakeups in
+          if wakeups > n + 10 then
+            Alcotest.failf "%d loop wakeups for %d requests" wakeups n))
 
 (* MP children report their send counters to the parent in their
    walks; the consolidated view must include them. *)
@@ -514,19 +478,19 @@ let test_mp_send_counters_consolidated () =
       let r2 = Client.get ~host:"127.0.0.1" ~port "/page.bin" in
       Alcotest.(check (list int)) "both 200" [ 200; 200 ]
         [ r1.Client.status; r2.Client.status ];
-      let field (s : Server.stats) =
-        if Iovec.have_writev then s.Server.writev_calls else s.Server.write_calls
-      in
-      let stats = await server (fun s -> field s >= 2) in
+      let stats = await server (fun s -> s.Server.writev_calls >= 2) in
       Alcotest.(check bool) "children's send syscalls consolidated" true
-        (field stats >= 2))
+        (stats.Server.writev_calls >= 2))
 
-(* A file above [max_cached_file] streams from its descriptor in 64 KB
-   chunks.  A client reading promptly with [Connection: close] must get
-   every byte at the advertised Content-Length: a chunk whose write
-   would block is re-read, never dropped.  Sharded runs it from
-   test_sharded.ml, after every fork test. *)
-let test_streamed_file_intact mode () =
+(* A file above [max_cached_file] is served from a mapping made for the
+   request and never cached.  Over one keep-alive session (one MP child
+   or shard, whose own counters it reads) a GET, a Range, a conditional
+   GET and a HEAD are each answered from it, byte-exact at their
+   Content-Length and copying only their rendered headers; the cache
+   gains no entry, and where the server shares the test's address space
+   no mapping of the file is left once the answers are read.  Sharded
+   runs it from test_sharded.ml, after every fork test. *)
+let test_large_file_intact mode () =
   let body = patterned (8 * 1024 * 1024) in
   let docroot = make_docroot [ ("big.bin", body) ] in
   Fun.protect ~finally:(fun () -> Sys.remove (Filename.concat docroot "big.bin"))
@@ -534,25 +498,68 @@ let test_streamed_file_intact mode () =
   with_config_server
     { (Server.default_config ~docroot) with Server.mode }
     (fun _ port ->
-      for i = 1 to 5 do
-        let r = Helpers.Raw.request ~port "/big.bin" in
-        Alcotest.(check int) "200" 200 r.Helpers.Raw.status;
+      let s = Helpers.Raw.open_session ~port in
+      Fun.protect ~finally:(fun () -> Helpers.Raw.close_session s) @@ fun () ->
+      let entries () =
+        let r = Helpers.Raw.session_request s "/server-status?json" in
+        let j = Test_status.parse_json r.Helpers.Raw.body in
+        Test_status.(
+          to_int (row j ~labels:[ ("cache", "file") ] "flash_cache_entries"))
+      in
+      let before = entries () in
+      let fetch ?(meth = "GET") ?(headers = []) name ~status =
+        let r, _, copied =
+          Test_http11.measure_on s ~request:(meth, "/big.bin", headers)
+        in
+        Alcotest.(check int) (name ^ " status") status r.Helpers.Raw.status;
+        if copied >= 4096 then Alcotest.failf "%s copied %d bytes" name copied;
+        r
+      in
+      let check_body name want (r : Helpers.Raw.response) =
         Alcotest.(check (option string))
-          "advertised length"
-          (Some (string_of_int (String.length body)))
+          (name ^ " advertised length")
+          (Some (string_of_int (String.length want)))
           (List.assoc_opt "content-length" r.Helpers.Raw.headers);
-        if not (String.equal r.Helpers.Raw.body body) then
-          Alcotest.failf "fetch %d: %d body bytes, wanted %d" i
+        if not (String.equal r.Helpers.Raw.body want) then
+          Alcotest.failf "%s: %d body bytes differ from the %d wanted" name
             (String.length r.Helpers.Raw.body)
-            (String.length body)
-      done)
+            (String.length want)
+      in
+      let full = fetch "GET" ~status:200 in
+      check_body "GET" body full;
+      let window =
+        fetch "Range" ~status:206
+          ~headers:[ ("Range", "bytes=1000000-1999999") ]
+      in
+      check_body "Range" (String.sub body 1_000_000 1_000_000) window;
+      let etag =
+        match List.assoc_opt "etag" full.Helpers.Raw.headers with
+        | Some e -> e
+        | None -> Alcotest.fail "no ETag"
+      in
+      ignore
+        (fetch "If-None-Match" ~status:304
+           ~headers:[ ("If-None-Match", etag) ]);
+      let head = fetch "HEAD" ~meth:"HEAD" ~status:200 in
+      Alcotest.(check (option string))
+        "HEAD advertised length"
+        (Some (string_of_int (String.length body)))
+        (List.assoc_opt "content-length" head.Helpers.Raw.headers);
+      Alcotest.(check int) "no cache entry added" before (entries ());
+      match mode with
+      | Server.Mp _ -> ()
+      | _ ->
+          if Test_miss_path.have_proc_maps then
+            Alcotest.(check int) "no mapping left" 0
+              (Test_miss_path.maps_under docroot))
 
-(* A streamed file that shrinks after its stat cannot fill the
-   Content-Length already on the wire.  The server sends what the file
-   still holds and closes: a pipelined response written after the short
-   body would be read as the rest of it.  48 MB is far more than the
-   loopback socket buffers absorb, so the cut to 24 MB lands while the
-   server's read offset is still well short of it. *)
+(* A large file that shrinks under its mapping cannot fill the
+   Content-Length already on the wire.  The [writev] that reaches past
+   the new end fails, and the server closes having sent what the file
+   still holds: a pipelined response written after the short body would
+   be read as the rest of it.  48 MB is far more than the loopback
+   socket buffers absorb, so the cut to 24 MB lands while the server's
+   send offset is still well short of it. *)
 let test_streamed_file_shrinks mode () =
   let size = 48 * 1024 * 1024 in
   let docroot = make_docroot [ ("small.txt", "tiny") ] in
@@ -651,67 +658,57 @@ let with_socketpair f =
     (fun () -> f w r)
 
 (* [off] and [len] are public mutable fields: a slice stretched past
-   its buffer is refused before any byte of the gather is written, by
-   both senders. *)
+   its buffer is refused before any byte of the gather is written. *)
 let test_writev_checks_slices () =
   with_socketpair (fun w r ->
       let long = Iovec.slice (Iovec.of_string "0123456789") in
       long.Iovec.len <- 4096;
-      let gather () = [| Iovec.slice (Iovec.of_string "head"); long |] in
-      if Iovec.have_writev then
-        Alcotest.(check bool) "writev refuses an over-long slice" true
-          (raises_invalid (fun () -> Iovec.writev w (gather ())));
-      Alcotest.(check bool) "copying sender refuses it too" true
+      Alcotest.(check bool) "writev refuses an over-long slice" true
         (raises_invalid (fun () ->
-             Iovec.writev_copy ~scratch:(Bytes.create 65536) w (gather ())));
+             Iovec.writev w [| Iovec.slice (Iovec.of_string "head"); long |]));
       let before = Iovec.slice ~off:2 (Iovec.of_string "0123456789") in
       before.Iovec.off <- -2;
-      if Iovec.have_writev then
-        Alcotest.(check bool) "negative offset refused" true
-          (raises_invalid (fun () -> Iovec.writev w [| before |]));
+      Alcotest.(check bool) "negative offset refused" true
+        (raises_invalid (fun () -> Iovec.writev w [| before |]));
       Alcotest.(check bool) "nothing reached the socket" true (nothing_sent r))
 
 (* An unmapped buffer reads as empty, so a slice still over it fails
    the bounds check instead of reading freed address space; a second
    unmap is refused. *)
 let test_unmapped_slice_refused () =
-  if Iovec.have_writev then begin
-    let path = Filename.temp_file "flash_unmap" ".bin" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        write_file path (patterned 8192);
-        let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-        let buf = Iovec.map fd 8192 in
-        Unix.close fd;
-        let s = Iovec.slice buf in
-        Alcotest.(check string) "mapped bytes"
-          (String.sub (patterned 8192) 0 32)
-          (Iovec.sub_string buf ~off:0 ~len:32);
-        Iovec.unmap buf;
-        Alcotest.(check int) "emptied" 0 (Bigarray.Array1.dim buf);
-        with_socketpair (fun w r ->
-            Alcotest.(check bool) "slice over an unmapped buffer refused" true
-              (raises_invalid (fun () -> Iovec.writev w [| s |]));
-            Alcotest.(check bool) "nothing sent" true (nothing_sent r));
-        Alcotest.(check bool) "second unmap refused" true
-          (raises_invalid (fun () -> Iovec.unmap buf));
-        Alcotest.(check bool) "a heap buffer is not a mapping" true
-          (raises_invalid (fun () -> Iovec.unmap (Iovec.create 16))))
-  end
+  let path = Filename.temp_file "flash_unmap" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_file path (patterned 8192);
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      let buf = Iovec.map fd 8192 in
+      Unix.close fd;
+      let s = Iovec.slice buf in
+      Alcotest.(check string) "mapped bytes"
+        (String.sub (patterned 8192) 0 32)
+        (Iovec.sub_string buf ~off:0 ~len:32);
+      Iovec.unmap buf;
+      Alcotest.(check int) "emptied" 0 (Bigarray.Array1.dim buf);
+      with_socketpair (fun w r ->
+          Alcotest.(check bool) "slice over an unmapped buffer refused" true
+            (raises_invalid (fun () -> Iovec.writev w [| s |]));
+          Alcotest.(check bool) "nothing sent" true (nothing_sent r));
+      Alcotest.(check bool) "second unmap refused" true
+        (raises_invalid (fun () -> Iovec.unmap buf));
+      Alcotest.(check bool) "a heap buffer is not a mapping" true
+        (raises_invalid (fun () -> Iovec.unmap (Iovec.create 16))))
 
-(* With the copying sender, a cached file truncated in place must not
-   kill the server: the cache then holds read copies, so no userspace
-   read ever touches a mapping past the file's new end (SIGBUS).  The
-   server runs in a forked child, so a crash fails this test rather
+(* A cached mapping truncated in place must not kill the server: only
+   the kernel reads a mapping, so a send past the file's new end fails
+   that connection's [writev] rather than raising SIGBUS in the server.
+   The server runs in a forked child, so a crash fails this test rather
    than the suite. *)
-let test_no_writev_survives_shrink () =
+let test_shrunk_mapping_survived () =
   let docroot =
-    make_docroot [ ("big.bin", patterned 20_000); ("other.txt", "still here") ]
+    make_docroot [ ("big.bin", patterned big); ("other.txt", "still here") ]
   in
-  let config =
-    { (Server.default_config ~docroot) with Server.use_writev = false }
-  in
+  let config = Server.default_config ~docroot in
   let rd, wr = Unix.pipe ~cloexec:true () in
   match Unix.fork () with
   | 0 ->
@@ -754,36 +751,33 @@ let test_no_writev_survives_shrink () =
    nothing.  One keep-alive session carries every request, so it stays
    on one MP child or shard, whose own counters it reads. *)
 let test_fill_copies_once mode () =
-  if Iovec.have_writev then begin
-    let docroot =
-      make_docroot
-        [
-          ("small.bin", patterned File_cache.copy_limit);
-          ("large.bin", patterned big);
-        ]
-    in
-    let config = { (Server.default_config ~docroot) with Server.mode } in
-    with_config_server config (fun _ port ->
-        let s = Helpers.Raw.open_session ~port in
-        Fun.protect
-          ~finally:(fun () -> Helpers.Raw.close_session s)
-          (fun () ->
-            let measure path =
-              let r, writev, writes, copied =
-                Test_http11.measure_on s ~request:("GET", path, [])
-              in
-              Alcotest.(check int) (path ^ " 200") 200 r.Helpers.Raw.status;
-              (writev, writes, copied)
+  let docroot =
+    make_docroot
+      [
+        ("small.bin", patterned File_cache.copy_limit);
+        ("large.bin", patterned big);
+      ]
+  in
+  let config = { (Server.default_config ~docroot) with Server.mode } in
+  with_config_server config (fun _ port ->
+      let s = Helpers.Raw.open_session ~port in
+      Fun.protect
+        ~finally:(fun () -> Helpers.Raw.close_session s)
+        (fun () ->
+          let measure path =
+            let r, writev, copied =
+              Test_http11.measure_on s ~request:("GET", path, [])
             in
-            let _, _, small = measure "/small.bin" in
-            let _, _, large = measure "/large.bin" in
-            Alcotest.(check int) "a small-file miss adds its size"
-              File_cache.copy_limit (small - large);
-            let writev, writes, copied = measure "/small.bin" in
-            Alcotest.(check int) "a hit is one writev" 1 writev;
-            Alcotest.(check int) "no scalar writes" 0 writes;
-            Alcotest.(check int) "zero bytes copied" 0 copied))
-  end
+            Alcotest.(check int) (path ^ " 200") 200 r.Helpers.Raw.status;
+            (writev, copied)
+          in
+          let _, small = measure "/small.bin" in
+          let _, large = measure "/large.bin" in
+          Alcotest.(check int) "a small-file miss adds its size"
+            File_cache.copy_limit (small - large);
+          let writev, copied = measure "/small.bin" in
+          Alcotest.(check int) "a hit is one writev" 1 writev;
+          Alcotest.(check int) "zero bytes copied" 0 copied))
 
 (* A cached small file truncated in place: the cache holds a read copy,
    so a hit still sends every cached byte under the cached
@@ -834,18 +828,16 @@ let suite =
       (test_pipelined_large (Server.Mp 2));
     Alcotest.test_case "cached GET = 1 writev, 0 copies" `Quick
       test_cached_get_is_one_writev_zero_copies;
-    Alcotest.test_case "copying fallback counts its copies" `Quick
-      test_fallback_copies;
     Alcotest.test_case "MP consolidates send counters" `Quick
       test_mp_send_counters_consolidated;
-    Alcotest.test_case "8 MB streamed intact (AMPED)" `Quick
-      (test_streamed_file_intact Server.Amped);
-    Alcotest.test_case "8 MB streamed intact (SPED)" `Quick
-      (test_streamed_file_intact Server.Sped);
-    Alcotest.test_case "8 MB streamed intact (MP)" `Quick
-      (test_streamed_file_intact (Server.Mp 2));
-    Alcotest.test_case "8 MB streamed intact (MT)" `Quick
-      (test_streamed_file_intact (Server.Mt 2));
+    Alcotest.test_case "8 MB uncached file intact (AMPED)" `Quick
+      (test_large_file_intact Server.Amped);
+    Alcotest.test_case "8 MB uncached file intact (SPED)" `Quick
+      (test_large_file_intact Server.Sped);
+    Alcotest.test_case "8 MB uncached file intact (MP)" `Quick
+      (test_large_file_intact (Server.Mp 2));
+    Alcotest.test_case "8 MB uncached file intact (MT)" `Quick
+      (test_large_file_intact (Server.Mt 2));
     Alcotest.test_case "pipelined 2.5 MB + small (SPED)" `Quick
       (test_pipelined_large Server.Sped);
     Alcotest.test_case "pipelined 2.5 MB + small (MT)" `Quick
@@ -878,8 +870,8 @@ let suite =
       test_writev_checks_slices;
     Alcotest.test_case "slice over an unmapped buffer refused" `Quick
       test_unmapped_slice_refused;
-    Alcotest.test_case "--no-writev survives a shrunk cached file" `Quick
-      test_no_writev_survives_shrink;
+    Alcotest.test_case "server survives a shrunk cached mapping" `Quick
+      test_shrunk_mapping_survived;
     Alcotest.test_case "a small-file fill copies once (AMPED)" `Quick
       (test_fill_copies_once Server.Amped);
     Alcotest.test_case "a small-file fill copies once (SPED)" `Quick

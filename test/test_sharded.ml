@@ -445,10 +445,10 @@ let test_sharded_byte_identity () =
 let test_sharded_recorder_dump =
   Test_metrics.test_recorder_dump_parses (Server.Sharded 2)
 
-(* The streamed-file and pipelining checks of test_sendpath, for the
+(* The large-file and pipelining checks of test_sendpath, for the
    fifth mode. *)
-let test_sharded_streamed_file_intact =
-  Test_sendpath.test_streamed_file_intact (Server.Sharded 2)
+let test_sharded_large_file_intact =
+  Test_sendpath.test_large_file_intact (Server.Sharded 2)
 
 let test_sharded_pipelined_large =
   Test_sendpath.test_pipelined_large (Server.Sharded 2)
@@ -461,6 +461,9 @@ let test_sharded_fill_copies_once =
 
 let test_sharded_truncated_copy =
   Test_sendpath.test_truncated_copy (Server.Sharded 2)
+
+let test_sharded_large_file_negotiates =
+  Test_http11.test_large_file_negotiates (Server.Sharded 2)
 
 (* The mode-parity case of test_metrics, for the fifth mode. *)
 let test_sharded_mode_parity = Test_metrics.test_mode_parity (Server.Sharded 2)
@@ -709,8 +712,8 @@ let suite =
       test_sharded_byte_identity;
     Alcotest.test_case "SIGUSR1 dump body parses (sharded 2)" `Quick
       test_sharded_recorder_dump;
-    Alcotest.test_case "8 MB streamed intact" `Quick
-      test_sharded_streamed_file_intact;
+    Alcotest.test_case "8 MB uncached file intact" `Quick
+      test_sharded_large_file_intact;
     Alcotest.test_case "per-shard guard enforces conn caps" `Quick
       test_sharded_guard_conn_cap;
     Alcotest.test_case "sharded guard metrics aggregate" `Quick
@@ -731,4 +734,6 @@ let suite =
       test_sharded_trace_views;
     Alcotest.test_case "helper job latency is the shards' merge" `Quick
       test_sharded_helper_latency;
+    Alcotest.test_case "a large file negotiates gzip" `Quick
+      test_sharded_large_file_negotiates;
   ]
