@@ -64,17 +64,17 @@ let bench_partial =
               ~align:32 ())))
 
 let bench_lru =
-  let lru = Flash_util.Lru.create ~capacity:1024 () in
+  let lru = Flash_cache.Store.create ~capacity:1024 () in
   for i = 0 to 1023 do
-    Flash_util.Lru.add lru i i ~weight:1
+    ignore (Flash_cache.Store.add lru i i ~weight:1)
   done;
   let counter = ref 0 in
   Test.make ~name:"lru.find+add"
     (Staged.stage (fun () ->
          incr counter;
          let k = !counter land 2047 in
-         ignore (Flash_util.Lru.find lru k);
-         Flash_util.Lru.add lru k k ~weight:1))
+         ignore (Flash_cache.Store.find lru k);
+         ignore (Flash_cache.Store.add lru k k ~weight:1)))
 
 let bench_zipf =
   let zipf = Workload.Zipf.create ~n:10_000 ~alpha:1.0 in

@@ -28,7 +28,7 @@ let parse_slo s =
       | Some t when t > 0. -> Ok (99., t)
       | _ -> Error (`Msg (Printf.sprintf "invalid SLO %S (want P:MS or MS)" s)))
 
-let serve docroot port mode domains event_backend helpers cache_mb cache_policy
+let serve docroot port mode event_backend helpers cache_mb cache_policy
     cache_admission cache_budget_mb no_cgi no_align no_gzip
     access_log access_log_timing access_log_paths status_path
     no_status stall_ms no_trace trace_capacity trace_path slow_request_ms
@@ -63,18 +63,6 @@ let serve docroot port mode domains event_backend helpers cache_mb cache_policy
     | other ->
         Format.eprintf
           "unknown mode %S (amped|sped|mp[:N]|mt[:N]|sharded[:N])@." other;
-        exit 2
-  in
-  (* --domains N is shorthand for --mode sharded:N (N > 1). *)
-  let mode =
-    match (domains, mode) with
-    | None, m -> m
-    | Some n, _ when n <= 1 -> mode
-    | Some n, (Flash_live.Server.Amped | Flash_live.Server.Sharded _) ->
-        Flash_live.Server.Sharded n
-    | Some _, m ->
-        Format.eprintf "--domains only applies to amped/sharded modes@.";
-        ignore m;
         exit 2
   in
   if not (Sys.file_exists docroot && Sys.is_directory docroot) then begin
@@ -272,16 +260,6 @@ let mode =
         ~doc:
           "Concurrency architecture: amped (default), sped, mp[:N], \
            mt[:N] or sharded[:N] (N AMPED shards on OCaml domains).")
-
-let domains =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Shorthand for --mode sharded:N — run N independent AMPED \
-           shards on OCaml domains, accepts balanced by SO_REUSEPORT \
-           (hand-off ring where unsupported).")
 
 let backend_conv =
   let parse s =
@@ -680,7 +658,7 @@ let cmd =
   Cmd.v
     (Cmd.info "flash-serve" ~doc)
     Term.(
-      const serve $ docroot $ port $ mode $ domains $ event_backend $ helpers
+      const serve $ docroot $ port $ mode $ event_backend $ helpers
       $ cache_mb $ cache_policy
       $ cache_admission $ cache_budget_mb $ no_cgi $ no_align $ no_gzip
       $ access_log $ access_log_timing $ access_log_paths $ status_path

@@ -1,5 +1,4 @@
 type member = {
-  name : string;
   usage : unit -> int;
   shed : unit -> bool;
 }
@@ -32,15 +31,9 @@ let create ~bytes =
 let capacity t = t.cap
 let used t = Atomic.get t.used
 
-let member_names t =
+let register t ~usage ~shed =
   Mutex.lock t.members_mutex;
-  let names = List.rev_map (fun m -> m.name) t.members in
-  Mutex.unlock t.members_mutex;
-  names
-
-let register t ~name ~usage ~shed =
-  Mutex.lock t.members_mutex;
-  t.members <- { name; usage; shed } :: t.members;
+  t.members <- { usage; shed } :: t.members;
   Mutex.unlock t.members_mutex
 
 (* Shed from the member holding the most bytes; each successful shed

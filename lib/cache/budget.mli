@@ -33,14 +33,11 @@ val capacity : t -> int
 (** Bytes currently charged across all members. *)
 val used : t -> int
 
-val member_names : t -> string list
-
-(** [register t ~name ~usage ~shed] — [usage] reports the member's
+(** [register t ~usage ~shed] — [usage] reports the member's
     resident bytes; [shed] evicts one victim (through the member's
     normal eviction path, hooks included) and returns [false] when it
     has nothing left to give. *)
-val register :
-  t -> name:string -> usage:(unit -> int) -> shed:(unit -> bool) -> unit
+val register : t -> usage:(unit -> int) -> shed:(unit -> bool) -> unit
 
 (** Charge [bytes] to the pool, then shed members (largest first) until
     the pool fits again or nothing more can be shed. *)

@@ -57,7 +57,6 @@ let capacity t = t.cap
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
-let policy_kind t = t.kind
 let pinned_bytes t = t.pinned_weight
 let pinned_count t = Hashtbl.length t.pinned_set
 let pinned t key = Hashtbl.mem t.pinned_set key
@@ -142,7 +141,7 @@ let create ?(policy = Policy.Lru) ?(admission = Policy.Admit_always)
   (match budget with
   | None -> ()
   | Some b ->
-      Budget.register b ~name
+      Budget.register b
         ~usage:(fun () -> t.total_weight)
         ~shed:(fun () -> shed t));
   t

@@ -134,7 +134,6 @@ val rejected_keys : ('k, 'v) t -> 'k list
 
 val clear : ('k, 'v) t -> unit
 val stats : ('k, 'v) t -> stats
-val policy_kind : ('k, 'v) t -> Policy.kind
 val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int
 val evictions : ('k, 'v) t -> int

@@ -84,7 +84,6 @@ module Backend = struct
     epfd : Unix.file_descr option;
     efds : Unix.file_descr array;
     erevents : int array;
-    mutable interest_syscalls : int;
     mutable closed : bool;
   }
 
@@ -106,13 +105,11 @@ module Backend = struct
       epfd = (match kind with Epoll -> Some (epoll_create ()) | _ -> None);
       efds = Array.make epoll_batch Unix.stdin;
       erevents = Array.make epoll_batch 0;
-      interest_syscalls = 0;
       closed = false;
     }
 
   let kind t = t.kind
   let fd_count t = Hashtbl.length t.tbl
-  let interest_syscalls t = t.interest_syscalls
 
   let mask_of i =
     (if i.want_read then bit_read else 0)
@@ -124,10 +121,8 @@ module Backend = struct
     match t.epfd with
     | None -> ()
     | Some epfd -> (
-        let mask = mask_of i in
-        t.interest_syscalls <- t.interest_syscalls + 1;
-        match (i.in_kernel, mask) with
-        | false, 0 -> t.interest_syscalls <- t.interest_syscalls - 1
+        match (i.in_kernel, mask_of i) with
+        | false, 0 -> ()
         | false, m ->
             epoll_ctl epfd 0 fd m;
             i.in_kernel <- true

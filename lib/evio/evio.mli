@@ -92,10 +92,6 @@ module Backend : sig
   val fd_count : t -> int
   (** Currently registered fds. *)
 
-  val interest_syscalls : t -> int
-  (** epoll only: [epoll_ctl] calls issued so far (0 for select/poll) —
-      what interest-set diffing saves is visible here. *)
-
   val close : t -> unit
   (** Release kernel resources (the epoll fd).  Idempotent. *)
 end

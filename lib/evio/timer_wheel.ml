@@ -20,7 +20,6 @@ type 'a t = {
   mutable last_tick : int;
   mutable seq : int;
   mutable pending : int;
-  mutable fired : int;
 }
 
 let create ?(slots = 512) ?(tick = 0.05) ~now () =
@@ -35,7 +34,6 @@ let create ?(slots = 512) ?(tick = 0.05) ~now () =
     last_tick = int_of_float (floor (now /. tick));
     seq = 0;
     pending = 0;
-    fired = 0;
   }
 
 let tick_of w time = int_of_float (floor (time /. w.tick))
@@ -82,8 +80,7 @@ let advance w ~now =
           if e.cancelled then () (* purge *)
           else if e.deadline <= now then begin
             fired := e :: !fired;
-            w.pending <- w.pending - 1;
-            w.fired <- w.fired + 1
+            w.pending <- w.pending - 1
           end
           else begin
             kept := e :: !kept;
@@ -111,6 +108,4 @@ let advance w ~now =
   end
 
 let pending w = w.pending
-let fired_total w = w.fired
-let deadline_of e = e.deadline
 let cancelled e = e.cancelled

@@ -54,9 +54,4 @@ val advance : 'a t -> now:float -> 'a list
 val pending : 'a t -> int
 (** Armed (scheduled, not yet fired or cancelled) timers. *)
 
-val fired_total : 'a t -> int
-(** Total timers ever fired — the loop's timer-fire observability
-    counter. *)
-
-val deadline_of : 'a timer -> float
 val cancelled : 'a timer -> bool

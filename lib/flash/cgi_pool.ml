@@ -60,5 +60,4 @@ let dispatch t ~script ~on_done =
   let bytes = t.response_bytes in
   Sim.Sync.Mailbox.send app.mailbox (fun () -> on_done ~bytes)
 
-let apps t = Hashtbl.length t.by_script
 let requests t = t.requests

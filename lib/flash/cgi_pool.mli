@@ -25,8 +25,5 @@ val create :
     context.  Must run in process context. *)
 val dispatch : t -> script:string -> on_done:(bytes:int -> unit) -> unit
 
-(** Distinct application processes alive. *)
-val apps : t -> int
-
 (** Requests forwarded so far. *)
 val requests : t -> int

@@ -2,12 +2,6 @@ type architecture = Sped | Amped | Mp | Mt
 
 type cgi = { cgi_cpu : float; cgi_think : float; cgi_bytes : int }
 
-let architecture_name = function
-  | Sped -> "SPED"
-  | Amped -> "AMPED"
-  | Mp -> "MP"
-  | Mt -> "MT"
-
 type t = {
   label : string;
   arch : architecture;

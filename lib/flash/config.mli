@@ -19,8 +19,6 @@ type architecture =
   | Mp  (** one process per concurrent request *)
   | Mt  (** one kernel thread per concurrent request *)
 
-val architecture_name : architecture -> string
-
 type t = {
   label : string;  (** how benches report this server *)
   arch : architecture;

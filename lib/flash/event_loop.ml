@@ -32,19 +32,6 @@ type helper_result =
 
 type tag = Accept | Helper | Deferred | Io of econn
 
-(* Diagnostics: one counter per runtime, keyed physically. *)
-let live_table : (Runtime.t * int ref) list ref = ref []
-
-let live_counter rt =
-  match List.find_opt (fun (r, _) -> r == rt) !live_table with
-  | Some (_, c) -> c
-  | None ->
-      let c = ref 0 in
-      live_table := (rt, c) :: !live_table;
-      c
-
-let live_connections rt = !(live_counter rt)
-
 (* ------------------------------------------------------------------ *)
 (* Tracing (virtual-clock spans; no-ops unless config.trace)            *)
 (* ------------------------------------------------------------------ *)
@@ -117,7 +104,7 @@ let make_job rt resp =
     held_index = -1;
   }
 
-let rec close_conn rt live c =
+let rec close_conn rt c =
   if c.alive then begin
     (match c.state with
     | Sending job | Wait_pagein job -> release_held rt job
@@ -126,7 +113,6 @@ let rec close_conn rt live c =
     add_tr_instant rt c "close";
     finish_trace rt c;
     c.alive <- false;
-    decr live;
     Simos.Kernel.close rt.Runtime.kernel c.conn
   end
 
@@ -134,7 +120,7 @@ let rec close_conn rt live c =
 (* The send step: runs when the connection's socket is writable.       *)
 (* ------------------------------------------------------------------ *)
 
-and do_send rt ~pool live c job =
+and do_send rt ~pool c job =
   let kernel = rt.Runtime.kernel in
   let config = rt.Runtime.config in
   let caches = rt.Runtime.shared_caches in
@@ -164,9 +150,9 @@ and do_send rt ~pool live c job =
         finish_trace rt c;
         c.state <- Reading;
         (* A pipelined request may already be buffered. *)
-        try_parse rt ~pool live c
+        try_parse rt ~pool c
       end
-      else close_conn rt live c  (* close_conn finishes the trace *)
+      else close_conn rt c  (* close_conn finishes the trace *)
     end
   in
   match resp.Runtime.file with
@@ -263,13 +249,13 @@ and do_send rt ~pool live c job =
 (* Request intake.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-and start_send rt ~pool live c resp =
+and start_send rt ~pool c resp =
   let job = make_job rt resp in
   c.state <- Sending job;
   if Simos.Pollable.is_ready (Simos.Net.writable c.conn) then
-    do_send rt ~pool live c job
+    do_send rt ~pool c job
 
-and process_request rt ~pool live c (req : Http.Request.t) ~head_bytes =
+and process_request rt ~pool c (req : Http.Request.t) ~head_bytes =
   begin_trace rt c req;
   let t_parse = sim_now rt in
   Runtime.charge_request rt ~bytes:head_bytes;
@@ -278,7 +264,7 @@ and process_request rt ~pool live c (req : Http.Request.t) ~head_bytes =
   let caches = rt.Runtime.shared_caches in
   match Runtime.resolve_path rt req with
   | None ->
-      start_send rt ~pool live c
+      start_send rt ~pool c
         (Runtime.error_response rt req Http.Status.Forbidden ~keep)
   | Some path when Runtime.is_cgi_path path -> (
       (* §5.6: forward to the persistent application process; its
@@ -294,18 +280,18 @@ and process_request rt ~pool live c (req : Http.Request.t) ~head_bytes =
                   if c.alive then begin
                     add_tr_span rt c ~track:"cgi-app" "cgi" ~start:enqueued
                       ~stop:(sim_now rt);
-                    start_send rt ~pool live c
+                    start_send rt ~pool c
                       (Runtime.cgi_response rt req ~bytes ~keep)
                   end))
       | None ->
-          start_send rt ~pool live c
+          start_send rt ~pool c
             (Runtime.error_response rt req Http.Status.Forbidden ~keep))
   | Some path -> (
       let t_translate = sim_now rt in
       match Runtime.translate_cached rt caches path with
       | Some file ->
           add_tr_span rt c "translate" ~start:t_translate ~stop:(sim_now rt);
-          start_send rt ~pool live c (Runtime.ok_response rt caches req file ~keep)
+          start_send rt ~pool c (Runtime.ok_response rt caches req file ~keep)
       | None -> (
           add_tr_span rt c "translate" ~start:t_translate ~stop:(sim_now rt);
           match pool with
@@ -324,7 +310,7 @@ and process_request rt ~pool live c (req : Http.Request.t) ~head_bytes =
               in
               if not admitted then begin
                 c.state <- Reading;
-                start_send rt ~pool:(Some pool) live c
+                start_send rt ~pool:(Some pool) c
                   (Runtime.error_response rt req Http.Status.Service_unavailable
                      ~keep)
               end
@@ -337,15 +323,15 @@ and process_request rt ~pool live c (req : Http.Request.t) ~head_bytes =
                   add_tr_span rt c "translate-disk" ~start:before
                     ~stop:(sim_now rt);
                   Pathname_cache.insert caches.Runtime.pathname path file;
-                  start_send rt ~pool live c
+                  start_send rt ~pool c
                     (Runtime.ok_response rt caches req file ~keep)
               | None ->
                   add_tr_span rt c "translate-disk" ~start:before
                     ~stop:(sim_now rt);
-                  start_send rt ~pool live c
+                  start_send rt ~pool c
                     (Runtime.error_response rt req Http.Status.Not_found ~keep))))
 
-and try_parse rt ~pool live c =
+and try_parse rt ~pool c =
   if c.rbuf <> "" then begin
     match Http.Request.parse c.rbuf with
     | Http.Request.Incomplete -> ()
@@ -361,23 +347,23 @@ and try_parse rt ~pool live c =
           }
         in
         c.rbuf <- "";
-        start_send rt ~pool live c
+        start_send rt ~pool c
           (Runtime.error_response rt fake Http.Status.Bad_request ~keep:false)
     | Http.Request.Complete (req, consumed) ->
         c.rbuf <-
           String.sub c.rbuf consumed (String.length c.rbuf - consumed);
-        process_request rt ~pool live c req ~head_bytes:consumed
+        process_request rt ~pool c req ~head_bytes:consumed
   end
 
-let do_read rt ~pool live c =
+let do_read rt ~pool c =
   match Simos.Kernel.recv rt.Runtime.kernel c.conn ~max_bytes:8192 with
   | `Would_block -> ()
-  | `Eof -> close_conn rt live c
+  | `Eof -> close_conn rt c
   | `Data data ->
       c.rbuf <- c.rbuf ^ data;
-      try_parse rt ~pool live c
+      try_parse rt ~pool c
 
-let apply_helper_result rt ~pool live result =
+let apply_helper_result rt ~pool result =
   match result with
   | Translated (c, req, path, file_opt, enqueued) ->
       if c.alive then begin
@@ -388,10 +374,10 @@ let apply_helper_result rt ~pool live result =
         match file_opt with
         | Some file ->
             Pathname_cache.insert caches.Runtime.pathname path file;
-            start_send rt ~pool live c
+            start_send rt ~pool c
               (Runtime.ok_response rt caches req file ~keep)
         | None ->
-            start_send rt ~pool live c
+            start_send rt ~pool c
               (Runtime.error_response rt req Http.Status.Not_found ~keep)
       end
   | Paged_in (c, enqueued) ->
@@ -403,7 +389,7 @@ let apply_helper_result rt ~pool live result =
         | Wait_pagein job ->
             c.state <- Sending job;
             if Simos.Pollable.is_ready (Simos.Net.writable c.conn) then
-              do_send rt ~pool live c job
+              do_send rt ~pool c job
         | Reading | Sending _ | Wait_translate -> ()
       end
 
@@ -424,7 +410,6 @@ let reorder_small_first ready =
 
 let run rt ~pool () =
   let kernel = rt.Runtime.kernel in
-  let live = live_counter rt in
   let conns = ref [] in
   let handle tag =
     match tag with
@@ -443,7 +428,6 @@ let run rt ~pool () =
                   served = 0;
                 }
               in
-              incr live;
               conns := c :: !conns;
               accept_all ()
           | None -> ()
@@ -457,7 +441,7 @@ let run rt ~pool () =
             let rec drain () =
               match Simos.Kernel.pipe_read kernel pipe with
               | Some result ->
-                  apply_helper_result rt ~pool:(Some pool) live result;
+                  apply_helper_result rt ~pool:(Some pool) result;
                   drain ()
               | None -> ()
             in
@@ -474,8 +458,8 @@ let run rt ~pool () =
     | Io c ->
         if c.alive then begin
           match c.state with
-          | Reading -> do_read rt ~pool live c
-          | Sending job -> do_send rt ~pool live c job
+          | Reading -> do_read rt ~pool c
+          | Sending job -> do_send rt ~pool c job
           | Wait_translate | Wait_pagein _ -> ()
         end
   in

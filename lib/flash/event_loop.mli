@@ -21,6 +21,3 @@ type helper_result
     [Some _] exactly for the AMPED architecture. *)
 val run :
   Runtime.t -> pool:helper_result Helper_pool.t option -> unit -> unit
-
-(** Connections this loop is currently tracking (diagnostics). *)
-val live_connections : Runtime.t -> int

@@ -8,9 +8,8 @@ type t = {
   min_bytes : int;
   max_bytes : int;
   mutable assumed : int;
-  believed : (key, unit) Flash_util.Lru.t;
+  believed : (key, unit) Flash_cache.Store.t;  (* LRU by bytes *)
   mutable faults : int;
-  mutable correct : int;
 }
 
 let create ~initial_bytes ~min_bytes ~max_bytes =
@@ -20,9 +19,8 @@ let create ~initial_bytes ~min_bytes ~max_bytes =
     min_bytes;
     max_bytes;
     assumed = initial_bytes;
-    believed = Flash_util.Lru.create ~capacity:initial_bytes ();
+    believed = Flash_cache.Store.create ~capacity:initial_bytes ();
     faults = 0;
-    correct = 0;
   }
 
 let slots_of file ~off ~len =
@@ -37,34 +35,34 @@ let key (file : Simos.Fs.file) slot = { inode = file.Simos.Fs.inode; slot }
 
 let predict_resident t file ~off ~len =
   List.for_all
-    (fun slot -> Flash_util.Lru.mem t.believed (key file slot))
+    (fun slot -> Flash_cache.Store.mem t.believed (key file slot))
     (slots_of file ~off ~len)
 
 let note_access t file ~off ~len =
   List.iter
     (fun slot ->
       let bytes = min granularity (file.Simos.Fs.size - (slot * granularity)) in
-      Flash_util.Lru.add t.believed (key file slot) () ~weight:(max 1 bytes))
+      ignore
+        (Flash_cache.Store.add t.believed (key file slot) ()
+           ~weight:(max 1 bytes)))
     (slots_of file ~off ~len)
 
 let resize t bytes =
   let clamped = min t.max_bytes (max t.min_bytes bytes) in
   t.assumed <- clamped;
-  Flash_util.Lru.set_capacity t.believed clamped
+  Flash_cache.Store.set_capacity t.believed clamped
 
 let note_fault t file ~off ~len =
   t.faults <- t.faults + 1;
   List.iter
-    (fun slot -> ignore (Flash_util.Lru.remove t.believed (key file slot)))
+    (fun slot -> ignore (Flash_cache.Store.remove t.believed (key file slot)))
     (slots_of file ~off ~len);
   (* Multiplicative decrease: the cache is smaller than we thought. *)
   resize t (t.assumed * 9 / 10)
 
 let note_correct t =
-  t.correct <- t.correct + 1;
   (* Additive increase, one page at a time. *)
   if t.assumed < t.max_bytes then resize t (t.assumed + 8192)
 
 let assumed_bytes t = t.assumed
 let faults t = t.faults
-let correct_predictions t = t.correct

@@ -33,4 +33,3 @@ val note_correct : t -> unit
 
 val assumed_bytes : t -> int
 val faults : t -> int
-val correct_predictions : t -> int

@@ -125,16 +125,6 @@ let translate_cached t caches path =
   charge_lookup t;
   Pathname_cache.find caches.pathname path
 
-let translate_blocking t caches path =
-  match translate_cached t caches path with
-  | Some file -> Some file
-  | None -> (
-      match Simos.Kernel.open_stat t.kernel path with
-      | Some file ->
-          Pathname_cache.insert caches.pathname path file;
-          Some file
-      | None -> None)
-
 let align_of t = if t.config.Config.align_headers then Some 32 else None
 
 let header_for t caches (file : Simos.Fs.file) =

@@ -58,11 +58,6 @@ val charge_request : t -> bytes:int -> unit
     filesystem. *)
 val translate_cached : t -> caches -> string -> Simos.Fs.file option
 
-(** Full blocking translation: cache probe, then [open]/[stat] through
-    the kernel on a miss (inline — this is what stalls SPED on metadata
-    misses), inserting the result. *)
-val translate_blocking : t -> caches -> string -> Simos.Fs.file option
-
 (** Build (or fetch from cache) the 200 response for [file], plus body
     bookkeeping.  [keep] propagates the client's keep-alive request. *)
 val ok_response :

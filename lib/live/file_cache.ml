@@ -219,11 +219,6 @@ let trusts_mincore ~owner ~euid = owner = euid || euid = 0
 let pin t path = Flash_cache.Store.pin t.store path
 let unpin t path = Flash_cache.Store.unpin t.store path
 
-let unpin_all t =
-  List.iter
-    (fun k -> ignore (Flash_cache.Store.unpin t.store k))
-    (Flash_cache.Store.pinned_keys t.store)
-
 let pinned t path = Flash_cache.Store.pinned t.store path
 let pinned_bytes t = Flash_cache.Store.pinned_bytes t.store
 let pinned_count t = Flash_cache.Store.pinned_count t.store

@@ -135,7 +135,6 @@ val pin : t -> string -> bool
     normal replacement order. *)
 val unpin : t -> string -> bool
 
-val unpin_all : t -> unit
 val pinned : t -> string -> bool
 val pinned_bytes : t -> int
 val pinned_count : t -> int

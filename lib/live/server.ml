@@ -16,7 +16,7 @@ type config = {
   access_log : string option;  (* Common Log Format file *)
   access_log_timing : bool;  (* append service time (µs) after CLF fields *)
   status_path : string option;  (* built-in status endpoint; None disables *)
-  stall_threshold : float;  (* loop iterations longer than this are stalls *)
+  stall_threshold : float;  (* a loop turn working longer is a stall *)
   clock : unit -> float;  (* injectable for tests *)
   slow_read : (string -> unit) option;  (* cold-media fault injection *)
   trace : bool;  (* record request-lifecycle spans *)
@@ -147,7 +147,6 @@ type conn = {
   peer : string;  (* peer address (no port): the guard's ledger key *)
   loop : loop;  (* the event loop that owns this connection *)
   mutable inbuf : string;
-  readbuf : Bytes.t;  (* per-connection scratch, reused across reads *)
   outq : Sendq.t;
   mutable state : conn_state;
   mutable close_after_flush : bool;
@@ -215,15 +214,18 @@ and fd_owner =
    time and has no helpers, so its disk reads block only that worker;
    the MP parent and the MT main thread run one without the listener.
    An epoll interest set must not be shared across forks or mutated by
-   several threads, so every loop has its own backend. *)
+   several threads, so every loop has its own backend.  A loop's turn
+   record and read scratch are its own too: only its thread touches
+   them, so a worker's stall is counted against that worker. *)
 and loop = {
   evio : Evio.Backend.t;
   wheel : timer_ev Evio.Timer_wheel.t;
   fd_owners : (Unix.file_descr, fd_owner) Hashtbl.t;
   conns : (int, conn) Hashtbl.t;
   by_helper_key : (int, conn) Hashtbl.t;
+  stat : Obs.Loopstat.t;  (* its turns: wakeups, wait/work, stalls *)
+  scratch : Bytes.t;  (* where its socket and CGI pipe reads land *)
   mutable next_key : int;
-  mutable turn : int;  (* iterations of this loop so far *)
   mutable now : float;  (* the clock when this turn's wait returned *)
   mutable accept_paused : bool;  (* listen interest parked by backoff *)
   mutable accept_backoff : float;  (* current backoff delay, seconds *)
@@ -303,7 +305,10 @@ type t = {
   wake_read : Unix.file_descr;
   wake_write : Unix.file_descr;
   main : loop;  (* the loop [run] drives *)
-  loopstat : Obs.Loopstat.t;
+  (* Every loop this instance runs: [main], then each MP/MT worker's,
+     added by [run_worker] under [obs_mutex].  The loop series fold
+     them all. *)
+  mutable loops : loop list;
   accept_emfile : Obs.Counter.t;  (* accepts shed on EMFILE/ENFILE *)
   mutable stopped : bool;
   mutable loop_thread : Thread.t option;
@@ -324,7 +329,6 @@ type t = {
      readers. *)
   obs_mutex : Mutex.t;
   latency : Obs.Histogram.t;  (* per-request latency, seconds *)
-  watchdog : Obs.Watchdog.t;  (* event-loop iteration stalls *)
   active : Obs.Gauge.t;  (* currently open connections *)
   (* Request-lifecycle tracing (None with --no-trace).  Its ring is
      guarded by [obs_mutex] (MT workers finish into one ring, an MP
@@ -733,6 +737,7 @@ let gauge_max_name name =
   name = "flash_uptime_seconds" || name = "flash_slo_state"
   || name = "flash_guard_state" || name = "flash_loop_max_stall_seconds"
   || name = "flash_loop_stall_threshold_seconds"
+  || name = "flash_accept_paused"
   || name = "flash_slo_burn_ratio" || name = "flash_slo_windows"
 
 (* Fold member walks into one view, summed at snapshot: the shard label
@@ -950,39 +955,43 @@ let register_metrics t =
       hist ~name:"flash_helper_job_duration_seconds"
         ~help:"Helper disk-job latency."
         (fun () -> Helper.job_latency h));
-  c ~name:"flash_loop_iterations_total" ~help:"Event-loop iterations."
-    (fun () -> Obs.Watchdog.iterations t.watchdog);
+  (* The loop series fold every loop this instance runs: sums, but the
+     longest turn of any loop, and paused while any loop is. *)
+  let sum f () = List.fold_left (fun acc lp -> acc + f lp) 0 t.loops in
+  let sumf f () = List.fold_left (fun acc lp -> acc +. f lp) 0. t.loops in
   c ~name:"flash_loop_stalls_total"
-    ~help:"Loop iterations over the stall threshold."
-    (fun () -> Obs.Watchdog.stalls t.watchdog);
-  g ~name:"flash_loop_max_stall_seconds" ~help:"Longest loop iteration."
+    ~help:"Loop turns over the stall threshold."
+    (sum (fun lp -> Obs.Loopstat.stalls lp.stat));
+  g ~name:"flash_loop_max_stall_seconds" ~help:"Longest loop turn."
     (fun () ->
-      let v = Obs.Watchdog.max_gap t.watchdog in
-      if Float.is_finite v then v else 0.);
+      List.fold_left
+        (fun acc lp -> Float.max acc (Obs.Loopstat.max_turn lp.stat))
+        0. t.loops);
   g ~name:"flash_loop_stall_threshold_seconds"
-    ~help:"Loop iterations longer than this count as stalls."
-    (fun () -> Obs.Watchdog.threshold t.watchdog);
+    ~help:"Loop turns longer than this count as stalls."
+    (fun () -> t.config.stall_threshold);
   c ~name:"flash_loop_wakeups_total" ~help:"Readiness waits that returned."
-    (fun () -> Obs.Loopstat.wakeups t.loopstat);
+    (sum (fun lp -> Obs.Loopstat.wakeups lp.stat));
   c ~name:"flash_loop_ready_fds_total"
     ~help:"Ready descriptors returned, summed over wakeups."
-    (fun () -> Obs.Loopstat.ready_fds t.loopstat);
+    (sum (fun lp -> Obs.Loopstat.ready_fds lp.stat));
   g ~name:"flash_loop_wait_seconds"
     ~help:"Cumulative seconds blocked awaiting readiness."
-    (fun () -> Obs.Loopstat.wait_time t.loopstat);
+    (sumf (fun lp -> Obs.Loopstat.wait_time lp.stat));
   g ~name:"flash_loop_work_seconds"
     ~help:"Cumulative seconds processing ready events."
-    (fun () -> Obs.Loopstat.work_time t.loopstat);
+    (sumf (fun lp -> Obs.Loopstat.work_time lp.stat));
   c ~name:"flash_loop_timer_fires_total"
     ~help:"Timer-wheel expirations handled."
-    (fun () -> Obs.Loopstat.timer_fires t.loopstat);
-  g ~name:"flash_timers_pending" ~help:"Timers pending in the wheel."
-    (fun () -> float_of_int (Evio.Timer_wheel.pending t.main.wheel));
+    (sum (fun lp -> Obs.Loopstat.timer_fires lp.stat));
+  g ~name:"flash_timers_pending" ~help:"Timers pending in the wheels."
+    (sumf (fun lp -> float_of_int (Evio.Timer_wheel.pending lp.wheel)));
   c ~name:"flash_accept_emfile_total" ~help:"Accepts shed on EMFILE/ENFILE."
     (fun () -> Obs.Counter.value t.accept_emfile);
   g ~name:"flash_accept_paused"
-    ~help:"1 while the listen socket is parked by EMFILE backoff."
-    (fun () -> if t.main.accept_paused then 1. else 0.);
+    ~help:"1 while a listen socket is parked by EMFILE backoff."
+    (fun () ->
+      if List.exists (fun lp -> lp.accept_paused) t.loops then 1. else 0.);
   (match t.tracer with
   | None -> ()
   | Some tracer ->
@@ -1309,91 +1318,102 @@ type fill =
   | Failed of Unix.error  (* open or fstat *)
   | Unloadable  (* the body could be neither read nor mapped *)
 
+(* Open a path without blocking (a FIFO swapped in for a file must not
+   stall the loop) and fstat the descriptor: an open regular file with
+   its stats, or the miss.  Every body the server sends, origin or
+   [.gz] sibling, is opened here. *)
+let open_regular full =
+  let flags = [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] in
+  match Unix.openfile full flags 0 with
+  | exception Unix.Unix_error (Unix.ENXIO, _, _) ->
+      Error Not_regular (* a socket *)
+  | exception Unix.Unix_error (e, _, _) -> Error (Failed e)
+  | fd -> (
+      match Unix.fstat fd with
+      | st when st.Unix.st_kind = Unix.S_REG -> Ok (fd, st)
+      | _ ->
+          Unix.close fd;
+          Error Not_regular
+      | exception Unix.Unix_error (e, _, _) ->
+          Unix.close fd;
+          Error (Failed e))
+
 (* Reads of a file that keeps shrinking under them before its body is
    taken as read. *)
 let fill_reads = 3
 
-(* The one miss path, in every mode: open without blocking (a FIFO
-   swapped in for a file must not stall the loop), fstat the
-   descriptor, copy or map the body, build the entry and insert it when
-   it is [cacheable].  Size and mtime come from that fstat, so a file
-   that shrank since an earlier stat is never mapped past its end; a
-   read copy that comes up short (the file shrank after the fstat) is
-   read again after a fresh fstat, and the last read is taken at its
-   own length, so a body always agrees with its Content-Length and
-   ETag.  A body too large to cache is never read whole in place of a
-   mapping: where it cannot be mapped, the fill fails.  With
-   [~resident] (AMPED's inline attempt) the entry is built only when no
-   byte has to come from disk, and only for a cacheable file, since
-   asking [mincore] about a larger one would stall the loop in
-   proportion to its size: a small file's copy is read with
-   [RWF_NOWAIT], which the kernel answers for any caller, while
-   [mincore] decides for a mapping and is believed only for the files
-   it tells the truth about.  A short inline read goes to a helper.
-   [slow_read] models cold media, so while it is set the answer is
-   always "not resident". *)
+(* The body of [fd], fstat'd as [st], leased for the caller, with its
+   mtime: copied or mapped at the fstat's size, so a file that shrank
+   since an earlier stat is never mapped past its end.  A read copy
+   that comes up short (the file shrank after the fstat) is read again
+   after a fresh fstat, and the last read is taken at its own length,
+   so a body always agrees with its Content-Length and ETag.  A body
+   too large to cache is never read whole in place of a mapping: where
+   it cannot be mapped, the load fails.
+   @raise Unix.Unix_error or Failure when the body cannot be had. *)
+let load t fd (st : Unix.stats) =
+  let rec go (st : Unix.stats) reads =
+    let size = st.Unix.st_size in
+    let body, lease =
+      File_cache.map_body ~max_copy:t.config.max_cached_file fd ~size
+    in
+    Option.iter File_cache.acquire lease;
+    if Bigarray.Array1.dim body = size || reads = 1 then
+      (body, lease, st.Unix.st_mtime)
+    else begin
+      Option.iter File_cache.release lease;
+      go (Unix.fstat fd) (reads - 1)
+    end
+  in
+  go st fill_reads
+
+(* The one miss path, in every mode: [open_regular], [load], build the
+   entry and insert it when it is [cacheable].  With [~resident]
+   (AMPED's inline attempt) the entry is built only when no byte has to
+   come from disk, and only for a cacheable file, since asking
+   [mincore] about a larger one would stall the loop in proportion to
+   its size: a small file's copy is read with [RWF_NOWAIT], which the
+   kernel answers for any caller, while [mincore] decides for a mapping
+   and is believed only for the files it tells the truth about.  A
+   short inline read goes to a helper.  [slow_read] models cold media,
+   so while it is set the answer is always "not resident". *)
 let fill ?(resident = false) t full =
-  let flags = [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] in
-  match Unix.openfile full flags 0 with
-  | exception Unix.Unix_error (Unix.ENXIO, _, _) -> Not_regular  (* a socket *)
-  | exception Unix.Unix_error (e, _, _) -> Failed e
-  | fd -> (
-      match Unix.fstat fd with
-      | exception Unix.Unix_error (e, _, _) ->
-          Unix.close fd;
-          Failed e
-      | st when st.Unix.st_kind <> Unix.S_REG ->
-          Unix.close fd;
-          Not_regular
-      | st when resident && not (cacheable t st.Unix.st_size) ->
-          Unix.close fd;
-          Large
-      | st -> (
-          (* The body, leased for the caller, with its mtime. *)
-          let rec load (st : Unix.stats) reads =
-            let size = st.Unix.st_size in
-            let body, lease =
-              File_cache.map_body ~max_copy:t.config.max_cached_file fd ~size
-            in
-            Option.iter File_cache.acquire lease;
-            if Bigarray.Array1.dim body = size || reads = 1 then
-              (body, lease, st.Unix.st_mtime)
-            else begin
-              Option.iter File_cache.release lease;
-              load (Unix.fstat fd) (reads - 1)
-            end
+  match open_regular full with
+  | Error miss -> miss
+  | Ok (fd, st) when resident && not (cacheable t st.Unix.st_size) ->
+      Unix.close fd;
+      Large
+  | Ok (fd, st) -> (
+      let loaded =
+        if not resident then
+          match load t fd st with
+          | loaded -> Ok loaded
+          | exception (Unix.Unix_error _ | Failure _) -> Error Unloadable
+        else if t.config.slow_read <> None then Error Not_resident
+        else
+          let trust_mincore =
+            File_cache.trusts_mincore ~owner:st.Unix.st_uid ~euid
           in
-          let loaded =
-            if not resident then
-              match load st fill_reads with
-              | loaded -> Ok loaded
-              | exception (Unix.Unix_error _ | Failure _) -> Error Unloadable
-            else if t.config.slow_read <> None then Error Not_resident
-            else
-              let trust_mincore =
-                File_cache.trusts_mincore ~owner:st.Unix.st_uid ~euid
-              in
-              match
-                File_cache.map_resident ~trust_mincore fd ~size:st.Unix.st_size
-              with
-              | Some (body, lease) ->
-                  Option.iter File_cache.acquire lease;
-                  Ok (body, lease, st.Unix.st_mtime)
-              | None -> Error Not_resident
+          match
+            File_cache.map_resident ~trust_mincore fd ~size:st.Unix.st_size
+          with
+          | Some (body, lease) ->
+              Option.iter File_cache.acquire lease;
+              Ok (body, lease, st.Unix.st_mtime)
+          | None -> Error Not_resident
+      in
+      Unix.close fd;
+      match loaded with
+      | Error miss -> miss
+      | Ok (body, mapped, mtime) ->
+          let size = Bigarray.Array1.dim body in
+          let entry =
+            build_entry t ~body ~mapped ~mtime ~size
+              ~content_type:(Http.Mime.of_path full) ~encoding:None
           in
-          Unix.close fd;
-          match loaded with
-          | Error miss -> miss
-          | Ok (body, mapped, mtime) ->
-              let size = Bigarray.Array1.dim body in
-              let entry =
-                build_entry t ~body ~mapped ~mtime ~size
-                  ~content_type:(Http.Mime.of_path full) ~encoding:None
-              in
-              if cacheable t size then
-                with_cache_lock t (fun () ->
-                    File_cache.insert t.cache full entry);
-              Filled entry))
+          if cacheable t size then
+            with_cache_lock t (fun () -> File_cache.insert t.cache full entry);
+          Filled entry)
 
 let remember t full =
   if Hashtbl.length t.known >= known_paths_limit then Hashtbl.reset t.known;
@@ -1414,34 +1434,31 @@ let gzip_entry t ~full ~(origin : File_cache.entry) =
   with
   | Some e -> Some e
   | None -> (
-      let sib = full ^ ".gz" in
-      match Unix.stat sib with
-      | exception Unix.Unix_error _ -> None
-      | st when st.Unix.st_kind = Unix.S_REG && st.Unix.st_mtime >= mtime -> (
-          match Unix.openfile sib [ Unix.O_RDONLY ] 0 with
-          | exception Unix.Unix_error _ -> None
-          | fd -> (
-              match
-                Fun.protect
-                  ~finally:(fun () -> Unix.close fd)
-                  (fun () ->
-                    File_cache.map_body ~max_copy:t.config.max_cached_file fd
-                      ~size:st.Unix.st_size)
-              with
-              | exception (Unix.Unix_error _ | Failure _) -> None
-              | body, mapped ->
-                  let entry =
-                    build_entry t ~body ~mapped ~mtime ~size
-                      ~content_type:(Http.Mime.of_path full)
-                      ~encoding:(Some "gzip")
-                  in
-                  hold entry;
-                  if cacheable t (Bigarray.Array1.dim body) then
-                    with_cache_lock t (fun () ->
-                        File_cache.insert_variant t.cache full ~encoding:"gzip"
-                          entry);
-                  Some entry))
-      | _ -> None)
+      (* The sibling is opened and sized exactly as its origin is; one
+         older than the origin is stale. *)
+      match open_regular (full ^ ".gz") with
+      | Error _ -> None
+      | Ok (fd, st) when st.Unix.st_mtime < mtime ->
+          Unix.close fd;
+          None
+      | Ok (fd, st) -> (
+          match
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () -> load t fd st)
+          with
+          | exception (Unix.Unix_error _ | Failure _) -> None
+          | body, mapped, _ ->
+              let entry =
+                build_entry t ~body ~mapped ~mtime ~size
+                  ~content_type:(Http.Mime.of_path full)
+                  ~encoding:(Some "gzip")
+              in
+              if cacheable t (Bigarray.Array1.dim body) then
+                with_cache_lock t (fun () ->
+                    File_cache.insert_variant t.cache full ~encoding:"gzip"
+                      entry);
+              Some entry))
 
 (* Swap in the gzip representation when the client negotiated one and
    we can produce it; otherwise the identity entry stands. *)
@@ -1849,19 +1866,20 @@ let close_conn t conn =
     sync_listen t lp
   end
 
-(* The head-request buffer: reads land in the connection's reusable
-   scratch and append to [inbuf].  The cap bounds parse-buffer growth
-   against a client streaming junk or very deep pipelines. *)
+(* The head-request buffer: reads land in the loop's scratch and
+   append to [inbuf], so an idle connection holds no read buffer.  The
+   cap bounds parse-buffer growth against a client streaming junk or
+   very deep pipelines. *)
 let max_inbuf = 262144
 
 let handle_readable t conn =
-  let cap = Bytes.length conn.readbuf in
-  match Unix.read conn.fd conn.readbuf 0 cap with
+  let buf = conn.loop.scratch in
+  match Unix.read conn.fd buf 0 (Bytes.length buf) with
   | 0 -> close_conn t conn
   | n ->
       conn.last_active <- conn.loop.now;
       conn.recv_bytes <- conn.recv_bytes + n;
-      conn.inbuf <- conn.inbuf ^ Bytes.sub_string conn.readbuf 0 n;
+      conn.inbuf <- conn.inbuf ^ Bytes.sub_string buf 0 n;
       if String.length conn.inbuf > max_inbuf then close_conn t conn
       else try_parse t conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -1918,9 +1936,9 @@ let sync_conn t conn =
   if
     conn.alive && (not conn.want_write)
     && (not (Sendq.is_empty conn.outq))
-    && conn.flushed_turn <> conn.loop.turn
+    && conn.flushed_turn <> Obs.Loopstat.wakeups conn.loop.stat
   then begin
-    conn.flushed_turn <- conn.loop.turn;
+    conn.flushed_turn <- Obs.Loopstat.wakeups conn.loop.stat;
     handle_writable t conn
   end;
   if conn.alive then begin
@@ -1949,8 +1967,8 @@ let sync_conn t conn =
   end
 
 let handle_cgi_readable t conn fd pid =
-  let buf = Bytes.create 16384 in
-  match Unix.read fd buf 0 16384 with
+  let buf = conn.loop.scratch in
+  match Unix.read fd buf 0 (Bytes.length buf) with
   | n when n > 0 -> enqueue_string t conn (Bytes.sub_string buf 0 n)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | _ | exception Unix.Unix_error _ ->
@@ -2142,7 +2160,6 @@ let adopt_fd t lp fd =
       peer;
       loop = lp;
       inbuf = "";
-      readbuf = Bytes.create 65536;
       outq = Sendq.create ();
       state = Reading;
       close_after_flush = false;
@@ -2470,8 +2487,7 @@ let dispatch_event t lp (ev : Evio.event) =
          wakes first adopts whatever is queued — balance is approximate
          by design. *)
       if not t.stopped then begin
-        let buf = Bytes.create 64 in
-        (try ignore (Unix.read t.wake_read buf 0 64)
+        (try ignore (Unix.read t.wake_read lp.scratch 0 64)
          with Unix.Unix_error _ -> ());
         match t.role with
         | Shard_member { ring = Some ring; _ } ->
@@ -2610,9 +2626,9 @@ let run_loop t lp =
   | None -> ());
   (* Two clock reads a turn: when the wait returns, and when the turn's
      work is done.  The first serves the turn's activity stamps
-     ([last_active]), its timers and the watchdog's arm; the second the
-     work time, the watchdog's check, the MP report and the next wait's
-     start. *)
+     ([last_active]), its timers and its wait time; the second its work
+     time (a stall past the threshold), the MP report and the next
+     wait's start.  Blocking in the wait is idleness, not a stall. *)
   let turn_end = ref (t.config.clock ()) in
   while not t.stopped do
     (* Sleep exactly until the next timer deadline (forever when no
@@ -2627,23 +2643,18 @@ let run_loop t lp =
     let events = Evio.Backend.wait lp.evio ~timeout in
     let now = t.config.clock () in
     lp.now <- now;
-    lp.turn <- lp.turn + 1;
-    Obs.Loopstat.wake t.loopstat ~waited:(now -. wait_start)
+    Obs.Loopstat.wake lp.stat ~waited:(now -. wait_start)
       ~ready:(List.length events);
-    (* Time the processing half of the iteration only — blocking in
-       the readiness wait is idleness, not a stall. *)
-    Obs.Watchdog.arm ~at:now t.watchdog;
     List.iter (dispatch_event t lp) events;
     let fired = Evio.Timer_wheel.advance lp.wheel ~now in
     (match fired with
     | [] -> ()
     | evs ->
-        Obs.Loopstat.timers_fired t.loopstat (List.length evs);
+        Obs.Loopstat.timers_fired lp.stat (List.length evs);
         List.iter (handle_timer t lp ~now) evs);
     let fin = t.config.clock () in
     turn_end := fin;
-    Obs.Loopstat.work t.loopstat ~spent:(fin -. now);
-    Obs.Watchdog.check ~at:fin t.watchdog;
+    Obs.Loopstat.work lp.stat ~spent:(fin -. now);
     match (events, fired) with [], [] -> () | _ -> report_turn t lp ~now:fin
   done;
   (* Drain: close everything. *)
@@ -2657,8 +2668,9 @@ let make_loop (config : config) ~accepts ~single ~track =
     fd_owners = Hashtbl.create 64;
     conns = Hashtbl.create 64;
     by_helper_key = Hashtbl.create 64;
+    stat = Obs.Loopstat.create ~threshold:config.stall_threshold;
+    scratch = Bytes.create 65536;
     next_key = 0;
-    turn = 0;
     now = config.clock ();
     accept_paused = false;
     accept_backoff = accept_backoff_initial;
@@ -2670,7 +2682,9 @@ let make_loop (config : config) ~accepts ~single ~track =
 (* An MP child or MT worker: its own loop over the shared listen socket,
    one connection at a time, its spans on a track of its own. *)
 let run_worker t ~track =
-  run_loop t (make_loop t.config ~accepts:true ~single:true ~track)
+  let lp = make_loop t.config ~accepts:true ~single:true ~track in
+  with_obs_lock t (fun () -> t.loops <- t.loops @ [ lp ]);
+  run_loop t lp
 
 (* Runs in a freshly forked MP child: report once, so the parent lists
    every series before any request, then serve until killed.  That
@@ -2830,6 +2844,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       wake_read;
       wake_write;
       main;
+      loops = [ main ];
       stopped = false;
       loop_thread = None;
       children = [];
@@ -2856,9 +2871,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         Option.map
           (fun (quantile, target_ms) -> Obs.Slo.create ~quantile ~target_ms ())
           config.latency_slo;
-      watchdog =
-        Obs.Watchdog.create ~clock:config.clock
-          ~threshold:config.stall_threshold ();
       active = Obs.Gauge.create ();
       tracer =
         (if config.trace then
@@ -2872,7 +2884,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
           config.slow_request_log;
       started_at = config.clock ();
       worker_threads = [];
-      loopstat = Obs.Loopstat.create ();
       accept_emfile = Obs.Counter.create ();
       role;
       shards = [||];
@@ -3180,7 +3191,6 @@ let helper_job_latency t =
 
 let tracing_enabled t = t.tracer <> None
 let trace_snapshot = traces
-let trace_chrome_json = trace_body
 
 (* SIGUSR1 / shutdown dump: flush the partial window, render the whole
    ring.  The flush's walk drains the report pipes, so an MP parent's

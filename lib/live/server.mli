@@ -42,8 +42,10 @@
     fails with EMFILE/ENFILE the loop parks the listen fd's interest
     and re-arms it by a wheel timer with exponential backoff — load is
     shed without spinning on a connection the process cannot take.
-    Per-loop wakeup/ready/wait-vs-work/timer counters are reported by
-    [/server-status].
+    Each loop keeps its own turn record (wakeups, ready descriptors,
+    wait versus work time, timer fires, stalls) and its own 64 KB read
+    scratch, which its connections' socket reads and CGI pipe reads
+    share, so an idle connection holds no read buffer.
 
     {2 Send path}
 
@@ -80,8 +82,8 @@
     parent keeps every child's latest walk (a dead child's too, so
     counters never go backwards) and folds them as a sharded server
     folds its shards: counters and gauges summed, except that uptime,
-    SLO and guard state, stall threshold and max stall take the worst
-    child's, and histograms merge.  That fold is the MP parent's
+    SLO and guard state, stall threshold, max stall and a paused
+    listener take the worst child's, and histograms merge.  That fold is the MP parent's
     [/metrics], status listing, {!stats}, {!latency} and flight
     recorder, and it trails each child by at most 50 ms; gauges are as
     of each child's latest report.  The parent evaluates no SLO of its
@@ -91,12 +93,16 @@
 
     The server is instrumented with {!Obs}: a log-bucketed per-request
     latency histogram (recorded at response generation in every mode),
-    an event-loop stall watchdog (any iteration whose processing
+    each event loop's turn record ({!Obs.Loopstat}: any turn whose work
     exceeds [stall_threshold] counts as a stall — the measurable
     signature of the SPED pathology), live/total connection gauges,
     cache hit/miss/eviction counters, and helper queue-depth and
-    job-latency figures.  All of it is registered once in an
-    {!Obs.Registry}, and every view reads one walk of it:
+    job-latency figures.  The loop series fold every loop the instance
+    runs — the main loop and each MP child's or MT worker's — summing
+    counters, times and pending timers, taking the longest turn of any
+    loop, and reading the listener as paused while any loop's is; so a
+    blocked MT worker's stall is its own.  All of it is registered once
+    in an {!Obs.Registry}, and every view reads one walk of it:
     [GET /metrics] ({!metrics_body}), the built-in
     [GET /server-status] endpoint, {!stats} and {!latency}.  The status
     endpoint lists the walk generically ({!Obs.Exposition.render_listing}):
@@ -144,8 +150,9 @@ type mode =
           pool (and one cache lock) across every shard.  [/server-status]
           and [/metrics] expose both per-shard series (under a [shard]
           label) and the aggregate taken at snapshot: sums, except that
-          uptime, SLO and guard state, stall threshold and max stall
-          take the worst shard's, and histograms merge.  {!stats} and
+          uptime, SLO and guard state, stall threshold, max stall and
+          a paused listener take the worst shard's, and histograms
+          merge.  {!stats} and
           {!latency} read that aggregate.  The coordinator's hand-off
           shed count joins it once, unlabelled, as
           [flash_handoff_shed_total]. *)
@@ -171,11 +178,11 @@ type config = {
       (** built-in status endpoint (default ["/server-status"]); [None]
           disables it *)
   stall_threshold : float;
-      (** seconds; loop iterations processing longer than this are
+      (** seconds; loop turns whose work takes longer than this are
           recorded as stalls (default 50 ms) *)
   clock : unit -> float;
-      (** time source for latency/watchdog/idle accounting — injectable
-          so tests control it (default [Unix.gettimeofday]) *)
+      (** time source for latency, loop-turn and idle accounting —
+          injectable so tests control it (default [Unix.gettimeofday]) *)
   slow_read : (string -> unit) option;
       (** fault injection: called with the path before every {e cold}
           file read — in AMPED helper context, inline in SPED/MP/MT —
@@ -272,8 +279,8 @@ type stats = {
   cache_evictions : int;
   helper_queue_depth : int;  (** queued + in-flight helper jobs now *)
   active_connections : int;  (** connections currently open *)
-  loop_stalls : int;  (** event-loop iterations over the threshold *)
-  loop_max_stall : float;  (** longest loop iteration, seconds *)
+  loop_stalls : int;  (** loop turns over the threshold, every loop's *)
+  loop_max_stall : float;  (** longest turn of any loop, seconds *)
   writev_calls : int;  (** gather writes issued *)
   bytes_copied : int;  (** response bytes copied in userspace *)
   mapped_bytes : int;  (** file bytes currently mmap'd by the cache *)
@@ -333,10 +340,6 @@ val tracing_enabled : t -> bool
     A sharded server merges every shard's ring in completion order,
     with trace ids made distinct across shards. *)
 val trace_snapshot : t -> Obs.Trace.trace_data list
-
-(** The same traces as Chrome trace-event JSON — what
-    [GET /server-trace] serves. *)
-val trace_chrome_json : t -> string
 
 (** One walk over the unified metrics registry, rendered as Prometheus
     text exposition — what [GET /metrics] serves.  In MP mode, calling

@@ -98,7 +98,6 @@ let create ~clock ?(capacity = 256) ?(max_spans = 64) ?(track = "main-loop")
 
 let capacity t = t.cap
 let max_spans t = t.span_cap
-let default_track t = t.track
 let now t = t.clock ()
 
 let start t ?at ?(label = "request") () =

@@ -79,7 +79,6 @@ val create :
 
 val capacity : t -> int
 val max_spans : t -> int
-val default_track : t -> string
 val now : t -> float
 
 (** [start t ?at ?label ()] opens a trace beginning at [at] (default

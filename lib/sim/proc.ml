@@ -14,8 +14,6 @@ let names : (id, string) Hashtbl.t = Hashtbl.create 64
 let name_of pid =
   match Hashtbl.find_opt names pid with Some n -> n | None -> "?"
 
-let spawned_count () = !next_pid
-
 let spawn engine ?(name = "proc") f =
   let pid = !next_pid in
   incr next_pid;

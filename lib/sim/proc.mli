@@ -36,7 +36,3 @@ val yield : unit -> unit
     [resume] function; calling it schedules the process to continue with
     the provided value.  All blocking primitives reduce to this. *)
 val suspend : (('a -> unit) -> unit) -> 'a
-
-(** Number of processes spawned so far (across all engines; ids are
-    globally unique). *)
-val spawned_count : unit -> int

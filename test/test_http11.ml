@@ -641,6 +641,60 @@ let test_large_file_negotiates mode () =
               to_int
                 (row j ~labels:[ ("cache", "file") ] "flash_cache_entries"))))
 
+(* A [.gz] sibling that cannot stand for its origin (a FIFO with no
+   writer, a directory, one older than the origin) is skipped: opened
+   and sized as the origin is, it is not a fresh regular file, so the
+   gzip client gets identity at once, [Vary] kept, and no loop waits on
+   the FIFO.  Sharded runs it from test_sharded.ml. *)
+let test_unusable_sibling_skipped mode () =
+  let docroot = Filename.temp_file "flash_badgz" "" in
+  Sys.remove docroot;
+  Unix.mkdir docroot 0o755;
+  let origin name =
+    let path = Filename.concat docroot name in
+    write_file path ("identity bytes of " ^ name);
+    path
+  in
+  Unix.mkfifo (origin "fifo.txt" ^ ".gz") 0o644;
+  Unix.mkdir (origin "dir.txt" ^ ".gz") 0o755;
+  let old = origin "old.txt" in
+  write_file (old ^ ".gz") (Gzip.compress "stale");
+  let mtime = (Unix.stat old).Unix.st_mtime in
+  Unix.utimes (old ^ ".gz") (mtime -. 100.) (mtime -. 100.);
+  let server =
+    Server.start_background
+      { (Server.default_config ~docroot) with Server.mode }
+  in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      List.iter
+        (fun name ->
+          let fd = Raw.connect ~port:(Server.port server) in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+              Raw.write_request fd ~meth:"GET" ~target:("/" ^ name)
+                ~headers:[ ("Accept-Encoding", "gzip") ]
+                ~close:true;
+              match Raw.read_response fd "" with
+              | exception
+                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  Alcotest.failf "%s: no answer within 5 s" name
+              | r, _ ->
+                  Alcotest.(check int) (name ^ " 200") 200 r.Raw.status;
+                  Alcotest.(check (option string))
+                    (name ^ " identity") None
+                    (List.assoc_opt "content-encoding" r.Raw.headers);
+                  Alcotest.(check (option string))
+                    (name ^ " Vary kept") (Some "Accept-Encoding")
+                    (List.assoc_opt "vary" r.Raw.headers);
+                  Alcotest.(check string)
+                    (name ^ " origin bytes") ("identity bytes of " ^ name)
+                    r.Raw.body))
+        [ "fifo.txt"; "dir.txt"; "old.txt" ])
+
 let suite =
   [
     Alcotest.test_case "conformance table (AMPED)" `Quick test_table_amped;
@@ -664,4 +718,12 @@ let suite =
       (test_large_file_negotiates (Server.Mp 2));
     Alcotest.test_case "a large file negotiates gzip (MT)" `Quick
       (test_large_file_negotiates (Server.Mt 2));
+    Alcotest.test_case "an unusable .gz sibling is skipped (AMPED)" `Quick
+      (test_unusable_sibling_skipped Server.Amped);
+    Alcotest.test_case "an unusable .gz sibling is skipped (SPED)" `Quick
+      (test_unusable_sibling_skipped Server.Sped);
+    Alcotest.test_case "an unusable .gz sibling is skipped (MP)" `Quick
+      (test_unusable_sibling_skipped (Server.Mp 2));
+    Alcotest.test_case "an unusable .gz sibling is skipped (MT)" `Quick
+      (test_unusable_sibling_skipped (Server.Mt 2));
   ]

@@ -17,7 +17,6 @@ let () =
       ("simos.pipe", Test_pipe.suite);
       ("simos.kernel", Test_kernel.suite);
       ("http", Test_http.suite);
-      ("util.lru", Test_lru.suite);
       ("cache.policy", Test_cache_policy.suite);
       ("flash.config", Test_config.suite);
       ("flash.caches", Test_caches.suite);
@@ -34,7 +33,7 @@ let () =
       ("live.status", Test_status.suite);
       ("live.metrics", Test_metrics.suite);
       ("live.trace", Test_trace.suite);
-      ("util.lru_model", Test_lru_model.suite);
+      ("cache.lru_model", Test_lru_model.suite);
       ("flash.helper_pool", Test_helper_pool.suite);
       ("flash.extensions", Test_extensions.suite);
       ("robustness", Test_robustness.suite);

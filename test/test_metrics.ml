@@ -804,6 +804,70 @@ let test_mp_child_death () =
           (get port "/hello.txt").Client.status
       done)
 
+(* The loop series fold every loop an instance runs.  Two idle
+   keep-alive connections each hold an idle timer on the wheel of the
+   loop that serves them: a worker's under MP and MT, so a main loop
+   that serves nothing cannot stand for them.  Sharded runs it from
+   test_sharded.ml, after every fork test. *)
+let test_timers_pending mode () =
+  let docroot = Test_live.make_docroot () in
+  with_config
+    { (Server.default_config ~docroot) with Server.mode }
+    (fun server port ->
+      let s1 = Client.Session.connect ~host:"127.0.0.1" ~port () in
+      let s2 = Client.Session.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.Session.close s1;
+          Client.Session.close s2)
+        (fun () ->
+          List.iter
+            (fun s ->
+              let r = Client.Session.request s "/hello.txt" in
+              Alcotest.(check int) "served" 200 r.Client.status)
+            [ s1; s2 ];
+          let pending () =
+            series_value
+              (validate_families (Server.metrics_body server))
+              "flash_timers_pending"
+          in
+          ignore (await (fun () -> pending () >= 2.));
+          let n = pending () in
+          if n < 2. then
+            Alcotest.failf "flash_timers_pending %g with two idle connections"
+              n))
+
+(* MT and MP: the workers accept, so a worker's EMFILE backoff is the
+   instance's.  With every accept failing, every worker parks its
+   listener, and the gauge reads 1, not one per worker. *)
+let test_accept_paused mode () =
+  let docroot = Test_live.make_docroot () in
+  with_config
+    {
+      (Server.default_config ~docroot) with
+      Server.mode;
+      accept_fault = Some (fun () -> true);
+    }
+    (fun server port ->
+      let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close s)
+        (fun () ->
+          Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let paused () =
+            series_value
+              (validate_families (Server.metrics_body server))
+              "flash_accept_paused"
+          in
+          Alcotest.(check bool) "a worker's listener is parked" true
+            (await (fun () -> paused () = 1.));
+          (* Every worker parks within a backoff or two. *)
+          for _ = 1 to 10 do
+            Thread.delay 0.05;
+            let v = paused () in
+            if v > 1. then Alcotest.failf "flash_accept_paused %g" v
+          done))
+
 let suite =
   [
     Alcotest.test_case "rendered exposition validates" `Quick
@@ -851,6 +915,18 @@ let suite =
       (test_mode_parity (Server.Mt 2));
     Alcotest.test_case "MP view trails a child by under 100 ms" `Quick
       test_mp_fresh;
+    Alcotest.test_case "timers pending fold every loop (AMPED)" `Quick
+      (test_timers_pending Server.Amped);
+    Alcotest.test_case "timers pending fold every loop (SPED)" `Quick
+      (test_timers_pending Server.Sped);
+    Alcotest.test_case "timers pending fold every loop (MP 2)" `Quick
+      (test_timers_pending (Server.Mp 2));
+    Alcotest.test_case "timers pending fold every loop (MT 2)" `Quick
+      (test_timers_pending (Server.Mt 2));
+    Alcotest.test_case "a worker's accept backoff reads paused (MT 2)" `Quick
+      (test_accept_paused (Server.Mt 2));
+    Alcotest.test_case "a worker's accept backoff reads paused (MP 2)" `Quick
+      (test_accept_paused (Server.Mp 2));
     Alcotest.test_case "dead MP child leaves the parent idle" `Quick
       test_mp_child_death;
   ]

@@ -1,6 +1,6 @@
 (* Property and unit tests for the observability library: the
-   log-bucketed histogram's quantile guarantees, gauges, and the
-   loop-stall watchdog driven by a fake clock. *)
+   log-bucketed histogram's quantile guarantees, gauges, and a loop's
+   turn record. *)
 
 module H = Obs.Histogram
 
@@ -141,50 +141,31 @@ let test_counter () =
   Obs.Counter.add c 4;
   Alcotest.(check int) "value" 5 (Obs.Counter.value c)
 
-(* The watchdog must attribute time correctly with no wall clock at all:
-   everything below is driven by a hand-cranked fake clock. *)
-let test_watchdog_fake_clock () =
-  let now = ref 0. in
-  let wd = Obs.Watchdog.create ~clock:(fun () -> !now) ~threshold:0.05 () in
-  (* Fast iteration: no stall. *)
-  Obs.Watchdog.arm wd;
-  now := !now +. 0.01;
-  Obs.Watchdog.check wd;
-  Alcotest.(check int) "no stall yet" 0 (Obs.Watchdog.stalls wd);
-  (* Idle time between iterations is NOT counted: the clock advances a
-     lot while disarmed. *)
-  now := !now +. 10.;
-  Obs.Watchdog.arm wd;
-  now := !now +. 0.02;
-  Obs.Watchdog.check wd;
-  Alcotest.(check int) "idle gap ignored" 0 (Obs.Watchdog.stalls wd);
-  (* A slow iteration is a stall. *)
-  Obs.Watchdog.arm wd;
-  now := !now +. 0.30;
-  Obs.Watchdog.check wd;
-  Alcotest.(check int) "stall recorded" 1 (Obs.Watchdog.stalls wd);
-  Helpers.check_float ~msg:"max gap" 0.30 ~eps:1e-9 (Obs.Watchdog.max_gap wd);
-  Helpers.check_float ~msg:"last gap" 0.30 ~eps:1e-9 (Obs.Watchdog.last_gap wd);
-  Alcotest.(check int) "iterations" 3 (Obs.Watchdog.iterations wd);
-  Alcotest.(check int) "gap histogram fed" 3
-    (H.count (Obs.Watchdog.gaps wd));
-  (* check without arm is a no-op. *)
-  Obs.Watchdog.check wd;
-  Alcotest.(check int) "unarmed check ignored" 3 (Obs.Watchdog.iterations wd);
-  Obs.Watchdog.reset wd;
-  Alcotest.(check int) "reset" 0 (Obs.Watchdog.stalls wd)
-
-let test_watchdog_beat () =
-  let now = ref 0. in
-  let wd = Obs.Watchdog.create ~clock:(fun () -> !now) ~threshold:0.1 () in
-  Obs.Watchdog.beat wd;
-  now := !now +. 0.2;
-  Obs.Watchdog.beat wd;
-  now := !now +. 0.05;
-  Obs.Watchdog.beat wd;
-  Alcotest.(check int) "beats measure gaps between beats" 2
-    (Obs.Watchdog.iterations wd);
-  Alcotest.(check int) "one stall" 1 (Obs.Watchdog.stalls wd)
+(* A loop's turn record counts stalls from the work half of each turn
+   alone: whatever the loop waited before the work is idleness. *)
+let test_loopstat_stalls () =
+  let ls = Obs.Loopstat.create ~threshold:0.05 in
+  Obs.Loopstat.wake ls ~waited:10. ~ready:1;
+  Obs.Loopstat.work ls ~spent:0.01;
+  Alcotest.(check int) "a long wait is not a stall" 0 (Obs.Loopstat.stalls ls);
+  Obs.Loopstat.wake ls ~waited:0. ~ready:2;
+  Obs.Loopstat.work ls ~spent:0.30;
+  Alcotest.(check int) "a slow turn is" 1 (Obs.Loopstat.stalls ls);
+  Helpers.check_float ~msg:"longest turn" 0.30 ~eps:1e-9
+    (Obs.Loopstat.max_turn ls);
+  Helpers.check_float ~msg:"work time" 0.31 ~eps:1e-9
+    (Obs.Loopstat.work_time ls);
+  Helpers.check_float ~msg:"wait time" 10. ~eps:1e-9
+    (Obs.Loopstat.wait_time ls);
+  Alcotest.(check int) "wakeups" 2 (Obs.Loopstat.wakeups ls);
+  Alcotest.(check int) "ready fds" 3 (Obs.Loopstat.ready_fds ls);
+  List.iter
+    (fun threshold ->
+      Alcotest.check_raises
+        (Printf.sprintf "threshold %g" threshold)
+        (Invalid_argument "Obs.Loopstat.create: threshold <= 0")
+        (fun () -> ignore (Obs.Loopstat.create ~threshold)))
+    [ 0.; -1. ]
 
 (* The sim's Stat.Quantile is the very same type — a value built there
    interoperates with Obs.Histogram directly. *)
@@ -206,9 +187,8 @@ let suite =
     Alcotest.test_case "invalid arguments" `Quick test_histogram_invalid;
     Alcotest.test_case "gauge high-watermark" `Quick test_gauge;
     Alcotest.test_case "counter" `Quick test_counter;
-    Alcotest.test_case "watchdog with fake clock" `Quick
-      test_watchdog_fake_clock;
-    Alcotest.test_case "watchdog beat mode" `Quick test_watchdog_beat;
+    Alcotest.test_case "loop turns: idle wait is no stall" `Quick
+      test_loopstat_stalls;
     Alcotest.test_case "Stat.Quantile = Obs.Histogram" `Quick
       test_sim_quantile_is_obs_histogram;
   ]

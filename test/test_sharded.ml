@@ -151,10 +151,9 @@ let prop_budget_shed_exact (domains, ops) =
   let cap = chunk * 5 in
   let b = Budget.create ~bytes:cap in
   let members =
-    List.init domains (fun i ->
+    List.init domains (fun _ ->
         let resident = Atomic.make 0 in
         Budget.register b
-          ~name:(Printf.sprintf "m%d" i)
           ~usage:(fun () -> Atomic.get resident)
           ~shed:(fun () ->
             (* Pop one chunk if this member holds one. *)
@@ -468,6 +467,12 @@ let test_sharded_large_file_negotiates =
 (* The mode-parity case of test_metrics, for the fifth mode. *)
 let test_sharded_mode_parity = Test_metrics.test_mode_parity (Server.Sharded 2)
 
+let test_sharded_unusable_sibling =
+  Test_http11.test_unusable_sibling_skipped (Server.Sharded 2)
+
+let test_sharded_timers_pending =
+  Test_metrics.test_timers_pending (Server.Sharded 2)
+
 (* Every instance of a sharded server renders its trace views from
    every shard's ring: the snapshot holds every request sent, oldest
    first, under distinct ids, and /server-trace, rendered by whichever
@@ -730,10 +735,14 @@ let suite =
       test_sharded_truncated_copy;
     Alcotest.test_case "mode parity (sharded 2)" `Quick
       test_sharded_mode_parity;
+    Alcotest.test_case "timers pending fold every loop (sharded 2)" `Quick
+      test_sharded_timers_pending;
     Alcotest.test_case "trace views read every shard's ring" `Quick
       test_sharded_trace_views;
     Alcotest.test_case "helper job latency is the shards' merge" `Quick
       test_sharded_helper_latency;
     Alcotest.test_case "a large file negotiates gzip" `Quick
       test_sharded_large_file_negotiates;
+    Alcotest.test_case "an unusable .gz sibling is skipped" `Quick
+      test_sharded_unusable_sibling;
   ]

@@ -1,7 +1,8 @@
 (* Integration tests for the live server's observability: the
-   /server-status endpoint across all four architectures, the loop-stall
-   watchdog separating SPED from AMPED, and the keep-alive idle-timeout
-   accounting.  Runs over real loopback sockets. *)
+   /server-status endpoint across all four architectures, loop stalls
+   separating SPED and MT's blocked worker from AMPED, and the
+   keep-alive idle-timeout accounting and cost.  Runs over real
+   loopback sockets. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
@@ -286,8 +287,8 @@ let test_status_event_loop mode () =
               ~labels:[ ("quantile", "0.99") ]
               "flash_request_duration_seconds")
         >= 0.);
-      Alcotest.(check bool) "loop iterations" true
-        (count "flash_loop_iterations_total" >= 1);
+      Alcotest.(check bool) "loop wakeups" true
+        (count "flash_loop_wakeups_total" >= 1);
       (match mode with
       | Server.Amped ->
           Alcotest.(check bool) "helper jobs" true
@@ -443,7 +444,7 @@ let test_status_not_in_access_log () =
         (Helpers.contains ~affix:"server-status" contents))
 
 (* ------------------------------------------------------------------ *)
-(* The watchdog separates the architectures (§3.3)                     *)
+(* Loop stalls separate the architectures (§3.3)                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Identical traffic, identical injected disk slowness; only the mode
@@ -466,6 +467,55 @@ let test_sped_stalls_on_cold_read () =
       Alcotest.(check bool) "loop stalled" true (stats.Server.loop_stalls >= 1);
       Alcotest.(check bool) "stall spans the injected delay" true
         (stats.Server.loop_max_stall >= 0.25))
+
+(* MT: each worker's turns are its own.  One worker blocks 300 ms on a
+   slow read of [slow.bin] while the other keeps serving a keep-alive
+   connection; the blocked worker's turn counts as a stall however busy
+   its sibling is. *)
+let test_mt_worker_stalls () =
+  let docroot = Test_live.make_docroot () in
+  Test_live.write_file (Filename.concat docroot "slow.bin") "slow";
+  let config =
+    {
+      (Server.default_config ~docroot) with
+      Server.mode = Server.Mt 2;
+      stall_threshold = 0.1;
+      slow_read =
+        Some
+          (fun path ->
+            if Filename.basename path = "slow.bin" then Thread.delay 0.3);
+    }
+  in
+  with_config config (fun server port ->
+      let session = Client.Session.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.Session.close session)
+        (fun () ->
+          let fast () =
+            let r = Client.Session.request session "/hello.txt" in
+            Alcotest.(check int) "the other worker serves" 200 r.Client.status
+          in
+          fast ();
+          let slow_status = ref 0 in
+          let slow =
+            Thread.create
+              (fun () -> slow_status := (get port "/slow.bin").Client.status)
+              ()
+          in
+          let until = Unix.gettimeofday () +. 0.4 in
+          while Unix.gettimeofday () < until do
+            fast ()
+          done;
+          Thread.join slow;
+          Alcotest.(check int) "slow file served" 200 !slow_status;
+          let stats =
+            await_stats server (fun s ->
+                s.Server.loop_stalls >= 1 && s.Server.loop_max_stall >= 0.25)
+          in
+          Alcotest.(check bool) "blocked worker stalled" true
+            (stats.Server.loop_stalls >= 1);
+          Alcotest.(check bool) "stall spans the injected delay" true
+            (stats.Server.loop_max_stall >= 0.25)))
 
 let test_amped_does_not_stall () =
   let docroot = Test_live.make_docroot () in
@@ -520,6 +570,37 @@ let test_idle_timeout_closes_and_accounts () =
       Alcotest.(check int) "second connection counted" 2
         stats2.Server.connections)
 
+(* An idle keep-alive connection holds no read buffer of its own:
+   reads land in its loop's scratch, so 200 idle connections cost well
+   under 1,000 major-heap words each (a 64 KB buffer apiece is 8,193). *)
+let test_idle_connection_heap () =
+  let docroot = Test_live.make_docroot () in
+  with_config (Server.default_config ~docroot) (fun server port ->
+      let n = 200 in
+      let heap () =
+        Gc.full_major ();
+        (Gc.quick_stat ()).Gc.heap_words
+      in
+      let before = heap () in
+      let socks =
+        List.init n (fun _ ->
+            let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            s)
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close socks)
+        (fun () ->
+          let stats =
+            await_stats ~tries:100 server (fun s ->
+                s.Server.active_connections = n)
+          in
+          Alcotest.(check int) "all connections open" n
+            stats.Server.active_connections;
+          let per_conn = (heap () - before) / n in
+          if per_conn >= 1000 then
+            Alcotest.failf "%d major-heap words per idle connection" per_conn))
+
 (* Per-request latency lands in the histogram in every mode. *)
 let test_latency_recorded mode () =
   with_mode mode (fun server port ->
@@ -558,6 +639,10 @@ let suite =
     Alcotest.test_case "SPED stalls on cold read" `Quick
       test_sped_stalls_on_cold_read;
     Alcotest.test_case "AMPED does not stall" `Quick test_amped_does_not_stall;
+    Alcotest.test_case "MT counts its blocked worker's stall" `Quick
+      test_mt_worker_stalls;
+    Alcotest.test_case "idle connection holds no read buffer" `Quick
+      test_idle_connection_heap;
     Alcotest.test_case "idle timeout reaps and accounts" `Quick
       test_idle_timeout_closes_and_accounts;
     Alcotest.test_case "latency recorded (AMPED)" `Quick
