@@ -266,7 +266,7 @@ let drive_load ~host ~port ~path ~headers ~expect ~keep_alive ~duration
   (Array.to_list stats, Unix.gettimeofday () -. t0)
 
 let run host port path clients client_workers duration keep_alive scenario
-    idle_connections json_file status_path no_server_stats =
+    idle_connections json_file status_path =
   Format.printf
     "flash-bench: %d clients (%d worker domains) -> http://%s:%d%s for %.1fs \
      (%s, %s scenario)@."
@@ -285,9 +285,7 @@ let run host port path clients client_workers duration keep_alive scenario
       sessions
     end
   in
-  let scrape () =
-    if no_server_stats then [] else scrape_status ~host ~port status_path
-  in
+  let scrape () = scrape_status ~host ~port status_path in
   let before = scrape () in
   let stats, elapsed =
     drive_load ~host ~port ~path ~headers ~expect ~keep_alive ~duration
@@ -295,10 +293,8 @@ let run host port path clients client_workers duration keep_alive scenario
   in
   let server = server_delta before (scrape ()) in
   let timeseries =
-    if no_server_stats then None
-    else
-      scrape_timeseries ~host ~port status_path
-        (int_of_float (Float.ceil elapsed) + 2)
+    scrape_timeseries ~host ~port status_path
+      (int_of_float (Float.ceil elapsed) + 2)
   in
   List.iter Flash_live.Client.Session.close idle_sessions;
   let completed = List.fold_left (fun acc s -> acc + s.completed) 0 stats in
@@ -331,9 +327,7 @@ let run host port path clients client_workers duration keep_alive scenario
       Format.printf
         "loop:       %s backend, %d wakeups (%.2f wakeups/req)@." d.backend
         d.wakeups d.wakeups_per_request
-  | None ->
-      if not no_server_stats then
-        Format.printf "server:     status endpoint not available@.");
+  | None -> Format.printf "server:     status endpoint not available@.");
   (match timeseries with
   | Some ts ->
       let rollups =
@@ -1313,12 +1307,6 @@ let status_path =
           "Server status endpoint to scrape before/after the run for \
            syscalls-per-request and copies-per-request figures.")
 
-let no_server_stats =
-  Arg.(
-    value & flag
-    & info [ "no-server-stats" ]
-        ~doc:"Skip scraping the server status endpoint.")
-
 let sweep_domains =
   Arg.(
     value
@@ -1373,8 +1361,8 @@ let hostile =
            ignores $(b,--host)/$(b,--port).")
 
 let main host port path clients client_workers duration keep_alive scenario
-    idle_connections json_file status_path no_server_stats sweep_domains
-    docroot sweep_backend hostile =
+    idle_connections json_file status_path sweep_domains docroot sweep_backend
+    hostile =
   match hostile with
   | Some kind -> (
       match attack_of_string kind with
@@ -1405,7 +1393,7 @@ let main host port path clients client_workers duration keep_alive scenario
       match port with
       | Some port ->
           run host port path clients client_workers duration keep_alive
-            scenario idle_connections json_file status_path no_server_stats
+            scenario idle_connections json_file status_path
       | None ->
           Format.eprintf "--port is required unless --sweep-domains is given@.";
           exit 2))
@@ -1416,6 +1404,6 @@ let cmd =
     Term.(
       const main $ host $ port $ path $ clients $ client_workers $ duration
       $ keep_alive $ scenario $ idle_connections $ json_file $ status_path
-      $ no_server_stats $ sweep_domains $ docroot $ sweep_backend $ hostile)
+      $ sweep_domains $ docroot $ sweep_backend $ hostile)
 
 let () = exit (Cmd.eval cmd)

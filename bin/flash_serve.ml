@@ -29,7 +29,7 @@ let parse_slo s =
       | _ -> Error (`Msg (Printf.sprintf "invalid SLO %S (want P:MS or MS)" s)))
 
 let serve docroot port mode event_backend helpers cache_mb cache_policy
-    cache_admission cache_budget_mb no_cgi no_align no_gzip
+    cache_admission cache_budget_mb no_cgi no_gzip
     access_log access_log_timing access_log_paths status_path
     no_status stall_ms no_trace trace_capacity trace_path slow_request_ms
     slow_request_log metrics_path no_metrics latency_slo recorder_dump
@@ -84,7 +84,6 @@ let serve docroot port mode event_backend helpers cache_mb cache_policy
       cache_admission;
       cache_budget_bytes = Option.map (fun mb -> mb * 1024 * 1024) cache_budget_mb;
       enable_cgi = not no_cgi;
-      align_headers = not no_align;
       access_log;
       access_log_timing;
       access_log_paths;
@@ -124,11 +123,6 @@ let serve docroot port mode event_backend helpers cache_mb cache_policy
     | Flash_live.Server.Mt n -> Printf.sprintf "MT x%d" n
     | Flash_live.Server.Sharded n -> Printf.sprintf "SHARDED x%d" n);
   Format.printf "event backend: %s@." (Evio.name event_backend);
-  (match Flash_live.Server.sharding_info server with
-  | Some (n, strategy) ->
-      Format.printf "domains: %d (%s accepts, %s backend per shard)@." n
-        strategy (Evio.name event_backend)
-  | None -> ());
   Format.printf "file cache: %d MB, %s replacement, %s admission%s@." cache_mb
     (Flash_cache.Policy.name cache_policy)
     (Flash_cache.Policy.admission_name cache_admission)
@@ -352,9 +346,6 @@ let cache_budget_mb =
            --cache-mb capacity.")
 
 let no_cgi = Arg.(value & flag & info [ "no-cgi" ] ~doc:"Disable /cgi-bin/.")
-
-let no_align =
-  Arg.(value & flag & info [ "no-align" ] ~doc:"Disable 32-byte header alignment.")
 
 let no_gzip =
   Arg.(
@@ -660,7 +651,7 @@ let cmd =
     Term.(
       const serve $ docroot $ port $ mode $ event_backend $ helpers
       $ cache_mb $ cache_policy
-      $ cache_admission $ cache_budget_mb $ no_cgi $ no_align $ no_gzip
+      $ cache_admission $ cache_budget_mb $ no_cgi $ no_gzip
       $ access_log $ access_log_timing $ access_log_paths $ status_path
       $ no_status $ stall_ms
       $ no_trace $ trace_capacity $ trace_path $ slow_request_ms

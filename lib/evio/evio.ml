@@ -23,7 +23,6 @@ external raw_epoll_wait :
   Unix.file_descr -> Unix.file_descr array -> int array -> int -> int -> int
   = "flash_evio_epoll_wait"
 
-external have_reuseport : unit -> bool = "flash_evio_have_reuseport"
 external set_reuseport : Unix.file_descr -> unit = "flash_evio_set_reuseport"
 
 type kind = Select | Poll | Epoll

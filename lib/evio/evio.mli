@@ -46,16 +46,12 @@ val fd_setsize : unit -> int
 (** select's fd-number ceiling (FD_SETSIZE); [0] where select carries
     no numeric cap (Windows).  poll/epoll are never capped this way. *)
 
-val have_reuseport : unit -> bool
-(** Whether this build knows [SO_REUSEPORT] (compile-time probe).  The
-    sharded server additionally probes at runtime — headers can
-    advertise an option the running kernel rejects — before committing
-    to one listening socket per domain. *)
-
 val set_reuseport : Unix.file_descr -> unit
 (** Set [SO_REUSEPORT] on a not-yet-bound socket so several listeners
-    can share one port and the kernel balances accepts across them.
-    Raises [Failure] where unsupported or on [setsockopt] error. *)
+    can share one port and the kernel balances accepts across them —
+    the sharded server's one accept path.  Raises [Failure], with a
+    message naming the option, where the build or the running kernel
+    lacks it. *)
 
 type event = { fd : Unix.file_descr; readable : bool; writable : bool }
 

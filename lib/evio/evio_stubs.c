@@ -228,35 +228,28 @@ CAMLprim value flash_evio_epoll_wait(value vepfd, value vfds_out,
 
 #endif /* !__linux__ */
 
-/* SO_REUSEPORT probe + setter, for the sharded deployment mode: one
- * listening socket per domain with the kernel balancing accepts.
- * Compile-time availability only — the OCaml side still does a
- * runtime probe at startup (a kernel can predate the option its
- * headers advertise), and falls back to the hand-off ring. */
+/* SO_REUSEPORT, for the sharded deployment mode: one listening socket
+ * per domain with the kernel balancing accepts.  There is no fallback,
+ * so every failure names the option. */
 
 #if !defined(_WIN32)
 #include <sys/socket.h>
 #include <errno.h>
+#include <stdio.h>
 #include <string.h>
 #endif
-
-CAMLprim value flash_evio_have_reuseport(value unit)
-{
-  (void) unit;
-#if defined(SO_REUSEPORT)
-  return Val_true;
-#else
-  return Val_false;
-#endif
-}
 
 CAMLprim value flash_evio_set_reuseport(value vfd)
 {
 #if defined(SO_REUSEPORT)
   int one = 1;
   if (setsockopt(Int_val(vfd), SOL_SOCKET, SO_REUSEPORT, &one,
-                 sizeof(one)) != 0)
-    caml_failwith(strerror(errno));
+                 sizeof(one)) != 0) {
+    char msg[128];
+    snprintf(msg, sizeof msg, "setsockopt(SO_REUSEPORT): %s",
+             strerror(errno));
+    caml_failwith(msg);
+  }
   return Val_unit;
 #else
   (void) vfd;

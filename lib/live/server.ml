@@ -10,14 +10,12 @@ type config = {
   file_cache_bytes : int;
   max_cached_file : int;
   enable_cgi : bool;
-  align_headers : bool;
   server_name : string;
   idle_timeout : float;
   access_log : string option;  (* Common Log Format file *)
   access_log_timing : bool;  (* append service time (µs) after CLF fields *)
   status_path : string option;  (* built-in status endpoint; None disables *)
   stall_threshold : float;  (* a loop turn working longer is a stall *)
-  clock : unit -> float;  (* injectable for tests *)
   slow_read : (string -> unit) option;  (* cold-media fault injection *)
   trace : bool;  (* record request-lifecycle spans *)
   trace_capacity : int;  (* completed-trace ring size *)
@@ -30,7 +28,6 @@ type config = {
       (* shared byte budget overlaying the file cache's own capacity *)
   event_backend : Evio.kind;  (* readiness mechanism for every loop *)
   gzip_precompressed : bool;  (* serve fresh [.gz] siblings to gzip clients *)
-  cgi_timeout : float;  (* kill CGI children streaming longer than this *)
   accept_fault : (unit -> bool) option;
       (* test seam: returning true makes the next accept behave as if
          it failed with EMFILE *)
@@ -38,12 +35,7 @@ type config = {
   latency_slo : (float * float) option;
       (* (quantile, target ms): evaluate an error-budget burn over the
          flight recorder's windows *)
-  recorder_capacity : int;  (* flight-recorder ring size, rollups *)
   recorder_interval : float;  (* rollup window length, seconds *)
-  force_handoff : bool;
-      (* Sharded: skip the SO_REUSEPORT probe and use the acceptor
-         domain + hand-off ring, so tests and benches exercise the
-         fallback on platforms that would never take it. *)
   guard : Guard.config;
       (* admission control and load shedding; Guard.default_config is
          fully inert and skips all guard plumbing *)
@@ -68,14 +60,12 @@ let default_config ~docroot =
     file_cache_bytes = 32 * 1024 * 1024;
     max_cached_file = 4 * 1024 * 1024;
     enable_cgi = true;
-    align_headers = true;
     server_name = Http.Response.default_server;
     idle_timeout = 30.;
     access_log = None;
     access_log_timing = false;
     status_path = Some "/server-status";
     stall_threshold = 0.05;
-    clock = Unix.gettimeofday;
     slow_read = None;
     trace = true;
     trace_capacity = 256;
@@ -89,13 +79,10 @@ let default_config ~docroot =
        (or via "auto"). *)
     event_backend = Evio.Select;
     gzip_precompressed = true;
-    cgi_timeout = 300.;
     accept_fault = None;
     metrics_path = Some "/metrics";
     latency_slo = None;
-    recorder_capacity = 120;
     recorder_interval = 1.0;
-    force_handoff = false;
     guard = Guard.default_config;
     access_log_paths = false;
     warm = false;
@@ -235,15 +222,10 @@ and loop = {
 }
 
 (* Sharded mode: who this instance is within the shard set.  A shard
-   is a full AMPED server (own evio backend, timer wheel, cache,
-   helper pool, registry) running its loop on its own domain; the
-   coordinator owns the lifecycle and — on platforms without
-   SO_REUSEPORT — the single listening socket, handing accepted fds to
-   shards over the ring. *)
-type role =
-  | Standalone
-  | Shard_member of { id : int; ring : Unix.file_descr Handoff.t option }
-  | Shard_coordinator of { ring : Unix.file_descr Handoff.t option }
+   (its id) is a full AMPED server (own listener, evio backend, timer
+   wheel, cache, helper pool, registry) running its loop on its own
+   domain; the coordinator serves nothing and owns the lifecycle. *)
+type role = Standalone | Shard_member of int | Shard_coordinator
 
 (* Predictive-warming state.  [None] unless [config.warm] and the
    instance has a helper pool (AMPED, or a shard member) — the prefetch
@@ -274,6 +256,12 @@ let warmed_limit = 4096
 (* Bound on the known-path set ([t.known]); past it the set restarts,
    as [w_warmed] does.  Forgetting a path costs one helper round trip. *)
 let known_paths_limit = 65_536
+
+(* Seconds a CGI child may stream before it is killed. *)
+let cgi_timeout = 300.
+
+(* Flight-recorder windows kept: two minutes at the default interval. *)
+let recorder_capacity = 120
 
 (* Whose [mincore] answers the loop believes: see
    [File_cache.trusts_mincore]. *)
@@ -383,9 +371,6 @@ type t = {
   mutable shards : t array;
   mutable coord : t option;
   mutable domains : unit Domain.t list;
-  accept_strategy : string; (* "reuseport" | "handoff"; "" unsharded *)
-  mutable handoff_rr : int; (* round-robin wake cursor, acceptor only *)
-  handoff_shed : Obs.Counter.t; (* accepts dropped on a full ring *)
   (* Which lock guards this instance's cache (None = unshared, no lock
      needed): the instance's own [cache_mutex] in MT mode, one mutex
      shared by every shard when a budget spans domains — a foreign
@@ -452,7 +437,7 @@ let tick_recorder ?now t = ignore (with_recorder t (Obs.Recorder.tick ?now))
    span.  The first request's trace reaches back to [accept]; later
    ones mark the keep-alive reuse. *)
 let open_request t conn =
-  let now = t.config.clock () in
+  let now = Unix.gettimeofday () in
   conn.head_start <- now;
   match t.tracer with
   | None -> ()
@@ -531,7 +516,7 @@ let finish_request ?(closing = false) t conn =
     conn.reqs_served <- conn.reqs_served + 1;
     match (t.tracer, conn.trace) with
     | Some tracer, Some tr ->
-        let at = t.config.clock () in
+        let at = Unix.gettimeofday () in
         (match conn.write_span with
         | Some sp -> Obs.Trace.end_span tracer ~at sp
         | None -> ());
@@ -572,7 +557,7 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
       let line =
         if not t.config.access_log_timing then base
         else
-          let now = t.config.clock () in
+          let now = Unix.gettimeofday () in
           let started =
             match conn with
             | Some c when not (Float.is_nan c.head_start) -> c.head_start
@@ -592,7 +577,7 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
    stamp the work span (inline disk read, CGI) ends, the write span
    begins and the flight recorder checks its window. *)
 let record_latency t conn =
-  let now = t.config.clock () in
+  let now = Unix.gettimeofday () in
   with_obs_lock t (fun () ->
       Obs.Histogram.record t.latency (now -. conn.req_start));
   (match t.tracer with
@@ -615,7 +600,8 @@ let slow_read_hook t path =
 (* Request resolution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let align_of t = if t.config.align_headers then Some 32 else None
+(* Every header is padded to a 32-byte boundary (§5.5). *)
+let align = Some 32
 
 (* Map a request target to a path under the docroot; [Error] carries the
    response status. *)
@@ -728,7 +714,7 @@ let mode_string = function
 let shard_peers t =
   match t.role with
   | Standalone -> None
-  | Shard_member _ | Shard_coordinator _ ->
+  | Shard_member _ | Shard_coordinator ->
       if Array.length t.shards = 0 then None else Some t.shards
 
 (* Gauges that are not additive across members (shards, MP children):
@@ -751,18 +737,15 @@ let shard_walks shards =
   List.map (fun sh -> Obs.Registry.collect sh.registry) (Array.to_list shards)
 
 (* What this instance reports: its own walk, or, for an instance that
-   serves nothing, the fold of its members' walks.  The sharded
-   coordinator folds its own (the hand-off shed count, so it appears
-   once) with every shard's ([per_shard] when the caller holds them);
-   the MP parent folds each child's latest report.  The recorder reads
+   serves nothing, the fold of its members' walks: every shard's for
+   the sharded coordinator ([per_shard] when the caller holds them),
+   each child's latest report for the MP parent.  The recorder reads
    this, and [collect_for] builds every other view on it. *)
 let report ?per_shard t =
   match (t.role, t.mp) with
-  | Shard_coordinator _, _ ->
-      let per_shard =
-        match per_shard with Some w -> w | None -> shard_walks t.shards
-      in
-      fold_walks (Obs.Registry.collect t.registry :: per_shard)
+  | Shard_coordinator, _ ->
+      fold_walks
+        (match per_shard with Some w -> w | None -> shard_walks t.shards)
   | _, Mp_parent _ -> fold_walks (drain_reports t)
   | _, (Mp_none | Mp_child _) -> Obs.Registry.collect t.registry
 
@@ -847,8 +830,8 @@ let status_window (req : Http.Request.t) =
    pairs in the combined exposition. *)
 let own_labels t =
   match t.role with
-  | Shard_member { id; _ } -> [ ("shard", string_of_int id) ]
-  | Standalone | Shard_coordinator _ -> []
+  | Shard_member id -> [ ("shard", string_of_int id) ]
+  | Standalone | Shard_coordinator -> []
 
 (* Every metric is a closure reading live server state; nothing below
    may be called while holding [obs_mutex] ([collect] runs the closures,
@@ -876,16 +859,14 @@ let register_metrics t =
   inf ~name:"flash_config_info"
     ~help:"Effective server configuration (constant 1)."
     ~labels:
-      ((if t.accept_strategy = "" then []
-        else [ ("accept", t.accept_strategy) ])
-      @ [
-          ("backend", Evio.name t.config.event_backend);
-          ("cache_admission", (cstat ()).Flash_cache.Store.admission);
-          ("cache_policy", (cstat ()).Flash_cache.Store.policy);
-          ("mode", mode_string t.config.mode);
-        ]);
+      [
+        ("backend", Evio.name t.config.event_backend);
+        ("cache_admission", (cstat ()).Flash_cache.Store.admission);
+        ("cache_policy", (cstat ()).Flash_cache.Store.policy);
+        ("mode", mode_string t.config.mode);
+      ];
   g ~name:"flash_uptime_seconds" ~help:"Seconds since server start."
-    (fun () -> t.config.clock () -. t.started_at);
+    (fun () -> Unix.gettimeofday () -. t.started_at);
   c ~name:"flash_http_requests_total" ~help:"Requests parsed and answered."
     (fun () -> t.n_requests);
   c ~name:"flash_http_errors_total"
@@ -1112,7 +1093,7 @@ let render_header ?last_modified ?(extra = []) t ~status ~content_type
     ~content_length ~keep =
   Http.Response.header ~status ?content_type ?content_length ?last_modified
     ~extra ~keep_alive:keep ~server:t.config.server_name
-    ~date:(Unix.gettimeofday ()) ?align:(align_of t) ()
+    ~date:(Unix.gettimeofday ()) ?align ()
 
 (* Every response ends here: the connection goes back to reading (or
    closes once flushed), and the latency and write-span seam fires. *)
@@ -1259,13 +1240,13 @@ let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
   let hk, hc =
     Http.Response.header_pair ~status:Http.Status.Ok
       ~server:t.config.server_name ~date ~last_modified:mtime ~content_type
-      ~content_length:body_len ~extra ?align:(align_of t) ()
+      ~content_length:body_len ~extra ?align ()
   in
   let h304k, h304c =
     Http.Response.header_pair ~status:Http.Status.Not_modified
       ~server:t.config.server_name ~date ~last_modified:mtime
       ~extra:([ ("ETag", etag) ] @ vary_extra t)
-      ?align:(align_of t) ()
+      ?align ()
   in
   let body_copied =
     match mapped with
@@ -1630,12 +1611,11 @@ let start_cgi t conn (req : Http.Request.t) full ~keep:_ =
           (* Wall-clock deadline: a wedged script is killed rather than
              holding the connection (and a helper-less loop's pipe slot)
              forever. *)
-          if t.config.cgi_timeout > 0. then
-            conn.cgi_timer <-
-              Some
-                (Evio.Timer_wheel.schedule conn.loop.wheel
-                   ~at:(t.config.clock () +. t.config.cgi_timeout)
-                   (T_cgi conn)))
+          conn.cgi_timer <-
+            Some
+              (Evio.Timer_wheel.schedule conn.loop.wheel
+                 ~at:(Unix.gettimeofday () +. cgi_timeout)
+                 (T_cgi conn)))
 
 (* ------------------------------------------------------------------ *)
 (* Request processing                                                  *)
@@ -1772,7 +1752,7 @@ let rec try_parse t conn =
         conn.hdr_timer <-
           Some
             (Evio.Timer_wheel.schedule conn.loop.wheel
-               ~at:(t.config.clock () +. (Guard.config g).Guard.header_deadline)
+               ~at:(Unix.gettimeofday () +. (Guard.config g).Guard.header_deadline)
                (T_hdr conn))
     | _ -> ());
     match Http.Request.parse conn.inbuf with
@@ -1780,7 +1760,7 @@ let rec try_parse t conn =
     | Http.Request.Bad _ ->
         conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
         conn.inbuf <- "";
-        conn.req_start <- t.config.clock ();
+        conn.req_start <- Unix.gettimeofday ();
         end_parse_span t conn None;
         t.n_requests <- t.n_requests + 1;
         enqueue_error t conn Http.Status.Bad_request ~keep:false
@@ -1789,7 +1769,7 @@ let rec try_parse t conn =
         conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
         conn.inbuf <-
           String.sub conn.inbuf consumed (String.length conn.inbuf - consumed);
-        conn.req_start <- t.config.clock ();
+        conn.req_start <- Unix.gettimeofday ();
         end_parse_span t conn (Some req);
         let rate_verdict =
           match t.guard with
@@ -2082,19 +2062,15 @@ let pause_accept t lp =
       Float.min accept_backoff_max (lp.accept_backoff *. 2.);
     ignore
       (Evio.Timer_wheel.schedule lp.wheel
-         ~at:(t.config.clock () +. delay)
+         ~at:(Unix.gettimeofday () +. delay)
          T_resume_accept)
   end
 
 (* The guard keys peers by address only (no port): every connection
-   from one host shares a ledger.  [getpeername] rather than the accept
-   sockaddr so the hand-off path (shard adopting a coordinator-accepted
-   fd) resolves the same way. *)
-let peer_of_fd fd =
-  match Unix.getpeername fd with
+   from one host shares a ledger. *)
+let peer_of_addr = function
   | Unix.ADDR_INET (addr, _) -> Unix.string_of_inet_addr addr
   | Unix.ADDR_UNIX path -> "unix:" ^ path
-  | exception Unix.Unix_error _ -> "unknown"
 
 (* Refuse a connection at the door: one best-effort write of a minimal
    error response (the socket buffer is empty, so a short write only
@@ -2128,15 +2104,14 @@ let refuse_fd t fd reason =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Adopt an accepted fd into loop [lp]: create the connection record,
-   register interest, arm the idle timer.  Shared by the direct accept
-   path and the hand-off pop path (a shard adopting an fd the
-   coordinator accepted).  Returns [false] when the backend refused the
-   fd (shed; the caller decides whether to back off). *)
-let adopt_fd t lp fd =
+(* Adopt an fd accepted from [addr] into loop [lp]: create the
+   connection record, register interest, arm the idle timer.  Returns
+   [false] when the backend refused the fd (shed; the caller backs
+   off). *)
+let adopt_fd t lp fd addr =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  let peer = peer_of_fd fd in
+  let peer = peer_of_addr addr in
   match
     match t.guard with
     | Some g -> Guard.on_connect g ~peer
@@ -2152,7 +2127,7 @@ let adopt_fd t lp fd =
   lp.next_key <- lp.next_key + 1;
   t.n_connections <- t.n_connections + 1;
   with_obs_lock t (fun () -> Obs.Gauge.incr t.active);
-  let now = t.config.clock () in
+  let now = Unix.gettimeofday () in
   let conn =
     {
       fd;
@@ -2214,26 +2189,6 @@ let adopt_fd t lp fd =
       close_conn t conn;
       false
 
-(* Hand an accepted fd to a shard over the ring, then poke one shard's
-   wake pipe round-robin.  Whoever wakes first drains the ring, so the
-   rotation spreads wakeups, not strictly connections — same spirit as
-   the kernel's reuseport balancing, without a lock. *)
-let handoff_fd t ring fd =
-  if Handoff.push ring fd then begin
-    let n = Array.length t.shards in
-    if n > 0 then begin
-      let sh = t.shards.(t.handoff_rr mod n) in
-      t.handoff_rr <- t.handoff_rr + 1;
-      try ignore (Unix.write sh.wake_write (Bytes.of_string "x") 0 1)
-      with Unix.Unix_error _ -> ()
-    end
-  end
-  else begin
-    (* Every shard is saturated: shed at the door, like EMFILE. *)
-    Obs.Counter.incr t.handoff_shed;
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  end
-
 let accept_all t lp =
   let rec loop () =
     if lp.single && Hashtbl.length lp.conns > 0 then ()
@@ -2241,13 +2196,9 @@ let accept_all t lp =
     then pause_accept t lp
     else
       match Unix.accept t.listen_fd with
-      | fd, _ -> (
+      | fd, addr ->
           lp.accept_backoff <- accept_backoff_initial;
-          match t.role with
-          | Shard_coordinator { ring = Some ring } ->
-              handoff_fd t ring fd;
-              loop ()
-          | _ -> if adopt_fd t lp fd then loop () else pause_accept t lp)
+          if adopt_fd t lp fd addr then loop () else pause_accept t lp
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           ()
       | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
@@ -2480,27 +2431,11 @@ let dispatch_event t lp (ev : Evio.event) =
   | None -> ()  (* closed while an earlier event in this batch ran *)
   | Some O_listen -> if ev.Evio.readable then accept_all t lp
   | Some O_wake ->
-      (* Stop is terminal, so its byte stays in the pipe: level-triggered
-         readiness then rouses every loop watching it, not just the
-         first to wake.  Otherwise the poke is the hand-off acceptor's:
-         drain the ring.  A poke names no particular fd, so whoever
-         wakes first adopts whatever is queued — balance is approximate
-         by design. *)
-      if not t.stopped then begin
-        (try ignore (Unix.read t.wake_read lp.scratch 0 64)
-         with Unix.Unix_error _ -> ());
-        match t.role with
-        | Shard_member { ring = Some ring; _ } ->
-            let rec drain () =
-              match Handoff.pop ring with
-              | Some fd ->
-                  ignore (adopt_fd t lp fd);
-                  drain ()
-              | None -> ()
-            in
-            drain ()
-        | _ -> ()
-      end
+      (* Only [stop] writes here, and its byte stays in the pipe:
+         level-triggered readiness then rouses every loop watching it,
+         not just the first to wake, and each leaves its turn to find
+         [stopped] set. *)
+      ()
   | Some O_helper -> handle_helper_completions t
   | Some (O_report m) ->
       (* An EOF'd pipe stays readable: stop watching it, or a dead
@@ -2583,7 +2518,7 @@ let run_loop t lp =
   in
   let schedule ~after ev =
     ignore
-      (Evio.Timer_wheel.schedule lp.wheel ~at:(t.config.clock () +. after) ev)
+      (Evio.Timer_wheel.schedule lp.wheel ~at:(Unix.gettimeofday () +. after) ev)
   in
   if lp.accepts then begin
     Hashtbl.replace lp.fd_owners t.listen_fd O_listen;
@@ -2629,7 +2564,7 @@ let run_loop t lp =
      ([last_active]), its timers and its wait time; the second its work
      time (a stall past the threshold), the MP report and the next
      wait's start.  Blocking in the wait is idleness, not a stall. *)
-  let turn_end = ref (t.config.clock ()) in
+  let turn_end = ref (Unix.gettimeofday ()) in
   while not t.stopped do
     (* Sleep exactly until the next timer deadline (forever when no
        timers are pending) — readiness and the wake pipe interrupt the
@@ -2641,7 +2576,7 @@ let run_loop t lp =
         (Evio.Timer_wheel.next_deadline lp.wheel)
     in
     let events = Evio.Backend.wait lp.evio ~timeout in
-    let now = t.config.clock () in
+    let now = Unix.gettimeofday () in
     lp.now <- now;
     Obs.Loopstat.wake lp.stat ~waited:(now -. wait_start)
       ~ready:(List.length events);
@@ -2652,7 +2587,7 @@ let run_loop t lp =
     | evs ->
         Obs.Loopstat.timers_fired lp.stat (List.length evs);
         List.iter (handle_timer t lp ~now) evs);
-    let fin = t.config.clock () in
+    let fin = Unix.gettimeofday () in
     turn_end := fin;
     Obs.Loopstat.work lp.stat ~spent:(fin -. now);
     match (events, fired) with [], [] -> () | _ -> report_turn t lp ~now:fin
@@ -2664,14 +2599,14 @@ let run_loop t lp =
 let make_loop (config : config) ~accepts ~single ~track =
   {
     evio = Evio.Backend.create config.event_backend;
-    wheel = Evio.Timer_wheel.create ~now:(config.clock ()) ();
+    wheel = Evio.Timer_wheel.create ~now:(Unix.gettimeofday ()) ();
     fd_owners = Hashtbl.create 64;
     conns = Hashtbl.create 64;
     by_helper_key = Hashtbl.create 64;
     stat = Obs.Loopstat.create ~threshold:config.stall_threshold;
     scratch = Bytes.create 65536;
     next_key = 0;
-    now = config.clock ();
+    now = Unix.gettimeofday ();
     accept_paused = false;
     accept_backoff = accept_backoff_initial;
     accepts;
@@ -2701,14 +2636,13 @@ let run_mp_child t out =
 
 (* Start one server instance.  [listen] says how it gets its listen
    socket: [`Bind] (the standalone path — bind config.port here),
-   [`Fd (fd, port)] (a pre-bound socket: a shard's reuseport listener,
-   or the hand-off coordinator's only listener), [`None port] (a
-   hand-off shard: fds arrive over the ring; the placeholder socket is
-   never bound or watched, it just gives [stop] something to close).
-   [shared_budget]/[shared_cache_lock] wire budget-sharing shards to
-   one pool and one cache lock. *)
+   [`Fd (fd, port)] (a shard's pre-bound reuseport listener), [`None
+   port] (the sharded coordinator, which accepts nothing: the
+   placeholder socket is never bound or watched, it just gives [stop]
+   something to close).  [shared_budget]/[shared_cache_lock] wire
+   budget-sharing shards to one pool and one cache lock. *)
 let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
-    ?shared_cache_lock ?(accept_strategy = "") config =
+    ?shared_cache_lock config =
   (* A peer closing mid-write must surface as EPIPE, not kill the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -2739,7 +2673,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
   let helper =
     if wants_helper then
       Some
-        (Helper.create ~clock:config.clock ?slow_read:config.slow_read
+        (Helper.create ?slow_read:config.slow_read
            ?max_queued:config.guard.Guard.max_helper_queue
            ~helpers:(max 1 config.helpers) ())
     else None
@@ -2758,13 +2692,13 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       ~single:false
       ~track:
         (match role with
-        | Shard_member { id; _ } -> Printf.sprintf "shard-%d" id
-        | Standalone | Shard_coordinator _ -> "main-loop")
+        | Shard_member id -> Printf.sprintf "shard-%d" id
+        | Standalone | Shard_coordinator -> "main-loop")
   in
   let budget =
     match (shared_budget, role) with
     | Some b, _ -> Some b
-    | None, Shard_coordinator _ ->
+    | None, Shard_coordinator ->
         None (* the coordinator's cache serves no requests *)
     | None, _ ->
         Option.map
@@ -2801,7 +2735,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
           match open_in path with
           | exception Sys_error _ -> ()
           | ic ->
-              let now = config.clock () in
+              let now = Unix.gettimeofday () in
               (try
                  while true do
                    ignore
@@ -2875,41 +2809,33 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       tracer =
         (if config.trace then
            Some
-             (Obs.Trace.create ~clock:config.clock
+             (Obs.Trace.create ~clock:Unix.gettimeofday
                 ~capacity:(max 1 config.trace_capacity) ())
          else None);
       slow_channel =
         Option.map
           (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
           config.slow_request_log;
-      started_at = config.clock ();
+      started_at = Unix.gettimeofday ();
       worker_threads = [];
       accept_emfile = Obs.Counter.create ();
       role;
       shards = [||];
       coord = None;
       domains = [];
-      accept_strategy;
-      handoff_rr = 0;
-      handoff_shed = Obs.Counter.create ();
       cache_lock;
       guard =
         (if Guard.enabled config.guard then
-           Some (Guard.create ~clock:config.clock config.guard)
+           Some (Guard.create config.guard)
          else None);
       warm;
       known = Hashtbl.create 1024;
       cgi_inflight = 0;
     }
   in
+  (* The coordinator serves nothing, so it registers nothing. *)
   (match role with
-  | Shard_coordinator _ ->
-      (* The coordinator serves no request: the accepts it sheds at a
-         full hand-off ring are its one figure, and [collect_for] folds
-         them into the shards' aggregate. *)
-      Obs.Registry.counter t.registry ~name:"flash_handoff_shed_total"
-        ~help:"Accepted connections shed because the hand-off ring was full."
-        (fun () -> Obs.Counter.value t.handoff_shed)
+  | Shard_coordinator -> ()
   | Standalone | Shard_member _ -> register_metrics t);
   (* Recorder after [register_metrics] (it reads the registry) and
      before forks/threads, so every worker inherits it.  It reads what
@@ -2919,8 +2845,8 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
   t.recorder <-
     Some
       (Obs.Recorder.create
-         ~capacity:(max 1 config.recorder_capacity)
-         ~interval:config.recorder_interval ~now:config.clock
+         ~capacity:recorder_capacity ~interval:config.recorder_interval
+         ~now:Unix.gettimeofday
          ~read:(fun () -> report t)
          ~on_rollup:(fun r ->
            match (t.slo, role, t.mp) with
@@ -2980,24 +2906,8 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
   | Amped | Sped | Sharded _ -> ());
   (match role with
   | Standalone -> Log.info (fun m -> m "listening on port %d" bound_port)
-  | Shard_member _ | Shard_coordinator _ -> ());
+  | Shard_member _ | Shard_coordinator -> ());
   t
-
-(* Compile-time support is necessary but not sufficient: probe the
-   running kernel with a scratch socket before committing to one
-   listening socket per domain. *)
-let reuseport_works () =
-  Evio.have_reuseport ()
-  &&
-  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let ok =
-    try
-      Evio.set_reuseport s;
-      true
-    with Failure _ | Unix.Unix_error _ -> false
-  in
-  (try Unix.close s with Unix.Unix_error _ -> ());
-  ok
 
 let start_sharded config n =
   let n = max 1 n in
@@ -3013,46 +2923,43 @@ let start_sharded config n =
   let shared_cache_lock =
     Option.map (fun _ -> Mutex.create ()) shared_budget
   in
-  let bind_listener ~reuseport port =
+  (* One listener per shard on one port, the kernel spreading accepts
+     across them.  A bound-but-never-accepted reuseport socket would
+     blackhole its share of connections, so the coordinator keeps
+     none.  A kernel that refuses the option fails the start, with
+     every listener bound so far closed. *)
+  let bound = ref [] in
+  let bind_listener port =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    bound := fd :: !bound;
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    if reuseport then Evio.set_reuseport fd;
+    Evio.set_reuseport fd;
     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
     Unix.listen fd 128;
-    let p =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> port
-    in
-    (fd, p)
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> (fd, p)
+    | Unix.ADDR_UNIX _ -> (fd, port)
   in
-  let reuseport = (not config.force_handoff) && reuseport_works () in
-  let strategy = if reuseport then "reuseport" else "handoff" in
-  let ring = if reuseport then None else Some (Handoff.create ~capacity:1024) in
-  (* Bind the first listener either way: under reuseport it becomes
-     shard 0's (a bound-but-never-accepted reuseport socket would
-     blackhole its share of connections, so the coordinator must not
-     keep one); under hand-off it is the coordinator's only listener. *)
-  let fd0, bound = bind_listener ~reuseport config.port in
+  let listeners =
+    try
+      let first = bind_listener config.port in
+      first :: List.init (n - 1) (fun _ -> bind_listener (snd first))
+    with e ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        !bound;
+      raise e
+  in
+  let port = snd (List.hd listeners) in
   let shards =
-    Array.init n (fun i ->
-        let listen =
-          if reuseport then
-            if i = 0 then `Fd (fd0, bound)
-            else `Fd (fst (bind_listener ~reuseport:true bound), bound)
-          else `None bound
-        in
-        start_one
-          ~role:(Shard_member { id = i; ring })
-          ~listen ?shared_budget ?shared_cache_lock ~accept_strategy:strategy
-          config)
+    Array.of_list
+      (List.mapi
+         (fun i listener ->
+           start_one ~role:(Shard_member i) ~listen:(`Fd listener)
+             ?shared_budget ?shared_cache_lock config)
+         listeners)
   in
-  let coord =
-    start_one
-      ~role:(Shard_coordinator { ring })
-      ~listen:(if reuseport then `None bound else `Fd (fd0, bound))
-      ~accept_strategy:strategy config
-  in
+  let coord = start_one ~role:Shard_coordinator ~listen:(`None port) config in
   coord.shards <- shards;
   coord.coord <- Some coord;
   Array.iter
@@ -3060,8 +2967,7 @@ let start_sharded config n =
       sh.shards <- shards;
       sh.coord <- Some coord)
     shards;
-  Log.info (fun m ->
-      m "listening on port %d (%d domains, %s accepts)" bound n strategy);
+  Log.info (fun m -> m "listening on port %d (%d domains)" port n);
   coord
 
 let start config =
@@ -3072,18 +2978,12 @@ let start config =
 let port t = t.bound_port
 let mode t = t.config.mode
 
-let sharding_info t =
-  match shard_peers t with
-  | None -> None
-  | Some shards -> Some (Array.length shards, t.accept_strategy)
-
 let run t =
   match t.role with
-  | Shard_coordinator _ ->
-      (* One domain per shard, each running a full AMPED loop; the
-         coordinator's own loop accepts-and-hands-off (hand-off
-         strategy) or just parks on its wake pipe (reuseport, where
-         the kernel balances accepts into the shards' sockets). *)
+  | Shard_coordinator ->
+      (* One domain per shard, each running a full AMPED loop on its
+         own listener; the coordinator's loop serves nothing and parks
+         on its wake pipe between recorder windows. *)
       t.domains <-
         Array.to_list
           (Array.map
@@ -3131,7 +3031,7 @@ let stop t =
     (* Sharded coordinator: flag every shard before joining anything so
        all the loops unwind in parallel. *)
     (match t.role with
-    | Shard_coordinator _ -> Array.iter shutdown_flag t.shards
+    | Shard_coordinator -> Array.iter shutdown_flag t.shards
     | Standalone | Shard_member _ -> ());
     List.iter
       (fun pid ->
@@ -3145,7 +3045,7 @@ let stop t =
     List.iter (fun d -> try Domain.join d with _ -> ()) t.domains;
     t.domains <- [];
     (match t.role with
-    | Shard_coordinator _ -> Array.iter teardown t.shards
+    | Shard_coordinator -> Array.iter teardown t.shards
     | Standalone | Shard_member _ -> ());
     teardown t
   end
@@ -3175,8 +3075,7 @@ let stats t =
     event_backend = Evio.name t.config.event_backend;
     loop_wakeups = iv "flash_loop_wakeups_total";
     timer_fires = iv "flash_loop_timer_fires_total";
-    accept_emfile =
-      iv "flash_accept_emfile_total" + iv "flash_handoff_shed_total";
+    accept_emfile = iv "flash_accept_emfile_total";
   }
 
 let latency t =

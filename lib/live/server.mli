@@ -23,8 +23,9 @@
 
     Features: GET/HEAD, HTTP/1.0 and 1.1 keep-alive, 32-byte-aligned
     response headers (§5.5), bounded file/header cache, CGI under
-    [/cgi-bin/] (fork/exec, close-delimited output), 403 on paths
-    escaping the document root.
+    [/cgi-bin/] (fork/exec, close-delimited output, a child still
+    streaming after 300 s killed), 403 on paths escaping the document
+    root.
 
     {2 Event readiness and timers}
 
@@ -140,12 +141,12 @@ type mode =
   | Mt of int  (** kernel threads sharing the cache behind a mutex *)
   | Sharded of int
       (** [n] OCaml domains, each a fully independent AMPED shard (own
-          evio backend, timer wheel, file cache, helper pool, metrics
-          registry and flight recorder).  Accepts balance via
-          [SO_REUSEPORT] — one listening socket per domain — detected
-          at startup; platforms without it fall back to a single
-          acceptor domain feeding a bounded lock-free hand-off ring of
-          accepted fds.  Caches are domain-local unless
+          listener, evio backend, timer wheel, file cache, helper pool,
+          metrics registry and flight recorder).  Each shard accepts on
+          its own [SO_REUSEPORT] listener, all bound to one port, and
+          the kernel spreads connections across them; there is no other
+          accept path, so {!start} fails where the option is refused.
+          Caches are domain-local unless
           [cache_budget_bytes] is set, which shares one {!Flash_cache.Budget.t}
           pool (and one cache lock) across every shard.  [/server-status]
           and [/metrics] expose both per-shard series (under a [shard]
@@ -153,9 +154,7 @@ type mode =
           uptime, SLO and guard state, stall threshold, max stall and
           a paused listener take the worst shard's, and histograms
           merge.  {!stats} and
-          {!latency} read that aggregate.  The coordinator's hand-off
-          shed count joins it once, unlabelled, as
-          [flash_handoff_shed_total]. *)
+          {!latency} read that aggregate. *)
 
 type config = {
   docroot : string;
@@ -167,7 +166,6 @@ type config = {
       (** larger files (and gzip variants) are served from a mapping
           made for the request and are never cached *)
   enable_cgi : bool;
-  align_headers : bool;
   server_name : string;
   idle_timeout : float;  (** close keep-alive connections idle this long *)
   access_log : string option;  (** write a Common Log Format file here *)
@@ -180,9 +178,6 @@ type config = {
   stall_threshold : float;
       (** seconds; loop turns whose work takes longer than this are
           recorded as stalls (default 50 ms) *)
-  clock : unit -> float;
-      (** time source for latency, loop-turn and idle accounting —
-          injectable so tests control it (default [Unix.gettimeofday]) *)
   slow_read : (string -> unit) option;
       (** fault injection: called with the path before every {e cold}
           file read — in AMPED helper context, inline in SPED/MP/MT —
@@ -213,9 +208,6 @@ type config = {
       (** serve a fresh [.gz] sibling (mtime at or after the origin's)
           to clients that negotiate gzip via Accept-Encoding (default
           on); when on, file responses carry [Vary: Accept-Encoding] *)
-  cgi_timeout : float;
-      (** kill CGI children still streaming after this many seconds;
-          [0.] disables the deadline (default 300 s) *)
   accept_fault : (unit -> bool) option;
       (** test seam: consulted before each [accept]; returning [true]
           makes it behave as if it failed with EMFILE, exercising the
@@ -230,15 +222,9 @@ type config = {
           flight recorder's windows — e.g. [(99., 50.)] means "p99 at
           or under 50 ms".  Burn rate and health state appear in
           [/server-status] and [/metrics] (default [None]) *)
-  recorder_capacity : int;
-      (** flight-recorder ring size, in windows (default 120) *)
   recorder_interval : float;
-      (** flight-recorder window length, seconds (default 1.0) *)
-  force_handoff : bool;
-      (** [Sharded] only: skip the [SO_REUSEPORT] probe and balance
-          accepts through the hand-off ring, so the fallback path can
-          be exercised on platforms that support reuseport (default
-          [false]) *)
+      (** flight-recorder window length, seconds (default 1.0); the
+          ring keeps 120 windows *)
   guard : Flash_guard.Guard.config;
       (** admission control and load shedding (per-peer limits, slow
           client defenses, bounded queues, SLO-burn shedder).  The
@@ -287,17 +273,18 @@ type stats = {
   event_backend : string;  (** readiness backend name in use *)
   loop_wakeups : int;  (** times the readiness wait returned *)
   timer_fires : int;  (** timer-wheel expirations handled *)
-  accept_emfile : int;
-      (** accepts shed on EMFILE/ENFILE (sharded: plus those shed at a
-          full hand-off ring) *)
+  accept_emfile : int;  (** accepts shed on EMFILE/ENFILE *)
 }
 
 type t
 
 (** Bind the listen socket and (AMPED) start the helper pool.  The event
     loop does not run until {!run} or {!start_background}.  [Sharded n]
-    builds the whole shard set here (listeners bound, accept strategy
-    probed); the shard domains themselves are spawned by {!run}. *)
+    builds the whole shard set here, one [SO_REUSEPORT] listener per
+    shard; the shard domains themselves are spawned by {!run}.
+    @raise Failure naming [SO_REUSEPORT] for [Sharded n] where the
+    build or the kernel refuses the option, after closing every
+    listener it bound: sharded mode has no other way to accept. *)
 val start : config -> t
 
 (** The bound port (useful with [port = 0]). *)
@@ -318,10 +305,6 @@ val stats : t -> stats
     server's aggregate. *)
 
 val mode : t -> mode
-
-val sharding_info : t -> (int * string) option
-(** [Some (domains, strategy)] for a sharded server — strategy is
-    ["reuseport"] or ["handoff"] — [None] otherwise. *)
 
 (** Snapshot of the per-request latency histogram (seconds), from the
     same walk as {!stats}: the MP parent's consolidated view, the

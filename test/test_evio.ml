@@ -456,6 +456,43 @@ let test_emfile_status_surfaced () =
               "flash_accept_emfile_total")
         >= 1))
 
+(* [stop] writes one byte to the wake pipe and every MT worker watches
+   it.  An idle worker has no timer, so only that byte ends its wait: a
+   loop that consumed it would strand the others, and [stop] (which
+   joins them) would never return.  Each backend gets 5 s. *)
+let test_stop_rouses_idle_workers () =
+  let docroot = make_docroot () in
+  List.iter
+    (fun backend ->
+      let config =
+        {
+          (Server.default_config ~docroot) with
+          Server.mode = Server.Mt 4;
+          event_backend = backend;
+        }
+      in
+      let server = Server.start_background config in
+      let port = Server.port server in
+      let r = Client.get ~host:"127.0.0.1" ~port "/hello.txt" in
+      Alcotest.(check int) (Evio.name backend ^ ": served") 200 r.Client.status;
+      (* Let the worker that served close the connection and go idle. *)
+      Thread.delay 0.1;
+      let stopped = Atomic.make false in
+      ignore
+        (Thread.create
+           (fun () ->
+             Server.stop server;
+             Atomic.set stopped true)
+           ());
+      let deadline = Unix.gettimeofday () +. 5. in
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.02
+      done;
+      Alcotest.(check bool)
+        (Evio.name backend ^ ": stop returns within 5 s")
+        true (Atomic.get stopped))
+    (Evio.all_available ())
+
 let suite =
   [
     Alcotest.test_case "wheel: schedule/advance basics" `Quick test_wheel_basic;
@@ -493,4 +530,6 @@ let suite =
       (test_emfile_shedding (Server.Mt 2));
     Alcotest.test_case "server: EMFILE surfaces in status" `Quick
       test_emfile_status_surfaced;
+    Alcotest.test_case "server: stop rouses every idle worker (mt)" `Quick
+      test_stop_rouses_idle_workers;
   ]

@@ -217,12 +217,14 @@ let with_guarded ?(mode = Server.Amped) ?(tweak = fun c -> c) guard f =
 (* Read whatever the server sends on a raw connection until EOF (or a
    5s safety timeout): refusals at the door are written before the
    accept loop ever sees a request, so a silent connect must still
-   yield a complete error response. *)
-let raw_read_all port ~send =
+   yield a complete error response.  [src] binds the client end to
+   another loopback address, a second peer to the guard. *)
+let raw_read_all ?src port ~send =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      Option.iter (fun a -> Unix.bind fd (Unix.ADDR_INET (a, 0))) src;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
       (match send with
@@ -286,6 +288,36 @@ let test_live_conn_cap () =
       let stats = Server.stats server in
       Alcotest.(check bool) "refusal counted as error" true
         (stats.Server.errors >= 1))
+
+(* The guard's peer is the address [accept] returned: with the one
+   slot of 127.0.0.1 held, a connection from 127.0.0.2 is served while
+   another from 127.0.0.1 is refused. *)
+let test_live_conn_cap_per_address () =
+  with_guarded
+    { Guard.default_config with Guard.max_conns_per_ip = Some 1 }
+    (fun _server port ->
+      let session = Client.Session.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.Session.close session)
+        (fun () ->
+          let r = Client.Session.request session "/hello.txt" in
+          Alcotest.(check int) "holder serves" 200 r.Client.status;
+          let other =
+            raw_read_all
+              ~src:(Unix.inet_addr_of_string "127.0.0.2")
+              port ~send:"GET /hello.txt HTTP/1.0\r\n\r\n"
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "another address is another peer: %S"
+               (status_line_of other))
+            true
+            (contains (status_line_of other) " 200 OK");
+          let same = raw_read_all port ~send:"" in
+          Alcotest.(check bool)
+            (Printf.sprintf "the held address is refused: %S"
+               (status_line_of same))
+            true
+            (contains same " 429 Too Many Requests")))
 
 (* The per-peer rate cap answers 429 + Retry-After on the request path
    and drops the connection; once the window slides past, the same peer
@@ -481,6 +513,8 @@ let suite =
     Alcotest.test_case "shed reasons and counters" `Quick test_reason_labels;
     Alcotest.test_case "conn cap refuses at the door (429)" `Quick
       test_live_conn_cap;
+    Alcotest.test_case "conn cap keys the accepted address" `Quick
+      test_live_conn_cap_per_address;
     Alcotest.test_case "rate cap 429 + Retry-After (event loop)" `Quick
       (test_live_rate_cap ~mode:Server.Amped);
     Alcotest.test_case "rate cap 429 + Retry-After (MT)" `Quick

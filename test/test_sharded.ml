@@ -1,116 +1,13 @@
-(* Multicore sharding: the bounded hand-off ring (qcheck: no fd lost,
-   none delivered twice, occupancy bounded), concurrent Budget
-   accounting (qcheck: parallel charge/release conserves the total,
-   shed never over-frees), and the Sharded server end to end — both
-   accept strategies, and per-shard + aggregate telemetry.  Runs real
-   domains and loopback sockets. *)
+(* Multicore sharding: concurrent Budget accounting (qcheck: parallel
+   charge/release conserves the total, shed never over-frees), and the
+   Sharded server end to end — reuseport accepts, and per-shard +
+   aggregate telemetry.  Runs real domains and loopback sockets. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
-module Handoff = Flash_live.Handoff
 module Budget = Flash_cache.Budget
 module Guard = Flash_guard.Guard
 open Test_status
-
-(* ------------------------------------------------------------------ *)
-(* Hand-off ring                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_ring_basics () =
-  (* The capacity-1 degenerate case must be rounded up, not allowed:
-     with one slot every push would claim the ticket and overwrite an
-     unconsumed element (regression — this once hung the qcheck below
-     whenever it drew capacity 1, the consumer waiting forever for
-     overwritten items). *)
-  let tiny = Handoff.create ~capacity:1 in
-  Alcotest.(check int) "minimum capacity is 2" 2 (Handoff.capacity tiny);
-  Alcotest.(check bool) "tiny push 1" true (Handoff.push tiny 1);
-  Alcotest.(check bool) "tiny push 2" true (Handoff.push tiny 2);
-  Alcotest.(check bool) "tiny full refused" false (Handoff.push tiny 3);
-  Alcotest.(check (option int)) "tiny fifo 1" (Some 1) (Handoff.pop tiny);
-  Alcotest.(check (option int)) "tiny fifo 2" (Some 2) (Handoff.pop tiny);
-  let r = Handoff.create ~capacity:3 in
-  Alcotest.(check int) "capacity rounds up" 4 (Handoff.capacity r);
-  Alcotest.(check (option int)) "empty pops None" None (Handoff.pop r);
-  for i = 1 to 4 do
-    Alcotest.(check bool) "push fits" true (Handoff.push r i)
-  done;
-  Alcotest.(check bool) "full push refused" false (Handoff.push r 5);
-  Alcotest.(check int) "length at capacity" 4 (Handoff.length r);
-  (* FIFO when single-threaded. *)
-  List.iter
-    (fun want -> Alcotest.(check (option int)) "fifo" (Some want) (Handoff.pop r))
-    [ 1; 2; 3; 4 ];
-  Alcotest.(check (option int)) "drained" None (Handoff.pop r);
-  (* Slots recycle across laps. *)
-  for lap = 1 to 3 do
-    Alcotest.(check bool) "lap push" true (Handoff.push r lap);
-    Alcotest.(check (option int)) "lap pop" (Some lap) (Handoff.pop r)
-  done
-
-(* One producer domain pushes 0..n-1 (spinning when the ring is full);
-   [consumers] domains pop until all items are out.  Every item must
-   arrive exactly once, and no observation may exceed the capacity.
-
-   The waits must be cooperative, not hard spins: on a box with fewer
-   cores than domains, a domain spinning on a peer's progress can hold
-   the only core through entire scheduler timeslices while the peer —
-   or a stop-the-world barrier waiting on it — starves, livelocking
-   the property.  A short relax followed by a real sleep (a blocking
-   section, so the GC never waits on a sleeper) keeps the ring under
-   contention while letting starved peers run.  Production code never
-   spins on the ring — a full push sheds the connection, and shards
-   pop once per wake-pipe poke — so the hazard is purely the test's. *)
-let ring_arbitrary =
-  QCheck.(
-    triple (int_range 1 300) (* items *)
-      (int_range 1 32) (* requested capacity *)
-      (int_range 1 3) (* consumer domains, capped by the core count *))
-
-let cooperative_relax tries =
-  incr tries;
-  if !tries land 63 = 0 then Unix.sleepf 0.0002 else Domain.cpu_relax ()
-
-let prop_ring_delivers_exactly_once (items, capacity, consumers) =
-  let consumers =
-    max 1 (min consumers (Domain.recommended_domain_count () - 1))
-  in
-  let ring = Handoff.create ~capacity in
-  let received = Atomic.make 0 in
-  let over_occupancy = Atomic.make false in
-  let producer =
-    Domain.spawn (fun () ->
-        let tries = ref 0 in
-        for i = 0 to items - 1 do
-          while not (Handoff.push ring i) do
-            cooperative_relax tries
-          done;
-          if Handoff.length ring > Handoff.capacity ring then
-            Atomic.set over_occupancy true
-        done)
-  in
-  let consumer_domains =
-    List.init consumers (fun _ ->
-        Domain.spawn (fun () ->
-            let got = ref [] in
-            let tries = ref 0 in
-            let rec loop () =
-              if Atomic.get received < items then begin
-                (match Handoff.pop ring with
-                | Some v ->
-                    got := v :: !got;
-                    ignore (Atomic.fetch_and_add received 1)
-                | None -> cooperative_relax tries);
-                loop ()
-              end
-            in
-            loop ();
-            !got))
-  in
-  Domain.join producer;
-  let all = List.concat_map Domain.join consumer_domains in
-  let sorted = List.sort compare all in
-  sorted = List.init items Fun.id && not (Atomic.get over_occupancy)
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent Budget accounting                                        *)
@@ -188,14 +85,13 @@ let prop_budget_shed_exact (domains, ops) =
 (* The sharded server                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let with_sharded ?(force_handoff = false) ?cache_budget_bytes ?guard n f =
+let with_sharded ?cache_budget_bytes ?guard n f =
   let docroot = Test_live.make_docroot () in
   let base = Server.default_config ~docroot in
   let config =
     {
       base with
       Server.mode = Server.Sharded n;
-      force_handoff;
       cache_budget_bytes;
       guard = Option.value guard ~default:base.Server.guard;
     }
@@ -209,17 +105,12 @@ let drive port n =
     Alcotest.(check string) "hello body" "hello live world" r.Client.body
   done
 
-(* The listing's sharding rows: the strategy on the aggregate
-   [flash_config_info], one [shard]-labelled row per shard of each
-   series, and each aggregate equal to its shards' sum in the same
+(* The listing's sharding rows: one [shard]-labelled row per shard of
+   each series, and each aggregate equal to its shards' sum in the same
    snapshot. *)
 let check_sharding_rows server j ~domains =
-  let strategy =
-    match Server.sharding_info server with
-    | Some (_, s) -> s
-    | None -> Alcotest.fail "sharded server reports no sharding_info"
-  in
-  Alcotest.(check string) "accept strategy" strategy (config j "accept");
+  Alcotest.(check bool) "mode" true
+    (Server.mode server = Server.Sharded domains);
   Alcotest.(check string)
     "mode string"
     (Printf.sprintf "sharded:%d" domains)
@@ -258,23 +149,31 @@ let test_sharded_reuseport () =
         (stats.Server.connections >= 12);
       check_sharding_rows server (get_status_json port) ~domains:2)
 
-let test_sharded_handoff () =
-  with_sharded ~force_handoff:true 2 (fun server port ->
-      (match Server.sharding_info server with
-      | Some (2, "handoff") -> ()
-      | Some (n, s) -> Alcotest.failf "expected 2/handoff, got %d/%s" n s
-      | None -> Alcotest.fail "no sharding_info");
-      drive port 12;
-      let stats = await_stats server (fun s -> s.Server.requests >= 12) in
-      Alcotest.(check bool)
-        "handoff served all" true
-        (stats.Server.requests >= 12);
-      let j = get_status_json port in
-      check_sharding_rows server j ~domains:2;
-      (* The coordinator's counter appears once, unlabelled. *)
-      Alcotest.(check (list (pair (list (pair string string)) (float 0.))))
-        "one hand-off shed row" [ ([], 0.) ]
-        (rows j "flash_handoff_shed_total"))
+(* A port held by a listener without SO_REUSEPORT refuses the shards'
+   binds: the start fails and leaves none of its own sockets open. *)
+let test_sharded_bind_refused () =
+  let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen holder 1;
+  let port =
+    match Unix.getsockname holder with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let docroot = Test_live.make_docroot () in
+  let before = open_fds () in
+  (match
+     Server.start
+       { (Server.default_config ~docroot) with
+         Server.mode = Server.Sharded 2; port }
+   with
+  | server ->
+      Server.stop server;
+      Alcotest.fail "a sharded server started on a held port"
+  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+  Alcotest.(check int) "no socket left open" before (open_fds ());
+  Unix.close holder
 
 let test_sharded_shared_budget () =
   (* One Budget.t across both shards' caches: foreign-shard sheds run
@@ -394,15 +293,15 @@ let test_sharded_slo_aggregates () =
     {
       base with
       Server.mode = Server.Sharded 2;
-      (* the hand-off ring deals connections to the shards in turn *)
-      force_handoff = true;
       recorder_interval = 0.05;
       (* a p50 of at most 1 ns: every window with traffic violates it *)
       latency_slo = Some (50., 1e-6);
     }
     (fun _server port ->
+      (* 32 one-shot connections: the kernel leaves a shard without one
+         with probability 2^-31. *)
       for _ = 1 to 4 do
-        drive port 2;
+        drive port 8;
         Thread.delay 0.06
       done;
       let j = get_status_json port in
@@ -675,36 +574,24 @@ let test_sharded_guard_metrics () =
             (has_row j ~labels:[ ("reason", label) ] "flash_guard_shed_total"))
         Guard.all_reasons)
 
-(* Unsharded servers carry no sharding rows: no shard label, no accept
-   strategy, no hand-off counter. *)
+(* Unsharded servers carry no sharding rows: no shard label. *)
 let test_unsharded_views () =
   let docroot = Test_live.make_docroot () in
-  with_config (Server.default_config ~docroot) (fun server port ->
-      Alcotest.(check (option (pair int string)))
-        "no sharding_info" None
-        (Server.sharding_info server);
-      let j = get_status_json port in
-      Alcotest.(check bool) "no accept label" false
-        (List.mem_assoc "accept" (fst (List.hd (rows j "flash_config_info"))));
-      Alcotest.(check bool) "no hand-off counter" false
-        (has_row j "flash_handoff_shed_total");
+  with_config (Server.default_config ~docroot) (fun _server port ->
       let text = (get port "/server-status").Client.body in
       Alcotest.(check bool) "no shard label" false
         (Helpers.contains text ~affix:"shard=\""))
 
 let suite =
   [
-    Alcotest.test_case "hand-off ring basics" `Quick test_ring_basics;
-    Helpers.qcheck_case ~count:30 ~name:"ring delivers exactly once"
-      ring_arbitrary prop_ring_delivers_exactly_once;
     Helpers.qcheck_case ~count:30 ~name:"budget conserves under domains"
       budget_arbitrary prop_budget_conserves;
     Helpers.qcheck_case ~count:20 ~name:"budget shed never over-frees"
       shed_arbitrary prop_budget_shed_exact;
     Alcotest.test_case "sharded serves over reuseport" `Quick
       test_sharded_reuseport;
-    Alcotest.test_case "sharded serves over hand-off ring" `Quick
-      test_sharded_handoff;
+    Alcotest.test_case "a refused bind leaves no socket open" `Quick
+      test_sharded_bind_refused;
     Alcotest.test_case "shards share one cache budget" `Quick
       test_sharded_shared_budget;
     Alcotest.test_case "sharded /metrics validates and aggregates" `Quick
