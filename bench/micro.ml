@@ -116,6 +116,73 @@ let bench_timer_wheel =
          ignore (Evio.Timer_wheel.schedule wheel ~at:(!now +. 10.) 0);
          ignore (Evio.Timer_wheel.advance wheel ~now:!now)))
 
+(* The loop asks for its wait timeout every turn: a wheel carrying 1k
+   pending timers, as under many idle keep-alive connections. *)
+let bench_next_deadline =
+  let wheel = Evio.Timer_wheel.create ~now:0. () in
+  for i = 0 to 999 do
+    ignore (Evio.Timer_wheel.schedule wheel ~at:(10. +. float_of_int i) i)
+  done;
+  Test.make ~name:"evio.timer_wheel.next_deadline"
+    (Staged.stage (fun () -> ignore (Evio.Timer_wheel.next_deadline wheel)))
+
+(* One non-blocking select wait over 4 watched socket pairs, one of them
+   readable: the per-turn cost of the default backend. *)
+let bench_select_wait =
+  let backend = Evio.Backend.create Evio.Select in
+  for i = 0 to 3 do
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Evio.Backend.register backend a ~read:true ~write:false;
+    if i = 0 then ignore (Unix.write_substring b "x" 0 1)
+  done;
+  Test.make ~name:"evio.select.wait(4 fds)"
+    (Staged.stage (fun () ->
+         ignore (Evio.Backend.wait backend ~timeout:(Some 0.))))
+
+(* The seven lookups a plain GET's answer makes (keep-alive, gzip
+   negotiation, the four conditionals, Range), on a parsed head. *)
+let bench_header =
+  let req =
+    match Http.Request.parse request_buf with
+    | Http.Request.Complete (req, _) -> req
+    | _ -> failwith "micro: request did not parse"
+  in
+  Test.make ~name:"http.request.header(x7)"
+    (Staged.stage (fun () ->
+         ignore (Http.Request.header req "connection");
+         ignore (Http.Request.header req "accept-encoding");
+         ignore (Http.Request.header req "if-match");
+         ignore (Http.Request.header req "if-unmodified-since");
+         ignore (Http.Request.header req "if-none-match");
+         ignore (Http.Request.header req "if-modified-since");
+         ignore (Http.Request.header req "range")))
+
+(* A cache hit's lookup: the store's probe, the policy's touch, on a
+   cache of 1,000 small entries. *)
+let bench_find_trusted =
+  let module Fc = Flash_live.File_cache in
+  let cache = Fc.create ~capacity_bytes:(64 * 1024 * 1024) () in
+  let buf = Iovec.of_string "x" in
+  let path i = Printf.sprintf "/srv/www/d%d/f%04d.html" (i mod 10) i in
+  for i = 0 to 999 do
+    Fc.insert cache (path i)
+      {
+        Fc.body = buf;
+        mapped = None;
+        mtime = 0.;
+        size = 1;
+        etag = "\"1-0\"";
+        encoding = None;
+        header_keep = buf;
+        header_close = buf;
+        header_304_keep = buf;
+        header_304_close = buf;
+      }
+  done;
+  let key = path 123 in
+  Test.make ~name:"file_cache.find_trusted(hit)"
+    (Staged.stage (fun () -> ignore (Fc.find_trusted cache key)))
+
 (* The miss path's probe for a file above the copy limit: map a 16 KB
    file, ask [mincore] whether it is in core, unmap it — what the AMPED
    loop pays on a known path before it decides between an inline fill
@@ -172,18 +239,30 @@ let bench_sendq_leased =
          let slices = Flash_live.Sendq.gather q in
          Flash_live.Sendq.advance q (Iovec.total_length slices)))
 
-(* One keep-alive request's tracing, as the live server does it: the
-   trace, its keep-alive marker and parse span open on one stamp, the
-   resolve span starts where the parse ends, the write span at the
-   response stamp, and the trace completes into a 256-trace ring.  Five
-   clock reads, as the server takes them. *)
-let bench_trace_request =
+(* One keep-alive request's tracing: its keep-alive marker and parse
+   span open on one stamp, the resolve span starts where the parse
+   ends, the write span at the response stamp, and the trace completes
+   into a 256-trace ring.  Five clock reads, as the live server takes
+   them.  The server restarts its connection's last trace; [fresh]
+   starts a new one each time, as the perfbench replay does. *)
+let trace_request ~fresh =
   let tracer = Obs.Trace.create ~clock:Unix.gettimeofday () in
   let clock = Unix.gettimeofday in
-  Test.make ~name:"obs.trace.request"
+  let last = ref None in
+  Test.make
+    ~name:(if fresh then "obs.trace.request(fresh)" else "obs.trace.request")
     (Staged.stage (fun () ->
          let opened = clock () in
-         let tr = Obs.Trace.start tracer ~at:opened () in
+         let tr =
+           match !last with
+           | Some tr when not fresh ->
+               Obs.Trace.restart tracer tr ~at:opened;
+               tr
+           | _ ->
+               let tr = Obs.Trace.start tracer ~at:opened () in
+               last := Some tr;
+               tr
+         in
          Obs.Trace.instant tracer tr ~at:opened "keepalive-reuse";
          let parse = Obs.Trace.begin_span tracer tr ~at:opened "parse" in
          let parsed = clock () in
@@ -210,11 +289,16 @@ let tests =
       bench_buffer_cache;
       bench_normalize;
       bench_timer_wheel;
+      bench_next_deadline;
+      bench_select_wait;
+      bench_header;
+      bench_find_trusted;
       bench_map_resident;
       bench_read_cached;
       bench_of_string;
       bench_sendq_leased;
-      bench_trace_request;
+      trace_request ~fresh:false;
+      trace_request ~fresh:true;
     ]
 
 let run () =
@@ -224,7 +308,8 @@ let run () =
   Format.printf
     "@.============================================================@.";
   Format.printf
-    "Microbenchmarks (Bechamel; ns and promoted words per run via OLS)@.";
+    "Microbenchmarks (Bechamel; ns, minor and promoted words per run via \
+     OLS)@.";
   Format.printf
     "============================================================@.";
   let ols =
@@ -248,8 +333,11 @@ let run () =
      heap, so a sample shorter than a minor heap's worth of allocation
      would never promote; promotion is measured without that. *)
   let promoted = per_run Instance.promoted ~stabilize:false ~digits:2 in
-  Format.printf "%-46s %10s %13s@." "benchmark" "ns/run" "promoted/run";
+  let minor = per_run Instance.minor_allocated ~stabilize:false ~digits:1 in
+  Format.printf "%-46s %10s %10s %13s@." "benchmark" "ns/run" "minor/run"
+    "promoted/run";
   List.iter
     (fun name ->
-      Format.printf "%-46s %10s %13s@." name (ns name) (promoted name))
+      Format.printf "%-46s %10s %10s %13s@." name (ns name) (minor name)
+        (promoted name))
     (List.sort String.compare (Test.names tests))

@@ -67,15 +67,21 @@ module Klist = struct
     if t.lru = None then t.lru <- Some node;
     Hashtbl.replace t.tbl k node
 
+  (* A hit's touch: nothing to do for the most recent node, and one
+     [Some] shared by both links that name the node otherwise. *)
   let touch t k =
-    match Hashtbl.find_opt t.tbl k with
-    | None -> ()
-    | Some node ->
-        unlink t node;
-        node.next <- t.mru;
-        (match t.mru with Some m -> m.prev <- Some node | None -> ());
-        t.mru <- Some node;
-        if t.lru = None then t.lru <- Some node
+    match Hashtbl.find t.tbl k with
+    | exception Not_found -> ()
+    | node -> (
+        match t.mru with
+        | Some m when m == node -> ()
+        | _ ->
+            unlink t node;
+            node.next <- t.mru;
+            let self = Some node in
+            (match t.mru with Some m -> m.prev <- self | None -> ());
+            t.mru <- self;
+            if t.lru = None then t.lru <- self)
 
   let remove t k =
     match Hashtbl.find_opt t.tbl k with

@@ -155,7 +155,9 @@ let find_validated t key ~validate =
       t.hits <- t.hits + 1;
       entry.e_hits <- entry.e_hits + 1;
       entry.e_last <- tick t;
-      if not (Hashtbl.mem t.pinned_set key) then t.policy.Policy.access key;
+      (* Most stores pin nothing: skip that probe of the key then. *)
+      if Hashtbl.length t.pinned_set = 0 || not (Hashtbl.mem t.pinned_set key)
+      then t.policy.Policy.access key;
       Some entry.value
   | Some entry ->
       (* Stale: remove through the evict hook so resource accounting

@@ -14,6 +14,10 @@ external raw_poll :
   Unix.file_descr array -> int array -> int array -> int -> int -> int
   = "flash_evio_poll"
 
+external raw_select :
+  Unix.file_descr array -> int array -> int array -> int -> int -> int
+  = "flash_evio_select"
+
 external epoll_create : unit -> Unix.file_descr = "flash_evio_epoll_create"
 
 external epoll_ctl : Unix.file_descr -> int -> Unix.file_descr -> int -> unit
@@ -29,9 +33,9 @@ type kind = Select | Poll | Epoll
 
 let name = function Select -> "select" | Poll -> "poll" | Epoll -> "epoll"
 
+(* select and poll are built from the same stubs, and exist together. *)
 let available = function
-  | Select -> true
-  | Poll -> poll_available ()
+  | Select | Poll -> poll_available ()
   | Epoll -> epoll_available ()
 
 let best_available () =
@@ -71,9 +75,9 @@ module Backend = struct
   type t = {
     kind : kind;
     tbl : (Unix.file_descr, interest) Hashtbl.t;
-    (* poll: interest arrays are rebuilt lazily, only after a
-       registration change — an unchanged interest set re-polls the
-       cached arrays. *)
+    (* select and poll: the interest arrays both waits read, rebuilt
+       lazily, only after a registration change; an unchanged interest
+       set re-waits on the cached arrays. *)
     mutable dirty : bool;
     mutable pfds : Unix.file_descr array;
     mutable pevents : int array;
@@ -130,18 +134,20 @@ module Backend = struct
             i.in_kernel <- false
         | true, m -> epoll_ctl epfd 1 fd m)
 
+  let changed t fd i =
+    match t.kind with
+    | Select | Poll -> t.dirty <- true
+    | Epoll -> epoll_sync t fd i
+
   let modify t fd ~read ~write =
     match Hashtbl.find_opt t.tbl fd with
     | Some i when i.want_read = read && i.want_write = write ->
         () (* interest diffing: unchanged fds cost nothing *)
-    | Some i -> (
+    | Some i ->
         i.want_read <- read;
         i.want_write <- write;
-        match t.kind with
-        | Select -> ()
-        | Poll -> t.dirty <- true
-        | Epoll -> epoll_sync t fd i)
-    | None -> (
+        changed t fd i
+    | None ->
         (* select can only wait on fd numbers below FD_SETSIZE; refuse
            the registration here (where the caller can shed one
            connection) rather than letting the next wait fail with
@@ -155,21 +161,17 @@ module Backend = struct
                      (int_of_fd fd) cap)));
         let i = { want_read = read; want_write = write; in_kernel = false } in
         Hashtbl.replace t.tbl fd i;
-        match t.kind with
-        | Select -> ()
-        | Poll -> t.dirty <- true
-        | Epoll -> epoll_sync t fd i)
+        changed t fd i
 
   let register = modify
 
   let deregister t fd =
     match Hashtbl.find_opt t.tbl fd with
     | None -> ()
-    | Some i ->
+    | Some i -> (
         Hashtbl.remove t.tbl fd;
-        (match t.kind with
-        | Select -> ()
-        | Poll -> t.dirty <- true
+        match t.kind with
+        | Select | Poll -> t.dirty <- true
         | Epoll ->
             if i.in_kernel then (
               match t.epfd with
@@ -179,25 +181,12 @@ module Backend = struct
                   try epoll_ctl epfd 2 fd 0 with Unix.Unix_error _ -> ())
               | None -> ()))
 
-  (* Drop registrations whose fd the kernel no longer recognises —
-     defence against a caller closing an fd before deregistering. *)
-  let prune t =
-    let stale =
-      Hashtbl.fold
-        (fun fd _ acc ->
-          match Unix.fstat fd with
-          | _ -> acc
-          | exception Unix.Unix_error _ -> fd :: acc)
-        t.tbl []
-    in
-    List.iter (deregister t) stale
-
   let timeout_ms = function
     | None -> -1
     | Some s when s <= 0. -> 0
     | Some s -> int_of_float (Float.ceil (s *. 1000.))
 
-  let rebuild_poll t =
+  let rebuild t =
     let n = ref 0 in
     Hashtbl.iter
       (fun _ i -> if i.want_read || i.want_write then incr n)
@@ -219,60 +208,28 @@ module Backend = struct
     t.pn <- !j;
     t.dirty <- false
 
-  let wait_select t ~timeout =
-    let reads, writes =
-      Hashtbl.fold
-        (fun fd i (rs, ws) ->
-          ( (if i.want_read then fd :: rs else rs),
-            if i.want_write then fd :: ws else ws ))
-        t.tbl ([], [])
-    in
-    let tmo = match timeout with None -> -1. | Some s -> Float.max 0. s in
-    match Unix.select reads writes [] tmo with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-    | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-        prune t;
-        []
-    | readable, writable, _ ->
-        let evs = Hashtbl.create 16 in
-        List.iter
-          (fun fd -> Hashtbl.replace evs fd (true, false))
-          readable;
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt evs fd with
-            | Some (r, _) -> Hashtbl.replace evs fd (r, true)
-            | None -> Hashtbl.replace evs fd (false, true))
-          writable;
-        Hashtbl.fold
-          (fun fd (r, w) acc -> { fd; readable = r; writable = w } :: acc)
-          evs []
+  let event fd bits =
+    { fd; readable = bits land bit_read <> 0; writable = bits land bit_write <> 0 }
 
-  let wait_poll t ~timeout =
-    if t.dirty then rebuild_poll t;
-    match raw_poll t.pfds t.pevents t.prevents t.pn (timeout_ms timeout) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+  (* select and poll: one wait over the cached arrays.  A descriptor the
+     kernel reports invalid (poll's POLLNVAL; for select, an EBADF wait
+     that found it closed) was closed before it was deregistered: its
+     registration is dropped, at the cost of one wasted wakeup. *)
+  let wait_arrays t ~timeout =
+    if t.dirty then rebuild t;
+    let raw = match t.kind with Select -> raw_select | _ -> raw_poll in
+    match raw t.pfds t.pevents t.prevents t.pn (timeout_ms timeout) with
     | exception Unix.Unix_error _ -> []
-    | nready ->
-        if nready <= 0 then []
-        else begin
-          let out = ref [] in
-          let stale = ref [] in
-          for i = 0 to t.pn - 1 do
-            let bits = t.prevents.(i) in
-            if bits land bit_invalid <> 0 then stale := t.pfds.(i) :: !stale
-            else if bits <> 0 then
-              out :=
-                {
-                  fd = t.pfds.(i);
-                  readable = bits land bit_read <> 0;
-                  writable = bits land bit_write <> 0;
-                }
-                :: !out
-          done;
-          List.iter (deregister t) !stale;
-          !out
-        end
+    | nready when nready <= 0 -> []
+    | _ ->
+        let out = ref [] and stale = ref [] in
+        for i = t.pn - 1 downto 0 do
+          let bits = t.prevents.(i) in
+          if bits land bit_invalid <> 0 then stale := t.pfds.(i) :: !stale
+          else if bits <> 0 then out := event t.pfds.(i) bits :: !out
+        done;
+        if !stale <> [] then List.iter (deregister t) !stale;
+        !out
 
   let wait_epoll t ~timeout =
     match t.epfd with
@@ -285,22 +242,15 @@ module Backend = struct
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
         | n ->
             let out = ref [] in
-            for i = 0 to n - 1 do
+            for i = n - 1 downto 0 do
               let bits = t.erevents.(i) in
-              out :=
-                {
-                  fd = t.efds.(i);
-                  readable = bits land bit_read <> 0;
-                  writable = bits land bit_write <> 0;
-                }
-                :: !out
+              if bits <> 0 then out := event t.efds.(i) bits :: !out
             done;
             !out)
 
   let wait t ~timeout =
     match t.kind with
-    | Select -> wait_select t ~timeout
-    | Poll -> wait_poll t ~timeout
+    | Select | Poll -> wait_arrays t ~timeout
     | Epoll -> wait_epoll t ~timeout
 
   let close t =

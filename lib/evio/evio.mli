@@ -4,16 +4,21 @@
     FD_SETSIZE and O(watched fds) per wait.  This module hides the
     readiness mechanism behind one interface so the same loop can run
     on:
-    - {b select}: the paper-faithful default, available everywhere;
-    - {b poll(2)}: no FD_SETSIZE cap, still O(n) per wait (C stubs,
-      any Unix);
+    - {b select}: the paper-faithful default;
+    - {b poll(2)}: no FD_SETSIZE cap, still O(n) per wait;
     - {b epoll(7)}: Linux, level-triggered; interest lives in the
       kernel so a wait costs one syscall regardless of connection
       count, and only {e changed} fds cost an [epoll_ctl] (interest-set
       diffing).
 
+    select and poll (C stubs, any Unix) share one code path: the
+    interest arrays are cached, rebuilt only after a registration
+    changes, and each wait is one stub call over them that fills a
+    result array, so a wait allocates only the events it returns.
+
     All backends deliver level-triggered readiness with the same
-    semantics: error/hang-up conditions surface as readable (and, for
+    semantics: an fd is reported only for what it is watched for, and
+    error/hang-up conditions surface as readable (and, for
     write-watched fds, writable) so the caller's normal IO path
     observes [EOF]/[EPIPE].  Waits release the OCaml runtime lock. *)
 
@@ -27,7 +32,7 @@ val name : kind -> string
 (** ["select"], ["poll"] or ["epoll"]. *)
 
 val available : kind -> bool
-(** Whether this backend works on the running system ([Select] always;
+(** Whether this backend works on the running system ([Select] and
     [Poll] on any Unix; [Epoll] on Linux). *)
 
 val best_available : unit -> kind
@@ -78,7 +83,8 @@ module Backend : sig
 
   val deregister : t -> Unix.file_descr -> unit
   (** Forget an fd.  Call {e before} closing it; stale fds are pruned
-      defensively but at the cost of a wasted wakeup. *)
+      defensively (select: after a wait fails with EBADF; poll: on
+      POLLNVAL) but at the cost of a wasted wakeup. *)
 
   val wait : t -> timeout:float option -> event list
   (** Block until readiness or [timeout] (seconds; [None] = forever;

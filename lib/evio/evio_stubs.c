@@ -1,19 +1,23 @@
 /* Readiness-notification stubs for the evio backends.
  *
  * Two families:
- *   - poll(2): portable, no FD_SETSIZE cap.  The OCaml side keeps
- *     parallel arrays (fds, interest bits) and we fill a revents
- *     array; interest bits are 1 = read, 2 = write, and result bits
- *     add 4 = invalid fd (POLLNVAL), which the caller uses to prune
- *     stale registrations.
+ *   - select(2) and poll(2) over the interest arrays the OCaml side
+ *     keeps (fds, interest bits), rebuilt there only after a
+ *     registration change.  Both fill a result array: interest bits
+ *     are 1 = read, 2 = write, and result bits add 4 = invalid fd,
+ *     which the caller uses to prune stale registrations (poll's
+ *     POLLNVAL; for select, the fds an EBADF wait finds closed).
  *   - epoll(7), Linux only: level-triggered, interest kept in the
  *     kernel so a wait costs one syscall regardless of fd count.
  *
- * Both waits release the OCaml runtime lock around the syscall.  File
- * descriptors cross the boundary as Unix.file_descr, which the Unix
- * runtime represents as a plain int on every non-Windows platform
- * (the Windows build reports both families unavailable, so the
- * representation assumption is never exercised there).
+ * Every backend reports only the conditions an fd is watched for: an
+ * error or hang-up surfaces as readable and, on a write-watched fd,
+ * writable.  The waits release the OCaml runtime lock around the
+ * syscall.  File descriptors cross the boundary as Unix.file_descr,
+ * which the Unix runtime represents as a plain int on every
+ * non-Windows platform (the Windows build reports every family
+ * unavailable, so the representation assumption is never exercised
+ * there).
  */
 
 #include <caml/mlvalues.h>
@@ -52,6 +56,13 @@ CAMLprim value flash_evio_poll_available(value unit)
   return Val_false;
 }
 
+CAMLprim value flash_evio_select(value vfds, value vevents, value vrevents,
+                                 value vn, value vtimeout)
+{
+  (void) vfds; (void) vevents; (void) vrevents; (void) vn; (void) vtimeout;
+  caml_failwith("Evio.select: not available on this platform");
+}
+
 CAMLprim value flash_evio_poll(value vfds, value vevents, value vrevents,
                                value vn, value vtimeout)
 {
@@ -65,11 +76,89 @@ CAMLprim value flash_evio_poll(value vfds, value vevents, value vrevents,
 #include <poll.h>
 #include <stdlib.h>
 #include <errno.h>
+#include <fcntl.h>
+#include <sys/time.h>
 
 CAMLprim value flash_evio_poll_available(value unit)
 {
   (void) unit;
   return Val_true;
+}
+
+/* The usable prefix of the three arrays. */
+static long evio_count(value vfds, value vevents, value vrevents, value vn)
+{
+  long n = Long_val(vn);
+  if (n < 0) n = 0;
+  if ((uintnat) n > Wosize_val(vfds)) n = Wosize_val(vfds);
+  if ((uintnat) n > Wosize_val(vevents)) n = Wosize_val(vevents);
+  if ((uintnat) n > Wosize_val(vrevents)) n = Wosize_val(vrevents);
+  return n;
+}
+
+/* select(fds[0..n-1]) with interest bits from vevents, results into
+ * vrevents, as flash_evio_poll does.  Registration keeps every fd
+ * inside [0, FD_SETSIZE); one outside is never put in a set.  A wait
+ * that fails with EBADF instead marks each fd the kernel no longer
+ * knows as invalid, and returns how many it marked.  Otherwise returns
+ * the number of set bits (a descriptor ready both ways counts twice).
+ * timeout is in milliseconds, -1 = block. */
+CAMLprim value flash_evio_select(value vfds, value vevents, value vrevents,
+                                 value vn, value vtimeout)
+{
+  /* Registered: while the runtime lock is released another thread may
+   * run a collection that moves the arrays, and the results are
+   * written into them after the wait. */
+  CAMLparam5(vfds, vevents, vrevents, vn, vtimeout);
+  long n = evio_count(vfds, vevents, vrevents, vn);
+  int timeout = Int_val(vtimeout);
+  fd_set rd, wr;
+  struct timeval tv, *tvp = NULL;
+  int maxfd = -1, ret, err, stale = 0;
+  long i;
+
+  FD_ZERO(&rd);
+  FD_ZERO(&wr);
+  for (i = 0; i < n; i++) {
+    int fd = Int_val(Field(vfds, i));
+    int bits = Int_val(Field(vevents, i));
+    if (fd < 0 || fd >= FD_SETSIZE) continue;
+    if (bits & EVIO_READ) FD_SET(fd, &rd);
+    if (bits & EVIO_WRITE) FD_SET(fd, &wr);
+    if (fd > maxfd) maxfd = fd;
+  }
+  if (timeout >= 0) {
+    tv.tv_sec = timeout / 1000;
+    tv.tv_usec = (timeout % 1000) * 1000;
+    tvp = &tv;
+  }
+  caml_release_runtime_system();
+  ret = select(maxfd + 1, &rd, &wr, NULL, tvp);
+  err = errno;
+  caml_acquire_runtime_system();
+  if (ret == -1 && err != EBADF) {
+    errno = err;
+    caml_uerror("select", Nothing);
+  }
+  for (i = 0; i < n; i++) {
+    int fd = Int_val(Field(vfds, i));
+    int out = 0;
+    if (fd < 0 || fd >= FD_SETSIZE)
+      out = 0;
+    else if (ret == -1) {
+      /* The sets are unspecified after a failed wait. */
+      if (fcntl(fd, F_GETFD) == -1 && errno == EBADF) {
+        out = EVIO_INVALID;
+        stale++;
+      }
+    } else {
+      if (FD_ISSET(fd, &rd)) out |= EVIO_READ;
+      if (FD_ISSET(fd, &wr)) out |= EVIO_WRITE;
+    }
+    /* Int stores need no write barrier. */
+    Field(vrevents, i) = Val_int(out);
+  }
+  CAMLreturn(Val_int(ret == -1 ? stale : ret));
 }
 
 /* poll(fds[0..n-1]) with interest bits from vevents, results into
@@ -79,16 +168,11 @@ CAMLprim value flash_evio_poll(value vfds, value vevents, value vrevents,
                                value vn, value vtimeout)
 {
   CAMLparam5(vfds, vevents, vrevents, vn, vtimeout);
-  long n = Long_val(vn);
+  long n = evio_count(vfds, vevents, vrevents, vn);
   int timeout = Int_val(vtimeout);
   struct pollfd *pfds;
   long i;
   int ret;
-
-  if (n < 0) n = 0;
-  if ((uintnat) n > Wosize_val(vfds)) n = Wosize_val(vfds);
-  if ((uintnat) n > Wosize_val(vevents)) n = Wosize_val(vevents);
-  if ((uintnat) n > Wosize_val(vrevents)) n = Wosize_val(vrevents);
 
   pfds = (struct pollfd *) malloc((n > 0 ? n : 1) * sizeof(struct pollfd));
   if (pfds == NULL) caml_raise_out_of_memory();
@@ -114,6 +198,7 @@ CAMLprim value flash_evio_poll(value vfds, value vevents, value vrevents,
     short re = pfds[i].revents;
     if (re & (POLLIN | POLLPRI | POLLERR | POLLHUP)) out |= EVIO_READ;
     if (re & (POLLOUT | POLLERR | POLLHUP)) out |= EVIO_WRITE;
+    out &= Int_val(Field(vevents, i));
     if (re & POLLNVAL) out = EVIO_INVALID;
     /* Int stores need no write barrier. */
     Field(vrevents, i) = Val_int(out);
@@ -156,7 +241,9 @@ CAMLprim value flash_evio_epoll_ctl(value vepfd, value vop, value vfd,
   ev.events = 0;
   if (bits & EVIO_READ) ev.events |= EPOLLIN | EPOLLPRI;
   if (bits & EVIO_WRITE) ev.events |= EPOLLOUT;
-  ev.data.fd = Int_val(vfd);
+  /* The fd in the low half, its interest bits above: a wait reports
+   * only what the fd is watched for. */
+  ev.data.u64 = (uint64_t) (uint32_t) Int_val(vfd) | ((uint64_t) bits << 32);
   switch (Int_val(vop)) {
   case 0: op = EPOLL_CTL_ADD; break;
   case 1: op = EPOLL_CTL_MOD; break;
@@ -190,7 +277,8 @@ CAMLprim value flash_evio_epoll_wait(value vepfd, value vfds_out,
     uint32_t e = evs[i].events;
     if (e & (EPOLLIN | EPOLLPRI | EPOLLERR | EPOLLHUP)) out |= EVIO_READ;
     if (e & (EPOLLOUT | EPOLLERR | EPOLLHUP)) out |= EVIO_WRITE;
-    Field(vfds_out, i) = Val_int(evs[i].data.fd);
+    out &= (int) (evs[i].data.u64 >> 32);
+    Field(vfds_out, i) = Val_int((int) (uint32_t) evs[i].data.u64);
     Field(vrevents_out, i) = Val_int(out);
   }
   CAMLreturn(Val_int(n));

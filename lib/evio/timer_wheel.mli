@@ -13,7 +13,12 @@
     - {b fire order}: one [advance] reports fires sorted by deadline
       (ties by scheduling order);
     - {b cancel} is exact — a cancelled timer never fires ([cancel] is
-      O(1); the entry is purged when its slot is next traversed).
+      O(1); the entry is purged once its deadline passes, or sooner
+      when cancelled entries outnumber live ones in its slot);
+    - {b per-turn cost}: [next_deadline] is O(1) (the earliest deadline
+      is kept, and recomputed only after the timer holding it is fired
+      or purged), and an [advance] that fires and purges nothing
+      allocates nothing.
 
     Timers whose deadline lies beyond one wheel rotation
     ([slots * tick]) stay in their bucket and are re-examined once per
@@ -34,17 +39,20 @@ val schedule : 'a t -> at:float -> 'a -> 'a timer
     the wheel's cursor fire on the next {!advance}. *)
 
 val cancel : 'a t -> 'a timer -> unit
-(** Disarm; idempotent.  A cancelled timer never fires. *)
+(** Disarm; idempotent, and a no-op on a timer that already fired.  A
+    cancelled timer never fires. *)
 
 val reschedule : 'a t -> 'a timer -> at:float -> 'a timer
 (** [cancel] + [schedule] with the same payload; returns the new
     handle. *)
 
 val next_deadline : 'a t -> float option
-(** Earliest armed deadline — what the event loop's wait timeout should
-    be derived from.  [None] when nothing is armed (the loop may block
-    indefinitely on IO).  May report early (never late) right after a
-    cancellation, until the affected slot is next traversed. *)
+(** Earliest deadline — what the event loop's wait timeout should be
+    derived from.  [None] when nothing is armed (the loop may block
+    indefinitely on IO).  Never later than the earliest armed deadline;
+    after a cancellation it may be earlier, but never earlier than the
+    earliest deadline still stored (a cancelled entry is stored until
+    it is purged).  Allocates nothing. *)
 
 val advance : 'a t -> now:float -> 'a list
 (** Move the cursor to [now] and return the payloads of every timer

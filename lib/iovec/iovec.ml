@@ -1,7 +1,7 @@
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type slice = { buf : bigstring; mutable off : int; mutable len : int }
+type slice = { mutable buf : bigstring; mutable off : int; mutable len : int }
 
 external stub_writev : Unix.file_descr -> slice array -> int -> int
   = "flash_iovec_writev"
@@ -50,6 +50,8 @@ let advance slices n =
     slices;
   if !left > 0 then invalid_arg "Iovec.advance: count exceeds slices"
 
-let writev fd slices =
-  let n = Array.length slices in
-  if n = 0 then 0 else stub_writev fd slices (min n max_iovecs)
+let writev_prefix fd slices n =
+  let n = min n (Array.length slices) in
+  if n <= 0 then 0 else stub_writev fd slices (min n max_iovecs)
+
+let writev fd slices = writev_prefix fd slices (Array.length slices)

@@ -12,8 +12,9 @@ type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** A window into a buffer.  [off]/[len] are advanced in place as bytes
-    drain, so a partial write resumes without re-slicing. *)
-type slice = { buf : bigstring; mutable off : int; mutable len : int }
+    drain, so a partial write resumes without re-slicing; a queue that
+    owns its slices reuses them for other windows. *)
+type slice = { mutable buf : bigstring; mutable off : int; mutable len : int }
 
 (** Most slices a single {!writev} call will submit; longer gathers are
     sent over several calls. *)
@@ -49,6 +50,10 @@ val advance : slice array -> int -> unit
     [len < 0] or [off + len] past the buffer's length, as for a slice
     over an {!unmap}ped buffer). *)
 val writev : Unix.file_descr -> slice array -> int
+
+(** [writev_prefix fd slices n] is {!writev} of the first [n] slices, so
+    a caller can gather into an array it reuses. *)
+val writev_prefix : Unix.file_descr -> slice array -> int -> int
 
 (** {1 Mappings}
 

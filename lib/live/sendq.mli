@@ -11,15 +11,26 @@
     never re-submitted and strings are never re-sliced.  The queue is
     transport-agnostic: {!gather} exposes the leading slices for a
     [writev] and {!advance} consumes whatever the write accepted, so
-    the same logic is testable without sockets. *)
+    the same logic is testable without sockets; {!writev} does both
+    over a socket.
+
+    The queue owns its slice records, a ring reused as slices drain,
+    and gathers into an array it reuses: queueing and sending a
+    response allocate nothing but what {!push_string} copies. *)
 
 type t
 
 val create : unit -> t
 val is_empty : t -> bool
 
-(** Queue a slice; zero-length slices are dropped. *)
+(** Queue a slice's window (the queue copies it into a slice of its
+    own); zero-length slices are dropped. *)
 val push_slice : t -> Iovec.slice -> unit
+
+(** Queue [buf[off, off + len)], as {!push_body} would a slice of it.
+    @raise Invalid_argument when the window is not inside [buf]. *)
+val push_buffer :
+  t -> Iovec.bigstring -> off:int -> len:int -> File_cache.lease option -> unit
 
 (** Queue a slice of a cached body.  With [Some lease] the queued
     slice takes a lease on the body, ended when the slice is popped or
@@ -35,6 +46,16 @@ val push_string : t -> string -> int
 (** The leading slices (up to [Iovec.max_iovecs]).  The array aliases
     the queued slices: advancing them advances the queue's view. *)
 val gather : t -> Iovec.slice array
+
+(** One [writev] of the leading slices (up to [Iovec.max_iovecs]),
+    gathered into the queue's reused array, then {!advance} by what the
+    kernel took.  Returns the bytes written; raises as {!Iovec.writev}
+    does. *)
+val writev : t -> Unix.file_descr -> int
+
+(** Whether the last {!writev} wrote every byte it gathered ([false]:
+    the socket's buffer filled). *)
+val wrote_all : t -> bool
 
 (** Consume [n] bytes from the leading slices, popping the ones fully
     sent (a popped body slice ends its lease).  [n] must not exceed the

@@ -133,7 +133,12 @@ type conn = {
   key : int;
   peer : string;  (* peer address (no port): the guard's ledger key *)
   loop : loop;  (* the event loop that owns this connection *)
+  (* Request bytes read but not yet parsed: a head split across reads,
+     or pipelined requests behind the one in flight.  Empty in the
+     common case, where a read is parsed where it landed.  The first
+     [scanned] bytes are known to start no head end. *)
   mutable inbuf : string;
+  mutable scanned : int;
   outq : Sendq.t;
   mutable state : conn_state;
   mutable close_after_flush : bool;
@@ -169,6 +174,7 @@ type conn = {
   mutable xfer_mark : int;  (* sent+recv at the last transfer check *)
   (* Tracing state for the request in flight (all None with --no-trace). *)
   mutable trace : Obs.Trace.trace option;
+  mutable spare : Obs.Trace.trace option;  (* the last one, for reuse *)
   mutable parse_span : Obs.Trace.span option;
   mutable work_span : Obs.Trace.span option;  (* inline disk read / CGI *)
   mutable write_span : Obs.Trace.span option;
@@ -382,24 +388,23 @@ let log = Logs.Src.create "flash.live" ~doc:"Flash live server"
 
 module Log = (val Logs.src_log log : Logs.LOG)
 
+(* The lock helpers.  A critical section on a request's path (a
+   counter bump, a histogram record) takes the mutex inline instead:
+   its body cannot raise, and a closure per call is allocation the hit
+   path need not pay. *)
 let with_cache_lock t f =
-  match t.cache_lock with
-  | Some m ->
-      Mutex.lock m;
-      Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-  | None -> f ()
+  match t.cache_lock with Some m -> Mutex.protect m f | None -> f ()
 
-let with_obs_lock t f =
-  Mutex.lock t.obs_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.obs_mutex) f
+let with_obs_lock t f = Mutex.protect t.obs_mutex f
 
 let status_class_names = [| "2xx"; "3xx"; "4xx"; "5xx" |]
 
 (* Count a response by status class (2xx/3xx/4xx/5xx). *)
 let count_status t code =
   let cls = Stdlib.min 3 (Stdlib.max 0 ((code / 100) - 2)) in
-  with_obs_lock t (fun () ->
-      t.status_classes.(cls) <- t.status_classes.(cls) + 1)
+  Mutex.lock t.obs_mutex;
+  t.status_classes.(cls) <- t.status_classes.(cls) + 1;
+  Mutex.unlock t.obs_mutex
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder plumbing                                            *)
@@ -413,13 +418,20 @@ let count_status t code =
 let with_recorder t f =
   match t.recorder with
   | None -> None
-  | Some r ->
-      Mutex.lock t.recorder_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.recorder_mutex)
-        (fun () -> Some (f r))
+  | Some r -> Mutex.protect t.recorder_mutex (fun () -> Some (f r))
 
-let tick_recorder ?now t = ignore (with_recorder t (Obs.Recorder.tick ?now))
+(* A tick that closes a window runs the registry walk, which may raise;
+   the mutex is released either way. *)
+let tick_recorder ?now t =
+  match t.recorder with
+  | None -> ()
+  | Some r -> (
+      Mutex.lock t.recorder_mutex;
+      match Obs.Recorder.tick ?now r with
+      | () -> Mutex.unlock t.recorder_mutex
+      | exception e ->
+          Mutex.unlock t.recorder_mutex;
+          raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Request-lifecycle tracing                                           *)
@@ -448,17 +460,38 @@ let open_request t conn =
           let tr = Obs.Trace.start tracer ~at:conn.accepted_at () in
           Obs.Trace.add_span tracer ~track ~name:"accept"
             ~start:conn.accepted_at ~stop:conn.accepted_at tr;
+          conn.trace <- Some tr;
           tr
         end
         else begin
-          let tr = Obs.Trace.start tracer ~at:now () in
+          (* The connection's last trace is in the ring by now: reuse
+             its storage, and its [Some]. *)
+          let tr =
+            match conn.spare with
+            | Some tr ->
+                Obs.Trace.restart tracer tr ~at:now;
+                conn.trace <- conn.spare;
+                tr
+            | None ->
+                let tr = Obs.Trace.start tracer ~at:now () in
+                conn.trace <- Some tr;
+                tr
+          in
           Obs.Trace.instant tracer tr ~track ~at:now "keepalive-reuse";
           tr
         end
       in
-      conn.trace <- Some tr;
       conn.parse_span <-
         Some (Obs.Trace.begin_span tracer tr ~track ~at:now "parse")
+
+(* "GET /path": one allocation. *)
+let request_label meth target =
+  let m = String.length meth and n = String.length target in
+  let b = Bytes.create (m + 1 + n) in
+  Bytes.blit_string meth 0 b 0 m;
+  Bytes.set b m ' ';
+  Bytes.blit_string target 0 b (m + 1) n;
+  Bytes.unsafe_to_string b
 
 (* The head parsed at [req_start]: the parse span ends there, and the
    trace takes the request's label ("bad-request" for [None]). *)
@@ -473,10 +506,18 @@ let end_parse_span t conn (req : Http.Request.t option) =
       Obs.Trace.relabel tr
         (match req with
         | Some req ->
-            Http.Request.meth_to_string req.Http.Request.meth
-            ^ " " ^ req.Http.Request.raw_target
+            request_label
+              (Http.Request.meth_to_string req.Http.Request.meth)
+              req.Http.Request.raw_target
         | None -> "bad-request")
   | _ -> ()
+
+let end_span_opt t = function
+  | Some sp -> (
+      match t.tracer with
+      | Some tracer -> Obs.Trace.end_span tracer sp
+      | None -> ())
+  | None -> ()
 
 let begin_work_span t conn name =
   match (t.tracer, conn.trace) with
@@ -522,7 +563,10 @@ let finish_request ?(closing = false) t conn =
         | None -> ());
         if closing || conn.close_after_flush then
           Obs.Trace.instant tracer tr ~track:conn.loop.track ~at "close";
-        with_obs_lock t (fun () -> Obs.Trace.complete tracer ~at tr);
+        Mutex.lock t.obs_mutex;
+        Obs.Trace.complete tracer ~at tr;
+        Mutex.unlock t.obs_mutex;
+        conn.spare <- conn.trace;
         conn.trace <- None;
         conn.parse_span <- None;
         conn.work_span <- None;
@@ -578,8 +622,9 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
    begins and the flight recorder checks its window. *)
 let record_latency t conn =
   let now = Unix.gettimeofday () in
-  with_obs_lock t (fun () ->
-      Obs.Histogram.record t.latency (now -. conn.req_start));
+  Mutex.lock t.obs_mutex;
+  Obs.Histogram.record t.latency (now -. conn.req_start);
+  Mutex.unlock t.obs_mutex;
   (match t.tracer with
   | Some tracer -> (
       close_work_span tracer ~at:now conn;
@@ -1072,12 +1117,14 @@ let register_metrics t =
 (* ------------------------------------------------------------------ *)
 
 (* Send-path accounting, all modes. *)
-let count_send ?(sent = 0) t ~writev ~copied =
-  if writev <> 0 || copied <> 0 || sent <> 0 then
-    with_obs_lock t (fun () ->
-        Obs.Counter.add t.writev_calls writev;
-        Obs.Counter.add t.bytes_copied copied;
-        Obs.Counter.add t.bytes_sent sent)
+let count_send t ~writev ~copied ~sent =
+  if writev <> 0 || copied <> 0 || sent <> 0 then begin
+    Mutex.lock t.obs_mutex;
+    Obs.Counter.add t.writev_calls writev;
+    Obs.Counter.add t.bytes_copied copied;
+    Obs.Counter.add t.bytes_sent sent;
+    Mutex.unlock t.obs_mutex
+  end
 
 (* Strings (error bodies, status/trace payloads, CGI chunks, per-request
    headers) enter the send queue by being copied once into an off-heap
@@ -1085,9 +1132,10 @@ let count_send ?(sent = 0) t ~writev ~copied =
    their header and body slices come straight from the cache entry. *)
 let enqueue_string t conn s =
   let copied = Sendq.push_string conn.outq s in
-  count_send t ~writev:0 ~copied
+  count_send t ~writev:0 ~copied ~sent:0
 
-let enqueue_slice conn buf = Sendq.push_slice conn.outq (Iovec.slice buf)
+let enqueue_slice conn buf =
+  Sendq.push_buffer conn.outq buf ~off:0 ~len:(Bigarray.Array1.dim buf) None
 
 let render_header ?last_modified ?(extra = []) t ~status ~content_type
     ~content_length ~keep =
@@ -1256,7 +1304,8 @@ let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
   count_send t ~writev:0
     ~copied:
       (body_copied + String.length hk + String.length hc
-      + String.length h304k + String.length h304c);
+      + String.length h304k + String.length h304c)
+    ~sent:0;
   {
     File_cache.body;
     mapped;
@@ -1284,6 +1333,13 @@ let unhold (e : File_cache.entry) =
 let held found =
   Option.iter hold found;
   found
+
+(* A hit, leased. *)
+let find_held t full =
+  match t.cache_lock with
+  | None -> held (File_cache.find_trusted t.cache full)
+  | Some m ->
+      Mutex.protect m (fun () -> held (File_cache.find_trusted t.cache full))
 
 (* Whether a body joins the cache.  A larger one is built and sent the
    same way, and leaves memory at its last send. *)
@@ -1450,6 +1506,21 @@ let negotiate_entry t (req : Http.Request.t) ~full entry =
     | None -> entry
   else entry
 
+(* A response counted by status, and logged when there is a log. *)
+let note_response t conn ~full ~meth ~target status ~bytes =
+  count_status t status;
+  if t.log_channel <> None then
+    log_access ~conn ~path:full t ~meth ~target ~status ~bytes
+
+(* A placeholder for the entity-tag of a request that carries none to
+   compare: parsing the entry's own is work a plain GET need not do. *)
+let no_etag = { Http.Etag.weak = false; opaque = "" }
+
+let compares_etags (req : Http.Request.t) =
+  Http.Request.header req "if-match" <> None
+  || Http.Request.header req "if-none-match" <> None
+  || Http.Request.header req "if-range" <> None
+
 (* The single dispatch point for serving a file, in every mode: evaluate
    conditionals and the Range field against the selected
    representation's validators, then take the path the plan names.  An
@@ -1464,11 +1535,8 @@ let enqueue_response t conn (req : Http.Request.t) ~full
   let meth = Http.Request.meth_to_string req.Http.Request.meth in
   let etag = e.File_cache.etag and mtime = e.File_cache.mtime in
   let size = File_cache.body_length e in
-  let note status ~bytes =
-    count_status t status;
-    log_access ~conn ~path:full t ~meth ~target ~status ~bytes
-  in
-  match plan_for ~req ~etag:(etag_of_string etag) ~mtime ~size with
+  let parsed = if compares_etags req then etag_of_string etag else no_etag in
+  match plan_for ~req ~etag:parsed ~mtime ~size with
   | P_precondition_failed ->
       enqueue_error t conn Http.Status.Precondition_failed ~keep ~head_only
         ~target ~meth
@@ -1477,21 +1545,22 @@ let enqueue_response t conn (req : Http.Request.t) ~full
         ~target ~meth
         ~extra:[ ("Content-Range", Http.Range.content_range_unsatisfied ~size) ]
   | P_not_modified ->
-      note 304 ~bytes:0;
+      note_response t conn ~full ~meth ~target 304 ~bytes:0;
       enqueue_slice conn
         (if keep then e.File_cache.header_304_keep
          else e.File_cache.header_304_close);
       response_queued t conn ~keep
   | P_full ->
-      note 200 ~bytes:(if head_only then 0 else size);
+      note_response t conn ~full ~meth ~target 200
+        ~bytes:(if head_only then 0 else size);
       enqueue_slice conn
         (if keep then e.File_cache.header_keep else e.File_cache.header_close);
       if not head_only then
-        Sendq.push_body conn.outq (Iovec.slice e.File_cache.body)
+        Sendq.push_buffer conn.outq e.File_cache.body ~off:0 ~len:size
           e.File_cache.mapped;
       response_queued t conn ~keep
   | P_slice (off, len) ->
-      note 206 ~bytes:len;
+      note_response t conn ~full ~meth ~target 206 ~bytes:len;
       let extra =
         [
           ("Content-Range", Http.Range.content_range ~off ~len ~size);
@@ -1508,8 +1577,7 @@ let enqueue_response t conn (req : Http.Request.t) ~full
            ~last_modified:mtime ~extra
            ~content_type:(Some (Http.Mime.of_path full))
            ~content_length:(Some len) ~keep);
-      Sendq.push_body conn.outq
-        (Iovec.slice ~off ~len e.File_cache.body)
+      Sendq.push_buffer conn.outq e.File_cache.body ~off ~len
         e.File_cache.mapped;
       response_queued t conn ~keep
 
@@ -1649,17 +1717,12 @@ let process_request t conn (req : Http.Request.t) =
                    ~at:conn.req_start "resolve")
           | _ -> None
         in
-        let end_resolve () =
-          match (t.tracer, resolve_sp) with
-          | Some tracer, Some sp -> Obs.Trace.end_span tracer sp
-          | _ -> ()
-        in
         match resolve t req with
         | Error status ->
-            end_resolve ();
+            end_span_opt t resolve_sp;
             enqueue_error t conn status ~keep ~head_only
         | Ok path when is_cgi path ->
-            end_resolve ();
+            end_span_opt t resolve_sp;
             let cgi_full =
               match t.guard with
               | Some g -> (
@@ -1683,12 +1746,9 @@ let process_request t conn (req : Http.Request.t) =
             end
         | Ok path -> (
             let full = t.config.docroot ^ path in
-            match
-              with_cache_lock t (fun () ->
-                  held (File_cache.find_trusted t.cache full))
-            with
+            match find_held t full with
             | Some entry ->
-                end_resolve ();
+                end_span_opt t resolve_sp;
                 (* Attribute the hit when a prefetch put this entry
                    here before any client asked for it. *)
                 (match t.warm with
@@ -1698,7 +1758,7 @@ let process_request t conn (req : Http.Request.t) =
                 | _ -> ());
                 serve_entry t conn req ~full entry ~keep
             | None -> (
-                end_resolve ();
+                end_span_opt t resolve_sp;
                 match t.helper with
                 | Some _ when fill_resident t conn req full ~keep -> ()
                 | Some helper -> (
@@ -1739,55 +1799,69 @@ let process_request t conn (req : Http.Request.t) =
                       ~refused:Http.Status.Forbidden)))
       end)
 
-let rec try_parse t conn =
-  if conn.state = Reading && conn.inbuf <> "" then begin
-    if Float.is_nan conn.head_start then open_request t conn;
-    (* Slow-header defense: from the first byte of a request head, the
-       rest must arrive within the deadline.  One one-shot timer per
-       head; cancelled the moment the head parses (or fails to). *)
-    (match t.guard with
-    | Some g
-      when conn.hdr_timer = None && (Guard.config g).Guard.header_deadline > 0.
-      ->
-        conn.hdr_timer <-
-          Some
-            (Evio.Timer_wheel.schedule conn.loop.wheel
-               ~at:(Unix.gettimeofday () +. (Guard.config g).Guard.header_deadline)
-               (T_hdr conn))
-    | _ -> ());
-    match Http.Request.parse conn.inbuf with
-    | Http.Request.Incomplete -> ()
-    | Http.Request.Bad _ ->
-        conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
-        conn.inbuf <- "";
-        conn.req_start <- Unix.gettimeofday ();
-        end_parse_span t conn None;
-        t.n_requests <- t.n_requests + 1;
-        enqueue_error t conn Http.Status.Bad_request ~keep:false
-          ~head_only:false
-    | Http.Request.Complete (req, consumed) ->
-        conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
-        conn.inbuf <-
-          String.sub conn.inbuf consumed (String.length conn.inbuf - consumed);
-        conn.req_start <- Unix.gettimeofday ();
-        end_parse_span t conn (Some req);
-        let rate_verdict =
-          match t.guard with
-          | Some g -> Guard.on_request g ~peer:conn.peer
-          | None -> Guard.Admit
-        in
-        (match rate_verdict with
-        | Guard.Reject _ ->
-            (* Over the per-peer rate cap (the guard counted the shed):
-               429 with advice, and drop the connection so a looping
-               client can't ride keep-alive. *)
-            t.n_requests <- t.n_requests + 1;
-            enqueue_error ~extra:(guard_retry t) t conn
-              Http.Status.Too_many_requests ~keep:false ~head_only:false
-        | Guard.Admit -> process_request t conn req);
-        (* Pipelined requests are handled once the response drains. *)
-        if Sendq.is_empty conn.outq then try_parse t conn
-  end
+(* Parse the head at the front of [src[0, len)]: [conn.inbuf], or, when
+   nothing was pending, the loop's scratch straight after the read, so
+   a request that arrives whole is parsed where it landed.  Whatever the
+   parse leaves (a partial head, pipelined requests) moves to
+   [conn.inbuf]. *)
+let rec parse_from t conn src len ~pending =
+  if Float.is_nan conn.head_start then open_request t conn;
+  (* Slow-header defense: from the first byte of a request head, the
+     rest must arrive within the deadline.  One one-shot timer per
+     head; cancelled the moment the head parses (or fails to). *)
+  (match t.guard with
+  | Some g
+    when conn.hdr_timer = None && (Guard.config g).Guard.header_deadline > 0.
+    ->
+      conn.hdr_timer <-
+        Some
+          (Evio.Timer_wheel.schedule conn.loop.wheel
+             ~at:(Unix.gettimeofday () +. (Guard.config g).Guard.header_deadline)
+             (T_hdr conn))
+  | _ -> ());
+  let from = if pending then conn.scanned else 0 in
+  match Http.Request.parse_sub src ~pos:0 ~len ~from with
+  | Http.Request.Incomplete ->
+      if not pending then conn.inbuf <- String.sub src 0 len;
+      (* Every offset but the last two is decided. *)
+      conn.scanned <- Stdlib.max 0 (len - 2)
+  | Http.Request.Bad _ ->
+      conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
+      conn.inbuf <- "";
+      conn.scanned <- 0;
+      conn.req_start <- Unix.gettimeofday ();
+      end_parse_span t conn None;
+      t.n_requests <- t.n_requests + 1;
+      enqueue_error t conn Http.Status.Bad_request ~keep:false
+        ~head_only:false
+  | Http.Request.Complete (req, consumed) ->
+      conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
+      conn.inbuf <-
+        (if consumed = len then ""
+         else String.sub src consumed (len - consumed));
+      conn.scanned <- 0;
+      conn.req_start <- Unix.gettimeofday ();
+      if t.tracer <> None then end_parse_span t conn (Some req);
+      let rate_verdict =
+        match t.guard with
+        | Some g -> Guard.on_request g ~peer:conn.peer
+        | None -> Guard.Admit
+      in
+      (match rate_verdict with
+      | Guard.Reject _ ->
+          (* Over the per-peer rate cap (the guard counted the shed):
+             429 with advice, and drop the connection so a looping
+             client can't ride keep-alive. *)
+          t.n_requests <- t.n_requests + 1;
+          enqueue_error ~extra:(guard_retry t) t conn
+            Http.Status.Too_many_requests ~keep:false ~head_only:false
+      | Guard.Admit -> process_request t conn req);
+      (* Pipelined requests are handled once the response drains. *)
+      if Sendq.is_empty conn.outq then try_parse t conn
+
+and try_parse t conn =
+  if conn.state = Reading && conn.inbuf <> "" then
+    parse_from t conn conn.inbuf (String.length conn.inbuf) ~pending:true
 
 (* ------------------------------------------------------------------ *)
 (* Connection IO                                                       *)
@@ -1846,10 +1920,10 @@ let close_conn t conn =
     sync_listen t lp
   end
 
-(* The head-request buffer: reads land in the loop's scratch and
-   append to [inbuf], so an idle connection holds no read buffer.  The
-   cap bounds parse-buffer growth against a client streaming junk or
-   very deep pipelines. *)
+(* Reads land in the loop's scratch, so an idle connection holds no
+   read buffer: one that arrives with nothing pending is parsed there,
+   and only bytes left over join [inbuf].  The cap bounds parse-buffer
+   growth against a client streaming junk or very deep pipelines. *)
 let max_inbuf = 262144
 
 let handle_readable t conn =
@@ -1859,9 +1933,17 @@ let handle_readable t conn =
   | n ->
       conn.last_active <- conn.loop.now;
       conn.recv_bytes <- conn.recv_bytes + n;
-      conn.inbuf <- conn.inbuf ^ Bytes.sub_string buf 0 n;
-      if String.length conn.inbuf > max_inbuf then close_conn t conn
-      else try_parse t conn
+      let have = String.length conn.inbuf in
+      if have = 0 then
+        parse_from t conn (Bytes.unsafe_to_string buf) n ~pending:false
+      else if have + n > max_inbuf then close_conn t conn
+      else begin
+        let joined = Bytes.create (have + n) in
+        Bytes.blit_string conn.inbuf 0 joined 0 have;
+        Bytes.blit buf 0 joined have n;
+        conn.inbuf <- Bytes.unsafe_to_string joined;
+        try_parse t conn
+      end
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn t conn
 
@@ -1877,13 +1959,10 @@ let handle_writable t conn =
   let progress = ref true in
   (try
      while !progress && not (Sendq.is_empty conn.outq) do
-       let slices = Sendq.gather conn.outq in
-       let total = Iovec.total_length slices in
-       let n = Iovec.writev conn.fd slices in
+       let n = Sendq.writev conn.outq conn.fd in
        count_send t ~writev:1 ~copied:0 ~sent:n;
-       Sendq.advance conn.outq n;
        conn.sent_bytes <- conn.sent_bytes + n;
-       if n < total then progress := false
+       if not (Sendq.wrote_all conn.outq) then progress := false
      done
    with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -2135,6 +2214,7 @@ let adopt_fd t lp fd addr =
       peer;
       loop = lp;
       inbuf = "";
+      scanned = 0;
       outq = Sendq.create ();
       state = Reading;
       close_after_flush = false;
@@ -2157,6 +2237,7 @@ let adopt_fd t lp fd addr =
       recv_bytes = 0;
       xfer_mark = 0;
       trace = None;
+      spare = None;
       parse_span = None;
       work_span = None;
       write_span = None;
@@ -2268,6 +2349,7 @@ let handle_timer t lp ~now ev =
       if conn.alive && conn.state = Reading && conn.inbuf <> "" then begin
         guard_shed t Guard.Slow_header;
         conn.inbuf <- "";
+        conn.scanned <- 0;
         t.n_requests <- t.n_requests + 1;
         enqueue_error t conn Http.Status.Request_timeout ~keep:false
           ~head_only:false;
@@ -2427,17 +2509,18 @@ let handle_timer t lp ~now ev =
       | Mp_none | Mp_parent _ -> ())
 
 let dispatch_event t lp (ev : Evio.event) =
-  match Hashtbl.find_opt lp.fd_owners ev.Evio.fd with
-  | None -> ()  (* closed while an earlier event in this batch ran *)
-  | Some O_listen -> if ev.Evio.readable then accept_all t lp
-  | Some O_wake ->
+  match Hashtbl.find lp.fd_owners ev.Evio.fd with
+  | exception Not_found ->
+      ()  (* closed while an earlier event in this batch ran *)
+  | O_listen -> if ev.Evio.readable then accept_all t lp
+  | O_wake ->
       (* Only [stop] writes here, and its byte stays in the pipe:
          level-triggered readiness then rouses every loop watching it,
          not just the first to wake, and each leaves its turn to find
          [stopped] set. *)
       ()
-  | Some O_helper -> handle_helper_completions t
-  | Some (O_report m) ->
+  | O_helper -> handle_helper_completions t
+  | O_report m ->
       (* An EOF'd pipe stays readable: stop watching it, or a dead
          child would spin this loop. *)
       ignore (drain_reports t);
@@ -2445,7 +2528,7 @@ let dispatch_event t lp (ev : Evio.event) =
         Evio.Backend.deregister lp.evio m.input;
         Hashtbl.remove lp.fd_owners m.input
       end
-  | Some (O_client conn) ->
+  | O_client conn ->
       if conn.alive then begin
         if ev.Evio.readable && conn.state = Reading then
           handle_readable t conn;
@@ -2455,13 +2538,19 @@ let dispatch_event t lp (ev : Evio.event) =
         then handle_writable t conn;
         sync_conn t conn
       end
-  | Some (O_cgi conn) -> (
+  | O_cgi conn -> (
       if conn.alive then
         match conn.state with
         | Streaming_cgi (fd, pid) ->
             handle_cgi_readable t conn fd pid;
             sync_conn t conn
         | Reading | Waiting_helper _ -> ())
+
+let rec dispatch_all t lp = function
+  | [] -> ()
+  | ev :: rest ->
+      dispatch_event t lp ev;
+      dispatch_all t lp rest
 
 (* An MP child's one write: its whole walk and the traces its ring took
    since the mark [reported] (a past [Obs.Trace.completed]), at most a
@@ -2571,16 +2660,16 @@ let run_loop t lp =
        wait, so there is no fixed tick. *)
     let wait_start = !turn_end in
     let timeout =
-      Option.map
-        (fun d -> Float.max 0. (d -. wait_start))
-        (Evio.Timer_wheel.next_deadline lp.wheel)
+      match Evio.Timer_wheel.next_deadline lp.wheel with
+      | None -> None
+      | Some d -> Some (Float.max 0. (d -. wait_start))
     in
     let events = Evio.Backend.wait lp.evio ~timeout in
     let now = Unix.gettimeofday () in
     lp.now <- now;
     Obs.Loopstat.wake lp.stat ~waited:(now -. wait_start)
       ~ready:(List.length events);
-    List.iter (dispatch_event t lp) events;
+    dispatch_all t lp events;
     let fired = Evio.Timer_wheel.advance lp.wheel ~now in
     (match fired with
     | [] -> ()
@@ -2634,24 +2723,70 @@ let run_mp_child t out =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Release one instance's resources.  Only called once its loop has
+   exited (loop thread joined / domain joined). *)
+let teardown t =
+  (match t.helper with Some h -> Helper.shutdown h | None -> ());
+  (* MT workers watch the wake pipe, so the stop byte already roused
+     them. *)
+  List.iter (fun th -> try Thread.join th with _ -> ()) t.worker_threads;
+  (* Every loop has closed its connections; the cache's leases are the
+     last, and ending them unmaps what it held. *)
+  with_cache_lock t (fun () -> File_cache.clear t.cache);
+  Evio.Backend.close t.main.evio;
+  close_quietly t.listen_fd;
+  (match t.log_channel with Some oc -> close_out_noerr oc | None -> ());
+  (match t.slow_channel with Some oc -> close_out_noerr oc | None -> ());
+  (match t.mp with
+  | Mp_parent { members; _ } ->
+      List.iter
+        (fun m -> try Unix.close m.input with Unix.Unix_error _ -> ())
+        members
+  | Mp_none | Mp_child _ -> ());
+  close_quietly t.wake_read;
+  close_quietly t.wake_write
+
+(* Run [build], which registers an undo action for each resource it
+   acquires; if it raises, the actions run newest first and the
+   exception is re-raised, so a failed start leaves nothing open. *)
+let with_undo build =
+  let undo = ref [] in
+  match build (fun f -> undo := f :: !undo) with
+  | v -> v
+  | exception e ->
+      List.iter (fun f -> try f () with _ -> ()) !undo;
+      raise e
+
+let open_log =
+  Option.map (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
+
 (* Start one server instance.  [listen] says how it gets its listen
    socket: [`Bind] (the standalone path — bind config.port here),
    [`Fd (fd, port)] (a shard's pre-bound reuseport listener), [`None
    port] (the sharded coordinator, which accepts nothing: the
    placeholder socket is never bound or watched, it just gives [stop]
    something to close).  [shared_budget]/[shared_cache_lock] wire
-   budget-sharing shards to one pool and one cache lock. *)
+   budget-sharing shards to one pool and one cache lock.  A start
+   that raises leaves nothing open, except a [`Fd] listener, which
+   stays the caller's to close. *)
 let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
     ?shared_cache_lock config =
+  with_undo @@ fun on_failure ->
   (* A peer closing mid-write must surface as EPIPE, not kill the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd, bound_port, owns_listen =
     match listen with
     | `Fd (fd, port) -> (fd, port, true)
-    | `None port -> (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0, port, false)
+    | `None port ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        on_failure (fun () -> close_quietly fd);
+        (fd, port, false)
     | `Bind ->
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        on_failure (fun () -> close_quietly fd);
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.port));
         Unix.listen fd 128;
@@ -2663,6 +2798,9 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         (fd, p, true)
   in
   let wake_read, wake_write = Unix.pipe () in
+  on_failure (fun () ->
+      close_quietly wake_read;
+      close_quietly wake_write);
   Unix.set_nonblock wake_read;
   let wants_helper =
     match (config.mode, role) with
@@ -2678,6 +2816,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
            ~helpers:(max 1 config.helpers) ())
     else None
   in
+  Option.iter (fun h -> on_failure (fun () -> Helper.shutdown h)) helper;
   (* Every mode accepts through a readiness backend now, so the listen
      fd is nonblocking everywhere (a connection that vanishes between
      readiness and accept must yield EAGAIN, not a hang). *)
@@ -2695,6 +2834,11 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         | Shard_member id -> Printf.sprintf "shard-%d" id
         | Standalone | Shard_coordinator -> "main-loop")
   in
+  on_failure (fun () -> Evio.Backend.close main.evio);
+  let log_channel = open_log config.access_log in
+  Option.iter (fun oc -> on_failure (fun () -> close_out_noerr oc)) log_channel;
+  let slow_channel = open_log config.slow_request_log in
+  Option.iter (fun oc -> on_failure (fun () -> close_out_noerr oc)) slow_channel;
   let budget =
     match (shared_budget, role) with
     | Some b, _ -> Some b
@@ -2785,10 +2929,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       n_requests = 0;
       n_connections = 0;
       n_errors = 0;
-      log_channel =
-        Option.map
-          (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
-          config.access_log;
+      log_channel;
       mp = Mp_none;
       stats_mutex = Mutex.create ();
       cache_mutex;
@@ -2812,10 +2953,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
              (Obs.Trace.create ~clock:Unix.gettimeofday
                 ~capacity:(max 1 config.trace_capacity) ())
          else None);
-      slow_channel =
-        Option.map
-          (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
-          config.slow_request_log;
+      slow_channel;
       started_at = Unix.gettimeofday ();
       worker_threads = [];
       accept_emfile = Obs.Counter.create ();
@@ -2951,12 +3089,22 @@ let start_sharded config n =
       raise e
   in
   let port = snd (List.hd listeners) in
+  (* A shard that started owns its listener, and tearing it down closes
+     it; the listeners of shards not yet started are closed here. *)
+  with_undo @@ fun on_failure ->
+  let unowned = ref (List.map fst listeners) in
+  on_failure (fun () -> List.iter close_quietly !unowned);
   let shards =
     Array.of_list
       (List.mapi
          (fun i listener ->
-           start_one ~role:(Shard_member i) ~listen:(`Fd listener)
-             ?shared_budget ?shared_cache_lock config)
+           let sh =
+             start_one ~role:(Shard_member i) ~listen:(`Fd listener)
+               ?shared_budget ?shared_cache_lock config
+           in
+           unowned := List.tl !unowned;
+           on_failure (fun () -> teardown sh);
+           sh)
          listeners)
   in
   let coord = start_one ~role:Shard_coordinator ~listen:(`None port) config in
@@ -3001,29 +3149,6 @@ let shutdown_flag t =
   t.stopped <- true;
   try ignore (Unix.write t.wake_write (Bytes.of_string "x") 0 1)
   with Unix.Unix_error _ -> ()
-
-(* Release one instance's resources.  Only called once its loop has
-   exited (loop thread joined / domain joined). *)
-let teardown t =
-  (match t.helper with Some h -> Helper.shutdown h | None -> ());
-  (* MT workers watch the wake pipe, so the stop byte already roused
-     them. *)
-  List.iter (fun th -> try Thread.join th with _ -> ()) t.worker_threads;
-  (* Every loop has closed its connections; the cache's leases are the
-     last, and ending them unmaps what it held. *)
-  with_cache_lock t (fun () -> File_cache.clear t.cache);
-  Evio.Backend.close t.main.evio;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.log_channel with Some oc -> close_out_noerr oc | None -> ());
-  (match t.slow_channel with Some oc -> close_out_noerr oc | None -> ());
-  (match t.mp with
-  | Mp_parent { members; _ } ->
-      List.iter
-        (fun m -> try Unix.close m.input with Unix.Unix_error _ -> ())
-        members
-  | Mp_none | Mp_child _ -> ());
-  (try Unix.close t.wake_read with Unix.Unix_error _ -> ());
-  try Unix.close t.wake_write with Unix.Unix_error _ -> ()
 
 let stop t =
   if not t.stopped then begin

@@ -1,13 +1,17 @@
+(* The float accumulators live unboxed in [times] (wait, work, longest
+   turn), so recording a turn allocates nothing. *)
 type t = {
   threshold : float;
   mutable wakeups : int;
   mutable ready_fds : int;
-  mutable wait_time : float;
-  mutable work_time : float;
+  times : Float.Array.t;
   mutable timer_fires : int;
   mutable stalls : int;
-  mutable max_turn : float;
 }
+
+let i_wait = 0
+let i_work = 1
+let i_max = 2
 
 let create ~threshold =
   if not (threshold > 0.) then
@@ -16,29 +20,30 @@ let create ~threshold =
     threshold;
     wakeups = 0;
     ready_fds = 0;
-    wait_time = 0.;
-    work_time = 0.;
+    times = Float.Array.make 3 0.;
     timer_fires = 0;
     stalls = 0;
-    max_turn = 0.;
   }
+
+let add t i x = Float.Array.set t.times i (Float.Array.get t.times i +. x)
 
 let wake t ~waited ~ready =
   t.wakeups <- t.wakeups + 1;
   t.ready_fds <- t.ready_fds + ready;
-  t.wait_time <- t.wait_time +. Float.max 0. waited
+  add t i_wait (Float.max 0. waited)
 
 let work t ~spent =
   let spent = Float.max 0. spent in
-  t.work_time <- t.work_time +. spent;
-  if spent > t.max_turn then t.max_turn <- spent;
+  add t i_work spent;
+  if spent > Float.Array.get t.times i_max then
+    Float.Array.set t.times i_max spent;
   if spent > t.threshold then t.stalls <- t.stalls + 1
 
 let timers_fired t n = t.timer_fires <- t.timer_fires + n
 let wakeups t = t.wakeups
 let ready_fds t = t.ready_fds
-let wait_time t = t.wait_time
-let work_time t = t.work_time
+let wait_time t = Float.Array.get t.times i_wait
+let work_time t = Float.Array.get t.times i_work
 let timer_fires t = t.timer_fires
 let stalls t = t.stalls
-let max_turn t = t.max_turn
+let max_turn t = Float.Array.get t.times i_max

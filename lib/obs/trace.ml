@@ -15,26 +15,29 @@ type trace_data = {
   truncated : int;
 }
 
-type span = {
-  sp_name : string;
-  sp_track : string;
-  sp_start : float;
-  mutable sp_stop : float;  (* nan while open *)
-  sp_depth : int;
-  sp_dropped : bool;  (* over the per-trace bound: a no-op handle *)
-  sp_trace : trace;
-}
-
-and trace = {
-  tr_id : int;
+(* A trace in flight keeps its spans in arrays, grown when a longer
+   trace needs room: stamps unboxed in [tr_times] (the trace's start,
+   then start and stop per span, stop nan while open), names, tracks
+   and depths beside them, and the indices of the open spans as a
+   stack.  A span handle names its trace and index; handle [j] is made
+   the first time span [j] is begun and kept, so a trace reused with
+   {!restart} stamps its spans without allocating. *)
+type trace = {
+  mutable tr_id : int;
   mutable tr_label : string;
-  tr_start : float;
-  mutable tr_spans : span list;  (* reverse begin order *)
-  mutable tr_nspans : int;
+  mutable tr_times : float array;  (* flat: its stamps are unboxed *)
+  mutable tr_names : string array;
+  mutable tr_tracks : string array;
+  mutable tr_depths : int array;
+  mutable tr_stack : int array;
+  mutable tr_handles : span option array;
+  mutable tr_n : int;  (* spans kept *)
+  mutable tr_open : int;  (* height of [tr_stack] *)
   mutable tr_truncated : int;
-  mutable tr_open : span list;  (* stack, innermost first *)
   mutable tr_finished : bool;
 }
+
+and span = { sp_trace : trace; sp_index : int (* -1: over the bound *) }
 
 (* One ring entry, rewritten in place each time the ring wraps onto it.
    Nothing a finished trace allocated stays reachable from here: the
@@ -100,97 +103,124 @@ let capacity t = t.cap
 let max_spans t = t.span_cap
 let now t = t.clock ()
 
+(* A new trace has room for a keep-alive request's four spans; the
+   literals allocate inline, where [Array.make] calls the runtime. *)
 let start t ?at ?(label = "request") () =
+  let at = match at with Some a -> a | None -> t.clock () in
   {
     tr_id = Atomic.fetch_and_add t.next_id 1;
     tr_label = label;
-    tr_start = (match at with Some a -> a | None -> t.clock ());
-    tr_spans = [];
-    tr_nspans = 0;
+    tr_times = [| at; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0. |];
+    tr_names = [| ""; ""; ""; "" |];
+    tr_tracks = [| ""; ""; ""; "" |];
+    tr_depths = [| 0; 0; 0; 0 |];
+    tr_stack = [| 0; 0; 0; 0 |];
+    tr_handles = [| None; None; None; None |];
+    tr_n = 0;
+    tr_open = 0;
     tr_truncated = 0;
-    tr_open = [];
     tr_finished = false;
   }
+
+let restart t tr ~at =
+  if not tr.tr_finished then invalid_arg "Trace.restart: trace in flight";
+  tr.tr_id <- Atomic.fetch_and_add t.next_id 1;
+  tr.tr_label <- "request";
+  tr.tr_times.(0) <- at;
+  tr.tr_n <- 0;
+  tr.tr_open <- 0;
+  tr.tr_truncated <- 0;
+  tr.tr_finished <- false
 
 let id tr = tr.tr_id
 let label tr = tr.tr_label
 let relabel tr label = tr.tr_label <- label
+let[@inline] span_start tr j = tr.tr_times.(1 + (2 * j))
+let[@inline] span_stop tr j = tr.tr_times.(2 + (2 * j))
+let[@inline] set_stop tr j at = tr.tr_times.(2 + (2 * j)) <- at
 
-let dropped_span tr name track start =
-  {
-    sp_name = name;
-    sp_track = track;
-    sp_start = start;
-    sp_stop = start;
-    sp_depth = 0;
-    sp_dropped = true;
-    sp_trace = tr;
-  }
+let grow tr =
+  let cap = Array.length tr.tr_names in
+  let cap' = 2 * cap in
+  let extend a fill =
+    let b = Array.make cap' fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  let times = Array.make (1 + (2 * cap')) 0. in
+  Array.blit tr.tr_times 0 times 0 (1 + (2 * cap));
+  tr.tr_times <- times;
+  tr.tr_names <- extend tr.tr_names "";
+  tr.tr_tracks <- extend tr.tr_tracks "";
+  tr.tr_depths <- extend tr.tr_depths 0;
+  tr.tr_stack <- extend tr.tr_stack 0;
+  tr.tr_handles <- extend tr.tr_handles None
+
+(* Keep one more span; its index, or -1 past the per-trace bound (then
+   counted in [tr_truncated]). *)
+let push t tr ~name ~track ~start ~stop =
+  if tr.tr_finished then -1
+  else if tr.tr_n >= t.span_cap then begin
+    tr.tr_truncated <- tr.tr_truncated + 1;
+    -1
+  end
+  else begin
+    if tr.tr_n = Array.length tr.tr_names then grow tr;
+    let j = tr.tr_n in
+    tr.tr_n <- j + 1;
+    if tr.tr_names.(j) != name then tr.tr_names.(j) <- name;
+    if tr.tr_tracks.(j) != track then tr.tr_tracks.(j) <- track;
+    tr.tr_times.(1 + (2 * j)) <- start;
+    set_stop tr j stop;
+    tr.tr_depths.(j) <- tr.tr_open;
+    j
+  end
+
+let handle tr j =
+  match tr.tr_handles.(j) with
+  | Some h -> h
+  | None ->
+      let h = { sp_trace = tr; sp_index = j } in
+      tr.tr_handles.(j) <- Some h;
+      h
 
 let begin_span t tr ?track ?at name =
   let track = match track with Some s -> s | None -> t.track in
   let at = match at with Some a -> a | None -> t.clock () in
-  if tr.tr_finished || tr.tr_nspans >= t.span_cap then begin
-    if not tr.tr_finished then tr.tr_truncated <- tr.tr_truncated + 1;
-    dropped_span tr name track at
-  end
+  let j = push t tr ~name ~track ~start:at ~stop:Float.nan in
+  if j < 0 then { sp_trace = tr; sp_index = -1 }
   else begin
-    let sp =
-      {
-        sp_name = name;
-        sp_track = track;
-        sp_start = at;
-        sp_stop = Float.nan;
-        sp_depth = List.length tr.tr_open;
-        sp_dropped = false;
-        sp_trace = tr;
-      }
-    in
-    tr.tr_spans <- sp :: tr.tr_spans;
-    tr.tr_nspans <- tr.tr_nspans + 1;
-    tr.tr_open <- sp :: tr.tr_open;
-    sp
+    tr.tr_stack.(tr.tr_open) <- j;
+    tr.tr_open <- tr.tr_open + 1;
+    handle tr j
   end
 
 (* Closing a span closes any still-open spans begun inside it at the
    same instant, so begin/end pairs always produce well-nested
    intervals even when callers interleave ends out of order. *)
+(* The stack position of open span [j] at or below [k]; -1 if not
+   open. *)
+let rec stack_pos tr j k =
+  if k < 0 || tr.tr_stack.(k) = j then k else stack_pos tr j (k - 1)
+
 let end_span t ?at sp =
-  if (not sp.sp_dropped) && Float.is_nan sp.sp_stop then begin
+  let tr = sp.sp_trace and j = sp.sp_index in
+  if j >= 0 && Float.is_nan (span_stop tr j) then begin
     let at = match at with Some a -> a | None -> t.clock () in
-    let tr = sp.sp_trace in
-    if List.memq sp tr.tr_open then begin
-      let rec pop = function
-        | [] -> []
-        | s :: rest ->
-            if Float.is_nan s.sp_stop then s.sp_stop <- at;
-            if s == sp then rest else pop rest
-      in
-      tr.tr_open <- pop tr.tr_open
+    let k = stack_pos tr j (tr.tr_open - 1) in
+    if k < 0 then set_stop tr j at
+    else begin
+      for i = k to tr.tr_open - 1 do
+        let s = tr.tr_stack.(i) in
+        if Float.is_nan (span_stop tr s) then set_stop tr s at
+      done;
+      tr.tr_open <- k
     end
-    else sp.sp_stop <- at
   end
 
 let add_span t ?track ~name ~start ~stop tr =
   let track = match track with Some s -> s | None -> t.track in
-  if tr.tr_finished || tr.tr_nspans >= t.span_cap then begin
-    if not tr.tr_finished then tr.tr_truncated <- tr.tr_truncated + 1
-  end
-  else begin
-    let sp =
-      {
-        sp_name = name;
-        sp_track = track;
-        sp_start = start;
-        sp_stop = stop;
-        sp_depth = List.length tr.tr_open;
-        sp_dropped = false;
-        sp_trace = tr;
-      }
-    in
-    tr.tr_spans <- sp :: tr.tr_spans;
-    tr.tr_nspans <- tr.tr_nspans + 1
-  end
+  ignore (push t tr ~name ~track ~start ~stop)
 
 let instant t tr ?track ?at name =
   let at = match at with Some a -> a | None -> t.clock () in
@@ -235,14 +265,14 @@ let next_slot t n =
 
 (* A reused slot mostly gets the names and tracks it already holds, so
    the pointer test skips most write barriers. *)
-let set_span s j ~name ~track ~start ~stop ~depth =
+let[@inline] set_span s j ~name ~track ~start ~stop ~depth =
   if s.s_names.(j) != name then s.s_names.(j) <- name;
   if s.s_tracks.(j) != track then s.s_tracks.(j) <- track;
   Float.Array.set s.s_times (2 + (2 * j)) start;
   Float.Array.set s.s_times (3 + (2 * j)) stop;
   s.s_depths.(j) <- depth
 
-let fill_slot s ~id ~label ~t_begin ~t_end ~spans ~truncated =
+let[@inline] fill_slot s ~id ~label ~t_begin ~t_end ~spans ~truncated =
   s.s_id <- id;
   set_label s label;
   s.s_spans <- spans;
@@ -255,54 +285,51 @@ let advance t =
   if t.len < t.cap then t.len <- t.len + 1;
   t.n_completed <- t.n_completed + 1
 
-(* Span [j] is the [j]th begun; [tr_spans] lists them newest first. *)
-let rec copy_spans s t_end j = function
-  | [] -> ()
-  | sp :: rest ->
-      set_span s j ~name:sp.sp_name ~track:sp.sp_track ~start:sp.sp_start
-        ~stop:(if Float.is_nan sp.sp_stop then t_end else sp.sp_stop)
-        ~depth:sp.sp_depth;
-      copy_spans s t_end (j - 1) rest
-
-let rec stop_open at = function
-  | [] -> ()
-  | sp :: rest ->
-      if Float.is_nan sp.sp_stop then sp.sp_stop <- at;
-      stop_open at rest
-
 let complete t ?at tr =
   if not tr.tr_finished then begin
     let at = match at with Some a -> a | None -> t.clock () in
-    stop_open at tr.tr_open;
-    tr.tr_open <- [];
+    for i = 0 to tr.tr_open - 1 do
+      let j = tr.tr_stack.(i) in
+      if Float.is_nan (span_stop tr j) then set_stop tr j at
+    done;
+    tr.tr_open <- 0;
     tr.tr_finished <- true;
-    let n = tr.tr_nspans in
+    let n = tr.tr_n in
     let s = next_slot t n in
-    fill_slot s ~id:tr.tr_id ~label:tr.tr_label ~t_begin:tr.tr_start ~t_end:at
-      ~spans:n ~truncated:tr.tr_truncated;
-    copy_spans s at (n - 1) tr.tr_spans;
+    fill_slot s ~id:tr.tr_id ~label:tr.tr_label
+      ~t_begin:tr.tr_times.(0) ~t_end:at ~spans:n
+      ~truncated:tr.tr_truncated;
+    for j = 0 to n - 1 do
+      let stop = span_stop tr j in
+      set_span s j ~name:tr.tr_names.(j) ~track:tr.tr_tracks.(j)
+        ~start:(span_start tr j)
+        ~stop:(if Float.is_nan stop then at else stop)
+        ~depth:tr.tr_depths.(j)
+    done;
     advance t
   end
 
 let data_of_trace tr ~t_end =
-  let spans =
-    List.rev_map
-      (fun sp ->
-        {
-          name = sp.sp_name;
-          track = sp.sp_track;
-          t_start = sp.sp_start;
-          t_stop = (if Float.is_nan sp.sp_stop then t_end else sp.sp_stop);
-          depth = sp.sp_depth;
-        })
-      tr.tr_spans
+  let rec spans j acc =
+    if j < 0 then acc
+    else
+      let stop = span_stop tr j in
+      spans (j - 1)
+        ({
+           name = tr.tr_names.(j);
+           track = tr.tr_tracks.(j);
+           t_start = span_start tr j;
+           t_stop = (if Float.is_nan stop then t_end else stop);
+           depth = tr.tr_depths.(j);
+         }
+        :: acc)
   in
   {
     id = tr.tr_id;
     label = tr.tr_label;
-    t_begin = tr.tr_start;
+    t_begin = tr.tr_times.(0);
     t_end;
-    spans;
+    spans = spans (tr.tr_n - 1) [];
     truncated = tr.tr_truncated;
   }
 

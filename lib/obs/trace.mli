@@ -23,7 +23,8 @@
 
     A trace in flight belongs to one caller: {!start} draws its id from
     an atomic counter and the span calls touch only the trace, so they
-    need no lock.  Everything that reads or writes the ring ({!complete},
+    need no lock.  A trace keeps its spans in arrays (stamps unboxed),
+    not as a record per span.  Everything that reads or writes the ring ({!complete},
     {!finish}, {!ingest}, {!snapshot}, {!since}, the counters, {!reset})
     must be serialised by the caller (the live server takes its obs
     mutex).
@@ -84,6 +85,15 @@ val now : t -> float
 (** [start t ?at ?label ()] opens a trace beginning at [at] (default
     now) with a fresh id. *)
 val start : t -> ?at:float -> ?label:string -> unit -> trace
+
+(** [restart t tr ~at] opens a new trace in the storage of [tr], which
+    must be complete (its data is in the ring by then): a fresh id, the
+    label ["request"], no spans, beginning at [at].  The old trace's
+    span handles must not be used again.  A caller that traces one
+    request after another (a connection) reuses one trace this way, so
+    stamping its spans allocates nothing.
+    @raise Invalid_argument if [tr] is still in flight. *)
+val restart : t -> trace -> at:float -> unit
 
 val id : trace -> int
 val label : trace -> string

@@ -231,3 +231,81 @@ module Raw = struct
       lines;
     Buffer.contents b
 end
+
+(* ------------------------------------------------------------------ *)
+(* Process resources                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Open descriptors and threads of this process, read from /proc; [None]
+   where there is no /proc. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+let threads () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec find () =
+        match input_line ic with
+        | line when String.length line > 8 && String.sub line 0 8 = "Threads:"
+          ->
+            Some (int_of_string (String.trim (String.sub line 8 (String.length line - 8))))
+        | _ -> find ()
+        | exception End_of_file -> None
+      in
+      let n = find () in
+      close_in ic;
+      n
+
+(* A count once it has held still for 20 ms: threads and descriptors
+   an earlier test released may still be on their way out. *)
+let settled count =
+  let rec go last tries =
+    Thread.delay 0.02;
+    let now = count () in
+    if now = last || tries = 0 then now else go now (tries - 1)
+  in
+  go (count ()) 50
+
+(* A start that fails (here: an access log in a directory that does not
+   exist) must leave the process as it found it: no descriptor and no
+   thread left behind.  A count may fall meanwhile (something an
+   earlier test started finishing), never rise. *)
+let check_failed_start_leaks_nothing mode =
+  let docroot = Filename.get_temp_dir_name () in
+  let config =
+    {
+      (Flash_live.Server.default_config ~docroot) with
+      Flash_live.Server.mode;
+      port = 0;
+      access_log = Some "/nonexistent-flash-dir/sub/access.log";
+    }
+  in
+  (* The runtime starts its tick thread with the first thread a
+     program creates, and keeps it: start it before counting. *)
+  Thread.join (Thread.create ignore ());
+  let fds = settled open_fds and ths = settled threads in
+  (match Flash_live.Server.start config with
+  | exception Sys_error _ -> ()
+  | server ->
+      Flash_live.Server.stop server;
+      Alcotest.fail "start with an unopenable access log succeeded");
+  (* A joined thread can take a moment to leave the kernel's count, so a
+     count above its first value gets a second to come back down. *)
+  let no_more what before count =
+    let rec wait tries =
+      match (before, count ()) with
+      | Some b, Some a when a > b ->
+          if tries = 0 then Alcotest.failf "%s: %d before, %d after" what b a
+          else begin
+            Thread.delay 0.02;
+            wait (tries - 1)
+          end
+      | _ -> ()
+    in
+    wait 50
+  in
+  no_more "open descriptors" fds open_fds;
+  no_more "threads" ths threads

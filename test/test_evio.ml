@@ -116,6 +116,102 @@ let prop_wheel_cancelled_never_fire deadlines =
   List.for_all (fun (i, _) -> i mod 2 = 1) batch
   && List.length batch = List.length (List.filter (fun (i, _) -> i mod 2 = 1) timers)
 
+(* Random schedule / cancel / reschedule / advance sequences.  After
+   every step, [next_deadline] is never later than the earliest live
+   deadline, and never earlier than the earliest deadline the wheel may
+   still store.  A cancelled entry is stored until the wheel purges it;
+   by the time an advance passes its deadline it has, so the lower
+   bound counts cancelled entries whose deadline is still ahead. *)
+type wheel_op =
+  | Schedule of float  (* offset from the cursor; negative: overdue *)
+  | Cancel of int
+  | Reschedule of int * float
+  | Advance of float
+
+let wheel_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun x -> Schedule x) (float_range (-0.2) 2.0));
+        (2, map (fun k -> Cancel k) (int_bound 1000));
+        (2, map2 (fun k x -> Reschedule (k, x)) (int_bound 1000) (float_range 0. 2.0));
+        (3, map (fun x -> Advance x) (float_bound_inclusive 0.3));
+      ])
+
+let show_wheel_op = function
+  | Schedule x -> Printf.sprintf "schedule %+.3f" x
+  | Cancel k -> Printf.sprintf "cancel #%d" k
+  | Reschedule (k, x) -> Printf.sprintf "reschedule #%d %+.3f" k x
+  | Advance x -> Printf.sprintf "advance %.3f" x
+
+let wheel_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_wheel_op ops))
+    QCheck.Gen.(list_size (int_range 1 120) wheel_op_gen)
+
+type model_entry = {
+  at : float;
+  timer : int Wheel.timer;
+  mutable cancelled : bool;
+  mutable gone : bool;  (* fired, or cancelled and passed by an advance *)
+}
+
+let prop_wheel_next_deadline_bounds ops =
+  let w = Wheel.create ~slots:16 ~tick:0.02 ~now:0. () in
+  let entries = ref [||] and now = ref 0. in
+  let add at =
+    let e = { at; timer = Wheel.schedule w ~at 0; cancelled = false; gone = false } in
+    entries := Array.append !entries [| e |]
+  in
+  let nth k = !entries.(k mod Array.length !entries) in
+  let check op =
+    let live, stored =
+      Array.fold_left
+        (fun (live, stored) e ->
+          if e.gone then (live, stored)
+          else
+            ( (if e.cancelled then live else Float.min live e.at),
+              Float.min stored e.at ))
+        (infinity, infinity) !entries
+    in
+    match Wheel.next_deadline w with
+    | None ->
+        if Float.is_finite live then
+          QCheck.Test.fail_reportf "after %s: None with a live deadline %.4f"
+            (show_wheel_op op) live
+    | Some d ->
+        if d > live then
+          QCheck.Test.fail_reportf "after %s: %.4f later than the live %.4f"
+            (show_wheel_op op) d live;
+        if d < stored then
+          QCheck.Test.fail_reportf
+            "after %s: %.4f earlier than any stored deadline (%.4f)"
+            (show_wheel_op op) d stored
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Schedule x -> add (!now +. x)
+      | Cancel k when Array.length !entries > 0 ->
+          let e = nth k in
+          Wheel.cancel w e.timer;
+          if not e.gone then e.cancelled <- true
+      | Reschedule (k, x) when Array.length !entries > 0 ->
+          let e = nth k in
+          if not e.gone then e.cancelled <- true;
+          let at = !now +. x in
+          let timer = Wheel.reschedule w e.timer ~at in
+          entries :=
+            Array.append !entries [| { at; timer; cancelled = false; gone = false } |]
+      | Cancel _ | Reschedule _ -> ()
+      | Advance x ->
+          now := !now +. x;
+          ignore (Wheel.advance w ~now:!now);
+          Array.iter (fun e -> if e.at <= !now then e.gone <- true) !entries);
+      check op)
+    ops;
+  true
+
 (* ------------------------------------------------------------------ *)
 (* Backends: unit behaviour over every available backend               *)
 (* ------------------------------------------------------------------ *)
@@ -200,6 +296,147 @@ let test_of_string () =
   | Error msg ->
       Alcotest.(check bool) "error lists valid names" true
         (Helpers.contains ~affix:"select" msg)
+
+(* A descriptor closed before it was deregistered is pruned by the
+   next waits (select: the EBADF wait marks it; poll: POLLNVAL; epoll:
+   the kernel dropped it at close), and the loop keeps hearing the
+   descriptors still open. *)
+let test_backend_prunes_closed () =
+  each_backend (fun name b ->
+      let r1, w1 = Unix.pipe () and r2, w2 = Unix.pipe () in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close [ w1; r2; w2 ])
+        (fun () ->
+          Evio.Backend.register b r1 ~read:true ~write:false;
+          Evio.Backend.register b r2 ~read:true ~write:false;
+          ignore (Unix.write_substring w2 "x" 0 1);
+          Unix.close r1;
+          let heard = ref false in
+          for _ = 1 to 3 do
+            List.iter
+              (fun ev -> if ev.Evio.fd = r2 && ev.Evio.readable then heard := true)
+              (Evio.Backend.wait b ~timeout:(Some 0.))
+          done;
+          Alcotest.(check bool) (name ^ ": open fd still heard") true !heard;
+          if Evio.Backend.kind b <> Evio.Epoll then
+            Alcotest.(check int) (name ^ ": closed fd pruned") 1
+              (Evio.Backend.fd_count b)))
+
+(* A wait releases the runtime lock, and another thread may collect
+   meanwhile: the interest arrays a first wait builds are young, so the
+   collection moves them, and the results must still land where the
+   loop reads them. *)
+let test_wait_survives_collection () =
+  List.iter
+    (fun kind ->
+      for _ = 1 to 20 do
+        let b = Evio.Backend.create kind in
+        let r, w = Unix.pipe () in
+        Evio.Backend.register b r ~read:true ~write:false;
+        let writer =
+          Thread.create
+            (fun () ->
+              Thread.delay 0.005;
+              Gc.minor ();
+              ignore (Unix.write_substring w "x" 0 1))
+            ()
+        in
+        let evs = Evio.Backend.wait b ~timeout:(Some 2.) in
+        Thread.join writer;
+        Evio.Backend.close b;
+        Unix.close r;
+        Unix.close w;
+        match evs with
+        | [ ev ] when ev.Evio.fd = r && ev.Evio.readable -> ()
+        | evs ->
+            Alcotest.failf "%s: %d events after a collection during the wait"
+              (Evio.name kind) (List.length evs)
+      done)
+    (List.filter (fun k -> k <> Evio.Epoll) (Evio.all_available ()))
+
+(* Backend parity: every backend reports the same ready set for the
+   same descriptors.  Each case is a few socket pairs; on our end,
+   random read and write interest, and a state: idle, bytes pending,
+   send buffer full, or peer closed. *)
+type pair_state = Idle | Pending of int | Full | Peer_closed
+
+let pair_state_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Idle;
+        map (fun n -> Pending n) (int_range 1 4096);
+        return Full;
+        return Peer_closed;
+      ])
+
+let show_pair (r, w, st) =
+  Printf.sprintf "{read=%b write=%b %s}" r w
+    (match st with
+    | Idle -> "idle"
+    | Pending n -> Printf.sprintf "pending %d" n
+    | Full -> "full"
+    | Peer_closed -> "peer closed")
+
+let parity_arb =
+  QCheck.make
+    ~print:(fun ps -> String.concat " " (List.map show_pair ps))
+    QCheck.Gen.(list_size (int_range 1 6) (triple bool bool pair_state_gen))
+
+let fill_send_buffer fd =
+  Unix.set_nonblock fd;
+  let chunk = Bytes.make 65536 'f' in
+  try
+    while true do
+      ignore (Unix.write fd chunk 0 (Bytes.length chunk))
+    done
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+
+let prop_backend_parity pairs =
+  let made =
+    List.map
+      (fun (r, w, st) ->
+        let ours, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        (match st with
+        | Idle -> ()
+        | Pending n -> ignore (Unix.write peer (Bytes.make n 'p') 0 n)
+        | Full -> fill_send_buffer ours
+        | Peer_closed -> Unix.close peer);
+        (ours, peer, r, w, st))
+      pairs
+  in
+  let ready kind =
+    let b = Evio.Backend.create kind in
+    List.iter
+      (fun (ours, _, r, w, _) -> Evio.Backend.register b ours ~read:r ~write:w)
+      made;
+    let evs = Evio.Backend.wait b ~timeout:(Some 0.) in
+    Evio.Backend.close b;
+    List.sort compare
+      (List.map
+         (fun ev -> (Obj.magic ev.Evio.fd : int), ev.Evio.readable, ev.Evio.writable)
+         evs)
+  in
+  let results = List.map (fun k -> (k, ready k)) (Evio.all_available ()) in
+  List.iter
+    (fun (ours, peer, _, _, st) ->
+      Unix.close ours;
+      if st <> Peer_closed then Unix.close peer)
+    made;
+  let show evs =
+    String.concat " "
+      (List.map (fun (fd, r, w) -> Printf.sprintf "%d:%b/%b" fd r w) evs)
+  in
+  match results with
+  | [] -> true
+  | (k0, first) :: rest ->
+      List.iter
+        (fun (k, evs) ->
+          if evs <> first then
+            QCheck.Test.fail_reportf "%s reports [%s], %s reports [%s]"
+              (Evio.name k0) (show first) (Evio.name k) (show evs))
+        rest;
+      true
 
 (* select must refuse an fd it could never wait on (>= FD_SETSIZE)
    with Backend_full — the EINVAL-from-wait alternative kills the whole
@@ -506,12 +743,20 @@ let suite =
       wheel_schedule_arb prop_wheel_no_early_all_eventually;
     Helpers.qcheck_case ~count:150 ~name:"wheel: batches in deadline order"
       wheel_schedule_arb prop_wheel_fire_order;
+    Helpers.qcheck_case ~count:300 ~name:"wheel: next_deadline within bounds"
+      wheel_ops_arb prop_wheel_next_deadline_bounds;
     Helpers.qcheck_case ~count:150 ~name:"wheel: cancelled never fire"
       QCheck.(list_of_size Gen.(int_range 0 40) (float_bound_inclusive 2.0))
       prop_wheel_cancelled_never_fire;
     Alcotest.test_case "backends: pipe readiness and interest" `Quick
       test_backend_pipe_readiness;
     Alcotest.test_case "backends: wait timeout" `Quick test_backend_timeout;
+    Alcotest.test_case "backends: a closed fd is pruned" `Quick
+      test_backend_prunes_closed;
+    Alcotest.test_case "backends: a wait survives a collection" `Quick
+      test_wait_survives_collection;
+    Helpers.qcheck_case ~count:100 ~name:"backends: same ready set" parity_arb
+      prop_backend_parity;
     Alcotest.test_case "backends: of_string" `Quick test_of_string;
     Alcotest.test_case "server: backend x mode parity" `Slow test_parity_matrix;
     Alcotest.test_case "server: status names backend" `Quick

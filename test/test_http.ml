@@ -378,8 +378,222 @@ let prop_byte_identity =
            (Http.Range.content_range_unsatisfied ~size:c.size)
            (Http_ref.content_range_unsatisfied ~size:c.size))
 
+(* ------------------------------------------------------------------ *)
+(* The one-pass request parser against the parser it replaced          *)
+(* ------------------------------------------------------------------ *)
+
+module R = Http.Request
+module Ref = Request_ref
+
+(* Request heads built from parts chosen to reach every branch: odd
+   methods and versions, runs of spaces, escapes and queries in the
+   target, mixed-case names, colon-less lines, blank-padded values,
+   LF or CRLF per line, a missing terminator, a second pipelined head,
+   and (for [big]) a value that takes the head past 16 KB. *)
+let head_gen ~big =
+  let open QCheck.Gen in
+  let pick l = oneofl l in
+  let eol = pick [ "\r\n"; "\n" ] in
+  let target =
+    map
+      (fun segs -> "/" ^ String.concat "" segs)
+      (list_size (int_range 0 5)
+         (pick
+            [ "a"; "b/"; "/"; "./"; "../"; "%41"; "%2F"; "%zz"; "%4"; "?";
+              "q=1&r"; "%"; "index.html"; "."; ".."; "~x"; "%20" ]))
+  in
+  let request_line =
+    map4
+      (fun meth sp1 target (sp2, version) -> meth ^ sp1 ^ target ^ sp2 ^ version)
+      (pick [ "GET"; "HEAD"; "POST"; "get"; "OPTIONS"; ""; "GE T" ])
+      (pick [ " "; "  " ])
+      (frequency [ (9, target); (1, pick [ ""; "x"; "*" ]) ])
+      (pick
+         [ (" ", "HTTP/1.1"); (" ", "HTTP/1.0"); (" ", "HTTP/0.9");
+           (" ", "HTTP/2.0"); (" ", "HTTP/1.x"); (" ", "http/1.1");
+           (" ", "HTTP/1.10"); ("  ", "HTTP/1.1"); ("", ""); (" ", "") ])
+  in
+  let name =
+    pick
+      [ "Host"; "host"; "HOST"; "Connection"; "connection"; "CONNECTION";
+        "Accept-Encoding"; "If-None-Match"; "if-none-match"; "Range";
+        "X-Thing"; ""; "Bad Name"; "If-Modified-Since" ]
+  in
+  let value =
+    pick
+      [ "close"; "keep-alive"; "Keep-Alive"; "CLOSE"; "gzip"; "  x  ";
+        "\t v \t"; "a\rb"; ""; "\"e\""; "bytes=0-9"; "a:b" ]
+  in
+  let header_line =
+    frequency
+      [
+        ( 8,
+          map3
+            (fun n sep v -> n ^ sep ^ v)
+            name (pick [ ":"; ": "; " : "; ":   " ]) value );
+        (1, pick [ "no colon here"; " "; ":x"; "\r" ]);
+      ]
+  in
+  let one_head =
+    map4
+      (fun rl lines eols (term, big_value) ->
+        let buf = Buffer.create 256 in
+        Buffer.add_string buf rl;
+        List.iteri
+          (fun i l ->
+            Buffer.add_string buf (List.nth eols (i mod List.length eols));
+            Buffer.add_string buf l)
+          (match big_value with Some v -> lines @ [ "X-Big: " ^ v ] | None -> lines);
+        Buffer.add_string buf (List.hd eols);
+        Buffer.add_string buf term;
+        Buffer.contents buf)
+      request_line
+      (list_size (int_range 0 6) header_line)
+      (list_size (int_range 1 3) eol)
+      (pair
+         (frequency [ (8, eol); (1, return "") ])
+         (if big then map (fun n -> Some (String.make n 'v')) (int_range 16000 17500)
+          else return None))
+  in
+  map2
+    (fun a b -> match b with Some b -> a ^ b | None -> a)
+    one_head
+    (frequency [ (3, return None); (1, map Option.some (pick [ "GET / HTTP/1.1\r\n\r\n"; "junk" ])) ])
+
+let show_result = function
+  | Ref.Incomplete -> "Incomplete"
+  | Ref.Bad m -> "Bad " ^ String.escaped m
+  | Ref.Complete (r, n) ->
+      Printf.sprintf "Complete (%s %S path=%S query=%s v=%d.%d [%s], %d)"
+        (Ref.meth_to_string r.Ref.meth) r.Ref.raw_target r.Ref.path
+        (match r.Ref.query with Some q -> Printf.sprintf "%S" q | None -> "-")
+        (fst r.Ref.version) (snd r.Ref.version)
+        (String.concat "; "
+           (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) r.Ref.headers))
+        n
+
+(* The new result in the reference's shape. *)
+let as_ref = function
+  | R.Incomplete -> Ref.Incomplete
+  | R.Bad m -> Ref.Bad m
+  | R.Complete (r, n) ->
+      Ref.Complete
+        ( {
+            Ref.meth =
+              (match r.R.meth with
+              | R.Get -> Ref.Get
+              | R.Head -> Ref.Head
+              | R.Post -> Ref.Post
+              | R.Other s -> Ref.Other s);
+            raw_target = r.R.raw_target;
+            path = r.R.path;
+            query = r.R.query;
+            version = r.R.version;
+            headers =
+              List.map
+                (fun (k, v) -> (k, Option.value v ~default:"<none>"))
+                r.R.headers;
+          },
+          n )
+
+let lookups =
+  [ "host"; "Host"; "HOST"; "connection"; "Connection"; "accept-encoding";
+    "if-none-match"; "If-None-Match"; "range"; "x-thing"; "x-big"; "absent";
+    ""; "bad name" ]
+
+(* Everything the server reads off a head agrees with the reference. *)
+let agree ~what s =
+  let expect = Ref.parse s and got = R.parse s in
+  if as_ref got <> expect then
+    QCheck.Test.fail_reportf "%s %S:\n  reference %s\n  one-pass  %s" what s
+      (show_result expect) (show_result (as_ref got));
+  match (expect, got) with
+  | Ref.Complete (r, _), R.Complete (r', _) ->
+      List.iter
+        (fun name ->
+          if Ref.header r name <> R.header r' name then
+            QCheck.Test.fail_reportf "%s %S: header %S differs" what s name)
+        lookups;
+      if Ref.keep_alive r <> R.keep_alive r' then
+        QCheck.Test.fail_reportf "%s %S: keep_alive differs" what s;
+      if Ref.normalize_path r.Ref.path <> R.normalize_path r'.R.path then
+        QCheck.Test.fail_reportf "%s %S: normalize_path %S differs" what s
+          r.Ref.path
+  | _ -> ()
+
+(* Where a head is cut.  A head over 16 KB costs O(n) per cut, so it
+   is cut at every byte only where the answer can change (its first
+   bytes, around the 16 KB limit, its last bytes), and at every 61st
+   byte elsewhere. *)
+let cut_here n k =
+  n <= 4096 || k < 512 || abs (k - 16384) < 512 || n - k < 512 || k mod 61 = 0
+
+(* The head cut at every byte: each prefix parses as the reference's
+   does; a prefix that is [Incomplete] resumes, over the whole string,
+   from where its scan stopped; and the head parsed in place inside a
+   larger buffer reads nothing past its bytes. *)
+let prop_parser_agrees s =
+  let n = String.length s in
+  for k = 0 to n do
+    if cut_here n k then begin
+      let prefix = String.sub s 0 k in
+      agree ~what:"prefix" prefix;
+      if Ref.parse prefix = Ref.Incomplete then begin
+        let resumed =
+          R.parse_sub s ~pos:0 ~len:n ~from:(Stdlib.max 0 (k - 2))
+        in
+        if as_ref resumed <> Ref.parse s then
+          QCheck.Test.fail_reportf "resumed at %d of %S: %s, reference %s" k s
+            (show_result (as_ref resumed))
+            (show_result (Ref.parse s))
+      end
+    end
+  done;
+  let framed = "\n\nGET" ^ s ^ "\n\n\r\n" in
+  if as_ref (R.parse_sub framed ~pos:5 ~len:n ~from:0) <> Ref.parse s then
+    QCheck.Test.fail_reportf "in place: %S" s;
+  true
+
+let head_arb ~big =
+  QCheck.make ~print:(fun s -> Printf.sprintf "%S" s) (head_gen ~big)
+
+(* Paths the normalizer sees: the parser's own output and odd shapes. *)
+let prop_normalize_agrees path =
+  R.normalize_path path = Ref.normalize_path path
+  && R.decode_target path = Ref.decode_target path
+
+let path_arb =
+  QCheck.make ~print:(fun s -> Printf.sprintf "%S" s)
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_range 0 8)
+           (oneofl [ "/"; "a"; "."; ".."; "%41"; "?"; "bc"; "//"; "%" ])))
+
+(* A scan told to start past the bytes it has finds no end and stops;
+   bytes past [pos + len] are never read. *)
+let test_parse_sub_bounds () =
+  let head = "GET / HTTP/1.0\r\n\r\n" in
+  let n = String.length head in
+  Alcotest.(check bool) "start past the end" true
+    (R.parse_sub head ~pos:0 ~len:3 ~from:10 = R.Incomplete);
+  Alcotest.(check bool) "terminator just past len" true
+    (R.parse_sub head ~pos:0 ~len:(n - 1) ~from:0 = R.Incomplete);
+  match R.parse_sub ("xx" ^ head ^ "GET") ~pos:2 ~len:n ~from:0 with
+  | R.Complete (r, used) ->
+      Alcotest.(check int) "consumed, relative to pos" n used;
+      Alcotest.(check string) "path" "/" r.R.path
+  | _ -> Alcotest.fail "expected a complete head"
+
 let suite =
   [
+    Alcotest.test_case "parse_sub bounds" `Quick test_parse_sub_bounds;
+    Helpers.qcheck_case ~count:400 ~name:"parser agrees with the reference"
+      (head_arb ~big:false) prop_parser_agrees;
+    Helpers.qcheck_case ~count:4
+      ~name:"parser agrees with the reference (heads over 16 KB)"
+      (head_arb ~big:true) prop_parser_agrees;
+    Helpers.qcheck_case ~count:1000 ~name:"normalize_path agrees with the reference"
+      path_arb prop_normalize_agrees;
     Alcotest.test_case "status codes" `Quick test_status_codes;
     Alcotest.test_case "mime mapping" `Quick test_mime;
     Alcotest.test_case "date epoch" `Quick test_date_epoch;

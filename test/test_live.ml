@@ -232,4 +232,6 @@ let suite =
     Alcotest.test_case "MP mode" `Quick test_mp_mode;
     Alcotest.test_case "32-byte aligned heads on the wire" `Quick
       test_aligned_headers_on_wire;
+    Alcotest.test_case "a failed start leaks nothing (AMPED)" `Quick
+      (fun () -> Helpers.check_failed_start_leaks_nothing Flash_live.Server.Amped);
   ]

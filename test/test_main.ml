@@ -46,4 +46,5 @@ let () =
       ("warm", Test_warm.suite);
       ("live.sharded", Test_sharded.suite);
       ("live.miss_path", Test_miss_path.suite);
+      ("live.alloc", Test_alloc.suite);
     ]

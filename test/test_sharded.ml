@@ -632,4 +632,7 @@ let suite =
       test_sharded_large_file_negotiates;
     Alcotest.test_case "an unusable .gz sibling is skipped" `Quick
       test_sharded_unusable_sibling;
+    Alcotest.test_case "a failed start leaks nothing (sharded 2)" `Quick
+      (fun () ->
+        Helpers.check_failed_start_leaks_nothing (Flash_live.Server.Sharded 2));
   ]
