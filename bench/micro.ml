@@ -45,6 +45,19 @@ let bench_miss_fill =
            (Http.Response.header_pair ~status:Http.Status.Not_modified ~date
               ~last_modified:mtime ~extra:[ ("ETag", etag) ] ~align:32 ())))
 
+(* The same four headers as the live server renders them now: one
+   pass, one buffer, each date and the length formatted once. *)
+let bench_cached_headers =
+  Test.make ~name:"http.response.cached(etag+4 headers)"
+    (Staged.stage (fun () ->
+         let etag = Http.Etag.make ~mtime ~size:8192 () in
+         ignore
+           (Http.Response.cached ~date ~last_modified:mtime
+              ~content_type:"text/html" ~content_length:8192
+              ~ok_extra:[ ("ETag", etag); ("Accept-Ranges", "bytes") ]
+              ~not_modified_extra:[ ("ETag", etag) ]
+              ~align:32 ())))
+
 (* A 206 renders its header per request. *)
 let bench_partial =
   let etag = Http.Etag.make ~mtime ~size:8192 () in
@@ -216,8 +229,42 @@ let bench_read_cached =
          | Some buf -> Iovec.free buf
          | None -> failwith "micro: the 16 KB file is not cached"))
 
-(* The header copies of one miss: four rendered headers of about 256
-   bytes each enter off-heap buffers. *)
+(* One steady-state cache fill of a resident 16 KB file, as the loop
+   makes it inline: its four headers rendered, the body read in place
+   behind them in one block, the entry inserted into a cache that holds
+   32 such entries, so each insert evicts the oldest and frees its
+   block. *)
+let bench_fill =
+  let module Fc = Flash_live.File_cache in
+  let cache = Fc.create ~capacity_bytes:(32 * 17_000) () in
+  let keys = Array.init 64 (Printf.sprintf "/srv/www/f%02d.html") in
+  let next = ref 0 in
+  Test.make ~name:"file_cache.fill(16 KB)+insert+evict"
+    (Staged.stage (fun () ->
+         let etag = Http.Etag.make ~mtime ~size:16384 () in
+         let headers =
+           Http.Response.cached ~date ~last_modified:mtime
+             ~content_type:"text/html" ~content_length:16384
+             ~ok_extra:[ ("ETag", etag); ("Accept-Ranges", "bytes") ]
+             ~not_modified_extra:[ ("ETag", etag) ]
+             ~align:32 ()
+         in
+         match
+           Fc.map_resident ~trust_mincore:true
+             ~head:(String.length headers.Http.Response.text)
+             (Lazy.force micro_file) ~size:16384
+         with
+         | Some (body, lease) ->
+             let entry =
+               Fc.make_entry ~body ~lease ~headers ~mtime ~size:16384 ~etag
+                 ~encoding:None
+             in
+             Fc.insert cache keys.(!next) entry;
+             next := (!next + 1) land 63
+         | None -> failwith "micro: the 16 KB file is not cached"))
+
+(* A rendered header copied into a fresh off-heap buffer, as
+   [Sendq.push_string] queues a 206's. *)
 let bench_of_string =
   let header = String.make 256 'h' in
   Test.make ~name:"iovec.of_string(256 B)"
@@ -263,18 +310,44 @@ let trace_request ~fresh =
                last := Some tr;
                tr
          in
-         Obs.Trace.instant tracer tr ~at:opened "keepalive-reuse";
-         let parse = Obs.Trace.begin_span tracer tr ~at:opened "parse" in
-         let parsed = clock () in
-         Obs.Trace.end_span tracer ~at:parsed parse;
-         Obs.Trace.relabel tr "GET /d0_3/d1_3/f001234.html";
-         let resolve = Obs.Trace.begin_span tracer tr ~at:parsed "resolve" in
-         Obs.Trace.end_span tracer resolve;
-         let generated = clock () in
-         let write = Obs.Trace.begin_span tracer tr ~at:generated "write" in
-         let at = clock () in
-         Obs.Trace.end_span tracer ~at write;
-         Obs.Trace.complete tracer ~at tr))
+         if fresh then begin
+           Obs.Trace.instant tracer tr ~at:opened "keepalive-reuse";
+           let parse = Obs.Trace.begin_span tracer tr ~at:opened "parse" in
+           let parsed = clock () in
+           Obs.Trace.end_span tracer ~at:parsed parse;
+           Obs.Trace.relabel tr "GET /d0_3/d1_3/f001234.html";
+           let resolve =
+             Obs.Trace.begin_span tracer tr ~at:parsed "resolve"
+           in
+           Obs.Trace.end_span tracer resolve;
+           let generated = clock () in
+           let write = Obs.Trace.begin_span tracer tr ~at:generated "write" in
+           let at = clock () in
+           Obs.Trace.end_span tracer ~at write;
+           Obs.Trace.complete tracer ~at tr
+         end
+         else begin
+           (* The server's calls, which take their stamps as they are. *)
+           let track = "main-loop" in
+           Obs.Trace.instant_at tracer tr ~track ~at:opened "keepalive-reuse";
+           let parse =
+             Obs.Trace.begin_span_at tracer tr ~track ~at:opened "parse"
+           in
+           let parsed = clock () in
+           Obs.Trace.end_span_at parse ~at:parsed;
+           Obs.Trace.relabel tr "GET /d0_3/d1_3/f001234.html";
+           let resolve =
+             Obs.Trace.begin_span_at tracer tr ~track ~at:parsed "resolve"
+           in
+           Obs.Trace.end_span_at resolve ~at:(clock ());
+           let generated = clock () in
+           let write =
+             Obs.Trace.begin_span_at tracer tr ~track ~at:generated "write"
+           in
+           let at = clock () in
+           Obs.Trace.end_span_at write ~at;
+           Obs.Trace.complete_at tracer tr ~at
+         end))
 
 let tests =
   Test.make_grouped ~name:"micro"
@@ -283,6 +356,7 @@ let tests =
       bench_header_aligned;
       bench_header_unaligned;
       bench_miss_fill;
+      bench_cached_headers;
       bench_partial;
       bench_lru;
       bench_zipf;
@@ -295,6 +369,7 @@ let tests =
       bench_find_trusted;
       bench_map_resident;
       bench_read_cached;
+      bench_fill;
       bench_of_string;
       bench_sendq_leased;
       trace_request ~fresh:false;

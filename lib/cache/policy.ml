@@ -60,12 +60,14 @@ module Klist = struct
     node.prev <- None;
     node.next <- None
 
+  (* [k] is not in the list: every caller pushes a key it has just
+     removed or never held, so the table is not searched. *)
   let push_front t k =
     let node = { key = k; prev = None; next = t.mru } in
     (match t.mru with Some m -> m.prev <- Some node | None -> ());
     t.mru <- Some node;
     if t.lru = None then t.lru <- Some node;
-    Hashtbl.replace t.tbl k node
+    Hashtbl.add t.tbl k node
 
   (* A hit's touch: nothing to do for the most recent node, and one
      [Some] shared by both links that name the node otherwise. *)
@@ -161,6 +163,38 @@ module Pheap = struct
     end
 
   let clear t = t.len <- 0
+
+  (* Keep only the records [live] accepts, in heap order again: the
+     stale records a rescore leaves behind are dropped without a pop.
+     Allocates nothing; O(len). *)
+  let compact t ~live =
+    let n = ref 0 in
+    for i = 0 to t.len - 1 do
+      if live t.a.(i) then begin
+        t.a.(!n) <- t.a.(i);
+        incr n
+      end
+    done;
+    t.len <- !n;
+    let rec sift i =
+      let l = (2 * i) + 1 and r = (2 * i) + 2 in
+      let s = if l < t.len && less t.a.(l) t.a.(i) then l else i in
+      let s = if r < t.len && less t.a.(r) t.a.(s) then r else s in
+      if s <> i then begin
+        swap t s i;
+        sift s
+      end
+    in
+    for i = (t.len / 2) - 1 downto 0 do
+      sift i
+    done
+
+  (* A heap that holds more than twice the [live] records it needs,
+     and more than a handful, is compacted: each rescore pushes a
+     record, and a popular key's old ones sit above the eviction
+     floor, where a pop seldom reaches them. *)
+  let bound t ~live ~count =
+    if t.len > 16 && t.len > 2 * count then compact t ~live
 end
 
 (* ------------------------------------------------------------------ *)
@@ -266,10 +300,16 @@ let make_lfu () =
   let heap = Pheap.create () in
   let mult = ref 1.0 in
   let seq = ref 0 in
+  let live e =
+    match Hashtbl.find_opt seqs e.Pheap.hkey with
+    | Some q -> q = e.Pheap.seq
+    | None -> false
+  in
   let push k score =
     incr seq;
     Hashtbl.replace seqs k !seq;
-    Pheap.push heap { Pheap.pri = score; seq = !seq; hkey = k }
+    Pheap.push heap { Pheap.pri = score; seq = !seq; hkey = k };
+    Pheap.bound heap ~live ~count:(Hashtbl.length seqs)
   in
   let renormalize () =
     let m = !mult in
@@ -335,11 +375,17 @@ let make_gdsf () =
   let heap = Pheap.create () in
   let aging = ref 0.0 in
   let seq = ref 0 in
+  let live e =
+    match Hashtbl.find_opt seqs e.Pheap.hkey with
+    | Some q -> q = e.Pheap.seq
+    | None -> false
+  in
   let push k pri =
     incr seq;
     Hashtbl.replace seqs k !seq;
     Hashtbl.replace pris k pri;
-    Pheap.push heap { Pheap.pri; seq = !seq; hkey = k }
+    Pheap.push heap { Pheap.pri; seq = !seq; hkey = k };
+    Pheap.bound heap ~live ~count:(Hashtbl.length seqs)
   in
   let rescore k =
     let f = Option.value ~default:0 (Hashtbl.find_opt freqs k) + 1 in

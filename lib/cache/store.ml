@@ -177,9 +177,33 @@ let mem t key = Hashtbl.mem t.table key
 let budget_charge t n =
   match t.budget with None -> () | Some b -> Budget.charge b n
 
-let add t key value ~weight =
+(* A key known to be absent: admission, then the table ([Hashtbl.add]
+   searches nothing) and the policy. *)
+let add_fresh t key value ~weight =
+  if not (t.gate.Policy.admit key ~weight) then begin
+    (* The doorkeeper remembers rejected keys, so a key rejected as a
+       first-timer is admitted on its next miss. *)
+    t.gate.Policy.note_miss key;
+    t.rejected <- t.rejected + 1;
+    false
+  end
+  else begin
+    t.admitted <- t.admitted + 1;
+    Hashtbl.add t.table key { value; weight; e_hits = 0; e_last = tick t };
+    t.total_weight <- t.total_weight + weight;
+    t.policy.Policy.insert key ~weight;
+    budget_charge t weight;
+    shrink_to_fit t;
+    true
+  end
+
+let add ?(evict = false) t key value ~weight =
   if weight < 0 then invalid_arg "Store.add: negative weight";
   match Hashtbl.find_opt t.table key with
+  | Some old when evict ->
+      ignore (drop t key);
+      t.on_evict key old.value;
+      add_fresh t key value ~weight
   | Some old ->
       (* Replacement re-weighs and refreshes; already-resident keys
          bypass admission.  History carries over — the new value is the
@@ -196,23 +220,7 @@ let add t key value ~weight =
       budget_charge t weight;
       shrink_to_fit t;
       true
-  | None ->
-      if not (t.gate.Policy.admit key ~weight) then begin
-        (* The doorkeeper remembers rejected keys, so a key rejected as a
-           first-timer is admitted on its next miss. *)
-        t.gate.Policy.note_miss key;
-        t.rejected <- t.rejected + 1;
-        false
-      end
-      else begin
-        t.admitted <- t.admitted + 1;
-        Hashtbl.replace t.table key { value; weight; e_hits = 0; e_last = tick t };
-        t.total_weight <- t.total_weight + weight;
-        t.policy.Policy.insert key ~weight;
-        budget_charge t weight;
-        shrink_to_fit t;
-        true
-      end
+  | None -> add_fresh t key value ~weight
 
 let pin t key =
   match Hashtbl.find_opt t.table key with

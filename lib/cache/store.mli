@@ -74,8 +74,12 @@ val mem : ('k, 'v) t -> 'k -> bool
 
 (** Insert through the admission gate; [false] means rejected (the
     store is unchanged).  Replacing a resident key bypasses admission
-    and re-weighs.  @raise Invalid_argument on negative weight. *)
-val add : ('k, 'v) t -> 'k -> 'v -> weight:int -> bool
+    and re-weighs.  With [~evict:true] a resident key's value leaves
+    through the [on_evict] hook instead, as {!remove}[ ~evict:true]
+    would, and the new one goes through admission as a first insert.
+    A key not resident is looked up once either way.
+    @raise Invalid_argument on negative weight. *)
+val add : ?evict:bool -> ('k, 'v) t -> 'k -> 'v -> weight:int -> bool
 
 (** Remove without counting as an eviction.  [~evict:true] additionally
     runs the [on_evict] hook — use it wherever the hook releases a

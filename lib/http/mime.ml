@@ -1,5 +1,5 @@
 let table =
-  [
+  [|
     ("html", "text/html");
     ("htm", "text/html");
     ("txt", "text/plain");
@@ -19,27 +19,39 @@ let table =
     ("wav", "audio/x-wav");
     ("js", "text/javascript");
     ("xml", "text/xml");
-  ]
+  |]
 
-let extension path =
-  match String.rindex_opt path '.' with
-  | None -> None
-  | Some dot ->
-      let after_slash =
-        match String.rindex_opt path '/' with
-        | Some slash -> dot > slash
-        | None -> true
-      in
-      if after_slash && dot < String.length path - 1 then
-        Some
-          (String.lowercase_ascii
-             (String.sub path (dot + 1) (String.length path - dot - 1)))
-      else None
+let default = "application/octet-stream"
+
+(* The helpers below take every value they use as an argument, so no
+   closure is made: [of_path] allocates nothing. *)
+
+(* Whether [path] from [off + i] on matches [ext] from [i] on, ASCII
+   case aside; [path] has exactly [ext]'s length left at [off]. *)
+let rec same_from path off ext i =
+  i = String.length ext
+  || Char.lowercase_ascii (String.unsafe_get path (off + i))
+     = String.unsafe_get ext i
+     && same_from path off ext (i + 1)
+
+(* The last '.' after the last '/' at or before [i]; -1 if none. *)
+let rec last_dot path i =
+  if i < 0 then -1
+  else
+    match String.unsafe_get path i with
+    | '.' -> i
+    | '/' -> -1
+    | _ -> last_dot path (i - 1)
+
+let rec lookup path off k =
+  if k = Array.length table then default
+  else
+    let ext, content_type = table.(k) in
+    if String.length path - off = String.length ext && same_from path off ext 0
+    then content_type
+    else lookup path off (k + 1)
 
 let of_path path =
-  match extension path with
-  | None -> "application/octet-stream"
-  | Some ext -> (
-      match List.assoc_opt ext table with
-      | Some ct -> ct
-      | None -> "application/octet-stream")
+  let last = String.length path - 1 in
+  let d = last_dot path last in
+  if d < 0 || d = last then default else lookup path (d + 1) 0

@@ -4,7 +4,7 @@ let put b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s
 
-let put_field b pos (name, value) =
+let put_value b pos name value =
   let pos = put b pos name in
   Bytes.set b pos ':';
   Bytes.set b (pos + 1) ' ';
@@ -12,6 +12,8 @@ let put_field b pos (name, value) =
   Bytes.set b pos '\r';
   Bytes.set b (pos + 1) '\n';
   pos + 2
+
+let put_field b pos (name, value) = put_value b pos name value
 
 (* A header is measured, then written once into a buffer of its final
    size.  [fields] are (name, value) groups in wire order.  Alignment
@@ -87,6 +89,124 @@ let header_pair ?(version = "HTTP/1.0") ?(server = default_server)
       ~fields:[ entity; connection (Some keep_alive); extra ]
   in
   (render true, render false)
+
+type cached = {
+  text : string;
+  ok_keep : int;
+  ok_close : int;
+  not_modified_keep : int;
+  not_modified_close : int;
+}
+
+let ok_line = Status.line_fragment Status.Ok
+let not_modified_line = Status.line_fragment Status.Not_modified
+
+let rec extra_length n = function
+  | [] -> n
+  | (name, value) :: rest ->
+      extra_length (n + String.length name + String.length value + 4) rest
+
+let rec put_extra b pos = function
+  | [] -> pos
+  | (name, value) :: rest -> put_extra b (put_value b pos name value) rest
+
+(* Spaces that bring a [len]-byte header to a multiple of [align]. *)
+let padding align len =
+  match align with
+  | None -> 0
+  | Some a ->
+      if a <= 0 then invalid_arg "Response.cached: align <= 0";
+      (a - (len mod a)) mod a
+
+(* One of [cached]'s variants at [pos], [pad] spaces after the Server
+   value, laid out as [render] lays it out; where it ends.  Every value
+   is an argument, so no closure is made. *)
+let put_variant b pos ~version ~status ~server ~pad ~date ~last_modified
+    ~entity ~content_type ~length ~connection ~extra =
+  let pos = put b pos version in
+  Bytes.set b pos ' ';
+  let pos = put b (pos + 1) status in
+  let pos = put b pos "\r\nServer: " in
+  let pos = put b pos server in
+  Bytes.fill b pos pad ' ';
+  let pos = put b (pos + pad) "\r\n" in
+  let pos = put_value b pos "Date" date in
+  let pos = put_value b pos "Last-Modified" last_modified in
+  let pos =
+    if entity then
+      put_value b
+        (put_value b pos "Content-Type" content_type)
+        "Content-Length" length
+    else pos
+  in
+  let pos = put_value b pos "Connection" connection in
+  put b (put_extra b pos extra) "\r\n"
+
+let field_length name value = String.length name + String.length value + 4
+
+(* The four variants [header_pair] renders for a 200 and a 304, written
+   one after another into one buffer made at its final size: each is
+   measured first, from the one formatted Date, Last-Modified and
+   Content-Length. *)
+let cached ?(version = "HTTP/1.0") ?(server = default_server) ?align
+    ~content_type ~content_length ~date ~last_modified ~ok_extra
+    ~not_modified_extra () =
+  let date = Http_date.format date
+  and last_modified = Http_date.format last_modified
+  and length = Digits.decimal content_length in
+  let common =
+    String.length version + String.length server + 15
+    + field_length "Date" date
+    + field_length "Last-Modified" last_modified
+  in
+  let ok =
+    common + String.length ok_line
+    + field_length "Content-Type" content_type
+    + field_length "Content-Length" length
+    + extra_length 0 ok_extra
+  and not_modified =
+    common
+    + String.length not_modified_line
+    + extra_length 0 not_modified_extra
+  and keep = field_length "Connection" "keep-alive"
+  and close = field_length "Connection" "close" in
+  let ok_keep_pad = padding align (ok + keep)
+  and ok_close_pad = padding align (ok + close)
+  and nm_keep_pad = padding align (not_modified + keep)
+  and nm_close_pad = padding align (not_modified + close) in
+  let ok_keep = ok + keep + ok_keep_pad
+  and ok_close = ok + close + ok_close_pad
+  and not_modified_keep = not_modified + keep + nm_keep_pad
+  and not_modified_close = not_modified + close + nm_close_pad in
+  let b =
+    Bytes.create (ok_keep + ok_close + not_modified_keep + not_modified_close)
+  in
+  let pos =
+    put_variant b 0 ~version ~status:ok_line ~server ~pad:ok_keep_pad ~date
+      ~last_modified ~entity:true ~content_type ~length
+      ~connection:"keep-alive" ~extra:ok_extra
+  in
+  let pos =
+    put_variant b pos ~version ~status:ok_line ~server ~pad:ok_close_pad
+      ~date ~last_modified ~entity:true ~content_type ~length
+      ~connection:"close" ~extra:ok_extra
+  in
+  let pos =
+    put_variant b pos ~version ~status:not_modified_line ~server
+      ~pad:nm_keep_pad ~date ~last_modified ~entity:false ~content_type
+      ~length ~connection:"keep-alive" ~extra:not_modified_extra
+  in
+  ignore
+    (put_variant b pos ~version ~status:not_modified_line ~server
+       ~pad:nm_close_pad ~date ~last_modified ~entity:false ~content_type
+       ~length ~connection:"close" ~extra:not_modified_extra);
+  {
+    text = Bytes.unsafe_to_string b;
+    ok_keep;
+    ok_close;
+    not_modified_keep;
+    not_modified_close;
+  }
 
 let retry_after seconds =
   if seconds < 0 then invalid_arg "Response.retry_after: negative delay";

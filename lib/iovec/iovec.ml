@@ -10,13 +10,34 @@ external map : Unix.file_descr -> int -> bigstring = "flash_iovec_map"
 external unmap : bigstring -> unit = "flash_iovec_unmap"
 external resident : bigstring -> bool = "flash_iovec_resident"
 external of_string : string -> bigstring = "flash_iovec_of_string"
-external read : Unix.file_descr -> int -> bigstring = "flash_iovec_read"
+external alloc : int -> bigstring = "flash_iovec_alloc"
 
-external read_cached :
-  trust_mincore:bool -> Unix.file_descr -> int -> bigstring option
+external stub_read : Unix.file_descr -> int -> int -> bigstring
+  = "flash_iovec_read"
+
+external stub_read_cached :
+  bool -> Unix.file_descr -> int -> int -> bigstring option
   = "flash_iovec_read_cached"
 
 external free : bigstring -> unit = "flash_iovec_free"
+external empty : bigstring -> unit = "flash_iovec_empty" [@@noalloc]
+
+external stub_blit_string : string -> int -> bigstring -> int -> int -> unit
+  = "flash_iovec_blit_string"
+[@@noalloc]
+
+let read ?(head = 0) fd len = stub_read fd head len
+
+let read_cached ~trust_mincore ?(head = 0) fd len =
+  stub_read_cached trust_mincore fd head len
+
+let blit_string s soff buf off len =
+  if
+    len < 0 || soff < 0 || off < 0
+    || soff > String.length s - len
+    || off > Bigarray.Array1.dim buf - len
+  then invalid_arg "Iovec.blit_string";
+  stub_blit_string s soff buf off len
 
 let max_iovecs = 64
 

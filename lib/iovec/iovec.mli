@@ -83,20 +83,23 @@ val unmap : bigstring -> unit
     [true] only for files they own (or when running as root). *)
 val resident : bigstring -> bool
 
-(** {1 Read copies}
+(** {1 Read copies and other owned buffers}
 
     A file's bytes copied once into a fresh [malloc]'d buffer whose
     lifetime its owner manages, as for a mapping: the GC neither frees
     it nor counts it towards its pacing, and {!free} ends it. *)
 
-(** [read fd len] reads the first [len] bytes of [fd] (from offset 0,
-    whatever the descriptor's position) into a fresh buffer, blocking
-    as a [read] does.  The buffer's length is the count read: shorter
-    than [len] when the file ends first.
+(** [read ?head fd len] reads the first [len] bytes of [fd] (from
+    offset 0, whatever the descriptor's position) into a fresh buffer,
+    blocking as a [read] does.  The bytes start [head] bytes in
+    (default 0): the buffer's first [head] bytes are left for the
+    caller to fill, so what it sends before the body shares the one
+    allocation.  The buffer's length is [head] plus the count read:
+    shorter than [head + len] when the file ends first.
     @raise Unix.Unix_error on a read error.
-    @raise Invalid_argument when [len <= 0].
+    @raise Invalid_argument when [len <= 0] or [head < 0].
     @raise Failure where read copies are not available. *)
-val read : Unix.file_descr -> int -> bigstring
+val read : ?head:int -> Unix.file_descr -> int -> bigstring
 
 (** Like {!read}, but only when no byte has to come from disk: [None]
     when a page of the first [len] bytes is not in the page cache, or
@@ -107,13 +110,31 @@ val read : Unix.file_descr -> int -> bigstring
     [mincore] first, and that answer counts only with [trust_mincore]
     (see {!resident}); without it the result is [None].
     @raise Unix.Unix_error on a read error.
-    @raise Invalid_argument when [len <= 0]. *)
+    @raise Invalid_argument when [len <= 0] or [head < 0]. *)
 val read_cached :
-  trust_mincore:bool -> Unix.file_descr -> int -> bigstring option
+  trust_mincore:bool -> ?head:int -> Unix.file_descr -> int -> bigstring option
 
-(** Free a buffer returned by {!read} or {!read_cached}, leaving it
-    empty as {!unmap} does.
+(** A fresh uninitialised buffer of [len] bytes outside the GC, ended
+    by {!free}.
+    @raise Invalid_argument when [len <= 0]. *)
+val alloc : int -> bigstring
+
+(** [blit_string s soff buf off len] copies [len] bytes of [s] from
+    [soff] into [buf] at [off], with one [memcpy].
+    @raise Invalid_argument when either window is out of range. *)
+val blit_string : string -> int -> bigstring -> int -> int -> unit
+
+(** Free a buffer returned by {!alloc}, {!read} or {!read_cached},
+    leaving it empty as {!unmap} does.
     @raise Invalid_argument on a buffer already freed, or one from
     {!create} or {!of_string}.  A live mapping from {!map} must go to
     {!unmap} instead. *)
 val free : bigstring -> unit
+
+(** Empty a view ([Bigarray.Array1.sub]) into a buffer from {!alloc},
+    {!read}, {!read_cached} or {!map} whose owner is about to {!free}
+    or {!unmap} it: its length reads 0 from then on, so a slice still
+    over it fails {!writev}'s bounds check.  The view owns nothing, so
+    nothing is freed; an empty buffer, of any kind, is left as it is.
+    @raise Invalid_argument on a nonempty buffer the GC manages. *)
+val empty : bigstring -> unit

@@ -6,13 +6,15 @@
  * heap, so the base pointers collected while holding the runtime lock
  * stay valid after it is released for the syscall.
  *
- * A mapping made by flash_iovec_map and a copy made by flash_iovec_read
- * or flash_iovec_read_cached are externally managed Bigarrays: the GC
- * never unmaps or frees them, and does not count their bytes towards
- * its major-heap pacing.  Their owner calls flash_iovec_unmap (a
- * mapping) or flash_iovec_free (a copy) exactly once, which also
- * empties the array (data NULL, dim 0), so a slice left pointing at it
- * fails the bounds check instead of reading freed memory.
+ * A mapping made by flash_iovec_map and a buffer made by
+ * flash_iovec_alloc, flash_iovec_read or flash_iovec_read_cached are
+ * externally managed Bigarrays: the GC never unmaps or frees them, and
+ * does not count their bytes towards its major-heap pacing.  Their
+ * owner calls flash_iovec_unmap (a mapping) or flash_iovec_free (a
+ * buffer) exactly once, which also empties the array (data NULL,
+ * dim 0), so a slice left pointing at it fails the bounds check
+ * instead of reading freed memory.  A view into such a buffer (a
+ * Bigarray sub-array) is emptied the same way by flash_iovec_empty.
  */
 
 #define _GNU_SOURCE /* preadv2 and RWF_NOWAIT */
@@ -45,7 +47,21 @@ CAMLprim value flash_iovec_of_string(value vs)
   CAMLreturn(res);
 }
 
-/* Free a buffer from flash_iovec_read or flash_iovec_read_cached. */
+/* A fresh uninitialised buffer that flash_iovec_free ends. */
+CAMLprim value flash_iovec_alloc(value vlen)
+{
+  CAMLparam1(vlen);
+  intnat len = Long_val(vlen);
+  void *buf;
+
+  if (len <= 0) caml_invalid_argument("Iovec.alloc: length must be positive");
+  buf = malloc((size_t) len);
+  if (buf == NULL) caml_raise_out_of_memory();
+  CAMLreturn(alloc_external(buf, len));
+}
+
+/* Free a buffer from flash_iovec_alloc, flash_iovec_read or
+ * flash_iovec_read_cached. */
 CAMLprim value flash_iovec_free(value vbuf)
 {
   struct caml_ba_array *ba = Caml_ba_array_val(vbuf);
@@ -56,6 +72,29 @@ CAMLprim value flash_iovec_free(value vbuf)
   free(ba->data);
   ba->data = NULL;
   ba->dim[0] = 0;
+  return Val_unit;
+}
+
+/* Empty a view into an externally managed buffer: it owns nothing, so
+ * only its length and pointer go.  An empty buffer is left as it is. */
+CAMLprim value flash_iovec_empty(value vbuf)
+{
+  struct caml_ba_array *ba = Caml_ba_array_val(vbuf);
+
+  if (ba->dim[0] == 0) return Val_unit;
+  if ((ba->flags & CAML_BA_MANAGED_MASK) != CAML_BA_EXTERNAL)
+    caml_invalid_argument("Iovec.empty: not a view of an external buffer");
+  ba->data = NULL;
+  ba->dim[0] = 0;
+  return Val_unit;
+}
+
+/* memcpy from a string into a buffer; the caller checks the bounds. */
+CAMLprim value flash_iovec_blit_string(value vs, value vsoff, value vbuf,
+                                       value voff, value vlen)
+{
+  memcpy((char *) Caml_ba_data_val(vbuf) + Long_val(voff),
+         String_val(vs) + Long_val(vsoff), (size_t) Long_val(vlen));
   return Val_unit;
 }
 
@@ -85,15 +124,16 @@ CAMLprim value flash_iovec_resident(value vbuf)
   return Val_bool(Caml_ba_array_val(vbuf)->dim[0] == 0);
 }
 
-CAMLprim value flash_iovec_read(value vfd, value vlen)
+CAMLprim value flash_iovec_read(value vfd, value vhead, value vlen)
 {
-  (void) vfd; (void) vlen;
+  (void) vfd; (void) vhead; (void) vlen;
   caml_failwith("Iovec.read: not available on this platform");
 }
 
-CAMLprim value flash_iovec_read_cached(value vtrust, value vfd, value vlen)
+CAMLprim value flash_iovec_read_cached(value vtrust, value vfd, value vhead,
+                                       value vlen)
 {
-  (void) vtrust; (void) vfd; (void) vlen;
+  (void) vtrust; (void) vfd; (void) vhead; (void) vlen;
   return Val_none;
 }
 
@@ -223,19 +263,22 @@ static ssize_t read_full(int fd, char *buf, size_t len)
   return (ssize_t) got;
 }
 
-CAMLprim value flash_iovec_read(value vfd, value vlen)
+/* The file's bytes land [head] bytes into the buffer: the caller keeps
+ * the space before them for what it sends ahead of the body. */
+CAMLprim value flash_iovec_read(value vfd, value vhead, value vlen)
 {
-  CAMLparam2(vfd, vlen);
-  intnat len = Long_val(vlen);
+  CAMLparam3(vfd, vhead, vlen);
+  intnat head = Long_val(vhead), len = Long_val(vlen);
   int fd = Int_val(vfd);
   char *buf;
   ssize_t got;
 
   if (len <= 0) caml_invalid_argument("Iovec.read: length must be positive");
-  buf = malloc((size_t) len);
+  if (head < 0) caml_invalid_argument("Iovec.read: negative head");
+  buf = malloc((size_t) (head + len));
   if (buf == NULL) caml_raise_out_of_memory();
   caml_release_runtime_system();
-  got = read_full(fd, buf, (size_t) len);
+  got = read_full(fd, buf + head, (size_t) len);
   caml_acquire_runtime_system();
   if (got == -1) {
     int err = errno;
@@ -243,7 +286,7 @@ CAMLprim value flash_iovec_read(value vfd, value vlen)
     errno = err;
     caml_uerror("pread", Nothing);
   }
-  CAMLreturn(alloc_external(buf, (intnat) got));
+  CAMLreturn(alloc_external(buf, head + (intnat) got));
 }
 
 /* Where the kernel cannot say whether a read would block, ask mincore
@@ -263,11 +306,12 @@ static int probe_and_read(int fd, char *buf, size_t len)
   return got == -1 ? -1 : got == (ssize_t) len;
 }
 
-CAMLprim value flash_iovec_read_cached(value vtrust, value vfd, value vlen)
+CAMLprim value flash_iovec_read_cached(value vtrust, value vfd, value vhead,
+                                       value vlen)
 {
-  CAMLparam3(vtrust, vfd, vlen);
+  CAMLparam4(vtrust, vfd, vhead, vlen);
   CAMLlocal1(res);
-  intnat len = Long_val(vlen);
+  intnat head = Long_val(vhead), len = Long_val(vlen);
   int fd = Int_val(vfd);
   int trust_mincore = Bool_val(vtrust);
   int ok, err = 0;
@@ -275,25 +319,26 @@ CAMLprim value flash_iovec_read_cached(value vtrust, value vfd, value vlen)
 
   if (len <= 0)
     caml_invalid_argument("Iovec.read_cached: length must be positive");
-  buf = malloc((size_t) len);
+  if (head < 0) caml_invalid_argument("Iovec.read_cached: negative head");
+  buf = malloc((size_t) (head + len));
   if (buf == NULL) caml_raise_out_of_memory();
   caml_release_runtime_system();
 #ifdef RWF_NOWAIT
   {
     /* The kernel copies only what is in the page cache: EAGAIN, or a
      * short count, when a page is not (or the file is shorter). */
-    struct iovec iov = { buf, (size_t) len };
+    struct iovec iov = { buf + head, (size_t) len };
     ssize_t n = preadv2(fd, &iov, 1, 0, RWF_NOWAIT);
     if (n != -1)
       ok = n == (ssize_t) len;
     else if (errno == EOPNOTSUPP || errno == ENOSYS || errno == EINVAL)
       /* A filesystem or kernel without non-blocking buffered reads. */
-      ok = trust_mincore ? probe_and_read(fd, buf, (size_t) len) : 0;
+      ok = trust_mincore ? probe_and_read(fd, buf + head, (size_t) len) : 0;
     else
       ok = errno == EAGAIN || errno == EINTR ? 0 : -1;
   }
 #else
-  ok = trust_mincore ? probe_and_read(fd, buf, (size_t) len) : 0;
+  ok = trust_mincore ? probe_and_read(fd, buf + head, (size_t) len) : 0;
 #endif
   if (ok == -1) err = errno;
   caml_acquire_runtime_system();
@@ -305,7 +350,7 @@ CAMLprim value flash_iovec_read_cached(value vtrust, value vfd, value vlen)
     }
     CAMLreturn(Val_none);
   }
-  res = alloc_external(buf, len);
+  res = alloc_external(buf, head + len);
   CAMLreturn(caml_alloc_some(res));
 }
 

@@ -1,26 +1,21 @@
 (* A body outside the GC (a read copy or a mapping) and its lease
-   count.  Fresh at 0; each holder (the cache, a queued body slice, the
-   code building or serving an entry) adds one.  The release that ends
-   the last lease moves the count to [dead] with a CAS and frees or
-   unmaps, so that happens once even when MT workers or a foreign
-   shard's budget shed release concurrently. *)
-type lease = { buf : Iovec.bigstring; leases : int Atomic.t; mapping : bool }
+   count.  Fresh at 0; each holder (the cache, a queued slice, the code
+   building or serving an entry) adds one.  The release that ends the
+   last lease moves the count to [dead] with a CAS, frees or unmaps the
+   memory and empties the entry's windows into it, so that happens once
+   even when MT workers or a foreign shard's budget shed release
+   concurrently.  A read copy is one block: the entry's four headers,
+   then the body.  A mapping's four headers share one buffer of their
+   own, freed with it. *)
+type lease = {
+  buf : Iovec.bigstring;  (* the block, or the mapping *)
+  leases : int Atomic.t;
+  mapping : bool;
+  mutable headers : Iovec.bigstring;  (* a mapping's header buffer *)
+  mutable entry : entry option;  (* whose five windows end with it *)
+}
 
-let dead = min_int / 2
-
-let acquire l =
-  if Atomic.fetch_and_add l.leases 1 < 0 then
-    invalid_arg "File_cache.acquire: body already released"
-
-let release l =
-  if
-    Atomic.fetch_and_add l.leases (-1) = 1
-    && Atomic.compare_and_set l.leases 0 dead
-  then if l.mapping then Iovec.unmap l.buf else Iovec.free l.buf
-
-let is_mapping l = l.mapping
-
-type entry = {
+and entry = {
   body : Iovec.bigstring;
   mapped : lease option;
   mtime : float;
@@ -32,6 +27,35 @@ type entry = {
   header_304_keep : Iovec.bigstring;
   header_304_close : Iovec.bigstring;
 }
+
+let dead = min_int / 2
+let no_buffer = Iovec.create 0
+
+let acquire l =
+  if Atomic.fetch_and_add l.leases 1 < 0 then
+    invalid_arg "File_cache.acquire: body already released"
+
+(* Windows read empty once their memory is gone; a window that is the
+   buffer itself is already empty by then, and emptying it again is
+   harmless. *)
+let release l =
+  if
+    Atomic.fetch_and_add l.leases (-1) = 1
+    && Atomic.compare_and_set l.leases 0 dead
+  then begin
+    if l.mapping then Iovec.unmap l.buf else Iovec.free l.buf;
+    if l.headers != no_buffer then Iovec.free l.headers;
+    match l.entry with
+    | Some e ->
+        Iovec.empty e.body;
+        Iovec.empty e.header_keep;
+        Iovec.empty e.header_close;
+        Iovec.empty e.header_304_keep;
+        Iovec.empty e.header_304_close
+    | None -> ()
+  end
+
+let is_mapping l = l.mapping
 
 let body_length entry = Bigarray.Array1.dim entry.body
 
@@ -146,14 +170,15 @@ let entry_weight entry =
   + Bigarray.Array1.dim entry.header_304_close
 
 let insert_keyed t key (entry : entry) =
-  (* Replacement would bypass [on_evict]; drop the old entry through the
-     hook first so its mapping is uncharged. *)
-  ignore (Flash_cache.Store.remove ~evict:true t.store key);
   (* The cache's lease is taken before [add]: an entry shed inside it
      (own capacity or the shared budget) goes through [on_evict] and
-     must not end a lease it never had. *)
+     must not end a lease it never had.  An entry already under [key]
+     leaves through the hook too ([~evict]), so its mapping is
+     uncharged, and a key not cached is looked up once. *)
   Option.iter acquire entry.mapped;
-  if Flash_cache.Store.add t.store key entry ~weight:(entry_weight entry)
+  if
+    Flash_cache.Store.add ~evict:true t.store key entry
+      ~weight:(entry_weight entry)
   then begin
     match entry.mapped with
     | Some l when l.mapping -> Obs.Gauge.add t.mapped (body_length entry)
@@ -185,22 +210,31 @@ let clear t =
 
 let copy_limit = 65_536
 
-let leased ~mapping buf = (buf, Some { buf; leases = Atomic.make 0; mapping })
+let leased ~mapping buf =
+  { buf; leases = Atomic.make 0; mapping; headers = no_buffer; entry = None }
 
-let map_body ?(max_copy = max_int) fd ~size =
-  if size <= 0 then (Iovec.create 0, None)
-  else if size <= copy_limit then leased ~mapping:false (Iovec.read fd size)
+(* A read copy made with [head] bytes before its body: the body is the
+   window past them. *)
+let block ~head buf =
+  let l = leased ~mapping:false buf in
+  if head = 0 then (buf, Some l)
+  else (Bigarray.Array1.sub buf head (Bigarray.Array1.dim buf - head), Some l)
+
+let map_body ?(max_copy = max_int) ?(head = 0) fd ~size =
+  if size <= 0 then
+    if head = 0 then (Iovec.create 0, None) else block ~head (Iovec.alloc head)
+  else if size <= copy_limit then block ~head (Iovec.read ~head fd size)
   else
     match Iovec.map fd size with
-    | buf -> leased ~mapping:true buf
+    | buf -> (buf, Some (leased ~mapping:true buf))
     | exception (Unix.Unix_error _ | Failure _) when size <= max_copy ->
-        leased ~mapping:false (Iovec.read fd size)
+        block ~head (Iovec.read ~head fd size)
 
-let map_resident ~trust_mincore fd ~size =
-  if size <= 0 then Some (Iovec.create 0, None)
+let map_resident ?(head = 0) ~trust_mincore fd ~size =
+  if size <= 0 then Some (map_body ~head fd ~size)
   else if size <= copy_limit then
-    match Iovec.read_cached ~trust_mincore fd size with
-    | Some buf -> Some (leased ~mapping:false buf)
+    match Iovec.read_cached ~trust_mincore ~head fd size with
+    | Some buf -> Some (block ~head buf)
     | None -> None
     | exception Unix.Unix_error _ -> None
   else if not trust_mincore then None
@@ -210,7 +244,57 @@ let map_resident ~trust_mincore fd ~size =
     | buf when not (Iovec.resident buf) ->
         Iovec.unmap buf;
         None
-    | buf -> Some (leased ~mapping:true buf)
+    | buf -> Some (buf, Some (leased ~mapping:true buf))
+
+let make_entry ~body ~lease ~(headers : Http.Response.cached) ~mtime ~size
+    ~etag ~encoding =
+  let text = headers.Http.Response.text in
+  let n = String.length text in
+  (* The headers go into the block's head when it was read with room
+     for them, else into a buffer of their own that the lease frees. *)
+  let lease, area =
+    match lease with
+    | Some { entry = Some _; _ } ->
+        invalid_arg "File_cache.make_entry: body already has an entry"
+    | Some l
+      when (not l.mapping)
+           && Bigarray.Array1.dim l.buf - Bigarray.Array1.dim body >= n ->
+        (l, l.buf)
+    | Some l ->
+        let area = Iovec.alloc n in
+        l.headers <- area;
+        (l, area)
+    | None ->
+        let area = Iovec.alloc n in
+        (leased ~mapping:false area, area)
+  in
+  Iovec.blit_string text 0 area 0 n;
+  let view off len = Bigarray.Array1.sub area off len in
+  let { Http.Response.ok_keep; ok_close; not_modified_keep; _ } = headers in
+  let header_keep = view 0 ok_keep
+  and header_close = view ok_keep ok_close
+  and header_304_keep = view (ok_keep + ok_close) not_modified_keep
+  and header_304_close =
+    view
+      (ok_keep + ok_close + not_modified_keep)
+      headers.Http.Response.not_modified_close
+  in
+  let entry =
+    {
+      body;
+      mapped = Some lease;
+      mtime;
+      size;
+      etag;
+      encoding;
+      header_keep;
+      header_close;
+      header_304_keep;
+      header_304_close;
+    }
+  in
+  lease.entry <- Some entry;
+  entry
 
 let trusts_mincore ~owner ~euid = owner = euid || euid = 0
 

@@ -26,17 +26,30 @@
     whenever its origin is evicted or invalidated — a variant can never
     outlive the plain file it encodes.
 
+    {b Memory.}  An entry built by {!make_entry} keeps nothing the GC
+    manages.  A read copy is one [malloc]'d block: its four headers
+    (200 keep-alive, 200 close, 304 keep-alive, 304 close) and then the
+    body, read in place ({!map_body}'s [~head]), so a fill makes one
+    allocation.  A mapping's four headers share one buffer of their
+    own.  The entry's five buffers are windows into that memory.
+
     {b Leases.}  Each body counts its leases, as Flash refcounts its
-    chunks (§4.4).  The cache holds one while the entry is resident
-    (taken before the store's [add], dropped on eviction, removal or
-    rejection); each queued body slice holds one ({!Sendq.push_body});
-    and the code that builds or serves an entry holds one until its
-    response is queued (a hit takes it under the cache lock).  The
-    release that ends the last lease frees the copy or unmaps the
-    mapping, exactly once, so an evicted file leaves memory at its last
-    send rather than at a later major GC.  An entry built but never
-    inserted (a file too large to cache) is sent the same way and
-    leaves at its last send. *)
+    chunks (§4.4), and its headers live and die with it.  The cache
+    holds one while the entry is resident (taken before the store's
+    [add], dropped on eviction, removal or rejection); the code that
+    builds or serves an entry holds one until its response is queued (a
+    hit takes it under the cache lock); and a queued slice holds one by
+    {!Sendq.push_entry}'s rule.  A 200's header slice takes none: it is
+    queued just before its body slice, which holds the lease until
+    after the header has left the queue.  A header slice with no body
+    slice behind it (a 304, a HEAD's 200, an empty body) takes the
+    lease itself.  The release that ends the last
+    lease empties the five windows (their length reads 0, so a stale
+    slice fails {!Iovec.writev}'s bounds check) and frees the block, or
+    unmaps the mapping and frees its header buffer, exactly once: an
+    evicted file leaves memory at its last send, and no GC finaliser
+    is involved.  An entry built but never inserted (a file too large
+    to cache) is sent the same way and leaves at its last send. *)
 
 (** A body's lease count: a read copy's or a mapping's. *)
 type lease
@@ -55,8 +68,9 @@ val is_mapping : lease -> bool
 type entry = {
   body : Iovec.bigstring;  (** the leased body when [mapped] is [Some] *)
   mapped : lease option;
-      (** the body's lease; [None] for a buffer the GC owns (an empty
-          body), with no lease to keep *)
+      (** the lease on the body and headers; [None] only for an entry
+          whose buffers the GC owns (one not built by {!make_entry},
+          with an empty body), with no lease to keep *)
   mtime : float;  (** origin file's mtime (also for variants) *)
   size : int;  (** origin file's byte size (also for variants) *)
   etag : string;  (** rendered strong validator, quotes included *)
@@ -172,14 +186,21 @@ val copy_limit : int
     when [size <= copy_limit], else a mapping.  Where mapping fails the
     body is a read copy when [size <= max_copy] (default: any size), so
     a caller that bounds [max_copy] never copies a larger file whole.
-    A copy is shorter than [size] when the file shrank since the stat
-    that gave [size].  The second component is [Some] for a nonempty
-    body; it holds no lease, and its body is freed or unmapped when the
-    last lease taken on it ends.
+    A read copy is made as one block with [head] bytes (default 0)
+    before the body, where {!make_entry} puts the headers; the body is
+    the window past them.  A copy is shorter than [size] when the file
+    shrank since the stat that gave [size].  The second component is
+    [Some] for a nonempty body or a nonzero [head]; it holds no lease,
+    and its memory is freed or unmapped when the last lease taken on it
+    ends.
     @raise Unix.Unix_error when the read fails, or when mapping fails
     and [size > max_copy]. *)
 val map_body :
-  ?max_copy:int -> Unix.file_descr -> size:int -> Iovec.bigstring * lease option
+  ?max_copy:int ->
+  ?head:int ->
+  Unix.file_descr ->
+  size:int ->
+  Iovec.bigstring * lease option
 
 (** Like {!map_body}, but only when no byte has to come from disk;
     [None] otherwise.  A copy is read with {!Iovec.read_cached}, which
@@ -188,10 +209,28 @@ val map_body :
     [trust_mincore] says that answer counts ({!trusts_mincore}); its
     probe is unmapped when the answer is no. *)
 val map_resident :
+  ?head:int ->
   trust_mincore:bool ->
   Unix.file_descr ->
   size:int ->
   (Iovec.bigstring * lease option) option
+
+(** The entry over [body] and its [lease] (both from {!map_body} or
+    {!map_resident}), answering with the four [headers].  They are
+    copied into the block's head when it has room for them, else into
+    one buffer of their own that the lease frees; a body without a
+    lease gets a fresh one (no lease taken) for that buffer.  The
+    entry's header fields are windows of [headers.text], in its order.
+    @raise Invalid_argument when the body already has an entry. *)
+val make_entry :
+  body:Iovec.bigstring ->
+  lease:lease option ->
+  headers:Http.Response.cached ->
+  mtime:float ->
+  size:int ->
+  etag:string ->
+  encoding:string option ->
+  entry
 
 (** Whether a [mincore] answer about a file owned by [owner] can be
     believed by a process whose effective uid is [euid].  Linux 5.0

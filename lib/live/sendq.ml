@@ -64,6 +64,18 @@ let push_body t (s : Iovec.slice) lease =
 
 let push_slice t s = push_body t s None
 
+(* The body slice goes in right behind the header and holds the lease
+   until after the header has left the queue, so the header needs none
+   of its own. *)
+let push_entry t (e : File_cache.entry) ~header ~body =
+  let hlen = Bigarray.Array1.dim header
+  and blen = Bigarray.Array1.dim e.File_cache.body in
+  if body && blen > 0 then begin
+    push_buffer t header ~off:0 ~len:hlen None;
+    push_buffer t e.File_cache.body ~off:0 ~len:blen e.File_cache.mapped
+  end
+  else push_buffer t header ~off:0 ~len:hlen e.File_cache.mapped
+
 let push_string t s =
   let n = String.length s in
   if n > 0 then push_buffer t (Iovec.of_string s) ~off:0 ~len:n None;

@@ -38,6 +38,16 @@ val push_buffer :
     Zero-length slices are dropped and take no lease. *)
 val push_body : t -> Iovec.slice -> File_cache.lease option -> unit
 
+(** Queue a cached response: [header] (one of [entry]'s four) and,
+    with [~body:true], the whole body.  The body slice holds the
+    entry's lease until it is popped, after the header; a header with
+    no body slice behind it (a 304, a HEAD, an empty body) holds the
+    lease itself.  So a 200 with a body takes one lease, as its body
+    alone would, and every header leaves the queue before its memory
+    can be freed. *)
+val push_entry :
+  t -> File_cache.entry -> header:Iovec.bigstring -> body:bool -> unit
+
 (** Copy a heap string into a fresh off-heap buffer and queue it.
     Returns the number of bytes copied (0 for [""]) so callers can
     charge their copy counters. *)

@@ -422,12 +422,12 @@ let with_recorder t f =
 
 (* A tick that closes a window runs the registry walk, which may raise;
    the mutex is released either way. *)
-let tick_recorder ?now t =
+let tick_recorder t ~now =
   match t.recorder with
   | None -> ()
   | Some r -> (
       Mutex.lock t.recorder_mutex;
-      match Obs.Recorder.tick ?now r with
+      match Obs.Recorder.tick ~now r with
       | () -> Mutex.unlock t.recorder_mutex
       | exception e ->
           Mutex.unlock t.recorder_mutex;
@@ -444,12 +444,16 @@ let tick_recorder ?now t =
    take the obs mutex.  Spans land on the owning loop's track, the
    Perfetto row they render on. *)
 
+(* The wall clock, boxed once: a stamp handed to several calls (a
+   float field, the trace's spans) is then not boxed again for each. *)
+let stamp () = Sys.opaque_identity (Unix.gettimeofday ())
+
 (* A request opens at the first byte of its head, one clock read that
    stamps [head_start] and, with tracing on, opens its trace and parse
    span.  The first request's trace reaches back to [accept]; later
    ones mark the keep-alive reuse. *)
 let open_request t conn =
-  let now = Unix.gettimeofday () in
+  let now = stamp () in
   conn.head_start <- now;
   match t.tracer with
   | None -> ()
@@ -477,12 +481,12 @@ let open_request t conn =
                 conn.trace <- Some tr;
                 tr
           in
-          Obs.Trace.instant tracer tr ~track ~at:now "keepalive-reuse";
+          Obs.Trace.instant_at tracer tr ~track ~at:now "keepalive-reuse";
           tr
         end
       in
       conn.parse_span <-
-        Some (Obs.Trace.begin_span tracer tr ~track ~at:now "parse")
+        Some (Obs.Trace.begin_span_at tracer tr ~track ~at:now "parse")
 
 (* "GET /path": one allocation. *)
 let request_label meth target =
@@ -497,10 +501,10 @@ let request_label meth target =
    trace takes the request's label ("bad-request" for [None]). *)
 let end_parse_span t conn (req : Http.Request.t option) =
   match (t.tracer, conn.trace) with
-  | Some tracer, Some tr ->
+  | Some _, Some tr ->
       (match conn.parse_span with
       | Some sp ->
-          Obs.Trace.end_span tracer ~at:conn.req_start sp;
+          Obs.Trace.end_span_at sp ~at:conn.req_start;
           conn.parse_span <- None
       | None -> ());
       Obs.Trace.relabel tr
@@ -526,17 +530,17 @@ let begin_work_span t conn name =
         Some (Obs.Trace.begin_span tracer tr ~track:conn.loop.track name)
   | _ -> ()
 
-let close_work_span tracer ?at conn =
+let close_work_span conn ~at =
   match conn.work_span with
   | Some sp ->
-      Obs.Trace.end_span tracer ?at sp;
+      Obs.Trace.end_span_at sp ~at;
       conn.work_span <- None
   | None -> ()
 
 let end_work_span t conn =
-  match t.tracer with
-  | Some tracer -> close_work_span tracer conn
-  | None -> ()
+  match (t.tracer, conn.work_span) with
+  | Some _, Some _ -> close_work_span conn ~at:(Unix.gettimeofday ())
+  | _ -> ()
 
 let log_slow t ~since data =
   let line = Obs.Trace.summary ~since data in
@@ -557,14 +561,14 @@ let finish_request ?(closing = false) t conn =
     conn.reqs_served <- conn.reqs_served + 1;
     match (t.tracer, conn.trace) with
     | Some tracer, Some tr ->
-        let at = Unix.gettimeofday () in
+        let at = stamp () in
         (match conn.write_span with
-        | Some sp -> Obs.Trace.end_span tracer ~at sp
+        | Some sp -> Obs.Trace.end_span_at sp ~at
         | None -> ());
         if closing || conn.close_after_flush then
-          Obs.Trace.instant tracer tr ~track:conn.loop.track ~at "close";
+          Obs.Trace.instant_at tracer tr ~track:conn.loop.track ~at "close";
         Mutex.lock t.obs_mutex;
-        Obs.Trace.complete tracer ~at tr;
+        Obs.Trace.complete_at tracer tr ~at;
         Mutex.unlock t.obs_mutex;
         conn.spare <- conn.trace;
         conn.trace <- None;
@@ -621,22 +625,22 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
    stamp the work span (inline disk read, CGI) ends, the write span
    begins and the flight recorder checks its window. *)
 let record_latency t conn =
-  let now = Unix.gettimeofday () in
+  let now = stamp () in
   Mutex.lock t.obs_mutex;
   Obs.Histogram.record t.latency (now -. conn.req_start);
   Mutex.unlock t.obs_mutex;
   (match t.tracer with
   | Some tracer -> (
-      close_work_span tracer ~at:now conn;
+      close_work_span conn ~at:now;
       match conn.trace with
       | Some tr when conn.write_span = None ->
           conn.write_span <-
             Some
-              (Obs.Trace.begin_span tracer tr ~track:conn.loop.track ~at:now
-                 "write")
+              (Obs.Trace.begin_span_at tracer tr ~track:conn.loop.track
+                 ~at:now "write")
       | _ -> ())
   | None -> ());
-  tick_recorder ~now t
+  tick_recorder t ~now
 
 let slow_read_hook t path =
   match t.config.slow_read with Some f -> f path | None -> ()
@@ -1134,9 +1138,6 @@ let enqueue_string t conn s =
   let copied = Sendq.push_string conn.outq s in
   count_send t ~writev:0 ~copied ~sent:0
 
-let enqueue_slice conn buf =
-  Sendq.push_buffer conn.outq buf ~off:0 ~len:(Bigarray.Array1.dim buf) None
-
 let render_header ?last_modified ?(extra = []) t ~status ~content_type
     ~content_length ~keep =
   Http.Response.header ~status ?content_type ?content_length ?last_modified
@@ -1264,60 +1265,38 @@ let status_view t (req : Http.Request.t) =
 (* Serving files                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Pre-render an entry's 200 and 304 header pairs (keep-alive and close
-   variants each) around a body buffer: a fresh cache entry.  The header
-   renders and a read copy of the body are the miss path's counted
+(* The four headers an entry answers with (200 and 304, keep-alive and
+   close), rendered in one pass for a body of [len] bytes. *)
+let entry_headers t ~etag ~mtime ~content_type ~encoding ~len =
+  let vary = vary_extra t in
+  Http.Response.cached ~server:t.config.server_name ?align
+    ~date:(Unix.gettimeofday ()) ~last_modified:mtime ~content_type
+    ~content_length:len
+    ~ok_extra:
+      (("ETag", etag) :: ("Accept-Ranges", "bytes")
+      :: (match encoding with
+         | Some e -> ("Content-Encoding", e) :: vary
+         | None -> vary))
+    ~not_modified_extra:(("ETag", etag) :: vary)
+    ()
+
+(* What an entry stands for: a file as it is, or the gzip variant of an
+   origin whose validators it carries. *)
+type representation = Identity | Gzip_of of { mtime : float; size : int }
+
+(* A fresh cache entry around a body and its headers.  The header
+   render and a read copy of the body are the miss path's counted
    copies, charged once here; a mapped body costs none. *)
-let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
-  let body_len = Bigarray.Array1.dim body in
-  let suffix =
-    match encoding with
-    | Some "gzip" -> "-gz"
-    | Some e -> "-" ^ e
-    | None -> ""
-  in
-  let etag = Http.Etag.make ~suffix ~mtime ~size () in
-  let date = Unix.gettimeofday () in
-  let extra =
-    [ ("ETag", etag); ("Accept-Ranges", "bytes") ]
-    @ (match encoding with
-      | Some e -> [ ("Content-Encoding", e) ]
-      | None -> [])
-    @ vary_extra t
-  in
-  let hk, hc =
-    Http.Response.header_pair ~status:Http.Status.Ok
-      ~server:t.config.server_name ~date ~last_modified:mtime ~content_type
-      ~content_length:body_len ~extra ?align ()
-  in
-  let h304k, h304c =
-    Http.Response.header_pair ~status:Http.Status.Not_modified
-      ~server:t.config.server_name ~date ~last_modified:mtime
-      ~extra:([ ("ETag", etag) ] @ vary_extra t)
-      ?align ()
-  in
+let build_entry t ~body ~lease ~headers ~mtime ~size ~etag ~encoding =
   let body_copied =
-    match mapped with
+    match lease with
     | Some l when File_cache.is_mapping l -> 0
-    | Some _ | None -> body_len
+    | Some _ | None -> Bigarray.Array1.dim body
   in
   count_send t ~writev:0
-    ~copied:
-      (body_copied + String.length hk + String.length hc
-      + String.length h304k + String.length h304c)
+    ~copied:(body_copied + String.length headers.Http.Response.text)
     ~sent:0;
-  {
-    File_cache.body;
-    mapped;
-    mtime;
-    size;
-    etag;
-    encoding;
-    header_keep = Iovec.of_string hk;
-    header_close = Iovec.of_string hc;
-    header_304_keep = Iovec.of_string h304k;
-    header_304_close = Iovec.of_string h304c;
-  }
+  File_cache.make_entry ~body ~lease ~headers ~mtime ~size ~etag ~encoding
 
 (* Leases on entries held by the code serving them (see
    {!File_cache}): a hit takes one under the cache lock, a fill builds
@@ -1379,41 +1358,84 @@ let open_regular full =
    taken as read. *)
 let fill_reads = 3
 
-(* The body of [fd], fstat'd as [st], leased for the caller, with its
-   mtime: copied or mapped at the fstat's size, so a file that shrank
-   since an earlier stat is never mapped past its end.  A read copy
-   that comes up short (the file shrank after the fstat) is read again
-   after a fresh fstat, and the last read is taken at its own length,
-   so a body always agrees with its Content-Length and ETag.  A body
-   too large to cache is never read whole in place of a mapping: where
-   it cannot be mapped, the load fails.
+let encoding_of = function Identity -> None | Gzip_of _ -> Some "gzip"
+
+(* The validators, ETag and headers of an entry whose body is [len]
+   bytes read from a file with [mtime]. *)
+let describe t repr ~content_type ~mtime ~len =
+  let mtime, size, suffix =
+    match repr with
+    | Identity -> (mtime, len, "")
+    | Gzip_of o -> (o.mtime, o.size, "-gz")
+  in
+  let etag = Http.Etag.make ~suffix ~mtime ~size () in
+  ( mtime,
+    size,
+    etag,
+    entry_headers t ~etag ~mtime ~content_type ~encoding:(encoding_of repr)
+      ~len )
+
+(* The entry over [fd], fstat'd as [st], leased for the caller: its
+   headers are rendered for the fstat's size first, so a read copy is
+   read in place behind them, and the body is copied or mapped at that
+   size, so a file that shrank since an earlier stat is never mapped
+   past its end.  A read copy that comes up short (the file shrank
+   after the fstat) is read again after a fresh fstat, and the last
+   read is taken at its own length, its headers rendered again (no
+   longer than the first, so they still fit), so a body always agrees
+   with its Content-Length and ETag.  With [~resident] the body is
+   made only when no byte has to come from disk ([None] otherwise),
+   and a short read is [None] too.  A body too large to cache is never
+   read whole in place of a mapping: where it cannot be mapped, the
+   load fails.
    @raise Unix.Unix_error or Failure when the body cannot be had. *)
-let load t fd (st : Unix.stats) =
+let load ?resident t repr ~content_type fd (st : Unix.stats) =
   let rec go (st : Unix.stats) reads =
-    let size = st.Unix.st_size in
-    let body, lease =
-      File_cache.map_body ~max_copy:t.config.max_cached_file fd ~size
+    let size = st.Unix.st_size and mtime = st.Unix.st_mtime in
+    let ((_, _, _, headers) as described) =
+      describe t repr ~content_type ~mtime ~len:size
     in
-    Option.iter File_cache.acquire lease;
-    if Bigarray.Array1.dim body = size || reads = 1 then
-      (body, lease, st.Unix.st_mtime)
-    else begin
-      Option.iter File_cache.release lease;
-      go (Unix.fstat fd) (reads - 1)
-    end
+    let head = String.length headers.Http.Response.text in
+    let made =
+      match resident with
+      | None ->
+          Some
+            (File_cache.map_body ~max_copy:t.config.max_cached_file ~head fd
+               ~size)
+      | Some trust_mincore ->
+          File_cache.map_resident ~head ~trust_mincore fd ~size
+    in
+    match made with
+    | None -> None
+    | Some (body, lease) ->
+        Option.iter File_cache.acquire lease;
+        let got = Bigarray.Array1.dim body in
+        if got = size || reads = 1 then begin
+          let mtime, size, etag, headers =
+            if got = size then described
+            else describe t repr ~content_type ~mtime ~len:got
+          in
+          Some
+            (build_entry t ~body ~lease ~headers ~mtime ~size ~etag
+               ~encoding:(encoding_of repr))
+        end
+        else begin
+          Option.iter File_cache.release lease;
+          go (Unix.fstat fd) (reads - 1)
+        end
   in
   go st fill_reads
 
-(* The one miss path, in every mode: [open_regular], [load], build the
-   entry and insert it when it is [cacheable].  With [~resident]
-   (AMPED's inline attempt) the entry is built only when no byte has to
-   come from disk, and only for a cacheable file, since asking
-   [mincore] about a larger one would stall the loop in proportion to
-   its size: a small file's copy is read with [RWF_NOWAIT], which the
-   kernel answers for any caller, while [mincore] decides for a mapping
-   and is believed only for the files it tells the truth about.  A
-   short inline read goes to a helper.  [slow_read] models cold media,
-   so while it is set the answer is always "not resident". *)
+(* The one miss path, in every mode: [open_regular], [load] the entry
+   and insert it when it is [cacheable].  With [~resident] (AMPED's
+   inline attempt) the entry is built only when no byte has to come
+   from disk, and only for a cacheable file, since asking [mincore]
+   about a larger one would stall the loop in proportion to its size: a
+   small file's copy is read with [RWF_NOWAIT], which the kernel
+   answers for any caller, while [mincore] decides for a mapping and is
+   believed only for the files it tells the truth about.  A short
+   inline read goes to a helper.  [slow_read] models cold media, so
+   while it is set the answer is always "not resident". *)
 let fill ?(resident = false) t full =
   match open_regular full with
   | Error miss -> miss
@@ -1421,34 +1443,27 @@ let fill ?(resident = false) t full =
       Unix.close fd;
       Large
   | Ok (fd, st) -> (
+      let content_type = Http.Mime.of_path full in
       let loaded =
         if not resident then
-          match load t fd st with
-          | loaded -> Ok loaded
+          match load t Identity ~content_type fd st with
+          | Some entry -> Ok entry
+          | None -> Error Unloadable
           | exception (Unix.Unix_error _ | Failure _) -> Error Unloadable
         else if t.config.slow_read <> None then Error Not_resident
         else
           let trust_mincore =
             File_cache.trusts_mincore ~owner:st.Unix.st_uid ~euid
           in
-          match
-            File_cache.map_resident ~trust_mincore fd ~size:st.Unix.st_size
-          with
-          | Some (body, lease) ->
-              Option.iter File_cache.acquire lease;
-              Ok (body, lease, st.Unix.st_mtime)
+          match load ~resident:trust_mincore t Identity ~content_type fd st with
+          | Some entry -> Ok entry
           | None -> Error Not_resident
       in
       Unix.close fd;
       match loaded with
       | Error miss -> miss
-      | Ok (body, mapped, mtime) ->
-          let size = Bigarray.Array1.dim body in
-          let entry =
-            build_entry t ~body ~mapped ~mtime ~size
-              ~content_type:(Http.Mime.of_path full) ~encoding:None
-          in
-          if cacheable t size then
+      | Ok entry ->
+          if cacheable t entry.File_cache.size then
             with_cache_lock t (fun () -> File_cache.insert t.cache full entry);
           Filled entry)
 
@@ -1482,16 +1497,14 @@ let gzip_entry t ~full ~(origin : File_cache.entry) =
           match
             Fun.protect
               ~finally:(fun () -> Unix.close fd)
-              (fun () -> load t fd st)
+              (fun () ->
+                load t (Gzip_of { mtime; size })
+                  ~content_type:(Http.Mime.of_path full) fd st)
           with
           | exception (Unix.Unix_error _ | Failure _) -> None
-          | body, mapped, _ ->
-              let entry =
-                build_entry t ~body ~mapped ~mtime ~size
-                  ~content_type:(Http.Mime.of_path full)
-                  ~encoding:(Some "gzip")
-              in
-              if cacheable t (Bigarray.Array1.dim body) then
+          | None -> None
+          | Some entry ->
+              if cacheable t (File_cache.body_length entry) then
                 with_cache_lock t (fun () ->
                     File_cache.insert_variant t.cache full ~encoding:"gzip"
                       entry);
@@ -1546,18 +1559,18 @@ let enqueue_response t conn (req : Http.Request.t) ~full
         ~extra:[ ("Content-Range", Http.Range.content_range_unsatisfied ~size) ]
   | P_not_modified ->
       note_response t conn ~full ~meth ~target 304 ~bytes:0;
-      enqueue_slice conn
-        (if keep then e.File_cache.header_304_keep
-         else e.File_cache.header_304_close);
+      Sendq.push_entry conn.outq e ~body:false
+        ~header:
+          (if keep then e.File_cache.header_304_keep
+           else e.File_cache.header_304_close);
       response_queued t conn ~keep
   | P_full ->
       note_response t conn ~full ~meth ~target 200
         ~bytes:(if head_only then 0 else size);
-      enqueue_slice conn
-        (if keep then e.File_cache.header_keep else e.File_cache.header_close);
-      if not head_only then
-        Sendq.push_buffer conn.outq e.File_cache.body ~off:0 ~len:size
-          e.File_cache.mapped;
+      Sendq.push_entry conn.outq e ~body:(not head_only)
+        ~header:
+          (if keep then e.File_cache.header_keep
+           else e.File_cache.header_close);
       response_queued t conn ~keep
   | P_slice (off, len) ->
       note_response t conn ~full ~meth ~target 206 ~bytes:len;
@@ -1713,7 +1726,7 @@ let process_request t conn (req : Http.Request.t) =
           match (t.tracer, conn.trace) with
           | Some tracer, Some tr ->
               Some
-                (Obs.Trace.begin_span tracer tr ~track:conn.loop.track
+                (Obs.Trace.begin_span_at tracer tr ~track:conn.loop.track
                    ~at:conn.req_start "resolve")
           | _ -> None
         in
@@ -2332,7 +2345,7 @@ let handle_timer t lp ~now ev =
   | T_rollup ->
       (* Periodic flight-recorder tick, so windows close on an idle
          server too; request paths also tick opportunistically. *)
-      tick_recorder t;
+      tick_recorder t ~now:(Unix.gettimeofday ());
       let interval =
         match t.recorder with
         | Some r -> Obs.Recorder.interval r

@@ -184,9 +184,7 @@ let handle tr j =
       tr.tr_handles.(j) <- Some h;
       h
 
-let begin_span t tr ?track ?at name =
-  let track = match track with Some s -> s | None -> t.track in
-  let at = match at with Some a -> a | None -> t.clock () in
+let begin_span_at t tr ~track ~at name =
   let j = push t tr ~name ~track ~start:at ~stop:Float.nan in
   if j < 0 then { sp_trace = tr; sp_index = -1 }
   else begin
@@ -194,6 +192,11 @@ let begin_span t tr ?track ?at name =
     tr.tr_open <- tr.tr_open + 1;
     handle tr j
   end
+
+let stamp t = function Some at -> at | None -> t.clock ()
+
+let begin_span t tr ?(track = t.track) ?at name =
+  begin_span_at t tr ~track ~at:(stamp t at) name
 
 (* Closing a span closes any still-open spans begun inside it at the
    same instant, so begin/end pairs always produce well-nested
@@ -203,10 +206,9 @@ let begin_span t tr ?track ?at name =
 let rec stack_pos tr j k =
   if k < 0 || tr.tr_stack.(k) = j then k else stack_pos tr j (k - 1)
 
-let end_span t ?at sp =
+let end_span_at sp ~at =
   let tr = sp.sp_trace and j = sp.sp_index in
   if j >= 0 && Float.is_nan (span_stop tr j) then begin
-    let at = match at with Some a -> a | None -> t.clock () in
     let k = stack_pos tr j (tr.tr_open - 1) in
     if k < 0 then set_stop tr j at
     else begin
@@ -218,13 +220,17 @@ let end_span t ?at sp =
     end
   end
 
+let end_span t ?at sp = end_span_at sp ~at:(stamp t at)
+
 let add_span t ?track ~name ~start ~stop tr =
   let track = match track with Some s -> s | None -> t.track in
   ignore (push t tr ~name ~track ~start ~stop)
 
-let instant t tr ?track ?at name =
-  let at = match at with Some a -> a | None -> t.clock () in
-  add_span t ?track ~name ~start:at ~stop:at tr
+let instant_at t tr ~track ~at name =
+  ignore (push t tr ~name ~track ~start:at ~stop:at)
+
+let instant t tr ?(track = t.track) ?at name =
+  instant_at t tr ~track ~at:(stamp t at) name
 
 (* ------------------------------------------------------------------ *)
 (* The ring                                                            *)
@@ -285,9 +291,8 @@ let advance t =
   if t.len < t.cap then t.len <- t.len + 1;
   t.n_completed <- t.n_completed + 1
 
-let complete t ?at tr =
+let complete_at t tr ~at =
   if not tr.tr_finished then begin
-    let at = match at with Some a -> a | None -> t.clock () in
     for i = 0 to tr.tr_open - 1 do
       let j = tr.tr_stack.(i) in
       if Float.is_nan (span_stop tr j) then set_stop tr j at
@@ -308,6 +313,8 @@ let complete t ?at tr =
     done;
     advance t
   end
+
+let complete t ?at tr = complete_at t tr ~at:(stamp t at)
 
 let data_of_trace tr ~t_end =
   let rec spans j acc =
@@ -334,8 +341,8 @@ let data_of_trace tr ~t_end =
   }
 
 let finish t ?at tr =
-  let at = match at with Some a -> a | None -> t.clock () in
-  complete t ~at tr;
+  let at = stamp t at in
+  complete_at t tr ~at;
   data_of_trace tr ~t_end:at
 
 let ingest t data =

@@ -128,6 +128,21 @@ val complete : t -> ?at:float -> trace -> unit
 (** {!complete}, then the trace's data. *)
 val finish : t -> ?at:float -> trace -> trace_data
 
+(** {!begin_span} at [at] on [track].  The optional-argument calls
+    make a fresh [Some] for each argument given; this one and the three
+    below take both, so a caller that already holds its stamp stamps a
+    trace reused with {!restart} without allocating. *)
+val begin_span_at : t -> trace -> track:string -> at:float -> string -> span
+
+(** {!end_span} at [at]. *)
+val end_span_at : span -> at:float -> unit
+
+(** {!instant} at [at] on [track]. *)
+val instant_at : t -> trace -> track:string -> at:float -> string -> unit
+
+(** {!complete} at [at]. *)
+val complete_at : t -> trace -> at:float -> unit
+
 (** Push an externally assembled trace (e.g. decoded from another
     process) into the ring under a fresh id. *)
 val ingest : t -> trace_data -> unit

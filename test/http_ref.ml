@@ -119,3 +119,37 @@ let content_range ~off ~len ~size =
   Printf.sprintf "bytes %d-%d/%d" off (off + len - 1) size
 
 let content_range_unsatisfied ~size = Printf.sprintf "bytes */%d" size
+
+(* Content types the plain way: the extension cut out and lowercased,
+   then looked up in an association list. *)
+let mime_table =
+  [
+    ("html", "text/html"); ("htm", "text/html"); ("txt", "text/plain");
+    ("css", "text/css"); ("gif", "image/gif"); ("jpg", "image/jpeg");
+    ("jpeg", "image/jpeg"); ("png", "image/png");
+    ("ps", "application/postscript"); ("pdf", "application/pdf");
+    ("gz", "application/gzip"); ("tar", "application/x-tar");
+    ("zip", "application/zip"); ("mpg", "video/mpeg");
+    ("mpeg", "video/mpeg"); ("au", "audio/basic"); ("wav", "audio/x-wav");
+    ("js", "text/javascript"); ("xml", "text/xml");
+  ]
+
+let mime_of_path path =
+  let ext =
+    match String.rindex_opt path '.' with
+    | None -> None
+    | Some dot ->
+        let after_slash =
+          match String.rindex_opt path '/' with
+          | Some slash -> dot > slash
+          | None -> true
+        in
+        if after_slash && dot < String.length path - 1 then
+          Some
+            (String.lowercase_ascii
+               (String.sub path (dot + 1) (String.length path - dot - 1)))
+        else None
+  in
+  match Option.bind ext (fun e -> List.assoc_opt e mime_table) with
+  | Some ct -> ct
+  | None -> "application/octet-stream"

@@ -501,6 +501,35 @@ let test_oversized_entry_admitted_alone () =
         5 (Store.weight store))
     Policy.all
 
+(* The score-ranked policies push a heap record per access and skip a
+   stale one only when a pop reaches it; a popular key's stale records
+   sit above the eviction floor, so GDSF's heap grew with the request
+   count (LFU's only until its renormalisation, some 230 k accesses
+   apart).  After 200 k Zipf accesses through a store that holds about
+   a third of 6,000 keys, everything the store keeps must stay within a
+   constant number of words per resident entry. *)
+let test_heap_bounded kind () =
+  let zipf = Workload.Zipf.create ~n:6000 ~alpha:0.8 in
+  let rng = Sim.Rng.create ~seed:25 in
+  let store =
+    Store.create ~policy:kind ~name:"bounded" ~capacity:32_000_000 ()
+  in
+  let weight k = 2048 + (k * 7919 mod 24_577) in
+  for _ = 1 to 200_000 do
+    let k = Workload.Zipf.sample zipf rng in
+    match Store.find store k with
+    | Some () -> ()
+    | None -> ignore (Store.add store k () ~weight:(weight k))
+  done;
+  let per_entry =
+    Obj.reachable_words (Obj.repr store) / Store.length store
+  in
+  Printf.printf "%s: %d entries, %d words per entry\n" (Policy.name kind)
+    (Store.length store) per_entry;
+  if per_entry > 100 then
+    Alcotest.failf "%s keeps %d words per resident entry" (Policy.name kind)
+      per_entry
+
 let suite =
   [
     prop_policy Policy.Lru;
@@ -529,4 +558,8 @@ let suite =
       test_store_rejects_bad_args;
     Alcotest.test_case "oversized entry admitted alone" `Quick
       test_oversized_entry_admitted_alone;
+    Alcotest.test_case "GDSF heap bounded by live keys" `Quick
+      (test_heap_bounded Policy.Gdsf);
+    Alcotest.test_case "LFU heap bounded by live keys" `Quick
+      (test_heap_bounded Policy.Lfu);
   ]

@@ -584,6 +584,62 @@ let test_parse_sub_bounds () =
       Alcotest.(check string) "path" "/" r.R.path
   | _ -> Alcotest.fail "expected a complete head"
 
+(* The four cached variants, rendered in one pass, are the two pairs
+   [header_pair] renders, byte for byte: the 200's with its entity
+   fields and the 304's without. *)
+let prop_cached_is_two_pairs =
+  Helpers.qcheck_case ~count:2000
+    ~name:"cached headers are header_pair's, byte for byte"
+    (QCheck.make ~print:print_render_case gen_render_case)
+    (fun c ->
+      let content_type = Option.value c.content_type ~default:"text/html"
+      and content_length = Option.value c.content_length ~default:0
+      and date = Option.value c.date ~default:c.mtime
+      and last_modified = Option.value c.last_modified ~default:c.mtime in
+      let not_modified_extra =
+        match c.extra with [] -> [] | _ :: rest -> rest
+      in
+      let h =
+        Response.cached ?version:c.version ?server:c.server ?align:c.align
+          ~content_type ~content_length ~date ~last_modified
+          ~ok_extra:c.extra ~not_modified_extra ()
+      in
+      let ok_keep, ok_close =
+        Response.header_pair ?version:c.version ?server:c.server
+          ~content_type ~content_length ~date ~last_modified ~extra:c.extra
+          ?align:c.align ~status:Status.Ok ()
+      and nm_keep, nm_close =
+        Response.header_pair ?version:c.version ?server:c.server ~date
+          ~last_modified ~extra:not_modified_extra ?align:c.align
+          ~status:Status.Not_modified ()
+      in
+      let lengths =
+        [
+          h.Response.ok_keep; h.Response.ok_close;
+          h.Response.not_modified_keep; h.Response.not_modified_close;
+        ]
+      in
+      let rec slices off = function
+        | [] -> []
+        | n :: rest -> String.sub h.Response.text off n :: slices (off + n) rest
+      in
+      List.fold_left ( + ) 0 lengths = String.length h.Response.text
+      && slices 0 lengths = [ ok_keep; ok_close; nm_keep; nm_close ]
+      || QCheck.Test.fail_reportf "cached %S" h.Response.text)
+
+(* Paths over an alphabet of dots, slashes and the letters of the
+   known extensions in either case. *)
+let prop_mime_agrees =
+  let gen =
+    QCheck.Gen.(
+      string_size
+        ~gen:(oneofl (List.of_seq (String.to_seq "./hHtTmMlLgGiIfFzZpPxXsSjJa")))
+        (int_range 0 14))
+  in
+  Helpers.qcheck_case ~count:5000 ~name:"Mime.of_path agrees with the reference"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun path -> Http.Mime.of_path path = Http_ref.mime_of_path path)
+
 let suite =
   [
     Alcotest.test_case "parse_sub bounds" `Quick test_parse_sub_bounds;
@@ -621,4 +677,6 @@ let suite =
     Alcotest.test_case "error body" `Quick test_error_body;
     prop_alignment;
     prop_byte_identity;
+    prop_cached_is_two_pairs;
+    prop_mime_agrees;
   ]

@@ -33,6 +33,7 @@ let () =
       ("live.status", Test_status.suite);
       ("live.metrics", Test_metrics.suite);
       ("live.trace", Test_trace.suite);
+      ("live.fill", Test_fill.suite);
       ("cache.lru_model", Test_lru_model.suite);
       ("flash.helper_pool", Test_helper_pool.suite);
       ("flash.extensions", Test_extensions.suite);

@@ -236,16 +236,25 @@ let lease_files =
      in
      (dir, paths, Array.mapi (fun i n -> patterned ~seed:i n) sizes))
 
+(* What a queued response sends of its entry. *)
+type send = Full | Not_modified | Head_only
+
 type op =
-  | Fill of int * int  (* file, queue: a miss builds, inserts and sends *)
-  | Hit of int * int  (* file, queue: a cached entry is sent *)
+  | Fill of int * int * send
+      (* file, queue: a miss builds, inserts and sends *)
+  | Hit of int * int * send  (* file, queue: a cached entry is sent *)
   | Advance of int * int  (* queue, at most this many bytes written *)
   | Drain of int
   | Close of int  (* the connection dies: the queue is discarded *)
 
+let show_send = function
+  | Full -> "200"
+  | Not_modified -> "304"
+  | Head_only -> "HEAD"
+
 let show_op = function
-  | Fill (f, q) -> Printf.sprintf "Fill(%d,%d)" f q
-  | Hit (f, q) -> Printf.sprintf "Hit(%d,%d)" f q
+  | Fill (f, q, k) -> Printf.sprintf "Fill(%d,%d,%s)" f q (show_send k)
+  | Hit (f, q, k) -> Printf.sprintf "Hit(%d,%d,%s)" f q (show_send k)
   | Advance (q, n) -> Printf.sprintf "Advance(%d,%d)" q n
   | Drain q -> Printf.sprintf "Drain %d" q
   | Close q -> Printf.sprintf "Close %d" q
@@ -254,10 +263,15 @@ let arb_ops =
   let nf = Array.length sizes - 1 in
   let op =
     QCheck.Gen.(
+      let send = frequencyl [ (3, Full); (1, Not_modified); (1, Head_only) ] in
       frequency
         [
-          (3, map2 (fun f q -> Fill (f, q)) (int_bound nf) (int_bound 1));
-          (3, map2 (fun f q -> Hit (f, q)) (int_bound nf) (int_bound 1));
+          ( 3,
+            map3 (fun f q k -> Fill (f, q, k)) (int_bound nf) (int_bound 1) send
+          );
+          ( 3,
+            map3 (fun f q k -> Hit (f, q, k)) (int_bound nf) (int_bound 1) send
+          );
           (3, map2 (fun q n -> Advance (q, n)) (int_bound 1) (int_bound 120_000));
           (1, map (fun q -> Drain q) (int_bound 1));
           (1, map (fun q -> Close q) (int_bound 1));
@@ -268,21 +282,40 @@ let arb_ops =
     ~shrink:QCheck.Shrink.list
     QCheck.Gen.(list_size (int_range 1 40) op)
 
-(* One body the property made, and how many queued slices of it the
-   model says are unsent. *)
-type mapped = { body : Iovec.bigstring; size : int; mutable queued : int }
+(* One entry the property made: its body and four headers, and how many
+   queued slices of it the model says are unsent. *)
+type made = {
+  entry : File_cache.entry;
+  size : int;
+  mutable queued : int;
+}
+
+let buffers (e : File_cache.entry) =
+  [
+    e.File_cache.body; e.File_cache.header_keep; e.File_cache.header_close;
+    e.File_cache.header_304_keep; e.File_cache.header_304_close;
+  ]
 
 (* A connection: its send queue, a socketpair, the model of its items
-   (the body a body slice leases, bytes left), and the bytes it
+   (the entry a slice is a window of, bytes left), and the bytes it
    should and did deliver. *)
 type conn = {
   q : Sendq.t;
   w : Unix.file_descr;
   r : Unix.file_descr;
-  items : (mapped option * int ref) Queue.t;
+  items : (made * int ref) Queue.t;
   expected : Buffer.t;
   received : Buffer.t;
 }
+
+(* The four headers of file [i], as the server renders them. *)
+let lease_headers i =
+  let etag = Http.Etag.make ~mtime:1. ~size:sizes.(i) () in
+  ( etag,
+    Http.Response.cached ~date:1_760_000_000. ~last_modified:1.
+      ~content_type:"application/octet-stream" ~content_length:sizes.(i)
+      ~ok_extra:[ ("ETag", etag); ("Accept-Ranges", "bytes") ]
+      ~not_modified_extra:[ ("ETag", etag) ] ~align:32 () )
 
 let lease_prop ops =
   let dir, paths, contents = Lazy.force lease_files in
@@ -317,15 +350,26 @@ let lease_prop ops =
     | _ -> ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
-  let push c i (e : File_cache.entry) m =
-    let hdr = Printf.sprintf "<%d>" i in
-    Sendq.push_slice c.q (Iovec.slice (Iovec.of_string hdr));
-    Queue.push (None, ref (String.length hdr)) c.items;
-    Sendq.push_body c.q (Iovec.slice e.File_cache.body) e.File_cache.mapped;
-    Queue.push (Some m, ref m.size) c.items;
+  (* Queue one response of [m] as the server does: the header, and the
+     body only for a full GET.  The model counts a slice per item. *)
+  let push c i m send =
+    let e = m.entry in
+    let header =
+      match send with
+      | Full | Head_only -> e.File_cache.header_keep
+      | Not_modified -> e.File_cache.header_304_keep
+    in
+    let body = send = Full in
+    Sendq.push_entry c.q e ~header ~body;
+    let hlen = Bigarray.Array1.dim header in
+    Queue.push (m, ref hlen) c.items;
     m.queued <- m.queued + 1;
-    Buffer.add_string c.expected hdr;
-    Buffer.add_string c.expected contents.(i)
+    Buffer.add_string c.expected (Iovec.sub_string header ~off:0 ~len:hlen);
+    if body then begin
+      Queue.push (m, ref m.size) c.items;
+      m.queued <- m.queued + 1;
+      Buffer.add_string c.expected contents.(i)
+    end
   in
   (* Write at most [n] bytes of the gathered head through the kernel,
      which reads the bodies, then advance queue and model alike. *)
@@ -354,7 +398,7 @@ let lease_prop ops =
       left := !left - take;
       if !rem = 0 then begin
         ignore (Queue.pop c.items);
-        Option.iter (fun m -> m.queued <- m.queued - 1) m
+        m.queued <- m.queued - 1
       end
     done;
     receive c;
@@ -373,54 +417,52 @@ let lease_prop ops =
       cached;
     !r
   in
-  (* A body with a lease out reads whole; one without is freed or
-     unmapped. *)
+  (* An entry with a slice queued or a place in the cache reads whole,
+     headers and body; one with neither is freed or unmapped, and its
+     five windows read empty. *)
   let leases_hold () =
     List.for_all
       (fun m ->
-        let dim = Bigarray.Array1.dim m.body in
-        if m.queued > 0 || in_cache m then dim = m.size else dim = 0)
+        let dims = List.map Bigarray.Array1.dim (buffers m.entry) in
+        if m.queued > 0 || in_cache m then
+          List.hd dims = m.size && List.for_all (fun d -> d > 0) (List.tl dims)
+        else List.for_all (fun d -> d = 0) dims)
       !made
   in
   let step = function
-    | Fill (i, ci) ->
+    | Fill (i, ci, send) ->
         let fd = Unix.openfile paths.(i) [ Unix.O_RDONLY ] 0 in
-        let body, mapped = File_cache.map_body fd ~size:sizes.(i) in
-        Unix.close fd;
-        let m = { body; size = sizes.(i); queued = 0 } in
-        made := m :: !made;
-        let e =
-          {
-            File_cache.body;
-            mapped;
-            mtime = 1.;
-            size = sizes.(i);
-            etag = "\"e\"";
-            encoding = None;
-            header_keep = Iovec.of_string "K";
-            header_close = Iovec.of_string "C";
-            header_304_keep = Iovec.of_string "k";
-            header_304_close = Iovec.of_string "c";
-          }
+        let etag, headers = lease_headers i in
+        let body, lease =
+          File_cache.map_body
+            ~head:(String.length headers.Http.Response.text)
+            fd ~size:sizes.(i)
         in
-        let lease = Option.get mapped in
+        Unix.close fd;
+        let entry =
+          File_cache.make_entry ~body ~lease ~headers ~mtime:1.
+            ~size:sizes.(i) ~etag ~encoding:None
+        in
+        let m = { entry; size = sizes.(i); queued = 0 } in
+        made := m :: !made;
+        let lease = Option.get entry.File_cache.mapped in
         File_cache.acquire lease;
-        File_cache.insert cache (key i) e;
+        File_cache.insert cache (key i) entry;
         cached.(i) <- Some m;
-        push conns.(ci) i e m;
+        push conns.(ci) i m send;
         File_cache.release lease
-    | Hit (i, ci) -> (
+    | Hit (i, ci, send) -> (
         match File_cache.find_trusted cache (key i) with
         | None -> ()
         | Some e ->
             let m =
               match cached.(i) with
-              | Some m when m.body == e.File_cache.body -> m
-              | _ -> failwith "hit on a body the model does not know"
+              | Some m when m.entry == e -> m
+              | _ -> failwith "hit on an entry the model does not know"
             in
             let lease = Option.get e.File_cache.mapped in
             File_cache.acquire lease;
-            push conns.(ci) i e m;
+            push conns.(ci) i m send;
             File_cache.release lease)
     | Advance (ci, n) -> ignore (advance conns.(ci) n)
     | Drain ci -> drain conns.(ci)
@@ -428,11 +470,9 @@ let lease_prop ops =
         let c = conns.(ci) in
         let sent = Buffer.length c.received in
         if Buffer.sub c.expected 0 sent <> Buffer.contents c.received then
-          failwith "bytes sent before the close differ from the files";
+          failwith "bytes sent before the close differ from the entries";
         Sendq.clear c.q;
-        Queue.iter
-          (fun (m, _) -> Option.iter (fun m -> m.queued <- m.queued - 1) m)
-          c.items;
+        Queue.iter (fun (m, _) -> m.queued <- m.queued - 1) c.items;
         Queue.clear c.items;
         Buffer.truncate c.expected sent
   in
@@ -469,11 +509,14 @@ let lease_prop ops =
       in
       let drained = leases_hold () in
       File_cache.clear cache;
-      let all_unmapped =
-        List.for_all (fun m -> Bigarray.Array1.dim m.body = 0) !made
+      let all_freed =
+        List.for_all
+          (fun m ->
+            List.for_all (fun b -> Bigarray.Array1.dim b = 0) (buffers m.entry))
+          !made
         && ((not have_proc_maps) || maps_under dir = 0)
       in
-      ok && bytes_match && only_cache && drained && all_unmapped)
+      ok && bytes_match && only_cache && drained && all_freed)
 
 let test_lease_property =
   Helpers.qcheck_case ~count:150
