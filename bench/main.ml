@@ -19,7 +19,6 @@ let all : (string * (unit -> unit)) list =
     ("fig12", Figures.fig12);
     ("ablate", Ablate.run);
     ("timeline", Timeline.run);
-    ("cachelab", Cachelab.run);
   ]
 
 let () =

@@ -76,18 +76,41 @@ let bench_partial =
                 ]
               ~align:32 ())))
 
-let bench_lru =
-  let lru = Flash_cache.Store.create ~capacity:1024 () in
-  for i = 0 to 1023 do
-    ignore (Flash_cache.Store.add lru i i ~weight:1)
-  done;
-  let counter = ref 0 in
-  Test.make ~name:"lru.find+add"
+(* The store behind every cache, once per policy, over 4,000 path-like
+   keys.  A hit finds a key in a store that holds them all; a miss
+   finds a key the store lacks and adds it to a store that holds a
+   third of them, evicting a victim.  Each run takes the next key in
+   turn, so every miss run misses under every policy. *)
+let store_keys =
+  Array.init 4000 (fun i ->
+      Printf.sprintf "/srv/www/d%d/f%04d.html" (i mod 10) i)
+
+let bench_store_hit policy =
+  let store = Flash_cache.Store.create ~policy ~capacity:4000 () in
+  Array.iter
+    (fun k -> ignore (Flash_cache.Store.add store k () ~weight:1))
+    store_keys;
+  let next = ref 0 in
+  Test.make
+    ~name:
+      (Printf.sprintf "store(%s).find(hit)" (Flash_cache.Policy.name policy))
     (Staged.stage (fun () ->
-         incr counter;
-         let k = !counter land 2047 in
-         ignore (Flash_cache.Store.find lru k);
-         ignore (Flash_cache.Store.add lru k k ~weight:1)))
+         next := (!next + 1) mod 4000;
+         ignore (Flash_cache.Store.find store store_keys.(!next))))
+
+let bench_store_miss policy =
+  let store = Flash_cache.Store.create ~policy ~capacity:(4000 / 3) () in
+  let next = ref 0 in
+  Test.make
+    ~name:
+      (Printf.sprintf "store(%s).find+add(evict)"
+         (Flash_cache.Policy.name policy))
+    (Staged.stage (fun () ->
+         next := (!next + 1) mod 4000;
+         let k = store_keys.(!next) in
+         match Flash_cache.Store.find store k with
+         | Some () -> ()
+         | None -> ignore (Flash_cache.Store.add store k () ~weight:1)))
 
 let bench_zipf =
   let zipf = Workload.Zipf.create ~n:10_000 ~alpha:1.0 in
@@ -358,7 +381,6 @@ let tests =
       bench_miss_fill;
       bench_cached_headers;
       bench_partial;
-      bench_lru;
       bench_zipf;
       bench_buffer_cache;
       bench_normalize;
@@ -374,6 +396,14 @@ let tests =
       bench_sendq_leased;
       trace_request ~fresh:false;
       trace_request ~fresh:true;
+      bench_store_hit Flash_cache.Policy.Lru;
+      bench_store_miss Flash_cache.Policy.Lru;
+      bench_store_hit Flash_cache.Policy.Slru;
+      bench_store_miss Flash_cache.Policy.Slru;
+      bench_store_hit Flash_cache.Policy.Lfu;
+      bench_store_miss Flash_cache.Policy.Lfu;
+      bench_store_hit Flash_cache.Policy.Gdsf;
+      bench_store_miss Flash_cache.Policy.Gdsf;
     ]
 
 let run () =

@@ -21,180 +21,155 @@ let of_string s =
         (Printf.sprintf "unknown cache policy %S (valid policies: %s)" other
            valid_names)
 
+type 'k node = {
+  key : 'k;
+  mutable weight : int;
+  mutable newer : 'k node option;
+  mutable older : 'k node option;
+  mutable protected_ : bool;
+  mutable charged : int;
+  mutable score : float;
+  mutable stamp : int;
+  mutable slot : int;
+  mutable freq : int;
+}
+
+let node key ~weight =
+  {
+    key;
+    weight;
+    newer = None;
+    older = None;
+    protected_ = false;
+    charged = 0;
+    score = 0.0;
+    stamp = 0;
+    slot = -1;
+    freq = 0;
+  }
+
 type 'k impl = {
-  insert : 'k -> weight:int -> unit;
-  access : 'k -> unit;
-  remove : 'k -> unit;
-  victim : unit -> 'k option;
+  insert : 'k node -> unit;
+  access : 'k node -> unit;
+  remove : 'k node -> unit;
+  victim : unit -> 'k node option;
   resize : int -> unit;
-  clear : unit -> unit;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Keyed doubly-linked recency list (LRU / SLRU segments)              *)
+(* Doubly-linked recency list of nodes (LRU / SLRU segments)           *)
 (* ------------------------------------------------------------------ *)
 
-module Klist = struct
-  type 'k node = {
-    key : 'k;
-    mutable prev : 'k node option;  (* toward MRU *)
-    mutable next : 'k node option;  (* toward LRU *)
-  }
+module Dlist = struct
+  type 'k t = { mutable mru : 'k node option; mutable lru : 'k node option }
 
-  type 'k t = {
-    tbl : ('k, 'k node) Hashtbl.t;
-    mutable mru : 'k node option;
-    mutable lru : 'k node option;
-  }
+  let create () = { mru = None; lru = None }
 
-  let create () = { tbl = Hashtbl.create 64; mru = None; lru = None }
-  let mem t k = Hashtbl.mem t.tbl k
+  let unlink t n =
+    (match n.newer with
+    | Some p -> p.older <- n.older
+    | None -> t.mru <- n.older);
+    (match n.older with
+    | Some o -> o.newer <- n.newer
+    | None -> t.lru <- n.newer);
+    n.newer <- None;
+    n.older <- None
 
-  let unlink t node =
-    (match node.prev with
-    | Some p -> p.next <- node.next
-    | None -> t.mru <- node.next);
-    (match node.next with
-    | Some n -> n.prev <- node.prev
-    | None -> t.lru <- node.prev);
-    node.prev <- None;
-    node.next <- None
+  (* [n] is in no list.  One [Some] serves both links that name it. *)
+  let push_front t n =
+    let self = Some n in
+    n.older <- t.mru;
+    (match t.mru with Some m -> m.newer <- self | None -> t.lru <- self);
+    t.mru <- self
 
-  (* [k] is not in the list: every caller pushes a key it has just
-     removed or never held, so the table is not searched. *)
-  let push_front t k =
-    let node = { key = k; prev = None; next = t.mru } in
-    (match t.mru with Some m -> m.prev <- Some node | None -> ());
-    t.mru <- Some node;
-    if t.lru = None then t.lru <- Some node;
-    Hashtbl.add t.tbl k node
-
-  (* A hit's touch: nothing to do for the most recent node, and one
-     [Some] shared by both links that name the node otherwise. *)
-  let touch t k =
-    match Hashtbl.find t.tbl k with
-    | exception Not_found -> ()
-    | node -> (
-        match t.mru with
-        | Some m when m == node -> ()
-        | _ ->
-            unlink t node;
-            node.next <- t.mru;
-            let self = Some node in
-            (match t.mru with Some m -> m.prev <- self | None -> ());
-            t.mru <- self;
-            if t.lru = None then t.lru <- self)
-
-  let remove t k =
-    match Hashtbl.find_opt t.tbl k with
-    | None -> false
-    | Some node ->
-        unlink t node;
-        Hashtbl.remove t.tbl k;
-        true
-
-  let tail t = Option.map (fun n -> n.key) t.lru
-
-  let clear t =
-    Hashtbl.reset t.tbl;
-    t.mru <- None;
-    t.lru <- None
+  (* A hit's touch: nothing to do for the most recent node. *)
+  let touch t n =
+    match t.mru with
+    | Some m when m == n -> ()
+    | _ ->
+        unlink t n;
+        push_front t n
 end
 
 (* ------------------------------------------------------------------ *)
-(* Lazy min-heap of (priority, seq, key) for score-ranked policies     *)
+(* Indexed min-heap of nodes by (score, stamp)                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Entries are never updated in place: a rescore pushes a fresh record
-   and the stale one is skipped at pop time (its priority no longer
-   matches the key's current one).  Ties break on push sequence, so
-   victim choice is deterministic. *)
-module Pheap = struct
-  type 'k entry = { pri : float; seq : int; hkey : 'k }
-  type 'k t = { mutable a : 'k entry array; mutable len : int }
+(* Each ordered node sits in the heap once, at its [slot]; a rescore
+   moves it in place.  Ties break on the stamp, the count of scorings
+   when the node was last scored, so victim choice is deterministic. *)
+module Heap = struct
+  type 'k t = {
+    mutable a : 'k node array;
+    mutable len : int;
+    mutable clock : int;  (* scorings so far *)
+  }
 
-  let create () = { a = [||]; len = 0 }
+  let create () = { a = [||]; len = 0; clock = 0 }
 
-  let less x y = x.pri < y.pri || (x.pri = y.pri && x.seq < y.seq)
+  let less x y = x.score < y.score || (x.score = y.score && x.stamp < y.stamp)
 
-  let swap t i j =
-    let tmp = t.a.(i) in
-    t.a.(i) <- t.a.(j);
-    t.a.(j) <- tmp
+  let set t i n =
+    t.a.(i) <- n;
+    n.slot <- i
 
-  let push t e =
+  let rec up t i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      let n = t.a.(i) in
+      if less n t.a.(p) then begin
+        set t i t.a.(p);
+        set t p n;
+        up t p
+      end
+    end
+
+  let rec down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let s = if l < t.len && less t.a.(l) t.a.(i) then l else i in
+    let s = if r < t.len && less t.a.(r) t.a.(s) then r else s in
+    if s <> i then begin
+      let n = t.a.(i) in
+      set t i t.a.(s);
+      set t s n;
+      down t s
+    end
+
+  let reorder t n =
+    up t n.slot;
+    down t n.slot
+
+  (* [n] was just scored: stamp it and move it to where it belongs. *)
+  let scored t n =
+    t.clock <- t.clock + 1;
+    n.stamp <- t.clock;
+    reorder t n
+
+  let add t n =
     if t.len = Array.length t.a then begin
-      let cap = max 16 (2 * Array.length t.a) in
-      let a = Array.make cap e in
+      let a = Array.make (max 16 (2 * t.len)) n in
       Array.blit t.a 0 a 0 t.len;
       t.a <- a
     end;
-    t.a.(t.len) <- e;
+    set t t.len n;
     t.len <- t.len + 1;
-    let i = ref (t.len - 1) in
-    while !i > 0 && less t.a.(!i) t.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      swap t !i p;
-      i := p
-    done
+    scored t n
 
-  let pop t =
-    if t.len = 0 then None
-    else begin
-      let top = t.a.(0) in
-      t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.a.(0) <- t.a.(t.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < t.len && less t.a.(l) t.a.(!s) then s := l;
-          if r < t.len && less t.a.(r) t.a.(!s) then s := r;
-          if !s = !i then continue := false
-          else begin
-            swap t !s !i;
-            i := !s
-          end
-        done
-      end;
-      Some top
+  let remove t n =
+    t.len <- t.len - 1;
+    if n.slot < t.len then begin
+      let last = t.a.(t.len) in
+      set t n.slot last;
+      reorder t last
     end
 
-  let clear t = t.len <- 0
+  let top t = if t.len = 0 then None else Some t.a.(0)
 
-  (* Keep only the records [live] accepts, in heap order again: the
-     stale records a rescore leaves behind are dropped without a pop.
-     Allocates nothing; O(len). *)
-  let compact t ~live =
-    let n = ref 0 in
-    for i = 0 to t.len - 1 do
-      if live t.a.(i) then begin
-        t.a.(!n) <- t.a.(i);
-        incr n
-      end
-    done;
-    t.len <- !n;
-    let rec sift i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let s = if l < t.len && less t.a.(l) t.a.(i) then l else i in
-      let s = if r < t.len && less t.a.(r) t.a.(s) then r else s in
-      if s <> i then begin
-        swap t s i;
-        sift s
-      end
-    in
+  (* Restore heap order after every score changed at once. *)
+  let heapify t =
     for i = (t.len / 2) - 1 downto 0 do
-      sift i
+      down t i
     done
-
-  (* A heap that holds more than twice the [live] records it needs,
-     and more than a handful, is compacted: each rescore pushes a
-     record, and a popular key's old ones sit above the eviction
-     floor, where a pop seldom reaches them. *)
-  let bound t ~live ~count =
-    if t.len > 16 && t.len > 2 * count then compact t ~live
 end
 
 (* ------------------------------------------------------------------ *)
@@ -202,14 +177,13 @@ end
 (* ------------------------------------------------------------------ *)
 
 let make_lru () =
-  let order = Klist.create () in
+  let order = Dlist.create () in
   {
-    insert = (fun k ~weight:_ -> Klist.push_front order k);
-    access = (fun k -> Klist.touch order k);
-    remove = (fun k -> ignore (Klist.remove order k));
-    victim = (fun () -> Klist.tail order);
-    resize = (fun _ -> ());
-    clear = (fun () -> Klist.clear order);
+    insert = Dlist.push_front order;
+    access = Dlist.touch order;
+    remove = Dlist.unlink order;
+    victim = (fun () -> order.Dlist.lru);
+    resize = ignore;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -220,64 +194,58 @@ let make_lru () =
    protected segment (bounded at 4/5 of the capacity by weight,
    overflow demoting back to probation MRU).  Victims come from
    probation first, so a one-touch scan can never displace the
-   protected hot set. *)
+   protected hot set.  The segment counts each node at the weight it
+   was [charged] when last touched, so a re-weighed node is recounted
+   on its touch and demoted if it no longer fits. *)
 let slru_protected_num = 4
 
 let slru_protected_den = 5
 
 let make_slru ~capacity () =
-  let probation = Klist.create () in
-  let protected_ = Klist.create () in
-  let weights : ('k, int) Hashtbl.t = Hashtbl.create 64 in
+  let probation = Dlist.create () in
+  let protected_ = Dlist.create () in
   let protected_cap = ref (capacity / slru_protected_den * slru_protected_num) in
   let protected_weight = ref 0 in
-  let weight_of k = Option.value ~default:0 (Hashtbl.find_opt weights k) in
-  let demote_overflow () =
-    let continue = ref true in
-    while !protected_weight > !protected_cap && !continue do
-      match Klist.tail protected_ with
-      | None -> continue := false
-      | Some k ->
-          ignore (Klist.remove protected_ k);
-          protected_weight := !protected_weight - weight_of k;
-          Klist.push_front probation k
-    done
+  let leave_protected n =
+    Dlist.unlink protected_ n;
+    protected_weight := !protected_weight - n.charged;
+    n.protected_ <- false;
+    n.charged <- 0
+  in
+  let rec demote_overflow () =
+    if !protected_weight > !protected_cap then
+      match protected_.Dlist.lru with
+      | None -> ()
+      | Some n ->
+          leave_protected n;
+          Dlist.push_front probation n;
+          demote_overflow ()
   in
   {
-    insert =
-      (fun k ~weight ->
-        Hashtbl.replace weights k weight;
-        Klist.push_front probation k);
+    insert = Dlist.push_front probation;
     access =
-      (fun k ->
-        if Klist.mem probation k then begin
-          ignore (Klist.remove probation k);
-          Klist.push_front protected_ k;
-          protected_weight := !protected_weight + weight_of k;
-          demote_overflow ()
-        end
-        else Klist.touch protected_ k);
+      (fun n ->
+        if n.protected_ then Dlist.touch protected_ n
+        else begin
+          Dlist.unlink probation n;
+          Dlist.push_front protected_ n;
+          n.protected_ <- true
+        end;
+        protected_weight := !protected_weight + n.weight - n.charged;
+        n.charged <- n.weight;
+        demote_overflow ());
     remove =
-      (fun k ->
-        if Klist.remove probation k then ()
-        else if Klist.remove protected_ k then
-          protected_weight := !protected_weight - weight_of k;
-        Hashtbl.remove weights k);
+      (fun n ->
+        if n.protected_ then leave_protected n else Dlist.unlink probation n);
     victim =
       (fun () ->
-        match Klist.tail probation with
+        match probation.Dlist.lru with
         | Some _ as v -> v
-        | None -> Klist.tail protected_);
+        | None -> protected_.Dlist.lru);
     resize =
       (fun capacity ->
         protected_cap := capacity / slru_protected_den * slru_protected_num;
         demote_overflow ());
-    clear =
-      (fun () ->
-        Klist.clear probation;
-        Klist.clear protected_;
-        Hashtbl.reset weights;
-        protected_weight := 0);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -289,74 +257,42 @@ let make_slru ~capacity () =
    adds [1/decay^j], so score ratios equal decayed-frequency ratios and
    ordering is preserved without ever touching idle entries.  When the
    multiplier nears overflow every score is renormalised (divided by
-   it) and the heap rebuilt — ordering again unchanged. *)
+   it) in place, and the heap re-ordered in case rounding made two
+   scores equal. *)
 let lfu_decay = 0.999
 
 let lfu_renorm_threshold = 1e100
 
 let make_lfu () =
-  let scores : ('k, float) Hashtbl.t = Hashtbl.create 64 in
-  let seqs : ('k, int) Hashtbl.t = Hashtbl.create 64 in
-  let heap = Pheap.create () in
+  let heap = Heap.create () in
   let mult = ref 1.0 in
-  let seq = ref 0 in
-  let live e =
-    match Hashtbl.find_opt seqs e.Pheap.hkey with
-    | Some q -> q = e.Pheap.seq
-    | None -> false
-  in
-  let push k score =
-    incr seq;
-    Hashtbl.replace seqs k !seq;
-    Pheap.push heap { Pheap.pri = score; seq = !seq; hkey = k };
-    Pheap.bound heap ~live ~count:(Hashtbl.length seqs)
-  in
   let renormalize () =
     let m = !mult in
     mult := 1.0;
-    Pheap.clear heap;
-    let snapshot = Hashtbl.fold (fun k s acc -> (k, s /. m) :: acc) scores [] in
-    List.iter
-      (fun (k, s) ->
-        Hashtbl.replace scores k s;
-        push k s)
-      snapshot
+    for i = 0 to heap.Heap.len - 1 do
+      let n = heap.Heap.a.(i) in
+      n.score <- n.score /. m
+    done;
+    Heap.heapify heap
   in
-  let bump k =
+  let bump n =
     mult := !mult /. lfu_decay;
     if !mult > lfu_renorm_threshold then renormalize ();
-    let score = Option.value ~default:0.0 (Hashtbl.find_opt scores k) +. !mult in
-    Hashtbl.replace scores k score;
-    push k score
-  in
-  let rec pop_victim () =
-    match Pheap.pop heap with
-    | None -> None
-    | Some e -> (
-        match (Hashtbl.find_opt scores e.Pheap.hkey, Hashtbl.find_opt seqs e.Pheap.hkey) with
-        | Some s, Some q when s = e.Pheap.pri && q = e.Pheap.seq ->
-            (* Still the key's live record: re-push it (the store may
-               not actually evict, e.g. when only peeking) and return. *)
-            Pheap.push heap e;
-            Some e.Pheap.hkey
-        | _ -> pop_victim ())
+    n.score <- n.score +. !mult
   in
   {
-    insert = (fun k ~weight:_ -> bump k);
-    access = (fun k -> bump k);
-    remove =
-      (fun k ->
-        Hashtbl.remove scores k;
-        Hashtbl.remove seqs k);
-    victim = pop_victim;
-    resize = (fun _ -> ());
-    clear =
-      (fun () ->
-        Hashtbl.reset scores;
-        Hashtbl.reset seqs;
-        Pheap.clear heap;
-        mult := 1.0;
-        seq := 0);
+    insert =
+      (fun n ->
+        n.score <- 0.0;
+        bump n;
+        Heap.add heap n);
+    access =
+      (fun n ->
+        bump n;
+        Heap.scored heap n);
+    remove = Heap.remove heap;
+    victim = (fun () -> Heap.top heap);
+    resize = ignore;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -368,66 +304,31 @@ let make_lfu () =
    each victim's priority, so long-resident entries age relative to
    fresh insertions — the classic web-proxy policy (Cherkasova). *)
 let make_gdsf () =
-  let pris : ('k, float) Hashtbl.t = Hashtbl.create 64 in
-  let seqs : ('k, int) Hashtbl.t = Hashtbl.create 64 in
-  let freqs : ('k, int) Hashtbl.t = Hashtbl.create 64 in
-  let sizes : ('k, int) Hashtbl.t = Hashtbl.create 64 in
-  let heap = Pheap.create () in
+  let heap = Heap.create () in
   let aging = ref 0.0 in
-  let seq = ref 0 in
-  let live e =
-    match Hashtbl.find_opt seqs e.Pheap.hkey with
-    | Some q -> q = e.Pheap.seq
-    | None -> false
-  in
-  let push k pri =
-    incr seq;
-    Hashtbl.replace seqs k !seq;
-    Hashtbl.replace pris k pri;
-    Pheap.push heap { Pheap.pri; seq = !seq; hkey = k };
-    Pheap.bound heap ~live ~count:(Hashtbl.length seqs)
-  in
-  let rescore k =
-    let f = Option.value ~default:0 (Hashtbl.find_opt freqs k) + 1 in
-    Hashtbl.replace freqs k f;
-    let size = max 1 (Option.value ~default:1 (Hashtbl.find_opt sizes k)) in
-    push k (!aging +. (float_of_int f /. float_of_int size))
-  in
-  let rec pop_victim () =
-    match Pheap.pop heap with
-    | None -> None
-    | Some e -> (
-        match (Hashtbl.find_opt pris e.Pheap.hkey, Hashtbl.find_opt seqs e.Pheap.hkey) with
-        | Some p, Some q when p = e.Pheap.pri && q = e.Pheap.seq ->
-            Pheap.push heap e;
-            aging := e.Pheap.pri;
-            Some e.Pheap.hkey
-        | _ -> pop_victim ())
+  let rescore n =
+    n.freq <- n.freq + 1;
+    n.score <- !aging +. (float_of_int n.freq /. float_of_int (max 1 n.weight))
   in
   {
     insert =
-      (fun k ~weight ->
-        Hashtbl.replace sizes k weight;
-        Hashtbl.remove freqs k;
-        rescore k);
-    access = rescore;
-    remove =
-      (fun k ->
-        Hashtbl.remove pris k;
-        Hashtbl.remove seqs k;
-        Hashtbl.remove freqs k;
-        Hashtbl.remove sizes k);
-    victim = pop_victim;
-    resize = (fun _ -> ());
-    clear =
+      (fun n ->
+        n.freq <- 0;
+        rescore n;
+        Heap.add heap n);
+    access =
+      (fun n ->
+        rescore n;
+        Heap.scored heap n);
+    remove = Heap.remove heap;
+    victim =
       (fun () ->
-        Hashtbl.reset pris;
-        Hashtbl.reset seqs;
-        Hashtbl.reset freqs;
-        Hashtbl.reset sizes;
-        Pheap.clear heap;
-        aging := 0.0;
-        seq := 0);
+        match Heap.top heap with
+        | Some n as v ->
+            aging := n.score;
+            v
+        | None -> None);
+    resize = ignore;
   }
 
 let make kind ~capacity () =

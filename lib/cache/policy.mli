@@ -2,11 +2,15 @@
 
     The paper hardwires weighted LRU into every application cache
     (pathname, response-header, mapped-file, and the live file cache).
-    This module makes replacement a pluggable policy — the per-entry
-    bookkeeping a {!Store} consults to pick eviction victims — plus
-    admission gates deciding whether a missed object is worth caching at
-    all (in the spirit of pcache's minimum-size and frequency-sampled
-    admission for production file servers).
+    This module makes replacement a pluggable policy — the order a
+    {!Store} consults to pick eviction victims — plus admission gates
+    deciding whether a missed object is worth caching at all (in the
+    spirit of pcache's minimum-size and frequency-sampled admission for
+    production file servers).
+
+    A policy keeps no table of its own: each resident entry carries a
+    {!node}, and the policy links, scores and ranks those nodes in
+    place, so a key is hashed once, by the store.
 
     Implemented replacement policies:
     - [Lru]: classic recency order — the seed behaviour, refactored
@@ -20,7 +24,11 @@
     - [Gdsf]: Greedy-Dual-Size-Frequency — priority
       [L + frequency / size] with the aging term [L] inflated to each
       eviction victim's priority; keeps small popular objects and evicts
-      big one-touch objects first. *)
+      big one-touch objects first.
+
+    [Lfu] and [Gdsf] rank nodes in a min-heap ordered by
+    [(score, stamp)] that holds each node once and moves it in place
+    when it is rescored. *)
 
 type kind = Lru | Slru | Lfu | Gdsf
 
@@ -34,18 +42,40 @@ val valid_names : string
 (** Case-insensitive; [Error] carries a message listing valid names. *)
 val of_string : string -> (kind, string) result
 
+(** One resident entry's replacement state.  The store makes one per
+    entry with {!node}, keeps it for the entry's life and owns [key]
+    and [weight] (a re-weigh writes [weight], then calls [access]); the
+    policy owns the rest, and each policy uses only its own fields. *)
+type 'k node = {
+  key : 'k;
+  mutable weight : int;
+  mutable newer : 'k node option;  (** LRU, SLRU: toward the MRU end *)
+  mutable older : 'k node option;  (** LRU, SLRU: toward the LRU end *)
+  mutable protected_ : bool;  (** SLRU: in the protected segment *)
+  mutable charged : int;
+      (** SLRU: the weight the protected segment counts for the node *)
+  mutable score : float;
+      (** LFU: decayed frequency; GDSF: priority.  Lower dies first. *)
+  mutable stamp : int;  (** LFU, GDSF: when last scored; breaks ties *)
+  mutable slot : int;  (** LFU, GDSF: the node's index in the heap *)
+  mutable freq : int;  (** GDSF: accesses since the node joined *)
+}
+
+(** A node for a fresh entry, in no policy's order yet. *)
+val node : 'k -> weight:int -> 'k node
+
 (** One policy instance: the mutable replacement state for a single
-    store.  Keys tracked here mirror the store's resident set exactly —
-    the store calls [insert]/[remove] as entries come and go, [access]
-    on hits, and [victim] to pick who dies under pressure. *)
+    store.  The nodes it orders are exactly the store's unpinned
+    resident entries — the store calls [insert]/[remove] as entries
+    come and go (a pin removes, an unpin inserts), [access] on hits
+    and re-weighs, and [victim] to pick who dies under pressure. *)
 type 'k impl = {
-  insert : 'k -> weight:int -> unit;  (** key became resident *)
-  access : 'k -> unit;  (** hit on a resident key *)
-  remove : 'k -> unit;  (** key leaving (eviction or invalidation) *)
-  victim : unit -> 'k option;
-      (** next eviction victim (still resident; the store removes it) *)
+  insert : 'k node -> unit;  (** node joins the order *)
+  access : 'k node -> unit;  (** hit on, or re-weigh of, an ordered node *)
+  remove : 'k node -> unit;  (** node leaving (eviction, invalidation, pin) *)
+  victim : unit -> 'k node option;
+      (** next eviction victim (still ordered; the store removes it) *)
   resize : int -> unit;  (** capacity changed (SLRU segment bound) *)
-  clear : unit -> unit;
 }
 
 (** Fresh policy state.  [capacity] is the store's weight capacity

@@ -1,6 +1,7 @@
 type ('k, 'v) entry = {
-  value : 'v;
-  weight : int;
+  mutable value : 'v;
+  node : 'k Policy.node;  (* the key, the weight, the replacement state *)
+  mutable pinned : bool;  (* out of the policy's order: never a victim *)
   (* Per-key access history for the predictive warmer: hit count and a
      logical last-access stamp (the store's own op counter, so the
      record stays deterministic and dependency-free — the miner maps
@@ -30,16 +31,13 @@ type key_stat = { ks_hits : int; ks_last : int; ks_weight : int; ks_pinned : boo
 type ('k, 'v) t = {
   sname : string;
   table : ('k, ('k, 'v) entry) Hashtbl.t;
-  policy : 'k Policy.impl;
+  mutable policy : 'k Policy.impl;
   kind : Policy.kind;
   admission : Policy.admission;
   gate : 'k Policy.gate;
   on_evict : 'k -> 'v -> unit;
   budget : Budget.t option;
-  (* Pinned keys live in the table (and keep their weight/budget
-     charges) but not in the policy's order, so the victim walk can
-     never name them.  key -> pinned weight. *)
-  pinned_set : ('k, int) Hashtbl.t;
+  mutable pinned_count : int;
   mutable pinned_weight : int;
   mutable cap : int;
   mutable total_weight : int;
@@ -58,8 +56,10 @@ let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 let pinned_bytes t = t.pinned_weight
-let pinned_count t = Hashtbl.length t.pinned_set
-let pinned t key = Hashtbl.mem t.pinned_set key
+let pinned_count t = t.pinned_count
+
+let pinned t key =
+  match Hashtbl.find_opt t.table key with Some e -> e.pinned | None -> false
 
 let budget_release t n =
   match t.budget with None -> () | Some b -> Budget.release b n
@@ -68,36 +68,29 @@ let tick t =
   t.op <- t.op + 1;
   t.op
 
-(* Drop [key] from every structure; the caller decides counters and
-   hooks.  A pinned key is unpinned first — the pinned-bytes figure
-   must shrink with the entry, never leak past its removal. *)
-let drop t key =
-  match Hashtbl.find_opt t.table key with
-  | None -> None
-  | Some entry ->
-      Hashtbl.remove t.table key;
-      (match Hashtbl.find_opt t.pinned_set key with
-      | Some w ->
-          Hashtbl.remove t.pinned_set key;
-          t.pinned_weight <- t.pinned_weight - w
-      | None -> t.policy.Policy.remove key);
-      t.total_weight <- t.total_weight - entry.weight;
-      budget_release t entry.weight;
-      Some entry
+(* Drop a resident entry from the table and the policy's order; the
+   caller decides counters and hooks.  A pinned entry's weight leaves
+   the pinned-bytes figure with it, never leaking past its removal. *)
+let drop t entry =
+  let node = entry.node in
+  Hashtbl.remove t.table node.Policy.key;
+  if entry.pinned then begin
+    t.pinned_count <- t.pinned_count - 1;
+    t.pinned_weight <- t.pinned_weight - node.Policy.weight
+  end
+  else t.policy.Policy.remove node;
+  t.total_weight <- t.total_weight - node.Policy.weight;
+  budget_release t node.Policy.weight
 
 let evict_victim t =
   match t.policy.Policy.victim () with
   | None -> false
-  | Some key -> (
-      match drop t key with
-      | None ->
-          (* Policy tracked a key the table lost: inconsistent state,
-             treat as nothing to evict rather than loop. *)
-          false
-      | Some entry ->
-          t.evictions <- t.evictions + 1;
-          t.on_evict key entry.value;
-          true)
+  | Some { Policy.key; _ } ->
+      let entry = Hashtbl.find t.table key in
+      drop t entry;
+      t.evictions <- t.evictions + 1;
+      t.on_evict key entry.value;
+      true
 
 (* A store whose every entry is pinned refuses to shed; the budget's
    rebalance falls through to the next member. *)
@@ -126,7 +119,7 @@ let create ?(policy = Policy.Lru) ?(admission = Policy.Admit_always)
       gate = Policy.make_gate admission ();
       on_evict;
       budget;
-      pinned_set = Hashtbl.create 16;
+      pinned_count = 0;
       pinned_weight = 0;
       cap = capacity;
       total_weight = 0;
@@ -155,14 +148,12 @@ let find_validated t key ~validate =
       t.hits <- t.hits + 1;
       entry.e_hits <- entry.e_hits + 1;
       entry.e_last <- tick t;
-      (* Most stores pin nothing: skip that probe of the key then. *)
-      if Hashtbl.length t.pinned_set = 0 || not (Hashtbl.mem t.pinned_set key)
-      then t.policy.Policy.access key;
+      if not entry.pinned then t.policy.Policy.access entry.node;
       Some entry.value
   | Some entry ->
       (* Stale: remove through the evict hook so resource accounting
          (mapped-bytes gauges) cannot drift, and count a miss. *)
-      ignore (drop t key);
+      drop t entry;
       t.on_evict key entry.value;
       t.misses <- t.misses + 1;
       None
@@ -189,9 +180,11 @@ let add_fresh t key value ~weight =
   end
   else begin
     t.admitted <- t.admitted + 1;
-    Hashtbl.add t.table key { value; weight; e_hits = 0; e_last = tick t };
+    let node = Policy.node key ~weight in
+    Hashtbl.add t.table key
+      { value; node; pinned = false; e_hits = 0; e_last = tick t };
     t.total_weight <- t.total_weight + weight;
-    t.policy.Policy.insert key ~weight;
+    t.policy.Policy.insert node;
     budget_charge t weight;
     shrink_to_fit t;
     true
@@ -201,22 +194,23 @@ let add ?(evict = false) t key value ~weight =
   if weight < 0 then invalid_arg "Store.add: negative weight";
   match Hashtbl.find_opt t.table key with
   | Some old when evict ->
-      ignore (drop t key);
+      drop t old;
       t.on_evict key old.value;
       add_fresh t key value ~weight
-  | Some old ->
+  | Some entry ->
       (* Replacement re-weighs and refreshes; already-resident keys
          bypass admission.  History carries over — the new value is the
-         same logical object. *)
-      Hashtbl.replace t.table key
-        { value; weight; e_hits = old.e_hits; e_last = tick t };
-      t.total_weight <- t.total_weight - old.weight + weight;
-      (match Hashtbl.find_opt t.pinned_set key with
-      | Some _ ->
-          Hashtbl.replace t.pinned_set key weight;
-          t.pinned_weight <- t.pinned_weight - old.weight + weight
-      | None -> t.policy.Policy.access key);
-      budget_release t old.weight;
+         same logical object — and the policy ranks the entry at its
+         new weight from this touch on. *)
+      let node = entry.node in
+      let old = node.Policy.weight in
+      entry.value <- value;
+      entry.e_last <- tick t;
+      node.Policy.weight <- weight;
+      t.total_weight <- t.total_weight - old + weight;
+      if entry.pinned then t.pinned_weight <- t.pinned_weight - old + weight
+      else t.policy.Policy.access node;
+      budget_release t old;
       budget_charge t weight;
       shrink_to_fit t;
       true
@@ -226,30 +220,29 @@ let pin t key =
   match Hashtbl.find_opt t.table key with
   | None -> false
   | Some entry ->
-      if not (Hashtbl.mem t.pinned_set key) then begin
-        t.policy.Policy.remove key;
-        Hashtbl.replace t.pinned_set key entry.weight;
-        t.pinned_weight <- t.pinned_weight + entry.weight
+      if not entry.pinned then begin
+        t.policy.Policy.remove entry.node;
+        entry.pinned <- true;
+        t.pinned_count <- t.pinned_count + 1;
+        t.pinned_weight <- t.pinned_weight + entry.node.Policy.weight
       end;
       true
 
 let unpin t key =
-  match Hashtbl.find_opt t.pinned_set key with
-  | None -> false
-  | Some w ->
-      Hashtbl.remove t.pinned_set key;
-      t.pinned_weight <- t.pinned_weight - w;
-      (match Hashtbl.find_opt t.table key with
-      | Some entry ->
-          t.policy.Policy.insert key ~weight:entry.weight;
-          (* Back under policy order means back under capacity
-             pressure: the release may leave the store over its cap. *)
-          shrink_to_fit t
-      | None -> ());
+  match Hashtbl.find_opt t.table key with
+  | Some entry when entry.pinned ->
+      entry.pinned <- false;
+      t.pinned_count <- t.pinned_count - 1;
+      t.pinned_weight <- t.pinned_weight - entry.node.Policy.weight;
+      t.policy.Policy.insert entry.node;
+      (* Back under policy order means back under capacity pressure:
+         the release may leave the store over its cap. *)
+      shrink_to_fit t;
       true
+  | _ -> false
 
 let pinned_keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.pinned_set []
+  Hashtbl.fold (fun k e acc -> if e.pinned then k :: acc else acc) t.table []
 
 let fold_keys t ~init ~f =
   Hashtbl.fold
@@ -258,17 +251,18 @@ let fold_keys t ~init ~f =
         {
           ks_hits = entry.e_hits;
           ks_last = entry.e_last;
-          ks_weight = entry.weight;
-          ks_pinned = Hashtbl.mem t.pinned_set key;
+          ks_weight = entry.node.Policy.weight;
+          ks_pinned = entry.pinned;
         })
     t.table init
 
 let rejected_keys t = t.gate.Policy.gate_keys ()
 
 let remove ?(evict = false) t key =
-  match drop t key with
+  match Hashtbl.find_opt t.table key with
   | None -> None
   | Some entry ->
+      drop t entry;
       if evict then t.on_evict key entry.value;
       Some entry.value
 
@@ -283,9 +277,9 @@ let iter t ~f = Hashtbl.iter (fun k e -> f k e.value) t.table
 let clear t =
   budget_release t t.total_weight;
   Hashtbl.reset t.table;
-  Hashtbl.reset t.pinned_set;
+  t.pinned_count <- 0;
   t.pinned_weight <- 0;
-  t.policy.Policy.clear ();
+  t.policy <- Policy.make t.kind ~capacity:t.cap ();
   t.gate.Policy.gate_clear ();
   t.total_weight <- 0
 
@@ -302,6 +296,6 @@ let stats t : stats =
     evictions = t.evictions;
     admitted = t.admitted;
     rejected = t.rejected;
-    pinned_entries = Hashtbl.length t.pinned_set;
+    pinned_entries = t.pinned_count;
     pinned_bytes = t.pinned_weight;
   }

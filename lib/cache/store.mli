@@ -74,7 +74,8 @@ val mem : ('k, 'v) t -> 'k -> bool
 
 (** Insert through the admission gate; [false] means rejected (the
     store is unchanged).  Replacing a resident key bypasses admission
-    and re-weighs.  With [~evict:true] a resident key's value leaves
+    and re-weighs; the policy counts it as a hit and ranks the entry at
+    its new weight.  With [~evict:true] a resident key's value leaves
     through the [on_evict] hook instead, as {!remove}[ ~evict:true]
     would, and the new one goes through admission as a first insert.
     A key not resident is looked up once either way.
@@ -104,13 +105,14 @@ val iter : ('k, 'v) t -> f:('k -> 'v -> unit) -> unit
 
 (** {1 Pinned hot tier}
 
-    Pinned entries stay resident: they are removed from the policy's
-    replacement order (the victim walk can never name them) but remain
-    in the table, counted in {!weight} and charged to the shared
-    budget.  A store whose unpinned remainder is empty refuses to
-    {!shed}, and the budget's rebalance falls through to its next
-    member.  {!remove} (and any eviction path) of a pinned entry unpins
-    it first, so the pinned-bytes figure can never leak. *)
+    A pin is a flag on the entry.  Pinned entries stay resident: they
+    are removed from the policy's replacement order (the victim walk
+    can never name them) but remain in the table, counted in {!weight}
+    and charged to the shared budget.  A store whose unpinned remainder
+    is empty refuses to {!shed}, and the budget's rebalance falls
+    through to its next member.  {!remove} (and any eviction path) of a
+    pinned entry takes its weight out of the pinned bytes, so that
+    figure can never leak. *)
 
 (** Pin a resident entry; [false] when the key is not resident.
     Idempotent. *)
@@ -124,6 +126,8 @@ val unpin : ('k, 'v) t -> 'k -> bool
 val pinned : ('k, 'v) t -> 'k -> bool
 val pinned_bytes : ('k, 'v) t -> int
 val pinned_count : ('k, 'v) t -> int
+
+(** The pinned keys, in table order; walks every entry. *)
 val pinned_keys : ('k, 'v) t -> 'k list
 
 (** {1 Warming inputs} *)
