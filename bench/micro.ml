@@ -173,7 +173,7 @@ let bench_select_wait =
   done;
   Test.make ~name:"evio.select.wait(4 fds)"
     (Staged.stage (fun () ->
-         ignore (Evio.Backend.wait backend ~timeout:(Some 0.))))
+         ignore (Evio.Backend.wait backend ~timeout_ms:0)))
 
 (* The seven lookups a plain GET's answer makes (keep-alive, gzip
    negotiation, the four conditionals, Range), on a parsed head. *)
@@ -309,68 +309,47 @@ let bench_sendq_leased =
          let slices = Flash_live.Sendq.gather q in
          Flash_live.Sendq.advance q (Iovec.total_length slices)))
 
-(* One keep-alive request's tracing: its keep-alive marker and parse
-   span open on one stamp, the resolve span starts where the parse
-   ends, the write span at the response stamp, and the trace completes
-   into a 256-trace ring.  Five clock reads, as the live server takes
-   them.  The server restarts its connection's last trace; [fresh]
-   starts a new one each time, as the perfbench replay does. *)
-let trace_request ~fresh =
+(* One keep-alive hit's tracing as the live server does it: five clock
+   reads into the connection's stamps (first byte, parse end, lookup
+   end, response ready, finish), then one call that writes the trace
+   into a 256-trace ring. *)
+let trace_request =
+  let tracer = Obs.Trace.create ~clock:Unix.gettimeofday () in
+  let st = Obs.Trace.stamps () in
+  Test.make ~name:"obs.trace.request"
+    (Staged.stage (fun () ->
+         Obs.Trace.clear st;
+         st.head <- Unix.gettimeofday ();
+         st.parsed <- Unix.gettimeofday ();
+         st.looked_up <- Unix.gettimeofday ();
+         st.ready <- Unix.gettimeofday ();
+         st.ended <- Unix.gettimeofday ();
+         Obs.Trace.record tracer st ~track:"main-loop" ~work:"" ~meth:"GET"
+           ~target:"/d0_3/d1_3/f001234.html" ~closing:false))
+
+(* The same request through the span API, a new trace each time, as the
+   simulator and the perfbench replay trace. *)
+let trace_request_spans =
   let tracer = Obs.Trace.create ~clock:Unix.gettimeofday () in
   let clock = Unix.gettimeofday in
-  let last = ref None in
-  Test.make
-    ~name:(if fresh then "obs.trace.request(fresh)" else "obs.trace.request")
+  Test.make ~name:"obs.trace.request(fresh)"
     (Staged.stage (fun () ->
          let opened = clock () in
          let tr =
-           match !last with
-           | Some tr when not fresh ->
-               Obs.Trace.restart tracer tr ~at:opened;
-               tr
-           | _ ->
-               let tr = Obs.Trace.start tracer ~at:opened () in
-               last := Some tr;
-               tr
+           Obs.Trace.start tracer ~at:opened
+             ~label:"GET /d0_3/d1_3/f001234.html" ()
          in
-         if fresh then begin
-           Obs.Trace.instant tracer tr ~at:opened "keepalive-reuse";
-           let parse = Obs.Trace.begin_span tracer tr ~at:opened "parse" in
-           let parsed = clock () in
-           Obs.Trace.end_span tracer ~at:parsed parse;
-           Obs.Trace.relabel tr "GET /d0_3/d1_3/f001234.html";
-           let resolve =
-             Obs.Trace.begin_span tracer tr ~at:parsed "resolve"
-           in
-           Obs.Trace.end_span tracer resolve;
-           let generated = clock () in
-           let write = Obs.Trace.begin_span tracer tr ~at:generated "write" in
-           let at = clock () in
-           Obs.Trace.end_span tracer ~at write;
-           Obs.Trace.complete tracer ~at tr
-         end
-         else begin
-           (* The server's calls, which take their stamps as they are. *)
-           let track = "main-loop" in
-           Obs.Trace.instant_at tracer tr ~track ~at:opened "keepalive-reuse";
-           let parse =
-             Obs.Trace.begin_span_at tracer tr ~track ~at:opened "parse"
-           in
-           let parsed = clock () in
-           Obs.Trace.end_span_at parse ~at:parsed;
-           Obs.Trace.relabel tr "GET /d0_3/d1_3/f001234.html";
-           let resolve =
-             Obs.Trace.begin_span_at tracer tr ~track ~at:parsed "resolve"
-           in
-           Obs.Trace.end_span_at resolve ~at:(clock ());
-           let generated = clock () in
-           let write =
-             Obs.Trace.begin_span_at tracer tr ~track ~at:generated "write"
-           in
-           let at = clock () in
-           Obs.Trace.end_span_at write ~at;
-           Obs.Trace.complete_at tracer tr ~at
-         end))
+         Obs.Trace.instant tracer tr ~at:opened "keepalive-reuse";
+         let parse = Obs.Trace.begin_span tracer tr ~at:opened "parse" in
+         let parsed = clock () in
+         Obs.Trace.end_span tracer ~at:parsed parse;
+         let resolve = Obs.Trace.begin_span tracer tr ~at:parsed "resolve" in
+         Obs.Trace.end_span tracer resolve;
+         let generated = clock () in
+         let write = Obs.Trace.begin_span tracer tr ~at:generated "write" in
+         let at = clock () in
+         Obs.Trace.end_span tracer ~at write;
+         Obs.Trace.complete tracer ~at tr))
 
 let tests =
   Test.make_grouped ~name:"micro"
@@ -394,8 +373,8 @@ let tests =
       bench_fill;
       bench_of_string;
       bench_sendq_leased;
-      trace_request ~fresh:false;
-      trace_request ~fresh:true;
+      trace_request;
+      trace_request_spans;
       bench_store_hit Flash_cache.Policy.Lru;
       bench_store_miss Flash_cache.Policy.Lru;
       bench_store_hit Flash_cache.Policy.Slru;

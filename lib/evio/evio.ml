@@ -54,8 +54,6 @@ let of_string = function
       Error
         (Printf.sprintf "unknown event backend %S (expected %s)" s valid_names)
 
-type event = { fd : Unix.file_descr; readable : bool; writable : bool }
-
 (* Result bits shared with the stubs. *)
 let bit_read = 1
 let bit_write = 2
@@ -83,10 +81,12 @@ module Backend = struct
     mutable pevents : int array;
     mutable prevents : int array;
     mutable pn : int;
-    (* epoll: the kernel-side instance plus reusable out-buffers. *)
-    epfd : Unix.file_descr option;
-    efds : Unix.file_descr array;
-    erevents : int array;
+    (* The last wait's ready fds and their result bits, in [0, n) for
+       the n it returned: filled from [prevents] by select and poll, and
+       by the kernel itself under epoll. *)
+    mutable rfds : Unix.file_descr array;
+    mutable rbits : int array;
+    epfd : Unix.file_descr option;  (* epoll: the kernel-side instance *)
     mutable closed : bool;
   }
 
@@ -97,6 +97,8 @@ module Backend = struct
       invalid_arg
         (Printf.sprintf "Evio.Backend.create: %s not available on this system"
            (name kind));
+    (* select and poll size their result arrays with the interest set. *)
+    let batch = match kind with Epoll -> epoll_batch | Select | Poll -> 0 in
     {
       kind;
       tbl = Hashtbl.create 64;
@@ -105,9 +107,9 @@ module Backend = struct
       pevents = [||];
       prevents = [||];
       pn = 0;
+      rfds = Array.make batch Unix.stdin;
+      rbits = Array.make batch 0;
       epfd = (match kind with Epoll -> Some (epoll_create ()) | _ -> None);
-      efds = Array.make epoll_batch Unix.stdin;
-      erevents = Array.make epoll_batch 0;
       closed = false;
     }
 
@@ -181,11 +183,6 @@ module Backend = struct
                   try epoll_ctl epfd 2 fd 0 with Unix.Unix_error _ -> ())
               | None -> ()))
 
-  let timeout_ms = function
-    | None -> -1
-    | Some s when s <= 0. -> 0
-    | Some s -> int_of_float (Float.ceil (s *. 1000.))
-
   let rebuild t =
     let n = ref 0 in
     Hashtbl.iter
@@ -194,7 +191,9 @@ module Backend = struct
     if Array.length t.pfds < !n then begin
       t.pfds <- Array.make !n Unix.stdin;
       t.pevents <- Array.make !n 0;
-      t.prevents <- Array.make !n 0
+      t.prevents <- Array.make !n 0;
+      t.rfds <- Array.make !n Unix.stdin;
+      t.rbits <- Array.make !n 0
     end;
     let j = ref 0 in
     Hashtbl.iter
@@ -208,50 +207,61 @@ module Backend = struct
     t.pn <- !j;
     t.dirty <- false
 
-  let event fd bits =
-    { fd; readable = bits land bit_read <> 0; writable = bits land bit_write <> 0 }
-
-  (* select and poll: one wait over the cached arrays.  A descriptor the
-     kernel reports invalid (poll's POLLNVAL; for select, an EBADF wait
-     that found it closed) was closed before it was deregistered: its
-     registration is dropped, at the cost of one wasted wakeup. *)
-  let wait_arrays t ~timeout =
+  (* select and poll: one wait over the cached arrays, its ready fds
+     copied to the front of [rfds].  A descriptor the kernel reports
+     invalid (poll's POLLNVAL; for select, an EBADF wait that found it
+     closed) was closed before it was deregistered: its registration is
+     dropped, at the cost of one wasted wakeup. *)
+  let wait_arrays t ~timeout_ms =
     if t.dirty then rebuild t;
-    let raw = match t.kind with Select -> raw_select | _ -> raw_poll in
-    match raw t.pfds t.pevents t.prevents t.pn (timeout_ms timeout) with
-    | exception Unix.Unix_error _ -> []
-    | nready when nready <= 0 -> []
+    match
+      match t.kind with
+      | Select -> raw_select t.pfds t.pevents t.prevents t.pn timeout_ms
+      | Poll | Epoll -> raw_poll t.pfds t.pevents t.prevents t.pn timeout_ms
+    with
+    | exception Unix.Unix_error _ -> 0
+    | nready when nready <= 0 -> 0
     | _ ->
-        let out = ref [] and stale = ref [] in
-        for i = t.pn - 1 downto 0 do
+        let n = ref 0 in
+        for i = 0 to t.pn - 1 do
           let bits = t.prevents.(i) in
-          if bits land bit_invalid <> 0 then stale := t.pfds.(i) :: !stale
-          else if bits <> 0 then out := event t.pfds.(i) bits :: !out
+          if bits land bit_invalid <> 0 then deregister t t.pfds.(i)
+          else if bits <> 0 then begin
+            t.rfds.(!n) <- t.pfds.(i);
+            t.rbits.(!n) <- bits;
+            incr n
+          end
         done;
-        if !stale <> [] then List.iter (deregister t) !stale;
-        !out
+        !n
 
-  let wait_epoll t ~timeout =
+  (* epoll fills [rfds] and [rbits] itself; an event with no bit this
+     backend reports is squeezed out. *)
+  let wait_epoll t ~timeout_ms =
     match t.epfd with
-    | None -> []
+    | None -> 0
     | Some epfd -> (
-        match
-          raw_epoll_wait epfd t.efds t.erevents epoll_batch
-            (timeout_ms timeout)
-        with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+        match raw_epoll_wait epfd t.rfds t.rbits epoll_batch timeout_ms with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
         | n ->
-            let out = ref [] in
-            for i = n - 1 downto 0 do
-              let bits = t.erevents.(i) in
-              if bits <> 0 then out := event t.efds.(i) bits :: !out
+            let k = ref 0 in
+            for i = 0 to n - 1 do
+              let bits = t.rbits.(i) in
+              if bits <> 0 then begin
+                t.rfds.(!k) <- t.rfds.(i);
+                t.rbits.(!k) <- bits;
+                incr k
+              end
             done;
-            !out)
+            !k)
 
-  let wait t ~timeout =
+  let wait t ~timeout_ms =
     match t.kind with
-    | Select | Poll -> wait_arrays t ~timeout
-    | Epoll -> wait_epoll t ~timeout
+    | Select | Poll -> wait_arrays t ~timeout_ms
+    | Epoll -> wait_epoll t ~timeout_ms
+
+  let ready_fd t i = t.rfds.(i)
+  let readable t i = t.rbits.(i) land bit_read <> 0
+  let writable t i = t.rbits.(i) land bit_write <> 0
 
   let close t =
     if not t.closed then begin

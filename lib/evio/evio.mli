@@ -14,7 +14,9 @@
     select and poll (C stubs, any Unix) share one code path: the
     interest arrays are cached, rebuilt only after a registration
     changes, and each wait is one stub call over them that fills a
-    result array, so a wait allocates only the events it returns.
+    result array.  A wait reports its ready fds through arrays the
+    backend owns and takes its timeout as an int, so it allocates
+    nothing.
 
     All backends deliver level-triggered readiness with the same
     semantics: an fd is reported only for what it is watched for, and
@@ -58,8 +60,6 @@ val set_reuseport : Unix.file_descr -> unit
     message naming the option, where the build or the running kernel
     lacks it. *)
 
-type event = { fd : Unix.file_descr; readable : bool; writable : bool }
-
 exception Backend_full of string
 (** Raised by {!Backend.register} when the backend cannot wait on the
     fd at all — concretely, select with an fd number at or above
@@ -86,10 +86,16 @@ module Backend : sig
       defensively (select: after a wait fails with EBADF; poll: on
       POLLNVAL) but at the cost of a wasted wakeup. *)
 
-  val wait : t -> timeout:float option -> event list
-  (** Block until readiness or [timeout] (seconds; [None] = forever;
-      [Some 0.] = non-blocking poll).  Returns one event per ready fd.
-      [EINTR] returns [[]]. *)
+  val wait : t -> timeout_ms:int -> int
+  (** Block until readiness or [timeout_ms] milliseconds ([-1] =
+      forever; [0] = non-blocking poll).  Returns how many fds are
+      ready; {!ready_fd}, {!readable} and {!writable} at [i] in
+      [\[0, n)] describe the [i]th until the next wait.  [EINTR]
+      returns [0].  Allocates nothing. *)
+
+  val ready_fd : t -> int -> Unix.file_descr
+  val readable : t -> int -> bool
+  val writable : t -> int -> bool
 
   val fd_count : t -> int
   (** Currently registered fds. *)

@@ -143,13 +143,19 @@ type conn = {
   mutable state : conn_state;
   mutable close_after_flush : bool;
   mutable last_active : float;
-  (* First byte of the request in flight, nan between requests: it
-     opens when [try_parse] first sees its bytes, and closes when its
-     response is out or the connection ends ([finish_request]). *)
-  mutable head_start : float;
-  mutable req_start : float;  (* parse-complete time of the request in flight *)
+  (* The request in flight, stamped as it goes ({!Obs.Trace.stamps}):
+     [stamps.head], its first byte, is nan between requests.  It opens
+     when [try_parse] first sees its bytes, and closes when its response
+     is out or the connection ends ([finish_request]), which writes its
+     trace from these stamps.  [stamps.accepted] holds the accept until
+     the first request closes.  [work] names the loop's own work for the
+     request ("" for none), and its trace label is [label_meth]
+     [label_target]. *)
+  stamps : Obs.Trace.stamps;
+  mutable work : string;
+  mutable label_meth : string;
+  mutable label_target : string;
   mutable alive : bool;
-  accepted_at : float;
   mutable reqs_served : int;  (* requests finished on this connection *)
   (* Readiness interest last pushed to the evio backend; [sync_conn]
      diffs against these so unchanged fds cost nothing.  [want_write]
@@ -172,12 +178,6 @@ type conn = {
   mutable sent_bytes : int;  (* response bytes the kernel accepted *)
   mutable recv_bytes : int;  (* request bytes read off the socket *)
   mutable xfer_mark : int;  (* sent+recv at the last transfer check *)
-  (* Tracing state for the request in flight (all None with --no-trace). *)
-  mutable trace : Obs.Trace.trace option;
-  mutable spare : Obs.Trace.trace option;  (* the last one, for reuse *)
-  mutable parse_span : Obs.Trace.span option;
-  mutable work_span : Obs.Trace.span option;  (* inline disk read / CGI *)
-  mutable write_span : Obs.Trace.span option;
 }
 
 (* What the loop's timer wheel fires. *)
@@ -326,8 +326,7 @@ type t = {
   active : Obs.Gauge.t;  (* currently open connections *)
   (* Request-lifecycle tracing (None with --no-trace).  Its ring is
      guarded by [obs_mutex] (MT workers finish into one ring, an MP
-     parent ingests while a view renders); a trace in flight belongs to
-     its connection and takes no lock. *)
+     parent ingests while a view renders). *)
   tracer : Obs.Trace.t option;
   slow_channel : out_channel option;  (* slow-request log sink *)
   started_at : float;
@@ -437,110 +436,47 @@ let tick_recorder t ~now =
 (* Request-lifecycle tracing                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A trace in flight belongs to its connection, so to one loop: the
-   span calls take no lock, and the trace id comes from an atomic.  Only
-   the ring is shared (MT workers finish into one ring; an MP parent
-   ingests while a view renders), so only the ring's push and reads
-   take the obs mutex.  Spans land on the owning loop's track, the
-   Perfetto row they render on. *)
+(* A request in flight is its connection's stamps, work phase and label
+   parts: the request path only sets them, taking no lock and
+   allocating nothing, and [finish_request] writes the whole trace into
+   the ring in one call.  The clock reads that serve only the trace
+   (the lookup's end, the work phase's bounds) are taken only with
+   tracing on. *)
 
-(* The wall clock, boxed once: a stamp handed to several calls (a
-   float field, the trace's spans) is then not boxed again for each. *)
-let stamp () = Sys.opaque_identity (Unix.gettimeofday ())
+(* A request opens at the first byte of its head, one clock read. *)
+let open_request conn =
+  let st = conn.stamps in
+  Obs.Trace.clear st;
+  st.head <- Unix.gettimeofday ();
+  conn.work <- "";
+  conn.label_meth <- "";
+  conn.label_target <- "request"
 
-(* A request opens at the first byte of its head, one clock read that
-   stamps [head_start] and, with tracing on, opens its trace and parse
-   span.  The first request's trace reaches back to [accept]; later
-   ones mark the keep-alive reuse. *)
-let open_request t conn =
-  let now = stamp () in
-  conn.head_start <- now;
-  match t.tracer with
-  | None -> ()
-  | Some tracer ->
-      let track = conn.loop.track in
-      let tr =
-        if conn.reqs_served = 0 then begin
-          let tr = Obs.Trace.start tracer ~at:conn.accepted_at () in
-          Obs.Trace.add_span tracer ~track ~name:"accept"
-            ~start:conn.accepted_at ~stop:conn.accepted_at tr;
-          conn.trace <- Some tr;
-          tr
-        end
-        else begin
-          (* The connection's last trace is in the ring by now: reuse
-             its storage, and its [Some]. *)
-          let tr =
-            match conn.spare with
-            | Some tr ->
-                Obs.Trace.restart tracer tr ~at:now;
-                conn.trace <- conn.spare;
-                tr
-            | None ->
-                let tr = Obs.Trace.start tracer ~at:now () in
-                conn.trace <- Some tr;
-                tr
-          in
-          Obs.Trace.instant_at tracer tr ~track ~at:now "keepalive-reuse";
-          tr
-        end
-      in
-      conn.parse_span <-
-        Some (Obs.Trace.begin_span_at tracer tr ~track ~at:now "parse")
+(* The head parsed (or refused, labelled "bad-request" with no
+   method). *)
+let head_parsed conn ~meth ~target =
+  conn.stamps.parsed <- Unix.gettimeofday ();
+  conn.label_meth <- meth;
+  conn.label_target <- target
 
-(* "GET /path": one allocation. *)
-let request_label meth target =
-  let m = String.length meth and n = String.length target in
-  let b = Bytes.create (m + 1 + n) in
-  Bytes.blit_string meth 0 b 0 m;
-  Bytes.set b m ' ';
-  Bytes.blit_string target 0 b (m + 1) n;
-  Bytes.unsafe_to_string b
+(* Pathname translation and cache lookup done. *)
+let looked_up t conn =
+  if Option.is_some t.tracer then conn.stamps.looked_up <- Unix.gettimeofday ()
 
-(* The head parsed at [req_start]: the parse span ends there, and the
-   trace takes the request's label ("bad-request" for [None]). *)
-let end_parse_span t conn (req : Http.Request.t option) =
-  match (t.tracer, conn.trace) with
-  | Some _, Some tr ->
-      (match conn.parse_span with
-      | Some sp ->
-          Obs.Trace.end_span_at sp ~at:conn.req_start;
-          conn.parse_span <- None
-      | None -> ());
-      Obs.Trace.relabel tr
-        (match req with
-        | Some req ->
-            request_label
-              (Http.Request.meth_to_string req.Http.Request.meth)
-              req.Http.Request.raw_target
-        | None -> "bad-request")
-  | _ -> ()
+(* The loop's own work for the request: an inline fill, a disk read or
+   a CGI child.  It ends at the response's stamp ([record_latency]), or
+   at [end_work] when it yields no response. *)
+let begin_work t conn name =
+  if Option.is_some t.tracer && String.length conn.work = 0 then begin
+    conn.work <- name;
+    conn.stamps.work_start <- Unix.gettimeofday ()
+  end
 
-let end_span_opt t = function
-  | Some sp -> (
-      match t.tracer with
-      | Some tracer -> Obs.Trace.end_span tracer sp
-      | None -> ())
-  | None -> ()
+let working conn =
+  String.length conn.work > 0 && Float.is_nan conn.stamps.work_stop
 
-let begin_work_span t conn name =
-  match (t.tracer, conn.trace) with
-  | Some tracer, Some tr when conn.work_span = None ->
-      conn.work_span <-
-        Some (Obs.Trace.begin_span tracer tr ~track:conn.loop.track name)
-  | _ -> ()
-
-let close_work_span conn ~at =
-  match conn.work_span with
-  | Some sp ->
-      Obs.Trace.end_span_at sp ~at;
-      conn.work_span <- None
-  | None -> ()
-
-let end_work_span t conn =
-  match (t.tracer, conn.work_span) with
-  | Some _, Some _ -> close_work_span conn ~at:(Unix.gettimeofday ())
-  | _ -> ()
+let end_work conn =
+  if working conn then conn.stamps.work_stop <- Unix.gettimeofday ()
 
 let log_slow t ~since data =
   let line = Obs.Trace.summary ~since data in
@@ -551,35 +487,35 @@ let log_slow t ~since data =
   | None -> prerr_endline line
 
 (* Close the request in flight: its response bytes are out, or the
-   connection died.  Its trace, stamped once here, is copied into the
+   connection died.  Its trace, stamped once here, is written into the
    ring and, past the slow threshold counted from the request's first
    byte, its breakdown goes to the slow-request log. *)
 let finish_request ?(closing = false) t conn =
-  if not (Float.is_nan conn.head_start) then begin
-    let first_byte = conn.head_start in
-    conn.head_start <- Float.nan;
+  let st = conn.stamps in
+  if not (Float.is_nan st.head) then begin
     conn.reqs_served <- conn.reqs_served + 1;
-    match (t.tracer, conn.trace) with
-    | Some tracer, Some tr ->
-        let at = stamp () in
-        (match conn.write_span with
-        | Some sp -> Obs.Trace.end_span_at sp ~at
-        | None -> ());
-        if closing || conn.close_after_flush then
-          Obs.Trace.instant_at tracer tr ~track:conn.loop.track ~at "close";
+    (match t.tracer with
+    | None -> ()
+    | Some tracer ->
+        st.ended <- Unix.gettimeofday ();
         Mutex.lock t.obs_mutex;
-        Obs.Trace.complete_at tracer tr ~at;
+        Obs.Trace.record tracer st ~track:conn.loop.track ~work:conn.work
+          ~meth:conn.label_meth ~target:conn.label_target
+          ~closing:(closing || conn.close_after_flush);
+        let slow =
+          match t.config.slow_request_ms with
+          | Some ms when (st.ended -. st.head) *. 1000. >= ms ->
+              Obs.Trace.since tracer (Obs.Trace.completed tracer - 1)
+          | _ -> []
+        in
         Mutex.unlock t.obs_mutex;
-        conn.spare <- conn.trace;
-        conn.trace <- None;
-        conn.parse_span <- None;
-        conn.work_span <- None;
-        conn.write_span <- None;
-        (match t.config.slow_request_ms with
-        | Some ms when (at -. first_byte) *. 1000. >= ms ->
-            log_slow t ~since:first_byte (Obs.Trace.finish tracer ~at tr)
-        | _ -> ())
-    | _ -> ()
+        match slow with
+        | [ data ] -> log_slow t ~since:st.head data
+        | _ -> ());
+    st.head <- Float.nan;
+    (* The first request's trace reached back to the accept; later
+       ones mark the keep-alive reuse. *)
+    st.accepted <- Float.nan
   end
 
 let log_access ?conn ?path t ~meth ~target ~status ~bytes =
@@ -608,9 +544,8 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
           let now = Unix.gettimeofday () in
           let started =
             match conn with
-            | Some c when not (Float.is_nan c.head_start) -> c.head_start
-            | Some c -> c.req_start
-            | None -> now
+            | Some c when not (Float.is_nan c.stamps.head) -> c.stamps.head
+            | _ -> now
           in
           let us = (now -. started) *. 1e6 in
           Printf.sprintf "%s %d" base (int_of_float (Float.max 0. us))
@@ -618,28 +553,22 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
       output_string oc (line ^ "\n");
       flush oc
 
-(* Latency is measured from parse completion to response generation —
-   for AMPED that spans the helper round-trip, for SPED the inline disk
+(* Latency is measured from parse completion (a head that never parsed,
+   answered 408, from its first byte) to response generation — for
+   AMPED that spans the helper round-trip, for SPED the inline disk
    work, so the architectural difference is visible in the numbers.
-   This is also the "response generated" seam for tracing: at the same
-   stamp the work span (inline disk read, CGI) ends, the write span
-   begins and the flight recorder checks its window. *)
+   This is also the "response generated" stamp: the work phase (inline
+   disk read, CGI) ends there, the write begins, and the flight
+   recorder checks its window. *)
 let record_latency t conn =
-  let now = stamp () in
+  let st = conn.stamps in
+  let now = Unix.gettimeofday () in
   Mutex.lock t.obs_mutex;
-  Obs.Histogram.record t.latency (now -. conn.req_start);
+  Obs.Histogram.record t.latency
+    (now -. if Float.is_nan st.parsed then st.head else st.parsed);
   Mutex.unlock t.obs_mutex;
-  (match t.tracer with
-  | Some tracer -> (
-      close_work_span conn ~at:now;
-      match conn.trace with
-      | Some tr when conn.write_span = None ->
-          conn.write_span <-
-            Some
-              (Obs.Trace.begin_span_at tracer tr ~track:conn.loop.track
-                 ~at:now "write")
-      | _ -> ())
-  | None -> ());
+  if working conn then st.work_stop <- now;
+  if Float.is_nan st.ready then st.ready <- now;
   tick_recorder t ~now
 
 let slow_read_hook t path =
@@ -653,22 +582,26 @@ let slow_read_hook t path =
 let align = Some 32
 
 (* Map a request target to a path under the docroot; [Error] carries the
-   response status. *)
+   response status.  A NUL (decoded from [%00]) names no file, and the
+   file cache keys a path's variants with one, so it is refused here,
+   where every mode passes. *)
 let resolve _t (req : Http.Request.t) =
-  match Http.Request.normalize_path req.Http.Request.path with
-  | None -> Error Http.Status.Forbidden
-  | Some path ->
-      let raw = req.Http.Request.path in
-      let wants_index =
-        path = "/"
-        || (String.length raw > 0 && raw.[String.length raw - 1] = '/')
-      in
-      let path =
-        if wants_index then
-          (if path = "/" then "" else path) ^ "/index.html"
-        else path
-      in
-      Ok path
+  let raw = req.Http.Request.path in
+  if String.contains raw '\x00' then Error Http.Status.Bad_request
+  else
+    match Http.Request.normalize_path raw with
+    | None -> Error Http.Status.Forbidden
+    | Some path ->
+        let wants_index =
+          path = "/"
+          || (String.length raw > 0 && raw.[String.length raw - 1] = '/')
+        in
+        let path =
+          if wants_index then
+            (if path = "/" then "" else path) ^ "/index.html"
+          else path
+        in
+        Ok path
 
 let is_cgi path =
   String.length path >= 9 && String.sub path 0 9 = "/cgi-bin/"
@@ -1633,7 +1566,7 @@ let serve_fill t conn (req : Http.Request.t) full ~keep ~refused =
 let fill_resident t conn req full ~keep =
   Hashtbl.mem t.known full
   &&
-  (begin_work_span t conn "fill";
+  (begin_work t conn "fill";
    match fill ~resident:true t full with
    | Filled entry ->
        serve_entry t conn req ~full entry ~keep;
@@ -1643,7 +1576,7 @@ let fill_resident t conn req full ~keep =
        | Large | Not_regular | Failed Unix.ENOENT ->
            Hashtbl.remove t.known full
        | _ -> ());
-       end_work_span t conn;
+       end_work conn;
        false)
 
 (* ------------------------------------------------------------------ *)
@@ -1672,31 +1605,42 @@ let start_cgi t conn (req : Http.Request.t) full ~keep:_ =
               "SERVER_SOFTWARE=" ^ t.config.server_name;
             |]
           in
-          let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-          let pid =
-            Unix.create_process_env full [| full |] env dev_null pipe_write
-              Unix.stderr
-          in
-          Unix.close dev_null;
-          Unix.close pipe_write;
-          Unix.set_nonblock pipe_read;
-          count_status t 200;
-          let header =
-            render_header t ~status:Http.Status.Ok ~content_type:None
-              ~content_length:None ~keep:false
-          in
-          enqueue_string t conn header;
-          conn.close_after_flush <- false;
-          conn.state <- Streaming_cgi (pipe_read, pid);
-          t.cgi_inflight <- t.cgi_inflight + 1;
-          (* Wall-clock deadline: a wedged script is killed rather than
-             holding the connection (and a helper-less loop's pipe slot)
-             forever. *)
-          conn.cgi_timer <-
-            Some
-              (Evio.Timer_wheel.schedule conn.loop.wheel
-                 ~at:(Unix.gettimeofday () +. cgi_timeout)
-                 (T_cgi conn)))
+          (* A script the kernel will not run (no #! line, a missing
+             interpreter) fails the spawn: that request gets a 500, and
+             the server keeps serving. *)
+          match
+            let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close dev_null)
+              (fun () ->
+                Unix.create_process_env full [| full |] env dev_null pipe_write
+                  Unix.stderr)
+          with
+          | exception Unix.Unix_error _ ->
+              Unix.close pipe_read;
+              Unix.close pipe_write;
+              enqueue_error t conn Http.Status.Internal_server_error
+                ~keep:false ~head_only:false
+          | pid ->
+              Unix.close pipe_write;
+              Unix.set_nonblock pipe_read;
+              count_status t 200;
+              let header =
+                render_header t ~status:Http.Status.Ok ~content_type:None
+                  ~content_length:None ~keep:false
+              in
+              enqueue_string t conn header;
+              conn.close_after_flush <- false;
+              conn.state <- Streaming_cgi (pipe_read, pid);
+              t.cgi_inflight <- t.cgi_inflight + 1;
+              (* Wall-clock deadline: a wedged script is killed rather
+                 than holding the connection (and a helper-less loop's
+                 pipe slot) forever. *)
+              conn.cgi_timer <-
+                Some
+                  (Evio.Timer_wheel.schedule conn.loop.wheel
+                     ~at:(Unix.gettimeofday () +. cgi_timeout)
+                     (T_cgi conn)))
 
 (* ------------------------------------------------------------------ *)
 (* Request processing                                                  *)
@@ -1720,22 +1664,14 @@ let process_request t conn (req : Http.Request.t) =
         enqueue_view t conn ~content_type:"application/json" (trace_body t)
           ~keep ~head_only
       else begin
-        (* Pathname translation + cache lookup, as its own span, from
-           the stamp that ended the parse. *)
-        let resolve_sp =
-          match (t.tracer, conn.trace) with
-          | Some tracer, Some tr ->
-              Some
-                (Obs.Trace.begin_span_at tracer tr ~track:conn.loop.track
-                   ~at:conn.req_start "resolve")
-          | _ -> None
-        in
+        (* Pathname translation and cache lookup: the trace's resolve
+           span, from the stamp that ended the parse. *)
         match resolve t req with
         | Error status ->
-            end_span_opt t resolve_sp;
+            looked_up t conn;
             enqueue_error t conn status ~keep ~head_only
         | Ok path when is_cgi path ->
-            end_span_opt t resolve_sp;
+            looked_up t conn;
             let cgi_full =
               match t.guard with
               | Some g -> (
@@ -1754,14 +1690,15 @@ let process_request t conn (req : Http.Request.t) =
                 Http.Status.Service_unavailable ~keep ~head_only
             end
             else begin
-              begin_work_span t conn "cgi";
+              begin_work t conn "cgi";
               start_cgi t conn req (t.config.docroot ^ path) ~keep
             end
         | Ok path -> (
             let full = t.config.docroot ^ path in
-            match find_held t full with
+            let held = find_held t full in
+            looked_up t conn;
+            match held with
             | Some entry ->
-                end_span_opt t resolve_sp;
                 (* Attribute the hit when a prefetch put this entry
                    here before any client asked for it. *)
                 (match t.warm with
@@ -1771,7 +1708,6 @@ let process_request t conn (req : Http.Request.t) =
                 | _ -> ());
                 serve_entry t conn req ~full entry ~keep
             | None -> (
-                end_span_opt t resolve_sp;
                 match t.helper with
                 | Some _ when fill_resident t conn req full ~keep -> ()
                 | Some helper -> (
@@ -1806,7 +1742,7 @@ let process_request t conn (req : Http.Request.t) =
                 | None -> (
                     (* SPED: inline — the whole loop stalls on a miss,
                        and the disk span lands on the main-loop track. *)
-                    begin_work_span t conn "disk-read";
+                    begin_work t conn "disk-read";
                     slow_read_hook t full;
                     serve_fill t conn req full ~keep
                       ~refused:Http.Status.Forbidden)))
@@ -1818,7 +1754,7 @@ let process_request t conn (req : Http.Request.t) =
    parse leaves (a partial head, pipelined requests) moves to
    [conn.inbuf]. *)
 let rec parse_from t conn src len ~pending =
-  if Float.is_nan conn.head_start then open_request t conn;
+  if Float.is_nan conn.stamps.head then open_request conn;
   (* Slow-header defense: from the first byte of a request head, the
      rest must arrive within the deadline.  One one-shot timer per
      head; cancelled the moment the head parses (or fails to). *)
@@ -1842,8 +1778,7 @@ let rec parse_from t conn src len ~pending =
       conn.hdr_timer <- cancel_timer conn.loop conn.hdr_timer;
       conn.inbuf <- "";
       conn.scanned <- 0;
-      conn.req_start <- Unix.gettimeofday ();
-      end_parse_span t conn None;
+      head_parsed conn ~meth:"" ~target:"bad-request";
       t.n_requests <- t.n_requests + 1;
       enqueue_error t conn Http.Status.Bad_request ~keep:false
         ~head_only:false
@@ -1853,8 +1788,9 @@ let rec parse_from t conn src len ~pending =
         (if consumed = len then ""
          else String.sub src consumed (len - consumed));
       conn.scanned <- 0;
-      conn.req_start <- Unix.gettimeofday ();
-      if t.tracer <> None then end_parse_span t conn (Some req);
+      head_parsed conn
+        ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
+        ~target:req.Http.Request.raw_target;
       let rate_verdict =
         match t.guard with
         | Some g -> Guard.on_request g ~peer:conn.peer
@@ -1984,11 +1920,10 @@ let handle_writable t conn =
     match conn.state with
     | Streaming_cgi _ -> ()  (* more output may come from the pipe *)
     | Reading | Waiting_helper _ ->
-        (* Response fully flushed: the request closes here — unless its
-           trace has no write span yet, the sign that these bytes were
-           not its response. *)
-        if conn.write_span <> None || conn.trace = None then
-          finish_request t conn;
+        (* Response fully flushed: the request closes here — unless it
+           has no response yet, the sign that these bytes were not its
+           response. *)
+        if not (Float.is_nan conn.stamps.ready) then finish_request t conn;
         if conn.close_after_flush then close_conn t conn
         else try_parse t conn
   end
@@ -2108,18 +2043,12 @@ let handle_helper_completions t =
               Hashtbl.remove t.main.by_helper_key c.Helper.key;
               match conn.state with
               | Waiting_helper (req, full) -> (
-                  (* Stitch the helper's measured boundaries into the
-                     waiting request's trace, attributed to the helper
-                     track: queue wait, then the blocking disk work. *)
-                  (match (t.tracer, conn.trace) with
-                  | Some tracer, Some tr ->
-                      Obs.Trace.add_span tracer ~track:"helper"
-                        ~name:"helper-queue" ~start:c.Helper.enqueued
-                        ~stop:c.Helper.started tr;
-                      Obs.Trace.add_span tracer ~track:"helper"
-                        ~name:"disk-read" ~start:c.Helper.started
-                        ~stop:c.Helper.finished tr
-                  | _ -> ());
+                  (* The helper's own stamps join the waiting request's:
+                     its queue wait, then the blocking disk work. *)
+                  let st = conn.stamps in
+                  st.enqueued <- c.Helper.enqueued;
+                  st.started <- c.Helper.started;
+                  st.finished <- c.Helper.finished;
                   let keep = Http.Request.keep_alive req in
                   let head_only = req.Http.Request.meth = Http.Request.Head in
                   match c.Helper.result with
@@ -2220,6 +2149,8 @@ let adopt_fd t lp fd addr =
   t.n_connections <- t.n_connections + 1;
   with_obs_lock t (fun () -> Obs.Gauge.incr t.active);
   let now = Unix.gettimeofday () in
+  let stamps = Obs.Trace.stamps () in
+  stamps.accepted <- now;
   let conn =
     {
       fd;
@@ -2232,10 +2163,11 @@ let adopt_fd t lp fd addr =
       state = Reading;
       close_after_flush = false;
       last_active = now;
-      head_start = Float.nan;
-      req_start = now;
+      stamps;
+      work = "";
+      label_meth = "";
+      label_target = "request";
       alive = true;
-      accepted_at = now;
       reqs_served = 0;
       want_read = false;
       want_write = false;
@@ -2249,11 +2181,6 @@ let adopt_fd t lp fd addr =
       sent_bytes = 0;
       recv_bytes = 0;
       xfer_mark = 0;
-      trace = None;
-      spare = None;
-      parse_span = None;
-      work_span = None;
-      write_span = None;
     }
   in
   Hashtbl.replace lp.conns key conn;
@@ -2521,11 +2448,11 @@ let handle_timer t lp ~now ev =
       | Mp_child c -> c.deferred <- None
       | Mp_none | Mp_parent _ -> ())
 
-let dispatch_event t lp (ev : Evio.event) =
-  match Hashtbl.find lp.fd_owners ev.Evio.fd with
+let dispatch_event t lp fd ~readable ~writable =
+  match Hashtbl.find lp.fd_owners fd with
   | exception Not_found ->
       ()  (* closed while an earlier event in this batch ran *)
-  | O_listen -> if ev.Evio.readable then accept_all t lp
+  | O_listen -> if readable then accept_all t lp
   | O_wake ->
       (* Only [stop] writes here, and its byte stays in the pipe:
          level-triggered readiness then rouses every loop watching it,
@@ -2543,11 +2470,10 @@ let dispatch_event t lp (ev : Evio.event) =
       end
   | O_client conn ->
       if conn.alive then begin
-        if ev.Evio.readable && conn.state = Reading then
-          handle_readable t conn;
+        if readable && conn.state = Reading then handle_readable t conn;
         (* Only a connection already waiting for writability sees this;
            a response queued just now is written by [sync_conn]. *)
-        if ev.Evio.writable && conn.alive && not (Sendq.is_empty conn.outq)
+        if writable && conn.alive && not (Sendq.is_empty conn.outq)
         then handle_writable t conn;
         sync_conn t conn
       end
@@ -2559,11 +2485,15 @@ let dispatch_event t lp (ev : Evio.event) =
             sync_conn t conn
         | Reading | Waiting_helper _ -> ())
 
-let rec dispatch_all t lp = function
-  | [] -> ()
-  | ev :: rest ->
-      dispatch_event t lp ev;
-      dispatch_all t lp rest
+(* The [n] fds the loop's last wait found ready, in the backend's
+   order. *)
+let dispatch_all t lp n =
+  for i = 0 to n - 1 do
+    dispatch_event t lp
+      (Evio.Backend.ready_fd lp.evio i)
+      ~readable:(Evio.Backend.readable lp.evio i)
+      ~writable:(Evio.Backend.writable lp.evio i)
+  done
 
 (* An MP child's one write: its whole walk and the traces its ring took
    since the mark [reported] (a past [Obs.Trace.completed]), at most a
@@ -2672,17 +2602,18 @@ let run_loop t lp =
        timers are pending) — readiness and the wake pipe interrupt the
        wait, so there is no fixed tick. *)
     let wait_start = !turn_end in
-    let timeout =
+    let timeout_ms =
       match Evio.Timer_wheel.next_deadline lp.wheel with
-      | None -> None
-      | Some d -> Some (Float.max 0. (d -. wait_start))
+      | None -> -1
+      | Some d ->
+          let s = d -. wait_start in
+          if s <= 0. then 0 else int_of_float (Float.ceil (s *. 1000.))
     in
-    let events = Evio.Backend.wait lp.evio ~timeout in
+    let ready = Evio.Backend.wait lp.evio ~timeout_ms in
     let now = Unix.gettimeofday () in
     lp.now <- now;
-    Obs.Loopstat.wake lp.stat ~waited:(now -. wait_start)
-      ~ready:(List.length events);
-    dispatch_all t lp events;
+    Obs.Loopstat.wake lp.stat ~waited:(now -. wait_start) ~ready;
+    dispatch_all t lp ready;
     let fired = Evio.Timer_wheel.advance lp.wheel ~now in
     (match fired with
     | [] -> ()
@@ -2692,7 +2623,9 @@ let run_loop t lp =
     let fin = Unix.gettimeofday () in
     turn_end := fin;
     Obs.Loopstat.work lp.stat ~spent:(fin -. now);
-    match (events, fired) with [], [] -> () | _ -> report_turn t lp ~now:fin
+    match fired with
+    | [] when ready = 0 -> ()
+    | _ -> report_turn t lp ~now:fin
   done;
   (* Drain: close everything. *)
   Hashtbl.iter (fun _ conn -> close_conn t conn) (Hashtbl.copy lp.conns);

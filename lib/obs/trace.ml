@@ -19,25 +19,38 @@ type trace_data = {
    trace needs room: stamps unboxed in [tr_times] (the trace's start,
    then start and stop per span, stop nan while open), names, tracks
    and depths beside them, and the indices of the open spans as a
-   stack.  A span handle names its trace and index; handle [j] is made
-   the first time span [j] is begun and kept, so a trace reused with
-   {!restart} stamps its spans without allocating. *)
+   stack.  A span handle names its trace and index. *)
 type trace = {
-  mutable tr_id : int;
-  mutable tr_label : string;
+  tr_id : int;
+  tr_label : string;
   mutable tr_times : float array;  (* flat: its stamps are unboxed *)
   mutable tr_names : string array;
   mutable tr_tracks : string array;
   mutable tr_depths : int array;
   mutable tr_stack : int array;
-  mutable tr_handles : span option array;
   mutable tr_n : int;  (* spans kept *)
   mutable tr_open : int;  (* height of [tr_stack] *)
   mutable tr_truncated : int;
   mutable tr_finished : bool;
 }
 
-and span = { sp_trace : trace; sp_index : int (* -1: over the bound *) }
+type span = { sp_trace : trace; sp_index : int (* -1: over the bound *) }
+
+(* One live request's phase stamps: a record of floats only, so each is
+   stored unboxed. *)
+type stamps = {
+  mutable accepted : float;
+  mutable head : float;
+  mutable parsed : float;
+  mutable looked_up : float;
+  mutable work_start : float;
+  mutable work_stop : float;
+  mutable enqueued : float;
+  mutable started : float;
+  mutable finished : float;
+  mutable ready : float;
+  mutable ended : float;
+}
 
 (* One ring entry, rewritten in place each time the ring wraps onto it.
    Nothing a finished trace allocated stays reachable from here: the
@@ -115,26 +128,12 @@ let start t ?at ?(label = "request") () =
     tr_tracks = [| ""; ""; ""; "" |];
     tr_depths = [| 0; 0; 0; 0 |];
     tr_stack = [| 0; 0; 0; 0 |];
-    tr_handles = [| None; None; None; None |];
     tr_n = 0;
     tr_open = 0;
     tr_truncated = 0;
     tr_finished = false;
   }
 
-let restart t tr ~at =
-  if not tr.tr_finished then invalid_arg "Trace.restart: trace in flight";
-  tr.tr_id <- Atomic.fetch_and_add t.next_id 1;
-  tr.tr_label <- "request";
-  tr.tr_times.(0) <- at;
-  tr.tr_n <- 0;
-  tr.tr_open <- 0;
-  tr.tr_truncated <- 0;
-  tr.tr_finished <- false
-
-let id tr = tr.tr_id
-let label tr = tr.tr_label
-let relabel tr label = tr.tr_label <- label
 let[@inline] span_start tr j = tr.tr_times.(1 + (2 * j))
 let[@inline] span_stop tr j = tr.tr_times.(2 + (2 * j))
 let[@inline] set_stop tr j at = tr.tr_times.(2 + (2 * j)) <- at
@@ -153,8 +152,7 @@ let grow tr =
   tr.tr_names <- extend tr.tr_names "";
   tr.tr_tracks <- extend tr.tr_tracks "";
   tr.tr_depths <- extend tr.tr_depths 0;
-  tr.tr_stack <- extend tr.tr_stack 0;
-  tr.tr_handles <- extend tr.tr_handles None
+  tr.tr_stack <- extend tr.tr_stack 0
 
 (* Keep one more span; its index, or -1 past the per-trace bound (then
    counted in [tr_truncated]). *)
@@ -176,27 +174,15 @@ let push t tr ~name ~track ~start ~stop =
     j
   end
 
-let handle tr j =
-  match tr.tr_handles.(j) with
-  | Some h -> h
-  | None ->
-      let h = { sp_trace = tr; sp_index = j } in
-      tr.tr_handles.(j) <- Some h;
-      h
-
-let begin_span_at t tr ~track ~at name =
-  let j = push t tr ~name ~track ~start:at ~stop:Float.nan in
-  if j < 0 then { sp_trace = tr; sp_index = -1 }
-  else begin
-    tr.tr_stack.(tr.tr_open) <- j;
-    tr.tr_open <- tr.tr_open + 1;
-    handle tr j
-  end
-
 let stamp t = function Some at -> at | None -> t.clock ()
 
 let begin_span t tr ?(track = t.track) ?at name =
-  begin_span_at t tr ~track ~at:(stamp t at) name
+  let j = push t tr ~name ~track ~start:(stamp t at) ~stop:Float.nan in
+  if j >= 0 then begin
+    tr.tr_stack.(tr.tr_open) <- j;
+    tr.tr_open <- tr.tr_open + 1
+  end;
+  { sp_trace = tr; sp_index = j }
 
 (* Closing a span closes any still-open spans begun inside it at the
    same instant, so begin/end pairs always produce well-nested
@@ -206,9 +192,10 @@ let begin_span t tr ?(track = t.track) ?at name =
 let rec stack_pos tr j k =
   if k < 0 || tr.tr_stack.(k) = j then k else stack_pos tr j (k - 1)
 
-let end_span_at sp ~at =
+let end_span t ?at sp =
   let tr = sp.sp_trace and j = sp.sp_index in
   if j >= 0 && Float.is_nan (span_stop tr j) then begin
+    let at = stamp t at in
     let k = stack_pos tr j (tr.tr_open - 1) in
     if k < 0 then set_stop tr j at
     else begin
@@ -220,17 +207,13 @@ let end_span_at sp ~at =
     end
   end
 
-let end_span t ?at sp = end_span_at sp ~at:(stamp t at)
-
 let add_span t ?track ~name ~start ~stop tr =
   let track = match track with Some s -> s | None -> t.track in
   ignore (push t tr ~name ~track ~start ~stop)
 
-let instant_at t tr ~track ~at name =
-  ignore (push t tr ~name ~track ~start:at ~stop:at)
-
 let instant t tr ?(track = t.track) ?at name =
-  instant_at t tr ~track ~at:(stamp t at) name
+  let at = stamp t at in
+  ignore (push t tr ~name ~track ~start:at ~stop:at)
 
 (* ------------------------------------------------------------------ *)
 (* The ring                                                            *)
@@ -241,12 +224,19 @@ let instant t tr ?(track = t.track) ?at name =
    at most twice what its current label needs. *)
 let label_min = 64
 
-let set_label s label =
-  let n = String.length label and cap = Bytes.length s.s_label in
-  if n > cap || (cap > label_min && cap > 2 * n) then
-    s.s_label <- Bytes.create (Int.max label_min n);
-  Bytes.blit_string label 0 s.s_label 0 n;
-  s.s_label_len <- n
+(* The label "METH target", or [target] alone when [meth] is empty. *)
+let set_label s ~meth ~target =
+  let m = String.length meth and n = String.length target in
+  let len = if m = 0 then n else m + 1 + n in
+  let cap = Bytes.length s.s_label in
+  if len > cap || (cap > label_min && cap > 2 * len) then
+    s.s_label <- Bytes.create (Int.max label_min len);
+  if m > 0 then begin
+    Bytes.blit_string meth 0 s.s_label 0 m;
+    Bytes.set s.s_label m ' '
+  end;
+  Bytes.blit_string target 0 s.s_label (len - n) n;
+  s.s_label_len <- len
 
 (* The slot the next completed trace lands in, with room for [n]
    spans. *)
@@ -280,7 +270,7 @@ let[@inline] set_span s j ~name ~track ~start ~stop ~depth =
 
 let[@inline] fill_slot s ~id ~label ~t_begin ~t_end ~spans ~truncated =
   s.s_id <- id;
-  set_label s label;
+  set_label s ~meth:"" ~target:label;
   s.s_spans <- spans;
   s.s_truncated <- truncated;
   Float.Array.set s.s_times 0 t_begin;
@@ -291,8 +281,9 @@ let advance t =
   if t.len < t.cap then t.len <- t.len + 1;
   t.n_completed <- t.n_completed + 1
 
-let complete_at t tr ~at =
+let complete t ?at tr =
   if not tr.tr_finished then begin
+    let at = stamp t at in
     for i = 0 to tr.tr_open - 1 do
       let j = tr.tr_stack.(i) in
       if Float.is_nan (span_stop tr j) then set_stop tr j at
@@ -313,8 +304,6 @@ let complete_at t tr ~at =
     done;
     advance t
   end
-
-let complete t ?at tr = complete_at t tr ~at:(stamp t at)
 
 let data_of_trace tr ~t_end =
   let rec spans j acc =
@@ -342,8 +331,119 @@ let data_of_trace tr ~t_end =
 
 let finish t ?at tr =
   let at = stamp t at in
-  complete_at t tr ~at;
+  complete t ~at tr;
   data_of_trace tr ~t_end:at
+
+(* ------------------------------------------------------------------ *)
+(* A live request, written once                                        *)
+(* ------------------------------------------------------------------ *)
+
+let clear (st : stamps) =
+  st.head <- Float.nan;
+  st.parsed <- Float.nan;
+  st.looked_up <- Float.nan;
+  st.work_start <- Float.nan;
+  st.work_stop <- Float.nan;
+  st.enqueued <- Float.nan;
+  st.started <- Float.nan;
+  st.finished <- Float.nan;
+  st.ready <- Float.nan;
+  st.ended <- Float.nan
+
+let stamps () =
+  {
+    accepted = nan;
+    head = nan;
+    parsed = nan;
+    looked_up = nan;
+    work_start = nan;
+    work_stop = nan;
+    enqueued = nan;
+    started = nan;
+    finished = nan;
+    ready = nan;
+    ended = nan;
+  }
+
+(* Span [j] of a slot holding [kept] spans; the index of the next. *)
+let[@inline] put s ~kept j name ~track ~start ~stop ~depth =
+  if j < kept then set_span s j ~name ~track ~start ~stop ~depth;
+  j + 1
+
+let[@inline] present x = not (Float.is_nan x)
+
+(* The spans the request's stamps imply, in the order the request went
+   through them.  A span still open at [ended] (a head that never
+   parsed, work cut short by a close) ends there, and spans begun
+   while it was open sit one deeper, as {!begin_span} nests them. *)
+let record t st ~track ~work ~meth ~target ~closing =
+  let at = st.ended in
+  let first = present st.accepted
+  and parsed = present st.parsed
+  and resolved = present st.looked_up
+  and worked = String.length work > 0
+  and helped = present st.enqueued
+  and written = present st.ready in
+  let work_open = worked && not (present st.work_stop) in
+  let n =
+    2 + Bool.to_int resolved + Bool.to_int worked + (2 * Bool.to_int helped)
+    + Bool.to_int written + Bool.to_int closing
+  in
+  let kept = Int.min n t.span_cap in
+  let s = next_slot t kept in
+  s.s_id <- Atomic.fetch_and_add t.next_id 1;
+  set_label s ~meth ~target;
+  s.s_spans <- kept;
+  s.s_truncated <- n - kept;
+  Float.Array.set s.s_times 0 (if first then st.accepted else st.head);
+  Float.Array.set s.s_times 1 at;
+  let j =
+    if first then
+      put s ~kept 0 "accept" ~track ~start:st.accepted ~stop:st.accepted
+        ~depth:0
+    else
+      put s ~kept 0 "keepalive-reuse" ~track ~start:st.head ~stop:st.head
+        ~depth:0
+  in
+  let j =
+    put s ~kept j "parse" ~track ~start:st.head
+      ~stop:(if parsed then st.parsed else at)
+      ~depth:0
+  in
+  let j =
+    if resolved then
+      put s ~kept j "resolve" ~track ~start:st.parsed ~stop:st.looked_up
+        ~depth:0
+    else j
+  in
+  let j =
+    if worked then
+      put s ~kept j work ~track ~start:st.work_start
+        ~stop:(if work_open then at else st.work_stop)
+        ~depth:0
+    else j
+  in
+  let j =
+    if helped then
+      let j =
+        put s ~kept j "helper-queue" ~track:"helper" ~start:st.enqueued
+          ~stop:st.started ~depth:0
+      in
+      put s ~kept j "disk-read" ~track:"helper" ~start:st.started
+        ~stop:st.finished ~depth:0
+    else j
+  in
+  let j =
+    if written then
+      put s ~kept j "write" ~track ~start:st.ready ~stop:at
+        ~depth:(if parsed then 0 else 1)
+    else j
+  in
+  if closing then
+    ignore
+      (put s ~kept j "close" ~track ~start:at ~stop:at
+         ~depth:(if parsed && not work_open then 0 else 1));
+  advance t
 
 let ingest t data =
   let n = List.length data.spans in

@@ -12,30 +12,37 @@
     rendered as a one-line breakdown for a slow-request log.
 
     Timestamps come from the collector's injectable clock (wall clock in
-    the live server, virtual time in the simulator), so the same API
-    traces both.  Spans opened with {!begin_span}/{!end_span} follow
-    stack discipline per trace and are therefore always well-nested;
-    {!add_span} splices in a completed span measured elsewhere — the
-    seam used to stitch helper work (timestamps carried over the
-    completion pipe) into the trace of the request that caused it —
-    and {!ingest} takes a whole trace finished in another process
-    (an MP child's, carried over its report pipe as [trace_data]).
+    the live server, virtual time in the simulator).  Spans opened with
+    {!begin_span}/{!end_span} follow stack discipline per trace and are
+    therefore always well-nested; {!add_span} splices in a completed
+    span measured elsewhere (the simulator's helper work), and {!ingest}
+    takes a whole trace finished in another process (an MP child's,
+    carried over its report pipe as [trace_data]).
 
     A trace in flight belongs to one caller: {!start} draws its id from
     an atomic counter and the span calls touch only the trace, so they
     need no lock.  A trace keeps its spans in arrays (stamps unboxed),
-    not as a record per span.  Everything that reads or writes the ring ({!complete},
-    {!finish}, {!ingest}, {!snapshot}, {!since}, the counters, {!reset})
-    must be serialised by the caller (the live server takes its obs
-    mutex).
+    not as a record per span.  Everything that reads or writes the ring
+    ({!complete}, {!finish}, {!record}, {!ingest}, {!snapshot},
+    {!since}, the counters, {!reset}) must be serialised by the caller
+    (the live server takes its obs mutex).
 
-    {!complete} copies a finished trace into a ring slot that is reused
-    as the ring wraps: stamps unboxed in a float array, the label copied
-    into the slot's own buffer, the span arrays grown only when a longer
-    trace lands.  No slot storage exists before its first trace, and the
-    ring keeps nothing the finished trace allocated, so a minor
-    collection promotes none of it.  [trace_data] is built only when
-    something reads the ring. *)
+    A live request is written into the ring at its finish.  The live
+    server makes no span call while a request is in flight: its
+    connection keeps the request's phase {!stamps} (the clock readings
+    its request path takes, and the helper's, carried over the
+    completion pipe), and when the request finishes {!record} writes
+    the whole trace in one call: the spans those stamps imply, with the
+    names, tracks, order and depths the span calls would have given
+    them.  A request traced this way allocates nothing.
+
+    A trace is written into a ring slot that is reused as the ring
+    wraps: stamps unboxed in a float array, the label copied into the
+    slot's own buffer, the span arrays grown only when a longer trace
+    lands.  No slot storage exists before its first trace, and the ring
+    keeps nothing the finished trace allocated, so a minor collection
+    promotes none of it.  [trace_data] is built only when something
+    reads the ring. *)
 
 type t
 (** A collector: clock, ring buffer and id allocator. *)
@@ -86,21 +93,6 @@ val now : t -> float
     now) with a fresh id. *)
 val start : t -> ?at:float -> ?label:string -> unit -> trace
 
-(** [restart t tr ~at] opens a new trace in the storage of [tr], which
-    must be complete (its data is in the ring by then): a fresh id, the
-    label ["request"], no spans, beginning at [at].  The old trace's
-    span handles must not be used again.  A caller that traces one
-    request after another (a connection) reuses one trace this way, so
-    stamping its spans allocates nothing.
-    @raise Invalid_argument if [tr] is still in flight. *)
-val restart : t -> trace -> at:float -> unit
-
-val id : trace -> int
-val label : trace -> string
-
-(** Set the label once it is known (after the request line parses). *)
-val relabel : trace -> string -> unit
-
 (** Open a span at [at] (default now).  Returns a handle even when the
     per-trace bound is hit (the span is then counted in [truncated] and
     otherwise ignored). *)
@@ -128,20 +120,65 @@ val complete : t -> ?at:float -> trace -> unit
 (** {!complete}, then the trace's data. *)
 val finish : t -> ?at:float -> trace -> trace_data
 
-(** {!begin_span} at [at] on [track].  The optional-argument calls
-    make a fresh [Some] for each argument given; this one and the three
-    below take both, so a caller that already holds its stamp stamps a
-    trace reused with {!restart} without allocating. *)
-val begin_span_at : t -> trace -> track:string -> at:float -> string -> span
+(** {2 A live request} *)
 
-(** {!end_span} at [at]. *)
-val end_span_at : span -> at:float -> unit
+(** One request's phase stamps, in collector-clock seconds; [nan] marks
+    a phase the request did not reach.  A connection keeps one record
+    and reuses it from one request to the next.  Its fields are all
+    floats, so each is stored unboxed and setting one allocates
+    nothing. *)
+type stamps = {
+  mutable accepted : float;
+      (** the connection's accept, kept for its first request only:
+          that trace reaches back to it *)
+  mutable head : float;  (** first byte of the head *)
+  mutable parsed : float;  (** head parsed *)
+  mutable looked_up : float;  (** pathname translation and cache lookup done *)
+  mutable work_start : float;  (** the loop's own work: a fill, a disk read, CGI *)
+  mutable work_stop : float;
+  mutable enqueued : float;  (** a helper's job: queued, begun, done *)
+  mutable started : float;
+  mutable finished : float;
+  mutable ready : float;  (** response queued: the write begins *)
+  mutable ended : float;  (** response out, or the connection gone *)
+}
 
-(** {!instant} at [at] on [track]. *)
-val instant_at : t -> trace -> track:string -> at:float -> string -> unit
+(** A record with every stamp [nan]. *)
+val stamps : unit -> stamps
 
-(** {!complete} at [at]. *)
-val complete_at : t -> trace -> at:float -> unit
+(** Set every stamp but [accepted] back to [nan], for the connection's
+    next request. *)
+val clear : stamps -> unit
+
+(** [record t st ~track ~work ~meth ~target ~closing] writes the request
+    [st] stamped into the ring as one trace, under a fresh id, labelled
+    ["meth target"] ([target] alone when [meth] is empty), from [head]
+    (or [accepted]) to [ended].  Its spans, on [track] but for the
+    helper's two:
+    - ["accept"] at [accepted], or else ["keepalive-reuse"] at [head];
+    - ["parse"] from [head] to [parsed];
+    - ["resolve"] from [parsed] to [looked_up];
+    - the work phase named [work] ([""]: none) from [work_start] to
+      [work_stop];
+    - ["helper-queue"] and ["disk-read"] on track ["helper"], from
+      [enqueued] to [started] to [finished];
+    - ["write"] from [ready] to [ended];
+    - ["close"] at [ended] when [closing].
+
+    A phase the request did not reach is left out.  A head that never
+    parsed, or work cut short by a close, was still open: its span ends
+    at [ended], and the spans begun inside it sit one deeper.  Past
+    [max_spans] the rest are counted in [truncated].  Allocates nothing
+    once the ring has wrapped onto slots big enough. *)
+val record :
+  t ->
+  stamps ->
+  track:string ->
+  work:string ->
+  meth:string ->
+  target:string ->
+  closing:bool ->
+  unit
 
 (** Push an externally assembled trace (e.g. decoded from another
     process) into the ring under a fresh id. *)

@@ -100,7 +100,7 @@ let suite =
     Alcotest.test_case "minor words per hit, tracing off" `Slow
       (check_hit ~trace:false ~bound:200.);
     Alcotest.test_case "minor words per hit, tracing on" `Slow
-      (check_hit ~trace:true ~bound:150.);
+      (check_hit ~trace:true ~bound:125.);
     Alcotest.test_case "minor words per inline refill" `Slow
       (check_refill ~bound:600.);
   ]

@@ -216,6 +216,17 @@ let prop_wheel_next_deadline_bounds ops =
 (* Backends: unit behaviour over every available backend               *)
 (* ------------------------------------------------------------------ *)
 
+(* A wait's ready set as a list, in the backend's order. *)
+type event = { fd : Unix.file_descr; readable : bool; writable : bool }
+
+let wait b ~timeout_ms =
+  List.init (Evio.Backend.wait b ~timeout_ms) (fun i ->
+      {
+        fd = Evio.Backend.ready_fd b i;
+        readable = Evio.Backend.readable b i;
+        writable = Evio.Backend.writable b i;
+      })
+
 let each_backend f =
   List.iter
     (fun kind ->
@@ -234,39 +245,39 @@ let test_backend_pipe_readiness () =
           Alcotest.(check (list int))
             (name ^ ": empty pipe not readable")
             []
-            (List.map (fun _ -> 0) (Evio.Backend.wait b ~timeout:(Some 0.)));
+            (List.map (fun _ -> 0) (wait b ~timeout_ms:0));
           ignore (Unix.write w (Bytes.of_string "x") 0 1);
-          (match Evio.Backend.wait b ~timeout:(Some 1.) with
+          (match wait b ~timeout_ms:1000 with
           | [ ev ] ->
-              Alcotest.(check bool) (name ^ ": readable") true ev.Evio.readable
+              Alcotest.(check bool) (name ^ ": readable") true ev.readable
           | evs ->
               Alcotest.failf "%s: expected 1 event, got %d" name
                 (List.length evs));
           (* Write side: a fresh pipe is writable. *)
           Evio.Backend.register b w ~read:false ~write:true;
-          let evs = Evio.Backend.wait b ~timeout:(Some 1.) in
+          let evs = wait b ~timeout_ms:1000 in
           Alcotest.(check bool)
             (name ^ ": write side reported writable")
             true
-            (List.exists (fun e -> e.Evio.fd = w && e.Evio.writable) evs);
+            (List.exists (fun e -> e.fd = w && e.writable) evs);
           (* Interest off: no events at all. *)
           Evio.Backend.modify b r ~read:false ~write:false;
           Evio.Backend.modify b w ~read:false ~write:false;
           Alcotest.(check int)
             (name ^ ": no interest, no events")
             0
-            (List.length (Evio.Backend.wait b ~timeout:(Some 0.)));
+            (List.length (wait b ~timeout_ms:0));
           (* Interest back on after parking: events return. *)
           Evio.Backend.modify b r ~read:true ~write:false;
           Alcotest.(check bool)
             (name ^ ": re-armed after parking")
             true
-            (Evio.Backend.wait b ~timeout:(Some 1.) <> []);
+            (wait b ~timeout_ms:1000 <> []);
           Evio.Backend.deregister b r;
           Alcotest.(check int)
             (name ^ ": deregistered fd silent")
             0
-            (List.length (Evio.Backend.wait b ~timeout:(Some 0.)))))
+            (List.length (wait b ~timeout_ms:0))))
 
 let test_backend_timeout () =
   each_backend (fun name b ->
@@ -276,7 +287,7 @@ let test_backend_timeout () =
         (fun () ->
           Evio.Backend.register b r ~read:true ~write:false;
           let t0 = Unix.gettimeofday () in
-          let evs = Evio.Backend.wait b ~timeout:(Some 0.05) in
+          let evs = wait b ~timeout_ms:50 in
           let dt = Unix.gettimeofday () -. t0 in
           Alcotest.(check int) (name ^ ": timeout yields no events") 0
             (List.length evs);
@@ -314,8 +325,8 @@ let test_backend_prunes_closed () =
           let heard = ref false in
           for _ = 1 to 3 do
             List.iter
-              (fun ev -> if ev.Evio.fd = r2 && ev.Evio.readable then heard := true)
-              (Evio.Backend.wait b ~timeout:(Some 0.))
+              (fun ev -> if ev.fd = r2 && ev.readable then heard := true)
+              (wait b ~timeout_ms:0)
           done;
           Alcotest.(check bool) (name ^ ": open fd still heard") true !heard;
           if Evio.Backend.kind b <> Evio.Epoll then
@@ -341,13 +352,13 @@ let test_wait_survives_collection () =
               ignore (Unix.write_substring w "x" 0 1))
             ()
         in
-        let evs = Evio.Backend.wait b ~timeout:(Some 2.) in
+        let evs = wait b ~timeout_ms:2000 in
         Thread.join writer;
         Evio.Backend.close b;
         Unix.close r;
         Unix.close w;
         match evs with
-        | [ ev ] when ev.Evio.fd = r && ev.Evio.readable -> ()
+        | [ ev ] when ev.fd = r && ev.readable -> ()
         | evs ->
             Alcotest.failf "%s: %d events after a collection during the wait"
               (Evio.name kind) (List.length evs)
@@ -410,11 +421,11 @@ let prop_backend_parity pairs =
     List.iter
       (fun (ours, _, r, w, _) -> Evio.Backend.register b ours ~read:r ~write:w)
       made;
-    let evs = Evio.Backend.wait b ~timeout:(Some 0.) in
+    let evs = wait b ~timeout_ms:0 in
     Evio.Backend.close b;
     List.sort compare
       (List.map
-         (fun ev -> (Obj.magic ev.Evio.fd : int), ev.Evio.readable, ev.Evio.writable)
+         (fun ev -> (Obj.magic ev.fd : int), ev.readable, ev.writable)
          evs)
   in
   let results = List.map (fun k -> (k, ready k)) (Evio.all_available ()) in

@@ -333,6 +333,15 @@ let table () =
       ~has:[ ("vary", "Accept-Encoding") ]
       ~absent:[ "content-encoding" ]
       ~body:(Exact fx.body_n);
+    (* The cache keys a path's gzip variant with a NUL: a decoded %00
+       in the path must not reach it.  The first row caches the
+       variant; the second, asking for no coding, is refused. *)
+    case "AE gzip caches the variant" 200
+      ~headers:[ ("Accept-Encoding", "gzip") ]
+      ~has:[ ("content-encoding", "gzip") ]
+      ~body:(Exact fx.gz_a);
+    case "a NUL in the path is refused" 400 ~target:"/a.txt%00gzip"
+      ~absent:[ "content-encoding" ];
     case "conditionals do not rescue a 404" 404 ~target:"/missing.txt"
       ~headers:[ ("If-None-Match", "*") ]
       ~absent:[ "etag" ];

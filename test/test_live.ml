@@ -140,6 +140,87 @@ let test_cgi_missing () =
       let r = get port "/cgi-bin/ghost.sh" in
       Alcotest.(check int) "404" 404 r.Flash_live.Client.status)
 
+(* A script the kernel cannot start (text with no #! line, or a #!
+   naming a missing interpreter) is answered 500 with a close, and the
+   server keeps serving: three fresh connections each get a 200.  Where
+   the whole server is this process (AMPED, SPED), it holds as many
+   descriptors afterwards as before.  A read gives up after 5 s, so a
+   server that died fails the test rather than hanging it.  Exposed
+   with the mode as a parameter, since Sharded must run from
+   test_sharded.ml. *)
+let test_cgi_unstartable mode () =
+  let docroot = make_docroot () in
+  List.iter
+    (fun (name, text) ->
+      let path = Filename.concat docroot ("cgi-bin/" ^ name) in
+      write_file path text;
+      Unix.chmod path 0o755)
+    [
+      ("bad", "echo no interpreter line\n");
+      ("nointerp", "#!/nonexistent/interp\necho unreachable\n");
+    ];
+  let config =
+    { (Flash_live.Server.default_config ~docroot) with Flash_live.Server.mode }
+  in
+  let server = Flash_live.Server.start_background config in
+  Fun.protect
+    ~finally:(fun () -> Flash_live.Server.stop server)
+    (fun () ->
+      let port = Flash_live.Server.port server in
+      (* Read to the close, waiting at most 5 s for each read. *)
+      let request ~close target =
+        let fd = Helpers.Raw.connect ~port in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Helpers.Raw.write_request fd ~meth:"GET" ~target ~headers:[]
+              ~close;
+            let acc = Buffer.create 1024 and buf = Bytes.create 4096 in
+            let rec drain () =
+              match
+                match Unix.select [ fd ] [] [] 5. with
+                | [], _, _ -> Alcotest.failf "%s: no response in 5 s" target
+                | _ -> Unix.read fd buf 0 (Bytes.length buf)
+              with
+              | 0 -> ()
+              | n ->
+                  Buffer.add_subbytes acc buf 0 n;
+                  drain ()
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+            in
+            drain ();
+            let all = Buffer.contents acc in
+            match Helpers.Raw.find_head_end all 0 with
+            | Some e ->
+                let status, _, headers =
+                  Helpers.Raw.parse_head (String.sub all 0 e)
+                in
+                (status, headers)
+            | None -> Alcotest.failf "%s: no response head" target)
+      in
+      let fds = Helpers.settled Helpers.open_fds in
+      List.iter
+        (fun script ->
+          let status, headers = request ~close:false ("/cgi-bin/" ^ script) in
+          Alcotest.(check int) (script ^ ": 500") 500 status;
+          Alcotest.(check (option string))
+            (script ^ ": connection") (Some "close")
+            (List.assoc_opt "connection" headers))
+        [ "bad"; "nointerp" ];
+      for i = 1 to 3 do
+        Alcotest.(check int)
+          (Printf.sprintf "GET %d afterwards" i)
+          200
+          (fst (request ~close:true "/hello.txt"))
+      done;
+      match mode with
+      | Flash_live.Server.Amped | Flash_live.Server.Sped ->
+          Alcotest.(check (option int))
+            "open descriptors" fds
+            (Helpers.settled Helpers.open_fds)
+      | _ -> ())
+
 let test_concurrent_clients () =
   with_server (fun server port ->
       let results = Array.make 8 0 in
@@ -228,6 +309,14 @@ let suite =
     Alcotest.test_case "SPED no helpers" `Quick test_sped_no_helpers;
     Alcotest.test_case "CGI" `Quick test_cgi;
     Alcotest.test_case "CGI missing script" `Quick test_cgi_missing;
+    Alcotest.test_case "CGI that cannot start (AMPED)" `Quick
+      (test_cgi_unstartable Flash_live.Server.Amped);
+    Alcotest.test_case "CGI that cannot start (SPED)" `Quick
+      (test_cgi_unstartable Flash_live.Server.Sped);
+    Alcotest.test_case "CGI that cannot start (MP 2)" `Quick
+      (test_cgi_unstartable (Flash_live.Server.Mp 2));
+    Alcotest.test_case "CGI that cannot start (MT 2)" `Quick
+      (test_cgi_unstartable (Flash_live.Server.Mt 2));
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "MP mode" `Quick test_mp_mode;
     Alcotest.test_case "32-byte aligned heads on the wire" `Quick

@@ -635,4 +635,8 @@ let suite =
     Alcotest.test_case "a failed start leaks nothing (sharded 2)" `Quick
       (fun () ->
         Helpers.check_failed_start_leaks_nothing (Flash_live.Server.Sharded 2));
+    Alcotest.test_case "CGI that cannot start (sharded 2)" `Quick
+      (Test_live.test_cgi_unstartable (Server.Sharded 2));
+    Alcotest.test_case "span sequence per request kind (sharded 2)" `Quick
+      (Test_trace.span_sequences (Server.Sharded 2));
   ]

@@ -140,6 +140,111 @@ let prop_well_formed =
           && s.Trace.depth >= 0)
         d.Trace.spans)
 
+(* [record] against the span calls it replaced in the live server: for
+   every request its stamps can describe (a head never parsed, work cut
+   short by a close, a refused fill sent on to a helper, a trace past
+   [max_spans]), the ring holds the same trace.  The span calls are
+   made as the server made them: the work phase closes at the response
+   stamp or before a helper is asked, and the write at the finish. *)
+let prop_record_matches_spans =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (quad bool bool bool (oneofl [ ""; "fill"; "disk-read"; "cgi" ]))
+        (quad bool bool bool bool) (int_range 1 9))
+  in
+  QCheck.Test.make ~count:500 ~name:"record writes what the span calls wrote"
+    (QCheck.make gen)
+    (fun ( (first, parsed, resolved, work),
+           (helped, written, closing, cut),
+           max_spans ) ->
+      (* What a request can reach: lookup, work and helper only after
+         its head parsed, and work left open only when nothing follows
+         it (cut off by a close). *)
+      let resolved = parsed && resolved
+      and work = if parsed then work else ""
+      and helped = parsed && helped in
+      let work_open = work <> "" && cut && (not helped) && not written in
+      let st = Trace.stamps () in
+      let clock = ref 100. in
+      let next () =
+        clock := !clock +. 1.;
+        !clock
+      in
+      if first then st.Trace.accepted <- next ();
+      st.Trace.head <- next ();
+      if parsed then st.Trace.parsed <- next ();
+      if resolved then st.Trace.looked_up <- next ();
+      if work <> "" then st.Trace.work_start <- next ();
+      (* A fill refused before its helper ends there; other work ends
+         at the response stamp. *)
+      if work <> "" && (not work_open) && (helped || not written) then
+        st.Trace.work_stop <- next ();
+      if helped then begin
+        st.Trace.enqueued <- next ();
+        st.Trace.started <- next ();
+        st.Trace.finished <- next ()
+      end;
+      if written then begin
+        st.Trace.ready <- next ();
+        if work <> "" && Float.is_nan st.Trace.work_stop then
+          st.Trace.work_stop <- st.Trace.ready
+      end;
+      st.Trace.ended <- next ();
+      let meth, target = if parsed then ("GET", "/x") else ("", "request") in
+      let collector () =
+        Trace.create ~clock:(fun () -> !clock) ~max_spans ()
+      in
+      let recorded = collector () in
+      Trace.record recorded st ~track:"loop" ~work ~meth ~target ~closing;
+      let spans = collector () in
+      let label = if parsed then "GET /x" else "request" in
+      let tr =
+        if first then begin
+          let tr = Trace.start spans ~at:st.Trace.accepted ~label () in
+          Trace.add_span spans ~track:"loop" ~name:"accept"
+            ~start:st.Trace.accepted ~stop:st.Trace.accepted tr;
+          tr
+        end
+        else begin
+          let tr = Trace.start spans ~at:st.Trace.head ~label () in
+          Trace.instant spans tr ~track:"loop" ~at:st.Trace.head
+            "keepalive-reuse";
+          tr
+        end
+      in
+      let parse =
+        Trace.begin_span spans tr ~track:"loop" ~at:st.Trace.head "parse"
+      in
+      if parsed then Trace.end_span spans ~at:st.Trace.parsed parse;
+      if resolved then
+        Trace.end_span spans ~at:st.Trace.looked_up
+          (Trace.begin_span spans tr ~track:"loop" ~at:st.Trace.parsed
+             "resolve");
+      let w =
+        if work = "" then None
+        else
+          Some
+            (Trace.begin_span spans tr ~track:"loop" ~at:st.Trace.work_start
+               work)
+      in
+      (match w with
+      | Some w when not work_open -> Trace.end_span spans ~at:st.Trace.work_stop w
+      | _ -> ());
+      if helped then begin
+        Trace.add_span spans ~track:"helper" ~name:"helper-queue"
+          ~start:st.Trace.enqueued ~stop:st.Trace.started tr;
+        Trace.add_span spans ~track:"helper" ~name:"disk-read"
+          ~start:st.Trace.started ~stop:st.Trace.finished tr
+      end;
+      let at = st.Trace.ended in
+      if written then
+        Trace.end_span spans ~at
+          (Trace.begin_span spans tr ~track:"loop" ~at:st.Trace.ready "write");
+      if closing then Trace.instant spans tr ~track:"loop" ~at "close";
+      Trace.complete spans ~at tr;
+      Trace.snapshot recorded = Trace.snapshot spans)
+
 (* A finished trace is copied into a slot the ring reuses, so the ring
    keeps nothing a trace allocated: once every slot has held a trace,
    minor collections promote next to nothing per trace.  A ring that
@@ -575,6 +680,129 @@ let test_first_byte_timing () =
       ("MP, tracing off", Server.Mp 2, false);
     ]
 
+(* Each request kind's trace, frozen whole: its label, then each span's
+   name, track kind and depth in ring order, every span inside its
+   trace's [t_begin, t_end].  A track is the loop's (its name carries a
+   pid or thread id) or the helper's.  The cache holds one of the two
+   4 KB files, so asking for the other evicts it: AMPED then fills a
+   path its helper has seen inline, where the helperless modes read
+   every miss on the loop.  Exposed with the mode as a parameter, since
+   Sharded must run from test_sharded.ml. *)
+type track_kind = Loop | Helper
+
+let span_sequences mode () =
+  let docroot = Test_live.make_docroot () in
+  let page = String.make 4096 'k' in
+  List.iter
+    (fun f -> Test_live.write_file (Filename.concat docroot f) page)
+    [ "k1.txt"; "k2.txt" ];
+  let helped =
+    match mode with Server.Amped | Server.Sharded _ -> true | _ -> false
+  in
+  let l name = (name, Loop, 0) in
+  let miss =
+    if helped then
+      [ ("helper-queue", Helper, 0); ("disk-read", Helper, 0); l "write" ]
+    else [ l "disk-read"; l "write" ]
+  in
+  let hit = [ l "resolve"; l "write" ] in
+  let reuse = [ l "keepalive-reuse"; l "parse" ] in
+  let expected =
+    [
+      ("GET /k1.txt?first", [ l "accept"; l "parse"; l "resolve" ] @ miss);
+      ("GET /k1.txt?hit", reuse @ hit);
+      ("GET /k1.txt?304", reuse @ hit);
+      ("GET /k1.txt?206", reuse @ hit);
+      ("GET /nope.txt?404", reuse @ (l "resolve" :: miss));
+      ("GET /k2.txt?evict", reuse @ (l "resolve" :: miss));
+      ( "GET /k1.txt?inline",
+        reuse
+        @ (if helped then [ l "resolve"; l "fill"; l "write" ]
+           else [ l "resolve"; l "disk-read"; l "write" ]) );
+      ("GET /k1.txt?close", reuse @ hit @ [ l "close" ]);
+      ("bad-request", [ l "accept"; l "parse"; l "write"; l "close" ]);
+      ( "GET /cgi-bin/echo.sh?x=1",
+        [ l "accept"; l "parse"; l "resolve"; l "cgi"; l "write"; l "close" ]
+      );
+    ]
+  in
+  with_config
+    {
+      (Server.default_config ~docroot) with
+      Server.mode;
+      file_cache_bytes = 6000;
+    }
+    (fun server port ->
+      let s = Helpers.Raw.open_session ~port in
+      let ask ?(headers = []) target status =
+        let r = Helpers.Raw.session_request s ~headers target in
+        Alcotest.(check int) target status r.Helpers.Raw.status;
+        r
+      in
+      let first = ask "/k1.txt?first" 200 in
+      let etag = List.assoc "etag" first.Helpers.Raw.headers in
+      ignore (ask "/k1.txt?hit" 200);
+      ignore (ask ~headers:[ ("If-None-Match", etag) ] "/k1.txt?304" 304);
+      ignore (ask ~headers:[ ("Range", "bytes=0-9") ] "/k1.txt?206" 206);
+      ignore (ask "/nope.txt?404" 404);
+      ignore (ask "/k2.txt?evict" 200);
+      ignore (ask "/k1.txt?inline" 200);
+      let close = "GET /k1.txt?close HTTP/1.1\r\nConnection: close\r\n\r\n" in
+      ignore
+        (Unix.write_substring s.Helpers.Raw.fd close 0 (String.length close));
+      let r, _ = Helpers.Raw.read_response s.Helpers.Raw.fd s.Helpers.Raw.leftover in
+      Alcotest.(check int) "close: 200" 200 r.Helpers.Raw.status;
+      Helpers.Raw.close_session s;
+      let fd = Helpers.Raw.connect ~port in
+      let junk = "\x00\x01\x02 garbage\r\n\r\n" in
+      ignore (Unix.write_substring fd junk 0 (String.length junk));
+      let r, _ = Helpers.Raw.read_response fd "" in
+      Unix.close fd;
+      Alcotest.(check int) "garbage: 400" 400 r.Helpers.Raw.status;
+      Alcotest.(check int) "cgi: 200" 200
+        (Helpers.Raw.request ~port "/cgi-bin/echo.sh?x=1").Helpers.Raw.status;
+      let labelled label (d : Trace.trace_data) = String.equal d.Trace.label label in
+      let snap =
+        await_traces server (fun snap ->
+            List.for_all
+              (fun (label, _) -> List.exists (labelled label) snap)
+              expected)
+      in
+      let show (name, kind, depth) =
+        Printf.sprintf "%s@%s/%d" name
+          (match kind with Loop -> "loop" | Helper -> "helper")
+          depth
+      in
+      List.iter
+        (fun (label, want) ->
+          match List.filter (labelled label) snap with
+          | [ d ] ->
+              let got =
+                List.map
+                  (fun (sp : Trace.span_data) ->
+                    ( sp.Trace.name,
+                      (if sp.Trace.track = "helper" then Helper else Loop),
+                      sp.Trace.depth ))
+                  d.Trace.spans
+              in
+              Alcotest.(check (list string))
+                (label ^ ": spans") (List.map show want) (List.map show got);
+              List.iter
+                (fun (sp : Trace.span_data) ->
+                  if
+                    not
+                      (d.Trace.t_begin <= sp.Trace.t_start
+                      && sp.Trace.t_start <= sp.Trace.t_stop
+                      && sp.Trace.t_stop <= d.Trace.t_end)
+                  then
+                    Alcotest.failf "%s: %s [%f, %f] outside [%f, %f]" label
+                      sp.Trace.name sp.Trace.t_start sp.Trace.t_stop
+                      d.Trace.t_begin d.Trace.t_end)
+                d.Trace.spans
+          | ds ->
+              Alcotest.failf "%s: %d traces in the ring" label (List.length ds))
+        expected)
+
 (* /server-status: the JSON is produced by the real escapers (a hostile
    server_name survives the label escape inside the JSON escape) and
    reports the trace ring. *)
@@ -608,6 +836,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ring_capacity;
     QCheck_alcotest.to_alcotest prop_span_bound;
     QCheck_alcotest.to_alcotest prop_well_formed;
+    QCheck_alcotest.to_alcotest prop_record_matches_spans;
     Alcotest.test_case "ring retains nothing young" `Quick
       test_ring_retains_nothing_young;
     Alcotest.test_case "end_span closes open children" `Quick
@@ -642,4 +871,12 @@ let suite =
       test_first_byte_timing;
     Alcotest.test_case "status JSON trace block and escaping" `Quick
       test_status_json_trace_block;
+    Alcotest.test_case "span sequence per request kind (AMPED)" `Quick
+      (span_sequences Server.Amped);
+    Alcotest.test_case "span sequence per request kind (SPED)" `Quick
+      (span_sequences Server.Sped);
+    Alcotest.test_case "span sequence per request kind (MP 2)" `Quick
+      (span_sequences (Server.Mp 2));
+    Alcotest.test_case "span sequence per request kind (MT 2)" `Quick
+      (span_sequences (Server.Mt 2));
   ]
