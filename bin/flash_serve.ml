@@ -300,15 +300,16 @@ let policy_conv =
 let cache_policy =
   Arg.(
     value
-    & opt policy_conv Flash_cache.Policy.Lru
+    & opt policy_conv Flash_live.File_cache.default_policy
     & info [ "cache-policy" ] ~docv:"POLICY"
         ~doc:
           (Printf.sprintf
-             "File-cache replacement policy: %s.  lru is the classic \
-              default; slru segments out scan traffic; lfu favours \
-              all-time-popular files (exponentially decayed counts); gdsf \
-              is size-aware and maximises byte hit rate on heavy-tailed \
-              file sets."
+             "File-cache replacement policy: %s.  gdsf ranks files by \
+              hits per byte, keeping small popular files over large rare \
+              ones, so a working set larger than the cache misses less; \
+              lru is the paper's recency order; slru segments out scan \
+              traffic; lfu favours all-time-popular files (exponentially \
+              decayed counts)."
              Flash_cache.Policy.valid_names))
 
 let admission_conv =

@@ -226,7 +226,7 @@ CAMLprim value flash_evio_epoll_create(value unit)
 {
   int fd;
   (void) unit;
-  fd = epoll_create1(0);
+  fd = epoll_create1(EPOLL_CLOEXEC);
   if (fd == -1) caml_uerror("epoll_create1", Nothing);
   return Val_int(fd);
 }

@@ -76,7 +76,7 @@ let connect_fd ?src ~host ~port () =
       | { Unix.h_addr_list = [||]; _ } -> failwith ("no address for " ^ host)
       | { Unix.h_addr_list; _ } -> h_addr_list.(0))
   in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      (match src with
      | Some s ->

@@ -81,7 +81,9 @@ let origin_of_key key =
   | None -> None
   | Some i -> Some (String.sub key 0 i)
 
-let create ?(policy = Flash_cache.Policy.Lru) ?admission ?budget
+let default_policy = Flash_cache.Policy.Gdsf
+
+let create ?(policy = default_policy) ?admission ?budget
     ~capacity_bytes () =
   let mapped = Obs.Gauge.create () in
   let variants = Hashtbl.create 16 in

@@ -52,7 +52,7 @@ let touch_file ?slow_read ~buf path =
       (* The injected media delay models the cold-disk read itself, so it
          runs here — in helper context — never in the caller's. *)
       (match slow_read with Some f -> f path | None -> ());
-      match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+      match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
       | exception Unix.Unix_error _ -> Missing
       | fd ->
           let rec loop () =
@@ -122,7 +122,7 @@ let create ?(clock = Unix.gettimeofday) ?slow_read ?max_queued
   | Some n when n < 0 -> invalid_arg "Helper.create: max_queued < 0"
   | _ -> ());
   if max_low_queued < 0 then invalid_arg "Helper.create: max_low_queued < 0";
-  let notify_read, notify_write = Unix.pipe () in
+  let notify_read, notify_write = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock notify_read;
   let t =
     {

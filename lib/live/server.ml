@@ -72,7 +72,7 @@ let default_config ~docroot =
     trace_path = Some "/server-trace";
     slow_request_ms = None;
     slow_request_log = None;
-    cache_policy = Flash_cache.Policy.Lru;
+    cache_policy = File_cache.default_policy;
     cache_admission = Flash_cache.Policy.Admit_always;
     cache_budget_bytes = None;
     (* select is the paper-faithful default; poll/epoll are opt-in
@@ -1591,7 +1591,7 @@ let start_cgi t conn (req : Http.Request.t) full ~keep:_ =
   | st when st.Unix.st_kind <> Unix.S_REG || st.Unix.st_perm land 0o111 = 0 ->
       enqueue_error t conn Http.Status.Forbidden ~keep:false ~head_only:false
   | _ -> (
-      match Unix.pipe () with
+      match Unix.pipe ~cloexec:true () with
       | exception Unix.Unix_error _ ->
           enqueue_error t conn Http.Status.Internal_server_error ~keep:false
             ~head_only:false
@@ -1609,7 +1609,9 @@ let start_cgi t conn (req : Http.Request.t) full ~keep:_ =
              interpreter) fails the spawn: that request gets a 500, and
              the server keeps serving. *)
           match
-            let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+            let dev_null =
+              Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+            in
             Fun.protect
               ~finally:(fun () -> Unix.close dev_null)
               (fun () ->
@@ -1851,8 +1853,11 @@ let close_conn t conn =
     | None -> ());
     (match conn.state with
     | Streaming_cgi (fd, pid) ->
+        (* The script still runs and its output has nowhere to go: kill
+           it, so the reap below does not wait for it to finish. *)
         t.cgi_inflight <- t.cgi_inflight - 1;
         (try Unix.close fd with Unix.Unix_error _ -> ());
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
         (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     | Reading | Waiting_helper _ -> ());
     Sendq.clear conn.outq;
@@ -2216,7 +2221,7 @@ let accept_all t lp =
     else if match t.config.accept_fault with Some f -> f () | None -> false
     then pause_accept t lp
     else
-      match Unix.accept t.listen_fd with
+      match Unix.accept ~cloexec:true t.listen_fd with
       | fd, addr ->
           lp.accept_backoff <- accept_backoff_initial;
           if adopt_fd t lp fd addr then loop () else pause_accept t lp
@@ -2259,9 +2264,7 @@ let handle_timer t lp ~now ev =
       conn.cgi_timer <- None;
       if conn.alive then
         match conn.state with
-        | Streaming_cgi (_, pid) ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            close_conn t conn
+        | Streaming_cgi _ -> close_conn t conn (* which kills the script *)
         | Reading | Waiting_helper _ -> ())
   | T_resume_accept ->
       if lp.accept_paused then begin
@@ -2727,11 +2730,11 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
     match listen with
     | `Fd (fd, port) -> (fd, port, true)
     | `None port ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
         on_failure (fun () -> close_quietly fd);
         (fd, port, false)
     | `Bind ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
         on_failure (fun () -> close_quietly fd);
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.port));
@@ -2743,7 +2746,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         in
         (fd, p, true)
   in
-  let wake_read, wake_write = Unix.pipe () in
+  let wake_read, wake_write = Unix.pipe ~cloexec:true () in
   on_failure (fun () ->
       close_quietly wake_read;
       close_quietly wake_write);
@@ -3014,7 +3017,7 @@ let start_sharded config n =
      every listener bound so far closed. *)
   let bound = ref [] in
   let bind_listener port =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
     bound := fd :: !bound;
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Evio.set_reuseport fd;

@@ -195,7 +195,8 @@ type config = {
   slow_request_log : string option;
       (** slow-request log file; [None] writes to stderr *)
   cache_policy : Flash_cache.Policy.kind;
-      (** file-cache replacement policy (default LRU) *)
+      (** file-cache replacement policy (default
+          {!File_cache.default_policy}, GDSF) *)
   cache_admission : Flash_cache.Policy.admission;
       (** file-cache admission policy (default admit-always) *)
   cache_budget_bytes : int option;

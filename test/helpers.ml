@@ -53,8 +53,10 @@ module Raw = struct
     raw : string;  (* status line + headers + body, exactly as received *)
   }
 
+  (* Close-on-exec, so a CGI script that the server in this process
+     starts cannot hold the client's end open past its close. *)
   let connect ~port =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
      with e ->
        Unix.close fd;

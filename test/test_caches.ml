@@ -268,7 +268,10 @@ let test_origin_eviction_drags_variant () =
   (* Origin (o + 4) and variant (v + 4) fit with 52 bytes to spare; the
      filler (o + 4) forces the LRU origin out, and the variant must
      follow. *)
-  let c = File_cache.create ~capacity_bytes:(o + v + 60) () in
+  let c =
+    File_cache.create ~policy:Flash_cache.Policy.Lru
+      ~capacity_bytes:(o + v + 60) ()
+  in
   fc_pair c;
   File_cache.insert c "/g" (fc_entry (String.make o 'f') 9.);
   Alcotest.(check bool) "filler resident" true
@@ -284,7 +287,10 @@ let test_variant_evicts_alone () =
   (* 72 bytes more: after touching the origin, the filler evicts only
      the LRU variant; the origin must survive, stay findable, and a
      later explicit removal must not double-uncharge. *)
-  let c = File_cache.create ~capacity_bytes:(o + v + 80) () in
+  let c =
+    File_cache.create ~policy:Flash_cache.Policy.Lru
+      ~capacity_bytes:(o + v + 80) ()
+  in
   fc_pair c;
   ignore (File_cache.find c "/f" ~mtime:5. ~size:o);
   File_cache.insert c "/g" (fc_entry (String.make o 'f') 9.);

@@ -183,7 +183,10 @@ let test_eviction_releases_mappings () =
       Alcotest.(check string) "mapping readable after close"
         (String.sub (patterned big) 0 64)
         (Iovec.sub_string body ~off:0 ~len:64);
-      let c = File_cache.create ~capacity_bytes:(3 * big / 2) () in
+      let c =
+        File_cache.create ~policy:Flash_cache.Policy.Lru
+          ~capacity_bytes:(3 * big / 2) ()
+      in
       File_cache.insert c "/one" (entry 1.);
       if mapped <> None then
         Alcotest.(check int) "insert charges the gauge" big

@@ -637,6 +637,11 @@ let suite =
         Helpers.check_failed_start_leaks_nothing (Flash_live.Server.Sharded 2));
     Alcotest.test_case "CGI that cannot start (sharded 2)" `Quick
       (Test_live.test_cgi_unstartable (Server.Sharded 2));
+    Alcotest.test_case "CGI reset mid-script stalls nothing (sharded 2)"
+      `Quick
+      (Test_live.test_cgi_reset_no_stall (Server.Sharded 2));
+    Alcotest.test_case "CGI inherits no descriptor (sharded 2)" `Quick
+      (Test_live.test_cgi_inherits_nothing (Server.Sharded 2));
     Alcotest.test_case "span sequence per request kind (sharded 2)" `Quick
       (Test_trace.span_sequences (Server.Sharded 2));
   ]

@@ -271,7 +271,7 @@ let test_status_event_loop mode () =
       Alcotest.(check bool) "cache hits" true (file "flash_cache_hits_total" >= 1);
       Alcotest.(check bool) "cache misses" true
         (file "flash_cache_misses_total" >= 2);
-      Alcotest.(check string) "file cache policy" "lru"
+      Alcotest.(check string) "file cache policy" "gdsf"
         (config j "cache_policy");
       Alcotest.(check string) "file cache admission" "always"
         (config j "cache_admission");

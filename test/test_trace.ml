@@ -684,9 +684,10 @@ let test_first_byte_timing () =
    name, track kind and depth in ring order, every span inside its
    trace's [t_begin, t_end].  A track is the loop's (its name carries a
    pid or thread id) or the helper's.  The cache holds one of the two
-   4 KB files, so asking for the other evicts it: AMPED then fills a
-   path its helper has seen inline, where the helperless modes read
-   every miss on the loop.  Exposed with the mode as a parameter, since
+   4 KB files and replaces by LRU, so asking for the other evicts the
+   first even after its hits: AMPED then fills a path its helper has
+   seen inline, where the helperless modes read every miss on the
+   loop.  Exposed with the mode as a parameter, since
    Sharded must run from test_sharded.ml. *)
 type track_kind = Loop | Helper
 
@@ -731,6 +732,7 @@ let span_sequences mode () =
       (Server.default_config ~docroot) with
       Server.mode;
       file_cache_bytes = 6000;
+      cache_policy = Flash_cache.Policy.Lru;
     }
     (fun server port ->
       let s = Helpers.Raw.open_session ~port in
