@@ -162,16 +162,19 @@ let bench_next_deadline =
   Test.make ~name:"evio.timer_wheel.next_deadline"
     (Staged.stage (fun () -> ignore (Evio.Timer_wheel.next_deadline wheel)))
 
-(* One non-blocking select wait over 4 watched socket pairs, one of them
-   readable: the per-turn cost of the default backend. *)
-let bench_select_wait =
-  let backend = Evio.Backend.create Evio.Select in
+(* One non-blocking wait over 4 watched socket pairs, one of them
+   readable: a loop turn's wait on [kind].  Timed on select, the
+   paper's primitive, and on [Evio.default], the live server's (epoll
+   on Linux). *)
+let bench_wait kind =
+  let backend = Evio.Backend.create kind in
   for i = 0 to 3 do
     let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Evio.Backend.register backend a ~read:true ~write:false;
     if i = 0 then ignore (Unix.write_substring b "x" 0 1)
   done;
-  Test.make ~name:"evio.select.wait(4 fds)"
+  Test.make
+    ~name:(Printf.sprintf "evio.%s.wait(4 fds)" (Evio.name kind))
     (Staged.stage (fun () ->
          ignore (Evio.Backend.wait backend ~timeout_ms:0)))
 
@@ -365,7 +368,8 @@ let tests =
       bench_normalize;
       bench_timer_wheel;
       bench_next_deadline;
-      bench_select_wait;
+      bench_wait Evio.Select;
+      bench_wait Evio.default;
       bench_header;
       bench_find_trusted;
       bench_map_resident;

@@ -267,15 +267,16 @@ let backend_conv =
 let event_backend =
   Arg.(
     value
-    & opt backend_conv Evio.Select
+    & opt backend_conv Evio.default
     & info [ "event-backend" ] ~docv:"BACKEND"
         ~doc:
           (Printf.sprintf
-             "Event-readiness mechanism: %s.  select is the paper-faithful \
-              default (FD_SETSIZE-capped, O(watched) per wait); poll lifts \
-              the descriptor cap; epoll (Linux) keeps the interest set in \
-              the kernel so a wait costs O(ready), not O(watched) — the \
-              many-idle-connection win.  auto picks the best available."
+             "Event-readiness mechanism: %s.  The default is the best this \
+              system has (auto): epoll (Linux) keeps the interest set in the \
+              kernel, so a wait costs O(ready), not O(watched); poll lifts \
+              select's descriptor cap but still walks every watched fd per \
+              wait; select is the paper's primitive (FD_SETSIZE-capped, \
+              O(watched) per wait), kept for its comparison."
              Evio.valid_names))
 
 let helpers =

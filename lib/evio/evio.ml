@@ -41,6 +41,8 @@ let available = function
 let best_available () =
   if available Epoll then Epoll else if available Poll then Poll else Select
 
+let default = best_available ()
+
 let all_available () = List.filter available [ Select; Poll; Epoll ]
 
 let valid_names = "select|poll|epoll|auto"

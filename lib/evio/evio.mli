@@ -4,12 +4,17 @@
     FD_SETSIZE and O(watched fds) per wait.  This module hides the
     readiness mechanism behind one interface so the same loop can run
     on:
-    - {b select}: the paper-faithful default;
+    - {b select}: the paper's primitive, kept for its comparison;
     - {b poll(2)}: no FD_SETSIZE cap, still O(n) per wait;
     - {b epoll(7)}: Linux, level-triggered; interest lives in the
       kernel so a wait costs one syscall regardless of connection
       count, and only {e changed} fds cost an [epoll_ctl] (interest-set
       diffing).
+
+    The live server waits on {!default}, the best of these the running
+    system has: a keep-alive hit is mostly kernel time, and select and
+    poll set up and tear down a wait on every watched descriptor each
+    turn, where epoll's interest set stays in the kernel.
 
     select and poll (C stubs, any Unix) share one code path: the
     interest arrays are cached, rebuilt only after a registration
@@ -39,6 +44,10 @@ val available : kind -> bool
 
 val best_available : unit -> kind
 (** epoll > poll > select — what [--event-backend auto] picks. *)
+
+val default : kind
+(** The live server's backend unless told otherwise: {!best_available}
+    (epoll on Linux, poll on other Unixes). *)
 
 val all_available : unit -> kind list
 (** Every backend usable here (for parity test matrices). *)

@@ -75,9 +75,7 @@ let default_config ~docroot =
     cache_policy = File_cache.default_policy;
     cache_admission = Flash_cache.Policy.Admit_always;
     cache_budget_bytes = None;
-    (* select is the paper-faithful default; poll/epoll are opt-in
-       (or via "auto"). *)
-    event_backend = Evio.Select;
+    event_backend = Evio.default;
     gzip_precompressed = true;
     accept_fault = None;
     metrics_path = Some "/metrics";
@@ -1614,9 +1612,7 @@ let start_cgi t conn (req : Http.Request.t) full ~keep:_ =
             in
             Fun.protect
               ~finally:(fun () -> Unix.close dev_null)
-              (fun () ->
-                Unix.create_process_env full [| full |] env dev_null pipe_write
-                  Unix.stderr)
+              (fun () -> Cgi.spawn full ~env ~stdin:dev_null ~stdout:pipe_write)
           with
           | exception Unix.Unix_error _ ->
               Unix.close pipe_read;
@@ -1853,12 +1849,10 @@ let close_conn t conn =
     | None -> ());
     (match conn.state with
     | Streaming_cgi (fd, pid) ->
-        (* The script still runs and its output has nowhere to go: kill
-           it, so the reap below does not wait for it to finish. *)
+        (* The script still runs and its output has nowhere to go. *)
         t.cgi_inflight <- t.cgi_inflight - 1;
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        Cgi.finish pid
     | Reading | Waiting_helper _ -> ());
     Sendq.clear conn.outq;
     let lp = conn.loop in
@@ -1990,7 +1984,9 @@ let handle_cgi_readable t conn fd pid =
       conn.cgi_timer <- cancel_timer conn.loop conn.cgi_timer;
       t.cgi_inflight <- t.cgi_inflight - 1;
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [ Unix.WNOHANG ] pid) with Unix.Unix_error _ -> ());
+      (* A script that closed its output but runs on, or left children
+         behind, ends here with its response. *)
+      Cgi.finish pid;
       response_queued t conn ~keep:false;
       if Sendq.is_empty conn.outq then close_conn t conn
 
@@ -2662,8 +2658,11 @@ let run_worker t ~track =
 (* Runs in a freshly forked MP child: report once, so the parent lists
    every series before any request, then serve until killed.  That
    report leaves [reported_at] alone: it must not defer the first busy
-   turn's. *)
+   turn's.  The child waits on a loop of its own, so it closes its copy
+   of the parent's backend (an epoll fd would share the parent's
+   kernel interest set). *)
 let run_mp_child t out =
+  Evio.Backend.close t.main.evio;
   let reported = send_report t out ~reported:0 in
   t.mp <- Mp_child { out; reported_at = neg_infinity; deferred = None; reported };
   run_worker t ~track:(Printf.sprintf "mp-child-%d" (Unix.getpid ()))

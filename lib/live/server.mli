@@ -23,15 +23,16 @@
 
     Features: GET/HEAD, HTTP/1.0 and 1.1 keep-alive, 32-byte-aligned
     response headers (§5.5), bounded file/header cache, CGI under
-    [/cgi-bin/] (fork/exec, close-delimited output, a child still
-    streaming after 300 s killed), 403 on paths escaping the document
-    root.
+    [/cgi-bin/] (each script the leader of its own process group,
+    close-delimited output; the group killed and the script reaped
+    where its response ends: end of output, a closed connection, or
+    300 s), 403 on paths escaping the document root.
 
     {2 Event readiness and timers}
 
     Readiness comes from a pluggable {!Evio.Backend} —
-    [select]/[poll]/[epoll], chosen by [event_backend] ([select] is
-    the paper-faithful default) — with per-fd interest kept in sync by
+    [select]/[poll]/[epoll], chosen by [event_backend] (default
+    {!Evio.default}, epoll on Linux) — with per-fd interest kept in sync by
     diffing, so an idle keep-alive connection costs no per-iteration
     work on epoll.  All timeouts (keep-alive idle, CGI deadlines,
     EMFILE backoff) live in a hashed {!Evio.Timer_wheel} owned by the
@@ -204,7 +205,8 @@ type config = {
           {!Flash_cache.Budget} of this many bytes *)
   event_backend : Evio.kind;
       (** readiness mechanism for every loop — main, MP parent, MP/MT
-          workers (default [Select], the paper-faithful baseline) *)
+          workers (default {!Evio.default}, the best the system has;
+          [Select] is the paper's baseline) *)
   gzip_precompressed : bool;
       (** serve a fresh [.gz] sibling (mtime at or after the origin's)
           to clients that negotiate gzip via Accept-Encoding (default

@@ -70,30 +70,52 @@ let words_per_request ?(paths = [| "/page.html" |]) config_of =
       Domain.join (Domain.spawn (fun () -> client ~paths port n));
       (Gc.minor_words () -. before) /. float_of_int n)
 
-let check ~what ~bound words =
-  Printf.printf "minor words per %s: %.1f\n%!" what words;
-  if words > bound then
-    Alcotest.failf "%.1f minor words per %s, bound %.0f" words what bound
+(* The same bound on every available backend: the default (epoll on
+   Linux) and the paper's select alike.  Every figure is printed before
+   any bound is held to it. *)
+let check ~what ~bound words_on =
+  let words =
+    List.map
+      (fun backend ->
+        let words = words_on backend in
+        Printf.printf "minor words per %s on %s: %.1f\n%!" what
+          (Evio.name backend) words;
+        (backend, words))
+      (Evio.all_available ())
+  in
+  List.iter
+    (fun (backend, words) ->
+      if words > bound then
+        Alcotest.failf "%.1f minor words per %s on %s, bound %.0f" words what
+          (Evio.name backend) bound)
+    words
 
 let check_hit ~trace ~bound () =
   check
     ~what:(Printf.sprintf "hit (trace %b)" trace)
     ~bound
-    (words_per_request (fun docroot ->
-         { (Server.default_config ~docroot) with Server.port = 0; trace }))
+    (fun event_backend ->
+      words_per_request (fun docroot ->
+          {
+            (Server.default_config ~docroot) with
+            Server.port = 0;
+            trace;
+            event_backend;
+          }))
 
 (* Two 4 KB files in a cache that holds one: once the warm-up has made
    both paths known, every request misses and the loop refills the
    cache inline (AMPED, the page cache warm), rendering four headers
    and reading the body into a fresh entry that evicts the other. *)
 let check_refill ~bound () =
-  check ~what:"inline refill" ~bound
-    (words_per_request ~paths:[| "/a.html"; "/b.html" |] (fun docroot ->
-         {
-           (Server.default_config ~docroot) with
-           Server.port = 0;
-           file_cache_bytes = 6000;
-         }))
+  check ~what:"inline refill" ~bound (fun event_backend ->
+      words_per_request ~paths:[| "/a.html"; "/b.html" |] (fun docroot ->
+          {
+            (Server.default_config ~docroot) with
+            Server.port = 0;
+            file_cache_bytes = 6000;
+            event_backend;
+          }))
 
 let suite =
   [

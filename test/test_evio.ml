@@ -308,6 +308,17 @@ let test_of_string () =
       Alcotest.(check bool) "error lists valid names" true
         (Helpers.contains ~affix:"select" msg)
 
+(* The live server waits on the best backend the system has unless told
+   otherwise: epoll wherever the kernel has it. *)
+let test_server_default () =
+  let backend = (Server.default_config ~docroot:".").Server.event_backend in
+  Alcotest.(check string) "default_config's backend is the best available"
+    (Evio.name (Evio.best_available ()))
+    (Evio.name backend);
+  if Evio.available Evio.Epoll then
+    Alcotest.(check string) "epoll where the kernel has it" "epoll"
+      (Evio.name backend)
+
 (* A descriptor closed before it was deregistered is pruned by the
    next waits (select: the EBADF wait marks it; poll: POLLNVAL; epoll:
    the kernel dropped it at close), and the loop keeps hearing the
@@ -769,6 +780,8 @@ let suite =
     Helpers.qcheck_case ~count:100 ~name:"backends: same ready set" parity_arb
       prop_backend_parity;
     Alcotest.test_case "backends: of_string" `Quick test_of_string;
+    Alcotest.test_case "server: default backend is the best available"
+      `Quick test_server_default;
     Alcotest.test_case "server: backend x mode parity" `Slow test_parity_matrix;
     Alcotest.test_case "server: status names backend" `Quick
       test_status_reports_backend;

@@ -352,6 +352,140 @@ let test_cgi_inherits_nothing mode () =
       (Evio.all_available ())
   end
 
+(* What /proc says of process [pid]: its command name, its state
+   letter and its parent's pid; [None] once the process is gone (reaped)
+   or where there is no /proc. *)
+let proc_stat pid =
+  match
+    In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  with
+  | exception Sys_error _ -> None
+  | line -> (
+      (* "pid (comm) state ppid ...": the name may hold spaces. *)
+      let lp = String.index line '(' and rp = String.rindex line ')' in
+      let rest = String.sub line (rp + 2) (String.length line - rp - 2) in
+      match String.split_on_char ' ' rest with
+      | state :: ppid :: _ ->
+          Some (String.sub line (lp + 1) (rp - lp - 1), state.[0], int_of_string ppid)
+      | _ -> None)
+
+let proc_state pid = Option.map (fun (_, state, _) -> state) (proc_stat pid)
+
+(* A script's response ends its script: one whose output has ended is
+   reaped with it, even while it runs on.  The script prints its pid,
+   closes its output and sleeps 1 s.  Three requests each read their
+   answer to the close; 1.5 s later, once a script the server left
+   running would have exited, none of the three pids may still exist,
+   not even as a zombie.  A server that asked only once, without
+   waiting, at the end of the output left all three defunct. *)
+let test_cgi_reaped mode () =
+  if Sys.file_exists "/proc/self/stat" then begin
+    let docroot = make_docroot () in
+    write_script docroot "closes.sh" "#!/bin/sh\necho $$\nexec >&-\nsleep 1\n";
+    with_server ~mode ~docroot (fun _ port ->
+        let pids =
+          List.init 3 (fun i ->
+              let status, _, body =
+                request_within_5s ~port ~close:true "/cgi-bin/closes.sh"
+              in
+              Alcotest.(check int) (Printf.sprintf "request %d: 200" i) 200 status;
+              int_of_string (String.trim body))
+        in
+        Unix.sleepf 1.5;
+        Alcotest.(check (list string))
+          "scripts left behind" []
+          (List.filter_map
+             (fun pid ->
+               Option.map
+                 (fun state -> Printf.sprintf "%d (%c)" pid state)
+                 (proc_state pid))
+             pids))
+  end
+
+(* A script's response ends everything the script started: it runs as
+   the leader of a process group, and the group is killed.  The script
+   starts [sleep 10] in the background, prints that job's pid, then
+   writes another line after 1 s, which finds its connection reset.
+   Within 4 s the background job must be gone or dead (a zombie of
+   whatever adopted it); a server that killed only the script's own
+   process left it sleeping. *)
+let test_cgi_group_killed mode () =
+  if Sys.file_exists "/proc/self/stat" then begin
+    let docroot = make_docroot () in
+    write_script docroot "forks.sh"
+      "#!/bin/sh\nsleep 10 &\necho $!\nsleep 1\necho b\nsleep 4\n";
+    with_server ~mode ~docroot (fun _ port ->
+        let fd = Helpers.Raw.connect ~port in
+        Helpers.Raw.write_request fd ~meth:"GET" ~target:"/cgi-bin/forks.sh"
+          ~headers:[] ~close:false;
+        let got =
+          read_by ~what:"the background job's pid"
+            ~deadline:(Unix.gettimeofday () +. 5.)
+            ~until:(fun got ->
+              match Helpers.Raw.find_head_end got 0 with
+              | Some e -> String.contains_from got e '\n'
+              | None -> false)
+            fd
+        in
+        Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+        Unix.close fd;
+        let _, _, body = parse_to_close ~what:"forks.sh" got in
+        let job = int_of_string (String.trim body) in
+        let deadline = Unix.gettimeofday () +. 4. in
+        let rec running () =
+          match proc_state job with
+          | None | Some 'Z' -> None
+          | Some state when Unix.gettimeofday () > deadline -> Some state
+          | Some _ ->
+              Unix.sleepf 0.05;
+              running ()
+        in
+        Alcotest.(check (option char))
+          (Printf.sprintf "background job %d still running" job)
+          None (running ()))
+  end
+
+(* The epoll instances each MP child holds, from its /proc fd list. *)
+let eventpolls pid =
+  let dir = Printf.sprintf "/proc/%d/fd" pid in
+  Array.fold_left
+    (fun n fd ->
+      match Unix.readlink (Filename.concat dir fd) with
+      | "anon_inode:[eventpoll]" -> n + 1
+      | _ | (exception Unix.Unix_error _) -> n)
+    0 (Sys.readdir dir)
+
+(* An MP child waits on a backend of its own and closes the copy of
+   the parent's it inherits: on the default backend, where that is
+   epoll, each of MP 2's children holds exactly one epoll instance (a
+   child that kept the parent's held two). *)
+let test_mp_child_own_backend () =
+  match proc_stat (Unix.getpid ()) with
+  | None -> ()
+  | Some (comm, _, _) ->
+      with_server ~mode:(Flash_live.Server.Mp 2) (fun _ port ->
+          Alcotest.(check int) "a GET" 200 (get port "/hello.txt").Flash_live.Client.status;
+          let self = Unix.getpid () in
+          let children =
+            List.filter
+              (fun pid ->
+                match proc_stat pid with
+                | Some (c, state, ppid) -> ppid = self && c = comm && state <> 'Z'
+                | None -> false)
+              (List.filter_map int_of_string_opt
+                 (Array.to_list (Sys.readdir "/proc")))
+          in
+          Alcotest.(check int) "MP children" 2 (List.length children);
+          let expected = if Evio.default = Evio.Epoll then 1 else 0 in
+          List.iter
+            (fun pid ->
+              Alcotest.(check int)
+                (Printf.sprintf "child %d's epoll instances" pid)
+                expected
+                (Helpers.settled (fun () -> eventpolls pid)))
+            children)
+
 let test_concurrent_clients () =
   with_server (fun server port ->
       let results = Array.make 8 0 in
@@ -464,8 +598,26 @@ let suite =
       (test_cgi_inherits_nothing (Flash_live.Server.Mp 2));
     Alcotest.test_case "CGI inherits no descriptor (MT 2)" `Quick
       (test_cgi_inherits_nothing (Flash_live.Server.Mt 2));
+    Alcotest.test_case "CGI reaped when its output ends (AMPED)" `Quick
+      (test_cgi_reaped Flash_live.Server.Amped);
+    Alcotest.test_case "CGI reaped when its output ends (SPED)" `Quick
+      (test_cgi_reaped Flash_live.Server.Sped);
+    Alcotest.test_case "CGI reaped when its output ends (MP 2)" `Quick
+      (test_cgi_reaped (Flash_live.Server.Mp 2));
+    Alcotest.test_case "CGI reaped when its output ends (MT 2)" `Quick
+      (test_cgi_reaped (Flash_live.Server.Mt 2));
+    Alcotest.test_case "CGI reset kills the script's group (AMPED)" `Quick
+      (test_cgi_group_killed Flash_live.Server.Amped);
+    Alcotest.test_case "CGI reset kills the script's group (SPED)" `Quick
+      (test_cgi_group_killed Flash_live.Server.Sped);
+    Alcotest.test_case "CGI reset kills the script's group (MP 2)" `Quick
+      (test_cgi_group_killed (Flash_live.Server.Mp 2));
+    Alcotest.test_case "CGI reset kills the script's group (MT 2)" `Quick
+      (test_cgi_group_killed (Flash_live.Server.Mt 2));
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "MP mode" `Quick test_mp_mode;
+    Alcotest.test_case "an MP child holds one backend of its own" `Quick
+      test_mp_child_own_backend;
     Alcotest.test_case "32-byte aligned heads on the wire" `Quick
       test_aligned_headers_on_wire;
     Alcotest.test_case "a failed start leaks nothing (AMPED)" `Quick

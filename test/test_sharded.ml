@@ -642,6 +642,10 @@ let suite =
       (Test_live.test_cgi_reset_no_stall (Server.Sharded 2));
     Alcotest.test_case "CGI inherits no descriptor (sharded 2)" `Quick
       (Test_live.test_cgi_inherits_nothing (Server.Sharded 2));
+    Alcotest.test_case "CGI reaped when its output ends (sharded 2)" `Quick
+      (Test_live.test_cgi_reaped (Server.Sharded 2));
+    Alcotest.test_case "CGI reset kills the script's group (sharded 2)" `Quick
+      (Test_live.test_cgi_group_killed (Server.Sharded 2));
     Alcotest.test_case "span sequence per request kind (sharded 2)" `Quick
       (Test_trace.span_sequences (Server.Sharded 2));
   ]
